@@ -9,7 +9,8 @@ non-injective match -- and the step is then no longer fusion-safe.
 
 from weavent import (apply_rule, algebraicity, find_matches, graph_isomorphism,
                      interchange, is_fusion_safe, equivalent_traces,
-                     sequential_independence, trace_classes, trace_domain,
+                     sequential_independence, trace_classes,
+                     trace_classes_by_definition, trace_domain,
                      verify_direct_derivation, Derivation, dom_of_es,
                      poset_isomorphic, ev_of_domain, es_isomorphic)
 from weavent.fixtures import e_run, e_prime_conflict, running_grammar
@@ -44,9 +45,12 @@ swapped = Derivation(start).extend(d2n).extend(d1n)
 print("the witnessing permutation:", equivalent_traces(psi, swapped))
 
 res = trace_classes(g, depth=3)
+# trace_classes extends only one representative per class; the reference
+# enumerator builds every interleaving, so count them there
+every = trace_classes_by_definition(g, depth=3)
 print("\ntrace classes at depth 3:")
-for cls in res.classes:
-    print("   ", cls.element_id, f"({len(cls.members)} interleavings)")
+for cls, full in zip(res.classes, every.classes):
+    print("   ", cls.element_id, f"({len(full.members)} interleavings)")
 dom = res.domain
 print("the trace poset matches the configuration poset:",
       poset_isomorphic(dom, dom_of_es(e_run())) is not None)

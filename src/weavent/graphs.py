@@ -206,13 +206,15 @@ def graph_isomorphism(g1: TypedGraph, g2: TypedGraph) -> Optional[GraphMorphism]
 def iso_hash(g: TypedGraph, rounds: int = 3) -> str:
     """Isomorphism-invariant fingerprint (Weisfeiler-Leman style refinement)."""
     colour = {n: g.node_type[n] for n in g.nodes}
+    outs: Dict[str, List[Tuple[str, str]]] = {n: [] for n in g.nodes}
+    ins: Dict[str, List[Tuple[str, str]]] = {n: [] for n in g.nodes}
+    for e in g.edges:
+        outs[g.src[e]].append((g.edge_type[e], g.tgt[e]))
+        ins[g.tgt[e]].append((g.edge_type[e], g.src[e]))
     for _ in range(rounds):
-        new = {}
-        for n in g.nodes:
-            outs = sorted((g.edge_type[e], colour[g.tgt[e]]) for e in g.edges if g.src[e] == n)
-            ins = sorted((g.edge_type[e], colour[g.src[e]]) for e in g.edges if g.tgt[e] == n)
-            new[n] = f"{colour[n]}|{outs}|{ins}"
-        colour = new
+        colour = {n: f"{colour[n]}|{sorted((t, colour[m]) for t, m in outs[n])}"
+                     f"|{sorted((t, colour[m]) for t, m in ins[n])}"
+                  for n in g.nodes}
     node_part = sorted(colour.values())
     edge_part = sorted(f"{g.edge_type[e]}:{colour[g.src[e]]}->{colour[g.tgt[e]]}" for e in g.edges)
     return str((node_part, edge_part))

@@ -12,6 +12,12 @@ stepwise, for which an isomorphism of the two derivation colimits matches up
 all matches, comatches and the start graph.  The classes, ordered by prefix,
 form the trace domain of the grammar, which is weak prime algebraic (prime
 when only fusion-safe steps are allowed).
+
+The equivalence is a congruence for extension, so ``trace_classes`` reaches
+every class by extending one representative per class, depth by depth; a
+class's ``members`` are the derivations built for it.
+``trace_classes_by_definition`` builds every interleaving and quotients
+them pairwise; it is the reference the fast path is tested against.
 """
 
 from __future__ import annotations
@@ -601,6 +607,12 @@ def equivalent_traces(psi1: Derivation, psi2: Derivation) -> Optional[Tuple[int,
 
 @dataclass(frozen=True, eq=False)
 class TraceClass:
+    """One trace class: its id, its representative (the first derivation
+    found in breadth-first order) and the derivations built for it,
+    representative first.  ``trace_classes`` builds only one-step
+    extensions of representatives, so ``members`` holds those, not every
+    interleaving; ``trace_classes_by_definition`` holds every interleaving
+    up to the depth."""
     element_id: str
     representative: Derivation
     members: Tuple[Derivation, ...]
@@ -612,38 +624,108 @@ class TraceDomainResult:
     classes: Tuple[TraceClass, ...]
 
 
-def _enumerate_derivations(grammar: Grammar, depth: int,
-                           fusion_safe: bool) -> List[Derivation]:
-    grammar.validate()
-    root = Derivation(grammar.start)
-    pool = [root]
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for deriv in frontier:
-            if len(deriv) >= depth:
+def _extensions(deriv: Derivation, rules: Sequence[Rule],
+                fusion_safe: bool) -> Iterable[Derivation]:
+    """One-step extensions of a derivation: rules in the given order, matches
+    in ``find_matches`` order."""
+    host = deriv.target
+    for rule in rules:
+        for m in find_matches(rule.L, host):
+            step = apply_rule(host, rule, m)
+            if step is None:
                 continue
-            host = deriv.target
-            for rule in sorted(grammar.rules, key=lambda r: r.name):
-                for m in find_matches(rule.L, host):
-                    step = apply_rule(host, rule, m)
-                    if step is None:
-                        continue
-                    if fusion_safe and not is_fusion_safe(step):
-                        continue
-                    child = deriv.extend(step)
-                    pool.append(child)
-                    nxt.append(child)
-        frontier = nxt
-    return pool
+            if fusion_safe and not is_fusion_safe(step):
+                continue
+            yield deriv.extend(step)
+
+
+def _trace_result(groups: List[List[Derivation]],
+                  steps: Iterable[Tuple[int, int]]) -> TraceDomainResult:
+    """Number and order the classes.
+
+    ``groups`` lists each class's derivations, representative first, with
+    classes in order of discovery; ``steps`` holds ``(class of a derivation,
+    class of a one-step extension of it)`` pairs, which generate the prefix
+    order.  Classes are sorted by length, then by the representative's rule
+    names, then by discovery.
+    """
+    order = sorted(range(len(groups)),
+                   key=lambda c: (len(groups[c][0]), groups[c][0].rule_names(), c))
+    ids: Dict[int, str] = {}
+    classes = []
+    for pos, c in enumerate(order):
+        rep = groups[c][0]
+        ids[c] = f"t{pos}:{';'.join(rep.rule_names()) or 'ε'}"
+        classes.append(TraceClass(ids[c], rep, tuple(groups[c])))
+    domain = FiniteDomain.from_leq(ids.values(), [(ids[a], ids[b]) for a, b in steps],
+                                   COHERENT)
+    return TraceDomainResult(domain, tuple(classes))
 
 
 def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
                   ceiling: int = 10000) -> TraceDomainResult:
-    """Enumerate derivations up to ``depth`` and quotient them into trace
-    classes; the classes ordered by prefix form the returned domain."""
-    pool = _enumerate_derivations(grammar, depth, fusion_safe)
-    index = {id(d): k for k, d in enumerate(pool)}
+    """The trace classes of derivations up to ``depth``, ordered by prefix.
+
+    Grows a breadth-first tree that extends only class representatives.
+    Trace equivalence is a congruence for extension, so every extension of
+    a member is equivalent to an extension of its representative, and the
+    classes, their representatives and their order are those of
+    ``trace_classes_by_definition``.  Each new derivation is compared, by
+    ``equivalent_traces``, with the representatives of the classes sharing
+    its rule multiset and target fingerprint; it joins the first that
+    accepts it, or opens a class.  Raises ``TraceLimitError`` as soon as
+    more than ``ceiling`` classes have been found.
+    """
+    grammar.validate()
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    groups: List[List[Derivation]] = []
+    steps: List[Tuple[int, int]] = []
+    buckets: Dict[tuple, List[int]] = {}
+
+    def open_class(deriv: Derivation) -> int:
+        if len(groups) >= ceiling:
+            raise TraceLimitError(
+                f"more than {ceiling} trace classes by depth {len(deriv)} of {depth}")
+        groups.append([deriv])
+        return len(groups) - 1
+
+    frontier = [open_class(Derivation(grammar.start))]
+    for _ in range(depth):
+        found = []
+        for parent in frontier:
+            for child in _extensions(groups[parent][0], rules, fusion_safe):
+                key = (tuple(sorted(child.rule_names())), iso_hash(child.target))
+                bucket = buckets.setdefault(key, [])
+                cls = next((c for c in bucket
+                            if equivalent_traces(groups[c][0], child) is not None), None)
+                if cls is None:
+                    cls = open_class(child)
+                    bucket.append(cls)
+                    found.append(cls)
+                else:
+                    groups[cls].append(child)
+                steps.append((parent, cls))
+        frontier = found
+    return _trace_result(groups, steps)
+
+
+def trace_classes_by_definition(grammar: Grammar, depth: int,
+                                fusion_safe: bool = False) -> TraceDomainResult:
+    """The trace classes by definition: every derivation up to ``depth``,
+    quotiented pairwise by ``equivalent_traces``.
+
+    Builds every interleaving, so it grows like n!; it is the reference
+    that ``trace_classes`` is tested against, and each class's ``members``
+    holds all of its derivations in breadth-first order.
+    """
+    grammar.validate()
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    pool = [Derivation(grammar.start)]
+    frontier = list(pool)
+    for _ in range(depth):
+        frontier = [child for deriv in frontier
+                    for child in _extensions(deriv, rules, fusion_safe)]
+        pool += frontier
     uf = _UnionFind()
     for k in range(len(pool)):
         uf.add(k)
@@ -658,42 +740,19 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
                     continue
                 if equivalent_traces(pool[k1], pool[k2]) is not None:
                     uf.union(k1, k2)
-    grouped: Dict[int, List[int]] = {}
-    for k in range(len(pool)):
-        grouped.setdefault(uf.find(k), []).append(k)
-    ordered = sorted(grouped.values(),
-                     key=lambda ks: (len(pool[ks[0]]), pool[min(ks)].rule_names(), min(ks)))
-    if len(ordered) > ceiling:
-        raise TraceLimitError(
-            f"{len(ordered)} trace classes exceed the ceiling of {ceiling}")
-    class_of: Dict[int, int] = {}
-    for ci, ks in enumerate(ordered):
-        for k in ks:
-            class_of[k] = ci
-    ids = []
-    classes = []
-    for ci, ks in enumerate(ordered):
-        rep = pool[min(ks)]
-        label = ";".join(rep.rule_names()) or "ε"
-        eid = f"t{ci}:{label}"
-        ids.append(eid)
-        classes.append(TraceClass(eid, rep, tuple(pool[k] for k in sorted(ks))))
-    leq = []
-    for ci, ks in enumerate(ordered):
-        below = set()
-        for k in ks:
-            d = pool[k]
-            cur = d
-            while True:
-                below.add(class_of[index[id(cur)]])
-                if len(cur) == 0:
-                    break
-                cur = cur.parent
-        for cj in below:
-            if cj != ci:
-                leq.append((ids[cj], ids[ci]))
-    domain = FiniteDomain.from_leq(ids, leq, COHERENT)
-    return TraceDomainResult(domain, tuple(classes))
+    class_of: Dict[int, int] = {}  # union-find root -> class, numbered by first member
+    groups: List[List[Derivation]] = []
+    cls: List[int] = []
+    for k, d in enumerate(pool):
+        c = class_of.setdefault(uf.find(k), len(groups))
+        if c == len(groups):
+            groups.append([])
+        groups[c].append(d)
+        cls.append(c)
+    index = {id(d): k for k, d in enumerate(pool)}
+    steps = [(cls[index[id(d.parent)]], cls[k])
+             for k, d in enumerate(pool) if d.parent is not None]
+    return _trace_result(groups, steps)
 
 
 def trace_domain(grammar: Grammar, depth: int, fusion_safe: bool = False,

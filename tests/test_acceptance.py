@@ -27,7 +27,8 @@ from weavent.intervals import ev_wd, zeta
 from weavent.asyncgraphs import async_domain, hasse_as_async, validate_async_graph
 from weavent.rewrite import (Derivation, apply_rule, equivalent_traces,
                              grammar_from_es, interchange, is_fusion_safe,
-                             sequential_independence, trace_classes, trace_domain,
+                             sequential_independence, trace_classes,
+                             trace_classes_by_definition, trace_domain,
                              verify_direct_derivation)
 from tests._gen import random_connected_es, random_live_es, random_weak_prime_domain
 
@@ -184,11 +185,12 @@ def test_criterion_8_rewriting_engine():
     assert equivalent_traces(psi, swapped) == (1, 0)
 
     checked = 0
-    for cls in trace_classes(g, 3).classes:
-        for deriv in cls.members:
-            for st in deriv.steps:
-                assert verify_direct_derivation(st)
-                checked += 1
+    for enumerate_classes in (trace_classes, trace_classes_by_definition):
+        for cls in enumerate_classes(g, 3).classes:
+            for deriv in cls.members:
+                for st in deriv.steps:
+                    assert verify_direct_derivation(st)
+                    checked += 1
     assert checked > 0
 
     assert is_fusion_safe(d1)

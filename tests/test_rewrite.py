@@ -1,17 +1,40 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+from weavent import rewrite
 from weavent.domains import algebraicity, validate_domain
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain, poset_isomorphic
+from weavent.es import EventStructure
 from weavent.fixtures import e_run, running_grammar
 from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
                             graph_isomorphism, iso_hash)
+from weavent.io import load_structure
 from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError,
-                             apply_rule, equivalent_traces, interchange,
-                             is_fusion_safe, is_pushout, pushout,
+                             apply_rule, equivalent_traces, grammar_from_es,
+                             interchange, is_fusion_safe, is_pushout, pushout,
                              sequential_independence, trace_classes,
-                             trace_domain, verify_direct_derivation)
+                             trace_classes_by_definition, trace_domain,
+                             verify_direct_derivation)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def runs_es(k):
+    """k disjoint copies of the running structure: c_i is enabled by a_i or b_i."""
+    events, gens = [], []
+    for i in range(k):
+        a, b, c = f"a{i}", f"b{i}", f"c{i}"
+        events += [a, b, c]
+        gens += [((), a), ((), b), ((a,), c), ((b,), c)]
+    return EventStructure.binary(events, (), gens)
+
+
+def boolean_es(n):
+    events = [f"e{i}" for i in range(n)]
+    return EventStructure.binary(events, (), [((), e) for e in events])
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +78,24 @@ class TestGraphs:
         assert iso_hash(h1) == iso_hash(relabel)
         assert graph_isomorphism(h1, relabel) is not None
 
+    def test_iso_hash_strings_pinned(self):
+        # trace classes are bucketed by these strings: any change to them
+        # moves buckets and equivalence-check counts
+        def digest(g):
+            return hashlib.sha256(iso_hash(g).encode()).hexdigest()
+
+        fusion = load_structure(str(FIXTURES / "fusion.grammar.json"), "grammar")
+        assert digest(fusion.start) == \
+            "d2bd391adcde589201a156d4ee0ef0fc460be2f9b025504c5a1603e39d23bbcd"
+        assert digest(grammar_from_es(runs_es(2)).start) == \
+            "db397810ad230de7e10fd8e4b80fe3ea77e8999859003596c4e4091ed2356ee8"
+        mixed = TypedGraph(["x", "y", "z"],
+                           [("e1", "E", "x", "y"), ("e2", "E", "y", "z"), ("e3", "F", "z", "z"),
+                            ("e4", "E", "x", "y"), ("e5", "F", "z", "x")],
+                           {"x": "N", "y": "N", "z": "M"})
+        assert digest(mixed) == \
+            "b578bdade13c666cd9df9399a7cc16270f12f0b6bc845627bf402ac2be7d74b9"
+
     def test_morphism_validation(self, grammar, start):
         bad = GraphMorphism(grammar.rule("p_a").L, start,
                             {"c": "c", "v": "c"}, {"e_abar": "e_abar",
@@ -95,14 +136,14 @@ class TestApplyRule:
         assert apply_rule(host, rule, m) is None
 
     def test_pushout_verifier_on_constructed_steps(self, grammar):
-        pool = trace_classes(grammar, 3).classes
-        seen = 0
-        for cls in pool:
-            for deriv in cls.members:
-                for st in deriv.steps:
-                    assert verify_direct_derivation(st)
-                    seen += 1
-        assert seen > 10
+        for enumerate_classes in (trace_classes, trace_classes_by_definition):
+            seen = 0
+            for cls in enumerate_classes(grammar, 3).classes:
+                for deriv in cls.members:
+                    for st in deriv.steps:
+                        assert verify_direct_derivation(st)
+                        seen += 1
+            assert seen > 10
 
     def test_is_pushout_rejects_extra_identification(self):
         empty = TypedGraph([], [], {})
@@ -263,10 +304,26 @@ class TestTraceDomain:
         with pytest.raises(TraceLimitError):
             trace_domain(grammar, 3, ceiling=3)
 
+    def test_class_ceiling_stops_growth(self, monkeypatch):
+        # synth-B_7 has 128 classes; the ceiling must stop the growth at the
+        # fourth class, not after the whole tree is built
+        grammar = grammar_from_es(boolean_es(7))
+        calls = []
+
+        def counting_apply_rule(*args):
+            calls.append(args)
+            return apply_rule(*args)
+
+        monkeypatch.setattr(rewrite, "apply_rule", counting_apply_rule)
+        with pytest.raises(TraceLimitError):
+            trace_classes(grammar, 7, ceiling=3)
+        assert 0 < len(calls) < 20
+
     def test_minimal_common_extension_length(self, grammar):
         # consistent classes join at the length predicted by the overlap of
-        # their permutation into a common extension
-        res = trace_classes(grammar, 3)
+        # their permutation into a common extension; this needs every
+        # interleaving of the join class, which only the reference builds
+        res = trace_classes_by_definition(grammar, 3)
         dom = res.domain
         by_id = {c.element_id: c for c in res.classes}
         for id1 in dom.elements:
