@@ -30,7 +30,7 @@ print("\nthe interval construction recovers the events:",
       es_isomorphic(es, e_run()) is not None)
 
 a_run = hasse_as_async(run_dom)
-rep = validate_async_graph(a_run, weak=True)
+rep = validate_async_graph(a_run)
 print("\nHasse diagram as an asynchronous graph (all squares commuting):")
 print("    square axioms:", rep.axiom1 and rep.axiom2,
       "| upward cube:", rep.cube_up,

@@ -24,8 +24,7 @@ from .rewrite import Derivation, DirectDerivation, Grammar, Rule, TraceClass, \
     TraceLimitError, apply_rule, equivalent_traces, grammar_from_es, interchange, \
     is_fusion_safe, is_pushout, pushout, sequential_independence, trace_classes, \
     trace_classes_by_definition, trace_domain, verify_direct_derivation
-from .intervals import check_axioms, ev_wd, interval_classes, interval_leq, \
-    intervals, zeta
+from .intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
 from .asyncgraphs import AsyncError, AsyncGraph, async_domain, hasse_as_async, \
     validate_async_graph
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ._common import UnionFind
 from .domains import COHERENT, FiniteDomain
 
 Path2 = Tuple[str, str]
@@ -68,44 +69,22 @@ class AsyncGraph:
         return tuple(out)
 
 
-class _Uf:
-    def __init__(self, items):
-        self.p = {x: x for x in items}
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
-
-
 def _square_classes(a: AsyncGraph) -> Dict[Path2, int]:
     """Equivalence on length-2 paths generated by the declared squares."""
     p2 = a.paths2()
-    pos = {p: k for k, p in enumerate(p2)}
-    uf = _Uf(range(len(p2)))
+    uf = UnionFind(p2)
     for sq in a.squares:
         members = sorted(sq)
         if len(members) == 1:
             continue
         p, q = members
-        if p not in pos or q not in pos:
+        if p not in uf or q not in uf:
             raise AsyncError(f"square {members} is not a pair of length-2 paths")
         if a.src(p[0]) != a.src(q[0]) or a.tgt(p[1]) != a.tgt(q[1]):
             raise AsyncError(f"square {members} is not coinitial-cofinal")
-        uf.union(pos[p], pos[q])
-    roots = {}
-    cls = {}
-    for p in p2:
-        r = uf.find(pos[p])
-        roots.setdefault(r, len(roots))
-        cls[p] = roots[r]
-    return cls
+        uf.union(p, q)
+    roots: Dict[Path2, int] = {}  # classes numbered by first member
+    return {p: roots.setdefault(uf.find(p), len(roots)) for p in p2}
 
 
 def _same2(cls: Dict[Path2, int], p: Path2, q: Path2) -> bool:
@@ -187,7 +166,7 @@ def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], Lis
     by_class = {}
     for p in a.paths2():
         by_class.setdefault(cls2[p], []).append(p)
-    uf = _Uf(paths)
+    uf = UnionFind(paths)
     for w in paths:
         for i in range(len(w) - 1):
             seg = (w[i], w[i + 1])
@@ -196,23 +175,17 @@ def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], Lis
             for seg2 in by_class[cls2[seg]]:
                 if seg2 != seg:
                     w2 = w[:i] + seg2 + w[i + 2:]
-                    if w2 in uf.p:
+                    if w2 in uf:
                         uf.union(w, w2)
-    roots, out = {}, {}
-    for w in paths:
-        r = uf.find(w)
-        roots.setdefault(r, len(roots))
-        out[w] = roots[r]
-    return out, paths
+    roots: Dict[Tuple[str, ...], int] = {}
+    return {w: roots.setdefault(uf.find(w), len(roots)) for w in paths}, paths
 
 
-def validate_async_graph(a: AsyncGraph, weak: bool = False) -> AsyncReport:
+def validate_async_graph(a: AsyncGraph) -> AsyncReport:
     """Evaluate the asynchronous-graph axioms.
 
     Reports each axiom separately; ``weak_valid`` ignores the downward
-    (stability) direction of the cube, ``full_valid`` includes it.  The
-    ``weak`` argument only selects which verdict ``bool(report)`` should
-    reflect and is kept for symmetry with the other validators.
+    (stability) direction of the cube, ``full_valid`` includes it.
     """
     diags = []
     cls = _square_classes(a)
@@ -241,8 +214,6 @@ def validate_async_graph(a: AsyncGraph, weak: bool = False) -> AsyncReport:
             axiom1 = False
             diags.append(f"axiom1: {p} ~ {q}")
             break
-        if p == q:
-            continue
     axiom2 = True
     for p, q in related:
         for p2, q2 in related:
@@ -396,7 +367,7 @@ def validate_async_graph(a: AsyncGraph, weak: bool = False) -> AsyncReport:
 
 def async_domain(a: AsyncGraph) -> FiniteDomain:
     """Prefix order on ≃-classes of origin paths (weak prime validation first)."""
-    report = validate_async_graph(a, weak=True)
+    report = validate_async_graph(a)
     if not report.weak_prime():
         raise AsyncError("not a weak prime asynchronous graph: "
                          + "; ".join(report.diagnostics))

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from . import dot as dotmod
 from . import io as iomod
-from .es import EsError, LivenessError, classify, configurations
+from .es import EsError, classify, configurations
 from .domains import OrderError, algebraicity, interchange_classes, \
     irreducible_elements, primes, validate_domain, weak_primes
 from .duality import connect_es, dom_of_es, epes_dom, epes_ev, epes_isomorphic, \
@@ -26,8 +26,7 @@ from .duality import connect_es, dom_of_es, epes_dom, epes_ev, epes_isomorphic, 
 from .graphs import GraphError
 from .intervals import check_axioms, ev_wd, interval_classes, zeta
 from .asyncgraphs import AsyncError, async_domain, validate_async_graph
-from .rewrite import TraceLimitError, grammar_from_es, once_per_rule_depth, \
-    trace_classes
+from .rewrite import grammar_from_es, once_per_rule_depth, trace_classes
 
 DEFAULT_CEILING = 10000
 
@@ -67,6 +66,17 @@ def _domain_summary(dom) -> Dict[str, Any]:
     }
 
 
+def _async_results(rep) -> Dict[str, Any]:
+    """Each axiom's verdict on an asynchronous graph, and the weak and full
+    validity verdicts."""
+    return {"axiom1": rep.axiom1, "axiom2": rep.axiom2,
+            "cube_up": rep.cube_up, "cube_down": rep.cube_down,
+            "coherence": rep.coherence,
+            "all_cofinal_equivalent": rep.all_cofinal_equivalent,
+            "weak_valid": rep.weak_valid(), "full_valid": rep.full_valid(),
+            "weak_prime": rep.weak_prime(), "prime": rep.prime()}
+
+
 # ---------------------------------------------------------------------- #
 # Verbs
 # ---------------------------------------------------------------------- #
@@ -95,15 +105,9 @@ def _cmd_check(args) -> tuple:
                    "start_nodes": len(value.start.nodes),
                    "start_edges": len(value.start.edges)}
     elif kind == "asyncgraph":
-        rep = validate_async_graph(value, weak=args.weak)
-        results = {"kind": kind, "axiom1": rep.axiom1, "axiom2": rep.axiom2,
-                   "cube_up": rep.cube_up, "cube_down": rep.cube_down,
-                   "coherence": rep.coherence,
-                   "all_cofinal_equivalent": rep.all_cofinal_equivalent,
-                   "weak_valid": rep.weak_valid(), "full_valid": rep.full_valid(),
-                   "weak_prime": rep.weak_prime(), "prime": rep.prime()}
-        ok = rep.weak_valid() if args.weak else rep.full_valid()
-        if not ok:
+        rep = validate_async_graph(value)
+        results = {"kind": kind, **_async_results(rep)}
+        if not results["weak_valid" if args.weak else "full_valid"]:
             witnesses += list(rep.diagnostics)
             raise _FailureWithReport(results, witnesses, path)
     else:  # epes
@@ -281,13 +285,8 @@ def _cmd_async(args) -> tuple:
     path, kind, value = _one_input(args)
     if kind != "asyncgraph":
         raise iomod.SchemaError("async expects --async")
-    rep = validate_async_graph(value, weak=args.weak)
-    results = {"axiom1": rep.axiom1, "axiom2": rep.axiom2,
-               "cube_up": rep.cube_up, "cube_down": rep.cube_down,
-               "coherence": rep.coherence,
-               "all_cofinal_equivalent": rep.all_cofinal_equivalent,
-               "weak_valid": rep.weak_valid(), "full_valid": rep.full_valid(),
-               "weak_prime": rep.weak_prime(), "prime": rep.prime()}
+    rep = validate_async_graph(value)
+    results = _async_results(rep)
     witnesses: List = []
     if rep.weak_prime():
         dom = async_domain(value)
@@ -295,8 +294,7 @@ def _cmd_async(args) -> tuple:
         if args.out:
             iomod.dump_json(iomod.domain_to_json(dom), args.out)
             results["written"] = args.out
-    ok = rep.weak_valid() if args.weak else rep.full_valid()
-    if not ok:
+    if not results["weak_valid" if args.weak else "full_valid"]:
         witnesses += list(rep.diagnostics)
         raise _FailureWithReport(results, witnesses, path)
     return {"input": path}, results, witnesses
@@ -375,7 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_report(args.verb, {"input": fail.path}, fail.results, fail.witnesses))
         return 1
     except (iomod.SchemaError, EsError, OrderError, GraphError, AsyncError,
-            LivenessError, TraceLimitError, FileNotFoundError) as exc:
+            FileNotFoundError) as exc:
         json.dump({"error": str(exc)}, sys.stderr, indent=2, sort_keys=True)
         sys.stderr.write("\n")
         return 2

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ._common import Report, UnionFind
+
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
 
@@ -214,17 +216,7 @@ class FiniteDomain:
 # Validation
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class DomainReport:
-    ok: bool
-    condition: Optional[str] = None
-    witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_domain(dom: FiniteDomain) -> DomainReport:
+def validate_domain(dom: FiniteDomain) -> Report:
     """Check least element and the join condition for the domain's kind.
 
     Coherence is checked through the generator criterion: for pairwise
@@ -234,7 +226,7 @@ def validate_domain(dom: FiniteDomain) -> DomainReport:
     binary joins of bounded pairs.
     """
     if dom.bottom() is None:
-        return DomainReport(False, "no-least-element", tuple(
+        return Report(False, "no-least-element", tuple(
             x for x in dom.elements if not dom.lower_covers(x)))
     names = dom.elements
     n = len(names)
@@ -244,18 +236,18 @@ def validate_domain(dom: FiniteDomain) -> DomainReport:
             continue
         jm = dom._join_mask((1 << i) | (1 << j))
         if jm is None:
-            return DomainReport(False, "missing-join", (a, b))
+            return Report(False, "missing-join", (a, b))
         if dom.kind == COHERENT:
             for k in range(n):
                 c = names[k]
                 if dom.consistent((a, c)) and dom.consistent((b, c)):
                     if not dom.consistent((names[jm], c)):
-                        return DomainReport(False, "join-breaks-consistency", (a, b, c))
+                        return Report(False, "join-breaks-consistency", (a, b, c))
     # meets of nonempty sets come for free; self-check on pairs
     for i, j in combinations(range(n), 2):
         if dom._meet_mask((1 << i) | (1 << j)) is None:
-            return DomainReport(False, "missing-meet", (names[i], names[j]))
-    return DomainReport(True)
+            return Report(False, "missing-meet", (names[i], names[j]))
+    return Report(True)
 
 
 # ---------------------------------------------------------------------- #
@@ -456,21 +448,11 @@ def interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
     Classes are ordered by their lexicographically least member.
     """
     irr = [dom.elements[i] for i in _irreducible_indices(dom)]
-    parent = {x: x for x in irr}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(irr)
     for a, b in combinations(irr, 2):
         if interchangeable(dom, a, b):
-            parent[find(a)] = find(b)
-    groups: Dict[str, set] = {}
-    for x in irr:
-        groups.setdefault(find(x), set()).add(x)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=lambda g: min(g)))
+            uf.union(a, b)
+    return tuple(frozenset(g) for g in uf.groups())
 
 
 def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -573,18 +555,8 @@ def diff(dom: FiniteDomain, d2: str, d1: str) -> FrozenSet[str]:
 # Morphisms
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class MorphismReport:
-    ok: bool
-    condition: Optional[str] = None
-    witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
-                             dom2: FiniteDomain, strict: bool = False) -> MorphismReport:
+                             dom2: FiniteDomain, strict: bool = False) -> Report:
     """Check the weak-prime-domain morphism conditions for a total map.
 
     Condition on covers is read permissively by default (a cover may be
@@ -595,21 +567,21 @@ def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
     """
     for x in dom1.elements:
         if x not in f:
-            return MorphismReport(False, "not-total", (x,))
+            return Report(False, "not-total", (x,))
         if f[x] not in dom2._idx:
-            return MorphismReport(False, "unknown-target", (x, f[x]))
+            return Report(False, "unknown-target", (x, f[x]))
     for a, b in ((dom1.elements[i], dom1.elements[j]) for i, j in dom1._cover_pairs):
         if f[a] == f[b]:
             if strict:
-                return MorphismReport(False, "cover-collapsed", (a, b))
+                return Report(False, "cover-collapsed", (a, b))
             continue
         if not dom2.is_cover(f[a], f[b]):
-            return MorphismReport(False, "cover-not-preserved", (a, b))
+            return Report(False, "cover-not-preserved", (a, b))
     # joins of consistent sets: the empty set plus consistent pairs suffice,
     # larger consistent sets follow by iterating binary joins
     b1, b2 = dom1.bottom(), dom2.bottom()
     if b1 is not None and b2 is not None and f[b1] != b2:
-        return MorphismReport(False, "join-not-preserved", ())
+        return Report(False, "join-not-preserved", ())
     for a, b in combinations(dom1.elements, 2):
         if not dom1.consistent((a, b)):
             continue
@@ -618,7 +590,7 @@ def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
             continue
         j2 = dom2.join((f[a], f[b]))
         if j2 != f[j1]:
-            return MorphismReport(False, "join-not-preserved", (a, b))
+            return Report(False, "join-not-preserved", (a, b))
     for a, b in combinations(dom1.elements, 2):
         if not dom1.consistent((a, b)):
             continue
@@ -628,12 +600,12 @@ def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
         if dom1.is_cover(m, a) or dom1.is_cover(m, b):
             m2 = dom2.meet((f[a], f[b]))
             if m2 != f[m]:
-                return MorphismReport(False, "meet-not-preserved", (a, b))
+                return Report(False, "meet-not-preserved", (a, b))
     if algebraicity(dom1).prime_algebraic and algebraicity(dom2).prime_algebraic:
         # binary meets suffice: meets of larger nonempty sets iterate them
         for a, b in combinations(dom1.elements, 2):
             m1 = dom1.meet((a, b))
             m2 = dom2.meet((f[a], f[b]))
             if m1 is not None and m2 != f[m1]:
-                return MorphismReport(False, "prime-meet-not-preserved", (a, b))
-    return MorphismReport(True)
+                return Report(False, "prime-meet-not-preserved", (a, b))
+    return Report(True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
+from ._common import UnionFind
 from .es import (BINARY, CONSISTENCY, EsError, EventStructure, LivenessError,
                  classify, configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
@@ -317,19 +318,11 @@ def validate_epes(p: Epes) -> Tuple[bool, Tuple[str, ...]]:
 def epes_is_connected(p: Epes) -> bool:
     """Whether the equivalence is regenerated by its conflict-free pairs."""
     for block in p.equiv:
-        members = sorted(block)
-        parent = {x: x for x in members}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in combinations(members, 2):
+        uf = UnionFind(block)
+        for a, b in combinations(sorted(block), 2):
             if not p.base.in_conflict(a, b):
-                parent[find(a)] = find(b)
-        if len({find(x) for x in members}) > 1:
+                uf.union(a, b)
+        if len(uf.groups()) > 1:
             return False
     return True
 

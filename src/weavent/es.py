@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, Mapping, Tuple
+
+from ._common import Report, UnionFind
 
 EventSet = FrozenSet[str]
 
@@ -279,15 +281,11 @@ def classify(es: EventStructure) -> Classification:
             stable = False
         # connectedness of the link graph over the minimal enablings
         if len(mins) > 1:
-            reach = {min(mins, key=sorted)}
-            grew = True
-            while grew:
-                grew = False
-                for c1, c2 in links:
-                    if (c1 in reach) != (c2 in reach):
-                        reach |= {c1, c2}
-                        grew = True
-            if reach != set(mins):
+            pos = {c: k for k, c in enumerate(mins)}
+            uf = UnionFind(range(len(mins)))
+            for c1, c2 in links:
+                uf.union(pos[c1], pos[c2])
+            if len(uf.groups()) > 1:
                 connected = False
     return Classification(live, stable, prime, connected, tuple(diags))
 
@@ -321,19 +319,9 @@ def saturate(es: EventStructure) -> EventStructure:
 # Morphisms
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class MorphismReport:
-    ok: bool
-    condition: Optional[str] = None
-    witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def validate_es_morphism(f: Mapping[str, str],
                          src: EventStructure,
-                         dst: EventStructure) -> MorphismReport:
+                         dst: EventStructure) -> Report:
     """Check the partial-map morphism conditions between event structures.
 
     Binary kind: conflict reflection, injectivity up to conflict, and
@@ -342,32 +330,32 @@ def validate_es_morphism(f: Mapping[str, str],
     pairs, and the same enabling preservation.
     """
     if src.conflict_kind != dst.conflict_kind:
-        return MorphismReport(False, "kind-mismatch", (src.conflict_kind, dst.conflict_kind))
+        return Report(False, "kind-mismatch", (src.conflict_kind, dst.conflict_kind))
     for a, b in f.items():
         if a not in src.events:
-            return MorphismReport(False, "unknown-source-event", (a,))
+            return Report(False, "unknown-source-event", (a,))
         if b not in dst.events:
-            return MorphismReport(False, "unknown-target-event", (b,))
+            return Report(False, "unknown-target-event", (b,))
 
     defined = sorted(f)
     if src.conflict_kind == BINARY:
         for a, b in combinations(defined, 2):
             if dst.in_conflict(f[a], f[b]) and not src.in_conflict(a, b):
-                return MorphismReport(False, "conflict-reflection", (a, b))
+                return Report(False, "conflict-reflection", (a, b))
             if f[a] == f[b] and not src.in_conflict(a, b):
-                return MorphismReport(False, "injectivity-up-to-conflict", (a, b))
+                return Report(False, "injectivity-up-to-conflict", (a, b))
     else:
         for xs in src.consistent_sets:
             img = frozenset(f[e] for e in xs if e in f)
             if img and not dst.is_consistent(img):
-                return MorphismReport(False, "consistency-preservation", (tuple(sorted(xs)),))
+                return Report(False, "consistency-preservation", (tuple(sorted(xs)),))
         for a, b in combinations(defined, 2):
             if src.is_consistent((a, b)) and f[a] == f[b]:
-                return MorphismReport(False, "injectivity-on-consistent", (a, b))
+                return Report(False, "injectivity-on-consistent", (a, b))
 
     for c in sorted(configurations(src), key=sorted):
         img = frozenset(f[x] for x in c if x in f)
         for e in defined:
             if src.enables(c, e) and not dst.enables(img, f[e]):
-                return MorphismReport(False, "enabling-preservation", (tuple(sorted(c)), e))
-    return MorphismReport(True)
+                return Report(False, "enabling-preservation", (tuple(sorted(c)), e))
+    return Report(True)

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
+from ._common import UnionFind
 from .es import EventStructure
 from .domains import (FiniteDomain, OrderError, decompose, diff,
                       interchange_classes, irreducible_elements, predecessor,
                       validate_domain, weak_primes)
 
 Interval = Tuple[str, str]
-
-
-def intervals(dom: FiniteDomain) -> Tuple[Interval, ...]:
-    """All cover pairs of the poset."""
-    return dom.covers()
 
 
 def interval_leq(dom: FiniteDomain, first: Interval, second: Interval) -> bool:
@@ -35,37 +31,23 @@ def interval_leq(dom: FiniteDomain, first: Interval, second: Interval) -> bool:
     return dom.meet((c2, d)) == c and dom.consistent((c2, d)) and dom.join((c2, d)) == d2
 
 
-def _interval_partition(dom: FiniteDomain, pairs: List[Interval]) -> List[List[Interval]]:
-    parent = {p: p for p in pairs}
+def _closure_classes(dom: FiniteDomain, pairs) -> List[List[Interval]]:
+    """Classes of ``pairs`` under the symmetric-transitive closure of ≤.
 
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    One union pass over all pairs of pairs is that closure: each related
+    pair is joined when it is met, and joined classes stay joined.
+    """
+    uf = UnionFind(pairs)
     for p, q in combinations(pairs, 2):
-        if find(p) == find(q):
-            continue
-        if interval_leq(dom, p, q) or interval_leq(dom, q, p):
-            parent[find(p)] = find(q)
-    # transitive closure needs repetition because ≤ is not an equivalence
-    changed = True
-    while changed:
-        changed = False
-        for p, q in combinations(pairs, 2):
-            if find(p) != find(q) and (interval_leq(dom, p, q) or interval_leq(dom, q, p)):
-                parent[find(p)] = find(q)
-                changed = True
-    groups: Dict[Interval, List[Interval]] = {}
-    for p in pairs:
-        groups.setdefault(find(p), []).append(p)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+        if uf.find(p) != uf.find(q) and (interval_leq(dom, p, q) or interval_leq(dom, q, p)):
+            uf.union(p, q)
+    return uf.groups()
 
 
 def interval_classes(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
-    """Partition of the cover pairs by the symmetric-transitive closure of ≤."""
-    return tuple(frozenset(g) for g in _interval_partition(dom, list(intervals(dom))))
+    """Partition of the cover pairs by the symmetric-transitive closure of ≤,
+    ordered by least member."""
+    return tuple(frozenset(g) for g in _closure_classes(dom, dom.covers()))
 
 
 @dataclass(frozen=True)
@@ -119,29 +101,7 @@ def _axiom_v(dom: FiniteDomain, classes) -> Optional[tuple]:
 def _axiom_i(dom: FiniteDomain) -> Optional[tuple]:
     # the consistency-variant axiom works on arbitrary element pairs
     pairs = [(a, b) for a in dom.elements for b in dom.elements]
-    parent = {p: p for p in pairs}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def pleq(p, q):
-        (c, c2), (d, d2) = p, q
-        return dom.meet((c2, d)) == c and dom.consistent((c2, d)) and dom.join((c2, d)) == d2
-
-    changed = True
-    while changed:
-        changed = False
-        for p, q in combinations(pairs, 2):
-            if find(p) != find(q) and (pleq(p, q) or pleq(q, p)):
-                parent[find(p)] = find(q)
-                changed = True
-    groups: Dict[tuple, List[tuple]] = {}
-    for p in pairs:
-        groups.setdefault(find(p), []).append(p)
-    for g in groups.values():
+    for g in _closure_classes(dom, pairs):
         ordered = [p for p in g if dom.leq(p[0], p[1])]
         if ordered and len(ordered) != len(g):
             bad = next(p for p in g if not dom.leq(p[0], p[1]))

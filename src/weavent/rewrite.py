@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ._common import UnionFind
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
@@ -91,37 +92,6 @@ class Grammar:
 # Pushouts
 # ---------------------------------------------------------------------- #
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller tagged tuple as representative for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def classes(self) -> Dict[tuple, List[tuple]]:
-        out: Dict[tuple, List[tuple]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return {k: sorted(v) for k, v in out.items()}
-
-
 def _fresh(base: str, used: set) -> str:
     name = base
     k = 1
@@ -142,15 +112,8 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
     if f.source is not g.source:
         raise GraphError("pushout legs must share their source")
     a, b = f.target, g.target
-    ufn, ufe = _UnionFind(), _UnionFind()
-    for n in a.nodes:
-        ufn.add(("A", n))
-    for n in b.nodes:
-        ufn.add(("B", n))
-    for e in a.edges:
-        ufe.add(("A", e))
-    for e in b.edges:
-        ufe.add(("B", e))
+    ufn = UnionFind([("A", n) for n in a.nodes] + [("B", n) for n in b.nodes])
+    ufe = UnionFind([("A", e) for e in a.edges] + [("B", e) for e in b.edges])
     for c in f.source.nodes:
         ufn.union(("A", f.node_map[c]), ("B", g.node_map[c]))
     for c in f.source.edges:
@@ -158,7 +121,7 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
 
     used: set = set()
     node_name: Dict[tuple, str] = {}
-    for root, members in sorted(ufn.classes().items()):
+    for members in ufn.groups():
         bs = sorted({x for tag, x in members if tag == "B"})
         if bs:
             base = "+".join(bs)
@@ -169,7 +132,7 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
             node_name[m] = name
     edge_used: set = set()
     edge_name: Dict[tuple, str] = {}
-    for root, members in sorted(ufe.classes().items()):
+    for members in ufe.groups():
         bs = sorted({x for tag, x in members if tag == "B"})
         base = "+".join(bs) if bs else min(x for tag, x in members)
         name = _fresh(base, edge_used)
@@ -464,7 +427,7 @@ class Colimit:
 
     def __init__(self, deriv: Derivation):
         gs = [deriv.source] + [st.H for st in deriv.steps]
-        ufn, ufe = _UnionFind(), _UnionFind()
+        ufn, ufe = UnionFind(), UnionFind()
         for i, g in enumerate(gs):
             for n in g.nodes:
                 ufn.add(("G", i, n))
@@ -483,8 +446,7 @@ class Colimit:
         self._eclass: Dict[tuple, str] = {}
         nodes = []
         ntype = {}
-        nclasses = sorted(ufn.classes().items())
-        for idx, (root, members) in enumerate(nclasses):
+        for idx, members in enumerate(ufn.groups()):
             name = f"n{idx}"
             nodes.append(name)
             for mtag in members:
@@ -493,8 +455,7 @@ class Colimit:
             gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
             ntype[name] = gref.node_type[x]
         edges = []
-        eclasses = sorted(ufe.classes().items())
-        for idx, (root, members) in enumerate(eclasses):
+        for idx, members in enumerate(ufe.groups()):
             name = f"e{idx}"
             for mtag in members:
                 self._eclass[mtag] = name
@@ -726,9 +687,7 @@ def trace_classes_by_definition(grammar: Grammar, depth: int,
         frontier = [child for deriv in frontier
                     for child in _extensions(deriv, rules, fusion_safe)]
         pool += frontier
-    uf = _UnionFind()
-    for k in range(len(pool)):
-        uf.add(k)
+    uf = UnionFind(range(len(pool)))
     buckets: Dict[tuple, List[int]] = {}
     for k, d in enumerate(pool):
         key = (len(d), tuple(sorted(d.rule_names())), iso_hash(d.target))

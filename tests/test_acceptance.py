@@ -217,7 +217,7 @@ def test_criterion_10_async_graphs():
     rep2 = validate_async_graph(ccs_dom)
     assert rep2.full_valid() and rep2.prime()
     run_dom = hasse_as_async(dom_of_es(e_run()))
-    rep1 = validate_async_graph(run_dom, weak=True)
+    rep1 = validate_async_graph(run_dom)
     assert rep1.weak_valid() and rep1.weak_prime()
     assert not rep1.cube_down
     assert poset_isomorphic(async_domain(run_dom), dom_of_es(e_run())) is not None

@@ -27,7 +27,7 @@ class TestValidation:
         assert rep.full_valid() and rep.prime()
 
     def test_run_domain_weak_only(self, run_async):
-        rep = validate_async_graph(run_async, weak=True)
+        rep = validate_async_graph(run_async)
         assert rep.weak_valid() and rep.weak_prime()
         assert not rep.cube_down
         assert not rep.full_valid()
@@ -76,7 +76,7 @@ class TestValidation:
                   hasse_as_async(dom_of_es(e_three_independent()))]
         graphs += [hasse_as_async(random_weak_prime_domain(rng)) for _ in range(8)]
         for a in graphs:
-            rep = validate_async_graph(a, weak=True)
+            rep = validate_async_graph(a)
             if not rep.weak_valid():
                 continue
             from weavent.asyncgraphs import _square_classes

@@ -7,8 +7,7 @@ from weavent.domains import OrderError, algebraicity, interchange_classes
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain
 from weavent.fixtures import (chain, e_ccs, e_prime_conflict, e_run, e_split,
                               e_five, m3, nontransitive_bdomain)
-from weavent.intervals import (check_axioms, ev_wd, interval_classes,
-                               interval_leq, intervals, zeta)
+from weavent.intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
 from tests._gen import random_weak_prime_domain
 
 
@@ -24,16 +23,16 @@ def ccs_dom():
 
 class TestIntervalClasses:
     def test_run_domain_nine_in_three(self, run_dom):
-        assert len(intervals(run_dom)) == 9
+        assert len(run_dom.covers()) == 9
         assert len(interval_classes(run_dom)) == 3
 
     def test_ccs_domain_seven_in_three(self, ccs_dom):
-        assert len(intervals(ccs_dom)) == 7
+        assert len(ccs_dom.covers()) == 7
         assert len(interval_classes(ccs_dom)) == 3
 
     def test_chain(self):
         dom = chain(4)
-        assert len(intervals(dom)) == 4
+        assert len(dom.covers()) == 4
         assert len(interval_classes(dom)) == 4
 
     def test_leq_example(self, run_dom):
@@ -135,3 +134,10 @@ class TestZeta:
     def test_rejects_non_weak_prime(self):
         with pytest.raises(OrderError):
             zeta(m3())
+
+
+def test_package_attribute_is_the_module():
+    import types
+    import weavent
+    assert isinstance(weavent.intervals, types.ModuleType)
+    assert weavent.intervals.interval_classes is interval_classes

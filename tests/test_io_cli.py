@@ -215,3 +215,28 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["live"] is True
+
+
+def _dead_event_es(tmp_path):
+    # b needs a but conflicts with it, so b is in no configuration
+    from weavent.es import EventStructure
+    es = EventStructure.binary("ab", [("a", "b")], [((), "a"), (("a",), "b")])
+    path = tmp_path / "dead.es.json"
+    iomod.dump_json(iomod.es_to_json(es), str(path))
+    return ["convert", "--es", str(path), "--to", "domain"], "not live"
+
+
+def _over_ceiling(tmp_path):
+    return (["derive", "--grammar", str(FIXTURES / "fusion.grammar.json"), "--depth", "2"],
+            "more than 1 trace classes")
+
+
+@pytest.mark.parametrize("case", [_dead_event_es, _over_ceiling],
+                         ids=["liveness-error", "trace-limit-error"])
+def test_error_subclasses_exit_2(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEAVENT_CLASS_CEILING", "1")
+    argv, message = case(tmp_path)
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["error"]

@@ -344,3 +344,61 @@ class TestTraceDomain:
                 lb = len(b.representative.steps)
                 n = sum(1 for k in range(la, len(phi.steps)) if sigma[k] < lb)
                 assert len(j.representative.steps) == la + n
+
+
+class TestPinnedNames:
+    # pushout and colimit items are named in the order of their union-find
+    # roots, each the least member of its class; these names reach derive
+    # reports, so any change to the root choice shows here first
+
+    def test_pushout_names_on_merging_span(self):
+        def graph(nodes, edges):
+            return TypedGraph(nodes, [(e, "E", s, t) for e, s, t in edges],
+                              dict.fromkeys(nodes, "N"))
+
+        # A's z and its loop "bu+bv" stay unmerged and clash with the names
+        # of merged classes; which side gets the "~2" depends on the roots
+        c = graph(["c1", "c2", "c3"], [("k1", "c1", "c3"), ("k2", "c2", "c3")])
+        a = graph(["x", "y", "w", "z"], [("ax", "x", "y"), ("aw", "w", "w"), ("bu+bv", "z", "z")])
+        b = graph(["u", "v", "w", "z"], [("bu", "u", "z"), ("bv", "v", "z"), ("aw", "w", "w")])
+        f = GraphMorphism(c, a, {"c1": "x", "c2": "x", "c3": "y"}, {"k1": "ax", "k2": "ax"})
+        g = GraphMorphism(c, b, {"c1": "u", "c2": "v", "c3": "z"}, {"k1": "bu", "k2": "bv"})
+        p, in_a, in_b = pushout(f, g)
+        assert sorted(p.nodes) == ["u+v", "w", "w~2", "z", "z~2"]
+        assert sorted((e, p.src[e], p.tgt[e]) for e in p.edges) == [
+            ("aw", "w", "w"), ("aw~2", "w~2", "w~2"), ("bu+bv", "u+v", "z"),
+            ("bu+bv~2", "z~2", "z~2")]
+        assert in_a.node_map == {"x": "u+v", "y": "z", "w": "w", "z": "z~2"}
+        assert in_a.edge_map == {"ax": "bu+bv", "aw": "aw", "bu+bv": "bu+bv~2"}
+        assert in_b.node_map == {"u": "u+v", "v": "u+v", "w": "w~2", "z": "z"}
+        assert in_b.edge_map == {"bu": "bu+bv", "bv": "bu+bv", "aw": "aw~2"}
+        assert is_pushout(f, g, in_a, in_b)
+
+    @staticmethod
+    def _colimit(grammar, rule_names):
+        d = Derivation(grammar.start)
+        for name in rule_names:
+            rule = grammar.rule(name)
+            d = d.extend(apply_rule(d.target, rule, find_matches(rule.L, d.target)[0]))
+        stages = [d.source] + [st.H for st in d.steps]
+        return d.colimit(), stages
+
+    def test_colimit_names_on_fusion_grammar(self):
+        fusion = load_structure(str(FIXTURES / "fusion.grammar.json"), "grammar")
+        col, stages = self._colimit(fusion, ["p_a", "p_b"])
+        assert sorted(col.graph.nodes) == ["n0"]
+        assert [{n: col.node_in(i, n) for n in g.nodes} for i, g in enumerate(stages)] == [
+            {"c": "n0", "v": "n0"}, {"c+v": "n0"}, {"c+v": "n0"}]
+        assert [{e: col.edge_in(i, e) for e in g.edges} for i, g in enumerate(stages)] == [
+            {"e_abar": "e3", "e_bbar": "e0", "e_in": "e1", "e_nubar": "e2"},
+            {"e_bbar": "e0", "e_in": "e1", "e_nubar": "e2"},
+            {"e_in": "e1", "e_nubar": "e2"}]
+
+    def test_colimit_names_on_synthesised_grammar(self):
+        col, stages = self._colimit(grammar_from_es(runs_es(1)), ["a0", "c0"])
+        assert sorted(col.graph.nodes) == ["n0", "n1", "n2", "n3", "n4", "n5"]
+        assert [{n: col.node_in(i, n) for n in g.nodes} for i, g in enumerate(stages)] == [
+            {"i_a0": "n5", "i_b0": "n0", "i_c0": "n1", "l_(a0,b0)@c0": "n2",
+             "s_a0": "n3", "s_b0": "n4", "s_c0": "n2"},
+            {"i_b0": "n0", "i_c0": "n1", "l_(a0,b0)@c0+s_c0": "n2", "s_a0": "n3", "s_b0": "n4"},
+            {"i_b0": "n0", "l_(a0,b0)@c0+s_c0": "n2", "s_a0": "n3", "s_b0": "n4"}]
