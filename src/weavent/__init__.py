@@ -13,8 +13,8 @@ from .es import EventStructure, EsError, LivenessError, classify, configurations
 from .domains import FiniteDomain, OrderError, algebraicity, decompose, diff, \
     interchange_classes, interchangeable, interchangeable_by_definition, \
     interchangeable_via_compacts, irreducible_elements, irreducibles, predecessor, \
-    primes, primes_by_definition, validate_domain, validate_domain_morphism, \
-    weak_primes, weak_primes_by_definition
+    primes, primes_by_definition, validate_domain, validate_domain_by_definition, \
+    validate_domain_morphism, weak_primes, weak_primes_by_definition
 from .duality import Epes, configuration_id, connect_es, dom_of_es, \
     dom_of_es_morphism, epes_dom, epes_ev, epes_is_connected, epes_isomorphic, \
     es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes

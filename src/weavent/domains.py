@@ -1,9 +1,27 @@
 """Finite posets playing the role of compact skeletons of domains.
 
-Elements are string ids.  The order is stored as the cover (Hasse) relation
-plus its computed reflexive-transitive closure; subsets are manipulated as
-integer bitmasks, so joins, meets and the various primality notions stay
-cheap at desk scale.
+Elements are string ids, indexed in sorted order; a subset is an integer
+bitmask over those indices.  The order is stored as the cover (Hasse)
+relation plus two masks per element: ``up[i]`` (the elements ⊒ i) and
+``down[i]`` (the elements ⊑ i).  The other tables are built from these on
+first use, so a domain that is only listed or drawn never pays for them:
+
+- ``lower``/``upper``: the lower and upper covers of each element;
+- ``by_up``/``by_down``: each element keyed by its up-set, resp. down-set.
+  The upper bounds of any set form an up-set U, and U has a least element
+  k exactly when ``U == up[k]``; so a join is ``by_up.get(U)`` and a meet
+  is ``by_down.get(L)``, one dictionary lookup each;
+- ``cons``: the consistency rows, ``cons[i]`` the elements with an upper
+  bound in common with ``i``, i.e. the OR of ``down[m]`` over the maximal
+  elements ``m ⊒ i``.
+
+The invariants the paper reads off a domain (irreducibles, ↔-partners,
+↔*-classes, primes, weak primes, algebraicity) are computed once per
+domain and kept on it, since a domain never changes after construction.
+There is deliberately no memo keyed by subset masks: Python hashes an int
+modulo 2⁶¹−1, so ``hash(1 << k) == hash(1 << (k + 61))`` and the pair masks
+of a poset with more than 61 elements collapse onto few hash values, which
+makes such a dictionary slower than the lookup it saves.
 
 Two kinds are supported: ``coherent`` (every pairwise-consistent subset has
 a join) and ``bounded_complete`` (every bounded subset has a join).  A set
@@ -13,8 +31,9 @@ is *consistent* when it has an upper bound in the poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._common import Report, UnionFind
 
@@ -34,7 +53,7 @@ def _bits(mask: int):
 
 
 class FiniteDomain:
-    """A finite poset given by covers, with cached closure and join/meet tables."""
+    """A finite poset given by covers, with its order, cover and lookup masks."""
 
     def __init__(self, elements: Iterable[str], covers: Iterable[Tuple[str, str]],
                  kind: str = COHERENT):
@@ -53,13 +72,13 @@ class FiniteDomain:
             if a == b:
                 raise OrderError(f"reflexive cover on {a!r}")
             cov.add((self._idx[a], self._idx[b]))
-        self._cover_pairs = cov
         # up[i] = mask of elements ⊒ i, computed by DFS over covers
         succ = [0] * n
         for a, b in cov:
             succ[a] |= 1 << b
         up = [None] * n
         state = [0] * n  # 0 unvisited, 1 in progress, 2 done
+        finished = []  # every element after all elements above it
 
         def visit(i: int) -> int:
             if state[i] == 1:
@@ -72,29 +91,30 @@ class FiniteDomain:
                 m |= visit(j)
             up[i] = m
             state[i] = 2
+            finished.append(i)
             return m
 
         for i in range(n):
             visit(i)
+        # down[j] = mask of elements ⊑ j, built bottom-up along the covers
+        pred = [0] * n
+        for a, b in cov:
+            pred[b] |= 1 << a
+        down = [0] * n
+        for j in reversed(finished):
+            m = 1 << j
+            for i in _bits(pred[j]):
+                m |= down[i]
+            down[j] = m
         self._up: List[int] = up
-        self._down: List[int] = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                self._down[j] |= 1 << i
+        self._down: List[int] = down
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram
-        reduced = set()
-        for a, b in cov:
-            direct = True
-            for k in _bits(self._up[a] & self._down[b] & ~(1 << a) & ~(1 << b)):
-                direct = False
-                break
-            if direct:
-                reduced.add((a, b))
-        self._cover_pairs = reduced
+        self._cover_pairs = {(a, b) for a, b in cov
+                             if not up[a] & down[b] & ~(1 << a) & ~(1 << b)}
         self._full = (1 << n) - 1
-        self._join_cache: Dict[int, Optional[int]] = {}
-        self._meet_cache: Dict[int, Optional[int]] = {}
+        # derived invariants, filled in by the module functions (see _once)
+        self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -105,6 +125,47 @@ class FiniteDomain:
                  kind: str = COHERENT) -> "FiniteDomain":
         """Build from an arbitrary (reflexive-transitive) order relation."""
         return FiniteDomain(elements, [(a, b) for a, b in leq if a != b], kind)
+
+    # ------------------------------------------------------------------ #
+    # Tables built on first use
+    # ------------------------------------------------------------------ #
+
+    @cached_property
+    def _lower(self) -> List[int]:
+        """``_lower[i]``: mask of the elements that ``i`` covers."""
+        low = [0] * len(self.elements)
+        for a, b in self._cover_pairs:
+            low[b] |= 1 << a
+        return low
+
+    @cached_property
+    def _upper(self) -> List[int]:
+        """``_upper[i]``: mask of the elements that cover ``i``."""
+        high = [0] * len(self.elements)
+        for a, b in self._cover_pairs:
+            high[a] |= 1 << b
+        return high
+
+    @cached_property
+    def _by_up(self) -> Dict[int, int]:
+        return {m: i for i, m in enumerate(self._up)}
+
+    @cached_property
+    def _by_down(self) -> Dict[int, int]:
+        return {m: i for i, m in enumerate(self._down)}
+
+    @cached_property
+    def _cons(self) -> List[int]:
+        """``_cons[i]``: mask of the elements consistent with ``i``."""
+        down = self._down
+        maximal = sum(1 << i for i, m in enumerate(self._up) if m == 1 << i)
+        rows = []
+        for m in self._up:
+            row = 0
+            for t in _bits(m & maximal):
+                row |= down[t]
+            rows.append(row)
+        return rows
 
     # ------------------------------------------------------------------ #
     # Order primitives
@@ -133,12 +194,10 @@ class FiniteDomain:
                             for a, b in self._cover_pairs))
 
     def lower_covers(self, x: str) -> Tuple[str, ...]:
-        i = self.index(x)
-        return tuple(sorted(self.elements[a] for a, b in self._cover_pairs if b == i))
+        return self.ids(self._lower[self.index(x)])
 
     def upper_covers(self, x: str) -> Tuple[str, ...]:
-        i = self.index(x)
-        return tuple(sorted(self.elements[b] for a, b in self._cover_pairs if a == i))
+        return self.ids(self._upper[self.index(x)])
 
     def is_cover(self, a: str, b: str) -> bool:
         return (self.index(a), self.index(b)) in self._cover_pairs
@@ -158,32 +217,16 @@ class FiniteDomain:
     # ------------------------------------------------------------------ #
 
     def _join_mask(self, mask: int) -> Optional[int]:
-        if mask in self._join_cache:
-            return self._join_cache[mask]
         ub = self._full
         for i in _bits(mask):
             ub &= self._up[i]
-        result = self._least_of(ub)
-        self._join_cache[mask] = result
-        return result
+        return self._by_up.get(ub)
 
     def _meet_mask(self, mask: int) -> Optional[int]:
-        if mask in self._meet_cache:
-            return self._meet_cache[mask]
         lb = self._full
         for i in _bits(mask):
             lb &= self._down[i]
-        result = self._greatest_of(lb)
-        self._meet_cache[mask] = result
-        return result
-
-    def _least_of(self, mask: int) -> Optional[int]:
-        mins = [i for i in _bits(mask) if (self._down[i] & mask) == (1 << i)]
-        return mins[0] if len(mins) == 1 else None
-
-    def _greatest_of(self, mask: int) -> Optional[int]:
-        maxs = [i for i in _bits(mask) if (self._up[i] & mask) == (1 << i)]
-        return maxs[0] if len(maxs) == 1 else None
+        return self._by_down.get(lb)
 
     def join(self, xs: Iterable[str]) -> Optional[str]:
         """Least upper bound of ``xs`` (``⊥`` for the empty set), or None."""
@@ -212,6 +255,28 @@ class FiniteDomain:
         return self._down[i]
 
 
+def _once(dom: FiniteDomain, key: str, compute: Callable[[FiniteDomain], object]):
+    """``compute(dom)``, computed on the first call and kept on the domain."""
+    derived = dom._derived
+    if key not in derived:
+        derived[key] = compute(dom)
+    return derived[key]
+
+
+def _incomparable_consistent_pairs(dom: FiniteDomain):
+    """Each pair ``i < j`` of incomparable consistent elements with their
+    join ``k`` (None when there is none), in lexicographic order of ``(i, j)``.
+
+    Comparable pairs are left out: their join is the larger element, so no
+    join condition and no primality test can fail on them.
+    """
+    up, down, cons, by_up = dom._up, dom._down, dom._cons, dom._by_up
+    for i in range(len(up)):
+        ui = up[i]
+        for j in _bits(cons[i] & ~(ui | down[i] | ((2 << i) - 1))):
+            yield i, j, by_up.get(ui & up[j])
+
+
 # ---------------------------------------------------------------------- #
 # Validation
 # ---------------------------------------------------------------------- #
@@ -222,31 +287,59 @@ def validate_domain(dom: FiniteDomain) -> Report:
     Coherence is checked through the generator criterion: for pairwise
     consistent ``{d, d', d''}`` the join ``d ⊔ d'`` exists and stays
     consistent with ``d''`` (equivalent, on a finite poset, to every pairwise
-    consistent subset having a join).  Bounded completeness reduces to
-    binary joins of bounded pairs.
+    consistent subset having a join).  On consistency rows that is
+    ``cons[d] & cons[d'] & ~cons[d ⊔ d']`` being empty; its lowest element
+    is the witness ``d''``.  Bounded completeness reduces to binary joins
+    of bounded pairs.  The exhaustive oracle is
+    ``validate_domain_by_definition``.
     """
     if dom.bottom() is None:
         return Report(False, "no-least-element", tuple(
             x for x in dom.elements if not dom.lower_covers(x)))
+    names, cons = dom.elements, dom._cons
+    coherent = dom.kind == COHERENT
+    for i, j, k in _incomparable_consistent_pairs(dom):
+        if k is None:
+            return Report(False, "missing-join", (names[i], names[j]))
+        if coherent:
+            bad = cons[i] & cons[j] & ~cons[k]
+            if bad:
+                c = (bad & -bad).bit_length() - 1
+                return Report(False, "join-breaks-consistency", (names[i], names[j], names[c]))
+    # meets of nonempty sets come for free; self-check on incomparable pairs
+    # (a comparable pair meets in its smaller element)
+    up, down, by_down = dom._up, dom._down, dom._by_down
+    for i in range(len(names)):
+        di = down[i]
+        for j in _bits(dom._full & ~(up[i] | di | ((2 << i) - 1))):
+            if (di & down[j]) not in by_down:
+                return Report(False, "missing-meet", (names[i], names[j]))
+    return Report(True)
+
+
+def validate_domain_by_definition(dom: FiniteDomain) -> Report:
+    """Exhaustive oracle for ``validate_domain``.
+
+    A least element, and a join for every pairwise-consistent subset
+    (coherent) or for every bounded subset (bounded complete), with joins
+    found from ``leq`` alone.  Exponential; meant for at most 10 elements.
+    """
+    if dom.bottom() is None:
+        return Report(False, "no-least-element")
     names = dom.elements
     n = len(names)
-    for i, j in combinations(range(n), 2):
-        a, b = names[i], names[j]
-        if not dom.consistent((a, b)):
-            continue
-        jm = dom._join_mask((1 << i) | (1 << j))
-        if jm is None:
-            return Report(False, "missing-join", (a, b))
+    leq = [[dom.leq(a, b) for b in names] for a in names]
+    pair_ok = [[any(leq[a][u] and leq[b][u] for u in range(n)) for b in range(n)]
+               for a in range(n)]
+    for mask in range(1 << n):
+        xs = list(_bits(mask))
+        ubs = [u for u in range(n) if all(leq[x][u] for x in xs)]
         if dom.kind == COHERENT:
-            for k in range(n):
-                c = names[k]
-                if dom.consistent((a, c)) and dom.consistent((b, c)):
-                    if not dom.consistent((names[jm], c)):
-                        return Report(False, "join-breaks-consistency", (a, b, c))
-    # meets of nonempty sets come for free; self-check on pairs
-    for i, j in combinations(range(n), 2):
-        if dom._meet_mask((1 << i) | (1 << j)) is None:
-            return Report(False, "missing-meet", (names[i], names[j]))
+            asked = all(pair_ok[a][b] for a, b in combinations(xs, 2))
+        else:
+            asked = bool(ubs)
+        if asked and not any(all(leq[u][v] for v in ubs) for u in ubs):
+            return Report(False, "missing-join", tuple(names[x] for x in xs))
     return Report(True)
 
 
@@ -261,13 +354,21 @@ class IrreducibleInfo:
     class_id: int
 
 
+def _irreducible_mask(dom: FiniteDomain) -> int:
+    """Mask of the elements with exactly one lower cover."""
+    return _once(dom, "irreducible_mask", lambda d: sum(
+        1 << i for i, low in enumerate(d._lower) if low and not low & (low - 1)))
+
+
 def _irreducible_indices(dom: FiniteDomain) -> List[int]:
-    out = []
-    for x in dom.elements:
-        lows = dom.lower_covers(x)
-        if len(lows) == 1:
-            out.append(dom.index(x))
-    return out
+    return list(_bits(_irreducible_mask(dom)))
+
+
+def _irreducible_index(dom: FiniteDomain, x: str) -> int:
+    i = dom.index(x)
+    if not _irreducible_mask(dom) >> i & 1:
+        raise OrderError(f"{x!r} is not irreducible")
+    return i
 
 
 def irreducibles(dom: FiniteDomain) -> Tuple[IrreducibleInfo, ...]:
@@ -282,14 +383,11 @@ def irreducibles(dom: FiniteDomain) -> Tuple[IrreducibleInfo, ...]:
 
 
 def irreducible_elements(dom: FiniteDomain) -> Tuple[str, ...]:
-    return tuple(dom.elements[i] for i in _irreducible_indices(dom))
+    return _once(dom, "irreducible_elements", lambda d: d.ids(_irreducible_mask(d)))
 
 
 def predecessor(dom: FiniteDomain, i: str) -> str:
-    lows = dom.lower_covers(i)
-    if len(lows) != 1:
-        raise OrderError(f"{i!r} is not irreducible")
-    return lows[0]
+    return dom.ids(dom._lower[_irreducible_index(dom, i)])[0]
 
 
 def primes(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -297,28 +395,21 @@ def primes(dom: FiniteDomain) -> Tuple[str, ...]:
 
     Uses the binary-join criterion, which on a finite domain agrees with
     quantification over all pairwise-consistent subsets (joins of larger
-    sets are reached by repeated binary joins).
+    sets are reached by repeated binary joins): the non-primes are the OR
+    over consistent pairs of ``down[i ⊔ j] & ~down[i] & ~down[j]``.
     """
-    n = len(dom.elements)
+    return _once(dom, "primes", _find_primes)
+
+
+def _find_primes(dom: FiniteDomain) -> Tuple[str, ...]:
+    down = dom._down
+    not_prime = 0
+    for i, j, k in _incomparable_consistent_pairs(dom):
+        if k is not None:
+            not_prime |= down[k] & ~(down[i] | down[j])
     bot = dom.bottom()
-    out = []
-    for p in range(n):
-        x = dom.elements[p]
-        if x == bot:
-            continue
-        good = True
-        for i, j in combinations(range(n), 2):
-            if not dom.consistent((dom.elements[i], dom.elements[j])):
-                continue
-            jm = dom._join_mask((1 << i) | (1 << j))
-            if jm is None:
-                continue
-            if dom._up[p] & (1 << jm) and not (dom._up[p] & ((1 << i) | (1 << j))):
-                good = False
-                break
-        if good:
-            out.append(x)
-    return tuple(out)
+    return tuple(x for p, x in enumerate(dom.elements)
+                 if x != bot and not not_prime >> p & 1)
 
 
 def primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -348,6 +439,17 @@ def primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
     return tuple(out)
 
 
+def _interchangeable(dom: FiniteDomain, a: int, b: int) -> bool:
+    """``↔`` on the irreducibles with indices ``a`` and ``b``."""
+    if not dom._cons[a] >> b & 1:
+        return False
+    up, by_up = dom._up, dom._by_up
+    pa = dom._lower[a].bit_length() - 1
+    pb = dom._lower[b].bit_length() - 1
+    j = by_up.get(up[a] & up[pb])
+    return j is not None and j == by_up.get(up[pa] & up[b]) and j != by_up.get(up[pa] & up[pb])
+
+
 def interchangeable(dom: FiniteDomain, i: str, i2: str) -> bool:
     """Interchangeability of two irreducibles.
 
@@ -355,14 +457,7 @@ def interchangeable(dom: FiniteDomain, i: str, i2: str) -> bool:
     ``i ⊔ p(i') = p(i) ⊔ i' ≠ p(i) ⊔ p(i')`` where ``p`` takes the unique
     predecessor.
     """
-    pi = predecessor(dom, i)
-    pi2 = predecessor(dom, i2)
-    if not dom.consistent((i, i2)):
-        return False
-    a = dom.join((i, pi2))
-    b = dom.join((pi, i2))
-    c = dom.join((pi, pi2))
-    return a is not None and a == b and a != c
+    return _interchangeable(dom, _irreducible_index(dom, i), _irreducible_index(dom, i2))
 
 
 def interchangeable_by_definition(dom: FiniteDomain, i: str, i2: str) -> bool:
@@ -442,17 +537,37 @@ def interchangeable_via_compacts(dom: FiniteDomain, i: str, i2: str) -> bool:
     return some_growth
 
 
+def _partners(dom: FiniteDomain) -> Dict[int, int]:
+    """For each irreducible ``x``, the mask of ``x`` and of the irreducibles
+    directly interchangeable with it (``↔``, not its closure ``↔*``)."""
+    return _once(dom, "partners", _find_partners)
+
+
+def _find_partners(dom: FiniteDomain) -> Dict[int, int]:
+    irr = _irreducible_indices(dom)
+    rows = {x: 1 << x for x in irr}
+    for a, b in combinations(irr, 2):
+        if _interchangeable(dom, a, b):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
 def interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
     """Partition of the irreducibles by the reflexive-transitive closure of ↔.
 
     Classes are ordered by their lexicographically least member.
     """
-    irr = [dom.elements[i] for i in _irreducible_indices(dom)]
-    uf = UnionFind(irr)
-    for a, b in combinations(irr, 2):
-        if interchangeable(dom, a, b):
-            uf.union(a, b)
-    return tuple(frozenset(g) for g in uf.groups())
+    return _once(dom, "interchange_classes", _find_interchange_classes)
+
+
+def _find_interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
+    rows = _partners(dom)
+    uf = UnionFind(rows)
+    for x, row in rows.items():
+        for y in _bits(row):
+            uf.union(x, y)
+    return tuple(frozenset(dom.elements[i] for i in g) for g in uf.groups())
 
 
 def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -463,29 +578,22 @@ def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     follow by iterating binary ones (the full-quantifier oracle is
     ``weak_primes_by_definition``).
     """
-    irr_idx = _irreducible_indices(dom)
-    irr = [dom.elements[t] for t in irr_idx]
-    partners: Dict[str, List[int]] = {}
-    for x in irr:
-        partners[x] = [dom.index(y) for y in irr if x == y or interchangeable(dom, x, y)]
-    n = len(dom.elements)
-    out = []
-    for x in irr:
-        xi = dom.index(x)
-        good = True
-        for i, j in combinations(range(n), 2):
-            pair_mask = (1 << i) | (1 << j)
-            if not dom.consistent((dom.elements[i], dom.elements[j])):
-                continue
-            jm = dom._join_mask(pair_mask)
-            if jm is None or not (dom._up[xi] & (1 << jm)):
-                continue
-            if not any((dom._up[p] & pair_mask) for p in partners[x]):
-                good = False
-                break
-        if good:
-            out.append(x)
-    return tuple(out)
+    return _once(dom, "weak_primes", _find_weak_primes)
+
+
+def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
+    down = dom._down
+    partners = _partners(dom)
+    irr = _irreducible_mask(dom)
+    bad = 0
+    for i, j, k in _incomparable_consistent_pairs(dom):
+        if k is None:
+            continue
+        below = down[i] | down[j]
+        for x in _bits(down[k] & irr & ~below & ~bad):
+            if not partners[x] & below:
+                bad |= 1 << x
+    return dom.ids(irr & ~bad)
 
 
 def weak_primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -526,9 +634,7 @@ class Algebraicity:
 
 def decompose(dom: FiniteDomain, d: str) -> FrozenSet[str]:
     """The irreducibles below ``d`` (whose join recovers ``d``)."""
-    di = dom.index(d)
-    return frozenset(dom.elements[t] for t in _irreducible_indices(dom)
-                     if dom._down[di] & (1 << t))
+    return frozenset(dom.ids(dom._down[dom.index(d)] & _irreducible_mask(dom)))
 
 
 def algebraicity(dom: FiniteDomain) -> Algebraicity:
@@ -539,9 +645,14 @@ def algebraicity(dom: FiniteDomain) -> Algebraicity:
     the other two reduce to primes, resp. weak primes, exhausting the
     irreducibles.
     """
-    irr = set(irreducible_elements(dom))
-    irr_alg = all(dom.join(decompose(dom, d)) == d for d in dom.elements)
-    return Algebraicity(irr_alg, set(primes(dom)) == irr, set(weak_primes(dom)) == irr)
+    return _once(dom, "algebraicity", _find_algebraicity)
+
+
+def _find_algebraicity(dom: FiniteDomain) -> Algebraicity:
+    irr = _irreducible_mask(dom)
+    irr_alg = all(dom._join_mask(down & irr) == d for d, down in enumerate(dom._down))
+    return Algebraicity(irr_alg, dom.mask_of(primes(dom)) == irr,
+                        dom.mask_of(weak_primes(dom)) == irr)
 
 
 def diff(dom: FiniteDomain, d2: str, d1: str) -> FrozenSet[str]:

@@ -16,12 +16,11 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ._common import UnionFind
-from .es import (BINARY, CONSISTENCY, EsError, EventStructure, LivenessError,
-                 classify, configurations, minimal_enablings)
+from .es import (BINARY, EsError, EventStructure, LivenessError, classify,
+                 configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
-                      algebraicity, decompose, interchange_classes,
-                      irreducible_elements, predecessor, validate_domain,
-                      weak_primes)
+                      decompose, interchange_classes, irreducible_elements,
+                      predecessor, validate_domain, weak_primes)
 
 EventSet = FrozenSet[str]
 

@@ -9,7 +9,7 @@ candidates, in deterministic (sorted) order; matches need not be injective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 

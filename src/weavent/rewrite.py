@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._common import UnionFind
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
-                     graph_isomorphism, iso_hash, _morphisms)
+                     iso_hash, _morphisms)
 
 
 class TraceLimitError(GraphError):

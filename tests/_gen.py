@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 from weavent.es import EventStructure, LivenessError, saturate, classify
+from weavent.domains import COHERENT, FiniteDomain
 from weavent.duality import connect_es, dom_of_es
 
 EVENT_NAMES = "abcdefgh"
@@ -90,3 +91,20 @@ def random_weak_prime_domain(rng: random.Random, max_events: int = 4,
         dom = dom_of_es(random_live_es(rng, max_events=max_events))
         if 3 <= len(dom.elements) <= max_elements:
             return dom
+
+
+def random_poset(rng: random.Random, n: int, bottom: bool = True,
+                 kind: str = COHERENT) -> FiniteDomain:
+    """A random poset on ``n`` elements, valid as a domain or not.
+
+    Elements are related along a random linear extension, each pair with
+    one probability per draw; with ``bottom`` the first element lies below
+    all others.  Names are shuffled letters, so the sorted order of the
+    elements is not a linear extension.
+    """
+    names = list("abcdefghijkl"[:n])
+    rng.shuffle(names)
+    p = rng.choice((0.2, 0.35, 0.5))
+    leq = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+           if (bottom and i == 0) or rng.random() < p]
+    return FiniteDomain(names, leq, kind)

@@ -1,20 +1,26 @@
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from weavent.domains import (BOUNDED_COMPLETE, FiniteDomain, OrderError,
+from weavent import cli, domains
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
                              algebraicity, decompose, diff, interchange_classes,
                              interchangeable, interchangeable_by_definition,
                              interchangeable_via_compacts, irreducible_elements,
                              irreducibles, predecessor, primes,
                              primes_by_definition, validate_domain,
+                             validate_domain_by_definition,
                              validate_domain_morphism, weak_primes,
                              weak_primes_by_definition)
 from weavent.duality import dom_of_es, dom_of_es_morphism
 from weavent.fixtures import (chain, e_ccs, e_run, m3, nontransitive_bdomain,
                               nontransitive_poset, pair_no_join)
-from tests._gen import random_live_es, random_weak_prime_domain
+from tests._gen import (random_connected_es, random_live_es, random_poset,
+                        random_weak_prime_domain)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,53 @@ class TestValidate:
         bd = nontransitive_bdomain()
         as_coherent = FiniteDomain(bd.elements, bd.covers())
         assert not validate_domain(as_coherent).ok
+
+    @pytest.mark.parametrize("kind", [COHERENT, BOUNDED_COMPLETE])
+    def test_no_least_element_witnessed(self, kind):
+        # the witness lists the minimal elements
+        rep = validate_domain(FiniteDomain("abt", [("a", "t"), ("b", "t")], kind))
+        assert (rep.ok, rep.condition, rep.witness) == (False, "no-least-element", ("a", "b"))
+        rep = validate_domain(FiniteDomain("abct", [("a", "t"), ("b", "t"), ("c", "a")], kind))
+        assert (rep.ok, rep.condition, rep.witness) == (False, "no-least-element", ("b", "c"))
+
+    @pytest.mark.parametrize("kind, expected", [
+        (COHERENT, ("join-breaks-consistency", ("a", "b", "x"))),
+        (BOUNDED_COMPLETE, ("missing-join", ("x", "y")))])
+    def test_coherence_and_bound_witnesses(self, kind, expected):
+        # a ⊔ b = ab, while x and y are each consistent with a (via axy) and
+        # with b (via bxy) but not with ab; the witness is the least such
+        # element.  Read as bounded complete, only the bounded pair x, y
+        # without a join fails.
+        covers = [("0", "a"), ("0", "b"), ("0", "y"), ("0", "x"),
+                  ("a", "ab"), ("b", "ab"),
+                  ("a", "axy"), ("y", "axy"), ("x", "axy"),
+                  ("b", "bxy"), ("y", "bxy"), ("x", "bxy")]
+        dom = FiniteDomain({x for c in covers for x in c}, covers, kind)
+        rep = validate_domain(dom)
+        assert (rep.ok, rep.condition, rep.witness) == (False, *expected)
+
+    def test_join_breaks_consistency_only_when_coherent(self):
+        covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
+                  ("a", "ac"), ("c", "ac"), ("b", "bc"), ("c", "bc")]
+        rep = validate_domain(FiniteDomain("0 a b c ab ac bc".split(), covers))
+        assert (rep.ok, rep.condition, rep.witness) == \
+            (False, "join-breaks-consistency", ("a", "b", "c"))
+        assert validate_domain(FiniteDomain("0 a b c ab ac bc".split(), covers,
+                                            BOUNDED_COMPLETE)).ok
+
+    def test_agrees_with_exhaustive_oracle(self, run_dom, ccs_dom):
+        rng = random.Random(71)
+        doms = [run_dom, ccs_dom, m3(), chain(3), pair_no_join()]
+        doms += [random_poset(rng, rng.randint(2, 8),
+                              kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+                 for _ in range(150)]
+        verdicts = set()
+        for dom in doms:
+            ok = validate_domain(dom).ok
+            assert validate_domain_by_definition(dom).ok == ok
+            verdicts.add((dom.kind, ok))
+        # both kinds, both verdicts: the comparison is not vacuous
+        assert len(verdicts) == 4
 
 
 class TestIrreducibles:
@@ -197,6 +250,81 @@ class TestWeakPrimes:
             if len(dom.elements) > 10:
                 continue
             assert set(weak_primes(dom)) == set(weak_primes_by_definition(dom))
+
+    def test_partners_are_direct_not_closure(self):
+        # b ↔ j and g ↔ j but not b ↔ g: read with the closure ↔*, b and g
+        # would pass as weak primes too (the poset lacks the join of d and f)
+        covers = [("b", "h"), ("d", "a"), ("d", "b"), ("d", "c"), ("d", "g"),
+                  ("e", "d"), ("e", "f"), ("f", "c"), ("f", "i"), ("g", "h"),
+                  ("i", "a"), ("i", "j"), ("j", "h")]
+        dom = FiniteDomain("abcdefghij", covers)
+        assert frozenset({"b", "g", "j"}) in interchange_classes(dom)
+        assert not interchangeable(dom, "b", "g")
+        assert weak_primes(dom) == weak_primes_by_definition(dom) == ("d", "j")
+
+
+class TestOraclesOnDraws:
+    """The fast paths against their exhaustive oracles on seeded draws: the
+    configuration domains of random live and connected structures, and the
+    random posets that are valid domains."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = random.Random(73)
+        doms = [dom_of_es(random_live_es(rng, max_events=4, conflict_p=0.3))
+                for _ in range(12)]
+        doms += [dom_of_es(random_connected_es(rng)) for _ in range(12)]
+        doms += [random_poset(rng, rng.randint(3, 9),
+                              kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+                 for _ in range(60)]
+        doms = [d for d in doms if validate_domain(d).ok]
+        assert len(doms) >= 60
+        return doms
+
+    def test_primes(self, draws):
+        for dom in draws:
+            if len(dom.elements) <= 12:
+                assert primes(dom) == primes_by_definition(dom)
+
+    def test_weak_primes(self, draws):
+        for dom in draws:
+            if len(dom.elements) <= 12:
+                assert weak_primes(dom) == weak_primes_by_definition(dom)
+
+    def test_interchangeable(self, draws):
+        pairs = 0
+        for dom in draws:
+            for i, j in combinations(irreducible_elements(dom), 2):
+                expected = interchangeable_by_definition(dom, i, j)
+                assert interchangeable(dom, i, j) == expected
+                assert interchangeable_via_compacts(dom, i, j) == expected
+                pairs += expected
+        assert pairs > 0
+
+    def test_interchangeable_rejects_non_irreducibles(self, run_dom):
+        with pytest.raises(OrderError):
+            interchangeable(run_dom, "{a,b}", "{a}")
+        with pytest.raises(OrderError):
+            interchangeable(run_dom, "{a}", "{}")
+
+
+class TestInvariantCache:
+    def test_repeated_calls_return_the_same_object(self):
+        dom = dom_of_es(e_run())
+        for fn in (primes, weak_primes, interchange_classes, irreducible_elements,
+                   algebraicity):
+            assert fn(dom) is fn(dom)
+
+    def test_check_computes_primes_and_weak_primes_once(self, monkeypatch, capsys):
+        calls = []
+        for name in ("_find_primes", "_find_weak_primes"):
+            def counted(dom, _name=name, _compute=getattr(domains, name)):
+                calls.append(_name)
+                return _compute(dom)
+            monkeypatch.setattr(domains, name, counted)
+        assert cli.main(["check", "--domain", str(FIXTURES / "run.domain.json")]) == 0
+        assert '"weak_prime_algebraic": true' in capsys.readouterr().out
+        assert sorted(calls) == ["_find_primes", "_find_weak_primes"]
 
 
 class TestAlgebraicity:

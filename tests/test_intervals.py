@@ -1,14 +1,20 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from weavent.domains import OrderError, algebraicity, interchange_classes
+from weavent import fixtures
+from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, algebraicity, \
+    interchange_classes
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain
 from weavent.fixtures import (chain, e_ccs, e_prime_conflict, e_run, e_split,
                               e_five, m3, nontransitive_bdomain)
 from weavent.intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
-from tests._gen import random_weak_prime_domain
+from weavent.io import load_structure
+from tests._gen import random_poset, random_weak_prime_domain
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +68,27 @@ class TestAxioms:
         for dom in doms:
             rep = check_axioms(dom)
             assert (rep.C and rep.R and rep.V) == algebraicity(dom).weak_prime_algebraic
+
+    def test_related_pairs_are_ordered(self):
+        # the lemma behind (I) holding by construction: p ≤ q forces both
+        # members of p and of q to be ordered, on any poset
+        doms = [load_structure(str(path), "domain")
+                for path in sorted(FIXTURES.glob("*domain.json"))]
+        doms += [m3(), chain(3), fixtures.pair_no_join(), fixtures.nontransitive_poset(),
+                 fixtures.nontransitive_poset(with_top=False), nontransitive_bdomain()]
+        doms += [dom_of_es(es()) for es in (e_run, e_ccs, e_prime_conflict, e_five)]
+        rng = random.Random(113)
+        doms += [random_poset(rng, rng.randint(2, 6), bottom=rng.random() < 0.7,
+                              kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+                 for _ in range(60)]
+        related = 0
+        for dom in doms:
+            pairs = list(product(dom.elements, repeat=2))
+            for p, q in product(pairs, repeat=2):
+                if interval_leq(dom, p, q):
+                    related += 1
+                    assert dom.leq(*p) and dom.leq(*q), (dom.elements, p, q)
+        assert related > 0
 
     def test_bdomain_fails_v_satisfies_i(self):
         rep = check_axioms(nontransitive_bdomain())
