@@ -1,4 +1,5 @@
-"""The two building blocks every layer shares: a union-find and a report.
+"""The building blocks every layer shares: a union-find, a report and a
+per-structure cache.
 
 This module imports nothing from weavent, so any layer may import it.
 """
@@ -6,7 +7,7 @@ This module imports nothing from weavent, so any layer may import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 
 class UnionFind:
@@ -56,3 +57,15 @@ class Report:
 
     def __bool__(self):
         return self.ok
+
+
+def _once(obj, key: str, compute: Callable):
+    """``compute(obj)``, computed on the first call and kept on ``obj``.
+
+    ``obj`` is an immutable structure with a ``_derived`` dict, so what is
+    derived from it never goes stale.
+    """
+    derived = obj._derived
+    if key not in derived:
+        derived[key] = compute(obj)
+    return derived[key]

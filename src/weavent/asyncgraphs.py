@@ -7,18 +7,29 @@ equivalent one).  Validation checks the square axioms; the cube axiom splits
 into an upward (join) and a downward (stability) direction, and the weak
 variant omits the downward one.  When all cofinal paths from the origin are
 equivalent, the path classes ordered by prefix form a weak prime domain.
+
+A graph never changes after construction, so each graph indexes its
+out-edges once, and keeps its square classes, its validation report and its
+origin-path classes once computed (``_common._once``): one ``async`` job
+validates once and builds the path classes once.  The classes are grown
+depth by depth, never by enumerating paths: a class at depth k+1 is a class
+W at depth k extended by an out-edge e, and two such pairs (W, e) can only
+be merged by rewriting the last segment, since rewrites inside the prefix
+stay inside W.  ``_origin_path_classes`` enumerates every path and is kept
+as the oracle the tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ._common import UnionFind
+from ._common import UnionFind, _once
 from .domains import COHERENT, FiniteDomain
 
 Path2 = Tuple[str, str]
+Path = Tuple[str, ...]
 
 
 class AsyncError(ValueError):
@@ -32,6 +43,15 @@ class AsyncGraph:
     edges: Dict[str, Tuple[str, str]]  # edge id -> (src, tgt)
     origin: str
     squares: FrozenSet[FrozenSet[Path2]]
+    # the sorted out-edges of each node, and results derived from the graph
+    _out: Dict[str, Tuple[str, ...]] = field(init=False, repr=False)
+    _derived: Dict[str, object] = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        out: Dict[str, List[str]] = {n: [] for n in self.nodes}
+        for e, (s, _) in sorted(self.edges.items()):
+            out.setdefault(s, []).append(e)
+        object.__setattr__(self, "_out", {n: tuple(es) for n, es in out.items()})
 
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[Tuple[str, str, str]], origin: str,
@@ -58,19 +78,20 @@ class AsyncGraph:
         return self.edges[e][1]
 
     def out_edges(self, n: str) -> Tuple[str, ...]:
-        return tuple(sorted(e for e, (s, t) in self.edges.items() if s == n))
+        return self._out.get(n, ())
 
     def paths2(self) -> Tuple[Path2, ...]:
-        out = []
-        for e1, (s1, t1) in sorted(self.edges.items()):
-            for e2, (s2, t2) in sorted(self.edges.items()):
-                if t1 == s2:
-                    out.append((e1, e2))
-        return tuple(out)
+        return tuple((e1, e2) for e1, (_, t1) in sorted(self.edges.items())
+                     for e2 in self.out_edges(t1))
 
 
 def _square_classes(a: AsyncGraph) -> Dict[Path2, int]:
-    """Equivalence on length-2 paths generated by the declared squares."""
+    """Equivalence on length-2 paths generated by the declared squares,
+    classes numbered by least member; computed once per graph."""
+    return _once(a, "square_classes", _find_square_classes)
+
+
+def _find_square_classes(a: AsyncGraph) -> Dict[Path2, int]:
     p2 = a.paths2()
     uf = UnionFind(p2)
     for sq in a.squares:
@@ -85,6 +106,11 @@ def _square_classes(a: AsyncGraph) -> Dict[Path2, int]:
         uf.union(p, q)
     roots: Dict[Path2, int] = {}  # classes numbered by first member
     return {p: roots.setdefault(uf.find(p), len(roots)) for p in p2}
+
+
+def _end(a: AsyncGraph, w: Path) -> str:
+    """The node a path from the origin ends at."""
+    return a.tgt(w[-1]) if w else a.origin
 
 
 def _same2(cls: Dict[Path2, int], p: Path2, q: Path2) -> bool:
@@ -121,21 +147,28 @@ class AsyncReport:
 
 
 def _is_acyclic(a: AsyncGraph) -> bool:
-    state = {n: 0 for n in a.nodes}
-    order = sorted(a.nodes)
-
-    def dfs(n):
-        state[n] = 1
-        for e in a.out_edges(n):
-            t = a.tgt(e)
-            if state[t] == 1:
-                return False
-            if state[t] == 0 and not dfs(t):
-                return False
-        state[n] = 2
-        return True
-
-    return all(state[n] == 2 or dfs(n) for n in order)
+    # depth-first with an explicit stack, so that long chains cannot exhaust
+    # Python's recursion limit
+    state = dict.fromkeys(a.nodes, 0)  # 0 unvisited, 1 in progress, 2 done
+    for root in sorted(a.nodes):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(a.out_edges(root)))]
+        while stack:
+            n, edges = stack[-1]
+            for e in edges:
+                t = a.tgt(e)
+                if state[t] == 1:
+                    return False
+                if state[t] == 0:
+                    state[t] = 1
+                    stack.append((t, iter(a.out_edges(t))))
+                    break
+            else:
+                stack.pop()
+                state[n] = 2
+    return True
 
 
 def _reachable(a: AsyncGraph) -> bool:
@@ -181,12 +214,62 @@ def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], Lis
     return {w: roots.setdefault(uf.find(w), len(roots)) for w in paths}, paths
 
 
+def _path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple[int, int]]]:
+    """The ≃-classes of origin paths of an acyclic graph, computed once.
+
+    Returns ``(least, links)``: class k has least member ``least[k]``, the
+    classes numbered by least member as in ``_origin_path_classes``, and
+    ``(j, k)`` is in ``links`` when a member of class k minus its last edge
+    is in class j.  The prefix order on classes is the reflexive-transitive
+    closure of ``links``.
+    """
+    return _once(a, "path_classes", _grow_path_classes)
+
+
+def _grow_path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple[int, int]]]:
+    # A class is named by its least member.  At depth k+1 the pair (W, e) is
+    # named least(W)+(e,), which is the least path of the form w·e, w ∈ W;
+    # so the root of a UnionFind over these names is the least member of
+    # the merged class.  Pairs merge through a last-segment rewrite
+    # U·a·b ≃ U·c·d with (a,b) ~ (c,d), where [U·a] depends only on [U].
+    related: Dict[str, List[List[Path2]]] = {}  # source node -> square classes
+    by_class: Dict[int, List[Path2]] = {}
+    for p, k in _square_classes(a).items():
+        by_class.setdefault(k, []).append(p)
+    for members in by_class.values():
+        if len(members) > 1:
+            related.setdefault(a.src(members[0][0]), []).append(members)
+    least: List[Path] = [()]
+    parent_of: List[Tuple[Path, Path]] = []  # (class at depth k, class at depth k+1)
+    above: List[Path] = []  # the classes at depth k-1
+    level: List[Path] = [()]  # the classes at depth k
+    name_at: Dict[Path, Path] = {(): ()}  # each pair name at depth k -> its class
+    while level:
+        uf = UnionFind(w + (e,) for w in level for e in a.out_edges(_end(a, w)))
+        for u in above:
+            for members in related.get(_end(a, u), ()):
+                names = [name_at[u + (c,)] + (d,) for c, d in members]
+                for x in names[1:]:
+                    uf.union(names[0], x)
+        name_at = {x: uf.find(x) for x in uf.parent}
+        parent_of += [(x[:-1], root) for x, root in name_at.items()]
+        above, level = level, sorted(set(name_at.values()))
+        least += level
+    least.sort()
+    index = {w: k for k, w in enumerate(least)}
+    return tuple(least), frozenset((index[w], index[v]) for w, v in parent_of)
+
+
 def validate_async_graph(a: AsyncGraph) -> AsyncReport:
-    """Evaluate the asynchronous-graph axioms.
+    """Evaluate the asynchronous-graph axioms, once per graph.
 
     Reports each axiom separately; ``weak_valid`` ignores the downward
     (stability) direction of the cube, ``full_valid`` includes it.
     """
+    return _once(a, "report", _validate)
+
+
+def _validate(a: AsyncGraph) -> AsyncReport:
     diags = []
     cls = _square_classes(a)
     acyclic = _is_acyclic(a)
@@ -214,11 +297,12 @@ def validate_async_graph(a: AsyncGraph) -> AsyncReport:
             axiom1 = False
             diags.append(f"axiom1: {p} ~ {q}")
             break
+    by_first: Dict[str, List[Tuple[Path2, Path2]]] = {}  # in the order of related
+    for p, q in related:
+        by_first.setdefault(p[0], []).append((p, q))
     axiom2 = True
     for p, q in related:
-        for p2, q2 in related:
-            if p[0] != p2[0]:
-                continue
+        for p2, q2 in by_first[p[0]]:
             if (p[1] == p2[1]) != (q[0] == q2[0]):
                 axiom2 = False
                 diags.append(f"axiom2: {p}~{q} vs {p2}~{q2}")
@@ -229,7 +313,7 @@ def validate_async_graph(a: AsyncGraph) -> AsyncReport:
     def square(p: Path2, q: Path2) -> bool:
         return _same2(cls, p, q)
 
-    edges_from: Dict[str, Tuple[str, ...]] = {n: a.out_edges(n) for n in a.nodes}
+    edges_from = a._out
 
     def cube_up_holds() -> Optional[tuple]:
         # premise: m;c1 ~ u1;u2 and m;c2 ~ v1;v2, outer paths extended by
@@ -352,12 +436,8 @@ def validate_async_graph(a: AsyncGraph) -> AsyncReport:
 
     all_equiv = True
     if acyclic:
-        pcls, paths = _origin_path_classes(a)
-        ends: Dict[str, set] = {}
-        for w in paths:
-            node = a.origin if not w else a.tgt(w[-1])
-            ends.setdefault(node, set()).add(pcls[w])
-        all_equiv = all(len(s) == 1 for s in ends.values())
+        least, _ = _path_classes(a)
+        all_equiv = len({_end(a, w) for w in least}) == len(least)
         if not all_equiv:
             diags.append("inequivalent cofinal paths from the origin")
     return AsyncReport(acyclic, reachable, axiom1, axiom2,
@@ -371,19 +451,9 @@ def async_domain(a: AsyncGraph) -> FiniteDomain:
     if not report.weak_prime():
         raise AsyncError("not a weak prime asynchronous graph: "
                          + "; ".join(report.diagnostics))
-    pcls, paths = _origin_path_classes(a)
-    reps: Dict[int, Tuple[str, ...]] = {}
-    for w in paths:
-        k = pcls[w]
-        if k not in reps or w < reps[k]:
-            reps[k] = w
-    ids = {k: f"p{k}:{';'.join(w) or 'ε'}" for k, w in reps.items()}
-    leq = set()
-    for w in paths:
-        for j in range(len(w) + 1):
-            leq.add((ids[pcls[w[:j]]], ids[pcls[w]]))
-    return FiniteDomain.from_leq(sorted(ids.values()),
-                                 sorted((x, y) for x, y in leq if x != y), COHERENT)
+    least, links = _path_classes(a)
+    ids = [f"p{k}:{';'.join(w) or 'ε'}" for k, w in enumerate(least)]
+    return FiniteDomain.from_leq(ids, [(ids[j], ids[k]) for j, k in links], COHERENT)
 
 
 def hasse_as_async(dom: FiniteDomain) -> AsyncGraph:
@@ -394,9 +464,8 @@ def hasse_as_async(dom: FiniteDomain) -> AsyncGraph:
         raise AsyncError("poset has no least element")
     edges = [(f"{x}>{y}", x, y) for x, y in dom.covers()]
     a = AsyncGraph.build(dom.elements, edges, bottom)
-    sqs = []
-    p2 = a.paths2()
-    for p, q in combinations(sorted(p2), 2):
-        if a.src(p[0]) == a.src(q[0]) and a.tgt(p[1]) == a.tgt(q[1]):
-            sqs.append((p, q))
+    spans: Dict[Tuple[str, str], List[Path2]] = {}  # (source, target) -> 2-paths
+    for p in a.paths2():
+        spans.setdefault((a.src(p[0]), a.tgt(p[1])), []).append(p)
+    sqs = [pq for ps in spans.values() for pq in combinations(ps, 2)]
     return AsyncGraph.build(dom.elements, edges, bottom, sqs)

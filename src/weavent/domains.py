@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ._common import Report, UnionFind
+from ._common import Report, UnionFind, _once
 
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
@@ -76,26 +76,33 @@ class FiniteDomain:
         succ = [0] * n
         for a, b in cov:
             succ[a] |= 1 << b
-        up = [None] * n
+        up = [0] * n
         state = [0] * n  # 0 unvisited, 1 in progress, 2 done
         finished = []  # every element after all elements above it
-
-        def visit(i: int) -> int:
-            if state[i] == 1:
-                raise OrderError(f"cycle through {self.elements[i]!r}")
-            if state[i] == 2:
-                return up[i]
-            state[i] = 1
-            m = 1 << i
-            for j in _bits(succ[i]):
-                m |= visit(j)
-            up[i] = m
-            state[i] = 2
-            finished.append(i)
-            return m
-
-        for i in range(n):
-            visit(i)
+        # the stack is explicit so that long chains cannot exhaust Python's
+        # recursion limit; elements are visited in recursive DFS order
+        for root in range(n):
+            if state[root]:
+                continue
+            state[root], up[root] = 1, 1 << root
+            stack = [(root, _bits(succ[root]))]
+            while stack:
+                i, above = stack[-1]
+                for j in above:
+                    if state[j] == 1:
+                        raise OrderError(f"cycle through {self.elements[j]!r}")
+                    if state[j] == 2:
+                        up[i] |= up[j]
+                    else:
+                        state[j], up[j] = 1, 1 << j
+                        stack.append((j, _bits(succ[j])))
+                        break
+                else:
+                    stack.pop()
+                    state[i] = 2
+                    finished.append(i)
+                    if stack:
+                        up[stack[-1][0]] |= up[i]
         # down[j] = mask of elements ⊑ j, built bottom-up along the covers
         pred = [0] * n
         for a, b in cov:
@@ -253,14 +260,6 @@ class FiniteDomain:
 
     def _downm(self, i: int) -> int:
         return self._down[i]
-
-
-def _once(dom: FiniteDomain, key: str, compute: Callable[[FiniteDomain], object]):
-    """``compute(dom)``, computed on the first call and kept on the domain."""
-    derived = dom._derived
-    if key not in derived:
-        derived[key] = compute(dom)
-    return derived[key]
 
 
 def _incomparable_consistent_pairs(dom: FiniteDomain):

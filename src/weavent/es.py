@@ -208,8 +208,12 @@ def minimal_enablings(es: EventStructure, e: str) -> FrozenSet[EventSet]:
     """All inclusion-minimal configurations enabling ``e``."""
     if e not in es.events:
         raise EsError(f"unknown event {e!r}")
-    enabling = [c for c in configurations(es) if es.enables(c, e)]
-    return frozenset(c for c in enabling if not any(d < c for d in enabling))
+    enabling = {c for c in configurations(es) if es.enables(c, e)}
+    # c is minimal iff no c - {x} enables e.  If configurations d ⊂ c, a
+    # securing sequence of c, with the events of d skipped, takes d to c
+    # through configurations; so c minus the last event added is a
+    # configuration containing d, and by monotonicity it enables e.
+    return frozenset(c for c in enabling if not any(c - {x} in enabling for x in c))
 
 
 def _consistent_with_event(es: EventStructure, c1: EventSet, c2: EventSet, e: str) -> bool:

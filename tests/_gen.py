@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from weavent.asyncgraphs import AsyncGraph
 from weavent.es import EventStructure, LivenessError, saturate, classify
 from weavent.domains import COHERENT, FiniteDomain
 from weavent.duality import connect_es, dom_of_es
@@ -108,3 +109,30 @@ def random_poset(rng: random.Random, n: int, bottom: bool = True,
     leq = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
            if (bottom and i == 0) or rng.random() < p]
     return FiniteDomain(names, leq, kind)
+
+
+def random_async_graph(rng: random.Random, max_nodes: int = 7) -> AsyncGraph:
+    """A random acyclic graph from ``n0`` with some of its squares declared.
+
+    Edges run forward along the node numbering, with parallel edges now and
+    then; edge names are shuffled, so their sorted order is not the
+    topological one.  Each coinitial-cofinal pair of 2-paths is declared a
+    square with one probability per draw, so cofinal paths from the origin
+    are often inequivalent, and some nodes may be unreachable.
+    """
+    n = rng.randint(2, max_nodes)
+    nodes = [f"n{i}" for i in range(n)]
+    p = rng.choice((0.3, 0.5, 0.7))
+    arcs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)
+            for _ in range(rng.choice((1, 1, 1, 2))) if rng.random() < p]
+    names = [f"e{k}" for k in range(len(arcs))]
+    rng.shuffle(names)
+    edges = [(name, s, t) for name, (s, t) in zip(names, arcs)]
+    bare = AsyncGraph.build(nodes, edges, nodes[0])
+    spans = {}
+    for p2 in bare.paths2():
+        spans.setdefault((bare.src(p2[0]), bare.tgt(p2[1])), []).append(p2)
+    q = rng.choice((0.3, 0.6, 0.9))
+    squares = [pq for ps in spans.values() for pq in combinations(ps, 2)
+               if rng.random() < q]
+    return AsyncGraph.build(nodes, edges, nodes[0], squares)

@@ -1,14 +1,19 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from weavent import asyncgraphs, cli
+from weavent import io as iomod
 from weavent.asyncgraphs import (AsyncError, AsyncGraph, async_domain,
                                  hasse_as_async, validate_async_graph,
-                                 _origin_path_classes)
+                                 _end, _origin_path_classes, _path_classes)
 from weavent.duality import dom_of_es, poset_isomorphic
 from weavent.fixtures import chain, e_ccs, e_run, e_three_independent, m3
-from tests._gen import random_weak_prime_domain
+from tests._gen import random_async_graph, random_weak_prime_domain
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +51,28 @@ class TestValidation:
         rep = validate_async_graph(hasse_as_async(m3()))
         assert not rep.axiom2
 
+    def test_axiom2_diagnostic_names_the_first_failing_pairs(self):
+        # expected texts computed with the scan over all pairs of related
+        # 2-paths; the scan by first edge must stop at the same pairs
+        m3_graph = hasse_as_async(m3())
+        # all four 2-paths through the parallel edges form one square class,
+        # so several pairs fail against the first failing one
+        parallel = AsyncGraph.build(
+            ["n0", "n1", "n2"],
+            [("e0", "n1", "n2"), ("e1", "n0", "n1"), ("e2", "n0", "n1"),
+             ("e3", "n1", "n2")],
+            "n0",
+            [(("e1", "e0"), ("e1", "e3")), (("e1", "e3"), ("e2", "e3")),
+             (("e2", "e0"), ("e2", "e3"))])
+        for a, expected in (
+                (m3_graph, "axiom2: ('b>x', 'x>t')~('b>y', 'y>t') "
+                           "vs ('b>x', 'x>t')~('b>z', 'z>t')"),
+                (parallel, "axiom2: ('e1', 'e0')~('e1', 'e3') "
+                           "vs ('e1', 'e0')~('e2', 'e0')")):
+            rep = validate_async_graph(a)
+            assert not rep.axiom2
+            assert [d for d in rep.diagnostics if d.startswith("axiom2")] == [expected]
+
     def test_cube_up_failure_detected(self):
         a = AsyncGraph.build(
             ["o", "x", "y", "m", "p", "q", "T"],
@@ -64,6 +91,9 @@ class TestValidation:
                                  [("e1", "o", "x"), ("e2", "o", "y")], "o",
                                  [(("e1", "e2"), ("e2", "e1"))])
             validate_async_graph(a)
+
+    def test_report_is_computed_once_per_graph(self, run_async):
+        assert validate_async_graph(run_async) is validate_async_graph(run_async)
 
     def test_cycle_detected(self):
         a = AsyncGraph.build(["o", "x"], [("e1", "o", "x"), ("e2", "x", "o")], "o")
@@ -124,3 +154,90 @@ class TestAsyncDomain:
             node = run_async.origin if not w else run_async.tgt(w[-1])
             ends.setdefault(node, set()).add(pcls[w])
         assert all(len(v) == 1 for v in ends.values())
+
+
+def _oracle_classes(a):
+    """Least members (by class number), end nodes and prefix order of the
+    classes, read off the enumeration of every origin path."""
+    pcls, paths = _origin_path_classes(a)
+    least, ends = {}, {}
+    for w in paths:  # sorted, so the first member seen is the least
+        least.setdefault(pcls[w], w)
+        ends.setdefault(pcls[w], set()).add(_end(a, w))
+    order = {(pcls[w[:j]], pcls[w]) for w in paths for j in range(len(w) + 1)}
+    return [least[k] for k in range(len(least))], [ends[k] for k in range(len(ends))], order
+
+
+def _closure(n, links):
+    succ = {k: [] for k in range(n)}
+    for j, k in links:
+        succ[j].append(k)
+    order = set()
+    for j in range(n):
+        todo, seen = [j], {j}
+        while todo:
+            x = todo.pop()
+            for y in succ[x]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        order |= {(j, k) for k in seen}
+    return order
+
+
+class TestPathClasses:
+    """Classes grown depth by depth against the all-paths enumeration."""
+
+    @staticmethod
+    def _check(a):
+        least, links = _path_classes(a)
+        o_least, o_ends, o_order = _oracle_classes(a)
+        assert list(least) == o_least
+        assert [{_end(a, w)} for w in least] == o_ends
+        assert _closure(len(least), links) == o_order
+        cofinal = len({_end(a, w) for w in o_least}) == len(o_least)
+        assert validate_async_graph(a).all_cofinal_equivalent == cofinal
+        return cofinal
+
+    def test_random_dags_with_partial_squares(self):
+        rng = random.Random(131)
+        verdicts = [self._check(random_async_graph(rng)) for _ in range(400)]
+        assert True in verdicts and False in verdicts
+
+    def test_hasse_graphs_of_weak_prime_domains(self):
+        rng = random.Random(137)
+        for _ in range(12):
+            assert self._check(hasse_as_async(random_weak_prime_domain(rng)))
+
+    @pytest.mark.parametrize("name", ["run.async.json", "ccs.async.json"])
+    def test_fixtures(self, name):
+        assert self._check(iomod.load_structure(str(FIXTURES / name), "asyncgraph"))
+
+    def test_async_job_validates_and_grows_classes_once(self, monkeypatch, capsys):
+        calls = []
+        for name in ("_validate", "_grow_path_classes"):
+            def counted(a, _name=name, _compute=getattr(asyncgraphs, name)):
+                calls.append(_name)
+                return _compute(a)
+            monkeypatch.setattr(asyncgraphs, name, counted)
+
+        def enumerate_paths(a):
+            raise AssertionError("an async job enumerated origin paths")
+        monkeypatch.setattr(asyncgraphs, "_origin_path_classes", enumerate_paths)
+        assert cli.main(["async", "--async", str(FIXTURES / "run.async.json"), "--weak"]) == 0
+        assert '"path_classes": 7' in capsys.readouterr().out
+        assert sorted(calls) == ["_grow_path_classes", "_validate"]
+
+
+class TestHasseAsAsync:
+    def test_squares_are_the_coinitial_cofinal_pairs(self):
+        doms = [iomod.load_structure(str(p), "domain")
+                for p in sorted(FIXTURES.glob("*.domain.json"))]
+        doms += [dom_of_es(e) for e in (e_run(), e_ccs(), e_three_independent())]
+        for dom in doms:
+            if dom.bottom() is None:
+                continue
+            a = hasse_as_async(dom)
+            p2 = a.paths2()
+            assert a.squares == {frozenset((p, q)) for p, q in combinations(p2, 2)
+                                 if a.src(p[0]) == a.src(q[0]) and a.tgt(p[1]) == a.tgt(q[1])}

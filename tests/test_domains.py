@@ -50,6 +50,18 @@ class TestValidate:
         with pytest.raises(OrderError):
             FiniteDomain("ab", [("a", "b"), ("b", "a")])
 
+    @pytest.mark.parametrize("covers, element", [
+        ([("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")], "b"),
+        ([("d", "a"), ("a", "c"), ("c", "b"), ("b", "a")], "a"),
+        ([("a", "c"), ("c", "e"), ("e", "b"), ("b", "c"), ("a", "d")], "c"),
+        ([("a", "b"), ("a", "c"), ("b", "d"), ("d", "b"), ("c", "e"), ("e", "c")], "b"),
+        ([("a", "b"), ("b", "c"), ("b", "d"), ("c", "e"), ("e", "c"), ("d", "e")], "c"),
+    ])
+    def test_cycle_names_the_first_element_met_twice(self, covers, element):
+        # depth-first from the least index, successors in index order
+        with pytest.raises(OrderError, match=f"^cycle through '{element}'$"):
+            FiniteDomain("abcde", covers)
+
     def test_nontransitive_bdomain_valid(self):
         assert validate_domain(nontransitive_bdomain()).ok
 

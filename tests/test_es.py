@@ -9,7 +9,7 @@ from weavent.es import (EventStructure, EsError, LivenessError, classify,
                         validate_es_morphism)
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split)
-from tests._gen import random_live_es
+from tests._gen import random_connected_es, random_live_es
 
 
 def fz(*xs):
@@ -77,6 +77,20 @@ class TestMinimalEnablings:
     def test_unknown_event(self):
         with pytest.raises(EsError):
             minimal_enablings(e_run(), "zz")
+
+    def test_agrees_with_subset_definition(self):
+        rng = random.Random(29)
+        structures = [e_run(), e_ccs(), e_five(), e_joint(), e_prime_conflict(), e_split(),
+                      EventStructure.with_consistency(
+                          "abc", [("a", "b"), ("b", "c")],
+                          enabling=[((), "a"), ((), "b"), (("a",), "c"), (("b",), "c")])]
+        structures += [random_live_es(rng) for _ in range(40)]
+        structures += [random_connected_es(rng) for _ in range(20)]
+        for es in structures:
+            for e in sorted(es.events):
+                enabling = [c for c in configurations(es) if es.enables(c, e)]
+                assert minimal_enablings(es, e) == {
+                    c for c in enabling if not any(d < c for d in enabling)}
 
 
 class TestClassify:

@@ -169,6 +169,31 @@ class TestCli:
                                capsys=capsys)
         assert code == 1
 
+    def test_async_on_a_long_chain(self, tmp_path, capsys):
+        # 1,500 edges: deeper than Python's default recursion limit
+        nodes = [f"c{k}" for k in range(1501)]
+        path = tmp_path / "chain.async.json"
+        iomod.dump_json({"nodes": nodes, "origin": "c0", "squares": [],
+                         "edges": [{"id": f"e{k}", "src": nodes[k], "tgt": nodes[k + 1]}
+                                   for k in range(1500)]}, str(path))
+        code, out, _ = run_cli("async", "--async", str(path), capsys=capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["prime"] is True
+        assert results["path_classes"] == 1501
+
+    def test_check_domain_on_a_long_chain(self, tmp_path, capsys):
+        elements = [f"c{k}" for k in range(1501)]
+        path = tmp_path / "chain.domain.json"
+        iomod.dump_json({"elements": elements, "kind": "coherent",
+                         "covers": [[elements[k], elements[k + 1]] for k in range(1500)]},
+                        str(path))
+        code, out, _ = run_cli("check", "--domain", str(path), capsys=capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["valid"] is True
+        assert len(results["irreducibles"]) == 1500
+
     def test_synth_report(self, capsys):
         code, out, _ = run_cli("synth", "--es", str(FIXTURES / "e_run.es.json"),
                                capsys=capsys)
