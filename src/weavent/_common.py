@@ -1,5 +1,6 @@
-"""The building blocks every layer shares: a union-find, a report and a
-per-structure cache.
+"""The building blocks every layer shares: a union-find, a report, a
+per-structure cache and ``backtrack``, the one depth-first search behind
+graph matching, trace permutations and isomorphism tests.
 
 This module imports nothing from weavent, so any layer may import it.
 """
@@ -7,7 +8,7 @@ This module imports nothing from weavent, so any layer may import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 
 class UnionFind:
@@ -69,3 +70,45 @@ def _once(obj, key: str, compute: Callable):
     if key not in derived:
         derived[key] = compute(obj)
     return derived[key]
+
+
+def backtrack(slots: Sequence[Sequence], fits: Callable[[int, object, List], bool],
+              distinct: bool) -> Iterator[tuple]:
+    """Every choice of one candidate per slot that ``fits`` accepts.
+
+    ``slots[k]`` lists the candidates for slot ``k`` in the order they are
+    tried; ``fits(k, x, chosen)`` says whether ``x`` may fill slot ``k``
+    after the choices ``chosen`` (a list it must not change) for slots
+    ``0..k-1``.  When ``distinct`` is set, no candidate fills two slots.
+    Choices come as tuples in lexicographic order of candidate positions,
+    the order of a recursive depth-first search; the stack is explicit, so
+    the number of slots is not bounded by the recursion limit.
+    """
+    n = len(slots)
+    if n == 0:
+        yield ()
+        return
+    chosen: List = []
+    used = set()
+    tried = [0]  # per open slot, the position of its next candidate
+    while tried:
+        k = len(chosen)
+        cands = slots[k]
+        i = tried[-1]
+        while i < len(cands) and ((distinct and cands[i] in used)
+                                  or not fits(k, cands[i], chosen)):
+            i += 1
+        if i == len(cands):
+            tried.pop()
+            if chosen:
+                used.discard(chosen.pop())
+            continue
+        tried[-1] = i + 1
+        x = cands[i]
+        if k + 1 == n:
+            yield (*chosen, x)
+        else:
+            chosen.append(x)
+            if distinct:
+                used.add(x)
+            tried.append(0)

@@ -543,12 +543,17 @@ def _partners(dom: FiniteDomain) -> Dict[int, int]:
 
 
 def _find_partners(dom: FiniteDomain) -> Dict[int, int]:
-    irr = _irreducible_indices(dom)
-    rows = {x: 1 << x for x in irr}
-    for a, b in combinations(irr, 2):
-        if _interchangeable(dom, a, b):
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
+    # Only consistent, incomparable pairs can be interchangeable: if a < b
+    # then a ⊔ p(b) = p(b) ≠ b = p(a) ⊔ b.
+    up, down, cons = dom._up, dom._down, dom._cons
+    irr = _irreducible_mask(dom)
+    rows = {x: 1 << x for x in _bits(irr)}
+    for a in rows:
+        later = irr & cons[a] & ~up[a] & ~down[a] & ~((2 << a) - 1)
+        for b in _bits(later):
+            if _interchangeable(dom, a, b):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
     return rows
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
-from ._common import UnionFind
+from ._common import UnionFind, backtrack
 from .es import (BINARY, EsError, EventStructure, LivenessError, classify,
                  configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
@@ -117,7 +118,7 @@ def connect_es(es: EventStructure) -> EventStructure:
 
 
 # ---------------------------------------------------------------------- #
-# Isomorphism search
+# Isomorphism search, on ``_common.backtrack``
 # ---------------------------------------------------------------------- #
 
 def _es_signature(es: EventStructure, e: str):
@@ -148,49 +149,45 @@ def _es_matches(es1: EventStructure, es2: EventStructure, phi: Dict[str, str]) -
     return True
 
 
+def _bijections(sig1: Mapping[str, tuple], sig2: Mapping[str, tuple],
+                rel1: Callable, rel2: Callable) -> Iterator[Dict[str, str]]:
+    """The bijections that preserve the signatures and carry ``rel1`` onto
+    ``rel2`` on every pair, in search order: items sorted by signature,
+    each tried against the other side's items of equal signature."""
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return
+    order = sorted(sig1, key=lambda x: (sig1[x], x))
+    by_sig: Dict[tuple, List[str]] = {}
+    for y in sorted(sig2):
+        by_sig.setdefault(sig2[y], []).append(y)
+
+    def fits(k, y, chosen):
+        x = order[k]
+        return all(rel1(x, a) == rel2(y, b) for a, b in zip(order, chosen))
+
+    for images in backtrack([by_sig[sig1[x]] for x in order], fits, True):
+        yield dict(zip(order, images))
+
+
 def _es_isomorphisms(es1: EventStructure, es2: EventStructure) -> Iterator[Dict[str, str]]:
     if es1.conflict_kind != es2.conflict_kind or len(es1.events) != len(es2.events):
         return
-    sig1 = {e: _es_signature(es1, e) for e in es1.events}
-    sig2 = {e: _es_signature(es2, e) for e in es2.events}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return
-    order = sorted(es1.events, key=lambda e: (sig1[e], e))
-    candidates = {e: sorted(x for x in es2.events if sig2[x] == sig1[e]) for e in order}
 
-    def compatible(phi, e, x):
-        for a, b in phi.items():
-            if es1.conflict_kind == BINARY:
-                if es1.in_conflict(e, a) != es2.in_conflict(x, b):
-                    return False
-            else:
-                if es1.is_consistent((e, a)) != es2.is_consistent((x, b)):
-                    return False
-        return True
+    def rel(es):
+        if es.conflict_kind == BINARY:
+            return es.in_conflict
+        return lambda a, b: es.is_consistent((a, b))
 
-    def extend(k, phi, used):
-        if k == len(order):
-            if _es_matches(es1, es2, phi):
-                yield dict(phi)
-            return
-        e = order[k]
-        for x in candidates[e]:
-            if x in used or not compatible(phi, e, x):
-                continue
-            phi[e] = x
-            used.add(x)
-            yield from extend(k + 1, phi, used)
-            del phi[e]
-            used.discard(x)
-
-    yield from extend(0, {}, set())
+    for phi in _bijections({e: _es_signature(es1, e) for e in es1.events},
+                           {e: _es_signature(es2, e) for e in es2.events},
+                           rel(es1), rel(es2)):
+        if _es_matches(es1, es2, phi):
+            yield phi
 
 
 def es_isomorphic(es1: EventStructure, es2: EventStructure) -> Optional[Dict[str, str]]:
     """A bijection preserving and reflecting conflict and enabling, or None."""
-    for phi in _es_isomorphisms(es1, es2):
-        return phi
-    return None
+    return next(_es_isomorphisms(es1, es2), None)
 
 
 def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[str, str]]:
@@ -205,40 +202,17 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
             h[x] = 0 if not lows else 1 + max(h[y] for y in lows)
         return h
 
-    h1, h2 = heights(dom1), heights(dom2)
+    def sigs(dom):
+        h = heights(dom)
+        return {x: (h[x], len(dom.lower_covers(x)), len(dom.upper_covers(x)),
+                    bin(dom._downm(dom.index(x))).count("1"),
+                    bin(dom._upm(dom.index(x))).count("1"))
+                for x in dom.elements}
 
-    def sig(dom, h, x):
-        i = dom.index(x)
-        return (h[x], len(dom.lower_covers(x)), len(dom.upper_covers(x)),
-                bin(dom._downm(i)).count("1"), bin(dom._upm(i)).count("1"))
+    def rel(dom):
+        return lambda a, b: dom.leq(a, b) + 2 * dom.leq(b, a)
 
-    sig1 = {x: sig(dom1, h1, x) for x in dom1.elements}
-    sig2 = {x: sig(dom2, h2, x) for x in dom2.elements}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-    order = sorted(dom1.elements, key=lambda x: (sig1[x], x))
-    candidates = {x: sorted(y for y in dom2.elements if sig2[y] == sig1[x]) for x in order}
-
-    def extend(k, phi, used):
-        if k == len(order):
-            return dict(phi)
-        x = order[k]
-        for y in candidates[x]:
-            if y in used:
-                continue
-            if any((dom1.leq(x, a) != dom2.leq(y, b)) or (dom1.leq(a, x) != dom2.leq(b, y))
-                   for a, b in phi.items()):
-                continue
-            phi[x] = y
-            used.add(y)
-            res = extend(k + 1, phi, used)
-            if res is not None:
-                return res
-            del phi[x]
-            used.discard(y)
-        return None
-
-    return extend(0, {}, set())
+    return next(_bijections(sigs(dom1), sigs(dom2), rel(dom1), rel(dom2)), None)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,14 +3,17 @@
 A graph has string-identified nodes and edges with total source/target maps.
 Typing assigns every node and edge an item of a fixed type graph; a type
 graph is itself a graph typed by the identity.  Morphisms must commute with
-source, target and typing.  Matching is plain backtracking over typed
-candidates, in deterministic (sorted) order; matches need not be injective.
+source, target and typing.  Matching is ``_common.backtrack`` over typed
+candidates: the nodes, then the edges, each in sorted order, so matches
+come in a deterministic order; they need not be injective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+from ._common import backtrack
 
 
 class GraphError(ValueError):
@@ -138,52 +141,32 @@ def _morphisms(pattern: TypedGraph, host: TypedGraph,
     nodes = sorted(pattern.nodes)
     edges = sorted(pattern.edges)
 
-    def ncands(n):
-        base = sorted(x for x in host.nodes if host.node_type[x] == pattern.node_type[n])
-        if node_candidates is not None:
-            allowed = node_candidates(n)
-            base = [x for x in base if x in allowed]
-        return base
+    def cands(x, types, host_items, host_types, allowed):
+        base = sorted(y for y in host_items if host_types[y] == types[x])
+        return base if allowed is None else [y for y in base if y in allowed(x)]
 
-    def ecands(e):
-        base = sorted(x for x in host.edges if host.edge_type[x] == pattern.edge_type[e])
-        if edge_candidates is not None:
-            allowed = edge_candidates(e)
-            base = [x for x in base if x in allowed]
-        return base
-
-    nc = {n: ncands(n) for n in nodes}
-    ec = {e: ecands(e) for e in edges}
-    if any(not v for v in nc.values()) or any(not v for v in ec.values()):
+    slots = ([cands(n, pattern.node_type, host.nodes, host.node_type, node_candidates)
+              for n in nodes]
+             + [cands(e, pattern.edge_type, host.edges, host.edge_type, edge_candidates)
+                for e in edges])
+    if not all(slots):
         return
+    nn = len(nodes)
+    at = {n: k for k, n in enumerate(nodes)}
+    ends = [(at[pattern.src[e]], at[pattern.tgt[e]]) for e in edges]
 
-    def assign_edges(k, nmap, emap):
-        if k == len(edges):
-            yield GraphMorphism(pattern, host, dict(nmap), dict(emap))
-            return
-        e = edges[k]
-        for x in ec[e]:
-            if injective and x in emap.values():
-                continue
-            if host.src[x] != nmap[pattern.src[e]] or host.tgt[x] != nmap[pattern.tgt[e]]:
-                continue
-            emap[e] = x
-            yield from assign_edges(k + 1, nmap, emap)
-            del emap[e]
+    def fits(k, x, chosen):
+        # injectivity is checked among nodes and among edges apart, since a
+        # node and an edge may share an id
+        if k < nn:
+            return not (injective and x in chosen)
+        s, t = ends[k - nn]
+        return (host.src[x] == chosen[s] and host.tgt[x] == chosen[t]
+                and not (injective and x in chosen[nn:]))
 
-    def assign_nodes(k, nmap):
-        if k == len(nodes):
-            yield from assign_edges(0, nmap, {})
-            return
-        n = nodes[k]
-        for x in nc[n]:
-            if injective and x in nmap.values():
-                continue
-            nmap[n] = x
-            yield from assign_nodes(k + 1, nmap)
-            del nmap[n]
-
-    yield from assign_nodes(0, {})
+    for images in backtrack(slots, fits, False):
+        yield GraphMorphism(pattern, host, dict(zip(nodes, images)),
+                            dict(zip(edges, images[nn:])))
 
 
 def find_matches(pattern: TypedGraph, host: TypedGraph) -> List[GraphMorphism]:
@@ -197,10 +180,8 @@ def graph_isomorphism(g1: TypedGraph, g2: TypedGraph) -> Optional[GraphMorphism]
         return None
     if iso_hash(g1) != iso_hash(g2):
         return None
-    for m in _morphisms(g1, g2, injective=True):
-        if m.is_surjective():
-            return m
-    return None
+    # an injective morphism between graphs of equal sizes is bijective
+    return next(_morphisms(g1, g2, injective=True), None)
 
 
 def iso_hash(g: TypedGraph, rounds: int = 3) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._common import UnionFind
+from ._common import UnionFind, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
@@ -540,25 +540,10 @@ def equivalent_traces(psi1: Derivation, psi2: Derivation) -> Optional[Tuple[int,
     names2 = psi2.rule_names()
     if sorted(names1) != sorted(names2):
         return None
-    slots = {i: [j for j in range(n) if names2[j] == names1[i]] for i in range(n)}
-
-    def assign(i, sigma, used):
-        if i == n:
-            xi = _left_consistent_iso(psi1, psi2, sigma)
-            if xi is not None:
-                yield tuple(sigma)
-            return
-        for j in slots[i]:
-            if j in used:
-                continue
-            sigma.append(j)
-            used.add(j)
-            yield from assign(i + 1, sigma, used)
-            sigma.pop()
-            used.discard(j)
-
-    for sigma in assign(0, [], set()):
-        return sigma
+    slots = [[j for j in range(n) if names2[j] == names1[i]] for i in range(n)]
+    for sigma in backtrack(slots, lambda i, j, chosen: True, True):
+        if _left_consistent_iso(psi1, psi2, sigma) is not None:
+            return sigma
     return None
 
 

@@ -1,6 +1,7 @@
 import random
+from itertools import product
 
-from weavent._common import Report, UnionFind
+from weavent._common import Report, UnionFind, backtrack
 
 
 def _components(n, edges):
@@ -54,3 +55,45 @@ def test_report_truth():
     assert Report(True)
     rep = Report(False, "missing-join", ("a", "b"))
     assert not rep and rep.condition == "missing-join" and rep.witness == ("a", "b")
+
+
+def _backtrack_by_definition(slots, fits, distinct):
+    """Every tuple of the product whose every prefix is accepted, in
+    product order."""
+    return [t for t in product(*slots)
+            if all((not distinct or t[k] not in t[:k]) and fits(k, t[k], list(t[:k]))
+                   for k in range(len(t)))]
+
+
+def test_backtrack_matches_filtered_product():
+    rng = random.Random(6)
+    for _ in range(300):
+        pool = list(range(rng.randint(1, 5)))
+        slots = [rng.sample(pool, rng.randint(0, len(pool)))
+                 for _ in range(rng.randint(0, 5))]
+        salt = rng.random()
+
+        def fits(k, x, chosen, salt=salt):
+            return random.Random(f"{salt}/{k}/{x}/{chosen}").random() < 0.7
+
+        for distinct in (False, True):
+            got = list(backtrack(slots, fits, distinct))
+            assert got == _backtrack_by_definition(slots, fits, distinct)
+
+
+def test_backtrack_edge_cases():
+    assert list(backtrack([], lambda k, x, chosen: False, True)) == [()]
+    assert list(backtrack([[1, 2], []], lambda k, x, chosen: True, False)) == []
+    assert list(backtrack([[1, 2], [1, 2]], lambda k, x, chosen: True, True)) == [(1, 2), (2, 1)]
+    seen = []
+    first = next(backtrack([["a", "b"]] * 3, lambda k, x, chosen: seen.append(k) or True, False))
+    assert first == ("a", "a", "a") and seen == [0, 1, 2]
+
+
+def test_backtrack_depth_is_not_bounded_by_recursion():
+    n = 5000
+    slots = [[k - 1, k, k + 1] for k in range(n)]
+    # a permutation of 0..n-1 that moves every element: forced to swap pairs
+    results = backtrack(slots, lambda k, x, chosen: 0 <= x < n and x != k, True)
+    first = next(results)
+    assert first == tuple(k + 1 if k % 2 == 0 else k - 1 for k in range(n))

@@ -17,6 +17,7 @@ from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderErro
 from weavent.duality import dom_of_es, dom_of_es_morphism
 from weavent.fixtures import (chain, e_ccs, e_run, m3, nontransitive_bdomain,
                               nontransitive_poset, pair_no_join)
+from weavent.io import load_structure
 from tests._gen import (random_connected_es, random_live_es, random_poset,
                         random_weak_prime_domain)
 
@@ -273,6 +274,52 @@ class TestWeakPrimes:
         assert frozenset({"b", "g", "j"}) in interchange_classes(dom)
         assert not interchangeable(dom, "b", "g")
         assert weak_primes(dom) == weak_primes_by_definition(dom) == ("d", "j")
+
+
+def partners_by_definition(dom):
+    """``_partners`` by its definition: ``↔`` tested on every pair."""
+    irr = irreducible_elements(dom)
+    rows = {dom.index(i): 1 << dom.index(i) for i in irr}
+    for i, j in combinations(irr, 2):
+        if interchangeable(dom, i, j):
+            rows[dom.index(i)] |= 1 << dom.index(j)
+            rows[dom.index(j)] |= 1 << dom.index(i)
+    return rows
+
+
+class TestPartners:
+    def test_fixtures_agree_with_all_pairs(self):
+        doms = [load_structure(str(path), "domain")
+                for path in sorted(FIXTURES.glob("*domain.json"))]
+        doms += [dom_of_es(e_run()), dom_of_es(e_ccs()), nontransitive_poset(False)]
+        for dom in doms:
+            assert domains._partners(dom) == partners_by_definition(dom)
+
+    def test_draws_agree_with_all_pairs(self):
+        rng = random.Random(29)
+        found = 0
+        for _ in range(80):
+            dom = random_weak_prime_domain(rng, max_elements=14) if rng.random() < 0.5 \
+                else random_poset(rng, rng.randint(3, 10))
+            if not validate_domain(dom).ok:
+                continue
+            expected = partners_by_definition(dom)
+            assert domains._partners(dom) == expected
+            found += sum(bin(row).count("1") - 1 for row in expected.values())
+        assert found > 0
+
+    def test_chain_tests_no_pair(self, monkeypatch):
+        calls = []
+
+        def counted(dom, a, b, _real=domains._interchangeable):
+            calls.append((a, b))
+            return _real(dom, a, b)
+
+        monkeypatch.setattr(domains, "_interchangeable", counted)
+        dom = chain(40)
+        rows = domains._partners(dom)
+        assert calls == []
+        assert rows == {dom.index(x): 1 << dom.index(x) for x in dom.elements if x != "c0"}
 
 
 class TestOraclesOnDraws:

@@ -5,13 +5,15 @@ import pytest
 
 from weavent.es import EventStructure, LivenessError, classify, configurations, \
     minimal_enablings
-from weavent.domains import (algebraicity, interchangeable, irreducible_elements,
-                             validate_domain, validate_domain_morphism)
+from weavent.domains import (FiniteDomain, algebraicity, interchangeable,
+                             irreducible_elements, validate_domain,
+                             validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
                              dom_of_es_morphism, es_isomorphic, ev_of_domain,
                              poset_isomorphic)
 from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
-                              e_split, m3, nontransitive_bdomain)
+                              e_split, e_three_independent, m3,
+                              nontransitive_bdomain)
 from tests._gen import random_live_es, random_weak_prime_domain
 
 
@@ -171,6 +173,31 @@ class TestIsomorphisms:
         assert phi is not None
         for a, b in dom.covers():
             assert dom.leq(phi[a], phi[b])
+
+    # The first isomorphism found, pinned on structures with automorphisms;
+    # values computed with the recursive search the engine replaced.
+    def test_first_poset_isomorphism_pinned(self):
+        def renamed(dom, name):
+            return FiniteDomain([name[x] for x in dom.elements],
+                                [(name[a], name[b]) for a, b in dom.covers()], dom.kind)
+
+        cube = dom_of_es(e_three_independent())
+        name = {"{}": "n6", "{x}": "n2", "{y}": "n4", "{z}": "n1", "{x,y}": "n0",
+                "{x,z}": "n5", "{y,z}": "n7", "{x,y,z}": "n3"}
+        assert poset_isomorphic(cube, renamed(cube, name)) == {
+            "{}": "n6", "{x}": "n1", "{y}": "n2", "{z}": "n4",
+            "{x,y}": "n5", "{x,z}": "n7", "{y,z}": "n0", "{x,y,z}": "n3"}
+        name = {"b": "q4", "x": "q2", "y": "q0", "z": "q3", "t": "q1"}
+        assert poset_isomorphic(m3(), renamed(m3(), name)) == {
+            "b": "q4", "t": "q1", "x": "q0", "y": "q2", "z": "q3"}
+
+    def test_first_es_isomorphism_pinned(self):
+        es = e_three_independent()
+        relabelled = EventStructure.binary(["z1", "y1", "x1"],
+                                           enabling=[((), "z1"), ((), "y1"), ((), "x1")])
+        assert es_isomorphic(es, relabelled) == {"x": "x1", "y": "y1", "z": "z1"}
+        relabelled = EventStructure.binary("rqp", enabling=[((), "r"), ((), "q"), ((), "p")])
+        assert es_isomorphic(es, relabelled) == {"x": "p", "y": "q", "z": "r"}
 
 
 class TestMorphismImages:

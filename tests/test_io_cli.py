@@ -7,12 +7,37 @@ import pytest
 
 from weavent import io as iomod
 from weavent.cli import main
-from weavent.duality import dom_of_es, es_isomorphic, poset_isomorphic, unfold
-from weavent.fixtures import e_run, e_ccs, nontransitive_bdomain, running_grammar
+from weavent import fixtures as fx
+from weavent.asyncgraphs import hasse_as_async
+from weavent.duality import dom_of_es, es_isomorphic, unfold
+from weavent.fixtures import e_run, nontransitive_bdomain, running_grammar
 from weavent.io import SchemaError
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
+
+# how each file in fixtures/ is written: (serialiser, constructor)
+FIXTURE_SOURCES = {
+    "ccs.async.json": (iomod.async_to_json, lambda: hasse_as_async(dom_of_es(fx.e_ccs()))),
+    "ccs.domain.json": (iomod.domain_to_json, lambda: dom_of_es(fx.e_ccs())),
+    "chain2.domain.json": (iomod.domain_to_json, lambda: fx.chain(2)),
+    "e_ccs.es.json": (iomod.es_to_json, fx.e_ccs),
+    "e_five.es.json": (iomod.es_to_json, fx.e_five),
+    "e_joint.es.json": (iomod.es_to_json, fx.e_joint),
+    "e_prime_conflict.es.json": (iomod.es_to_json, fx.e_prime_conflict),
+    "e_run.es.json": (iomod.es_to_json, fx.e_run),
+    "e_split.es.json": (iomod.es_to_json, fx.e_split),
+    "e_three_independent.es.json": (iomod.es_to_json, fx.e_three_independent),
+    "fusion.grammar.json": (iomod.grammar_to_json, fx.running_grammar),
+    "m3.domain.json": (iomod.domain_to_json, fx.m3),
+    "nontransitive.bdomain.json": (iomod.domain_to_json, fx.nontransitive_bdomain),
+    "nontransitive.domain.json": (iomod.domain_to_json, fx.nontransitive_poset),
+    "pair_no_join.domain.json": (iomod.domain_to_json, fx.pair_no_join),
+    "run.async.json": (iomod.async_to_json, lambda: hasse_as_async(dom_of_es(fx.e_run()))),
+    "run.domain.json": (iomod.domain_to_json, lambda: dom_of_es(fx.e_run())),
+    "split.domain.json": (iomod.domain_to_json, lambda: dom_of_es(fx.e_prime_conflict())),
+    "unfold_run.epes.json": (iomod.epes_to_json, lambda: unfold(fx.e_run())),
+}
 
 
 def run_cli(*argv, capsys=None):
@@ -81,12 +106,16 @@ class TestJson:
         with pytest.raises(SchemaError):
             iomod.load_structure(str(path), "domain")
 
-    def test_fixture_files_match_constructors(self):
-        assert iomod.load_structure(str(FIXTURES / "e_run.es.json"), "es") == e_run()
-        dom = iomod.load_structure(str(FIXTURES / "run.domain.json"), "domain")
-        assert poset_isomorphic(dom, dom_of_es(e_run())) is not None
-        g = iomod.load_structure(str(FIXTURES / "fusion.grammar.json"), "grammar")
-        assert [r.name for r in g.rules] == ["p_a", "p_b", "p_c"]
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_fixture_files_match_constructors(self, name):
+        # every file in fixtures/ must have an entry in FIXTURE_SOURCES
+        to_json, build = FIXTURE_SOURCES[name]
+        built = to_json(build())
+        path = FIXTURES / name
+        assert path.read_text(encoding="utf-8") == json.dumps(built, indent=2, sort_keys=True) + "\n"
+        kind = {"bdomain": "domain", "async": "asyncgraph"}.get(path.suffixes[0][1:],
+                                                                path.suffixes[0][1:])
+        assert to_json(iomod.load_structure(str(path), kind)) == built
 
 
 class TestCli:
@@ -96,6 +125,18 @@ class TestCli:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["dom_preserved"] is True
+
+    def test_roundtrip_es_beyond_the_recursion_limit(self, tmp_path, capsys):
+        # B_10: 1,024 configurations, more than the default recursion limit
+        events = [f"e{k}" for k in range(10)]
+        path = tmp_path / "b10.es.json"
+        iomod.dump_json({"events": events, "conflict": [],
+                         "enabling": [{"event": e, "needs": []} for e in events]}, str(path))
+        code, out, _ = run_cli("roundtrip", "--es", str(path), capsys=capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["dom_preserved"] is True
+        assert results["connected_fixed_point"] is True
 
     def test_derive_running(self, capsys):
         code, out, _ = run_cli("derive", "--grammar",

@@ -37,6 +37,13 @@ def boolean_es(n):
     return EventStructure.binary(events, (), [((), e) for e in events])
 
 
+def two_node_graph():
+    """Two nodes with a loop each, two parallel edges one way and one back."""
+    return TypedGraph(["p", "q"], [("lp", "L", "p", "p"), ("lq", "L", "q", "q"),
+                                   ("a1", "A", "p", "q"), ("a2", "A", "p", "q"),
+                                   ("b1", "A", "q", "p")], {"p": "N", "q": "N"})
+
+
 @pytest.fixture(scope="module")
 def grammar():
     return running_grammar()
@@ -95,6 +102,77 @@ class TestGraphs:
                            {"x": "N", "y": "N", "z": "M"})
         assert digest(mixed) == \
             "b578bdade13c666cd9df9399a7cc16270f12f0b6bc845627bf402ac2be7d74b9"
+
+    def test_first_matches_pinned(self):
+        # computed with the recursive matcher this engine replaced
+        def maps(rule, host):
+            return [(m.node_map, m.edge_map) for m in find_matches(fusion.rule(rule).L, host)]
+
+        fusion = load_structure(str(FIXTURES / "fusion.grammar.json"), "grammar")
+        start = fusion.start
+        assert maps("p_a", start) == [({"c": "c", "v": "v"},
+                                       {"e_abar": "e_abar", "e_nubar": "e_nubar"})]
+        assert maps("p_b", start) == [({"c": "c", "v": "v"},
+                                       {"e_bbar": "e_bbar", "e_nubar": "e_nubar"})]
+        assert maps("p_c", start) == []
+        after_a = apply_rule(start, fusion.rule("p_a"), find_matches(fusion.rule("p_a").L, start)[0]).H
+        assert maps("p_a", after_a) == []
+        assert maps("p_b", after_a) == [({"c": "c+v", "v": "c+v"},
+                                         {"e_bbar": "e_bbar", "e_nubar": "e_nubar"})]
+        assert maps("p_c", after_a) == [({"cv": "c+v"}, {"e_in": "e_in", "e_nubar": "e_nubar"})]
+        after_b = apply_rule(start, fusion.rule("p_b"), find_matches(fusion.rule("p_b").L, start)[0]).H
+        assert maps("p_a", after_b) == [({"c": "c+v", "v": "c+v"},
+                                         {"e_abar": "e_abar", "e_nubar": "e_nubar"})]
+        assert maps("p_b", after_b) == []
+        assert maps("p_c", after_b) == [({"cv": "c+v"}, {"e_in": "e_in", "e_nubar": "e_nubar"})]
+
+    def test_isomorphisms_pinned(self, start):
+        # computed with the recursive matcher this engine replaced
+        def maps(m):
+            return m.node_map, m.edge_map
+
+        renamed = TypedGraph(["k", "a"],
+                             [("f3", "abar", "k", "k"), ("f2", "bbar", "k", "k"),
+                              ("f1", "in", "k", "k"), ("f0", "nubar", "a", "a")],
+                             {"k": "n", "a": "n"})
+        assert maps(graph_isomorphism(start, renamed)) == (
+            {"c": "k", "v": "a"},
+            {"e_abar": "f3", "e_bbar": "f2", "e_in": "f1", "e_nubar": "f0"})
+        sym = two_node_graph()
+        sym2 = TypedGraph(["u", "w"], [("m1", "L", "w", "w"), ("m2", "L", "u", "u"),
+                                       ("z", "A", "w", "u"), ("y", "A", "w", "u"),
+                                       ("x", "A", "u", "w")], {"u": "N", "w": "N"})
+        assert maps(graph_isomorphism(sym, sym2)) == (
+            {"p": "w", "q": "u"}, {"a1": "y", "a2": "z", "b1": "x", "lp": "m1", "lq": "m2"})
+        assert maps(graph_isomorphism(sym, sym)) == (
+            {"p": "p", "q": "q"}, {e: e for e in sym.edges})
+        discrete = TypedGraph(["a", "b"], [], {"a": "N", "b": "N"})
+        assert maps(graph_isomorphism(discrete, TypedGraph(["y", "x"], [], {"x": "N", "y": "N"}))) \
+            == ({"a": "x", "b": "y"}, {})
+
+    def test_match_order_pinned(self):
+        # nodes first, then edges, each in sorted order; computed with the
+        # recursive matcher this engine replaced
+        pattern = TypedGraph(["u", "w"], [("f1", "A", "u", "w"), ("f2", "A", "u", "w")],
+                             {"u": "N", "w": "N"})
+        pq, qp = {"u": "p", "w": "q"}, {"u": "q", "w": "p"}
+        assert [(m.node_map, m.edge_map) for m in find_matches(pattern, two_node_graph())] == [
+            (pq, {"f1": "a1", "f2": "a1"}), (pq, {"f1": "a1", "f2": "a2"}),
+            (pq, {"f1": "a2", "f2": "a1"}), (pq, {"f1": "a2", "f2": "a2"}),
+            (qp, {"f1": "b1", "f2": "b1"})]
+
+    def test_node_and_edge_may_share_an_id(self):
+        g = TypedGraph(["a", "b"], [("a", "E", "a", "b")], {"a": "N", "b": "N"})
+        h = TypedGraph(["x", "y"], [("x", "E", "x", "y")], {"x": "N", "y": "N"})
+        assert graph_isomorphism(g, h) is not None
+        assert graph_isomorphism(g, g) is not None
+
+    def test_large_discrete_pattern(self):
+        pattern = TypedGraph([f"n{k}" for k in range(1500)], [],
+                             {f"n{k}": "N" for k in range(1500)})
+        host = TypedGraph(["x"], [], {"x": "N"})
+        (m,) = find_matches(pattern, host)
+        assert set(m.node_map.values()) == {"x"} and len(m.node_map) == 1500
 
     def test_morphism_validation(self, grammar, start):
         bad = GraphMorphism(grammar.rule("p_a").L, start,
@@ -263,6 +341,27 @@ class TestEquivalentTraces:
         psi1 = Derivation(start).extend(da).extend(dc)
         psi2 = Derivation(start).extend(db).extend(dc2)
         assert equivalent_traces(psi1, psi2) is None
+
+    def test_repeated_rule_first_permutation_pinned(self):
+        # one rule dropping one of three loops: every slot has three
+        # candidates; values computed with the recursive search it replaced
+        host = TypedGraph(["x"], [("e1", "E", "x", "x"), ("e2", "E", "x", "x"),
+                                  ("e3", "E", "x", "x")], {"x": "N"})
+        lg = TypedGraph(["u"], [("eu", "E", "u", "u")], {"u": "N"})
+        kg = TypedGraph(["u"], [], {"u": "N"})
+        drop = Rule("drop", lg, kg, kg, GraphMorphism(kg, lg, {"u": "u"}, {}),
+                    GraphMorphism(kg, kg, {"u": "u"}, {}))
+
+        def dropping(*loops):
+            d = Derivation(host)
+            for e in loops:
+                (m,) = [m for m in find_matches(lg, d.target) if m.edge_map["eu"] == e]
+                d = d.extend(apply_rule(d.target, drop, m))
+            return d
+
+        assert equivalent_traces(dropping("e1", "e2", "e3"), dropping("e3", "e1", "e2")) == (1, 2, 0)
+        assert equivalent_traces(dropping("e1", "e2", "e3"), dropping("e1", "e2", "e3")) == (0, 1, 2)
+        assert equivalent_traces(dropping("e2", "e3", "e1"), dropping("e1", "e3", "e2")) == (2, 1, 0)
 
     def test_source_mismatch_rejected(self, grammar, start):
         other = TypedGraph(["c", "v"],
