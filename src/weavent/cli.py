@@ -238,8 +238,9 @@ def _cmd_roundtrip(args) -> tuple:
         if not ok1:
             witnesses.append({"check": "coreflection-domain", "witness": path})
     elif kind == "domain":
-        back = poset_isomorphic(dom_of_es(ev_of_domain(value)), value) is not None
-        agree = es_isomorphic(ev_wd(value), ev_of_domain(value)) is not None
+        es = ev_of_domain(value)
+        back = poset_isomorphic(dom_of_es(es), value) is not None
+        agree = es_isomorphic(ev_wd(value), es) is not None
         pairs = zeta(value)
         results = {"kind": kind, "dom_of_ev_isomorphic": back,
                    "interval_construction_agrees": agree,
@@ -249,9 +250,10 @@ def _cmd_roundtrip(args) -> tuple:
         if not agree:
             witnesses.append({"check": "interval-vs-irreducible-es", "witness": path})
     elif kind == "epes":
-        again = unfold(fuse(value))
+        fused = fuse(value)
+        again = unfold(fused)
         ok1 = epes_isomorphic(value, again) is not None
-        ok2 = es_isomorphic(fuse(unfold(fuse(value))), fuse(value)) is not None
+        ok2 = es_isomorphic(fuse(again), fused) is not None
         results = {"kind": kind, "unfold_fuse_isomorphic": ok1,
                    "fuse_unfold_isomorphic": ok2}
         if not ok1:

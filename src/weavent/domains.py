@@ -251,16 +251,6 @@ class FiniteDomain:
             ub &= self._up[self.index(x)]
         return ub != 0
 
-    def downset(self, x: str) -> Tuple[str, ...]:
-        return self.ids(self._down[self.index(x)])
-
-    # internal mask accessors used by sibling modules
-    def _upm(self, i: int) -> int:
-        return self._up[i]
-
-    def _downm(self, i: int) -> int:
-        return self._down[i]
-
 
 def _incomparable_consistent_pairs(dom: FiniteDomain):
     """Each pair ``i < j`` of incomparable consistent elements with their
@@ -314,6 +304,18 @@ def validate_domain(dom: FiniteDomain) -> Report:
             if (di & down[j]) not in by_down:
                 return Report(False, "missing-meet", (names[i], names[j]))
     return Report(True)
+
+
+def _require_valid(dom: FiniteDomain) -> None:
+    rep = _once(dom, "validity", validate_domain)
+    if not rep.ok:
+        raise OrderError(f"not a valid domain: {rep.condition} {rep.witness}")
+
+
+def _require_weak_prime(dom: FiniteDomain) -> None:
+    _require_valid(dom)
+    for i in dom.ids(_irreducible_mask(dom) & ~dom.mask_of(weak_primes(dom))):
+        raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
 
 
 def validate_domain_by_definition(dom: FiniteDomain) -> Report:

@@ -12,16 +12,18 @@ prime structures carrying an event equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
 from ._common import UnionFind, backtrack
 from .es import (BINARY, EsError, EventStructure, LivenessError, classify,
                  configurations, minimal_enablings)
-from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
-                      decompose, interchange_classes, irreducible_elements,
-                      predecessor, validate_domain, weak_primes)
+from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
+                      _require_weak_prime, decompose, interchange_classes,
+                      irreducible_elements, predecessor)
 
 EventSet = FrozenSet[str]
 
@@ -70,16 +72,6 @@ def dom_of_es_morphism(f: Mapping[str, str], src: EventStructure,
 # Domain -> ES
 # ---------------------------------------------------------------------- #
 
-def _require_weak_prime(dom: FiniteDomain) -> None:
-    rep = validate_domain(dom)
-    if not rep.ok:
-        raise OrderError(f"not a valid domain: {rep.condition} {rep.witness}")
-    wps = set(weak_primes(dom))
-    for i in irreducible_elements(dom):
-        if i not in wps:
-            raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
-
-
 def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     """The event structure of a weak prime domain.
 
@@ -100,13 +92,9 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
         gens.add((frozenset(name[j] for j in below), name[i]))
     events = sorted(set(name.values()))
     if dom.kind == COHERENT:
-        conflict = []
-        for c1, c2 in combinations(classes, 2):
-            together = any(
-                any(dom.leq(i, d) for i in c1) and any(dom.leq(j, d) for j in c2)
-                for d in dom.elements)
-            if not together:
-                conflict.append((name[min(c1)], name[min(c2)]))
+        ups = [reduce(or_, (dom._up[dom.index(i)] for i in cls)) for cls in classes]
+        conflict = [(name[min(classes[k])], name[min(classes[m])])
+                    for k, m in combinations(range(len(classes)), 2) if not ups[k] & ups[m]]
         return EventStructure.binary(events, conflict, [(x, e) for x, e in gens])
     cons = [frozenset(name[i] for i in decompose(dom, d)) for d in dom.maximal_elements()]
     return EventStructure.with_consistency(events, cons, [(x, e) for x, e in gens])
@@ -197,7 +185,7 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
 
     def heights(dom):
         h = {}
-        for x in sorted(dom.elements, key=lambda x: bin(dom._downm(dom.index(x))).count("1")):
+        for x in sorted(dom.elements, key=lambda x: bin(dom._down[dom.index(x)]).count("1")):
             lows = dom.lower_covers(x)
             h[x] = 0 if not lows else 1 + max(h[y] for y in lows)
         return h
@@ -205,8 +193,8 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
     def sigs(dom):
         h = heights(dom)
         return {x: (h[x], len(dom.lower_covers(x)), len(dom.upper_covers(x)),
-                    bin(dom._downm(dom.index(x))).count("1"),
-                    bin(dom._upm(dom.index(x))).count("1"))
+                    bin(dom._down[dom.index(x)]).count("1"),
+                    bin(dom._up[dom.index(x)]).count("1"))
                 for x in dom.elements}
 
     def rel(dom):

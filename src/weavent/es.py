@@ -137,12 +137,6 @@ class EventStructure:
             raise EsError(f"unknown event {e!r}")
         return any(ev == e and needs <= xs for needs, ev in self.enabling_gens)
 
-    def generators_of(self, e: str) -> Tuple[EventSet, ...]:
-        """The inclusion-minimal stored generators of ``e``, sorted."""
-        gens = [needs for needs, ev in self.enabling_gens if ev == e]
-        minimal = [g for g in gens if not any(h < g for h in gens)]
-        return tuple(sorted(set(minimal), key=sorted))
-
     def in_conflict(self, a: str, b: str) -> bool:
         if self.conflict_kind == BINARY:
             return frozenset((a, b)) in self.conflict
@@ -216,19 +210,12 @@ def minimal_enablings(es: EventStructure, e: str) -> FrozenSet[EventSet]:
     return frozenset(c for c in enabling if not any(c - {x} in enabling for x in c))
 
 
-def _consistent_with_event(es: EventStructure, c1: EventSet, c2: EventSet, e: str) -> bool:
-    return es.is_consistent(c1 | c2 | {e})
-
-
 @lru_cache(maxsize=None)
 def _enabling_links(es: EventStructure, e: str) -> FrozenSet[Tuple[EventSet, EventSet]]:
     """Pairs of distinct minimal enablings of ``e`` consistent together with ``e``."""
     mins = sorted(minimal_enablings(es, e), key=sorted)
-    links = set()
-    for c1, c2 in combinations(mins, 2):
-        if _consistent_with_event(es, c1, c2, e):
-            links.add((c1, c2))
-    return frozenset(links)
+    return frozenset((c1, c2) for c1, c2 in combinations(mins, 2)
+                     if es.is_consistent(c1 | c2 | {e}))
 
 
 @dataclass(frozen=True)

@@ -69,18 +69,12 @@ class TypedGraph:
                 and self.src == other.src and self.tgt == other.tgt
                 and self.node_type == other.node_type and self.edge_type == other.edge_type)
 
-    def incident_edges(self, n: str) -> Tuple[str, ...]:
-        return tuple(sorted(e for e in self.edges if self.src[e] == n or self.tgt[e] == n))
-
     def subgraph(self, nodes: Iterable[str], edges: Iterable[str]) -> "TypedGraph":
         nodes = set(nodes)
         return TypedGraph(nodes,
                           [(e, self.edge_type[e], self.src[e], self.tgt[e])
                            for e in edges],
                           {n: self.node_type[n] for n in nodes})
-
-    def item_count(self) -> int:
-        return len(self.nodes) + len(self.edges)
 
     def __repr__(self):
         return f"TypedGraph(|N|={len(self.nodes)}, |E|={len(self.edges)})"
@@ -109,12 +103,6 @@ class GraphMorphism:
                     or self.node_map[self.source.tgt[e]] != self.target.tgt[img]:
                 raise GraphError(f"edge {e!r} does not commute with src/tgt")
 
-    def apply_node(self, n: str) -> str:
-        return self.node_map[n]
-
-    def apply_edge(self, e: str) -> str:
-        return self.edge_map[e]
-
     def is_injective(self) -> bool:
         return (len(set(self.node_map.values())) == len(self.node_map)
                 and len(set(self.edge_map.values())) == len(self.edge_map))
@@ -128,10 +116,6 @@ class GraphMorphism:
         return GraphMorphism(self.source, then.target,
                              {n: then.node_map[v] for n, v in self.node_map.items()},
                              {e: then.edge_map[v] for e, v in self.edge_map.items()})
-
-
-def identity_morphism(g: TypedGraph) -> GraphMorphism:
-    return GraphMorphism(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
 
 
 def _morphisms(pattern: TypedGraph, host: TypedGraph,
@@ -199,17 +183,3 @@ def iso_hash(g: TypedGraph, rounds: int = 3) -> str:
     node_part = sorted(colour.values())
     edge_part = sorted(f"{g.edge_type[e]}:{colour[g.src[e]]}->{colour[g.tgt[e]]}" for e in g.edges)
     return str((node_part, edge_part))
-
-
-def disjoint_union_tags(graphs: Mapping[str, TypedGraph]) -> TypedGraph:
-    """Disjoint union with items renamed ``tag:item`` (used by tests/demos)."""
-    nodes = []
-    edges = []
-    ntype = {}
-    for tag, g in sorted(graphs.items()):
-        for n in g.nodes:
-            nodes.append(f"{tag}:{n}")
-            ntype[f"{tag}:{n}"] = g.node_type[n]
-        for e in g.edges:
-            edges.append((f"{tag}:{e}", g.edge_type[e], f"{tag}:{g.src[e]}", f"{tag}:{g.tgt[e]}"))
-    return TypedGraph(nodes, edges, ntype)

@@ -6,21 +6,26 @@ equivalence groups intervals that perform the same quantum of change.  On a
 weak prime domain the interval classes biject with the interchangeability
 classes of irreducibles, and the classical axioms (C), (R), (V) carve out
 exactly the weak prime domains among finite coherent ones.
+
+The layer reads the domain's masks and keeps the interval classes and the
+axiom report on the domain; ``*_by_definition`` are the oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import FrozenSet, List, Optional, Tuple
+from operator import or_
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ._common import UnionFind
+from ._common import UnionFind, _once
 from .es import EventStructure
-from .domains import (FiniteDomain, OrderError, diff, interchange_classes,
-                      irreducible_elements, predecessor, validate_domain,
-                      weak_primes)
+from .domains import (FiniteDomain, OrderError, _bits, _irreducible_mask,
+                      _require_valid, _require_weak_prime, interchange_classes)
 
 Interval = Tuple[str, str]
+_Pair = Tuple[int, int]  # an interval as a pair of element indices
 
 
 def interval_leq(dom: FiniteDomain, first: Interval, second: Interval) -> bool:
@@ -31,13 +36,36 @@ def interval_leq(dom: FiniteDomain, first: Interval, second: Interval) -> bool:
     return dom.meet((c2, d)) == c and dom.consistent((c2, d)) and dom.join((c2, d)) == d2
 
 
+def _classes(dom: FiniteDomain) -> List[List[_Pair]]:
+    """``interval_classes`` on element indices, which follow the names' order."""
+    return _once(dom, "interval_classes", _find_interval_classes)
+
+
+def _find_interval_classes(dom: FiniteDomain) -> List[List[_Pair]]:
+    # [c,c'] ≤ [d,d'] forces c ⊑ d and d' = c' ⊔ d, so walk the d ⊒ c
+    # consistent with c'; d = c is [c,c'] itself, and d ⊒ c' meets c' in c'
+    up, down, cons, by_up, covers = dom._up, dom._down, dom._cons, dom._by_up, dom._cover_pairs
+    uf = UnionFind(covers)
+    for c, c2 in covers:
+        below, down2, up2 = down[c], down[c2], up[c2]
+        for d in _bits(up[c] & cons[c2] & ~up2 & ~(1 << c)):
+            if down2 & down[d] == below:
+                j = by_up.get(up2 & up[d])
+                if (d, j) in covers:
+                    uf.union((c, c2), (d, j))
+    return uf.groups()
+
+
 def interval_classes(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
     """Partition of the cover pairs by the symmetric-transitive closure of ≤,
-    ordered by least member.
+    ordered by least member."""
+    names = dom.elements
+    return tuple(frozenset((names[c], names[c2]) for c, c2 in cls) for cls in _classes(dom))
 
-    One union pass over all pairs of pairs is that closure: each related
-    pair is joined when it is met, and joined classes stay joined.
-    """
+
+def interval_classes_by_definition(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
+    """Oracle for ``interval_classes``: one union pass of ``interval_leq``
+    over all pairs of covers, which is already the closure."""
     pairs = dom.covers()
     uf = UnionFind(pairs)
     for p, q in combinations(pairs, 2):
@@ -61,26 +89,61 @@ class AxiomReport:
 
 
 def _axiom_c(dom: FiniteDomain) -> Optional[tuple]:
-    for x in dom.elements:
-        ups = dom.upper_covers(x)
-        for y, z in combinations(ups, 2):
-            if not dom.consistent((y, z)):
-                continue
-            j = dom.join((y, z))
-            if j is None or not dom.is_cover(y, j) or not dom.is_cover(z, j):
-                return (x, y, z)
+    up, cons, by_up, covers = dom._up, dom._cons, dom._by_up, dom._cover_pairs
+    for x, ups in enumerate(dom._upper):
+        for y, z in combinations(_bits(ups), 2):
+            if cons[y] >> z & 1:
+                j = by_up.get(up[y] & up[z])
+                if (y, j) not in covers or (z, j) not in covers:
+                    return (x, y, z)
     return None
 
 
-def _axiom_r(dom: FiniteDomain, classes) -> Optional[tuple]:
+def _axiom_r(classes: List[List[_Pair]]) -> Optional[tuple]:
+    # a class is sorted, so intervals sharing a lower endpoint are adjacent
     for cls in classes:
-        for (x, y), (x2, z) in combinations(sorted(cls), 2):
-            if x == x2 and y != z:
+        for (x, y), (x2, z) in zip(cls, cls[1:]):
+            if x == x2:
                 return (x, y, z)
     return None
 
 
-def _axiom_v(dom: FiniteDomain, classes) -> Optional[tuple]:
+def _axiom_v(dom: FiniteDomain, classes: List[List[_Pair]]) -> Optional[tuple]:
+    """The first (V) witness in the order of ``_axiom_v_by_definition``.
+
+    Without (R) a class may hold several intervals at one lower endpoint,
+    so the uppers at (lower endpoint, class) are a mask, tested against a
+    consistency row at once; its lowest bit is the first upper in order.
+    ``breaks[k]`` marks the classes ``k2`` such that some ``[y,y1]`` of
+    class ``k`` has an upper at ``(y, k2)`` inconsistent with ``y1``, so a
+    witness starts at ``[x,x1]`` of class ``k`` exactly when ``breaks[k]``
+    holds a class at ``x`` consistent with ``x1``.
+    """
+    cons, upper = dom._cons, dom._upper
+    cls_of = {iv: k for k, cls in enumerate(classes) for iv in cls}
+    at: Dict[int, Dict[int, int]] = {}  # lower endpoint -> class -> uppers
+    for (y, y1), k in cls_of.items():
+        row = at.setdefault(y, {})
+        row[k] = row.get(k, 0) | 1 << y1
+    breaks = [0] * len(classes)
+    for (y, y1), k in cls_of.items():
+        for k2, uppers in at[y].items():
+            if uppers & ~cons[y1]:
+                breaks[k] |= 1 << k2
+    for x, x1 in sorted(cls_of):
+        k = cls_of[(x, x1)]
+        seconds = [(x2, cls_of[(x, x2)]) for x2 in _bits(upper[x] & cons[x1])]
+        if any(breaks[k] >> k2 & 1 for _, k2 in seconds):
+            for y, y1 in classes[k]:
+                for x2, k2 in seconds:
+                    bad = at[y].get(k2, 0) & ~cons[y1]
+                    if bad:
+                        return (x, x1, x2, y, y1, (bad & -bad).bit_length() - 1)
+    return None
+
+
+def _axiom_v_by_definition(dom: FiniteDomain, classes) -> Optional[tuple]:
+    """Oracle for ``_axiom_v``: four nested loops over the named intervals."""
     cls_of = {iv: k for k, cls in enumerate(classes) for iv in cls}
     ivs = sorted(cls_of)
     for (x, x1) in ivs:
@@ -108,14 +171,16 @@ def check_axioms(dom: FiniteDomain) -> AxiomReport:
     consistency-variant axiom over arbitrary element pairs, holds by
     construction (see ``AxiomReport.I``) and is not evaluated.
     """
-    rep = validate_domain(dom)
-    if not rep.ok:
-        raise OrderError(f"not a valid domain: {rep.condition} {rep.witness}")
-    classes = interval_classes(dom)
-    wc = _axiom_c(dom)
-    wr = _axiom_r(dom, classes)
-    wv = _axiom_v(dom, classes)
-    return AxiomReport(True, wc is None, wr is None, wv is None, True, wc or wr or wv)
+    return _once(dom, "axioms", _find_axiom_report)
+
+
+def _find_axiom_report(dom: FiniteDomain) -> AxiomReport:
+    _require_valid(dom)
+    classes = _classes(dom)
+    wc, wr, wv = _axiom_c(dom), _axiom_r(classes), _axiom_v(dom, classes)
+    witness = wc or wr or wv
+    return AxiomReport(True, wc is None, wr is None, wv is None, True,
+                       witness and tuple(dom.elements[i] for i in witness))
 
 
 def ev_wd(dom: FiniteDomain) -> EventStructure:
@@ -131,61 +196,45 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     for name in ("C", "R", "V"):
         if not getattr(report, name):
             raise OrderError(f"axiom {name} fails: {report.witness}")
-    classes = interval_classes(dom)
-    names = {}
-    for k, cls in enumerate(classes):
-        nm = f"iv{k}:[{min(cls)[0]},{min(cls)[1]}]"
-        for iv in cls:
-            names[iv] = nm
-    events = sorted(set(names.values()))
-
-    def s_of(d: str) -> FrozenSet[str]:
-        return frozenset(names[(c, c2)] for (c, c2) in names if dom.leq(c2, d))
-
-    gens = set()
-    for iv in names:
-        gens.add((s_of(iv[0]), names[iv]))
-    conflict = []
-    for cls1, cls2 in combinations(classes, 2):
-        if all(not dom.consistent((p[1], q[1])) for p in cls1 for q in cls2):
-            conflict.append((names[min(cls1)], names[min(cls2)]))
-    return EventStructure.binary(events, conflict, [(x, e) for x, e in gens])
+    classes = _classes(dom)
+    names, down, cons = dom.elements, dom._down, dom._cons
+    events = [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]" for k, cls in enumerate(classes)]
+    tops = [reduce(or_, (1 << d2 for _, d2 in cls)) for cls in classes]
+    reach = [reduce(or_, (cons[d2] for _, d2 in cls)) for cls in classes]
+    # [d,d'] is enabled by the classes with an upper endpoint below d
+    gens = {(frozenset(e for e, top in zip(events, tops) if top & down[d]), events[k])
+            for k, cls in enumerate(classes) for d, _ in cls}
+    conflict = [(events[k], events[m]) for k, m in combinations(range(len(classes)), 2)
+                if not reach[k] & tops[m]]
+    return EventStructure.binary(events, conflict, gens)
 
 
 def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:
     """The bijection between interval classes and interchangeability classes.
 
     Maps an interval class to the class of any irreducible in the
-    difference of its endpoints; verified well-defined, bijective, and
-    inverse to ``[i] ↦ [p(i), i]``.
+    difference of its endpoints; verified well-defined and bijective.  Then
+    it is inverse to ``[i] ↦ [p(i), i]``, as that difference is ``{i}``.
     """
-    wps = set(weak_primes(dom))
-    for i in irreducible_elements(dom):
-        if i not in wps:
-            raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
+    _require_weak_prime(dom)
+    classes = _classes(dom)
     iv_classes = interval_classes(dom)
     ir_classes = interchange_classes(dom)
-    cls_of_irr = {i: k for k, cls in enumerate(ir_classes) for i in cls}
-    forward: List[Optional[int]] = []
-    for cls in iv_classes:
+    cls_of_irr = {dom.index(i): k for k, cls in enumerate(ir_classes) for i in cls}
+    down, irr = dom._down, _irreducible_mask(dom)
+    forward: List[int] = []
+    for cls, named in zip(classes, iv_classes):
         images = set()
-        for (d, d2) in cls:
+        for d, d2 in cls:
             # the irreducible difference of a cover need not be flat; only
             # its minimal elements perform the step and share a class
-            delta = diff(dom, d2, d)
-            for i in delta:
-                if not any(j != i and dom.leq(j, i) for j in delta):
+            delta = down[d2] & irr & ~down[d]
+            for i in _bits(delta):
+                if down[i] & delta == 1 << i:
                     images.add(cls_of_irr[i])
         if len(images) != 1:
-            raise OrderError(f"interval class {sorted(cls)} maps to {len(images)} classes")
+            raise OrderError(f"interval class {sorted(named)} maps to {len(images)} classes")
         forward.append(images.pop())
     if sorted(forward) != list(range(len(ir_classes))):
         raise OrderError("interval classes and interchange classes do not biject")
-    # inverse: [i] -> class of [p(i), i]
-    iv_of = {iv: k for k, cls in enumerate(iv_classes) for iv in cls}
-    for k, cls in enumerate(ir_classes):
-        for i in cls:
-            iv = (predecessor(dom, i), i)
-            if forward[iv_of[iv]] != k:
-                raise OrderError(f"ζ and ι are not mutually inverse at {i!r}")
     return tuple((iv_classes[n], ir_classes[forward[n]]) for n in range(len(iv_classes)))

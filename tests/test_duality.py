@@ -5,8 +5,8 @@ import pytest
 
 from weavent.es import EventStructure, LivenessError, classify, configurations, \
     minimal_enablings
-from weavent.domains import (FiniteDomain, algebraicity, interchangeable,
-                             irreducible_elements, validate_domain,
+from weavent.domains import (FiniteDomain, algebraicity, interchange_classes,
+                             interchangeable, irreducible_elements, validate_domain,
                              validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
                              dom_of_es_morphism, es_isomorphic, ev_of_domain,
@@ -124,6 +124,26 @@ class TestEvOfDomain:
         for dom in doms:
             back = dom_of_es(ev_of_domain(dom))
             assert poset_isomorphic(back, dom) is not None
+
+    def test_conflict_agrees_with_scan_over_elements(self, run_dom):
+        # the up-set masks of two classes share no bit exactly when no
+        # element dominates a member of each
+        rng = random.Random(83)
+        doms = [run_dom, chain(3)]
+        doms += [dom_of_es(es()) for es in (e_ccs, e_prime_conflict, e_five,
+                                             e_three_independent)]
+        doms += [dom_of_es(random_live_es(rng, conflict_p=0.3)) for _ in range(40)]
+        conflicts = 0
+        for dom in doms:
+            classes = interchange_classes(dom)
+            name = {min(cls): f"class{k}:{min(cls)}" for k, cls in enumerate(classes)}
+            scan = {frozenset((name[min(c1)], name[min(c2)]))
+                    for c1, c2 in combinations(classes, 2)
+                    if not any(any(dom.leq(i, d) for i in c1) and any(dom.leq(j, d) for j in c2)
+                               for d in dom.elements)}
+            assert ev_of_domain(dom).conflict == scan
+            conflicts += len(scan)
+        assert conflicts > 20
 
 
 class TestConnect:

@@ -4,13 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from weavent import fixtures
+from weavent import cli, domains, fixtures, intervals
 from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, algebraicity, \
-    interchange_classes
+    diff, interchange_classes, predecessor, validate_domain
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain
+from weavent.es import EventStructure
 from weavent.fixtures import (chain, e_ccs, e_prime_conflict, e_run, e_split,
                               e_five, m3, nontransitive_bdomain)
-from weavent.intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
+from weavent.intervals import (AxiomReport, _axiom_v_by_definition, check_axioms, ev_wd,
+                               interval_classes, interval_classes_by_definition,
+                               interval_leq, zeta)
 from weavent.io import load_structure
 from tests._gen import random_poset, random_weak_prime_domain
 
@@ -25,6 +28,14 @@ def run_dom():
 @pytest.fixture(scope="module")
 def ccs_dom():
     return dom_of_es(e_ccs())
+
+
+def fixture_domains():
+    doms = [load_structure(str(path), "domain")
+            for path in sorted(FIXTURES.glob("*domain.json"))]
+    doms += [m3(), chain(3), fixtures.pair_no_join(), fixtures.nontransitive_poset(),
+             fixtures.nontransitive_poset(with_top=False), nontransitive_bdomain()]
+    return doms + [dom_of_es(es()) for es in (e_run, e_ccs, e_prime_conflict, e_five)]
 
 
 class TestIntervalClasses:
@@ -72,11 +83,7 @@ class TestAxioms:
     def test_related_pairs_are_ordered(self):
         # the lemma behind (I) holding by construction: p ≤ q forces both
         # members of p and of q to be ordered, on any poset
-        doms = [load_structure(str(path), "domain")
-                for path in sorted(FIXTURES.glob("*domain.json"))]
-        doms += [m3(), chain(3), fixtures.pair_no_join(), fixtures.nontransitive_poset(),
-                 fixtures.nontransitive_poset(with_top=False), nontransitive_bdomain()]
-        doms += [dom_of_es(es()) for es in (e_run, e_ccs, e_prime_conflict, e_five)]
+        doms = fixture_domains()
         rng = random.Random(113)
         doms += [random_poset(rng, rng.randint(2, 6), bottom=rng.random() < 0.7,
                               kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
@@ -168,3 +175,164 @@ def test_package_attribute_is_the_module():
     import weavent
     assert isinstance(weavent.intervals, types.ModuleType)
     assert weavent.intervals.interval_classes is interval_classes
+
+
+# ---------------------------------------------------------------------- #
+# The mask layer against the definitions
+# ---------------------------------------------------------------------- #
+
+def random_posets(seed: int, count: int):
+    rng = random.Random(seed)
+    return [random_poset(rng, rng.randint(2, 9), bottom=rng.random() < 0.8,
+                         kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+            for _ in range(count)]
+
+
+def reference_report(dom) -> AxiomReport:
+    """``check_axioms`` on the named intervals: the pairwise closure, the
+    scans of (C) and (R) over names, and the (V) oracle."""
+    classes = interval_classes_by_definition(dom)
+    wc = next(((x, y, z) for x in dom.elements
+               for y, z in combinations(dom.upper_covers(x), 2)
+               if dom.consistent((y, z)) and not (
+                   dom.join((y, z)) is not None and dom.is_cover(y, dom.join((y, z)))
+                   and dom.is_cover(z, dom.join((y, z))))), None)
+    wr = next(((x, y, z) for cls in classes for (x, y), (x2, z) in combinations(sorted(cls), 2)
+               if x == x2 and y != z), None)
+    wv = _axiom_v_by_definition(dom, classes)
+    return AxiomReport(True, wc is None, wr is None, wv is None, True, wc or wr or wv)
+
+
+def reference_ev_wd(dom) -> EventStructure:
+    """``ev_wd`` from the named intervals and ``leq``/``consistent`` scans."""
+    classes = interval_classes_by_definition(dom)
+    names = {iv: f"iv{k}:[{min(cls)[0]},{min(cls)[1]}]"
+             for k, cls in enumerate(classes) for iv in cls}
+
+    def s_of(d):
+        return frozenset(names[(c, c2)] for (c, c2) in names if dom.leq(c2, d))
+
+    conflict = [(names[min(c1)], names[min(c2)]) for c1, c2 in combinations(classes, 2)
+                if all(not dom.consistent((p[1], q[1])) for p in c1 for q in c2)]
+    return EventStructure.binary(set(names.values()), conflict,
+                                 {(s_of(c), names[(c, c2)]) for c, c2 in names})
+
+
+def reference_zeta(dom):
+    """``zeta`` from the named intervals and irreducible differences."""
+    iv_classes = interval_classes_by_definition(dom)
+    ir_classes = interchange_classes(dom)
+    cls_of_irr = {i: k for k, cls in enumerate(ir_classes) for i in cls}
+    pairs = []
+    for cls in iv_classes:
+        images = set()
+        for d, d2 in cls:
+            delta = diff(dom, d2, d)
+            images |= {cls_of_irr[i] for i in delta
+                       if not any(j != i and dom.leq(j, i) for j in delta)}
+        (k,) = images
+        pairs.append((cls, ir_classes[k]))
+    return tuple(pairs)
+
+
+class TestAgainstDefinitions:
+    def test_classes_on_fixtures_and_random_posets(self):
+        doms = fixture_domains() + random_posets(211, 400)
+        doms += [random_weak_prime_domain(random.Random(k)) for k in range(20)]
+        invalid = 0
+        for dom in doms:
+            invalid += not validate_domain(dom).ok
+            assert interval_classes(dom) == interval_classes_by_definition(dom), dom.elements
+        assert invalid > 50
+
+    def test_axioms_on_fixtures_and_random_posets(self):
+        # enough draws that some valid domains fail (V), which is rare
+        failing = {"C": 0, "R": 0, "V": 0}
+        valid = 0
+        for dom in fixture_domains() + random_posets(223, 2400):
+            if not validate_domain(dom).ok:
+                with pytest.raises(OrderError, match="not a valid domain"):
+                    check_axioms(dom)
+                continue
+            valid += 1
+            rep = check_axioms(dom)
+            assert rep == reference_report(dom), dom.elements
+            for name in failing:
+                failing[name] += not getattr(rep, name)
+        assert valid > 1000
+        assert min(failing.values()) >= 3, failing
+
+    def test_v_witness_is_the_first_in_definition_order(self):
+        checked = 0
+        for dom in fixture_domains() + random_posets(227, 2400):
+            if validate_domain(dom).ok:
+                classes = intervals._classes(dom)
+                fast = intervals._axiom_v(dom, classes)
+                oracle = _axiom_v_by_definition(dom, interval_classes_by_definition(dom))
+                if fast is not None:
+                    fast = tuple(dom.elements[i] for i in fast)
+                    checked += 1
+                assert fast == oracle, dom.elements
+        assert checked >= 3
+
+    def test_ev_wd_and_zeta(self):
+        rng = random.Random(229)
+        doms = fixture_domains() + [random_weak_prime_domain(rng) for _ in range(40)]
+        built = 0
+        for dom in doms:
+            if not validate_domain(dom).ok:
+                continue
+            rep = check_axioms(dom)
+            if rep.C and rep.R and rep.V:
+                built += 1
+                assert ev_wd(dom) == reference_ev_wd(dom)
+            if algebraicity(dom).weak_prime_algebraic:
+                built += 1
+                pairs = zeta(dom)
+                assert pairs == reference_zeta(dom)
+                # inverse to [i] ↦ [p(i), i]
+                for ivc, irc in pairs:
+                    assert all((predecessor(dom, i), i) in ivc for i in irc)
+        assert built > 80
+
+
+class TestPinnedWitnesses:
+    # computed with the pairwise closure and the four nested (V) loops
+    def test_m3(self):
+        assert check_axioms(m3()).witness == ("b", "x", "y")
+
+    def test_nontransitive_poset(self):
+        rep = check_axioms(fixtures.nontransitive_poset())
+        assert (rep.C, rep.R, rep.V) == (False, True, True)
+        assert rep.witness == ("bot", "q1", "q3")
+
+    def test_nontransitive_bdomain(self):
+        dom = nontransitive_bdomain()
+        rep = check_axioms(dom)
+        assert (rep.C, rep.R, rep.V) == (True, False, False)
+        assert rep.witness == ("p13", "A", "B")
+        v = intervals._axiom_v(dom, intervals._classes(dom))
+        assert tuple(dom.elements[i] for i in v) == ("bot", "p1", "p3", "i2", "i12", "i23")
+
+
+def test_zeta_validates_the_domain_first():
+    with pytest.raises(OrderError, match=r"^not a valid domain: missing-join \('x', 'y'\)$"):
+        zeta(fixtures.pair_no_join())
+
+
+def test_each_result_is_built_once_per_domain(monkeypatch, capsys):
+    calls = []
+    for module, name in ((intervals, "_find_interval_classes"),
+                         (intervals, "_find_axiom_report"), (domains, "validate_domain")):
+        def counted(dom, _name=name, _compute=getattr(module, name)):
+            calls.append(_name)
+            return _compute(dom)
+        monkeypatch.setattr(module, name, counted)
+    once = ["_find_axiom_report", "_find_interval_classes", "validate_domain"]
+    dom = dom_of_es(e_run())
+    check_axioms(dom), ev_wd(dom), zeta(dom), interval_classes(dom), check_axioms(dom)
+    assert sorted(calls) == once
+    calls.clear()
+    assert cli.main(["roundtrip", "--domain", str(FIXTURES / "run.domain.json")]) == 0
+    assert '"zeta_classes": 3' in capsys.readouterr().out
+    assert sorted(calls) == once

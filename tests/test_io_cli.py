@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from weavent import io as iomod
+from weavent import cli, io as iomod
 from weavent.cli import main
 from weavent import fixtures as fx
 from weavent.asyncgraphs import hasse_as_async
@@ -119,6 +119,22 @@ class TestJson:
 
 
 class TestCli:
+    @pytest.mark.parametrize("kind, name, passage, built", [
+        ("--domain", "run.domain.json", "ev_of_domain", 1),
+        # fuse of the input, and of its unfolding
+        ("--epes", "unfold_run.epes.json", "fuse", 2)])
+    def test_roundtrip_builds_each_passage_once(self, monkeypatch, capsys,
+                                                kind, name, passage, built):
+        calls = []
+
+        def counted(value, _compute=getattr(cli, passage)):
+            calls.append(value)
+            return _compute(value)
+        monkeypatch.setattr(cli, passage, counted)
+        code, _, _ = run_cli("roundtrip", kind, str(FIXTURES / name), capsys=capsys)
+        assert code == 0
+        assert len(calls) == built
+
     def test_roundtrip_e_run(self, capsys):
         code, out, _ = run_cli("roundtrip", "--es", str(FIXTURES / "e_run.es.json"),
                                capsys=capsys)
