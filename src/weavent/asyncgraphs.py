@@ -11,7 +11,12 @@ equivalent, the path classes ordered by prefix form a weak prime domain.
 A graph never changes after construction, so each graph indexes its
 out-edges once, and keeps its square classes, its validation report and its
 origin-path classes once computed (``_common._once``): one ``async`` job
-validates once and builds the path classes once.  The classes are grown
+validates once and builds the path classes once.  The square classes carry
+both the class of each 2-path and the sorted members of each class, and
+every check reads them: since a square is coinitial and cofinal, the
+members of a class share their source and their target, so each conclusion
+of the cube and coherence checks is a lookup in the classes of the 2-paths
+it names, not a scan of out-edges.  The origin-path classes are grown
 depth by depth, never by enumerating paths: a class at depth k+1 is a class
 W at depth k extended by an out-edge e, and two such pairs (W, e) can only
 be merged by rewriting the last segment, since rewrites inside the prefix
@@ -85,14 +90,20 @@ class AsyncGraph:
                      for e2 in self.out_edges(t1))
 
 
-def _square_classes(a: AsyncGraph) -> Dict[Path2, int]:
+def _square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2, ...], ...]]:
     """Equivalence on length-2 paths generated by the declared squares,
-    classes numbered by least member; computed once per graph."""
+    computed once per graph.
+
+    Returns ``(cls, members)``: ``cls`` maps each 2-path to its class, the
+    classes numbered by least member, and ``members[k]`` lists class k in
+    sorted order.  Squares are coinitial and cofinal, so the members of a
+    class share their source and their target.
+    """
     return _once(a, "square_classes", _find_square_classes)
 
 
-def _find_square_classes(a: AsyncGraph) -> Dict[Path2, int]:
-    p2 = a.paths2()
+def _find_square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2, ...], ...]]:
+    p2 = a.paths2()  # sorted
     uf = UnionFind(p2)
     for sq in a.squares:
         members = sorted(sq)
@@ -105,16 +116,16 @@ def _find_square_classes(a: AsyncGraph) -> Dict[Path2, int]:
             raise AsyncError(f"square {members} is not coinitial-cofinal")
         uf.union(p, q)
     roots: Dict[Path2, int] = {}  # classes numbered by first member
-    return {p: roots.setdefault(uf.find(p), len(roots)) for p in p2}
+    cls = {p: roots.setdefault(uf.find(p), len(roots)) for p in p2}
+    by_class: List[List[Path2]] = [[] for _ in roots]
+    for p in p2:
+        by_class[cls[p]].append(p)
+    return cls, tuple(map(tuple, by_class))
 
 
 def _end(a: AsyncGraph, w: Path) -> str:
     """The node a path from the origin ends at."""
     return a.tgt(w[-1]) if w else a.origin
-
-
-def _same2(cls: Dict[Path2, int], p: Path2, q: Path2) -> bool:
-    return p in cls and q in cls and cls[p] == cls[q]
 
 
 @dataclass(frozen=True)
@@ -186,7 +197,7 @@ def _reachable(a: AsyncGraph) -> bool:
 
 def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], List[Tuple[str, ...]]]:
     """All paths from the origin and their classes under contextual closure."""
-    cls2 = _square_classes(a)
+    cls2, members = _square_classes(a)
     paths = [()]
     stack = [((), a.origin)]
     while stack:
@@ -196,16 +207,11 @@ def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], Lis
             paths.append(p2)
             stack.append((p2, a.tgt(e)))
     paths = sorted(set(paths))
-    by_class = {}
-    for p in a.paths2():
-        by_class.setdefault(cls2[p], []).append(p)
     uf = UnionFind(paths)
     for w in paths:
         for i in range(len(w) - 1):
             seg = (w[i], w[i + 1])
-            if seg not in cls2:
-                continue
-            for seg2 in by_class[cls2[seg]]:
+            for seg2 in members[cls2[seg]]:
                 if seg2 != seg:
                     w2 = w[:i] + seg2 + w[i + 2:]
                     if w2 in uf:
@@ -232,11 +238,8 @@ def _grow_path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple
     # so the root of a UnionFind over these names is the least member of
     # the merged class.  Pairs merge through a last-segment rewrite
     # U·a·b ≃ U·c·d with (a,b) ~ (c,d), where [U·a] depends only on [U].
-    related: Dict[str, List[List[Path2]]] = {}  # source node -> square classes
-    by_class: Dict[int, List[Path2]] = {}
-    for p, k in _square_classes(a).items():
-        by_class.setdefault(k, []).append(p)
-    for members in by_class.values():
+    related: Dict[str, List[Tuple[Path2, ...]]] = {}  # source node -> square classes
+    for members in _square_classes(a)[1]:
         if len(members) > 1:
             related.setdefault(a.src(members[0][0]), []).append(members)
     least: List[Path] = [()]
@@ -271,7 +274,7 @@ def validate_async_graph(a: AsyncGraph) -> AsyncReport:
 
 def _validate(a: AsyncGraph) -> AsyncReport:
     diags = []
-    cls = _square_classes(a)
+    cls, members = _square_classes(a)
     acyclic = _is_acyclic(a)
     reachable = _reachable(a)
     if not acyclic:
@@ -279,20 +282,11 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     if not reachable:
         diags.append("nodes unreachable from the origin")
 
-    related = []  # ordered distinct related pairs of length-2 paths
-    by_class: Dict[int, List[Path2]] = {}
-    for p, k in cls.items():
-        by_class.setdefault(k, []).append(p)
-    for k, members in sorted(by_class.items()):
-        for p in sorted(members):
-            for q in sorted(members):
-                if p != q:
-                    related.append((p, q))
+    # ordered distinct related pairs of length-2 paths
+    related = [(p, q) for ms in members for p in ms for q in ms if p != q]
 
     axiom1 = True
     for p, q in related:
-        if p[1] == q[1] and p[0] != q[0]:
-            continue
         if p[1] != q[1] and p[0] == q[0]:
             axiom1 = False
             diags.append(f"axiom1: {p} ~ {q}")
@@ -310,9 +304,10 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         if not axiom2:
             break
 
-    def square(p: Path2, q: Path2) -> bool:
-        return _same2(cls, p, q)
-
+    # Every pair below is a pair of 2-paths, and the members of a class
+    # share their source and their target; so a conclusion that asks for
+    # edges closing a square is a question about the classes' members.
+    firsts = [{p[0] for p in ms} for ms in members]  # first edges per class
     edges_from = a._out
 
     def cube_up_holds() -> Optional[tuple]:
@@ -321,13 +316,11 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         # three faces.
         for m in sorted(a.edges):
             for c1 in edges_from[a.tgt(m)]:
-                for u1u2 in by_class.get(cls.get((m, c1)), []):
-                    u1, u2 = u1u2
+                for u1, u2 in members[cls[(m, c1)]]:
                     if u1 == m:
                         continue
                     for c2 in edges_from[a.tgt(m)]:
-                        for v1v2 in by_class.get(cls.get((m, c2)), []):
-                            v1, v2 = v1v2
+                        for v1, v2 in members[cls[(m, c2)]]:
                             if v1 == m or v1 == u1:
                                 continue
                             for u3 in edges_from[a.tgt(u2)]:
@@ -339,19 +332,10 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         return None
 
     def _cube_up_conclusion(u1, u2, u3, v1, v2, v3) -> bool:
-        lnode, rnode, top = a.tgt(u1), a.tgt(v1), a.tgt(u3)
-        for w1 in edges_from[lnode]:
-            for w2 in edges_from[rnode]:
-                if a.tgt(w1) != a.tgt(w2):
-                    continue
-                if not square((u1, w1), (v1, w2)):
-                    continue
-                for z in edges_from[a.tgt(w1)]:
-                    if a.tgt(z) != top:
-                        continue
-                    if square((u2, u3), (w1, z)) and square((v2, v3), (w2, z)):
-                        return True
-        return False
+        # w1;z ~ u2;u3 and w2;z ~ v2;v3 with u1;w1 ~ v1;w2
+        return any(z == z2 and cls[(u1, w1)] == cls[(v1, w2)]
+                   for w1, z in members[cls[(u2, u3)]]
+                   for w2, z2 in members[cls[(v2, v3)]])
 
     def cube_down_holds() -> Optional[tuple]:
         # premise: u1;w1 ~ v1;w2 meeting at an upper median, with outer
@@ -364,65 +348,46 @@ def _validate(a: AsyncGraph) -> AsyncReport:
                         continue
                     for w1 in edges_from[a.tgt(u1)]:
                         for w2 in edges_from[a.tgt(v1)]:
-                            if a.tgt(w1) != a.tgt(w2) or not square((u1, w1), (v1, w2)):
+                            if cls[(u1, w1)] != cls[(v1, w2)]:
                                 continue
                             for u2 in edges_from[a.tgt(u1)]:
                                 for u3 in edges_from[a.tgt(u2)]:
                                     for z in edges_from[a.tgt(w1)]:
-                                        if a.tgt(z) != a.tgt(u3) or not square((u2, u3), (w1, z)):
+                                        if cls[(u2, u3)] != cls[(w1, z)]:
                                             continue
                                         for v2 in edges_from[a.tgt(v1)]:
                                             for v3 in edges_from[a.tgt(v2)]:
-                                                if a.tgt(v3) != a.tgt(z) or not square((v2, v3), (w2, z)):
+                                                if cls[(v2, v3)] != cls[(w2, z)]:
                                                     continue
-                                                if not _cube_down_conclusion(b, u1, u2, v1, v2):
+                                                if not firsts[cls[(u1, u2)]] & firsts[cls[(v1, v2)]]:
                                                     return (b, (u1, u2, u3), (v1, v2, v3))
         return None
-
-    def _cube_down_conclusion(b, u1, u2, v1, v2) -> bool:
-        for m in edges_from[b]:
-            for c1 in edges_from[a.tgt(m)]:
-                if a.tgt(c1) != a.tgt(u2) or not square((u1, u2), (m, c1)):
-                    continue
-                for c2 in edges_from[a.tgt(m)]:
-                    if a.tgt(c2) == a.tgt(v2) and square((v1, v2), (m, c2)):
-                        return True
-        return False
 
     def coherence_holds() -> Optional[tuple]:
         # premise: lower median squares m;c1 ~ u1;u2, m;c2 ~ v1;v2 and a
         # commuting square u1;x1 ~ v1;x2; conclusion: a top completing the
         # two side squares over it.
         for m in sorted(a.edges):
-            b = a.src(m)
             for c1 in edges_from[a.tgt(m)]:
-                for u1u2 in by_class.get(cls.get((m, c1)), []):
-                    u1, u2 = u1u2
-                    if a.src(u1) != b or u1 == m:
+                for u1, u2 in members[cls[(m, c1)]]:
+                    if u1 == m:
                         continue
                     for c2 in edges_from[a.tgt(m)]:
-                        for v1v2 in by_class.get(cls.get((m, c2)), []):
-                            v1, v2 = v1v2
-                            if a.src(v1) != b or v1 == m or v1 == u1:
+                        for v1, v2 in members[cls[(m, c2)]]:
+                            if v1 == m or v1 == u1:
                                 continue
                             for x1 in edges_from[a.tgt(u1)]:
                                 for x2 in edges_from[a.tgt(v1)]:
-                                    if a.tgt(x1) != a.tgt(x2) or not square((u1, x1), (v1, x2)):
+                                    if cls[(u1, x1)] != cls[(v1, x2)]:
                                         continue
                                     if not _coherence_conclusion(u2, v2, x1, x2):
                                         return (m, (u1, u2), (v1, v2), (x1, x2))
         return None
 
     def _coherence_conclusion(u2, v2, x1, x2) -> bool:
-        ct = a.tgt(x1)
-        for z in edges_from[ct]:
-            for y1 in edges_from[a.tgt(u2)]:
-                if a.tgt(y1) != a.tgt(z) or not square((u2, y1), (x1, z)):
-                    continue
-                for y2 in edges_from[a.tgt(v2)]:
-                    if a.tgt(y2) == a.tgt(z) and square((v2, y2), (x2, z)):
-                        return True
-        return False
+        # u2;y1 ~ x1;z and v2;y2 ~ x2;z for some z
+        return any(u2 in firsts[cls[(x1, z)]] and v2 in firsts[cls[(x2, z)]]
+                   for z in edges_from[a.tgt(x1)])
 
     wup = cube_up_holds() if acyclic else ("cycle",)
     wdown = cube_down_holds() if acyclic else ("cycle",)

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Any, Dict, List, Optional
 
 from . import dot as dotmod
@@ -347,7 +348,9 @@ def _add_input_flags(sub) -> None:
     sub.add_argument("--epes")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="weavent",
         description="Event structures, weak prime domains, fusing graph rewriting.")

@@ -19,7 +19,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
                     Optional, Tuple)
 
 from ._common import UnionFind, backtrack
-from .es import (BINARY, EsError, EventStructure, LivenessError, classify,
+from .es import (BINARY, EsError, EventStructure, _require_live, classify,
                  configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
                       _require_weak_prime, decompose, interchange_classes,
@@ -43,9 +43,7 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
     Joins of consistent sets are unions and covers add exactly one event;
     the result is weak prime algebraic.
     """
-    cl = classify(es)
-    if not cl.live:
-        raise LivenessError("not live: " + "; ".join(cl.diagnostics))
+    _require_live(es)
     confs = sorted(configurations(es), key=lambda c: (len(c), sorted(c)))
     ids = {c: configuration_id(c) for c in confs}
     covers = []
@@ -349,9 +347,7 @@ def unfold(es: EventStructure) -> Epes:
     of ``e`` (and ``C ∪ {e}`` consistent); all instances of one event are
     equivalent.  ``fuse(unfold(es))`` is isomorphic to ``es``.
     """
-    cl = classify(es)
-    if not cl.live:
-        raise LivenessError("not live: " + "; ".join(cl.diagnostics))
+    _require_live(es)
     if es.conflict_kind != BINARY:
         raise EsError("unfold is defined on binary-conflict structures")
     inst = []  # (C, e, id)

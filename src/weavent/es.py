@@ -10,10 +10,10 @@ its maximal members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from ._common import Report, UnionFind
 
@@ -53,6 +53,9 @@ class EventStructure:
     conflict_kind: str = BINARY
     conflict: FrozenSet[EventSet] = frozenset()
     consistent_sets: FrozenSet[EventSet] = frozenset()
+    # the needs of each event's generators, indexed once; left out of
+    # equality and hashing, which stay those of the fields above
+    _gens_of: Dict[str, List[EventSet]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conflict_kind not in (BINARY, CONSISTENCY):
@@ -60,12 +63,15 @@ class EventStructure:
         for e in self.events:
             if not isinstance(e, str) or not e:
                 raise EsError(f"event names must be nonempty strings, got {e!r}")
+        gens_of: Dict[str, List[EventSet]] = {e: [] for e in self.events}
         for needs, e in self.enabling_gens:
             if e not in self.events:
                 raise EsError(f"enabling generator for unknown event {e!r}")
             unknown = needs - self.events
             if unknown:
                 raise EsError(f"enabling generator mentions unknown events {sorted(unknown)}")
+            gens_of[e].append(needs)
+        object.__setattr__(self, "_gens_of", gens_of)
         if self.conflict_kind == BINARY:
             if self.consistent_sets:
                 raise EsError("binary-conflict structure cannot carry consistent_sets")
@@ -135,7 +141,7 @@ class EventStructure:
         xs = frozenset(xs)
         if e not in self.events:
             raise EsError(f"unknown event {e!r}")
-        return any(ev == e and needs <= xs for needs, ev in self.enabling_gens)
+        return any(needs <= xs for needs in self._gens_of[e])
 
     def in_conflict(self, a: str, b: str) -> bool:
         if self.conflict_kind == BINARY:
@@ -279,6 +285,12 @@ def classify(es: EventStructure) -> Classification:
             if len(uf.groups()) > 1:
                 connected = False
     return Classification(live, stable, prime, connected, tuple(diags))
+
+
+def _require_live(es: EventStructure) -> None:
+    cl = classify(es)
+    if not cl.live:
+        raise LivenessError("not live: " + "; ".join(cl.diagnostics))
 
 
 def saturate(es: EventStructure) -> EventStructure:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from pathlib import Path
@@ -10,6 +11,7 @@ from weavent.asyncgraphs import (AsyncError, AsyncGraph, async_domain,
                                  hasse_as_async, validate_async_graph,
                                  _end, _origin_path_classes, _path_classes)
 from weavent.duality import dom_of_es, poset_isomorphic
+from weavent.es import EventStructure
 from weavent.fixtures import chain, e_ccs, e_run, e_three_independent, m3
 from tests._gen import random_async_graph, random_weak_prime_domain
 
@@ -110,7 +112,7 @@ class TestValidation:
             if not rep.weak_valid():
                 continue
             from weavent.asyncgraphs import _square_classes
-            cls = _square_classes(a)
+            cls, _ = _square_classes(a)
             span = {}
             for (e1, e2), k in cls.items():
                 key = (a.src(e1), a.tgt(e2))
@@ -227,6 +229,93 @@ class TestPathClasses:
         assert cli.main(["async", "--async", str(FIXTURES / "run.async.json"), "--weak"]) == 0
         assert '"path_classes": 7' in capsys.readouterr().out
         assert sorted(calls) == ["_grow_path_classes", "_validate"]
+
+
+def _family(name, n):
+    """B_n (n independent events), X_n (n binary choices) or L_n (n copies
+    of the running structure, where c is enabled by a or by b)."""
+    if name == "B":
+        events = [f"e{i}" for i in range(n)]
+        return EventStructure.binary(events, (), [((), e) for e in events])
+    if name == "X":
+        events = [x for i in range(n) for x in (f"x{i}", f"y{i}")]
+        return EventStructure.binary(events, [(f"x{i}", f"y{i}") for i in range(n)],
+                                     [((), e) for e in events])
+    events, enabling = [], []
+    for i in range(n):
+        events += [f"a{i}", f"b{i}", f"c{i}"]
+        enabling += [((), f"a{i}"), ((), f"b{i}"), ((f"a{i}",), f"c{i}"), ((f"b{i}",), f"c{i}")]
+    return EventStructure.binary(events, (), enabling)
+
+
+def _record(a):
+    """The report (diagnostics included), the origin-path classes and the
+    domain of ``a``, as far as each is defined, as one text."""
+    rep = validate_async_graph(a)
+    text = repr(rep)
+    if rep.acyclic:
+        least, links = _path_classes(a)
+        text += repr((least, sorted(links)))
+    if rep.weak_prime():
+        dom = async_domain(a)
+        text += repr((sorted(dom.elements), sorted(dom.covers())))
+    return rep, text
+
+
+class TestPinnedReports:
+    """Reports, path classes and domains pinned to the values computed by
+    the validator that scanned out-edges for every cube and coherence
+    conclusion; the lookups in the square classes must reproduce them,
+    first witnesses included."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2027)
+        digest = hashlib.sha256()
+        reports = []
+        for _ in range(3000):
+            rep, text = _record(random_async_graph(rng))
+            digest.update(text.encode() + b"\n")
+            reports.append(rep)
+        assert digest.hexdigest() == \
+            "fdedff8a55a3fec9af2f7e3611b5506b66199a1126b4f35db7b66a543824fece"
+        failures = [sum(not getattr(r, k) for r in reports)
+                    for k in ("cube_up", "cube_down", "coherence")]
+        assert failures == [62, 61, 410]
+        assert reports[3].diagnostics == (
+            "nodes unreachable from the origin",
+            "axiom2: ('e0', 'e5')~('e1', 'e5') vs ('e0', 'e5')~('e2', 'e4')",
+            "coherence fails at ('e0', ('e1', 'e5'), ('e2', 'e4'), ('e5', 'e4'))",
+            "inequivalent cofinal paths from the origin")
+        assert reports[12].diagnostics == (
+            "nodes unreachable from the origin",
+            "axiom1: ('e17', 'e11') ~ ('e17', 'e18')",
+            "axiom2: ('e1', 'e0')~('e5', 'e0') vs ('e1', 'e19')~('e5', 'e19')",
+            "cube (upward) fails at ('e3', ('e16', 'e0', 'e11'), ('e9', 'e0', 'e18'))",
+            "cube (downward/stability) fails at ('n0', ('e16', 'e19', 'e4'), ('e3', 'e1', 'e2'))",
+            "coherence fails at ('e1', ('e5', 'e0'), ('e17', 'e11'), ('e19', 'e18'))",
+            "inequivalent cofinal paths from the origin")
+
+    @pytest.mark.parametrize("name,n,expected", [
+        ("B", 6, "bba0a5bd2820caab774e86fd4e524bba1e559dd4279d4e08f6ee109296fb8d49"),
+        ("X", 3, "331225d93ded6bfb97037c2ed9777ef1507897945bc24fc08e6c2e72911aac4e"),
+        ("L", 2, "788e683af5c575eaf33b9184255e08929ab074ee727b7c801d944559ac196472"),
+        ("L", 3, "9bd9d251bc7456dba840b0bc83087d22bbf29906a6df7348f27a4511a07d7b31"),
+    ])
+    def test_hasse_graphs(self, name, n, expected):
+        rep, text = _record(hasse_as_async(dom_of_es(_family(name, n))))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+        # L_n is unstable, so its graph fails only the downward cube
+        assert rep.cube_down == (name != "L")
+        assert rep.weak_prime()
+
+    def test_hasse_graph_cube_down_witness(self):
+        rep = validate_async_graph(hasse_as_async(dom_of_es(_family("L", 2))))
+        assert rep.diagnostics == (
+            "cube (downward/stability) fails at ('{a0,b0,c0}', "
+            "('{a0,b0,c0}>{a0,a1,b0,c0}', '{a0,a1,b0,c0}>{a0,a1,b0,c0,c1}', "
+            "'{a0,a1,b0,c0,c1}>{a0,a1,b0,b1,c0,c1}'), "
+            "('{a0,b0,c0}>{a0,b0,b1,c0}', '{a0,b0,b1,c0}>{a0,b0,b1,c0,c1}', "
+            "'{a0,b0,b1,c0,c1}>{a0,a1,b0,b1,c0,c1}'))",)
 
 
 class TestHasseAsAsync:

@@ -10,7 +10,7 @@ from weavent.domains import (FiniteDomain, algebraicity, interchange_classes,
                              validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
                              dom_of_es_morphism, es_isomorphic, ev_of_domain,
-                             poset_isomorphic)
+                             poset_isomorphic, unfold)
 from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               e_split, e_three_independent, m3,
                               nontransitive_bdomain)
@@ -57,6 +57,16 @@ class TestDomOfEs:
         with pytest.raises(LivenessError):
             dom_of_es(broken)
         assert validate_domain(dom_of_es(es)).ok
+
+    def test_liveness_message_is_shared_with_unfold(self):
+        # b needs itself, and a and b are not in conflict though never together
+        broken = EventStructure.binary("ab", enabling=[((), "a"), (("b",), "b")])
+        expected = ("not live: dead events (in no configuration): ['b']; "
+                    "conflict not saturated: 'a', 'b' never occur together")
+        for passage in (dom_of_es, unfold):
+            with pytest.raises(LivenessError) as exc:
+                passage(broken)
+            assert str(exc.value) == expected
 
     def test_irreducibles_are_minimal_enabling_instances(self):
         rng = random.Random(71)

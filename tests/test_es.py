@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from weavent.es import (EventStructure, EsError, LivenessError, classify,
                         configurations, is_secured, minimal_enablings, saturate,
                         validate_es_morphism)
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
-                              e_split)
+                              e_split, e_three_independent)
 from tests._gen import random_connected_es, random_live_es
 
 
@@ -30,6 +30,44 @@ class TestSecured:
     def test_unknown_event(self):
         with pytest.raises(EsError):
             is_secured(e_run(), {"zz"})
+
+
+def _subsets(events):
+    events = sorted(events)
+    return chain.from_iterable(combinations(events, k) for k in range(len(events) + 1))
+
+
+class TestEnables:
+    """``enables`` reads each event's generators from an index built once;
+    the definition scans every generator of the structure."""
+
+    @staticmethod
+    def _structures():
+        rng = random.Random(139)
+        yield from (e_run(), e_ccs(), e_prime_conflict(), e_split(), e_joint(),
+                    e_five(), e_three_independent())
+        yield EventStructure.with_consistency("abc", [("a", "b"), ("b", "c")],
+                                              [((), "a"), (("a",), "b"), ((), "c")])
+        for _ in range(30):
+            yield random_live_es(rng)
+        for _ in range(10):
+            yield random_connected_es(rng)
+
+    def test_agrees_with_a_scan_of_the_generators(self):
+        for es in self._structures():
+            for xs in map(frozenset, _subsets(es.events)):
+                for e in sorted(es.events):
+                    scan = any(ev == e and needs <= xs for needs, ev in es.enabling_gens)
+                    assert es.enables(xs, e) == scan
+
+    def test_separately_built_structures_stay_equal(self):
+        for es in self._structures():
+            gens = sorted(es.enabling_gens, key=lambda g: (g[1], sorted(g[0])), reverse=True)
+            twin = EventStructure(frozenset(sorted(es.events)), frozenset(gens),
+                                  es.conflict_kind, frozenset(es.conflict),
+                                  frozenset(es.consistent_sets))
+            assert twin == es and hash(twin) == hash(es)
+            assert configurations(twin) is configurations(es)  # one cache entry
 
 
 class TestConfigurations:

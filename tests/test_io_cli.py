@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -322,3 +323,54 @@ def test_error_subclasses_exit_2(case, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert message in json.loads(err)["error"]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run_cli("check", "--es", str(FIXTURES / "e_run.es.json"), capsys=capsys)
+        assert code == 0
+    # the root parser and one subparser per verb, once
+    assert len(built) <= 1 + len(cli._VERBS)
+
+
+# the verbs run on each kind of fixture file, after the input flag
+_FLAG_AND_VERBS = {
+    ".es.json": ("--es", [["check"], ["convert", "--to", "domain"],
+                          ["convert", "--to", "epes"], ["connect"], ["synth"],
+                          ["roundtrip"], ["emit", "--out", "{out}"]]),
+    ".domain.json": ("--domain", [["check"], ["axioms"], ["roundtrip"],
+                                  ["convert", "--to", "es"], ["emit", "--out", "{out}"]]),
+    ".grammar.json": ("--grammar", [["derive", "--depth", "3"],
+                                    ["derive", "--depth", "3", "--fusion-safe"],
+                                    ["emit", "--out", "{out}"]]),
+    ".async.json": ("--async", [["async"], ["async", "--weak"], ["emit", "--out", "{out}"]]),
+    ".epes.json": ("--epes", [["check"], ["roundtrip"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_verbs_repeat_byte_identical_in_one_process(name, tmp_path, capsys):
+    suffix = "." + name.split(".", 1)[1].replace("bdomain", "domain")
+    flag, verbs = _FLAG_AND_VERBS[suffix]
+    for verb, *rest in verbs:
+        argv = [verb, flag, str(FIXTURES / name)]
+        argv += [x.format(out=tmp_path / "out") for x in rest]
+        first = run_cli(*argv, capsys=capsys)[:2]
+        assert run_cli(*argv, capsys=capsys)[:2] == first, argv
+
+
+def test_argparse_errors_exit_2_with_the_parser_reused(capsys):
+    for argv in (["check", "--no-such-flag"], ["no-such-verb"], ["check", "--no-such-flag"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code, _, _ = run_cli("check", "--es", str(FIXTURES / "e_run.es.json"), capsys=capsys)
+    assert code == 0
