@@ -8,24 +8,29 @@ This module imports nothing from weavent, so any layer may import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 
 class UnionFind:
     """Disjoint sets over mutually comparable items.
 
     The least member of a class is always its root, so roots and the order
-    of ``groups()`` do not depend on the order of the unions.
+    of ``groups()`` do not depend on the order of the unions.  ``roots``
+    holds the root of every class, kept as items are added and unions
+    happen, and ``copy`` starts an independent union-find from this one.
     """
 
     def __init__(self, items: Iterable = ()):
         self.parent: Dict = {x: x for x in items}
+        self.roots: Set = set(self.parent)
 
     def __contains__(self, x) -> bool:
         return x in self.parent
 
     def add(self, x) -> None:
-        self.parent.setdefault(x, x)
+        if x not in self.parent:
+            self.parent[x] = x
+            self.roots.add(x)
 
     def find(self, x):
         parent = self.parent
@@ -40,13 +45,20 @@ class UnionFind:
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
+            self.roots.discard(rb)
+
+    def copy(self) -> "UnionFind":
+        uf = UnionFind()
+        uf.parent = dict(self.parent)
+        uf.roots = set(self.roots)
+        return uf
 
     def groups(self) -> List[List]:
         """The classes, each sorted, ordered by their least member."""
-        out: Dict = {}
+        out: Dict = {root: [] for root in sorted(self.roots)}
         for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return [sorted(out[root]) for root in sorted(out)]
+            out[self.find(x)].append(x)
+        return [sorted(members) for members in out.values()]
 
 
 @dataclass(frozen=True)

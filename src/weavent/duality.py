@@ -196,7 +196,13 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
                 for x in dom.elements}
 
     def rel(dom):
-        return lambda a, b: dom.leq(a, b) + 2 * dom.leq(b, a)
+        # leq(a, b) + 2 * leq(b, a), read off the up-set masks
+        up, at = dom._up, dom._idx
+
+        def r(a, b):
+            i, j = at[a], at[b]
+            return (up[i] >> j & 1) | (up[j] >> i & 1) << 1
+        return r
 
     return next(_bijections(sigs(dom1), sigs(dom2), rel(dom1), rel(dom2)), None)
 

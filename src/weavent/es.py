@@ -56,6 +56,8 @@ class EventStructure:
     # the needs of each event's generators, indexed once; left out of
     # equality and hashing, which stay those of the fields above
     _gens_of: Dict[str, List[EventSet]] = field(init=False, repr=False, compare=False)
+    # binary kind: the conflict partners of each event, indexed the same way
+    _partners: Dict[str, EventSet] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conflict_kind not in (BINARY, CONSISTENCY):
@@ -75,11 +77,17 @@ class EventStructure:
         if self.conflict_kind == BINARY:
             if self.consistent_sets:
                 raise EsError("binary-conflict structure cannot carry consistent_sets")
+            partners: Dict[str, set] = {e: set() for e in self.events}
             for pair in self.conflict:
                 if len(pair) != 2:
                     raise EsError(f"conflict entries must be unordered pairs, got {sorted(pair)}")
                 if pair - self.events:
                     raise EsError(f"conflict pair mentions unknown events {sorted(pair - self.events)}")
+                a, b = pair
+                partners[a].add(b)
+                partners[b].add(a)
+            object.__setattr__(self, "_partners",
+                               {e: frozenset(p) for e, p in partners.items()})
         else:
             if self.conflict:
                 raise EsError("consistency-kind structure cannot carry a binary conflict")
@@ -183,6 +191,7 @@ def configurations(es: EventStructure) -> FrozenSet[EventSet]:
     every configuration is reachable this way because securing sequences
     pass through configurations.
     """
+    binary = es.conflict_kind == BINARY
     found = {frozenset()}
     frontier = [frozenset()]
     while frontier:
@@ -191,7 +200,13 @@ def configurations(es: EventStructure) -> FrozenSet[EventSet]:
             if not es.enables(c, e):
                 continue
             c2 = c | {e}
-            if c2 in found or not es.is_consistent(c2):
+            if c2 in found:
+                continue
+            # c is consistent, so with binary conflict only e can clash
+            if binary:
+                if not es._partners[e].isdisjoint(c):
+                    continue
+            elif not es.is_consistent(c2):
                 continue
             found.add(c2)
             frontier.append(c2)

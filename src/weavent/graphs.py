@@ -6,6 +6,12 @@ graph is itself a graph typed by the identity.  Morphisms must commute with
 source, target and typing.  Matching is ``_common.backtrack`` over typed
 candidates: the nodes, then the edges, each in sorted order, so matches
 come in a deterministic order; they need not be injective.
+
+``iso_hash`` is an isomorphism-invariant fingerprint (three rounds of
+Weisfeiler–Leman colour refinement, spelt out as nested strings), and
+``iso_key`` the same refinement with each colour a rank in its round's
+table: both split graphs the same way, and the key is what
+``graph_isomorphism`` and ``rewrite.trace_classes`` compare.
 """
 
 from __future__ import annotations
@@ -162,20 +168,28 @@ def graph_isomorphism(g1: TypedGraph, g2: TypedGraph) -> Optional[GraphMorphism]
     """A typed isomorphism between the two graphs, or None."""
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return None
-    if iso_hash(g1) != iso_hash(g2):
+    if iso_key(g1) != iso_key(g2):
         return None
     # an injective morphism between graphs of equal sizes is bijective
     return next(_morphisms(g1, g2, injective=True), None)
 
 
-def iso_hash(g: TypedGraph, rounds: int = 3) -> str:
-    """Isomorphism-invariant fingerprint (Weisfeiler-Leman style refinement)."""
-    colour = {n: g.node_type[n] for n in g.nodes}
+def _neighbours(g: TypedGraph) -> Tuple[Dict[str, List[Tuple[str, str]]],
+                                        Dict[str, List[Tuple[str, str]]]]:
+    """The ``(edge type, target)`` pairs out of each node and the ``(edge
+    type, source)`` pairs into it."""
     outs: Dict[str, List[Tuple[str, str]]] = {n: [] for n in g.nodes}
     ins: Dict[str, List[Tuple[str, str]]] = {n: [] for n in g.nodes}
     for e in g.edges:
         outs[g.src[e]].append((g.edge_type[e], g.tgt[e]))
         ins[g.tgt[e]].append((g.edge_type[e], g.src[e]))
+    return outs, ins
+
+
+def iso_hash(g: TypedGraph, rounds: int = 3) -> str:
+    """Isomorphism-invariant fingerprint (Weisfeiler-Leman style refinement)."""
+    colour = {n: g.node_type[n] for n in g.nodes}
+    outs, ins = _neighbours(g)
     for _ in range(rounds):
         colour = {n: f"{colour[n]}|{sorted((t, colour[m]) for t, m in outs[n])}"
                      f"|{sorted((t, colour[m]) for t, m in ins[n])}"
@@ -183,3 +197,30 @@ def iso_hash(g: TypedGraph, rounds: int = 3) -> str:
     node_part = sorted(colour.values())
     edge_part = sorted(f"{g.edge_type[e]}:{colour[g.src[e]]}->{colour[g.tgt[e]]}" for e in g.edges)
     return str((node_part, edge_part))
+
+
+def iso_key(g: TypedGraph) -> tuple:
+    """``iso_hash`` in compact form: two graphs share a key exactly when they
+    share an ``iso_hash`` string.
+
+    Each of ``iso_hash``'s three rounds gives every node the rank of its
+    signature (its colour and the sorted ``(type, colour)`` pairs of its out-
+    and in-edges) in that round's sorted table of distinct signatures.  The
+    tables decode a rank back into the nested colour that ``iso_hash``
+    spells out, so the key is the three tables, the sorted final colours and
+    the sorted ``(type, colour(src), colour(tgt))`` triples of the edges.
+    """
+    colour = {n: g.node_type[n] for n in g.nodes}
+    outs, ins = _neighbours(g)
+    tables = []
+    for _ in range(3):
+        sig = {n: (colour[n], tuple(sorted([(t, colour[m]) for t, m in outs[n]])),
+                   tuple(sorted([(t, colour[m]) for t, m in ins[n]])))
+               for n in g.nodes}
+        table = sorted(set(sig.values()))
+        rank = {s: k for k, s in enumerate(table)}
+        colour = {n: rank[s] for n, s in sig.items()}
+        tables.append(tuple(table))
+    return (tuple(tables), tuple(sorted(colour.values())),
+            tuple(sorted((g.edge_type[e], colour[g.src[e]], colour[g.tgt[e]])
+                         for e in g.edges)))

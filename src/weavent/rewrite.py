@@ -18,6 +18,12 @@ every class by extending one representative per class, depth by depth; a
 class's ``members`` are the derivations built for it.
 ``trace_classes_by_definition`` builds every interleaving and quotients
 them pairwise; it is the reference the fast path is tested against.
+
+A derivation's colimit is its parent's colimit glued with the last step;
+``colimit_by_definition`` builds it from scratch and is the reference.  New
+derivations are bucketed by ``graphs.iso_key`` of their target, which
+splits them exactly as the ``iso_hash`` fingerprint does, before any
+equivalence check.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from ._common import UnionFind, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
-                     iso_hash, _morphisms)
+                     iso_hash, iso_key, _morphisms)
 
 
 class TraceLimitError(GraphError):
@@ -409,9 +415,21 @@ class Derivation:
         return d
 
     def colimit(self) -> "Colimit":
-        if self._colimit is None:
-            self._colimit = Colimit(self)
-        return self._colimit
+        """The colimit, built on the parent's colimit when there is one.
+
+        Walks up the parent chain to the nearest derivation whose colimit is
+        built, or to one without a parent, then builds and keeps the
+        colimits on the way back down, one step each.
+        """
+        chain = [self]
+        while chain[-1]._colimit is None and chain[-1].parent is not None:
+            chain.append(chain[-1].parent)
+        base = chain[-1]._colimit
+        for d in reversed(chain):
+            if d._colimit is None:
+                d._colimit = Colimit(d, base)
+            base = d._colimit
+        return base
 
     def __repr__(self):
         return f"Derivation({';'.join(self.rule_names()) or 'ε'})"
@@ -421,56 +439,114 @@ class Colimit:
     """Colimit of the zig-zag of graphs of a derivation.
 
     Computed as a union-find quotient of the disjoint union of the row
-    ``G_0 ← D_1 → G_1 ← … → G_n``; the class maps serve as the colimit
-    injections.
+    ``G_0 ← D_1 → G_1 ← … → G_n``, whose items are tagged ``("G", i, x)``
+    and ``("D", i, x)``.  A class is named ``n<k>`` (``e<k>`` for edges)
+    after the rank of its root, its least member, among all roots; the class
+    maps serve as the colimit injections.  The colimit of ``ψ·step`` is the
+    colimit of ``ψ`` glued with one more span, so with ``base``, the
+    colimit of a prefix of ``deriv`` (its parent's), only the later steps'
+    ``D`` and ``H`` are added to copies of its union-finds.
+    ``colimit_by_definition`` builds the same names from scratch.
     """
 
-    def __init__(self, deriv: Derivation):
-        gs = [deriv.source] + [st.H for st in deriv.steps]
-        ufn, ufe = UnionFind(), UnionFind()
-        for i, g in enumerate(gs):
-            for n in g.nodes:
-                ufn.add(("G", i, n))
-            for e in g.edges:
-                ufe.add(("G", i, e))
-        for i, st in enumerate(deriv.steps, start=1):
-            for n in st.D.nodes:
-                ufn.add(("D", i, n))
-                ufn.union(("D", i, n), ("G", i - 1, st.lstar.node_map[n]))
-                ufn.union(("D", i, n), ("G", i, st.rstar.node_map[n]))
-            for e in st.D.edges:
-                ufe.add(("D", i, e))
-                ufe.union(("D", i, e), ("G", i - 1, st.lstar.edge_map[e]))
-                ufe.union(("D", i, e), ("G", i, st.rstar.edge_map[e]))
-        self._nclass: Dict[tuple, str] = {}
-        self._eclass: Dict[tuple, str] = {}
-        nodes = []
-        ntype = {}
-        for idx, members in enumerate(ufn.groups()):
-            name = f"n{idx}"
-            nodes.append(name)
-            for mtag in members:
-                self._nclass[mtag] = name
-            tag, i, x = members[0]
-            gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
-            ntype[name] = gref.node_type[x]
-        edges = []
-        for idx, members in enumerate(ufe.groups()):
-            name = f"e{idx}"
-            for mtag in members:
-                self._eclass[mtag] = name
-            tag, i, x = members[0]
-            gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
-            edges.append((name, gref.edge_type[x],
-                          self._nclass[(tag, i, gref.src[x])],
-                          self._nclass[(tag, i, gref.tgt[x])]))
-        self.graph = TypedGraph(nodes, edges, ntype)
+    def __init__(self, deriv: Derivation, base: Optional["Colimit"] = None):
+        steps = deriv.steps
+        if base is None:
+            nodes = UnionFind(("G", 0, n) for n in deriv.source.nodes)
+            edges = UnionFind(("G", 0, e) for e in deriv.source.edges)
+            glued = 0
+        else:
+            nodes, edges = base._nodes.copy(), base._edges.copy()
+            glued = base._length
+        self._length = len(steps)
+        for i in range(glued + 1, len(steps) + 1):
+            st = steps[i - 1]
+            for uf, h_items, d_items, lstar, rstar in (
+                    (nodes, st.H.nodes, st.D.nodes, st.lstar.node_map, st.rstar.node_map),
+                    (edges, st.H.edges, st.D.edges, st.lstar.edge_map, st.rstar.edge_map)):
+                add, union = uf.add, uf.union
+                for x in h_items:
+                    add(("G", i, x))
+                for x in d_items:
+                    add(("D", i, x))
+                    union(("D", i, x), ("G", i - 1, lstar[x]))
+                    union(("D", i, x), ("G", i, rstar[x]))
+        self._nodes, self._edges = nodes, edges
+        self._nname = {r: f"n{k}" for k, r in enumerate(sorted(nodes.roots))}
+        self._ename = {r: f"e{k}" for k, r in enumerate(sorted(edges.roots))}
+
+        def graph(tag: str, i: int) -> TypedGraph:
+            if tag == "D":
+                return steps[i - 1].D
+            return steps[i - 1].H if i else deriv.source
+
+        ntype = {name: graph(tag, i).node_type[x]
+                 for (tag, i, x), name in self._nname.items()}
+        ends = []
+        for (tag, i, x), name in self._ename.items():
+            g = graph(tag, i)
+            ends.append((name, g.edge_type[x],
+                         self._nname[nodes.find((tag, i, g.src[x]))],
+                         self._nname[nodes.find((tag, i, g.tgt[x]))]))
+        self.graph = TypedGraph(self._nname.values(), ends, ntype)
 
     def node_in(self, stage: int, node: str) -> str:
-        return self._nclass[("G", stage, node)]
+        return self._nname[self._nodes.find(("G", stage, node))]
 
     def edge_in(self, stage: int, edge: str) -> str:
-        return self._eclass[("G", stage, edge)]
+        return self._ename[self._edges.find(("G", stage, edge))]
+
+
+def colimit_by_definition(deriv: Derivation
+                          ) -> Tuple[TypedGraph, Dict[Tuple[int, str], str],
+                                     Dict[Tuple[int, str], str]]:
+    """The colimit of a derivation from scratch, with its injections.
+
+    Returns the graph and the names of the nodes and of the edges of every
+    stage, keyed by ``(stage, item)``.  Builds the whole row at once and
+    names the classes in the order of ``groups()``; it is the reference
+    ``Colimit`` is tested against.
+    """
+    gs = [deriv.source] + [st.H for st in deriv.steps]
+    ufn, ufe = UnionFind(), UnionFind()
+    for i, g in enumerate(gs):
+        for n in g.nodes:
+            ufn.add(("G", i, n))
+        for e in g.edges:
+            ufe.add(("G", i, e))
+    for i, st in enumerate(deriv.steps, start=1):
+        for n in st.D.nodes:
+            ufn.add(("D", i, n))
+            ufn.union(("D", i, n), ("G", i - 1, st.lstar.node_map[n]))
+            ufn.union(("D", i, n), ("G", i, st.rstar.node_map[n]))
+        for e in st.D.edges:
+            ufe.add(("D", i, e))
+            ufe.union(("D", i, e), ("G", i - 1, st.lstar.edge_map[e]))
+            ufe.union(("D", i, e), ("G", i, st.rstar.edge_map[e]))
+    nclass: Dict[tuple, str] = {}
+    eclass: Dict[tuple, str] = {}
+    nodes = []
+    ntype = {}
+    for idx, members in enumerate(ufn.groups()):
+        name = f"n{idx}"
+        nodes.append(name)
+        for mtag in members:
+            nclass[mtag] = name
+        tag, i, x = members[0]
+        gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
+        ntype[name] = gref.node_type[x]
+    edges = []
+    for idx, members in enumerate(ufe.groups()):
+        name = f"e{idx}"
+        for mtag in members:
+            eclass[mtag] = name
+        tag, i, x = members[0]
+        gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
+        edges.append((name, gref.edge_type[x],
+                      nclass[(tag, i, gref.src[x])], nclass[(tag, i, gref.tgt[x])]))
+    graph = TypedGraph(nodes, edges, ntype)
+    return (graph, {(i, x): name for (tag, i, x), name in nclass.items() if tag == "G"},
+            {(i, x): name for (tag, i, x), name in eclass.items() if tag == "G"})
 
 
 def _left_consistent_iso(psi1: Derivation, psi2: Derivation,
@@ -618,9 +694,9 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
     classes, their representatives and their order are those of
     ``trace_classes_by_definition``.  Each new derivation is compared, by
     ``equivalent_traces``, with the representatives of the classes sharing
-    its rule multiset and target fingerprint; it joins the first that
-    accepts it, or opens a class.  Raises ``TraceLimitError`` as soon as
-    more than ``ceiling`` classes have been found.
+    its rule multiset and the ``iso_key`` of its target; it joins the first
+    that accepts it, or opens a class.  Raises ``TraceLimitError`` as soon
+    as more than ``ceiling`` classes have been found.
     """
     grammar.validate()
     rules = sorted(grammar.rules, key=lambda r: r.name)
@@ -640,7 +716,7 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
         found = []
         for parent in frontier:
             for child in _extensions(groups[parent][0], rules, fusion_safe):
-                key = (tuple(sorted(child.rule_names())), iso_hash(child.target))
+                key = (tuple(sorted(child.rule_names())), iso_key(child.target))
                 bucket = buckets.setdefault(key, [])
                 cls = next((c for c in bucket
                             if equivalent_traces(groups[c][0], child) is not None), None)

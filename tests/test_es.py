@@ -1,15 +1,19 @@
 import random
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weavent.es import (EventStructure, EsError, LivenessError, classify,
-                        configurations, is_secured, minimal_enablings, saturate,
-                        validate_es_morphism)
+                        configurations, is_configuration, is_secured, minimal_enablings,
+                        saturate, validate_es_morphism)
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split, e_three_independent)
+from weavent.io import load_structure
 from tests._gen import random_connected_es, random_live_es
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fz(*xs):
@@ -83,6 +87,21 @@ class TestConfigurations:
     def test_empty_es(self):
         es = EventStructure.binary([])
         assert configurations(es) == {fz()}
+
+    def test_configurations_by_definition(self):
+        # configurations tests only the added event against the conflict
+        # index; the definition tests every subset in full
+        structures = [load_structure(str(path), "es")
+                      for path in sorted(FIXTURES.glob("*.es.json"))]
+        rng = random.Random(17)
+        structures += [random_live_es(rng, max_events=6, conflict_p=p)
+                       for p in (0.12, 0.3, 0.5) for _ in range(10)]
+        for es in structures:
+            events = sorted(es.events)
+            subsets = chain.from_iterable(combinations(events, k)
+                                          for k in range(len(events) + 1))
+            assert configurations(es) == {frozenset(xs) for xs in subsets
+                                          if is_configuration(es, xs)}
 
     def test_all_configurations_consistent_and_secured(self):
         rng = random.Random(7)
