@@ -1,6 +1,7 @@
 """The building blocks every layer shares: a union-find, a report, a
-per-structure cache and ``backtrack``, the one depth-first search behind
-graph matching, trace permutations and isomorphism tests.
+per-structure cache, the bits of a mask and ``backtrack``, the one
+depth-first search behind graph matching, trace permutations and
+isomorphism tests.
 
 This module imports nothing from weavent, so any layer may import it.
 """
@@ -70,6 +71,14 @@ class Report:
 
     def __bool__(self):
         return self.ok
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _once(obj, key: str, compute: Callable):

@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ._common import Report, UnionFind, _once
+from ._common import Report, UnionFind, _bits, _once
 
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
@@ -43,13 +43,6 @@ BOUNDED_COMPLETE = "bounded_complete"
 
 class OrderError(ValueError):
     """Covers do not describe a partial order (or bad arguments)."""
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class FiniteDomain:
@@ -113,13 +106,33 @@ class FiniteDomain:
             for i in _bits(pred[j]):
                 m |= down[i]
             down[j] = m
-        self._up: List[int] = up
-        self._down: List[int] = down
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram
-        self._cover_pairs = {(a, b) for a, b in cov
-                             if not up[a] & down[b] & ~(1 << a) & ~(1 << b)}
-        self._full = (1 << n) - 1
+        self._set_order({(a, b) for a, b in cov
+                         if not up[a] & down[b] & ~(1 << a) & ~(1 << b)}, up, down)
+
+    @classmethod
+    def _of_order(cls, elements: Tuple[str, ...], cover_pairs: Set[Tuple[int, int]],
+                  up: List[int], down: List[int], kind: str) -> "FiniteDomain":
+        """A domain whose order the caller has already worked out.
+
+        Nothing is checked: ``elements`` must be sorted and distinct,
+        ``cover_pairs`` the acyclic, transitively reduced covers over their
+        indices, and ``up``/``down`` the order masks those covers generate.
+        """
+        dom = cls.__new__(cls)
+        dom.kind = kind
+        dom.elements = elements
+        dom._idx = {x: i for i, x in enumerate(elements)}
+        dom._set_order(cover_pairs, up, down)
+        return dom
+
+    def _set_order(self, cover_pairs: Set[Tuple[int, int]], up: List[int],
+                   down: List[int]) -> None:
+        self._up: List[int] = up
+        self._down: List[int] = down
+        self._cover_pairs = cover_pairs
+        self._full = (1 << len(self.elements)) - 1
         # derived invariants, filled in by the module functions (see _once)
         self._derived: Dict[str, object] = {}
 

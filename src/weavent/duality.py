@@ -19,7 +19,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
                     Optional, Tuple)
 
 from ._common import UnionFind, backtrack
-from .es import (BINARY, EsError, EventStructure, _require_live, classify,
+from .es import (BINARY, EsError, EventStructure, _require_live, _table, classify,
                  configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
                       _require_weak_prime, decompose, interchange_classes,
@@ -41,19 +41,47 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
     """The configurations of a live structure ordered by inclusion.
 
     Joins of consistent sets are unions and covers add exactly one event;
-    the result is weak prime algebraic.
+    the result is weak prime algebraic.  The order is read off the
+    configuration masks: the lower covers of ``c`` are the configurations
+    ``c ^ x`` for events ``x`` of ``c``, ``down`` grows from the smaller
+    configurations and ``up`` from the larger, and inclusion needs no cycle
+    check or transitive reduction.
     """
     _require_live(es)
-    confs = sorted(configurations(es), key=lambda c: (len(c), sorted(c)))
-    ids = {c: configuration_id(c) for c in confs}
-    covers = []
-    for c in confs:
-        for e in es.events - c:
-            c2 = c | {e}
-            if c2 in ids:
-                covers.append((ids[c], ids[c2]))
+    lower = _table(es).lower  # configuration -> events x with c ^ x one too
+    names = es._names
+    ids = {}
+    for c in lower:
+        parts, m = [], c
+        while m:  # the names of c's events, in sorted order
+            b = m & -m
+            m ^= b
+            parts.append(names[b.bit_length() - 1])
+        ids[c] = "{" + ",".join(parts) + "}"
+    order = sorted(lower, key=ids.__getitem__)
+    idx = {c: i for i, c in enumerate(order)}
+    covers = set()
+    down = [0] * len(order)
+    for c, low in lower.items():  # smaller configurations first
+        i = idx[c]
+        m = 1 << i
+        while low:
+            b = low & -low
+            low ^= b
+            j = idx[c ^ b]
+            covers.add((j, i))
+            m |= down[j]
+        down[i] = m
+    up = [0] * len(order)
+    for c, low in reversed(lower.items()):  # larger configurations first
+        i = idx[c]
+        up[i] |= 1 << i
+        while low:
+            b = low & -low
+            low ^= b
+            up[idx[c ^ b]] |= up[i]
     kind = COHERENT if es.conflict_kind == BINARY else BOUNDED_COMPLETE
-    return FiniteDomain(ids.values(), covers, kind)
+    return FiniteDomain._of_order(tuple(ids[c] for c in order), covers, up, down, kind)
 
 
 def dom_of_es_morphism(f: Mapping[str, str], src: EventStructure,

@@ -6,6 +6,16 @@ enables ``e`` exactly when some stored pair ``(Y, e)`` has ``Y ⊆ X``, which
 makes the relation monotone by construction.  Consistency is either a binary
 irreflexive conflict or a subset-closed family of consistent sets given by
 its maximal members.
+
+Each structure indexes its events once as bits, in sorted name order, so a
+set of events is an integer mask.  It keeps each event's generator needs and
+conflict partners, and the consistent sets, as masks.  One pass over the
+configurations, grown as masks by single-event extension, gives everything
+the module reads off them: each configuration's removable events (its lower
+covers), the maximal configurations, which events occur together and the
+minimal enablings of every event.  ``configurations``, ``minimal_enablings``,
+``classify``, ``saturate`` and ``duality.dom_of_es`` all read that table;
+the public results stay frozensets of event names.
 """
 
 from __future__ import annotations
@@ -13,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
 
-from ._common import Report, UnionFind
+from ._common import Report, UnionFind, _bits
 
 EventSet = FrozenSet[str]
 
@@ -46,6 +56,10 @@ class EventStructure:
         conflict_kind: ``"binary"`` or ``"consistency"``.
         conflict: unordered conflict pairs (binary kind only).
         consistent_sets: maximal consistent sets (consistency kind only).
+
+    The events are indexed once as bits, in sorted name order, and the
+    relations are kept as masks over them; the masks are left out of
+    equality and hashing, which stay those of the fields above.
     """
 
     events: EventSet
@@ -53,11 +67,15 @@ class EventStructure:
     conflict_kind: str = BINARY
     conflict: FrozenSet[EventSet] = frozenset()
     consistent_sets: FrozenSet[EventSet] = frozenset()
-    # the needs of each event's generators, indexed once; left out of
-    # equality and hashing, which stay those of the fields above
-    _gens_of: Dict[str, List[EventSet]] = field(init=False, repr=False, compare=False)
-    # binary kind: the conflict partners of each event, indexed the same way
-    _partners: Dict[str, EventSet] = field(init=False, repr=False, compare=False)
+    # the events in sorted order, and the bit of each
+    _names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _bit: Dict[str, int] = field(init=False, repr=False, compare=False)
+    # _needs[k]: the need masks of the generators of event k
+    _needs: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # binary kind: _clash[k] is the mask of the events in conflict with k
+    _clash: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # consistency kind: the masks of the maximal consistent sets
+    _cons: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conflict_kind not in (BINARY, CONSISTENCY):
@@ -65,29 +83,31 @@ class EventStructure:
         for e in self.events:
             if not isinstance(e, str) or not e:
                 raise EsError(f"event names must be nonempty strings, got {e!r}")
-        gens_of: Dict[str, List[EventSet]] = {e: [] for e in self.events}
-        for needs, e in self.enabling_gens:
-            if e not in self.events:
+        names = tuple(sorted(self.events))
+        bit = {e: k for k, e in enumerate(names)}
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_bit", bit)
+        needs: List[List[int]] = [[] for _ in names]
+        for ns, e in self.enabling_gens:
+            if e not in bit:
                 raise EsError(f"enabling generator for unknown event {e!r}")
-            unknown = needs - self.events
+            unknown = ns - self.events
             if unknown:
                 raise EsError(f"enabling generator mentions unknown events {sorted(unknown)}")
-            gens_of[e].append(needs)
-        object.__setattr__(self, "_gens_of", gens_of)
+            needs[bit[e]].append(self._mask(ns))
+        object.__setattr__(self, "_needs", tuple(map(tuple, needs)))
+        clash = [0] * len(names)
         if self.conflict_kind == BINARY:
             if self.consistent_sets:
                 raise EsError("binary-conflict structure cannot carry consistent_sets")
-            partners: Dict[str, set] = {e: set() for e in self.events}
             for pair in self.conflict:
                 if len(pair) != 2:
                     raise EsError(f"conflict entries must be unordered pairs, got {sorted(pair)}")
                 if pair - self.events:
                     raise EsError(f"conflict pair mentions unknown events {sorted(pair - self.events)}")
-                a, b = pair
-                partners[a].add(b)
-                partners[b].add(a)
-            object.__setattr__(self, "_partners",
-                               {e: frozenset(p) for e, p in partners.items()})
+                a, b = (bit[x] for x in pair)
+                clash[a] |= 1 << b
+                clash[b] |= 1 << a
         else:
             if self.conflict:
                 raise EsError("consistency-kind structure cannot carry a binary conflict")
@@ -100,6 +120,8 @@ class EventStructure:
             if missing:
                 raise EsError(
                     f"events {sorted(missing)} belong to no consistent set (singletons must be consistent)")
+        object.__setattr__(self, "_clash", tuple(clash))
+        object.__setattr__(self, "_cons", tuple(self._mask(xs) for xs in self.consistent_sets))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -136,24 +158,45 @@ class EventStructure:
     # Basic relations
     # ------------------------------------------------------------------ #
 
-    def is_consistent(self, xs: Iterable[str]) -> bool:
-        xs = frozenset(xs)
-        if xs - self.events:
-            raise EsError(f"unknown events {sorted(xs - self.events)}")
+    def _mask(self, xs: EventSet) -> int:
+        """The mask of the events ``xs``; EsError if some are not events."""
+        bit = self._bit
+        mask = 0
+        try:
+            for x in xs:
+                mask |= 1 << bit[x]
+        except KeyError:
+            raise EsError(f"unknown events {sorted(xs - self.events)}") from None
+        return mask
+
+    def _names_of(self, mask: int) -> EventSet:
+        names = self._names
+        return frozenset({names[k] for k in _bits(mask)})
+
+    def _consistent_mask(self, mask: int) -> bool:
         if self.conflict_kind == BINARY:
-            return not any(frozenset(p) in self.conflict for p in combinations(sorted(xs), 2))
-        return any(xs <= ys for ys in self.consistent_sets)
+            clash = self._clash
+            return not any(clash[k] & mask for k in _bits(mask))
+        return any(not mask & ~m for m in self._cons)
+
+    def is_consistent(self, xs: Iterable[str]) -> bool:
+        return self._consistent_mask(self._mask(frozenset(xs)))
 
     def enables(self, xs: Iterable[str], e: str) -> bool:
         """True when ``xs ⊢ e`` in the derived monotone relation."""
-        xs = frozenset(xs)
-        if e not in self.events:
+        bit = self._bit
+        if e not in bit:
             raise EsError(f"unknown event {e!r}")
-        return any(needs <= xs for needs in self._gens_of[e])
+        mask = 0
+        for x in xs:  # events outside the structure enable nothing
+            if x in bit:
+                mask |= 1 << bit[x]
+        return any(not need & ~mask for need in self._needs[bit[e]])
 
     def in_conflict(self, a: str, b: str) -> bool:
         if self.conflict_kind == BINARY:
-            return frozenset((a, b)) in self.conflict
+            bit = self._bit
+            return a in bit and b in bit and bool(self._clash[bit[a]] >> bit[b] & 1)
         return not self.is_consistent((a, b))
 
 
@@ -183,34 +226,103 @@ def is_secured(es: EventStructure, xs: Iterable[str]) -> bool:
     return reached == set(xs)
 
 
+class _Table(NamedTuple):
+    """What a structure's configurations say, over the event masks.
+
+    ``lower`` maps each configuration to the mask of its events ``x`` for
+    which ``c ^ x`` is a configuration too, ordered by size.  ``maximal``
+    lists the configurations with no single-event extension, ``together[k]``
+    is the OR of the configurations holding event ``k``, and ``mins[k]``
+    lists the minimal enablings of ``k``.
+    """
+    lower: Dict[int, int]
+    maximal: List[int]
+    together: List[int]
+    mins: List[List[int]]
+
+
+@lru_cache(maxsize=None)
+def _table(es: EventStructure) -> _Table:
+    """The configurations of ``es`` and what is read off them, in one pass.
+
+    Configurations grow by single-event extensions from the empty one, size
+    by size; every configuration is reached this way because securing
+    sequences pass through configurations.  ``en[c]``, the events that a
+    configuration ``c`` enables, is that of the parent it was first reached
+    from, plus what the generators watching the added event now enable.
+    """
+    n = len(es._names)
+    binary = es.conflict_kind == BINARY
+    clash, cons = es._clash, es._cons
+    watch: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    first = 0
+    for k, needs in enumerate(es._needs):
+        for need in needs:
+            if not need:
+                first |= 1 << k
+            for x in _bits(need):
+                watch[x].append((need, 1 << k))
+    en = {0: first}
+    lower = {0: 0}
+    maximal = []
+    layer = [0]
+    while layer:
+        grown = []
+        for c in layer:
+            extended = False
+            new = en[c] & ~c
+            while new:
+                b = new & -new
+                new ^= b
+                c2 = c | b
+                if c2 in lower:
+                    lower[c2] |= b
+                    extended = True
+                    continue
+                x = b.bit_length() - 1
+                # c is consistent, so with binary conflict only x can clash
+                if clash[x] & c if binary else all(c2 & ~m for m in cons):
+                    continue
+                extended = True
+                lower[c2] = b
+                e2 = en[c]
+                for need, kb in watch[x]:
+                    if not need & ~c2:
+                        e2 |= kb
+                en[c2] = e2
+                grown.append(c2)
+            if not extended:
+                maximal.append(c)
+        layer = grown
+    # c minimally enables e iff it enables e and no c ^ x does.  If
+    # configurations d ⊂ c, a securing sequence of c, with the events of d
+    # skipped, takes d to c through configurations; so some c ^ x is a
+    # configuration containing d, and by monotonicity it enables e.
+    mins: List[List[int]] = [[] for _ in range(n)]
+    for c, low in lower.items():
+        below = 0
+        while low:
+            b = low & -low
+            low ^= b
+            below |= en[c ^ b]
+        for k in _bits(en[c] & ~below):
+            mins[k].append(c)
+    together = [0] * n
+    for m in maximal:
+        for k in _bits(m):
+            together[k] |= m
+    return _Table(lower, maximal, together, mins)
+
+
 @lru_cache(maxsize=None)
 def configurations(es: EventStructure) -> FrozenSet[EventSet]:
-    """All configurations: consistent, secured subsets of the events.
-
-    Enumerated by single-event extensions from the empty configuration;
-    every configuration is reachable this way because securing sequences
-    pass through configurations.
-    """
-    binary = es.conflict_kind == BINARY
-    found = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        c = frontier.pop()
-        for e in es.events - c:
-            if not es.enables(c, e):
-                continue
-            c2 = c | {e}
-            if c2 in found:
-                continue
-            # c is consistent, so with binary conflict only e can clash
-            if binary:
-                if not es._partners[e].isdisjoint(c):
-                    continue
-            elif not es.is_consistent(c2):
-                continue
-            found.add(c2)
-            frontier.append(c2)
-    return frozenset(found)
+    """All configurations: consistent, secured subsets of the events."""
+    names = es._names
+    sets: Dict[int, EventSet] = {}
+    for c, low in _table(es).lower.items():  # each after those it covers
+        x = low.bit_length() - 1
+        sets[c] = sets[c ^ 1 << x] | {names[x]} if low else frozenset()
+    return frozenset(sets.values())
 
 
 def is_configuration(es: EventStructure, xs: Iterable[str]) -> bool:
@@ -223,20 +335,16 @@ def minimal_enablings(es: EventStructure, e: str) -> FrozenSet[EventSet]:
     """All inclusion-minimal configurations enabling ``e``."""
     if e not in es.events:
         raise EsError(f"unknown event {e!r}")
-    enabling = {c for c in configurations(es) if es.enables(c, e)}
-    # c is minimal iff no c - {x} enables e.  If configurations d ⊂ c, a
-    # securing sequence of c, with the events of d skipped, takes d to c
-    # through configurations; so c minus the last event added is a
-    # configuration containing d, and by monotonicity it enables e.
-    return frozenset(c for c in enabling if not any(c - {x} in enabling for x in c))
+    return frozenset(map(es._names_of, _table(es).mins[es._bit[e]]))
 
 
-@lru_cache(maxsize=None)
-def _enabling_links(es: EventStructure, e: str) -> FrozenSet[Tuple[EventSet, EventSet]]:
-    """Pairs of distinct minimal enablings of ``e`` consistent together with ``e``."""
-    mins = sorted(minimal_enablings(es, e), key=sorted)
-    return frozenset((c1, c2) for c1, c2 in combinations(mins, 2)
-                     if es.is_consistent(c1 | c2 | {e}))
+def _enabling_links(es: EventStructure, k: int) -> List[Tuple[int, int]]:
+    """Positions in ``mins[k]`` of the pairs of minimal enablings of event
+    ``k`` that are consistent together with it."""
+    mins = _table(es).mins[k]
+    b = 1 << k
+    return [(i, j) for i, j in combinations(range(len(mins)), 2)
+            if es._consistent_mask(mins[i] | mins[j] | b)]
 
 
 @dataclass(frozen=True)
@@ -246,6 +354,18 @@ class Classification:
     prime: bool
     connected: bool
     diagnostics: Tuple[str, ...] = ()
+
+
+def _after(k: int, n: int) -> int:
+    """The mask of the events after ``k`` of ``n``."""
+    return (1 << n) - (2 << k)
+
+
+def _dead(es: EventStructure) -> List[str]:
+    occurs = 0
+    for m in _table(es).maximal:
+        occurs |= m
+    return [e for k, e in enumerate(es._names) if not occurs >> k & 1]
 
 
 def classify(es: EventStructure) -> Classification:
@@ -259,45 +379,43 @@ def classify(es: EventStructure) -> Classification:
     event form a connected graph.
     """
     diags = []
-    confs = configurations(es)
-    occurs = set().union(*confs) if confs else set()
-    dead = es.events - occurs
+    table = _table(es)
+    names = es._names
+    dead = _dead(es)
     if dead:
-        diags.append(f"dead events (in no configuration): {sorted(dead)}")
+        diags.append(f"dead events (in no configuration): {dead}")
     live = not dead
     if es.conflict_kind == BINARY:
-        for a, b in combinations(sorted(es.events), 2):
-            together = any(a in c and b in c for c in confs)
-            conflicted = es.in_conflict(a, b)
-            if together and conflicted:
+        # a pair is wrong when it is in conflict exactly when it occurs together
+        for a, (together, clash) in enumerate(zip(table.together, es._clash)):
+            for b in _bits(~(together ^ clash) & _after(a, len(names))):
                 live = False
-                diags.append(f"conflicting events {a!r}, {b!r} occur together")
-            if not together and not conflicted:
-                live = False
-                diags.append(f"conflict not saturated: {a!r}, {b!r} never occur together")
+                if clash >> b & 1:
+                    diags.append(f"conflicting events {names[a]!r}, {names[b]!r} occur together")
+                else:
+                    diags.append(f"conflict not saturated: {names[a]!r}, {names[b]!r} "
+                                 "never occur together")
     else:
         for xs in es.consistent_sets:
-            if not any(xs <= c for c in confs):
+            m = es._mask(xs)
+            if all(m & ~c for c in table.maximal):
                 live = False
                 diags.append(f"consistent set {sorted(xs)} inside no configuration")
 
     stable = True
     prime = True
     connected = True
-    for e in sorted(es.events):
-        mins = minimal_enablings(es, e)
-        if len(mins) > 1:
-            prime = False
-        links = _enabling_links(es, e)
+    for k, mins in enumerate(table.mins):
+        links = _enabling_links(es, k)
         if links:
             stable = False
         # connectedness of the link graph over the minimal enablings
         if len(mins) > 1:
-            pos = {c: k for k, c in enumerate(mins)}
+            prime = False
             uf = UnionFind(range(len(mins)))
-            for c1, c2 in links:
-                uf.union(pos[c1], pos[c2])
-            if len(uf.groups()) > 1:
+            for i, j in links:
+                uf.union(i, j)
+            if len(uf.roots) > 1:
                 connected = False
     return Classification(live, stable, prime, connected, tuple(diags))
 
@@ -313,24 +431,22 @@ def saturate(es: EventStructure) -> EventStructure:
 
     Fails if some event occurs in no configuration, since no amount of added
     conflict can make such a structure live.  On the consistency kind the
-    family is shrunk to the sets realised inside configurations.
+    family is shrunk to the sets realised inside configurations, whose
+    maximal members are the maximal configurations.
     """
-    confs = configurations(es)
-    occurs = set().union(*confs) if confs else set()
-    dead = sorted(es.events - occurs)
+    dead = _dead(es)
     if dead:
         raise LivenessError(f"events {dead} occur in no configuration")
+    table = _table(es)
+    names = es._names
     if es.conflict_kind == BINARY:
         pairs = set(es.conflict)
-        for a, b in combinations(sorted(es.events), 2):
-            if not any(a in c and b in c for c in confs):
-                pairs.add(frozenset((a, b)))
+        for a, together in enumerate(table.together):
+            for b in _bits(~together & _after(a, len(names))):
+                pairs.add(frozenset((names[a], names[b])))
         return EventStructure(es.events, es.enabling_gens, BINARY, frozenset(pairs))
-    realised = [xs for xs in es.consistent_sets if any(xs <= c for c in confs)]
-    realised += [c for c in confs]
-    maximal = frozenset(xs for xs in realised if not any(xs < ys for ys in realised))
     return EventStructure(es.events, es.enabling_gens, CONSISTENCY,
-                          consistent_sets=maximal)
+                          consistent_sets=frozenset(map(es._names_of, table.maximal)))
 
 
 # ---------------------------------------------------------------------- #

@@ -19,9 +19,9 @@ from itertools import combinations
 from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ._common import UnionFind, _once
+from ._common import UnionFind, _bits, _once
 from .es import EventStructure
-from .domains import (FiniteDomain, OrderError, _bits, _irreducible_mask,
+from .domains import (FiniteDomain, OrderError, _irreducible_mask,
                       _require_valid, _require_weak_prime, interchange_classes)
 
 Interval = Tuple[str, str]

@@ -13,38 +13,88 @@ from weavent.duality import connect_es, dom_of_es
 EVENT_NAMES = "abcdefgh"
 
 
+def random_enabling(rng: random.Random, events):
+    """Random generators, most events with two incomparable ones, so that
+    or-enablings (instability) and disconnected minimal enablings occur
+    regularly."""
+    gens = []
+    for k, e in enumerate(events):
+        others = events[:k] + events[k + 1:]
+        if k == 0 or not others or rng.random() < 0.35:
+            size = rng.randint(0, min(2, len(others)))
+            gens.append((tuple(rng.sample(others, size)), e))
+            continue
+        first = rng.sample(others, rng.randint(1, min(2, len(others))))
+        gens.append((tuple(first), e))
+        if rng.random() < 0.7:
+            rest = [x for x in others if x not in first]
+            if rest:
+                second = rng.sample(rest, rng.randint(1, min(2, len(rest))))
+                gens.append((tuple(second), e))
+    return gens
+
+
 def random_live_es(rng: random.Random, max_events: int = 5,
                    conflict_p: float = 0.12) -> EventStructure:
-    """A random live binary-conflict structure (conflict saturated).
-
-    Biased toward interesting cases: most events get two incomparable
-    enabling generators, so or-enablings (instability) and disconnected
-    minimal enablings occur regularly.
-    """
+    """A random live binary-conflict structure (conflict saturated)."""
     while True:
         n = rng.randint(max(1, max_events - 2), max_events)
         events = list(EVENT_NAMES[:n])
         conflict = [(a, b) for a, b in combinations(events, 2)
                     if rng.random() < conflict_p]
-        gens = []
-        for k, e in enumerate(events):
-            others = events[:k] + events[k + 1:]
-            if k == 0 or not others or rng.random() < 0.35:
-                size = rng.randint(0, min(2, len(others)))
-                gens.append((tuple(rng.sample(others, size)), e))
-                continue
-            first = rng.sample(others, rng.randint(1, min(2, len(others))))
-            gens.append((tuple(first), e))
-            if rng.random() < 0.7:
-                rest = [x for x in others if x not in first]
-                if rest:
-                    second = rng.sample(rest, rng.randint(1, min(2, len(rest))))
-                    gens.append((tuple(second), e))
-        es = EventStructure.binary(events, conflict, gens)
+        es = EventStructure.binary(events, conflict, random_enabling(rng, events))
         try:
             return saturate(es)
         except LivenessError:
             continue
+
+
+def random_consistency_es(rng: random.Random, max_events: int = 5,
+                          live: bool = False) -> EventStructure:
+    """A random consistency-kind structure.
+
+    Enabling is drawn as for ``random_live_es``; the consistent sets are a
+    few random subsets of two or more events, plus the singletons no subset
+    covers.  Raw draws often have dead events or unrealised consistent sets;
+    with ``live`` the draw is saturated, and redrawn when it cannot be.
+    """
+    while True:
+        n = rng.randint(max(1, max_events - 2), max_events)
+        events = list(EVENT_NAMES[:n])
+        family = [rng.sample(events, rng.randint(min(2, n), n))
+                  for _ in range(rng.randint(1, 3))]
+        covered = set().union(*family)
+        family += [[e] for e in events if e not in covered]
+        es = EventStructure.with_consistency(events, family, random_enabling(rng, events))
+        if not live:
+            return es
+        try:
+            return saturate(es)
+        except LivenessError:
+            continue
+
+
+def family_es(family: str, n: int) -> EventStructure:
+    """The benchmark's closed-form families, with its event names: ``B``
+    has ``n`` free events, ``X`` ``n`` binary choices, ``L`` ``n`` copies
+    of the run ``a``, ``b`` ⊢ ``c``, and ``C`` a chain of ``n`` events."""
+    if family == "B":
+        events = [f"e{i}" for i in range(n)]
+        return EventStructure.binary(events, (), [((), e) for e in events])
+    if family == "X":
+        pairs = [(f"x{i}", f"y{i}") for i in range(n)]
+        events = [e for p in pairs for e in p]
+        return EventStructure.binary(events, pairs, [((), e) for e in events])
+    if family == "L":
+        events, gens = [], []
+        for i in range(n):
+            a, b, c = f"a{i}", f"b{i}", f"c{i}"
+            events += [a, b, c]
+            gens += [((), a), ((), b), ((a,), c), ((b,), c)]
+        return EventStructure.binary(events, (), gens)
+    events = [f"s{i}" for i in range(n)]
+    return EventStructure.binary(events, (), [((), events[0])] + [
+        ((events[i - 1],), events[i]) for i in range(1, n)])
 
 
 def _planted_or_enabling_es(rng: random.Random, max_events: int) -> EventStructure:

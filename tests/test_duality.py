@@ -1,20 +1,25 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from weavent.es import EventStructure, LivenessError, classify, configurations, \
     minimal_enablings
-from weavent.domains import (FiniteDomain, algebraicity, interchange_classes,
-                             interchangeable, irreducible_elements, validate_domain,
-                             validate_domain_morphism)
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, algebraicity,
+                             interchange_classes, interchangeable, irreducible_elements,
+                             validate_domain, validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
                              dom_of_es_morphism, es_isomorphic, ev_of_domain,
                              poset_isomorphic, unfold)
 from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               e_split, e_three_independent, m3,
                               nontransitive_bdomain)
-from tests._gen import random_live_es, random_weak_prime_domain
+from weavent.io import load_structure
+from tests._gen import (family_es, random_connected_es, random_consistency_es,
+                        random_live_es, random_weak_prime_domain)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +100,44 @@ class TestDomOfEs:
                 i2 = configuration_id(c2 | {e2})
                 expected = e1 == e2 and es.is_consistent(c1 | c2 | {e1})
                 assert interchangeable(dom, i1, i2) == expected
+
+
+def dom_of_es_by_definition(es: EventStructure) -> FiniteDomain:
+    """The configuration poset through the public constructor: covers add
+    one event, and the order is worked out from them."""
+    confs = configurations(es)
+    ids = {c: configuration_id(c) for c in confs}
+    covers = [(ids[c], ids[c | {e}]) for c in confs for e in es.events - c if c | {e} in ids]
+    kind = COHERENT if es.conflict_kind == "binary" else BOUNDED_COMPLETE
+    return FiniteDomain(ids.values(), covers, kind)
+
+
+class TestDomOfEsByDefinition:
+    """``dom_of_es`` builds its order from the configuration masks and skips
+    the public constructor's search; the constructor is the oracle."""
+
+    @staticmethod
+    def _structures():
+        yield from (load_structure(str(path), "es")
+                    for path in sorted(FIXTURES.glob("*.es.json")))
+        for family in "BXLC":
+            for n in range(1, 5):
+                yield family_es(family, n)
+        rng = random.Random(41)
+        yield from (random_live_es(rng, max_events=6) for _ in range(25))
+        yield from (random_connected_es(rng) for _ in range(15))
+        yield from (random_consistency_es(rng, live=True) for _ in range(25))
+
+    def test_agrees_with_the_public_constructor(self):
+        kinds = set()
+        for es in self._structures():
+            dom, expected = dom_of_es(es), dom_of_es_by_definition(es)
+            assert dom.elements == expected.elements
+            assert dom._cover_pairs == expected._cover_pairs
+            assert dom._up == expected._up and dom._down == expected._down
+            assert dom.kind == expected.kind
+            kinds.add(dom.kind)
+        assert len(kinds) == 2  # both kinds of structure were drawn
 
 
 class TestEvOfDomain:

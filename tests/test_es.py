@@ -5,13 +5,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weavent.es import (EventStructure, EsError, LivenessError, classify,
+from weavent.es import (Classification, EventStructure, EsError, LivenessError, classify,
                         configurations, is_configuration, is_secured, minimal_enablings,
                         saturate, validate_es_morphism)
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split, e_three_independent)
 from weavent.io import load_structure
-from tests._gen import random_connected_es, random_live_es
+from tests._gen import (random_connected_es, random_consistency_es, random_enabling,
+                        random_live_es)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -41,6 +42,68 @@ def _subsets(events):
     return chain.from_iterable(combinations(events, k) for k in range(len(events) + 1))
 
 
+def _consistency_draws(seed, count=20):
+    """Raw and saturated consistency-kind draws."""
+    rng = random.Random(seed)
+    return ([random_consistency_es(rng) for _ in range(count)]
+            + [random_consistency_es(rng, live=True) for _ in range(count)])
+
+
+def _consistent_by_definition(es, xs):
+    if es.conflict_kind == "binary":
+        return not any(frozenset(p) in es.conflict for p in combinations(sorted(xs), 2))
+    return any(xs <= m for m in es.consistent_sets)
+
+
+def _enables_by_definition(es, xs, e):
+    return any(ev == e and needs <= xs for needs, ev in es.enabling_gens)
+
+
+def classify_by_definition(es):
+    """``classify`` from its definitions, over every subset of the events."""
+    events = sorted(es.events)
+    confs = [frozenset(xs) for xs in _subsets(events) if is_configuration(es, xs)]
+    diags = []
+    dead = sorted(es.events - set().union(*confs))
+    if dead:
+        diags.append(f"dead events (in no configuration): {dead}")
+    live = not dead
+    if es.conflict_kind == "binary":
+        for a, b in combinations(events, 2):
+            together = any({a, b} <= c for c in confs)
+            conflicted = frozenset((a, b)) in es.conflict
+            if together and conflicted:
+                live = False
+                diags.append(f"conflicting events {a!r}, {b!r} occur together")
+            if not together and not conflicted:
+                live = False
+                diags.append(f"conflict not saturated: {a!r}, {b!r} never occur together")
+    else:
+        for xs in es.consistent_sets:
+            if not any(xs <= c for c in confs):
+                live = False
+                diags.append(f"consistent set {sorted(xs)} inside no configuration")
+    stable = prime = connected = True
+    for e in events:
+        enabling = [c for c in confs if _enables_by_definition(es, c, e)]
+        mins = [c for c in enabling if not any(d < c for d in enabling)]
+        linked = {(c1, c2) for c1, c2 in combinations(mins, 2)
+                  if _consistent_by_definition(es, c1 | c2 | {e})}
+        stable = stable and not linked
+        if len(mins) > 1:
+            prime = False
+            reached, frontier = {mins[0]}, [mins[0]]
+            while frontier:
+                c = frontier.pop()
+                for c1, c2 in linked:
+                    for x, y in ((c1, c2), (c2, c1)):
+                        if x == c and y not in reached:
+                            reached.add(y)
+                            frontier.append(y)
+            connected = connected and len(reached) == len(mins)
+    return Classification(live, stable, prime, connected, tuple(diags))
+
+
 class TestEnables:
     """``enables`` reads each event's generators from an index built once;
     the definition scans every generator of the structure."""
@@ -56,13 +119,31 @@ class TestEnables:
             yield random_live_es(rng)
         for _ in range(10):
             yield random_connected_es(rng)
+        yield from _consistency_draws(139, 10)
 
     def test_agrees_with_a_scan_of_the_generators(self):
         for es in self._structures():
             for xs in map(frozenset, _subsets(es.events)):
                 for e in sorted(es.events):
-                    scan = any(ev == e and needs <= xs for needs, ev in es.enabling_gens)
-                    assert es.enables(xs, e) == scan
+                    assert es.enables(xs, e) == _enables_by_definition(es, xs, e)
+
+    def test_consistency_and_conflict_agree_with_the_definition(self):
+        # both read the per-event conflict masks or the consistent-set masks
+        for es in self._structures():
+            for xs in map(frozenset, _subsets(es.events)):
+                assert es.is_consistent(xs) == _consistent_by_definition(es, xs)
+            for a in sorted(es.events):
+                for b in sorted(es.events):
+                    expected = (frozenset((a, b)) in es.conflict if es.conflict_kind == "binary"
+                                else not _consistent_by_definition(es, frozenset((a, b))))
+                    assert es.in_conflict(a, b) == expected
+
+    def test_unknown_events_are_refused(self):
+        for es in (e_run(), EventStructure.with_consistency("ab", [("a", "b")])):
+            with pytest.raises(EsError, match=r"unknown events \['y', 'z'\]"):
+                es.is_consistent(["a", "z", "y"])
+        # outside the structure an event is in conflict with nothing
+        assert not e_run().in_conflict("a", "zz")
 
     def test_separately_built_structures_stay_equal(self):
         for es in self._structures():
@@ -96,6 +177,7 @@ class TestConfigurations:
         rng = random.Random(17)
         structures += [random_live_es(rng, max_events=6, conflict_p=p)
                        for p in (0.12, 0.3, 0.5) for _ in range(10)]
+        structures += _consistency_draws(17)
         for es in structures:
             events = sorted(es.events)
             subsets = chain.from_iterable(combinations(events, k)
@@ -143,6 +225,7 @@ class TestMinimalEnablings:
                           enabling=[((), "a"), ((), "b"), (("a",), "c"), (("b",), "c")])]
         structures += [random_live_es(rng) for _ in range(40)]
         structures += [random_connected_es(rng) for _ in range(20)]
+        structures += _consistency_draws(29)
         for es in structures:
             for e in sorted(es.events):
                 enabling = [c for c in configurations(es) if es.enables(c, e)]
@@ -178,6 +261,24 @@ class TestClassify:
             cl = classify(es)
             assert cl.prime == (cl.stable and cl.connected)
 
+    def test_by_definition(self):
+        # verdicts and diagnostics, in order, on live and unlive draws of
+        # both kinds
+        rng = random.Random(31)
+        structures = [e_run(), e_ccs(), e_five(), e_joint(), e_prime_conflict(), e_split(),
+                      e_three_independent(), EventStructure.binary("ad", enabling=[
+                          ((), "a"), (("d",), "d")])]
+        structures += [random_live_es(rng) for _ in range(20)]
+        structures += [random_connected_es(rng) for _ in range(10)]
+        for _ in range(20):
+            events = list("abcde"[:rng.randint(2, 5)])
+            conflict = [p for p in combinations(events, 2) if rng.random() < 0.3]
+            structures.append(EventStructure.binary(events, conflict,
+                                                    random_enabling(rng, events)))
+        structures += _consistency_draws(31)
+        for es in structures:
+            assert classify(es) == classify_by_definition(es)
+
     def test_stable_unique_minimal_enabling_per_configuration(self):
         rng = random.Random(29)
         for _ in range(40):
@@ -209,6 +310,37 @@ class TestSaturate:
             expected = not any(x in c and y in c for c in confs)
             assert fixed.in_conflict(x, y) == expected
         assert fixed == e_split()
+
+    def test_by_definition(self):
+        # binary: conflict on every pair that never occurs together;
+        # consistency: the family shrunk to what configurations realise
+        rng = random.Random(37)
+        structures = [e_run(), e_ccs(), e_five(), e_prime_conflict()]
+        for _ in range(20):
+            events = list("abcde"[:rng.randint(2, 5)])
+            conflict = [p for p in combinations(events, 2) if rng.random() < 0.2]
+            structures.append(EventStructure.binary(events, conflict,
+                                                    random_enabling(rng, events)))
+        structures += _consistency_draws(37)
+        for es in structures:
+            confs = [frozenset(xs) for xs in _subsets(es.events) if is_configuration(es, xs)]
+            if set().union(*confs) != es.events:
+                with pytest.raises(LivenessError):
+                    saturate(es)
+                continue
+            if es.conflict_kind == "binary":
+                pairs = set(es.conflict) | {
+                    frozenset(p) for p in combinations(sorted(es.events), 2)
+                    if not any(set(p) <= c for c in confs)}
+                expected = EventStructure(es.events, es.enabling_gens, "binary",
+                                          frozenset(pairs))
+            else:
+                realised = [xs for xs in es.consistent_sets if any(xs <= c for c in confs)]
+                realised += confs
+                expected = EventStructure.with_consistency(es.events, realised, ())
+                expected = EventStructure(es.events, es.enabling_gens, "consistency",
+                                          consistent_sets=expected.consistent_sets)
+            assert saturate(es) == expected
 
     def test_dead_event_rejected(self):
         es = EventStructure.binary("ad", enabling=[((), "a"), (("d",), "d")])
