@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ._common import UnionFind, _once
 from .domains import COHERENT, FiniteDomain
@@ -310,10 +310,9 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     firsts = [{p[0] for p in ms} for ms in members]  # first edges per class
     edges_from = a._out
 
-    def cube_up_holds() -> Optional[tuple]:
-        # premise: m;c1 ~ u1;u2 and m;c2 ~ v1;v2, outer paths extended by
-        # u3, v3 to a common target; conclusion: an upper median closes the
-        # three faces.
+    def lower_medians() -> Iterator[Tuple[str, str, str, str, str]]:
+        # the premise shared by the upward cube and coherence: lower median
+        # squares m;c1 ~ u1;u2 and m;c2 ~ v1;v2 with m, u1 and v1 distinct
         for m in sorted(a.edges):
             for c1 in edges_from[a.tgt(m)]:
                 for u1, u2 in members[cls[(m, c1)]]:
@@ -321,14 +320,18 @@ def _validate(a: AsyncGraph) -> AsyncReport:
                         continue
                     for c2 in edges_from[a.tgt(m)]:
                         for v1, v2 in members[cls[(m, c2)]]:
-                            if v1 == m or v1 == u1:
-                                continue
-                            for u3 in edges_from[a.tgt(u2)]:
-                                for v3 in edges_from[a.tgt(v2)]:
-                                    if a.tgt(u3) != a.tgt(v3):
-                                        continue
-                                    if not _cube_up_conclusion(u1, u2, u3, v1, v2, v3):
-                                        return (m, (u1, u2, u3), (v1, v2, v3))
+                            if v1 != m and v1 != u1:
+                                yield m, u1, u2, v1, v2
+
+    def cube_up_holds() -> Optional[tuple]:
+        # premise: a lower median, outer paths extended by u3, v3 to a
+        # common target; conclusion: an upper median closes the three faces.
+        for m, u1, u2, v1, v2 in lower_medians():
+            for u3 in edges_from[a.tgt(u2)]:
+                for v3 in edges_from[a.tgt(v2)]:
+                    if (a.tgt(u3) == a.tgt(v3)
+                            and not _cube_up_conclusion(u1, u2, u3, v1, v2, v3)):
+                        return (m, (u1, u2, u3), (v1, v2, v3))
         return None
 
     def _cube_up_conclusion(u1, u2, u3, v1, v2, v3) -> bool:
@@ -364,24 +367,14 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         return None
 
     def coherence_holds() -> Optional[tuple]:
-        # premise: lower median squares m;c1 ~ u1;u2, m;c2 ~ v1;v2 and a
-        # commuting square u1;x1 ~ v1;x2; conclusion: a top completing the
-        # two side squares over it.
-        for m in sorted(a.edges):
-            for c1 in edges_from[a.tgt(m)]:
-                for u1, u2 in members[cls[(m, c1)]]:
-                    if u1 == m:
-                        continue
-                    for c2 in edges_from[a.tgt(m)]:
-                        for v1, v2 in members[cls[(m, c2)]]:
-                            if v1 == m or v1 == u1:
-                                continue
-                            for x1 in edges_from[a.tgt(u1)]:
-                                for x2 in edges_from[a.tgt(v1)]:
-                                    if cls[(u1, x1)] != cls[(v1, x2)]:
-                                        continue
-                                    if not _coherence_conclusion(u2, v2, x1, x2):
-                                        return (m, (u1, u2), (v1, v2), (x1, x2))
+        # premise: a lower median and a commuting square u1;x1 ~ v1;x2;
+        # conclusion: a top completing the two side squares over it.
+        for m, u1, u2, v1, v2 in lower_medians():
+            for x1 in edges_from[a.tgt(u1)]:
+                for x2 in edges_from[a.tgt(v1)]:
+                    if (cls[(u1, x1)] == cls[(v1, x2)]
+                            and not _coherence_conclusion(u2, v2, x1, x2)):
+                        return (m, (u1, u2), (v1, v2), (x1, x2))
         return None
 
     def _coherence_conclusion(u2, v2, x1, x2) -> bool:

@@ -11,7 +11,6 @@ report names the failing check and carries a witness), 2 on invalid input
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -35,7 +34,9 @@ _INPUT_FLAGS = {"es": "es", "domain": "domain", "grammar": "grammar",
                 "async_graph": "asyncgraph", "epes": "epes"}
 
 
-def _one_input(args) -> tuple:
+def _one_input(args, expects: Optional[str] = None) -> tuple:
+    """The path, kind and structure of the one input; SchemaError unless
+    its kind is ``expects``, when that is given."""
     given = [(flag, kind) for flag, kind in _INPUT_FLAGS.items()
              if getattr(args, flag, None)]
     if len(given) != 1:
@@ -43,13 +44,31 @@ def _one_input(args) -> tuple:
                                 "(--es | --domain | --grammar | --async | --epes)")
     flag, kind = given[0]
     path = getattr(args, flag)
-    return path, kind, iomod.load_structure(path, kind)
+    value = iomod.load_structure(path, kind)
+    if expects and kind != expects:
+        option = "async" if expects == "asyncgraph" else expects
+        raise iomod.SchemaError(f"{args.verb} expects --{option}")
+    return path, kind, value
 
 
 def _report(verb: str, inputs: Dict[str, str], results: Dict[str, Any],
             witnesses: Optional[List] = None) -> str:
-    return json.dumps({"verb": verb, "inputs": inputs, "results": results,
-                       "witnesses": witnesses or []}, indent=2, sort_keys=True)
+    """The report as JSON text.  A ``structure`` in ``results`` is JSON text
+    (``_encoded``), spliced in at its indentation: no JSON string holds a
+    newline, so only that key starts a line ``    "structure": ``."""
+    structure = results.get("structure")
+    text = iomod.dumps({"verb": verb, "inputs": inputs, "witnesses": witnesses or [],
+                        "results": {**results, "structure": None} if structure else results})
+    return text if structure is None else text.replace(
+        '\n    "structure": null', '\n    "structure": ' + structure.replace("\n", "\n    "), 1)
+
+
+def _encoded(payload: Dict[str, Any], out: Optional[str]) -> str:
+    """``payload`` as JSON text, encoded once for the report and ``out``."""
+    text = iomod.dumps(payload)
+    if out:
+        iomod.write_text(out, text + "\n")
+    return text
 
 
 def _domain_summary(dom) -> Dict[str, Any]:
@@ -122,52 +141,40 @@ def _cmd_check(args) -> tuple:
 
 
 class _FailureWithReport(Exception):
-    def __init__(self, results, witnesses, path):
-        self.results = results
-        self.witnesses = witnesses
-        self.path = path
+    """A failed property check; its ``args`` are the results, the witnesses
+    and the input path of the report."""
 
 
 def _cmd_convert(args) -> tuple:
     path, kind, value = _one_input(args)
     target = args.to
     conversions = {
-        ("es", "domain"): lambda v: ("domain", iomod.domain_to_json(dom_of_es(v))),
-        ("es", "epes"): lambda v: ("epes", iomod.epes_to_json(unfold(v))),
-        ("domain", "es"): lambda v: ("es", iomod.es_to_json(ev_of_domain(v))),
-        ("domain", "epes"): lambda v: ("epes", iomod.epes_to_json(epes_ev(v))),
-        ("domain", "es-intervals"): lambda v: ("es", iomod.es_to_json(ev_wd(v))),
-        ("epes", "es"): lambda v: ("es", iomod.es_to_json(fuse(v))),
-        ("epes", "domain"): lambda v: ("domain", iomod.domain_to_json(epes_dom(v))),
+        ("es", "domain"): lambda v: iomod.domain_to_json(dom_of_es(v)),
+        ("es", "epes"): lambda v: iomod.epes_to_json(unfold(v)),
+        ("domain", "es"): lambda v: iomod.es_to_json(ev_of_domain(v)),
+        ("domain", "epes"): lambda v: iomod.epes_to_json(epes_ev(v)),
+        ("domain", "es-intervals"): lambda v: iomod.es_to_json(ev_wd(v)),
+        ("epes", "es"): lambda v: iomod.es_to_json(fuse(v)),
+        ("epes", "domain"): lambda v: iomod.domain_to_json(epes_dom(v)),
     }
     key = (kind, target)
     if key not in conversions:
         raise iomod.SchemaError(f"cannot convert {kind} to {target}")
-    out_kind, payload = conversions[key](value)
-    if args.out:
-        iomod.dump_json(payload, args.out)
     results = {"from": kind, "to": target, "written": args.out or None,
-               "structure": payload}
+               "structure": _encoded(conversions[key](value), args.out)}
     return {"input": path}, results, []
 
 
 def _cmd_connect(args) -> tuple:
-    path, kind, value = _one_input(args)
-    if kind != "es":
-        raise iomod.SchemaError("connect expects --es")
+    path, _, value = _one_input(args, "es")
     out = connect_es(value)
-    payload = iomod.es_to_json(out)
-    if args.out:
-        iomod.dump_json(payload, args.out)
-    cl = classify(out)
-    return {"input": path}, {"connected": cl.connected, "events": len(out.events),
-                             "written": args.out or None, "structure": payload}, []
+    structure = _encoded(iomod.es_to_json(out), args.out)
+    return {"input": path}, {"connected": classify(out).connected, "events": len(out.events),
+                             "written": args.out or None, "structure": structure}, []
 
 
 def _cmd_derive(args) -> tuple:
-    path, kind, value = _one_input(args)
-    if kind != "grammar":
-        raise iomod.SchemaError("derive expects --grammar")
+    path, _, value = _one_input(args, "grammar")
     depth = args.depth
     if depth is None:
         # exhaustive for once-per-rule grammars (e.g. synthesised ones)
@@ -190,8 +197,7 @@ def _cmd_derive(args) -> tuple:
     witnesses: List = []
     if args.out:
         if args.format == "dot":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dotmod.poset_dot(dom, "traces"))
+            iomod.write_text(args.out, dotmod.poset_dot(dom, "traces"))
         else:
             iomod.dump_json(iomod.domain_to_json(dom), args.out)
         results["written"] = args.out
@@ -204,18 +210,13 @@ def _cmd_derive(args) -> tuple:
 
 
 def _cmd_synth(args) -> tuple:
-    path, kind, value = _one_input(args)
-    if kind != "es":
-        raise iomod.SchemaError("synth expects --es")
+    path, _, value = _one_input(args, "es")
     grammar = grammar_from_es(value)
-    payload = iomod.grammar_to_json(grammar)
-    if args.out:
-        iomod.dump_json(payload, args.out)
     results = {"rules": [r.name for r in grammar.rules],
                "start_nodes": len(grammar.start.nodes),
                "exhaustive_depth": len(grammar.rules),
                "written": args.out or None,
-               "structure": payload}
+               "structure": _encoded(iomod.grammar_to_json(grammar), args.out)}
     return {"input": path}, results, []
 
 
@@ -269,9 +270,7 @@ def _cmd_roundtrip(args) -> tuple:
 
 
 def _cmd_axioms(args) -> tuple:
-    path, kind, value = _one_input(args)
-    if kind != "domain":
-        raise iomod.SchemaError("axioms expects --domain")
+    path, _, value = _one_input(args, "domain")
     rep = check_axioms(value)
     alg = algebraicity(value)
     results = {"F": rep.F, "C": rep.C, "R": rep.R, "V": rep.V, "I": rep.I,
@@ -285,9 +284,7 @@ def _cmd_axioms(args) -> tuple:
 
 
 def _cmd_async(args) -> tuple:
-    path, kind, value = _one_input(args)
-    if kind != "asyncgraph":
-        raise iomod.SchemaError("async expects --async")
+    path, _, value = _one_input(args, "asyncgraph")
     rep = validate_async_graph(value)
     results = _async_results(rep)
     witnesses: List = []
@@ -319,11 +316,7 @@ def _cmd_emit(args) -> tuple:
         text = dotmod.async_dot(value)
     else:
         raise iomod.SchemaError("emit expects --es, --domain, --grammar or --async")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise iomod.SchemaError(f"cannot write {args.out!r}: {exc}") from None
+    iomod.write_text(args.out, text)
     return {"input": path}, {"written": args.out, "bytes": len(text)}, []
 
 
@@ -375,12 +368,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         inputs, results, witnesses = handler(args)
     except _FailureWithReport as fail:
-        print(_report(args.verb, {"input": fail.path}, fail.results, fail.witnesses))
+        results, witnesses, path = fail.args
+        print(_report(args.verb, {"input": path}, results, witnesses))
         return 1
-    except (iomod.SchemaError, EsError, OrderError, GraphError, AsyncError,
-            FileNotFoundError) as exc:
-        json.dump({"error": str(exc)}, sys.stderr, indent=2, sort_keys=True)
-        sys.stderr.write("\n")
+    except (iomod.SchemaError, EsError, OrderError, GraphError, AsyncError) as exc:
+        sys.stderr.write(iomod.dumps({"error": str(exc)}) + "\n")
         return 2
     print(_report(args.verb, inputs, results, witnesses))
     return 0

@@ -19,35 +19,28 @@ def _q(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _digraph(name: str, lines: List[str]) -> str:
+    return "".join([f"digraph {_q(name)} {{\n", *(f"  {x}\n" for x in lines), "}\n"])
+
+
 def poset_dot(dom: FiniteDomain, name: str = "hasse") -> str:
-    lines: List[str] = [f"digraph {_q(name)} {{", "  rankdir=BT;"]
-    for x in sorted(dom.elements):
-        lines.append(f"  {_q(x)};")
-    for a, b in sorted(dom.covers()):
-        lines.append(f"  {_q(a)} -> {_q(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # the elements and the covers come sorted; each element is quoted once
+    q = {x: _q(x) for x in dom.elements}
+    return _digraph(name, ["rankdir=BT;", *(f"{x};" for x in q.values()),
+                           *(f"{q[a]} -> {q[b]};" for a, b in dom.covers())])
 
 
 def typed_graph_dot(g: TypedGraph, name: str = "graph") -> str:
-    lines = [f"digraph {_q(name)} {{"]
-    for n in sorted(g.nodes):
-        lines.append(f"  {_q(n)} [label={_q(n + ':' + g.node_type[n])}];")
-    for e in sorted(g.edges):
-        lines.append(f"  {_q(g.src[e])} -> {_q(g.tgt[e])} "
-                     f"[label={_q(e + ':' + g.edge_type[e])}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f"{_q(n)} [label={_q(n + ':' + g.node_type[n])}];" for n in sorted(g.nodes)]
+    edges = [f"{_q(g.src[e])} -> {_q(g.tgt[e])} [label={_q(e + ':' + g.edge_type[e])}];"
+             for e in sorted(g.edges)]
+    return _digraph(name, nodes + edges)
 
 
-def async_dot(a: AsyncGraph, name: str = "async") -> str:
-    lines = [f"digraph {_q(name)} {{"]
-    for sq in sorted(sorted(map(list, sq)) for sq in a.squares):
-        lines.append(f"  // square: {sq[0]} ~ {sq[1]}")
-    for n in sorted(a.nodes):
-        shape = "doublecircle" if n == a.origin else "circle"
-        lines.append(f"  {_q(n)} [shape={shape}];")
-    for e, (s, t) in sorted(a.edges.items()):
-        lines.append(f"  {_q(s)} -> {_q(t)} [label={_q(e)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def async_dot(a: AsyncGraph) -> str:
+    squares = sorted(sorted(map(list, sq)) for sq in a.squares)
+    shape = {n: "doublecircle" if n == a.origin else "circle" for n in a.nodes}
+    return _digraph("async", [f"// square: {p} ~ {q}" for p, q in squares]
+                    + [f"{_q(n)} [shape={shape[n]}];" for n in sorted(a.nodes)]
+                    + [f"{_q(s)} -> {_q(t)} [label={_q(e)}];"
+                       for e, (s, t) in sorted(a.edges.items())])

@@ -15,17 +15,17 @@ the module reads off them: each configuration's removable events (its lower
 covers), the maximal configurations, which events occur together and the
 minimal enablings of every event.  ``configurations``, ``minimal_enablings``,
 ``classify``, ``saturate`` and ``duality.dom_of_es`` all read that table;
-the public results stay frozensets of event names.
+the public results stay frozensets of event names.  The table, the
+configurations and the minimal enablings are kept on the structure (``_once``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
 
-from ._common import Report, UnionFind, _bits
+from ._common import Report, UnionFind, _bits, _once
 
 EventSet = FrozenSet[str]
 
@@ -39,10 +39,6 @@ class EsError(ValueError):
 
 class LivenessError(EsError):
     """Raised when an operation requires liveness that cannot be restored."""
-
-
-def _evset(events: Iterable[str]) -> EventSet:
-    return frozenset(events)
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,9 @@ class EventStructure:
     _clash: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     # consistency kind: the masks of the maximal consistent sets
     _cons: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # results derived from the structure (see _once)
+    _derived: Dict[str, object] = field(init=False, repr=False, compare=False,
+                                        default_factory=dict)
 
     def __post_init__(self):
         if self.conflict_kind not in (BINARY, CONSISTENCY):
@@ -133,13 +132,12 @@ class EventStructure:
                enabling: Iterable[Tuple[Iterable[str], str]] = ()) -> "EventStructure":
         """Build a binary-conflict event structure from plain iterables."""
         pairs = set()
-        evs = _evset(events)
         for a, b in conflict:
             if a == b:
                 raise EsError(f"conflict must be irreflexive, got ({a!r}, {b!r})")
             pairs.add(frozenset((a, b)))
         gens = frozenset((frozenset(needs), e) for needs, e in enabling)
-        return EventStructure(evs, gens, BINARY, frozenset(pairs))
+        return EventStructure(frozenset(events), gens, BINARY, frozenset(pairs))
 
     @staticmethod
     def with_consistency(events: Iterable[str],
@@ -151,7 +149,7 @@ class EventStructure:
         maximal = frozenset(xs for xs in family
                             if not any(xs < ys for ys in family))
         gens = frozenset((frozenset(needs), e) for needs, e in enabling)
-        return EventStructure(_evset(events), gens, CONSISTENCY,
+        return EventStructure(frozenset(events), gens, CONSISTENCY,
                               consistent_sets=maximal)
 
     # ------------------------------------------------------------------ #
@@ -241,8 +239,11 @@ class _Table(NamedTuple):
     mins: List[List[int]]
 
 
-@lru_cache(maxsize=None)
 def _table(es: EventStructure) -> _Table:
+    return _once(es, "table", _find_table)
+
+
+def _find_table(es: EventStructure) -> _Table:
     """The configurations of ``es`` and what is read off them, in one pass.
 
     Configurations grow by single-event extensions from the empty one, size
@@ -314,9 +315,12 @@ def _table(es: EventStructure) -> _Table:
     return _Table(lower, maximal, together, mins)
 
 
-@lru_cache(maxsize=None)
 def configurations(es: EventStructure) -> FrozenSet[EventSet]:
     """All configurations: consistent, secured subsets of the events."""
+    return _once(es, "configurations", _find_configurations)
+
+
+def _find_configurations(es: EventStructure) -> FrozenSet[EventSet]:
     names = es._names
     sets: Dict[int, EventSet] = {}
     for c, low in _table(es).lower.items():  # each after those it covers
@@ -330,12 +334,12 @@ def is_configuration(es: EventStructure, xs: Iterable[str]) -> bool:
     return es.is_consistent(xs) and is_secured(es, xs)
 
 
-@lru_cache(maxsize=None)
 def minimal_enablings(es: EventStructure, e: str) -> FrozenSet[EventSet]:
     """All inclusion-minimal configurations enabling ``e``."""
     if e not in es.events:
         raise EsError(f"unknown event {e!r}")
-    return frozenset(map(es._names_of, _table(es).mins[es._bit[e]]))
+    return _once(es, "minimal_enablings", lambda es: tuple(
+        frozenset(map(es._names_of, mins)) for mins in _table(es).mins))[es._bit[e]]
 
 
 def _enabling_links(es: EventStructure, k: int) -> List[Tuple[int, int]]:

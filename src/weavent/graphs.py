@@ -186,11 +186,14 @@ def _neighbours(g: TypedGraph) -> Tuple[Dict[str, List[Tuple[str, str]]],
     return outs, ins
 
 
-def iso_hash(g: TypedGraph, rounds: int = 3) -> str:
+_ROUNDS = 3  # rounds of colour refinement in iso_hash and iso_key
+
+
+def iso_hash(g: TypedGraph) -> str:
     """Isomorphism-invariant fingerprint (Weisfeiler-Leman style refinement)."""
     colour = {n: g.node_type[n] for n in g.nodes}
     outs, ins = _neighbours(g)
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         colour = {n: f"{colour[n]}|{sorted((t, colour[m]) for t, m in outs[n])}"
                      f"|{sorted((t, colour[m]) for t, m in ins[n])}"
                   for n in g.nodes}
@@ -213,7 +216,7 @@ def iso_key(g: TypedGraph) -> tuple:
     colour = {n: g.node_type[n] for n in g.nodes}
     outs, ins = _neighbours(g)
     tables = []
-    for _ in range(3):
+    for _ in range(_ROUNDS):
         sig = {n: (colour[n], tuple(sorted([(t, colour[m]) for t, m in outs[n]])),
                    tuple(sorted([(t, colour[m]) for t, m in ins[n]])))
                for n in g.nodes}

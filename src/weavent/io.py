@@ -1,9 +1,13 @@
-"""JSON input/output for every structure kind.
+"""JSON input/output for every structure kind: the package's one reader,
+writer and text format of files and reports.
 
 One structure per file.  Schemas are strict: unknown keys are rejected, and
 every reference (event names, element ids, node/edge ids) is checked at
 load time.  ``load_structure`` dispatches on the expected kind: ``es``,
-``domain``, ``grammar``, ``asyncgraph`` or ``epes``.
+``domain``, ``grammar``, ``asyncgraph`` or ``epes``.  ``dumps`` gives the
+JSON text of files, reports and errors, and ``write_text`` writes every
+file; a failed read or write, or input that is not UTF-8 JSON, ends in
+``SchemaError``.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from .duality import Epes
 from .graphs import GraphMorphism, TypedGraph
 from .rewrite import Grammar, Rule
 from .asyncgraphs import AsyncGraph
-
-KINDS = ("es", "domain", "grammar", "asyncgraph", "epes")
-
 
 class SchemaError(ValueError):
     """Input file does not follow the expected schema."""
@@ -276,16 +277,30 @@ _PARSERS = {
 def load_structure(path: str, kind: str):
     """Load and validate one structure of the expected kind from a file."""
     if kind not in _PARSERS:
-        raise SchemaError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+        raise SchemaError(f"unknown kind {kind!r}; expected one of {tuple(_PARSERS)}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise SchemaError(str(exc)) from None
     return _PARSERS[kind](obj)
 
 
+def dumps(obj: Any) -> str:
+    """``obj`` as JSON text: two-space indents, sorted keys."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in one call; SchemaError if that fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path!r}: {exc}") from None
+
+
 def dump_json(obj: Mapping, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, dumps(obj) + "\n")

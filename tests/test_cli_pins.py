@@ -1,19 +1,28 @@
-"""The bytes the ``--es`` verbs print and write, pinned on B_10 and L_2.
+"""The bytes the verbs print and write, pinned.
 
-The digests were taken before the event-structure layer moved to masks, so
-any change in what ``check``, ``convert --to domain`` or ``emit`` produce
-shows up here.  ``roundtrip`` on B_10 runs the CLI through more than a
-thousand configurations.
+The ``--es`` digests on B_10 and L_2 were taken before the event-structure
+layer moved to masks, so any change in what ``check``, ``convert --to
+domain`` or ``emit`` produce shows up here.  The digests of the verbs that
+write a file (``convert``, ``connect``, ``synth``, ``derive`` and ``emit``)
+were taken while each report still encoded its payload a second time.
+``roundtrip`` on B_10 runs the CLI through more than a thousand
+configurations.
 """
 
 import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from weavent import io as iomod
 from weavent.cli import main
+from weavent.domains import FiniteDomain
+from weavent.es import EventStructure
 from tests._gen import family_es
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # (family, n) -> verb -> sha256 of its stdout, or of the DOT file for emit
 PINS = {
@@ -65,3 +74,102 @@ def test_roundtrip_on_a_thousand_configurations(tmp_path, monkeypatch, capsys):
     results = json.loads(out)["results"]
     assert results["dom_preserved"] is True
     assert results["connected_fixed_point"] is True
+
+
+# argv -> (sha256 of stdout, sha256 of the file written to the --out path)
+WRITTEN = {
+    "convert --es e_run.es.json --to domain --out dom.json": (
+        "af75ff2cdbb7cdd11f37406c5db5f25ab04c5c4c196441ced93420519d5667cc",
+        "1bfbd5be94ab2f2f862e0962c4b6e126355725a6a9b9251f140bbbcee0fac2ff"),
+    "convert --es e_run.es.json --to epes --out epes.json": (
+        "c3a249a1b473f11d588262363ed5fe07678bb9392a5f9c2c95d7a1b7623a41a5",
+        "478b9b3136862bde20944b4490a7d54c3d298e22d2ae436bb6a0b04fd96bcc96"),
+    "connect --es e_run.es.json --out conn.es.json": (
+        "bd8533e4f8be72448a54e42b755ad42e9723b805c1a28d540bc7df5c4e848200",
+        "ac7a618d3cdb2794f611f64a4f637204bf069384916aba2c990033f0e6b99fe4"),
+    "synth --es e_run.es.json --out synth.grammar.json": (
+        "ac57e25b6384be288e5aede97ed12ca9c28727f852dacbe976b700a124c2e87a",
+        "d73fa8b8499f2948067d9a6c258987106fb452e85d1e517861f96371c31a3777"),
+    "convert --es L2.es.json --to domain --out dom.json": (
+        "19601fc0be838a5e070f14bb8b02d6e54a75689a308e2aec58e593b7c04a5d38",
+        "888bb07dc01f5244a0d9f430a0a4d6f02c7934da215634e0fa4b139e1adc2827"),
+    "convert --es L2.es.json --to epes --out epes.json": (
+        "c8185bb5ff03e488aea70e8bb93e86d262aba5de5a86c9101643dff2bf188b16",
+        "96bfa505a44a5782834c3f189fc6d46d2c0ec4638991890ad3b9e1da4444bba0"),
+    "connect --es L2.es.json --out conn.es.json": (
+        "e3937b54ead7e2dfecd54bf1968cb8ef047853a6fe8ead3d5d0ade77f5627e83",
+        "805aa1344e4fde679ba68dea478af8c1a6a01b33de9ab339c13136963cb1c9ae"),
+    "synth --es L2.es.json --out synth.grammar.json": (
+        "f2266c5d8bf95d79ed67914ec3a4a9cce8572babba81ed1fc78802d042ee2158",
+        "a22db29aabd92484f9aa08e7a4ff2b3e1e9093c44865b5b94186f5bf6d5dba0c"),
+    "derive --grammar fusion.grammar.json --depth 3 --out traces.json": (
+        "e561a302be1d2ba4b51b4320b67c9fd20f75b7cae05688dfb9a45eb79f6f00d6",
+        "e673ac82014380b87ed7f88770d66702d3d1bc71182f5d5145eab1152438cdda"),
+    "derive --grammar fusion.grammar.json --depth 3 --fusion-safe --out safe.json": (
+        "3f1bae30c26ab348a26d2398eca18ac14d1f51473978c03c4ab2e164d0e854dd",
+        "3826602d91d66af85b301c04d79e0f15e2c052c62db4c77de4caec0c01f239ba"),
+    "derive --grammar fusion.grammar.json --depth 3 --format dot --out traces.dot": (
+        "dde1e920ccdee81043af2ebbfbb68ade0d445ee39efd51f04daabc135d23625f",
+        "09588afd2f09f461869846f668830cce029e119302044cfdfdb7831a7fcca295"),
+    "emit --es L2.es.json --out x.dot": (
+        "8740f5e1ee5920b75fc427ab40f2818c8096e1bbfdab262f16c4212514753915",
+        "4bfaeb33510f31df96d87ddd83a45d075d42e3a4525a48fd225e86bf4f1df271"),
+    "emit --domain quote.domain.json --out x.dot": (
+        "d02adc5939caa255d2991740db1ac036ef82315a28e90ba16cc82fb8cb59bc13",
+        "45ccb8498d67545bfc17fcb6ed00f8ea4ebd3f1966580a8bc8f034dee0edc493"),
+    "emit --async run.async.json --out x.dot": (
+        "2e87d3e1ebb500c041a4bf9e785db3111a4ceb353eb47677bdf1e2b20ca85a97",
+        "a5b8b0d31963b092a4a9b13927c3cc4f89cb451bbf1a7afddf0d6ff891569d60"),
+    "emit --grammar fusion.grammar.json --out x.dot": (
+        "8e1b91b2b6bd57dc856b79bfc9fee73d7877573e21f4b6f5b97ba366541c87c1",
+        "1e724cac5cf4675c36c11cfc2e0e5a1cfe5d13fc7cde192da283db8348096837"),
+}
+
+
+def _write_inputs():
+    for name in ("e_run.es.json", "fusion.grammar.json", "run.async.json"):
+        shutil.copyfile(FIXTURES / name, name)
+    iomod.dump_json(iomod.es_to_json(family_es("L", 2)), "L2.es.json")
+    # element names that DOT must escape
+    dom = FiniteDomain(['a"b', "c\\d", "e f"], [('a"b', "c\\d"), ('a"b', "e f")])
+    iomod.dump_json(iomod.domain_to_json(dom), "quote.domain.json")
+
+
+@pytest.mark.parametrize("argv", sorted(WRITTEN))
+def test_written_files_and_reports_keep_the_pinned_bytes(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs()
+    argv = argv.split()
+    code, out = _run(capsys, argv)
+    assert code == 0
+    written = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+    assert (_sha(out), hashlib.sha256(written).hexdigest()) == WRITTEN[" ".join(argv)]
+
+
+def _awkward_es() -> EventStructure:
+    """Event names that JSON must escape, one of them the text the report
+    splices its structure in at."""
+    quote, slash, newline, accents, marker = (
+        'say "hi"', "back\\slash", "two\nlines", "na\u00efve \u6f22", '"structure": null')
+    return EventStructure.binary(
+        [quote, slash, newline, accents, marker],
+        [(quote, slash), (slash, newline), (slash, marker)],
+        [((), quote), ((), slash), ((quote,), newline), ((), accents), ((newline,), marker)])
+
+
+@pytest.mark.parametrize("verb", [["convert", "--to", "domain"], ["convert", "--to", "epes"],
+                                  ["connect"], ["synth"]])
+def test_spliced_structure_equals_one_encoding_of_the_report(verb, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    iomod.dump_json(iomod.es_to_json(_awkward_es()), "awkward.es.json")
+    out_path = 'out "structure": null.json'
+    code, out = _run(capsys, [verb[0], "--es", "awkward.es.json", *verb[1:],
+                              "--out", out_path])
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["results"]["written"] == out_path
+    written = (tmp_path / out_path).read_text(encoding="utf-8")
+    structure = report["results"]["structure"]
+    assert written == json.dumps(structure, indent=2, sort_keys=True) + "\n"

@@ -152,7 +152,8 @@ class TestEnables:
                                   es.conflict_kind, frozenset(es.conflict),
                                   frozenset(es.consistent_sets))
             assert twin == es and hash(twin) == hash(es)
-            assert configurations(twin) is configurations(es)  # one cache entry
+            assert configurations(twin) == configurations(es)
+            assert configurations(es) is configurations(es)  # kept on the structure
 
 
 class TestConfigurations:

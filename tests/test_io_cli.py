@@ -374,3 +374,60 @@ def test_argparse_errors_exit_2_with_the_parser_reused(capsys):
         assert exc.value.code == 2
     code, _, _ = run_cli("check", "--es", str(FIXTURES / "e_run.es.json"), capsys=capsys)
     assert code == 0
+
+
+# Verbs writing to a path that is a directory: each must exit 2, not raise.
+_OUT_TO_A_DIRECTORY = {
+    "convert": ["convert", "--es", str(FIXTURES / "e_run.es.json"), "--to", "domain"],
+    "connect": ["connect", "--es", str(FIXTURES / "e_prime_conflict.es.json")],
+    "synth": ["synth", "--es", str(FIXTURES / "e_run.es.json")],
+    "async": ["async", "--async", str(FIXTURES / "run.async.json"), "--weak"],
+    "derive": ["derive", "--grammar", str(FIXTURES / "fusion.grammar.json"), "--depth", "3"],
+    "derive-dot": ["derive", "--grammar", str(FIXTURES / "fusion.grammar.json"),
+                   "--depth", "3", "--format", "dot"],
+    "emit": ["emit", "--es", str(FIXTURES / "e_run.es.json")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_TO_A_DIRECTORY))
+def test_writing_to_a_directory_exits_2(case, tmp_path, capsys):
+    code, out, err = run_cli(*_OUT_TO_A_DIRECTORY[case], "--out", str(tmp_path),
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"cannot write {str(tmp_path)!r}: ")
+
+
+def test_reading_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli("check", "--es", str(tmp_path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "Is a directory" in json.loads(err)["error"]
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.es.json"
+    path.write_bytes('{"events": ["café"]}'.encode("latin-1"))
+    code, out, err = run_cli("check", "--es", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"{path}: invalid JSON: 'utf-8' codec ")
+
+
+def test_missing_file_message(capsys):
+    code, out, err = run_cli("check", "--es", "no-such-file.json", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == ('{\n  "error": "[Errno 2] No such file or directory: '
+                   '\'no-such-file.json\'"\n}\n')
+
+
+@pytest.mark.parametrize("argv", [["check"], ["convert", "--to", "domain"]])
+def test_one_job_builds_the_configuration_table_once(argv, monkeypatch, capsys):
+    import weavent.es as esmod
+    built = []
+
+    def counted(es, _find=esmod._find_table):
+        built.append(es)
+        return _find(es)
+    monkeypatch.setattr(esmod, "_find_table", counted)
+    code, _, _ = run_cli(argv[0], "--es", str(FIXTURES / "e_run.es.json"), *argv[1:],
+                         capsys=capsys)
+    assert code == 0
+    assert len(built) == 1
