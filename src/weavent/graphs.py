@@ -5,7 +5,11 @@ Typing assigns every node and edge an item of a fixed type graph; a type
 graph is itself a graph typed by the identity.  Morphisms must commute with
 source, target and typing.  Matching is ``_common.backtrack`` over typed
 candidates: the nodes, then the edges, each in sorted order, so matches
-come in a deterministic order; they need not be injective.
+come in a deterministic order; they need not be injective.  Each host
+keeps an index, built on its first match: its nodes and edges sorted and
+grouped by type, and the set of ``(type, src, tgt)`` triples of its edges.
+A node is rejected as soon as a pattern edge ending at it, whose other end
+is already chosen, has no triple in the host.
 
 ``iso_hash`` is an isomorphism-invariant fingerprint (three rounds of
 Weisfeiler–Leman colour refinement, spelt out as nested strings), and
@@ -17,9 +21,10 @@ table: both split graphs the same way, and the key is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, \
+    Set, Tuple
 
-from ._common import backtrack
+from ._common import _once, backtrack
 
 
 class GraphError(ValueError):
@@ -30,7 +35,8 @@ class TypedGraph:
     """Immutable typed graph.
 
     ``node_type``/``edge_type`` give the typing map; for a type graph these
-    are identities.
+    are identities.  ``_derived`` keeps what is computed from the graph once
+    (its matching index).
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Tuple[str, str, str, str]],
@@ -57,6 +63,7 @@ class TypedGraph:
             missing = self.nodes - set(self.node_type)
             if missing:
                 raise GraphError(f"nodes without a type: {sorted(missing)}")
+        self._derived: Dict[str, object] = {}
 
     def validate_typed_over(self, tg: "TypedGraph") -> None:
         """Check that the typing maps form a graph morphism into ``tg``."""
@@ -124,32 +131,65 @@ class GraphMorphism:
                              {e: then.edge_map[v] for e, v in self.edge_map.items()})
 
 
+class _Index(NamedTuple):
+    nodes: List[str]                # sorted
+    edges: List[str]                # sorted
+    nodes_of: Dict[str, List[str]]  # type -> its nodes, sorted
+    edges_of: Dict[str, List[str]]  # type -> its edges, sorted
+    triples: Set[Tuple[str, str, str]]  # (type, src, tgt) of every edge
+
+
+def _build_index(g: TypedGraph) -> _Index:
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    nodes_of: Dict[str, List[str]] = {}
+    edges_of: Dict[str, List[str]] = {}
+    for n in nodes:
+        nodes_of.setdefault(g.node_type[n], []).append(n)
+    for e in edges:
+        edges_of.setdefault(g.edge_type[e], []).append(e)
+    return _Index(nodes, edges, nodes_of, edges_of,
+                  {(g.edge_type[e], g.src[e], g.tgt[e]) for e in edges})
+
+
+def _index(g: TypedGraph) -> _Index:
+    """The graph's items sorted and grouped by type, and its edge triples."""
+    return _once(g, "index", _build_index)
+
+
 def _morphisms(pattern: TypedGraph, host: TypedGraph,
                node_candidates=None, edge_candidates=None,
                injective: bool = False) -> Iterator[GraphMorphism]:
     """All typed morphisms pattern -> host, in deterministic order."""
-    nodes = sorted(pattern.nodes)
-    edges = sorted(pattern.edges)
+    pattern_index, index = _index(pattern), _index(host)
+    nodes, edges = pattern_index.nodes, pattern_index.edges
 
-    def cands(x, types, host_items, host_types, allowed):
-        base = sorted(y for y in host_items if host_types[y] == types[x])
+    def cands(x, types, of_type, allowed):
+        base = of_type.get(types[x], ())
         return base if allowed is None else [y for y in base if y in allowed(x)]
 
-    slots = ([cands(n, pattern.node_type, host.nodes, host.node_type, node_candidates)
-              for n in nodes]
-             + [cands(e, pattern.edge_type, host.edges, host.edge_type, edge_candidates)
-                for e in edges])
+    slots = ([cands(n, pattern.node_type, index.nodes_of, node_candidates) for n in nodes]
+             + [cands(e, pattern.edge_type, index.edges_of, edge_candidates) for e in edges])
     if not all(slots):
         return
     nn = len(nodes)
     at = {n: k for k, n in enumerate(nodes)}
     ends = [(at[pattern.src[e]], at[pattern.tgt[e]]) for e in edges]
+    # the pattern edges each node slot closes: both ends chosen once it is
+    closes: List[List[Tuple[str, int, int]]] = [[] for _ in nodes]
+    for e, (s, t) in zip(edges, ends):
+        closes[max(s, t)].append((pattern.edge_type[e], s, t))
+    triples = index.triples
 
     def fits(k, x, chosen):
         # injectivity is checked among nodes and among edges apart, since a
         # node and an edge may share an id
         if k < nn:
-            return not (injective and x in chosen)
+            if injective and x in chosen:
+                return False
+            for t, s, u in closes[k]:
+                if (t, x if s == k else chosen[s], x if u == k else chosen[u]) not in triples:
+                    return False
+            return True
         s, t = ends[k - nn]
         return (host.src[x] == chosen[s] and host.tgt[x] == chosen[t]
                 and not (injective and x in chosen[nn:]))

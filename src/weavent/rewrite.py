@@ -20,10 +20,17 @@ class's ``members`` are the derivations built for it.
 them pairwise; it is the reference the fast path is tested against.
 
 A derivation's colimit is its parent's colimit glued with the last step;
-``colimit_by_definition`` builds it from scratch and is the reference.  New
-derivations are bucketed by ``graphs.iso_key`` of their target, which
-splits them exactly as the ``iso_hash`` fingerprint does, before any
-equivalence check.
+``colimit_by_definition`` builds it from scratch and is the reference.
+``trace_classes`` decides a new derivation that applies no rule twice by
+one lookup of ``Colimit.key``, the partition of the pin labels (start
+items, match and comatch images, named by rule) into colimit items, after
+the graph processes of Corradini, Montanari and Rossi.  The key is exact:
+with distinct rule names the permutation is forced; every colimit item
+holds a label and every edge label fixes its ends and type, so the pinned
+map is an isomorphism exactly when the two partitions are equal.  A
+derivation that repeats a rule is bucketed by ``graphs.iso_key`` of its
+target, which splits them exactly as the ``iso_hash`` fingerprint does, and
+compared by ``equivalent_traces``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from ._common import UnionFind, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
-                     iso_hash, iso_key, _morphisms)
+                     iso_hash, iso_key, _index, _morphisms)
 
 
 class TraceLimitError(GraphError):
@@ -125,25 +132,15 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
     for c in f.source.edges:
         ufe.union(("A", f.edge_map[c]), ("B", g.edge_map[c]))
 
-    used: set = set()
     node_name: Dict[tuple, str] = {}
-    for members in ufn.groups():
-        bs = sorted({x for tag, x in members if tag == "B"})
-        if bs:
-            base = "+".join(bs)
-        else:
-            base = min(x for tag, x in members)
-        name = _fresh(base, used)
-        for m in members:
-            node_name[m] = name
-    edge_used: set = set()
     edge_name: Dict[tuple, str] = {}
-    for members in ufe.groups():
-        bs = sorted({x for tag, x in members if tag == "B"})
-        base = "+".join(bs) if bs else min(x for tag, x in members)
-        name = _fresh(base, edge_used)
-        for m in members:
-            edge_name[m] = name
+    for uf, name_of in ((ufn, node_name), (ufe, edge_name)):
+        used: set = set()
+        for members in uf.groups():
+            bs = sorted({x for tag, x in members if tag == "B"})
+            name = _fresh("+".join(bs) if bs else min(x for tag, x in members), used)
+            for m in members:
+                name_of[m] = name
 
     nodes = sorted(set(node_name.values()))
     ntype = {}
@@ -183,28 +180,24 @@ def is_pushout(f: GraphMorphism, g: GraphMorphism,
             return False
     canon, in_a, in_b = pushout(f, g)
     p = pa.target
-    node_to = {}
-    for n in f.target.nodes:
-        node_to.setdefault(in_a.node_map[n], set()).add(pa.node_map[n])
-    for n in g.target.nodes:
-        node_to.setdefault(in_b.node_map[n], set()).add(pb.node_map[n])
-    if any(len(v) != 1 for v in node_to.values()):
-        return False
-    nmap = {k: v.pop() for k, v in node_to.items()}
-    if len(nmap) != len(canon.nodes) or len(set(nmap.values())) != len(nmap) \
-            or len(nmap) != len(p.nodes):
-        return False
-    edge_to = {}
-    for e in f.target.edges:
-        edge_to.setdefault(in_a.edge_map[e], set()).add(pa.edge_map[e])
-    for e in g.target.edges:
-        edge_to.setdefault(in_b.edge_map[e], set()).add(pb.edge_map[e])
-    if any(len(v) != 1 for v in edge_to.values()):
-        return False
-    emap = {k: v.pop() for k, v in edge_to.items()}
-    if len(emap) != len(canon.edges) or len(set(emap.values())) != len(emap) \
-            or len(emap) != len(p.edges):
-        return False
+    maps = []
+    for items_a, items_b, ina, inb, to_a, to_b, canon_items, p_items in (
+            (f.target.nodes, g.target.nodes, in_a.node_map, in_b.node_map,
+             pa.node_map, pb.node_map, canon.nodes, p.nodes),
+            (f.target.edges, g.target.edges, in_a.edge_map, in_b.edge_map,
+             pa.edge_map, pb.edge_map, canon.edges, p.edges)):
+        to: Dict[str, set] = {}
+        for x in items_a:
+            to.setdefault(ina[x], set()).add(to_a[x])
+        for x in items_b:
+            to.setdefault(inb[x], set()).add(to_b[x])
+        if any(len(v) != 1 for v in to.values()):
+            return False
+        m = {k: v.pop() for k, v in to.items()}
+        if not len(m) == len(set(m.values())) == len(canon_items) == len(p_items):
+            return False
+        maps.append(m)
+    nmap, emap = maps
     mediating = GraphMorphism(canon, p, nmap, emap)
     try:
         mediating.validate()
@@ -243,25 +236,17 @@ def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDe
     m.validate()
     kept_nodes = {rule.l.node_map[k] for k in rule.K.nodes}
     kept_edges = {rule.l.edge_map[k] for k in rule.K.edges}
-    del_nodes = {m.node_map[x] for x in rule.L.nodes - kept_nodes}
-    del_edges = {m.edge_map[x] for x in rule.L.edges - kept_edges}
-    # identification condition
+    gone_nodes, gone_edges = rule.L.nodes - kept_nodes, rule.L.edges - kept_edges
+    del_nodes = {m.node_map[x] for x in gone_nodes}
+    del_edges = {m.edge_map[x] for x in gone_edges}
+    # identification condition: deleted items have distinct images, and
+    # none of them is the image of a kept item
+    if len(del_nodes) < len(gone_nodes) or len(del_edges) < len(gone_edges):
+        return None
     if del_nodes & {m.node_map[x] for x in kept_nodes}:
         return None
     if del_edges & {m.edge_map[x] for x in kept_edges}:
         return None
-    seen: Dict[str, str] = {}
-    for x in sorted(rule.L.nodes - kept_nodes):
-        img = m.node_map[x]
-        if img in seen:
-            return None
-        seen[img] = x
-    seen = {}
-    for x in sorted(rule.L.edges - kept_edges):
-        img = m.edge_map[x]
-        if img in seen:
-            return None
-        seen[img] = x
     # dangling condition
     d_edges = g.edges - del_edges
     for e in d_edges:
@@ -315,18 +300,10 @@ def sequential_independence(d1: DirectDerivation, d2: DirectDerivation
     if d1.H is not d2.G:
         raise GraphError("steps are not consecutive")
     # i1: factor the comatch of d1 through the context of d2
-    nmap, emap = {}, {}
-    for n in d1.rule.R.nodes:
-        img = d1.mR.node_map[n]
-        if img not in d2.D.nodes:
-            return None
-        nmap[n] = img
-    for e in d1.rule.R.edges:
-        img = d1.mR.edge_map[e]
-        if img not in d2.D.edges:
-            return None
-        emap[e] = img
-    i1 = GraphMorphism(d1.rule.R, d2.D, nmap, emap)
+    if not (set(d1.mR.node_map.values()) <= d2.D.nodes
+            and set(d1.mR.edge_map.values()) <= d2.D.edges):
+        return None
+    i1 = GraphMorphism(d1.rule.R, d2.D, dict(d1.mR.node_map), dict(d1.mR.edge_map))
     # i2: factor the match of d2 through the context of d1
     want_n = d2.match.node_map
     want_e = d2.match.edge_map
@@ -354,18 +331,11 @@ def interchange(d1: DirectDerivation, d2: DirectDerivation,
     d2new = apply_rule(d1.G, d2.rule, m2new)
     if d2new is None:
         raise GraphError("independence pair does not yield an applicable first step")
-    nmap, emap = {}, {}
-    for n in d1.rule.L.nodes:
-        img = d1.match.node_map[n]
-        if img not in d2new.D.nodes:
-            raise GraphError("invalid independence pair: first match not preserved")
-        nmap[n] = d2new.rstar.node_map[img]
-    for e in d1.rule.L.edges:
-        img = d1.match.edge_map[e]
-        if img not in d2new.D.edges:
-            raise GraphError("invalid independence pair: first match not preserved")
-        emap[e] = d2new.rstar.edge_map[img]
-    m1new = GraphMorphism(d1.rule.L, d2new.H, nmap, emap)
+    if not (set(d1.match.node_map.values()) <= d2new.D.nodes
+            and set(d1.match.edge_map.values()) <= d2new.D.edges):
+        raise GraphError("invalid independence pair: first match not preserved")
+    # d1's match lands in the context of d2new, which maps on into d2new.H
+    m1new = d1.match.compose(d2new.rstar)
     d1new = apply_rule(d2new.H, d1.rule, m1new)
     if d1new is None:
         raise GraphError("interchange failed to reapply the first rule")
@@ -427,7 +397,7 @@ class Derivation:
         base = chain[-1]._colimit
         for d in reversed(chain):
             if d._colimit is None:
-                d._colimit = Colimit(d, base)
+                d._colimit = Colimit(d.source, d.steps, base)
             base = d._colimit
         return base
 
@@ -440,25 +410,28 @@ class Colimit:
 
     Computed as a union-find quotient of the disjoint union of the row
     ``G_0 ← D_1 → G_1 ← … → G_n``, whose items are tagged ``("G", i, x)``
-    and ``("D", i, x)``.  A class is named ``n<k>`` (``e<k>`` for edges)
-    after the rank of its root, its least member, among all roots; the class
-    maps serve as the colimit injections.  The colimit of ``ψ·step`` is the
-    colimit of ``ψ`` glued with one more span, so with ``base``, the
-    colimit of a prefix of ``deriv`` (its parent's), only the later steps'
-    ``D`` and ``H`` are added to copies of its union-finds.
-    ``colimit_by_definition`` builds the same names from scratch.
+    and ``("D", i, x)``.  The colimit of ``ψ·step`` is the colimit of ``ψ``
+    glued with one more span, so with ``base``, the colimit of a prefix of
+    the derivation (its parent's), only the later steps' ``D`` and ``H``
+    are added to copies of its union-finds.
+
+    ``key`` reads the process key off the union-find roots.  The graph and
+    the injections ``node_in``/``edge_in`` are named on first use: a class
+    is named ``n<k>`` (``e<k>`` for edges) after the rank of its root, its
+    least member, among all roots.  ``colimit_by_definition`` builds the
+    same names from scratch.  The colimit keeps the derivation's start graph
+    and steps, not the derivation, so it holds no reference back to it.
     """
 
-    def __init__(self, deriv: Derivation, base: Optional["Colimit"] = None):
-        steps = deriv.steps
+    def __init__(self, source: TypedGraph, steps: Tuple[DirectDerivation, ...],
+                 base: Optional["Colimit"] = None):
         if base is None:
-            nodes = UnionFind(("G", 0, n) for n in deriv.source.nodes)
-            edges = UnionFind(("G", 0, e) for e in deriv.source.edges)
+            nodes = UnionFind(("G", 0, n) for n in source.nodes)
+            edges = UnionFind(("G", 0, e) for e in source.edges)
             glued = 0
         else:
             nodes, edges = base._nodes.copy(), base._edges.copy()
-            glued = base._length
-        self._length = len(steps)
+            glued = len(base._steps)
         for i in range(glued + 1, len(steps) + 1):
             st = steps[i - 1]
             for uf, h_items, d_items, lstar, rstar in (
@@ -472,13 +445,55 @@ class Colimit:
                     union(("D", i, x), ("G", i - 1, lstar[x]))
                     union(("D", i, x), ("G", i, rstar[x]))
         self._nodes, self._edges = nodes, edges
+        self._source, self._steps = source, steps
+        self._nname = self._ename = self._graph = None  # named on first use
+
+    def key(self) -> tuple:
+        """The process key: the partition of the pin labels into node
+        classes and into edge classes.
+
+        A pin label is ``("s", x)`` for an item ``x`` of the start graph,
+        and ``(rule, "L", x)`` or ``(rule, "R", x)`` for the image of an
+        item ``x`` of the rule's left- or right-hand side under the match
+        or comatch of the step that applies ``rule``.  The key holds the
+        sorted rule names and, for the node labels and then the edge
+        labels, each label's class numbered by first occurrence, with the
+        labels in a fixed order: the start graph, then the steps in order
+        of rule name, each graph's items sorted.  Keys compare derivations
+        from one start graph that apply no rule twice.
+        """
+        steps = self._steps
+        nfind, efind = self._nodes.find, self._edges.find
+        nclass: Dict[tuple, int] = {}
+        eclass: Dict[tuple, int] = {}
+        source = _index(self._source)
+        nkey = [nclass.setdefault(nfind(("G", 0, x)), len(nclass)) for x in source.nodes]
+        ekey = [eclass.setdefault(efind(("G", 0, x)), len(eclass)) for x in source.edges]
+        names = []
+        for i in sorted(range(len(steps)), key=lambda i: steps[i].rule.name):
+            st = steps[i]
+            names.append(st.rule.name)
+            for stage, side, m in ((i, st.rule.L, st.match), (i + 1, st.rule.R, st.mR)):
+                items = _index(side)
+                nmap, emap = m.node_map, m.edge_map
+                nkey += [nclass.setdefault(nfind(("G", stage, nmap[x])), len(nclass))
+                         for x in items.nodes]
+                ekey += [eclass.setdefault(efind(("G", stage, emap[x])), len(eclass))
+                         for x in items.edges]
+        return tuple(names), tuple(nkey), tuple(ekey)
+
+    def _named(self) -> "Colimit":
+        """This colimit, with its classes named and its graph built."""
+        if self._graph is not None:
+            return self
+        nodes, edges, steps = self._nodes, self._edges, self._steps
         self._nname = {r: f"n{k}" for k, r in enumerate(sorted(nodes.roots))}
         self._ename = {r: f"e{k}" for k, r in enumerate(sorted(edges.roots))}
 
         def graph(tag: str, i: int) -> TypedGraph:
             if tag == "D":
                 return steps[i - 1].D
-            return steps[i - 1].H if i else deriv.source
+            return steps[i - 1].H if i else self._source
 
         ntype = {name: graph(tag, i).node_type[x]
                  for (tag, i, x), name in self._nname.items()}
@@ -488,13 +503,18 @@ class Colimit:
             ends.append((name, g.edge_type[x],
                          self._nname[nodes.find((tag, i, g.src[x]))],
                          self._nname[nodes.find((tag, i, g.tgt[x]))]))
-        self.graph = TypedGraph(self._nname.values(), ends, ntype)
+        self._graph = TypedGraph(self._nname.values(), ends, ntype)
+        return self
+
+    @property
+    def graph(self) -> TypedGraph:
+        return self._named()._graph
 
     def node_in(self, stage: int, node: str) -> str:
-        return self._nname[self._nodes.find(("G", stage, node))]
+        return self._named()._nname[self._nodes.find(("G", stage, node))]
 
     def edge_in(self, stage: int, edge: str) -> str:
-        return self._ename[self._edges.find(("G", stage, edge))]
+        return self._named()._ename[self._edges.find(("G", stage, edge))]
 
 
 def colimit_by_definition(deriv: Derivation
@@ -515,14 +535,13 @@ def colimit_by_definition(deriv: Derivation
         for e in g.edges:
             ufe.add(("G", i, e))
     for i, st in enumerate(deriv.steps, start=1):
-        for n in st.D.nodes:
-            ufn.add(("D", i, n))
-            ufn.union(("D", i, n), ("G", i - 1, st.lstar.node_map[n]))
-            ufn.union(("D", i, n), ("G", i, st.rstar.node_map[n]))
-        for e in st.D.edges:
-            ufe.add(("D", i, e))
-            ufe.union(("D", i, e), ("G", i - 1, st.lstar.edge_map[e]))
-            ufe.union(("D", i, e), ("G", i, st.rstar.edge_map[e]))
+        for uf, items, lstar, rstar in (
+                (ufn, st.D.nodes, st.lstar.node_map, st.rstar.node_map),
+                (ufe, st.D.edges, st.lstar.edge_map, st.rstar.edge_map)):
+            for x in items:
+                uf.add(("D", i, x))
+                uf.union(("D", i, x), ("G", i - 1, lstar[x]))
+                uf.union(("D", i, x), ("G", i, rstar[x]))
     nclass: Dict[tuple, str] = {}
     eclass: Dict[tuple, str] = {}
     nodes = []
@@ -570,27 +589,23 @@ def _left_consistent_iso(psi1: Derivation, psi2: Derivation,
         if not pin(emap, col1.edge_in(0, e), col2.edge_in(0, e)):
             return None
     for i, st1 in enumerate(psi1.steps):
-        st2 = psi2.steps[sigma[i]]
-        for x in st1.rule.L.nodes:
-            if not pin(nmap, col1.node_in(i, st1.match.node_map[x]),
-                       col2.node_in(sigma[i], st2.match.node_map[x])):
-                return None
-        for x in st1.rule.L.edges:
-            if not pin(emap, col1.edge_in(i, st1.match.edge_map[x]),
-                       col2.edge_in(sigma[i], st2.match.edge_map[x])):
-                return None
-        for x in st1.rule.R.nodes:
-            if not pin(nmap, col1.node_in(i + 1, st1.mR.node_map[x]),
-                       col2.node_in(sigma[i] + 1, st2.mR.node_map[x])):
-                return None
-        for x in st1.rule.R.edges:
-            if not pin(emap, col1.edge_in(i + 1, st1.mR.edge_map[x]),
-                       col2.edge_in(sigma[i] + 1, st2.mR.edge_map[x])):
-                return None
-    if len(nmap) != len(col1.graph.nodes) or len(set(nmap.values())) != len(col2.graph.nodes):
-        return None
-    if len(emap) != len(col1.graph.edges) or len(set(emap.values())) != len(col2.graph.edges):
-        return None
+        j = sigma[i]
+        st2 = psi2.steps[j]
+        for i1, j1, side, m1, m2 in ((i, j, st1.rule.L, st1.match, st2.match),
+                                     (i + 1, j + 1, st1.rule.R, st1.mR, st2.mR)):
+            for x in side.nodes:
+                if not pin(nmap, col1.node_in(i1, m1.node_map[x]),
+                           col2.node_in(j1, m2.node_map[x])):
+                    return None
+            for x in side.edges:
+                if not pin(emap, col1.edge_in(i1, m1.edge_map[x]),
+                           col2.edge_in(j1, m2.edge_map[x])):
+                    return None
+    # a bijection: every class of each colimit pinned, none of them twice
+    for m, items1, items2 in ((nmap, col1.graph.nodes, col2.graph.nodes),
+                              (emap, col1.graph.edges, col2.graph.edges)):
+        if not len(m) == len(set(m.values())) == len(items1) == len(items2):
+            return None
     xi = GraphMorphism(col1.graph, col2.graph, nmap, emap)
     try:
         xi.validate()
@@ -692,11 +707,15 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
     Trace equivalence is a congruence for extension, so every extension of
     a member is equivalent to an extension of its representative, and the
     classes, their representatives and their order are those of
-    ``trace_classes_by_definition``.  Each new derivation is compared, by
-    ``equivalent_traces``, with the representatives of the classes sharing
-    its rule multiset and the ``iso_key`` of its target; it joins the first
-    that accepts it, or opens a class.  Raises ``TraceLimitError`` as soon
-    as more than ``ceiling`` classes have been found.
+    ``trace_classes_by_definition``.  A new derivation that applies no rule
+    twice joins the class with its colimit's ``key``, or opens one: with
+    the permutation forced by the rule names, equal keys are exactly a
+    left-consistent isomorphism (see the module docstring).  One that
+    repeats a rule is compared, by ``equivalent_traces``, with the
+    representatives of the classes sharing its rule multiset and the
+    ``iso_key`` of its target; it joins the first that accepts it, or opens
+    a class.  Raises ``TraceLimitError`` as soon as more than ``ceiling``
+    classes have been found.
     """
     grammar.validate()
     rules = sorted(grammar.rules, key=lambda r: r.name)
@@ -716,10 +735,14 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
         found = []
         for parent in frontier:
             for child in _extensions(groups[parent][0], rules, fusion_safe):
-                key = (tuple(sorted(child.rule_names())), iso_key(child.target))
-                bucket = buckets.setdefault(key, [])
-                cls = next((c for c in bucket
-                            if equivalent_traces(groups[c][0], child) is not None), None)
+                names = child.rule_names()
+                if len(set(names)) == len(names):  # the key decides: one class per key
+                    bucket = buckets.setdefault(child.colimit().key(), [])
+                    cls = bucket[0] if bucket else None
+                else:
+                    bucket = buckets.setdefault((tuple(sorted(names)), iso_key(child.target)), [])
+                    cls = next((c for c in bucket
+                                if equivalent_traces(groups[c][0], child) is not None), None)
                 if cls is None:
                     cls = open_class(child)
                     bucket.append(cls)

@@ -1,4 +1,5 @@
-"""Seeded random structure generators shared by the test modules."""
+"""Seeded random structure generators, and one hand-made grammar, shared by
+the test modules."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from weavent.asyncgraphs import AsyncGraph
 from weavent.es import EventStructure, LivenessError, saturate, classify
 from weavent.domains import COHERENT, FiniteDomain
 from weavent.duality import connect_es, dom_of_es
+from weavent.graphs import GraphMorphism, TypedGraph
+from weavent.rewrite import Grammar, Rule
 
 EVENT_NAMES = "abcdefgh"
 
@@ -186,3 +189,26 @@ def random_async_graph(rng: random.Random, max_nodes: int = 7) -> AsyncGraph:
     squares = [pq for ps in spans.values() for pq in combinations(ps, 2)
                if rng.random() < q]
     return AsyncGraph.build(nodes, edges, nodes[0], squares)
+
+
+def growing_grammar() -> Grammar:
+    """A grammar whose ``grow`` can fire again and again: it keeps a node of
+    type ``N``, consumes the loop on it and creates another ``N`` with a
+    loop.  ``fuse`` merges two ``N`` nodes, possibly one with itself, and
+    consumes the one ``T`` node.  The start graph has two parallel loops on
+    ``x``, so ``grow`` has two inequivalent matches there."""
+    def rule(name, lg, kg, rg, r_nodes):
+        return Rule(name, lg, kg, rg, GraphMorphism(kg, lg, {n: n for n in kg.nodes}, {}),
+                    GraphMorphism(kg, rg, r_nodes, {}))
+
+    kept = TypedGraph(["u"], [], {"u": "N"})
+    grow = rule("grow", TypedGraph(["u"], [("eu", "E", "u", "u")], {"u": "N"}), kept,
+                TypedGraph(["u", "n"], [("en", "E", "n", "n")], {"u": "N", "n": "N"}),
+                {"u": "u"})
+    pair = TypedGraph(["u", "v"], [], {"u": "N", "v": "N"})
+    fuse = rule("fuse", TypedGraph(["u", "v", "t"], [], {"u": "N", "v": "N", "t": "T"}),
+                pair, TypedGraph(["w"], [], {"w": "N"}), {"u": "w", "v": "w"})
+    start = TypedGraph(["x", "y", "t"], [("ex1", "E", "x", "x"), ("ex2", "E", "x", "x"),
+                                         ("ey", "E", "y", "y")],
+                       {"x": "N", "y": "N", "t": "T"})
+    return Grammar(TypedGraph(["N", "T"], [("E", "E", "N", "N")]), start, (grow, fuse))

@@ -18,6 +18,7 @@ from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError,
                              sequential_independence, trace_classes,
                              trace_classes_by_definition, trace_domain,
                              verify_direct_derivation)
+from tests._gen import growing_grammar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -362,6 +363,18 @@ class TestEquivalentTraces:
         assert equivalent_traces(dropping("e1", "e2", "e3"), dropping("e3", "e1", "e2")) == (1, 2, 0)
         assert equivalent_traces(dropping("e1", "e2", "e3"), dropping("e1", "e2", "e3")) == (0, 1, 2)
         assert equivalent_traces(dropping("e2", "e3", "e1"), dropping("e1", "e3", "e2")) == (2, 1, 0)
+
+    def test_a_pinned_map_that_merges_classes_is_no_isomorphism(self):
+        # fuse of x with itself leaves three colimit nodes and fuse of x with
+        # y two: pinning the first onto the second is onto but not one-to-one
+        grammar = growing_grammar()
+        fuse = grammar.rule("fuse")
+        xx, xy = [Derivation(grammar.start).extend(apply_rule(grammar.start, fuse, m))
+                  for m in find_matches(fuse.L, grammar.start)
+                  if (m.node_map["u"], m.node_map["v"]) in (("x", "x"), ("x", "y"))]
+        assert (len(xx.colimit().graph.nodes), len(xy.colimit().graph.nodes)) == (3, 2)
+        assert equivalent_traces(xx, xy) is None
+        assert equivalent_traces(xy, xx) is None
 
     def test_source_mismatch_rejected(self, grammar, start):
         other = TypedGraph(["c", "v"],

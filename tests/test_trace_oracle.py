@@ -5,13 +5,17 @@
 pairwise.  They must agree on the class ids and their order, on the prefix
 order, and on each representative, step by step.
 
-The two steps ``trace_classes`` leans on have references of their own: the
+The steps ``trace_classes`` leans on have references of their own: the
 colimit each derivation builds on its parent's equals
-``colimit_by_definition``, and the ``iso_key`` buckets are the ``iso_hash``
-buckets.
+``colimit_by_definition``, the process key of a derivation that applies no
+rule twice is equal exactly when ``equivalent_traces`` relates two of them,
+and the ``iso_key`` buckets of the derivations that repeat a rule are the
+``iso_hash`` buckets.
 """
 
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,7 @@ from weavent.io import load_structure
 from weavent.rewrite import (Derivation, colimit_by_definition, grammar_from_es,
                              once_per_rule_depth, trace_classes,
                              trace_classes_by_definition)
-from tests._gen import random_connected_es
+from tests._gen import growing_grammar, random_connected_es
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -204,23 +208,131 @@ def _runs(k):
     return EventStructure.binary(events, (), gens)
 
 
-# computed with iso_hash buckets and colimits rebuilt from stage 0: the
-# buckets, and so the equivalence checks, must not change
-@pytest.mark.parametrize("case,calls,classes", [
-    ("fusion", 3, 7), ("fusion-safe", 0, 5), ("B4", 17, 16), ("X3", 28, 27),
-    ("L2", 78, 49)])
-def test_equivalence_check_counts_pinned(monkeypatch, case, calls, classes):
-    count = [0]
+def _count_checks(monkeypatch):
+    """Count the calls to ``equivalent_traces``: all of them, and those
+    whose second derivation repeats a rule."""
+    count = [0, 0]
     check = rewrite.equivalent_traces
 
     def counted(psi1, psi2):
+        names = psi2.rule_names()
         count[0] += 1
+        count[1] += len(set(names)) < len(names)
         return check(psi1, psi2)
 
     monkeypatch.setattr(rewrite, "equivalent_traces", counted)
+    return count
+
+
+@pytest.mark.parametrize("fusion_safe", [False, True])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_repeated_rules_take_the_fallback(monkeypatch, depth, fusion_safe):
+    calls = _count_checks(monkeypatch)
+    trace_classes(growing_grammar(), depth, fusion_safe)
+    assert calls[0] == calls[1] > 0  # only derivations that repeat a rule are checked
+    assert_agree(growing_grammar(), depth, fusion_safe)
+
+
+# No derivation of the first five cases applies a rule twice, so the process
+# key decides them all without a check.  The growing grammar's counts were
+# computed with every derivation bucketed by iso_key and checked by
+# equivalent_traces, counting those that repeat "grow": the fallback's
+# buckets, and so its checks, must not change.
+@pytest.mark.parametrize("case,calls,classes", [
+    ("fusion", 0, 7), ("fusion-safe", 0, 5), ("B4", 0, 16), ("X3", 0, 27),
+    ("L2", 0, 49), ("growing", 1340, 101), ("growing-safe", 926, 66)])
+def test_equivalence_check_counts_pinned(monkeypatch, case, calls, classes):
+    count = _count_checks(monkeypatch)
     if case.startswith("fusion"):
         result = trace_classes(_fusion(), 5, case == "fusion-safe")
+    elif case.startswith("growing"):
+        result = trace_classes(growing_grammar(), 3, case == "growing-safe")
     else:
         make = {"B": _boolean, "X": _choices, "L": _runs}[case[0]]
         result = trace_classes(*_synthesised(make(int(case[1:]))))
     assert (count[0], len(result.classes)) == (calls, classes)
+
+
+@pytest.mark.parametrize("case", ["fusion", "L2"])
+def test_distinct_rule_names_skip_iso_key_and_checks(monkeypatch, case):
+    for name in ("iso_key", "equivalent_traces"):
+        monkeypatch.setattr(rewrite, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    if case == "fusion":
+        assert len(trace_classes(_fusion(), 5).classes) == 7
+    else:
+        assert len(trace_classes(*_synthesised(_runs(2))).classes) == 49
+
+
+# ---------------------------------------------------------------------- #
+# The process key against equivalent_traces
+# ---------------------------------------------------------------------- #
+
+KEY_CASES = ([("fusion", safe) for safe in (False, True)]
+             + [("growing", safe) for safe in (False, True)]
+             + [("fixture", name) for name in _live_connected_fixtures()]
+             + [("random", seed) for seed in range(24)]
+             + [("family", name) for name in ("B4", "X3", "L2")])
+
+
+def _pool(kind, arg):
+    """Every derivation ``trace_classes_by_definition`` builds."""
+    if kind in ("fusion", "growing"):
+        grammar, depth, fusion_safe = (_fusion(), 5, arg) if kind == "fusion" \
+            else (growing_grammar(), 3, arg)
+    else:
+        if kind == "fixture":
+            es = load_structure(str(FIXTURES / arg), "es")
+        elif kind == "random":
+            es = random_connected_es(random.Random(arg))
+        else:
+            es = {"B": _boolean, "X": _choices, "L": _runs}[arg[0]](int(arg[1:]))
+        (grammar, depth), fusion_safe = _synthesised(es), False
+    result = trace_classes_by_definition(grammar, depth, fusion_safe)
+    return [d for c in result.classes for d in c.members]
+
+
+@pytest.mark.parametrize("kind,arg", KEY_CASES)
+def test_process_key_decides_equivalence(kind, arg):
+    # Among derivations of one length that apply no rule twice, keys are
+    # equal exactly when equivalent_traces finds a permutation.  Every pair
+    # with different keys is checked; a pair with equal keys is checked
+    # through the first derivation with that key, since both relations are
+    # equivalences (on L2, one pair per derivation, 877, instead of all
+    # 61,662 pairs with equal keys).
+    pool = [d for d in _pool(kind, arg) if len(set(d.rule_names())) == len(d)]
+    keys = [d.colimit().key() for d in pool]
+    first = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+        assert rewrite.equivalent_traces(pool[first[key]], pool[k]) is not None
+        assert rewrite.equivalent_traces(pool[k], pool[first[key]]) is not None
+    for k1, d1 in enumerate(pool):
+        for k2 in range(k1 + 1, len(pool)):
+            d2 = pool[k2]
+            if len(d1) == len(d2) and keys[k1] != keys[k2]:
+                assert rewrite.equivalent_traces(d1, d2) is None
+                assert rewrite.equivalent_traces(d2, d1) is None
+
+
+def test_process_key_tells_apart_what_the_rule_names_do_not():
+    # grow on either parallel loop of x, and fuse of x with itself against
+    # fuse of x with y: same rules, different classes
+    pool = [d for d in _pool("growing", False) if len(d) == 1]
+    names = [d.rule_names() for d in pool]
+    assert len({d.colimit().key() for d in pool}) == 6 > len(set(names)) == 2
+
+
+def test_colimit_holds_no_reference_to_its_derivation():
+    grammar = _fusion()
+    gc.disable()
+    try:
+        (deriv,) = [d for d in _reached(grammar, 2) if d.rule_names() == ("p_a", "p_b")]
+        deriv = Derivation(deriv.source, deriv.steps)  # no parent, no colimit yet
+        col = deriv.colimit()
+        col.key()
+        assert col.node_in(0, sorted(grammar.start.nodes)[0])
+        ref = weakref.ref(deriv)
+        del deriv
+        assert ref() is None
+    finally:
+        gc.enable()
