@@ -309,16 +309,18 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     # edges closing a square is a question about the classes' members.
     firsts = [{p[0] for p in ms} for ms in members]  # first edges per class
     edges_from = a._out
+    tgt = {e: t for e, (_, t) in a.edges.items()}
 
     def lower_medians() -> Iterator[Tuple[str, str, str, str, str]]:
         # the premise shared by the upward cube and coherence: lower median
         # squares m;c1 ~ u1;u2 and m;c2 ~ v1;v2 with m, u1 and v1 distinct
         for m in sorted(a.edges):
-            for c1 in edges_from[a.tgt(m)]:
+            after_m = edges_from[tgt[m]]
+            for c1 in after_m:
                 for u1, u2 in members[cls[(m, c1)]]:
                     if u1 == m:
                         continue
-                    for c2 in edges_from[a.tgt(m)]:
+                    for c2 in after_m:
                         for v1, v2 in members[cls[(m, c2)]]:
                             if v1 != m and v1 != u1:
                                 yield m, u1, u2, v1, v2
@@ -327,9 +329,11 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         # premise: a lower median, outer paths extended by u3, v3 to a
         # common target; conclusion: an upper median closes the three faces.
         for m, u1, u2, v1, v2 in lower_medians():
-            for u3 in edges_from[a.tgt(u2)]:
-                for v3 in edges_from[a.tgt(v2)]:
-                    if (a.tgt(u3) == a.tgt(v3)
+            after_v2 = edges_from[tgt[v2]]
+            for u3 in edges_from[tgt[u2]]:
+                top = tgt[u3]
+                for v3 in after_v2:
+                    if (tgt[v3] == top
                             and not _cube_up_conclusion(u1, u2, u3, v1, v2, v3)):
                         return (m, (u1, u2, u3), (v1, v2, v3))
         return None
@@ -344,25 +348,34 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         # premise: u1;w1 ~ v1;w2 meeting at an upper median, with outer
         # paths through u2;u3 ~ w1;z and v2;v3 ~ w2;z; conclusion: a lower
         # median m with m;c1 ~ u1;u2 and m;c2 ~ v1;v2.
+        # the loops run in the order of the plain premise, so the first
+        # witness is the same; what an inner loop rereads is looked up once
         for b in sorted(a.nodes):
             for u1 in edges_from[b]:
+                after_u1 = edges_from[tgt[u1]]
                 for v1 in edges_from[b]:
                     if v1 == u1:
                         continue
-                    for w1 in edges_from[a.tgt(u1)]:
-                        for w2 in edges_from[a.tgt(v1)]:
-                            if cls[(u1, w1)] != cls[(v1, w2)]:
+                    after_v1 = edges_from[tgt[v1]]
+                    for w1 in after_u1:
+                        side = cls[(u1, w1)]
+                        after_w1 = edges_from[tgt[w1]]
+                        for w2 in after_v1:
+                            if side != cls[(v1, w2)]:
                                 continue
-                            for u2 in edges_from[a.tgt(u1)]:
-                                for u3 in edges_from[a.tgt(u2)]:
-                                    for z in edges_from[a.tgt(w1)]:
-                                        if cls[(u2, u3)] != cls[(w1, z)]:
+                            for u2 in after_u1:
+                                first_u = firsts[cls[(u1, u2)]]
+                                for u3 in edges_from[tgt[u2]]:
+                                    outer_u = cls[(u2, u3)]
+                                    for z in after_w1:
+                                        if outer_u != cls[(w1, z)]:
                                             continue
-                                        for v2 in edges_from[a.tgt(v1)]:
-                                            for v3 in edges_from[a.tgt(v2)]:
-                                                if cls[(v2, v3)] != cls[(w2, z)]:
+                                        outer_v = cls[(w2, z)]
+                                        for v2 in after_v1:
+                                            for v3 in edges_from[tgt[v2]]:
+                                                if cls[(v2, v3)] != outer_v:
                                                     continue
-                                                if not firsts[cls[(u1, u2)]] & firsts[cls[(v1, v2)]]:
+                                                if not first_u & firsts[cls[(v1, v2)]]:
                                                     return (b, (u1, u2, u3), (v1, v2, v3))
         return None
 
@@ -370,9 +383,11 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         # premise: a lower median and a commuting square u1;x1 ~ v1;x2;
         # conclusion: a top completing the two side squares over it.
         for m, u1, u2, v1, v2 in lower_medians():
-            for x1 in edges_from[a.tgt(u1)]:
-                for x2 in edges_from[a.tgt(v1)]:
-                    if (cls[(u1, x1)] == cls[(v1, x2)]
+            after_v1 = edges_from[tgt[v1]]
+            for x1 in edges_from[tgt[u1]]:
+                side = cls[(u1, x1)]
+                for x2 in after_v1:
+                    if (side == cls[(v1, x2)]
                             and not _coherence_conclusion(u2, v2, x1, x2)):
                         return (m, (u1, u2), (v1, v2), (x1, x2))
         return None
@@ -380,7 +395,7 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     def _coherence_conclusion(u2, v2, x1, x2) -> bool:
         # u2;y1 ~ x1;z and v2;y2 ~ x2;z for some z
         return any(u2 in firsts[cls[(x1, z)]] and v2 in firsts[cls[(x2, z)]]
-                   for z in edges_from[a.tgt(x1)])
+                   for z in edges_from[tgt[x1]])
 
     wup = cube_up_holds() if acyclic else ("cycle",)
     wdown = cube_down_holds() if acyclic else ("cycle",)

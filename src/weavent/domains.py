@@ -210,8 +210,10 @@ class FiniteDomain:
         return bool(self._up[self.index(a)] & (1 << self.index(b)))
 
     def covers(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(sorted((self.elements[a], self.elements[b])
-                            for a, b in self._cover_pairs))
+        """The cover pairs in sorted order, computed once: elements are
+        indexed in sorted order, so sorting the index pairs sorts the names."""
+        return _once(self, "covers", lambda d: tuple(
+            (d.elements[a], d.elements[b]) for a, b in sorted(d._cover_pairs)))
 
     def lower_covers(self, x: str) -> Tuple[str, ...]:
         return self.ids(self._lower[self.index(x)])

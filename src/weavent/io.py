@@ -8,12 +8,19 @@ load time.  ``load_structure`` dispatches on the expected kind: ``es``,
 JSON text of files, reports and errors, and ``write_text`` writes every
 file; a failed read or write, or input that is not UTF-8 JSON, ends in
 ``SchemaError``.
+
+The text ``dumps`` gives is byte for byte ``json.dumps(obj, indent=2,
+sort_keys=True)``.  That call always runs through ``json``'s pure-Python
+encoder, so ``dumps`` writes the lists of strings and the flat objects that
+make up most of a payload in one ``str.join`` each, over ``json``'s C string
+encoder.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Mapping
+from itertools import chain
+from typing import Any, Dict, List, Mapping
 
 from .es import BINARY, EventStructure
 from .domains import FiniteDomain
@@ -130,7 +137,7 @@ def parse_domain(obj: Mapping) -> FiniteDomain:
 
 def domain_to_json(dom: FiniteDomain) -> Dict[str, Any]:
     return {"elements": list(dom.elements),
-            "covers": [list(c) for c in dom.covers()],
+            "covers": dom.covers(),
             "kind": dom.kind}
 
 
@@ -288,9 +295,94 @@ def load_structure(path: str, kind: str):
     return _PARSERS[kind](obj)
 
 
+_enc = json.encoder.encode_basestring_ascii
+# how each scalar type is written; json.dumps writes any other leaf
+_SCALAR = {str: _enc, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+           type(None): lambda _: "null"}
+_SCALARS, _STR, _SEQ = frozenset(_SCALAR), {str}, {list, tuple}
+
+
+def _scalar(x) -> str:
+    return _SCALAR[x.__class__](x)
+
+
 def dumps(obj: Any) -> str:
-    """``obj`` as JSON text: two-space indents, sorted keys."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``obj`` as JSON text: two-space indents, sorted keys.
+
+    The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
+    and what that call rejects (an unknown type, a bad key, a cycle) raises
+    the same error here.  A list of strings, a list of lists of k ≥ 1
+    strings each (covers, conflict pairs), or an object whose values are all
+    strings, ints, bools or None is written in one join over ``json``'s C
+    string encoder.  Any other container is walked with an explicit stack,
+    so nesting depth is not bounded by the recursion limit, and any leaf
+    other than a string, int, bool or None is written by ``json.dumps``.
+    """
+    out: List[str] = []
+    path: List[int] = []  # ids of the containers open at each depth
+    todo: List = [(obj, "\n")]  # text, or a value with the newline and indent of its depth
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            out.append(x)
+            continue
+        x, nl = x
+        code = _SCALAR.get(x.__class__)
+        if code is not None:
+            out.append(code(x))
+            continue
+        if not isinstance(x, (list, tuple, dict)):
+            out.append(json.dumps(x))
+            continue
+        if not x:
+            out.append("{}" if isinstance(x, dict) else "[]")
+            continue
+        nl2 = nl + "  "
+        sep = "," + nl2
+        if isinstance(x, dict):
+            keys = sorted(x)
+            vals = list(map(x.__getitem__, keys))
+            if set(map(type, keys)) != _STR:  # json writes these keys as strings
+                for k in keys:
+                    if not isinstance(k, (str, int, float)) and k is not None:
+                        raise TypeError("keys must be str, int, float, bool or None, "
+                                        f"not {k.__class__.__name__}")
+                keys = [k if isinstance(k, str) else json.dumps(k) for k in keys]
+            kinds = set(map(type, vals))
+            if kinds <= _SCALARS:
+                texts = map(_enc if kinds == _STR else _scalar, vals)
+                out.append("{" + nl2 + sep.join(map(": ".join, zip(map(_enc, keys), texts)))
+                           + nl + "}")
+                continue
+            heads = [sep + _enc(k) + ": " for k in keys]
+            heads[0] = "{" + heads[0][1:]
+            close = nl + "}"
+        else:
+            kinds = set(map(type, x))
+            if kinds == _STR:
+                out.append("[" + nl2 + sep.join(map(_enc, x)) + nl + "]")
+                continue
+            k = len(x[0]) if kinds <= _SEQ else 0
+            if k and set(map(len, x)) == {k} and set(map(type, chain(*x))) == _STR:
+                # lists of k strings each: one format fills k encoded strings
+                nl3 = nl2 + "  "
+                inner = "[" + nl3 + ("," + nl3).join(["%s"] * k) + nl2 + "]"
+                strs = map(_enc, chain(*x))
+                out.append("[" + nl2 + sep.join(map(inner.__mod__, zip(*[strs] * k)))
+                           + nl + "]")
+                continue
+            vals = x
+            heads = ["[" + nl2] + [sep] * (len(x) - 1)
+            close = nl + "]"
+        depth = len(nl) >> 1
+        del path[depth:]
+        if id(x) in path:
+            raise ValueError("Circular reference detected")
+        path.append(id(x))
+        todo.append(close)
+        for head, v in zip(reversed(heads), reversed(vals)):
+            todo += ((v, nl2), head)
+    return "".join(out)
 
 
 def write_text(path: str, text: str) -> None:

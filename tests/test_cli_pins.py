@@ -2,7 +2,10 @@
 
 The ``--es`` digests on B_10 and L_2 were taken before the event-structure
 layer moved to masks, so any change in what ``check``, ``convert --to
-domain`` or ``emit`` produce shows up here.  The digests of the verbs that
+domain`` or ``emit`` produce shows up here.  The L_4 digests (2,401
+configurations, 12,348 covers) were taken while ``io.dumps`` still ran
+every payload through ``json``'s own indenting encoder and ``covers()``
+still sorted name pairs on each call.  The digests of the verbs that
 write a file (``convert``, ``connect``, ``synth``, ``derive`` and ``emit``)
 were taken while each report still encoded its payload a second time.
 ``roundtrip`` on B_10 runs the CLI through more than a thousand
@@ -30,6 +33,11 @@ PINS = {
         "check": "737be43a96cd329aae400ba3169487f9699efce535255574a28a0630f664ef19",
         "convert": "9d5ddb9d74f296566b300a1146e5de17a6dba6a672e76e5509a41d78193a0bda",
         "emit": "7abbfa3d76dd7cf2a1bfbb49332c767fb091563dfdff276a458f99602ba54d5f",
+    },
+    ("L", 4): {
+        "check": "b8c374521b65f6fd733411724137435f097563fdd4282942869acf34edf2600e",
+        "convert": "b7730af31c70c08f814d404ad721fcda3c428809955e32c6f0e9b8bf4ddda898",
+        "emit": "1ba4386f4bcd5cf3b307ca3350b4a7e14d4030055728302eb31ae35d1c2d96a3",
     },
     ("L", 2): {
         "check": "625506b4243079e0d9f7b8c961e99cefcbc03008f290176c15d1b2763813f18a",
@@ -93,6 +101,9 @@ WRITTEN = {
     "convert --es L2.es.json --to domain --out dom.json": (
         "19601fc0be838a5e070f14bb8b02d6e54a75689a308e2aec58e593b7c04a5d38",
         "888bb07dc01f5244a0d9f430a0a4d6f02c7934da215634e0fa4b139e1adc2827"),
+    "convert --es L4.es.json --to domain --out dom.json": (
+        "dbc48c9bdffceb15b58852d4e62546acbdbbdc1a178d44f96d7fc380fd2687f0",
+        "cd4f379f065a60182488fa9cc796cba6cc7454e7ae20140c16bdb0d7ee437eee"),
     "convert --es L2.es.json --to epes --out epes.json": (
         "c8185bb5ff03e488aea70e8bb93e86d262aba5de5a86c9101643dff2bf188b16",
         "96bfa505a44a5782834c3f189fc6d46d2c0ec4638991890ad3b9e1da4444bba0"),
@@ -126,10 +137,12 @@ WRITTEN = {
 }
 
 
-def _write_inputs():
+def _write_inputs(argv):
     for name in ("e_run.es.json", "fusion.grammar.json", "run.async.json"):
         shutil.copyfile(FIXTURES / name, name)
     iomod.dump_json(iomod.es_to_json(family_es("L", 2)), "L2.es.json")
+    if "L4.es.json" in argv:
+        iomod.dump_json(iomod.es_to_json(family_es("L", 4)), "L4.es.json")
     # element names that DOT must escape
     dom = FiniteDomain(['a"b', "c\\d", "e f"], [('a"b', "c\\d"), ('a"b', "e f")])
     iomod.dump_json(iomod.domain_to_json(dom), "quote.domain.json")
@@ -138,8 +151,8 @@ def _write_inputs():
 @pytest.mark.parametrize("argv", sorted(WRITTEN))
 def test_written_files_and_reports_keep_the_pinned_bytes(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _write_inputs()
     argv = argv.split()
+    _write_inputs(argv)
     code, out = _run(capsys, argv)
     assert code == 0
     written = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()

@@ -546,3 +546,28 @@ class TestDomainMorphisms:
     def test_prime_domains_preserve_meets(self, ccs_dom):
         f = {x: x for x in ccs_dom.elements}
         assert validate_domain_morphism(f, ccs_dom, ccs_dom).ok
+
+
+class TestCovers:
+    @staticmethod
+    def by_name(dom):
+        """The covers as named pairs sorted by name, the order ``covers()``
+        promises."""
+        return tuple(sorted((dom.elements[a], dom.elements[b]) for a, b in dom._cover_pairs))
+
+    def test_index_order_is_name_order(self):
+        rng = random.Random(29)
+        doms = [random_poset(rng, rng.randint(1, 12), bottom=rng.random() < 0.5)
+                for _ in range(60)]
+        # user-built domains: names whose sorted order is not the order of
+        # construction, a cover given twice, a transitive cover, one element
+        doms += [FiniteDomain(["z", "b10", "b9", "B", "é", "a b"],
+                              [("z", "b9"), ("b10", "b9"), ("B", "z"), ("B", "b9"),
+                               ("a b", "é"), ("z", "b9")]),
+                 FiniteDomain(["only"], []), m3(), nontransitive_bdomain(),
+                 dom_of_es(e_ccs())]
+        for dom in doms:
+            assert dom.covers() == self.by_name(dom)
+
+    def test_computed_once(self, run_dom):
+        assert run_dom.covers() is run_dom.covers()

@@ -1,0 +1,113 @@
+"""``io.dumps`` against its oracle: the text of ``json.dumps(obj, indent=2,
+sort_keys=True)``, byte for byte, on drawn values and on every payload the
+package writes."""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from weavent import io as iomod
+from weavent.asyncgraphs import hasse_as_async
+from weavent.duality import dom_of_es, unfold
+from weavent.rewrite import grammar_from_es
+from tests._gen import family_es, random_connected_es
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def oracle(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+# strings JSON must escape: quotes, backslashes, control characters, lone
+# surrogates, characters outside ASCII and outside the BMP
+chars = (st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+         | st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t é漢\U0001f600'))
+strings = st.text(chars, max_size=6)
+scalars = (strings | st.booleans() | st.sampled_from([0, 1, -1, None])
+           | st.integers(min_value=-2**200, max_value=2**200)
+           | st.floats(allow_nan=False))  # a float is written by json.dumps
+# the shapes written in one join: flat string lists, lists of string lists
+# of one length, objects of scalars
+flat = (st.lists(strings, max_size=5)
+        | st.integers(1, 3).flatmap(lambda k: st.lists(
+            st.lists(strings, min_size=k, max_size=k).map(tuple) | st.lists(
+                strings, min_size=k, max_size=k), max_size=4))
+        | st.dictionaries(strings, scalars, max_size=5))
+values = st.recursive(
+    scalars | flat,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values)
+def test_dumps_is_json_dumps(x):
+    assert iomod.dumps(x) == oracle(x)
+
+
+@pytest.mark.parametrize("x", [
+    [], {}, (), [[]], [[], []], [[[]]], {"a": []}, [{}], [["a"], []], [["a"], ["b", "c"]],
+    [["a", "b"], ("c", "d")], [True, False, 1, 0], {"t": True, "one": 1, "n": None},
+    [10 ** 300, -10 ** 300], [1.5, float("inf"), float("nan")], {"f": 0.1},
+    "x", 7, None, False, 2.5, ["\ud800", "\udfff\ud800"], {"é\n": "\"\\"},
+    {1: "a", 2: "b"}, {None: 0}, {True: [1]}, {0.5: "h"},
+])
+def test_dumps_edge_values(x):
+    assert iomod.dumps(x) == oracle(x)
+
+
+def test_dumps_raises_where_json_dumps_does():
+    loop = []
+    loop.append([loop])
+    deep = {"a": None}
+    deep["a"] = {"b": deep}
+    for bad, error in (({1, 2}, TypeError), ({(1, 2): "k"}, TypeError),
+                       ({"a": 1, 2: "b"}, TypeError), (loop, ValueError), (deep, ValueError)):
+        with pytest.raises(error):
+            oracle(bad)
+        with pytest.raises(error):
+            iomod.dumps(bad)
+
+
+def test_dumps_nests_past_the_recursion_limit():
+    x = "leaf"
+    for _ in range(1500):  # json.dumps itself stops at the recursion limit
+        x = [x, {}]
+    text = iomod.dumps(x)
+    assert text.count("leaf") == 1 and text.endswith("\n  {}\n]")
+
+
+def _payloads():
+    """Every ``*_to_json`` payload of the fixtures and of B, X, L and C up
+    to size 4, with the raw JSON of each fixture file."""
+    kinds = {".es": ("es", iomod.es_to_json), ".domain": ("domain", iomod.domain_to_json),
+             ".bdomain": ("domain", iomod.domain_to_json),
+             ".grammar": ("grammar", iomod.grammar_to_json),
+             ".async": ("asyncgraph", iomod.async_to_json),
+             ".epes": ("epes", iomod.epes_to_json)}
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        kind, to_json = kinds[path.suffixes[-2]]
+        out += [json.loads(path.read_text(encoding="utf-8")),
+                to_json(iomod.load_structure(str(path), kind))]
+    ess = [family_es(f, n) for f in "BXLC" for n in range(1, 5)]
+    rng = random.Random(4)
+    ess += [random_connected_es(rng) for _ in range(6)]
+    for es in ess:
+        dom = dom_of_es(es)
+        out += [iomod.es_to_json(es), iomod.domain_to_json(dom),
+                iomod.epes_to_json(unfold(es)), iomod.grammar_to_json(grammar_from_es(es)),
+                iomod.async_to_json(hasse_as_async(dom))]
+    return out
+
+
+def test_dumps_of_every_payload():
+    payloads = _payloads()
+    assert len(payloads) > 100
+    for x in payloads:
+        assert iomod.dumps(x) == oracle(x)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -292,10 +293,14 @@ class TestCli:
         assert len(outs) == 1
 
     def test_script_entry_point(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(iomod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
         proc = subprocess.run(
             [sys.executable, "-m", "weavent.cli", "check", "--es",
              str(FIXTURES / "e_run.es.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["live"] is True
 
