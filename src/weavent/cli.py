@@ -175,6 +175,8 @@ def _cmd_connect(args) -> tuple:
 
 def _cmd_derive(args) -> tuple:
     path, _, value = _one_input(args, "grammar")
+    if (args.format or "json") not in ("json", "dot"):
+        raise iomod.SchemaError(f"unknown format {args.format!r}")
     depth = args.depth
     if depth is None:
         # exhaustive for once-per-rule grammars (e.g. synthesised ones)
@@ -182,7 +184,13 @@ def _cmd_derive(args) -> tuple:
         if depth is None:
             raise iomod.SchemaError(
                 "derive requires --depth (this grammar has no provable bound)")
-    ceiling = int(os.environ.get("WEAVENT_CLASS_CEILING", DEFAULT_CEILING))
+    elif depth < 0:
+        raise iomod.SchemaError(f"--depth must not be negative, got {depth}")
+    ceiling = os.environ.get("WEAVENT_CLASS_CEILING", DEFAULT_CEILING)
+    try:
+        ceiling = int(ceiling)
+    except ValueError:
+        raise iomod.SchemaError(f"WEAVENT_CLASS_CEILING is not an integer: {ceiling!r}") from None
     res = trace_classes(value, depth, fusion_safe=args.fusion_safe, ceiling=ceiling)
     dom = res.domain
     alg = algebraicity(dom)

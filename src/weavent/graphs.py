@@ -12,10 +12,8 @@ A node is rejected as soon as a pattern edge ending at it, whose other end
 is already chosen, has no triple in the host.
 
 ``iso_hash`` is an isomorphism-invariant fingerprint (three rounds of
-Weisfeiler–Leman colour refinement, spelt out as nested strings), and
-``iso_key`` the same refinement with each colour a rank in its round's
-table: both split graphs the same way, and the key is what
-``graph_isomorphism`` and ``rewrite.trace_classes`` compare.
+Weisfeiler–Leman colour refinement, spelt out as nested strings), which
+``graph_isomorphism`` compares before it searches.
 """
 
 from __future__ import annotations
@@ -208,7 +206,7 @@ def graph_isomorphism(g1: TypedGraph, g2: TypedGraph) -> Optional[GraphMorphism]
     """A typed isomorphism between the two graphs, or None."""
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return None
-    if iso_key(g1) != iso_key(g2):
+    if iso_hash(g1) != iso_hash(g2):
         return None
     # an injective morphism between graphs of equal sizes is bijective
     return next(_morphisms(g1, g2, injective=True), None)
@@ -226,7 +224,7 @@ def _neighbours(g: TypedGraph) -> Tuple[Dict[str, List[Tuple[str, str]]],
     return outs, ins
 
 
-_ROUNDS = 3  # rounds of colour refinement in iso_hash and iso_key
+_ROUNDS = 3  # rounds of colour refinement in iso_hash
 
 
 def iso_hash(g: TypedGraph) -> str:
@@ -241,29 +239,3 @@ def iso_hash(g: TypedGraph) -> str:
     edge_part = sorted(f"{g.edge_type[e]}:{colour[g.src[e]]}->{colour[g.tgt[e]]}" for e in g.edges)
     return str((node_part, edge_part))
 
-
-def iso_key(g: TypedGraph) -> tuple:
-    """``iso_hash`` in compact form: two graphs share a key exactly when they
-    share an ``iso_hash`` string.
-
-    Each of ``iso_hash``'s three rounds gives every node the rank of its
-    signature (its colour and the sorted ``(type, colour)`` pairs of its out-
-    and in-edges) in that round's sorted table of distinct signatures.  The
-    tables decode a rank back into the nested colour that ``iso_hash``
-    spells out, so the key is the three tables, the sorted final colours and
-    the sorted ``(type, colour(src), colour(tgt))`` triples of the edges.
-    """
-    colour = {n: g.node_type[n] for n in g.nodes}
-    outs, ins = _neighbours(g)
-    tables = []
-    for _ in range(_ROUNDS):
-        sig = {n: (colour[n], tuple(sorted([(t, colour[m]) for t, m in outs[n]])),
-                   tuple(sorted([(t, colour[m]) for t, m in ins[n]])))
-               for n in g.nodes}
-        table = sorted(set(sig.values()))
-        rank = {s: k for k, s in enumerate(table)}
-        colour = {n: rank[s] for n, s in sig.items()}
-        tables.append(tuple(table))
-    return (tuple(tables), tuple(sorted(colour.values())),
-            tuple(sorted((g.edge_type[e], colour[g.src[e]], colour[g.tgt[e]])
-                         for e in g.edges)))

@@ -21,29 +21,27 @@ them pairwise; it is the reference the fast path is tested against.
 
 A derivation's colimit is its parent's colimit glued with the last step;
 ``colimit_by_definition`` builds it from scratch and is the reference.
-``trace_classes`` decides a new derivation that applies no rule twice by
-one lookup of ``Colimit.key``, the partition of the pin labels (start
-items, match and comatch images, named by rule) into colimit items, after
-the graph processes of Corradini, Montanari and Rossi.  The key is exact:
-with distinct rule names the permutation is forced; every colimit item
-holds a label and every edge label fixes its ends and type, so the pinned
-map is an isomorphism exactly when the two partitions are equal.  A
-derivation that repeats a rule is bucketed by ``graphs.iso_key`` of its
-target, which splits them exactly as the ``iso_hash`` fingerprint does, and
-compared by ``equivalent_traces``.
+``trace_classes`` decides a new derivation by one lookup of ``Colimit.key``,
+the partition of the pin labels (start items, match and comatch images,
+named by rule and rank among its steps) into colimit items, least over the
+orders of each rule's steps, after the graph processes of Corradini,
+Montanari and Rossi.  It is exact: every colimit item holds a label and
+every edge label fixes its ends and type, so the map a name-preserving
+permutation pins is an isomorphism exactly when the partitions, read in
+matching orders, are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._common import UnionFind, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
-                     iso_hash, iso_key, _index, _morphisms)
+                     iso_hash, _index, _morphisms)
 
 
 class TraceLimitError(GraphError):
@@ -271,19 +269,10 @@ def verify_direct_derivation(d: DirectDerivation) -> bool:
 def is_fusion_safe(d: DirectDerivation) -> bool:
     """Whether the pair (match∘l, r) is jointly mono: the step never
     re-merges items that the host already identifies."""
-    seen = {}
-    for k in sorted(d.rule.K.nodes):
-        key = (d.mK.node_map[k], d.rule.r.node_map[k])
-        if key in seen:
-            return False
-        seen[key] = k
-    seen = {}
-    for k in sorted(d.rule.K.edges):
-        key = (d.mK.edge_map[k], d.rule.r.edge_map[k])
-        if key in seen:
-            return False
-        seen[key] = k
-    return True
+    K, mk, r = d.rule.K, d.mK, d.rule.r
+    return all(len({(m1[x], m2[x]) for x in items}) == len(items)
+               for items, m1, m2 in ((K.nodes, mk.node_map, r.node_map),
+                                     (K.edges, mk.edge_map, r.edge_map)))
 
 
 # ---------------------------------------------------------------------- #
@@ -449,18 +438,17 @@ class Colimit:
         self._nname = self._ename = self._graph = None  # named on first use
 
     def key(self) -> tuple:
-        """The process key: the partition of the pin labels into node
-        classes and into edge classes.
+        """The sorted rule names and the partition of the pin labels into
+        node classes and into edge classes.
 
         A pin label is ``("s", x)`` for an item ``x`` of the start graph,
-        and ``(rule, "L", x)`` or ``(rule, "R", x)`` for the image of an
-        item ``x`` of the rule's left- or right-hand side under the match
-        or comatch of the step that applies ``rule``.  The key holds the
-        sorted rule names and, for the node labels and then the edge
-        labels, each label's class numbered by first occurrence, with the
-        labels in a fixed order: the start graph, then the steps in order
-        of rule name, each graph's items sorted.  Keys compare derivations
-        from one start graph that apply no rule twice.
+        and ``(rule, k, "L"|"R", x)`` for the image of an item ``x`` of a
+        side of ``rule`` under the match or comatch of its ``k``-th step.
+        An order of each rule's steps fixes ``k`` and lists the labels: the
+        start graph, then the rules by name, each step's ``L`` then ``R``,
+        items sorted.  Numbering classes by first occurrence gives the
+        partitions; the key takes the least over all orders, one when no
+        rule repeats.
         """
         steps = self._steps
         nfind, efind = self._nodes.find, self._edges.find
@@ -469,10 +457,10 @@ class Colimit:
         source = _index(self._source)
         nkey = [nclass.setdefault(nfind(("G", 0, x)), len(nclass)) for x in source.nodes]
         ekey = [eclass.setdefault(efind(("G", 0, x)), len(eclass)) for x in source.edges]
-        names = []
+        runs = {}  # rule name -> the label numbers of its steps
         for i in sorted(range(len(steps)), key=lambda i: steps[i].rule.name):
             st = steps[i]
-            names.append(st.rule.name)
+            n0, e0 = len(nkey), len(ekey)
             for stage, side, m in ((i, st.rule.L, st.match), (i + 1, st.rule.R, st.mR)):
                 items = _index(side)
                 nmap, emap = m.node_map, m.edge_map
@@ -480,7 +468,19 @@ class Colimit:
                          for x in items.nodes]
                 ekey += [eclass.setdefault(efind(("G", stage, emap[x])), len(eclass))
                          for x in items.edges]
-        return tuple(names), tuple(nkey), tuple(ekey)
+            runs.setdefault(st.rule.name, []).append((nkey[n0:], ekey[e0:]))
+        best = [tuple(nkey), tuple(ekey)]
+        if len(runs) < len(steps):  # renumber the other orders of a rule's steps
+            for order in islice(product(*map(permutations, runs.values())), 1, None):
+                key = []
+                for kind, labels in enumerate((nkey, ekey)):
+                    num = {}
+                    # the start graph's labels, then the steps in this order
+                    listed = chain(labels[:len(source[kind])],
+                                   *[step[kind] for run in order for step in run])
+                    key.append(tuple([num.setdefault(c, len(num)) for c in listed]))
+                best = min(best, key)
+        return (tuple(sorted(st.rule.name for st in steps)), *best)
 
     def _named(self) -> "Colimit":
         """This colimit, with its classes named and its graph built."""
@@ -625,8 +625,6 @@ def equivalent_traces(psi1: Derivation, psi2: Derivation) -> Optional[Tuple[int,
     if not psi1.source.same(psi2.source):
         raise GraphError("derivations start from different graphs")
     n = len(psi1)
-    if n != len(psi2):
-        return None
     names1 = psi1.rule_names()
     names2 = psi2.rule_names()
     if sorted(names1) != sorted(names2):
@@ -707,21 +705,17 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
     Trace equivalence is a congruence for extension, so every extension of
     a member is equivalent to an extension of its representative, and the
     classes, their representatives and their order are those of
-    ``trace_classes_by_definition``.  A new derivation that applies no rule
-    twice joins the class with its colimit's ``key``, or opens one: with
-    the permutation forced by the rule names, equal keys are exactly a
-    left-consistent isomorphism (see the module docstring).  One that
-    repeats a rule is compared, by ``equivalent_traces``, with the
-    representatives of the classes sharing its rule multiset and the
-    ``iso_key`` of its target; it joins the first that accepts it, or opens
-    a class.  Raises ``TraceLimitError`` as soon as more than ``ceiling``
-    classes have been found.
+    ``trace_classes_by_definition``.  A new derivation joins the class with
+    its colimit's ``key``, or opens one: equal keys are exactly a
+    left-consistent isomorphism (see the module docstring).  Raises
+    ``TraceLimitError`` as soon as more than ``ceiling`` classes have been
+    found.
     """
     grammar.validate()
     rules = sorted(grammar.rules, key=lambda r: r.name)
     groups: List[List[Derivation]] = []
     steps: List[Tuple[int, int]] = []
-    buckets: Dict[tuple, List[int]] = {}
+    buckets: Dict[tuple, int] = {}  # process key -> class
 
     def open_class(deriv: Derivation) -> int:
         if len(groups) >= ceiling:
@@ -735,17 +729,10 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
         found = []
         for parent in frontier:
             for child in _extensions(groups[parent][0], rules, fusion_safe):
-                names = child.rule_names()
-                if len(set(names)) == len(names):  # the key decides: one class per key
-                    bucket = buckets.setdefault(child.colimit().key(), [])
-                    cls = bucket[0] if bucket else None
-                else:
-                    bucket = buckets.setdefault((tuple(sorted(names)), iso_key(child.target)), [])
-                    cls = next((c for c in bucket
-                                if equivalent_traces(groups[c][0], child) is not None), None)
+                key = child.colimit().key()
+                cls = buckets.get(key)
                 if cls is None:
-                    cls = open_class(child)
-                    bucket.append(cls)
+                    cls = buckets[key] = open_class(child)
                     found.append(cls)
                 else:
                     groups[cls].append(child)
@@ -783,15 +770,9 @@ def trace_classes_by_definition(grammar: Grammar, depth: int,
                     continue
                 if equivalent_traces(pool[k1], pool[k2]) is not None:
                     uf.union(k1, k2)
-    class_of: Dict[int, int] = {}  # union-find root -> class, numbered by first member
-    groups: List[List[Derivation]] = []
-    cls: List[int] = []
-    for k, d in enumerate(pool):
-        c = class_of.setdefault(uf.find(k), len(groups))
-        if c == len(groups):
-            groups.append([])
-        groups[c].append(d)
-        cls.append(c)
+    classes = uf.groups()  # by least member, so in breadth-first order
+    groups = [[pool[k] for k in members] for members in classes]
+    cls = {k: c for c, members in enumerate(classes) for k in members}
     index = {id(d): k for k, d in enumerate(pool)}
     steps = [(cls[index[id(d.parent)]], cls[k])
              for k, d in enumerate(pool) if d.parent is not None]

@@ -9,7 +9,9 @@ still sorted name pairs on each call.  The digests of the verbs that
 write a file (``convert``, ``connect``, ``synth``, ``derive`` and ``emit``)
 were taken while each report still encoded its payload a second time.
 ``roundtrip`` on B_10 runs the CLI through more than a thousand
-configurations.
+configurations.  The ``derive`` digests on the growing grammar, most of
+whose derivations apply ``grow`` more than once, were taken while
+``trace_classes`` still compared those derivations by ``equivalent_traces``.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ from weavent import io as iomod
 from weavent.cli import main
 from weavent.domains import FiniteDomain
 from weavent.es import EventStructure
-from tests._gen import family_es
+from tests._gen import family_es, growing_grammar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -82,6 +84,24 @@ def test_roundtrip_on_a_thousand_configurations(tmp_path, monkeypatch, capsys):
     results = json.loads(out)["results"]
     assert results["dom_preserved"] is True
     assert results["connected_fixed_point"] is True
+
+
+# derive --depth 4 on the growing grammar: --fusion-safe given -> sha256 of stdout
+GROWING = {
+    False: "247204f425795126a7fbbe395bd78bccb72fcf24b4aa91a0af622f62b1a15d9a",
+    True: "5b6d13b515c31fcd1161576f6580c0f5e8bac68be4ac4e6fbdb0f2f6de1f60c3",
+}
+
+
+@pytest.mark.parametrize("fusion_safe", sorted(GROWING))
+def test_derive_with_repeated_rules_prints_the_pinned_bytes(fusion_safe, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    iomod.dump_json(iomod.grammar_to_json(growing_grammar()), "growing.grammar.json")
+    argv = ["derive", "--grammar", "growing.grammar.json", "--depth", "4"]
+    code, out = _run(capsys, argv + ["--fusion-safe"] * fusion_safe)
+    assert code == 0
+    assert _sha(out) == GROWING[fusion_safe]
 
 
 # argv -> (sha256 of stdout, sha256 of the file written to the --out path)

@@ -330,6 +330,42 @@ def test_error_subclasses_exit_2(case, tmp_path, monkeypatch, capsys):
     assert message in json.loads(err)["error"]
 
 
+_DERIVE = ["derive", "--grammar", str(FIXTURES / "fusion.grammar.json")]
+
+
+def test_a_ceiling_that_is_not_an_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("WEAVENT_CLASS_CEILING", "abc")
+    code, out, err = run_cli(*_DERIVE, "--depth", "2", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "WEAVENT_CLASS_CEILING is not an integer: 'abc'"
+
+
+def test_derive_rejects_a_negative_depth(capsys):
+    code, out, err = run_cli(*_DERIVE, "--depth", "-1", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "--depth must not be negative, got -1"
+
+
+def test_derive_rejects_an_unknown_format(tmp_path, capsys):
+    out_path = tmp_path / "traces.svg"
+    code, out, err = run_cli(*_DERIVE, "--depth", "2", "--format", "svg",
+                             "--out", str(out_path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "unknown format 'svg'"
+    assert not out_path.exists()
+
+
+def test_derive_format_json_writes_what_no_format_writes(tmp_path, capsys):
+    written = []
+    for fmt in ([], ["--format", "json"]):
+        out_path = tmp_path / f"traces{len(fmt)}.json"
+        code, _, _ = run_cli(*_DERIVE, "--depth", "2", *fmt, "--out", str(out_path),
+                             capsys=capsys)
+        assert code == 0
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -7,10 +7,9 @@ order, and on each representative, step by step.
 
 The steps ``trace_classes`` leans on have references of their own: the
 colimit each derivation builds on its parent's equals
-``colimit_by_definition``, the process key of a derivation that applies no
-rule twice is equal exactly when ``equivalent_traces`` relates two of them,
-and the ``iso_key`` buckets of the derivations that repeat a rule are the
-``iso_hash`` buckets.
+``colimit_by_definition``, and the process keys of two derivations, whether
+or not they repeat a rule, are equal exactly when ``equivalent_traces``
+relates them.
 """
 
 import gc
@@ -22,7 +21,7 @@ import pytest
 
 from weavent import rewrite
 from weavent.es import EventStructure, classify
-from weavent.graphs import TypedGraph, iso_hash, iso_key
+from weavent.graphs import TypedGraph, iso_hash
 from weavent.io import load_structure
 from weavent.rewrite import (Derivation, colimit_by_definition, grammar_from_es,
                              once_per_rule_depth, trace_classes,
@@ -65,6 +64,13 @@ def test_fusion_grammar(depth, fusion_safe):
     assert_agree(grammar, depth, fusion_safe)
 
 
+# grow fires again and again, so most of these derivations repeat a rule
+@pytest.mark.parametrize("fusion_safe", [False, True])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_growing_grammar(depth, fusion_safe):
+    assert_agree(growing_grammar(), depth, fusion_safe)
+
+
 def test_live_connected_fixtures_are_found():
     assert len(_live_connected_fixtures()) >= 5
 
@@ -83,7 +89,7 @@ def test_random_connected(seed):
 
 
 # ---------------------------------------------------------------------- #
-# The colimits and bucket keys that trace_classes builds
+# The colimits that trace_classes builds, and the fingerprint of their targets
 # ---------------------------------------------------------------------- #
 
 def _fusion():
@@ -130,39 +136,13 @@ def _renamed(g, rng):
                       {node_id[n]: g.node_type[n] for n in nodes})
 
 
+# The name is that of the compact key this checked against iso_hash before
+# the key was deleted; it is kept so that the ids of the cases stay stable.
 @pytest.mark.parametrize("kind,arg", CASES)
 def test_iso_key_partitions_like_iso_hash(kind, arg):
-    targets = [d.target for d in _case(kind, arg)]
-    hashes = [iso_hash(g) for g in targets]
-    keys = [iso_key(g) for g in targets]
-    assert len(set(hashes)) == len(set(keys)) == len(set(zip(hashes, keys)))
     rng = random.Random(f"{kind}:{arg}")
-    for g, key in zip(targets, keys):
-        assert iso_key(_renamed(g, rng)) == key
-
-
-def test_iso_key_partitions_small_graphs_like_iso_hash():
-    # graphs on three nodes typed N or M, each with a random set of E-edges
-    # (at most one per ordered pair of nodes, loops included) and two F-edges
-    rng = random.Random(9)
-    pairs = [(s, t) for s in "xyz" for t in "xyz"]
-    graphs = []
-    for typing in range(8):
-        types = {n: "NM"[typing >> k & 1] for k, n in enumerate("xyz")}
-        for chosen in rng.sample(range(1 << len(pairs)), 128):
-            edges = [(f"e{k}", "E", s, t) for k, (s, t) in enumerate(pairs) if chosen >> k & 1]
-            edges += [(f"f{k}", "F", *rng.choice(pairs)) for k in range(2)]
-            graphs.append(TypedGraph("xyz", edges, types))
-    # two directed paths of 5 and 7 nodes against two of 6 (and so on):
-    # only the third round of refinement tells them apart
-    for lengths in ((5, 7), (6, 6), (5, 9), (6, 8), (7, 7)):
-        nodes = [f"p{p}_{i}" for p, n in enumerate(lengths) for i in range(n)]
-        edges = [(f"e{p}_{i}", "E", f"p{p}_{i}", f"p{p}_{i + 1}")
-                 for p, n in enumerate(lengths) for i in range(n - 1)]
-        graphs.append(TypedGraph(nodes, edges, dict.fromkeys(nodes, "N")))
-    hashes = [iso_hash(g) for g in graphs]
-    keys = [iso_key(g) for g in graphs]
-    assert len(set(hashes)) == len(set(keys)) == len(set(zip(hashes, keys)))
+    for deriv in _case(kind, arg):
+        assert iso_hash(_renamed(deriv.target, rng)) == iso_hash(deriv.target)
 
 
 def _assert_colimit_agrees(deriv):
@@ -209,38 +189,23 @@ def _runs(k):
 
 
 def _count_checks(monkeypatch):
-    """Count the calls to ``equivalent_traces``: all of them, and those
-    whose second derivation repeats a rule."""
-    count = [0, 0]
+    """Count the calls to ``equivalent_traces``."""
+    count = [0]
     check = rewrite.equivalent_traces
 
     def counted(psi1, psi2):
-        names = psi2.rule_names()
         count[0] += 1
-        count[1] += len(set(names)) < len(names)
         return check(psi1, psi2)
 
     monkeypatch.setattr(rewrite, "equivalent_traces", counted)
     return count
 
 
-@pytest.mark.parametrize("fusion_safe", [False, True])
-@pytest.mark.parametrize("depth", [2, 3])
-def test_repeated_rules_take_the_fallback(monkeypatch, depth, fusion_safe):
-    calls = _count_checks(monkeypatch)
-    trace_classes(growing_grammar(), depth, fusion_safe)
-    assert calls[0] == calls[1] > 0  # only derivations that repeat a rule are checked
-    assert_agree(growing_grammar(), depth, fusion_safe)
-
-
-# No derivation of the first five cases applies a rule twice, so the process
-# key decides them all without a check.  The growing grammar's counts were
-# computed with every derivation bucketed by iso_key and checked by
-# equivalent_traces, counting those that repeat "grow": the fallback's
-# buckets, and so its checks, must not change.
+# The process key decides every derivation, those of the growing grammar
+# that repeat "grow" too, so trace_classes makes no equivalence check.
 @pytest.mark.parametrize("case,calls,classes", [
     ("fusion", 0, 7), ("fusion-safe", 0, 5), ("B4", 0, 16), ("X3", 0, 27),
-    ("L2", 0, 49), ("growing", 1340, 101), ("growing-safe", 926, 66)])
+    ("L2", 0, 49), ("growing", 0, 101), ("growing-safe", 0, 66)])
 def test_equivalence_check_counts_pinned(monkeypatch, case, calls, classes):
     count = _count_checks(monkeypatch)
     if case.startswith("fusion"):
@@ -251,16 +216,6 @@ def test_equivalence_check_counts_pinned(monkeypatch, case, calls, classes):
         make = {"B": _boolean, "X": _choices, "L": _runs}[case[0]]
         result = trace_classes(*_synthesised(make(int(case[1:]))))
     assert (count[0], len(result.classes)) == (calls, classes)
-
-
-@pytest.mark.parametrize("case", ["fusion", "L2"])
-def test_distinct_rule_names_skip_iso_key_and_checks(monkeypatch, case):
-    for name in ("iso_key", "equivalent_traces"):
-        monkeypatch.setattr(rewrite, name, lambda *args, name=name: pytest.fail(f"{name} called"))
-    if case == "fusion":
-        assert len(trace_classes(_fusion(), 5).classes) == 7
-    else:
-        assert len(trace_classes(*_synthesised(_runs(2))).classes) == 49
 
 
 # ---------------------------------------------------------------------- #
@@ -293,13 +248,13 @@ def _pool(kind, arg):
 
 @pytest.mark.parametrize("kind,arg", KEY_CASES)
 def test_process_key_decides_equivalence(kind, arg):
-    # Among derivations of one length that apply no rule twice, keys are
-    # equal exactly when equivalent_traces finds a permutation.  Every pair
-    # with different keys is checked; a pair with equal keys is checked
-    # through the first derivation with that key, since both relations are
-    # equivalences (on L2, one pair per derivation, 877, instead of all
-    # 61,662 pairs with equal keys).
-    pool = [d for d in _pool(kind, arg) if len(set(d.rule_names())) == len(d)]
+    # Among derivations of one length, keys are equal exactly when
+    # equivalent_traces finds a permutation.  Every pair with different keys
+    # is checked; a pair with equal keys is checked through the first
+    # derivation with that key, since both relations are equivalences (on
+    # L2, one pair per derivation, 877, instead of all 61,662 pairs with
+    # equal keys).
+    pool = _pool(kind, arg)
     keys = [d.colimit().key() for d in pool]
     first = {}
     for k, key in enumerate(keys):
