@@ -3,8 +3,8 @@
 Rules are spans ``L ← K → R`` with the left leg mono and consuming; the
 right leg is arbitrary, so a step may merge items.  Applying a rule removes
 the matched deleted part (when the gluing condition holds) and glues the
-right-hand side back in as a pushout, computed as a quotient of a disjoint
-union by union-find.
+right-hand side back in as a pushout, a quotient of a disjoint union whose
+union-find holds only the images of the interface.
 
 Derivations from a grammar's start graph are compared by left-consistent
 permutations: a permutation of equal-length derivations using the same rules
@@ -19,8 +19,10 @@ class's ``members`` are the derivations built for it.
 ``trace_classes_by_definition`` builds every interleaving and quotients
 them pairwise; it is the reference the fast path is tested against.
 
-A derivation's colimit is its parent's colimit glued with the last step;
-``colimit_by_definition`` builds it from scratch and is the reference.
+A derivation's colimit is its parent's colimit glued with the last step:
+its classes are integers, and only the step's new items open classes.  The
+colimit graph and its injections are named on first use by
+``colimit_by_definition``, which builds them from scratch.
 ``trace_classes`` decides a new derivation by one lookup of ``Colimit.key``,
 the partition of the pin labels (start items, match and comatch images,
 named by rule and rank among its steps) into colimit items, least over the
@@ -34,10 +36,10 @@ matching orders, are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, product
+from itertools import chain, groupby, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._common import UnionFind, backtrack
+from ._common import UnionFind, _once, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
@@ -118,44 +120,48 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
 
     Returns ``(P, inA, inB)``.  ``P`` is the disjoint union of ``A`` and
     ``B`` quotiented by ``f(c) ≈ g(c)``; item names prefer the ``B`` side
-    (merged items join their ``B`` names with ``+``).
+    (merged items join their ``B`` names with ``+``).  Only the images of
+    ``C`` enter a union-find, every other item is a class of its own.  The
+    ``A`` items are named in sorted order, a class at its least member, then
+    the ``B`` items outside the image of ``g``; a name taken again gets ``~2``.
     """
     if f.source is not g.source:
         raise GraphError("pushout legs must share their source")
     a, b = f.target, g.target
-    ufn = UnionFind([("A", n) for n in a.nodes] + [("B", n) for n in b.nodes])
-    ufe = UnionFind([("A", e) for e in a.edges] + [("B", e) for e in b.edges])
-    for c in f.source.nodes:
-        ufn.union(("A", f.node_map[c]), ("B", g.node_map[c]))
-    for c in f.source.edges:
-        ufe.union(("A", f.edge_map[c]), ("B", g.edge_map[c]))
-
-    node_name: Dict[tuple, str] = {}
-    edge_name: Dict[tuple, str] = {}
-    for uf, name_of in ((ufn, node_name), (ufe, edge_name)):
+    names = []
+    for c_items, fmap, gmap, a_items, b_items in (
+            (f.source.nodes, f.node_map, g.node_map, a.nodes, b.nodes),
+            (f.source.edges, f.edge_map, g.edge_map, a.edges, b.edges)):
+        uf = UnionFind()
+        for c in c_items:
+            uf.add(("A", fmap[c]))
+            uf.add(("B", gmap[c]))
+            uf.union(("A", fmap[c]), ("B", gmap[c]))
+        b_glued = {gmap[c] for c in c_items}
+        glued: Dict[tuple, List[str]] = {}  # a class's root -> its B items
+        for y in b_glued:
+            glued.setdefault(uf.find(("B", y)), []).append(y)
         used: set = set()
-        for members in uf.groups():
-            bs = sorted({x for tag, x in members if tag == "B"})
-            name = _fresh("+".join(bs) if bs else min(x for tag, x in members), used)
-            for m in members:
-                name_of[m] = name
-
-    nodes = sorted(set(node_name.values()))
-    ntype = {}
-    for m, name in node_name.items():
-        tag, x = m
-        ntype[name] = (a if tag == "A" else b).node_type[x]
+        to_a, of_root = {}, {}
+        for x in sorted(a_items):  # every glued class has a least A item
+            root = uf.find(("A", x)) if ("A", x) in uf else None
+            if root == ("A", x):
+                of_root[root] = _fresh("+".join(sorted(glued[root])), used)
+            to_a[x] = _fresh(x, used) if root is None else of_root[root]
+        to_b = {y: of_root[uf.find(("B", y))] for y in b_glued}
+        for y in sorted(b_items - b_glued):
+            to_b[y] = _fresh(y, used)
+        names.append((to_a, to_b))
+    (na, nb), (ea, eb) = names
+    ntype = {na[x]: a.node_type[x] for x in na}
+    ntype.update({nb[y]: b.node_type[y] for y in nb})
     edges = {}
-    for m, name in edge_name.items():
-        tag, x = m
-        gph = a if tag == "A" else b
-        edges[name] = (name, gph.edge_type[x],
-                       node_name[(tag, gph.src[x])], node_name[(tag, gph.tgt[x])])
-    p = TypedGraph(nodes, sorted(edges.values()), ntype)
-    in_a = GraphMorphism(a, p, {n: node_name[("A", n)] for n in a.nodes},
-                         {e: edge_name[("A", e)] for e in a.edges})
-    in_b = GraphMorphism(b, p, {n: node_name[("B", n)] for n in b.nodes},
-                         {e: edge_name[("B", e)] for e in b.edges})
+    for gph, nmap, emap in ((a, na, ea), (b, nb, eb)):
+        for x, name in emap.items():
+            edges[name] = (name, gph.edge_type[x], nmap[gph.src[x]], nmap[gph.tgt[x]])
+    p = TypedGraph(sorted(ntype), sorted(edges.values()), ntype)
+    in_a = GraphMorphism(a, p, {n: na[n] for n in a.nodes}, {e: ea[e] for e in a.edges})
+    in_b = GraphMorphism(b, p, {n: nb[n] for n in b.nodes}, {e: eb[e] for e in b.edges})
     return p, in_a, in_b
 
 
@@ -394,48 +400,63 @@ class Derivation:
         return f"Derivation({';'.join(self.rule_names()) or 'ε'})"
 
 
+def _glue(uf: UnionFind, at_g: Dict[str, int], lstar: Dict[str, str],
+          rstar: Dict[str, str], h_items: Iterable[str]) -> Dict[str, int]:
+    """The colimit classes of the items of ``H`` from those of ``G``: each
+    item of ``D`` carries its class over, two with one image merge theirs,
+    and every other item of ``H`` opens a class in ``uf``."""
+    at_h: Dict[str, int] = {}
+    for x, y in lstar.items():
+        c = at_h.setdefault(rstar[x], at_g[y])
+        if c != at_g[y]:
+            uf.union(c, at_g[y])
+    for y in h_items:
+        if y not in at_h:
+            at_h[y] = len(uf.parent)
+            uf.add(at_h[y])
+    return at_h
+
+
 class Colimit:
-    """Colimit of the zig-zag of graphs of a derivation.
+    """Colimit of the zig-zag of graphs of a derivation, on integer classes.
 
-    Computed as a union-find quotient of the disjoint union of the row
-    ``G_0 ← D_1 → G_1 ← … → G_n``, whose items are tagged ``("G", i, x)``
-    and ``("D", i, x)``.  The colimit of ``ψ·step`` is the colimit of ``ψ``
-    glued with one more span, so with ``base``, the colimit of a prefix of
-    the derivation (its parent's), only the later steps' ``D`` and ``H``
-    are added to copies of its union-finds.
+    ``_at`` maps the nodes and the edges of the target graph to classes,
+    integers of the union-find ``_uf``.  With ``base``, the colimit of a
+    prefix of the derivation (its parent's), only the later steps are glued
+    (``_glue``) into a copy of its union-find, which so holds one integer
+    per class opened.  ``_start`` and ``_pins`` hold the pin labels as the
+    classes they had when glued: the start graph's items, then per step the
+    rule name and the images of the sorted items of ``L`` and of ``R``.
 
-    ``key`` reads the process key off the union-find roots.  The graph and
-    the injections ``node_in``/``edge_in`` are named on first use: a class
-    is named ``n<k>`` (``e<k>`` for edges) after the rank of its root, its
-    least member, among all roots.  ``colimit_by_definition`` builds the
-    same names from scratch.  The colimit keeps the derivation's start graph
-    and steps, not the derivation, so it holds no reference back to it.
+    ``key`` reads the process key off the union-find roots.  ``graph``,
+    ``node_in`` and ``edge_in`` come from ``colimit_by_definition`` on
+    first use.  The colimit keeps the derivation's start graph and steps,
+    not the derivation, so it holds no reference back to it.
     """
 
     def __init__(self, source: TypedGraph, steps: Tuple[DirectDerivation, ...],
                  base: Optional["Colimit"] = None):
         if base is None:
-            nodes = UnionFind(("G", 0, n) for n in source.nodes)
-            edges = UnionFind(("G", 0, e) for e in source.edges)
-            glued = 0
+            uf = UnionFind()
+            at = (_glue(uf, {}, {}, {}, source.nodes), _glue(uf, {}, {}, {}, source.edges))
+            index = _index(source)
+            start = ([at[0][x] for x in index.nodes], [at[1][x] for x in index.edges])
+            pins: Tuple[tuple, ...] = ()
         else:
-            nodes, edges = base._nodes.copy(), base._edges.copy()
-            glued = len(base._steps)
-        for i in range(glued + 1, len(steps) + 1):
-            st = steps[i - 1]
-            for uf, h_items, d_items, lstar, rstar in (
-                    (nodes, st.H.nodes, st.D.nodes, st.lstar.node_map, st.rstar.node_map),
-                    (edges, st.H.edges, st.D.edges, st.lstar.edge_map, st.rstar.edge_map)):
-                add, union = uf.add, uf.union
-                for x in h_items:
-                    add(("G", i, x))
-                for x in d_items:
-                    add(("D", i, x))
-                    union(("D", i, x), ("G", i - 1, lstar[x]))
-                    union(("D", i, x), ("G", i, rstar[x]))
-        self._nodes, self._edges = nodes, edges
+            uf, at, start, pins = base._uf.copy(), base._at, base._start, base._pins
+        for st in steps[len(pins):]:
+            h = (_glue(uf, at[0], st.lstar.node_map, st.rstar.node_map, st.H.nodes),
+                 _glue(uf, at[1], st.lstar.edge_map, st.rstar.edge_map, st.H.edges))
+            labels: Tuple[List[int], List[int]] = ([], [])
+            for stage, side, m in ((at, st.rule.L, st.match), (h, st.rule.R, st.mR)):
+                index = _index(side)
+                labels[0].extend([stage[0][m.node_map[x]] for x in index.nodes])
+                labels[1].extend([stage[1][m.edge_map[x]] for x in index.edges])
+            pins += ((st.rule.name, *labels),)
+            at = h
+        self._uf, self._at, self._start, self._pins = uf, at, start, pins
         self._source, self._steps = source, steps
-        self._nname = self._ename = self._graph = None  # named on first use
+        self._derived: Dict[str, object] = {}  # the names, on first use
 
     def key(self) -> tuple:
         """The sorted rule names and the partition of the pin labels into
@@ -448,73 +469,51 @@ class Colimit:
         start graph, then the rules by name, each step's ``L`` then ``R``,
         items sorted.  Numbering classes by first occurrence gives the
         partitions; the key takes the least over all orders, one when no
-        rule repeats.
+        rule repeats.  The orders are searched step by step, and an order
+        is dropped as soon as its node numbers exceed the least found.
         """
-        steps = self._steps
-        nfind, efind = self._nodes.find, self._edges.find
-        nclass: Dict[tuple, int] = {}
-        eclass: Dict[tuple, int] = {}
-        source = _index(self._source)
-        nkey = [nclass.setdefault(nfind(("G", 0, x)), len(nclass)) for x in source.nodes]
-        ekey = [eclass.setdefault(efind(("G", 0, x)), len(eclass)) for x in source.edges]
-        runs = {}  # rule name -> the label numbers of its steps
-        for i in sorted(range(len(steps)), key=lambda i: steps[i].rule.name):
-            st = steps[i]
-            n0, e0 = len(nkey), len(ekey)
-            for stage, side, m in ((i, st.rule.L, st.match), (i + 1, st.rule.R, st.mR)):
-                items = _index(side)
-                nmap, emap = m.node_map, m.edge_map
-                nkey += [nclass.setdefault(nfind(("G", stage, nmap[x])), len(nclass))
-                         for x in items.nodes]
-                ekey += [eclass.setdefault(efind(("G", stage, emap[x])), len(eclass))
-                         for x in items.edges]
-            runs.setdefault(st.rule.name, []).append((nkey[n0:], ekey[e0:]))
-        best = [tuple(nkey), tuple(ekey)]
-        if len(runs) < len(steps):  # renumber the other orders of a rule's steps
-            for order in islice(product(*map(permutations, runs.values())), 1, None):
-                key = []
-                for kind, labels in enumerate((nkey, ekey)):
-                    num = {}
-                    # the start graph's labels, then the steps in this order
-                    listed = chain(labels[:len(source[kind])],
-                                   *[step[kind] for run in order for step in run])
-                    key.append(tuple([num.setdefault(c, len(num)) for c in listed]))
-                best = min(best, key)
-        return (tuple(sorted(st.rule.name for st in steps)), *best)
+        find = self._uf.find
+        pins = sorted(self._pins, key=lambda pin: pin[0])  # the steps by rule name
+        rows = [[[find(c) for c in labels]  # per kind: the start graph's roots, then each step's
+                 for labels in (self._start[kind], *[pin[1 + kind] for pin in pins])]
+                for kind in (0, 1)]
 
-    def _named(self) -> "Colimit":
-        """This colimit, with its classes named and its graph built."""
-        if self._graph is not None:
-            return self
-        nodes, edges, steps = self._nodes, self._edges, self._steps
-        self._nname = {r: f"n{k}" for k, r in enumerate(sorted(nodes.roots))}
-        self._ename = {r: f"e{k}" for k, r in enumerate(sorted(edges.roots))}
+        def numbered(kind: int, order: Iterable[int]) -> List[int]:
+            num: Dict[int, int] = {}
+            return [num.setdefault(c, len(num))
+                    for c in chain(*[rows[kind][i] for i in (0, *order)])]
 
-        def graph(tag: str, i: int) -> TypedGraph:
-            if tag == "D":
-                return steps[i - 1].D
-            return steps[i - 1].H if i else self._source
+        steps = range(1, len(pins) + 1)
+        best = [numbered(0, steps), numbered(1, steps)]
+        runs = [list(run) for _, run in groupby(steps, key=lambda i: pins[i - 1][0])]
+        if len(runs) < len(pins):  # renumber the other orders of a rule's steps
+            # states[k]: the node numbering of the start graph and k steps chosen
+            num: Dict[int, int] = {}
+            states = [(num, [num.setdefault(c, len(num)) for c in rows[0][0]])]
 
-        ntype = {name: graph(tag, i).node_type[x]
-                 for (tag, i, x), name in self._nname.items()}
-        ends = []
-        for (tag, i, x), name in self._ename.items():
-            g = graph(tag, i)
-            ends.append((name, g.edge_type[x],
-                         self._nname[nodes.find((tag, i, g.src[x]))],
-                         self._nname[nodes.find((tag, i, g.tgt[x]))]))
-        self._graph = TypedGraph(self._nname.values(), ends, ntype)
-        return self
+            def fits(k: int, i: int, chosen: List[int]) -> bool:
+                num = dict(states[k][0])
+                seq = states[k][1] + [num.setdefault(c, len(num)) for c in rows[0][i]]
+                states[k + 1:] = [(num, seq)]
+                return seq <= best[0][:len(seq)]
+
+            for order in backtrack([run for run in runs for _ in run], fits, True):
+                best[:] = min(best, [states[-1][1], numbered(1, order)])
+        return (tuple(pin[0] for pin in pins), *map(tuple, best))
+
+    def _names(self) -> tuple:
+        return _once(self, "names",
+                     lambda c: colimit_by_definition(Derivation(c._source, c._steps)))
 
     @property
     def graph(self) -> TypedGraph:
-        return self._named()._graph
+        return self._names()[0]
 
     def node_in(self, stage: int, node: str) -> str:
-        return self._named()._nname[self._nodes.find(("G", stage, node))]
+        return self._names()[1][(stage, node)]
 
     def edge_in(self, stage: int, edge: str) -> str:
-        return self._named()._ename[self._edges.find(("G", stage, edge))]
+        return self._names()[2][(stage, edge)]
 
 
 def colimit_by_definition(deriv: Derivation

@@ -292,17 +292,24 @@ class TestCli:
             outs.add(out)
         assert len(outs) == 1
 
-    def test_script_entry_point(self):
+    @staticmethod
+    def _run_module(*args):
         # the child imports the package under test, installed or not
         src = str(Path(iomod.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "weavent.cli", "check", "--es",
-             str(FIXTURES / "e_run.es.json")],
-            capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", *args],
+                              capture_output=True, text=True, env=env)
+
+    def test_script_entry_point(self):
+        proc = self._run_module("weavent.cli", "check", "--es", str(FIXTURES / "e_run.es.json"))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["live"] is True
+
+    def test_package_entry_point(self):
+        proc = self._run_module("weavent", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: weavent")
 
 
 def _dead_event_es(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from weavent import rewrite
+from weavent._common import UnionFind
 from weavent.domains import algebraicity, validate_domain
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain, poset_isomorphic
 from weavent.es import EventStructure
@@ -514,3 +515,101 @@ class TestPinnedNames:
              "s_a0": "n3", "s_b0": "n4", "s_c0": "n2"},
             {"i_b0": "n0", "i_c0": "n1", "l_(a0,b0)@c0+s_c0": "n2", "s_a0": "n3", "s_b0": "n4"},
             {"i_b0": "n0", "l_(a0,b0)@c0+s_c0": "n2", "s_a0": "n3", "s_b0": "n4"}]
+
+
+# ---------------------------------------------------------------------- #
+# pushout against the whole-graph reference
+# ---------------------------------------------------------------------- #
+
+def _pushout_reference(f, g):
+    """The pushout with every item of ``A`` and ``B`` in one union-find,
+    tagged by side, each class named in the order of ``groups()``: the
+    naming ``pushout`` keeps while it joins only the images of ``C``."""
+    a, b = f.target, g.target
+    ufn = UnionFind([("A", n) for n in a.nodes] + [("B", n) for n in b.nodes])
+    ufe = UnionFind([("A", e) for e in a.edges] + [("B", e) for e in b.edges])
+    for c in f.source.nodes:
+        ufn.union(("A", f.node_map[c]), ("B", g.node_map[c]))
+    for c in f.source.edges:
+        ufe.union(("A", f.edge_map[c]), ("B", g.edge_map[c]))
+    node_name, edge_name = {}, {}
+    for uf, name_of in ((ufn, node_name), (ufe, edge_name)):
+        used = set()
+        for members in uf.groups():
+            bs = sorted({x for tag, x in members if tag == "B"})
+            name = rewrite._fresh("+".join(bs) if bs else min(x for tag, x in members), used)
+            for m in members:
+                name_of[m] = name
+    side = {"A": a, "B": b}
+    ntype = {name: side[tag].node_type[x] for (tag, x), name in node_name.items()}
+    edges = {name: (name, side[tag].edge_type[x], node_name[(tag, side[tag].src[x])],
+                    node_name[(tag, side[tag].tgt[x])])
+             for (tag, x), name in edge_name.items()}
+    p = TypedGraph(sorted(set(node_name.values())), sorted(edges.values()), ntype)
+    in_a = GraphMorphism(a, p, {n: node_name[("A", n)] for n in a.nodes},
+                         {e: edge_name[("A", e)] for e in a.edges})
+    in_b = GraphMorphism(b, p, {n: node_name[("B", n)] for n in b.nodes},
+                         {e: edge_name[("B", e)] for e in b.edges})
+    return p, in_a, in_b
+
+
+# item names that the "+"-joined names of glued items run into, so that
+# "~k" suffixes occur
+_SPAN_NAMES = ["u", "v", "w", "u+v", "v+w", "u+w", "u+v+w", "x"]
+
+
+def _random_leg(rng, c):
+    """A random graph over ``_SPAN_NAMES`` and a random, often
+    non-injective, morphism from ``c`` into it: each edge of ``c`` goes to
+    an edge between the images of its ends, an old one or a new one."""
+    nodes = rng.sample(_SPAN_NAMES, rng.randint(1, len(_SPAN_NAMES)))
+    node_map = {n: rng.choice(nodes) for n in sorted(c.nodes)}
+    ends = {x: (rng.choice(nodes), rng.choice(nodes))  # edge -> (src, tgt)
+            for x in rng.sample(_SPAN_NAMES, rng.randint(0, 3))}
+    edge_map = {}
+    for e in sorted(c.edges):
+        want = (node_map[c.src[e]], node_map[c.tgt[e]])
+        old = sorted(x for x, xy in ends.items() if xy == want)
+        if old and rng.random() < 0.6:
+            edge_map[e] = rng.choice(old)
+            continue
+        edge_map[e] = next(x for x in rng.sample(_SPAN_NAMES, len(_SPAN_NAMES)) + [e]
+                           if x not in ends)
+        ends[edge_map[e]] = want
+    g = TypedGraph(nodes, [(x, "E", s, t) for x, (s, t) in ends.items()],
+                   dict.fromkeys(nodes, "N"))
+    return GraphMorphism(c, g, node_map, edge_map)
+
+
+def _random_span(seed):
+    """A seeded span ``A ←f− C −g→ B`` with one node and one edge type."""
+    rng = random.Random(seed)
+    c_nodes = [f"c{k}" for k in range(rng.randint(0, 4))]
+    c_edges = [(f"k{k}", "E", rng.choice(c_nodes), rng.choice(c_nodes))
+               for k in range(rng.randint(0, 3) if c_nodes else 0)]
+    c = TypedGraph(c_nodes, c_edges, dict.fromkeys(c_nodes, "N"))
+    return _random_leg(rng, c), _random_leg(rng, c)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_pushout_names_match_whole_graph_reference(seed):
+    f, g = _random_span(seed)
+    f.validate()
+    g.validate()
+    p, in_a, in_b = pushout(f, g)
+    ref, ref_a, ref_b = _pushout_reference(f, g)
+    assert p.same(ref)
+    assert (in_a.node_map, in_a.edge_map) == (ref_a.node_map, ref_a.edge_map)
+    assert (in_b.node_map, in_b.edge_map) == (ref_b.node_map, ref_b.edge_map)
+    assert is_pushout(f, g, in_a, in_b)
+
+
+def test_random_spans_merge_and_rename():
+    # the spans above glue items on either side and meet "~k" suffixes
+    merging = renamed = 0
+    for seed in range(200):
+        f, g = _random_span(seed)
+        p, _, _ = pushout(f, g)
+        merging += not (f.is_injective() and g.is_injective())
+        renamed += any("~" in x for x in p.nodes | p.edges)
+    assert merging >= 50 and renamed >= 50

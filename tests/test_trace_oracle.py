@@ -6,15 +6,17 @@ pairwise.  They must agree on the class ids and their order, on the prefix
 order, and on each representative, step by step.
 
 The steps ``trace_classes`` leans on have references of their own: the
-colimit each derivation builds on its parent's equals
-``colimit_by_definition``, and the process keys of two derivations, whether
-or not they repeat a rule, are equal exactly when ``equivalent_traces``
-relates them.
+process key each derivation reads off the colimit classes it glues onto its
+parent's equals the key recomputed from ``colimit_by_definition``'s
+injections, its union-find holds one integer per class opened, and the
+process keys of two derivations, whether or not they repeat a rule, are
+equal exactly when ``equivalent_traces`` relates them.
 """
 
 import gc
 import random
 import weakref
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -145,26 +147,6 @@ def test_iso_key_partitions_like_iso_hash(kind, arg):
         assert iso_hash(_renamed(deriv.target, rng)) == iso_hash(deriv.target)
 
 
-def _assert_colimit_agrees(deriv):
-    graph, node_in, edge_in = colimit_by_definition(deriv)
-    col = deriv.colimit()
-    assert col.graph.same(graph)
-    stages = [deriv.source] + [st.H for st in deriv.steps]
-    assert {(i, n): col.node_in(i, n)
-            for i, g in enumerate(stages) for n in g.nodes} == node_in
-    assert {(i, e): col.edge_in(i, e)
-            for i, g in enumerate(stages) for e in g.edges} == edge_in
-
-
-@pytest.mark.parametrize("kind,arg", CASES)
-def test_incremental_colimit_matches_oracle(kind, arg):
-    for deriv in _case(kind, arg):
-        for k in range(len(deriv) + 1):
-            _assert_colimit_agrees(deriv.prefix(k))
-        # without a parent, the colimit is glued from stage 0 in one go
-        _assert_colimit_agrees(Derivation(deriv.source, deriv.steps))
-
-
 def _boolean(n):
     events = [f"e{i}" for i in range(n)]
     return EventStructure.binary(events, (), [((), e) for e in events])
@@ -267,6 +249,77 @@ def test_process_key_decides_equivalence(kind, arg):
             if len(d1) == len(d2) and keys[k1] != keys[k2]:
                 assert rewrite.equivalent_traces(d1, d2) is None
                 assert rewrite.equivalent_traces(d2, d1) is None
+
+
+def _key_by_definition(deriv):
+    """``Colimit.key`` recomputed from ``colimit_by_definition``'s injections:
+    the same labels listed in the same orders, classes numbered by first
+    occurrence, and the least over every order of each rule's steps."""
+    _, node_in, edge_in = colimit_by_definition(deriv)
+    runs = {}  # rule name -> its steps
+    for i in sorted(range(len(deriv)), key=lambda i: deriv.steps[i].rule.name):
+        runs.setdefault(deriv.steps[i].rule.name, []).append(i)
+
+    def numbered(order):
+        key = []
+        for items, into, image in ((lambda g: g.nodes, node_in, lambda m: m.node_map),
+                                   (lambda g: g.edges, edge_in, lambda m: m.edge_map)):
+            labels = [into[(0, x)] for x in sorted(items(deriv.source))]
+            for i in order:
+                st = deriv.steps[i]
+                for stage, side, m in ((i, st.rule.L, st.match), (i + 1, st.rule.R, st.mR)):
+                    labels += [into[(stage, image(m)[x])] for x in sorted(items(side))]
+            num = {}
+            key.append(tuple(num.setdefault(c, len(num)) for c in labels))
+        return key
+
+    best = min(numbered([i for run in order for i in run])
+               for order in product(*map(permutations, runs.values())))
+    return (tuple(sorted(deriv.rule_names())), *best)
+
+
+def _assert_colimit_agrees(deriv):
+    # the names come from colimit_by_definition on first use; the key is
+    # read off the classes glued step by step
+    graph, node_in, edge_in = colimit_by_definition(deriv)
+    col = deriv.colimit()
+    assert col.key() == _key_by_definition(deriv)
+    assert col.graph.same(graph)
+    stages = [deriv.source] + [st.H for st in deriv.steps]
+    assert {(i, n): col.node_in(i, n)
+            for i, g in enumerate(stages) for n in g.nodes} == node_in
+    assert {(i, e): col.edge_in(i, e)
+            for i, g in enumerate(stages) for e in g.edges} == edge_in
+
+
+@pytest.mark.parametrize("kind,arg", KEY_CASES)
+def test_incremental_colimit_matches_oracle(kind, arg):
+    # each derivation of the pool, and so each of its prefixes, is built on
+    # its parent; without a parent, the colimit is glued from stage 0 in one go
+    for deriv in _pool(kind, arg):
+        _assert_colimit_agrees(deriv)
+        _assert_colimit_agrees(Derivation(deriv.source, deriv.steps))
+
+
+def _classes_opened(deriv):
+    """The start graph's items and, for each step, the items of ``H``
+    outside the image of ``rstar``."""
+    count = len(deriv.source.nodes) + len(deriv.source.edges)
+    for st in deriv.steps:
+        count += len(st.H.nodes - set(st.rstar.node_map.values()))
+        count += len(st.H.edges - set(st.rstar.edge_map.values()))
+    return count
+
+
+@pytest.mark.parametrize("case", ["X3", "fusion"])
+def test_colimit_union_find_holds_one_item_per_class_opened(case):
+    # a colimit glues only a step's new classes, never the items of a stage;
+    # the fusion grammar's steps merge classes too
+    derivs = _reached(*_synthesised(_choices(3))) if case == "X3" else _reached(_fusion(), 5)
+    assert case == "X3" or any(not st.rstar.is_injective() for d in derivs for st in d.steps)
+    for deriv in derivs:
+        for d in (deriv, Derivation(deriv.source, deriv.steps)):
+            assert set(d.colimit()._uf.parent) == set(range(_classes_opened(d)))
 
 
 def test_process_key_tells_apart_what_the_rule_names_do_not():
