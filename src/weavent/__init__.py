@@ -21,9 +21,10 @@ from .duality import Epes, configuration_id, connect_es, dom_of_es, \
 from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, \
     graph_isomorphism, iso_hash
 from .rewrite import Derivation, DirectDerivation, Grammar, Rule, TraceClass, \
-    TraceLimitError, apply_rule, equivalent_traces, grammar_from_es, interchange, \
-    is_fusion_safe, is_pushout, pushout, sequential_independence, trace_classes, \
-    trace_classes_by_definition, trace_domain, verify_direct_derivation
+    TraceLimitError, apply_rule, grammar_from_es, interchange, is_fusion_safe, pushout, \
+    sequential_independence, trace_classes, trace_domain
+from .oracles import equivalent_traces, is_pushout, trace_classes_by_definition, \
+    verify_direct_derivation
 from .intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
 from .asyncgraphs import AsyncError, AsyncGraph, async_domain, hasse_as_async, \
     validate_async_graph

@@ -1,0 +1,276 @@
+"""The exhaustive references the rewriting fast paths are tested against.
+
+Each function here builds its answer from the definitions, without the
+shortcuts of ``rewrite``: ``apply_rule_by_definition`` builds ``D`` and
+``H`` whole through ``pushout``, ``colimit_by_definition`` glues every stage
+of a derivation at once, ``equivalent_traces`` searches the left-consistent
+permutations, and ``trace_classes_by_definition`` builds every interleaving
+with ``find_matches`` and ``apply_rule_by_definition`` and quotients the
+derivations pairwise.  ``is_pushout`` and ``verify_direct_derivation`` check
+a step's squares against the pushout criterion.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from ._common import UnionFind, backtrack
+from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, iso_hash
+from .rewrite import (Derivation, DirectDerivation, Grammar, Rule, TraceDomainResult,
+                      _trace_result, is_fusion_safe, pushout)
+
+
+def is_pushout(f: GraphMorphism, g: GraphMorphism,
+               pa: GraphMorphism, pb: GraphMorphism) -> bool:
+    """Whether ``pa: A→P``, ``pb: B→P`` make the square over ``A←C→B`` a pushout.
+
+    Concrete criterion: the square commutes and the canonical quotient of
+    the disjoint union maps onto ``P`` bijectively (no extra or missing
+    identifications).
+    """
+    if f.source is not g.source or pa.source is not f.target \
+            or pb.source is not g.target or pa.target is not pb.target:
+        raise GraphError("is_pushout: the four morphisms do not form a square")
+    for c in f.source.nodes:
+        if pa.node_map[f.node_map[c]] != pb.node_map[g.node_map[c]]:
+            return False
+    for c in f.source.edges:
+        if pa.edge_map[f.edge_map[c]] != pb.edge_map[g.edge_map[c]]:
+            return False
+    canon, in_a, in_b = pushout(f, g)
+    p = pa.target
+    maps = []
+    for items_a, items_b, ina, inb, to_a, to_b, canon_items, p_items in (
+            (f.target.nodes, g.target.nodes, in_a.node_map, in_b.node_map,
+             pa.node_map, pb.node_map, canon.nodes, p.nodes),
+            (f.target.edges, g.target.edges, in_a.edge_map, in_b.edge_map,
+             pa.edge_map, pb.edge_map, canon.edges, p.edges)):
+        to: Dict[str, set] = {}
+        for x in items_a:
+            to.setdefault(ina[x], set()).add(to_a[x])
+        for x in items_b:
+            to.setdefault(inb[x], set()).add(to_b[x])
+        if any(len(v) != 1 for v in to.values()):
+            return False
+        m = {k: v.pop() for k, v in to.items()}
+        if not len(m) == len(set(m.values())) == len(canon_items) == len(p_items):
+            return False
+        maps.append(m)
+    nmap, emap = maps
+    mediating = GraphMorphism(canon, p, nmap, emap)
+    try:
+        mediating.validate()
+    except GraphError:
+        return False
+    return True
+
+
+def apply_rule_by_definition(g: TypedGraph, rule: Rule,
+                             m: GraphMorphism) -> Optional[DirectDerivation]:
+    """``apply_rule`` from the definition: ``D`` as the subgraph of ``G``
+    without the deleted items, ``H`` as ``pushout(r, mK)``, each built
+    whole; None when the gluing condition fails.
+
+    With ``l`` mono the condition splits into the dangling check (no context
+    edge may keep a deleted node alive) and the identification check (items
+    identified by the match must all be preserved).
+    """
+    if m.source is not rule.L or m.target is not g:
+        raise GraphError("match must map the rule's left-hand side into the host")
+    m.validate()
+    kept_nodes = {rule.l.node_map[k] for k in rule.K.nodes}
+    kept_edges = {rule.l.edge_map[k] for k in rule.K.edges}
+    gone_nodes, gone_edges = rule.L.nodes - kept_nodes, rule.L.edges - kept_edges
+    del_nodes = {m.node_map[x] for x in gone_nodes}
+    del_edges = {m.edge_map[x] for x in gone_edges}
+    # identification condition: deleted items have distinct images, and
+    # none of them is the image of a kept item
+    if len(del_nodes) < len(gone_nodes) or len(del_edges) < len(gone_edges):
+        return None
+    if del_nodes & {m.node_map[x] for x in kept_nodes}:
+        return None
+    if del_edges & {m.edge_map[x] for x in kept_edges}:
+        return None
+    # dangling condition
+    d_edges = g.edges - del_edges
+    for e in d_edges:
+        if g.src[e] in del_nodes or g.tgt[e] in del_nodes:
+            return None
+    d = g.subgraph(g.nodes - del_nodes, d_edges)
+    lstar = GraphMorphism(d, g, {n: n for n in d.nodes}, {e: e for e in d.edges})
+    mk = GraphMorphism(rule.K, d,
+                       {k: m.node_map[rule.l.node_map[k]] for k in rule.K.nodes},
+                       {k: m.edge_map[rule.l.edge_map[k]] for k in rule.K.edges})
+    h, in_r, in_d = pushout(rule.r, mk)
+    return DirectDerivation(rule, g, d, h, m, mk, in_r, lstar, in_d)
+
+
+def verify_direct_derivation(d: DirectDerivation) -> bool:
+    """Check both squares of a step against the pushout criterion."""
+    left = is_pushout(d.rule.l, d.mK, d.match, d.lstar)
+    right = is_pushout(d.rule.r, d.mK, d.mR, d.rstar)
+    return left and right
+
+
+def colimit_by_definition(deriv: Derivation
+                          ) -> Tuple[TypedGraph, Dict[Tuple[int, str], str],
+                                     Dict[Tuple[int, str], str]]:
+    """The colimit of a derivation from scratch, with its injections.
+
+    Returns the graph and the names of the nodes and of the edges of every
+    stage, keyed by ``(stage, item)``.  Builds the whole row at once and
+    names the classes in the order of ``groups()``; it is the reference
+    ``Colimit`` is tested against.
+    """
+    gs = [deriv.source] + [st.H for st in deriv.steps]
+    ufn, ufe = UnionFind(), UnionFind()
+    for i, g in enumerate(gs):
+        for n in g.nodes:
+            ufn.add(("G", i, n))
+        for e in g.edges:
+            ufe.add(("G", i, e))
+    for i, st in enumerate(deriv.steps, start=1):
+        for uf, items, lstar, rstar in (
+                (ufn, st.D.nodes, st.lstar.node_map, st.rstar.node_map),
+                (ufe, st.D.edges, st.lstar.edge_map, st.rstar.edge_map)):
+            for x in items:
+                uf.add(("D", i, x))
+                uf.union(("D", i, x), ("G", i - 1, lstar[x]))
+                uf.union(("D", i, x), ("G", i, rstar[x]))
+    nclass: Dict[tuple, str] = {}
+    eclass: Dict[tuple, str] = {}
+    nodes = []
+    ntype = {}
+    for idx, members in enumerate(ufn.groups()):
+        name = f"n{idx}"
+        nodes.append(name)
+        for mtag in members:
+            nclass[mtag] = name
+        tag, i, x = members[0]
+        gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
+        ntype[name] = gref.node_type[x]
+    edges = []
+    for idx, members in enumerate(ufe.groups()):
+        name = f"e{idx}"
+        for mtag in members:
+            eclass[mtag] = name
+        tag, i, x = members[0]
+        gref = gs[i] if tag == "G" else deriv.steps[i - 1].D
+        edges.append((name, gref.edge_type[x],
+                      nclass[(tag, i, gref.src[x])], nclass[(tag, i, gref.tgt[x])]))
+    graph = TypedGraph(nodes, edges, ntype)
+    return (graph, {(i, x): name for (tag, i, x), name in nclass.items() if tag == "G"},
+            {(i, x): name for (tag, i, x), name in eclass.items() if tag == "G"})
+
+
+def _left_consistent_iso(psi1: Derivation, psi2: Derivation,
+                         sigma: Sequence[int]) -> Optional[GraphMorphism]:
+    """The colimit isomorphism pinned by the start graph and the matches, if
+    consistent; None when some pin clashes or the pinned map is not an iso."""
+    col1, col2 = psi1.colimit(), psi2.colimit()
+    nmap: Dict[str, str] = {}
+    emap: Dict[str, str] = {}
+
+    def pin(m: Dict[str, str], a: str, b: str) -> bool:
+        if m.get(a, b) != b:
+            return False
+        m[a] = b
+        return True
+
+    for n in psi1.source.nodes:
+        if not pin(nmap, col1.node_in(0, n), col2.node_in(0, n)):
+            return None
+    for e in psi1.source.edges:
+        if not pin(emap, col1.edge_in(0, e), col2.edge_in(0, e)):
+            return None
+    for i, st1 in enumerate(psi1.steps):
+        j = sigma[i]
+        st2 = psi2.steps[j]
+        for i1, j1, side, m1, m2 in ((i, j, st1.rule.L, st1.match, st2.match),
+                                     (i + 1, j + 1, st1.rule.R, st1.mR, st2.mR)):
+            for x in side.nodes:
+                if not pin(nmap, col1.node_in(i1, m1.node_map[x]),
+                           col2.node_in(j1, m2.node_map[x])):
+                    return None
+            for x in side.edges:
+                if not pin(emap, col1.edge_in(i1, m1.edge_map[x]),
+                           col2.edge_in(j1, m2.edge_map[x])):
+                    return None
+    # a bijection: every class of each colimit pinned, none of them twice
+    for m, items1, items2 in ((nmap, col1.graph.nodes, col2.graph.nodes),
+                              (emap, col1.graph.edges, col2.graph.edges)):
+        if not len(m) == len(set(m.values())) == len(items1) == len(items2):
+            return None
+    xi = GraphMorphism(col1.graph, col2.graph, nmap, emap)
+    try:
+        xi.validate()
+    except GraphError:
+        return None
+    return xi
+
+
+def equivalent_traces(psi1: Derivation, psi2: Derivation) -> Optional[Tuple[int, ...]]:
+    """The left-consistent permutation relating two derivations, or None.
+
+    Both derivations must start from the same graph on the nose (their
+    decorations are identities).  The permutation is returned 0-indexed:
+    position ``i`` of the first derivation plays position ``sigma[i]`` of
+    the second.
+    """
+    if not psi1.source.same(psi2.source):
+        raise GraphError("derivations start from different graphs")
+    n = len(psi1)
+    names1 = psi1.rule_names()
+    names2 = psi2.rule_names()
+    if sorted(names1) != sorted(names2):
+        return None
+    slots = [[j for j in range(n) if names2[j] == names1[i]] for i in range(n)]
+    for sigma in backtrack(slots, lambda i, j, chosen: True, True):
+        if _left_consistent_iso(psi1, psi2, sigma) is not None:
+            return sigma
+    return None
+
+
+def trace_classes_by_definition(grammar: Grammar, depth: int,
+                                fusion_safe: bool = False) -> TraceDomainResult:
+    """The trace classes by definition: every derivation up to ``depth``,
+    quotiented pairwise by ``equivalent_traces``.
+
+    Builds every interleaving, each step by ``find_matches`` and
+    ``apply_rule_by_definition``, so it grows like n!; it is the reference
+    that ``trace_classes`` is tested against, and each class's ``members``
+    holds all of its derivations in breadth-first order.
+    """
+    grammar.validate()
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    pool = [Derivation(grammar.start)]
+    frontier = list(pool)
+    for _ in range(depth):
+        children: List[Derivation] = []
+        for deriv in frontier:
+            for rule in rules:
+                for m in find_matches(rule.L, deriv.target):
+                    step = apply_rule_by_definition(deriv.target, rule, m)
+                    if step is not None and (not fusion_safe or is_fusion_safe(step)):
+                        children.append(deriv.extend(step))
+        frontier = children
+        pool += frontier
+    uf = UnionFind(range(len(pool)))
+    buckets: Dict[tuple, List[int]] = {}
+    for k, d in enumerate(pool):
+        key = (len(d), tuple(sorted(d.rule_names())), iso_hash(d.target))
+        buckets.setdefault(key, []).append(k)
+    for key, members in sorted(buckets.items()):
+        for pos, k1 in enumerate(members):
+            for k2 in members[pos + 1:]:
+                if uf.find(k1) == uf.find(k2):
+                    continue
+                if equivalent_traces(pool[k1], pool[k2]) is not None:
+                    uf.union(k1, k2)
+    classes = uf.groups()  # by least member, so in breadth-first order
+    groups = [[pool[k] for k in members] for members in classes]
+    cls = {k: c for c, members in enumerate(classes) for k in members}
+    index = {id(d): k for k, d in enumerate(pool)}
+    steps = [(cls[index[id(d.parent)]], cls[k])
+             for k, d in enumerate(pool) if d.parent is not None]
+    return _trace_result(groups, steps)

@@ -25,11 +25,11 @@ from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
 from weavent.graphs import find_matches, graph_isomorphism
 from weavent.intervals import ev_wd, zeta
 from weavent.asyncgraphs import async_domain, hasse_as_async, validate_async_graph
-from weavent.rewrite import (Derivation, apply_rule, equivalent_traces,
-                             grammar_from_es, interchange, is_fusion_safe,
-                             sequential_independence, trace_classes,
-                             trace_classes_by_definition, trace_domain,
+from weavent.oracles import (equivalent_traces, trace_classes_by_definition,
                              verify_direct_derivation)
+from weavent.rewrite import (Derivation, apply_rule, grammar_from_es, interchange,
+                             is_fusion_safe, sequential_independence, trace_classes,
+                             trace_domain)
 from tests._gen import random_connected_es, random_live_es, random_weak_prime_domain
 
 

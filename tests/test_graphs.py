@@ -16,7 +16,7 @@ import pytest
 from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
                             graph_isomorphism)
 from weavent.io import load_structure
-from weavent.rewrite import trace_classes_by_definition
+from weavent.oracles import trace_classes_by_definition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

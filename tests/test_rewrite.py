@@ -13,12 +13,11 @@ from weavent.fixtures import e_run, running_grammar
 from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
                             graph_isomorphism, iso_hash)
 from weavent.io import load_structure
-from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError,
-                             apply_rule, equivalent_traces, grammar_from_es,
-                             interchange, is_fusion_safe, is_pushout, pushout,
-                             sequential_independence, trace_classes,
-                             trace_classes_by_definition, trace_domain,
+from weavent.oracles import (equivalent_traces, is_pushout, trace_classes_by_definition,
                              verify_direct_derivation)
+from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError, apply_rule,
+                             grammar_from_es, interchange, is_fusion_safe, pushout,
+                             sequential_independence, trace_classes, trace_domain)
 from tests._gen import growing_grammar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -21,13 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from weavent import rewrite
+from weavent import oracles
 from weavent.es import EventStructure, classify
 from weavent.graphs import TypedGraph, iso_hash
 from weavent.io import load_structure
-from weavent.rewrite import (Derivation, colimit_by_definition, grammar_from_es,
-                             once_per_rule_depth, trace_classes,
-                             trace_classes_by_definition)
+from weavent.oracles import colimit_by_definition, trace_classes_by_definition
+from weavent.rewrite import Derivation, grammar_from_es, once_per_rule_depth, trace_classes
 from tests._gen import growing_grammar, random_connected_es
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -173,13 +172,13 @@ def _runs(k):
 def _count_checks(monkeypatch):
     """Count the calls to ``equivalent_traces``."""
     count = [0]
-    check = rewrite.equivalent_traces
+    check = oracles.equivalent_traces
 
     def counted(psi1, psi2):
         count[0] += 1
         return check(psi1, psi2)
 
-    monkeypatch.setattr(rewrite, "equivalent_traces", counted)
+    monkeypatch.setattr(oracles, "equivalent_traces", counted)
     return count
 
 
@@ -241,14 +240,14 @@ def test_process_key_decides_equivalence(kind, arg):
     first = {}
     for k, key in enumerate(keys):
         first.setdefault(key, k)
-        assert rewrite.equivalent_traces(pool[first[key]], pool[k]) is not None
-        assert rewrite.equivalent_traces(pool[k], pool[first[key]]) is not None
+        assert oracles.equivalent_traces(pool[first[key]], pool[k]) is not None
+        assert oracles.equivalent_traces(pool[k], pool[first[key]]) is not None
     for k1, d1 in enumerate(pool):
         for k2 in range(k1 + 1, len(pool)):
             d2 = pool[k2]
             if len(d1) == len(d2) and keys[k1] != keys[k2]:
-                assert rewrite.equivalent_traces(d1, d2) is None
-                assert rewrite.equivalent_traces(d2, d1) is None
+                assert oracles.equivalent_traces(d1, d2) is None
+                assert oracles.equivalent_traces(d2, d1) is None
 
 
 def _key_by_definition(deriv):
