@@ -23,10 +23,21 @@ from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, \
 from .rewrite import Derivation, DirectDerivation, Grammar, Rule, TraceClass, \
     TraceLimitError, apply_rule, grammar_from_es, interchange, is_fusion_safe, pushout, \
     sequential_independence, trace_classes, trace_domain
-from .oracles import equivalent_traces, is_pushout, trace_classes_by_definition, \
-    verify_direct_derivation
 from .intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
 from .asyncgraphs import AsyncError, AsyncGraph, async_domain, hasse_as_async, \
     validate_async_graph
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The exhaustive references of the rewriting layer load on first use, so
+# that the command line, which never calls them, does not compile them.
+_ORACLES = ("equivalent_traces", "is_pushout", "trace_classes_by_definition",
+            "verify_direct_derivation")
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLES)

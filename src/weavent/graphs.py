@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, \
-    Set, Tuple
+    Sequence, Set, Tuple
 
 from ._common import _once, backtrack
 
@@ -62,6 +62,17 @@ class TypedGraph:
             if missing:
                 raise GraphError(f"nodes without a type: {sorted(missing)}")
         self._derived: Dict[str, object] = {}
+
+    @classmethod
+    def _of(cls, nodes: FrozenSet[str], src: Dict[str, str], tgt: Dict[str, str],
+            edge_type: Dict[str, str], node_type: Dict[str, str]) -> "TypedGraph":
+        """A graph from parts that are correct by construction: neither
+        checked nor copied."""
+        g = cls.__new__(cls)
+        g.nodes, g.src, g.tgt, g.edge_type, g.node_type = nodes, src, tgt, edge_type, node_type
+        g.edges = frozenset(edge_type)
+        g._derived = {}
+        return g
 
     def validate_typed_over(self, tg: "TypedGraph") -> None:
         """Check that the typing maps form a graph morphism into ``tg``."""
@@ -154,29 +165,49 @@ def _index(g: TypedGraph) -> _Index:
     return _once(g, "index", _build_index)
 
 
-def _morphisms(pattern: TypedGraph, host: TypedGraph,
-               node_candidates=None, edge_candidates=None,
-               injective: bool = False) -> Iterator[GraphMorphism]:
-    """All typed morphisms pattern -> host, in deterministic order."""
-    pattern_index, index = _index(pattern), _index(host)
-    nodes, edges = pattern_index.nodes, pattern_index.edges
+def _build_incidence(g: TypedGraph) -> Dict[str, List[str]]:
+    at: Dict[str, List[str]] = {n: [] for n in g.nodes}
+    for e, s in g.src.items():
+        at[s].append(e)
+        at[g.tgt[e]].append(e)
+    return at
 
-    def cands(x, types, of_type, allowed):
-        base = of_type.get(types[x], ())
-        return base if allowed is None else [y for y in base if y in allowed(x)]
 
-    slots = ([cands(n, pattern.node_type, index.nodes_of, node_candidates) for n in nodes]
-             + [cands(e, pattern.edge_type, index.edges_of, edge_candidates) for e in edges])
-    if not all(slots):
-        return
-    nn = len(nodes)
+def _incidence(g: TypedGraph) -> Dict[str, List[str]]:
+    """The edges at each node, in or out (a loop twice)."""
+    return _once(g, "incidence", _build_incidence)
+
+
+class _Pattern(NamedTuple):
+    nodes: List[str]                    # sorted
+    edges: List[str]                    # sorted
+    types: List[str]                    # per node slot, its type
+    ends: List[Tuple[int, int]]         # per edge, the node slots of its ends
+    closes: List[List[Tuple[str, int, int]]]  # per node slot, the edges it closes
+
+
+def _build_pattern(pattern: TypedGraph) -> _Pattern:
+    nodes, edges = sorted(pattern.nodes), sorted(pattern.edges)
     at = {n: k for k, n in enumerate(nodes)}
     ends = [(at[pattern.src[e]], at[pattern.tgt[e]]) for e in edges]
     # the pattern edges each node slot closes: both ends chosen once it is
     closes: List[List[Tuple[str, int, int]]] = [[] for _ in nodes]
     for e, (s, t) in zip(edges, ends):
         closes[max(s, t)].append((pattern.edge_type[e], s, t))
-    triples = index.triples
+    return _Pattern(nodes, edges, [pattern.node_type[n] for n in nodes], ends, closes)
+
+
+def _pattern(pattern: TypedGraph) -> _Pattern:
+    """The pattern's items sorted, and the edges each node slot closes."""
+    return _once(pattern, "pattern", _build_pattern)
+
+
+def _search(pat: _Pattern, host: TypedGraph, slots: List[Sequence[str]],
+            injective: bool) -> Iterator[tuple]:
+    """The images of the pattern's sorted nodes, then edges, one candidate
+    per slot, in ``backtrack`` order."""
+    nn, ends, closes = len(pat.nodes), pat.ends, pat.closes
+    triples = _index(host).triples
 
     def fits(k, x, chosen):
         # injectivity is checked among nodes and among edges apart, since a
@@ -192,9 +223,58 @@ def _morphisms(pattern: TypedGraph, host: TypedGraph,
         return (host.src[x] == chosen[s] and host.tgt[x] == chosen[t]
                 and not (injective and x in chosen[nn:]))
 
-    for images in backtrack(slots, fits, False):
-        yield GraphMorphism(pattern, host, dict(zip(nodes, images)),
-                            dict(zip(edges, images[nn:])))
+    return backtrack(slots, fits, False)
+
+
+def _morphism(pattern: TypedGraph, host: TypedGraph, images: Sequence[str]) -> GraphMorphism:
+    """The morphism with these images of the pattern's sorted nodes, then
+    its sorted edges."""
+    pat = _pattern(pattern)
+    return GraphMorphism(pattern, host, dict(zip(pat.nodes, images)),
+                         dict(zip(pat.edges, images[len(pat.nodes):])))
+
+
+def _morphisms(pattern: TypedGraph, host: TypedGraph,
+               node_candidates=None, edge_candidates=None,
+               injective: bool = False) -> Iterator[GraphMorphism]:
+    """All typed morphisms pattern -> host, in deterministic order."""
+    pat, index = _pattern(pattern), _index(host)
+    slots = []
+    for items, types, of_type, allowed in (
+            (pat.nodes, pattern.node_type, index.nodes_of, node_candidates),
+            (pat.edges, pattern.edge_type, index.edges_of, edge_candidates)):
+        for x in items:
+            base = of_type.get(types[x], ())
+            slot = base if allowed is None else [y for y in base if y in allowed(x)]
+            if not slot:
+                return
+            slots.append(slot)
+    for images in _search(pat, host, slots, injective):
+        yield _morphism(pattern, host, images)
+
+
+def _images_at(pattern: TypedGraph, host: TypedGraph, anchors: Set[str]) -> List[tuple]:
+    """The images (as ``_search`` lists them) of the morphisms pattern ->
+    host that send some node into ``anchors``, each found once: by the
+    search in which its first such node slot draws from ``anchors`` and the
+    slots before it from the other nodes."""
+    pat, index = _pattern(pattern), _index(host)
+    bases: List[Sequence[str]] = []
+    for items, types, of_type in ((pat.nodes, pattern.node_type, index.nodes_of),
+                                  (pat.edges, pattern.edge_type, index.edges_of)):
+        for x in items:
+            bases.append(of_type.get(types[x], ()))
+            if not bases[-1]:
+                return []
+    found: List[tuple] = []
+    for k in range(len(pat.nodes)):
+        inside = [y for y in bases[k] if y in anchors]
+        if inside:
+            found += _search(pat, host, [*bases[:k], inside, *bases[k + 1:]], False)
+            bases[k] = [y for y in bases[k] if y not in anchors]
+            if not bases[k]:
+                break
+    return found
 
 
 def find_matches(pattern: TypedGraph, host: TypedGraph) -> List[GraphMorphism]:

@@ -3,8 +3,12 @@
 Rules are spans ``L ← K → R`` with the left leg mono and consuming; the
 right leg is arbitrary, so a step may merge items.  Applying a rule removes
 the matched deleted part (when the gluing condition holds) and glues the
-right-hand side back in as a pushout, a quotient of a disjoint union whose
-union-find holds only the images of the interface.
+right-hand side back in as a pushout.  The step is local: ``D`` and ``H``
+are copies of the host's dicts with only the step's items changed, and only
+the items of ``R`` and the host items whose names they take are named, by
+the rule ``pushout`` names a whole span with (``_span_names``).  A host's
+matches are carried from its parent's, so only the start graph is searched
+whole.
 
 Derivations from a grammar's start graph are compared by left-consistent
 permutations: a permutation of equal-length derivations using the same rules
@@ -34,14 +38,16 @@ matching orders, are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import chain, groupby, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ._common import UnionFind, _once, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
-from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, _index, _morphisms
+from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _images_at,
+                     _incidence, _index, _morphism, _morphisms, _pattern)
 
 
 class TraceLimitError(GraphError):
@@ -60,6 +66,7 @@ class Rule:
     R: TypedGraph
     l: GraphMorphism
     r: GraphMorphism
+    _derived: Dict[str, object] = field(default_factory=dict, init=False, repr=False)
 
     def validate(self) -> None:
         if self.l.source is not self.K or self.l.target is not self.L:
@@ -113,15 +120,61 @@ def _fresh(base: str, used: set) -> str:
     return name
 
 
+def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, str],
+                a_items: List[str], b_items: FrozenSet[str]
+                ) -> Tuple[Dict[str, str], Dict[str, str], set]:
+    """How the pushout of ``A ←f− C −g→ B`` names its items.
+
+    ``a_items`` is sorted.  The ``A`` items are named in that order through
+    ``_fresh``: a glued class (the items ``C`` joins, found by a union-find
+    over ``A`` items keyed by their ``B`` image) at its least item, by its
+    ``B`` items joined with ``+``, every other item by itself.  Then each
+    ``B`` item outside the image of ``g`` keeps its name unless an earlier
+    item took it, the ``B`` items in sorted order.  Only the taken ones are
+    visited, least first: a name ``y~k`` given to ``y`` sorts after ``y``,
+    so when it is the name of another such ``B`` item, that item is taken
+    in turn and comes later.  Returns the names of the ``A`` items, the new
+    names of the ``B`` items that change name (glued or taken) and the set
+    of every name given.
+    """
+    uf, owner = UnionFind(), {}  # owner: a B image -> the A item it was first met with
+    for c in c_items:
+        x, y = fmap[c], gmap[c]
+        uf.add(x)
+        if owner.setdefault(y, x) != x:
+            uf.union(owner[y], x)
+    find, glued = uf.find, uf.parent
+    members: Dict[str, List[str]] = {}
+    for y, x in owner.items():
+        members.setdefault(find(x), []).append(y)
+    used: set = set()
+    to_a: Dict[str, str] = {}
+    for x in a_items:
+        if x not in glued:
+            to_a[x] = _fresh(x, used)
+        else:
+            root = find(x)
+            to_a[x] = _fresh("+".join(sorted(members[x])), used) if root == x else to_a[root]
+    to_b = {y: to_a[x] for y, x in owner.items()}
+    taken = [y for y in used if y in b_items and y not in to_b]
+    heapify(taken)
+    while taken:
+        y = heappop(taken)
+        to_b[y] = z = _fresh(y, used)
+        if z in b_items and z not in to_b:
+            heappush(taken, z)
+    return to_a, to_b, used
+
+
 def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphism, GraphMorphism]:
     """Pushout of the span ``A ←f− C −g→ B``.
 
     Returns ``(P, inA, inB)``.  ``P`` is the disjoint union of ``A`` and
     ``B`` quotiented by ``f(c) ≈ g(c)``; item names prefer the ``B`` side
-    (merged items join their ``B`` names with ``+``).  Only the images of
-    ``C`` enter a union-find, every other item is a class of its own.  The
-    ``A`` items are named in sorted order, a class at its least member, then
-    the ``B`` items outside the image of ``g``; a name taken again gets ``~2``.
+    (merged items join their ``B`` names with ``+``).  The naming rule is
+    ``_span_names``, which ``apply_rule`` shares: the ``A`` items in sorted
+    order, a glued class at its least member, then the ``B`` items outside
+    the image of ``g``, in sorted order; a name taken again gets ``~2``.
     """
     if f.source is not g.source:
         raise GraphError("pushout legs must share their source")
@@ -130,26 +183,8 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
     for c_items, fmap, gmap, a_items, b_items in (
             (f.source.nodes, f.node_map, g.node_map, a.nodes, b.nodes),
             (f.source.edges, f.edge_map, g.edge_map, a.edges, b.edges)):
-        uf = UnionFind()
-        for c in c_items:
-            uf.add(("A", fmap[c]))
-            uf.add(("B", gmap[c]))
-            uf.union(("A", fmap[c]), ("B", gmap[c]))
-        b_glued = {gmap[c] for c in c_items}
-        glued: Dict[tuple, List[str]] = {}  # a class's root -> its B items
-        for y in b_glued:
-            glued.setdefault(uf.find(("B", y)), []).append(y)
-        used: set = set()
-        to_a, of_root = {}, {}
-        for x in sorted(a_items):  # every glued class has a least A item
-            root = uf.find(("A", x)) if ("A", x) in uf else None
-            if root == ("A", x):
-                of_root[root] = _fresh("+".join(sorted(glued[root])), used)
-            to_a[x] = _fresh(x, used) if root is None else of_root[root]
-        to_b = {y: of_root[uf.find(("B", y))] for y in b_glued}
-        for y in sorted(b_items - b_glued):
-            to_b[y] = _fresh(y, used)
-        names.append((to_a, to_b))
+        to_a, to_b, _ = _span_names(c_items, fmap, gmap, sorted(a_items), b_items)
+        names.append((to_a, {y: to_b.get(y, y) for y in b_items}))
     (na, nb), (ea, eb) = names
     ntype = {na[x]: a.node_type[x] for x in na}
     ntype.update({nb[y]: b.node_type[y] for y in nb})
@@ -181,41 +216,81 @@ class DirectDerivation:
     rstar: GraphMorphism   # D -> H
 
 
+def _rule_parts(rule: Rule) -> tuple:
+    """What every step of a rule reads off it: the kept and the gone items
+    of ``L``, and the sorted items of ``R``."""
+    kept_nodes = {rule.l.node_map[k] for k in rule.K.nodes}
+    kept_edges = {rule.l.edge_map[k] for k in rule.K.edges}
+    return (kept_nodes, kept_edges, rule.L.nodes - kept_nodes, rule.L.edges - kept_edges,
+            sorted(rule.R.nodes), sorted(rule.R.edges))
+
+
 def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDerivation]:
     """Apply a rule at a match; returns None when the gluing condition fails.
 
     With ``l`` mono the condition splits into the dangling check (no context
-    edge may keep a deleted node alive) and the identification check (items
-    identified by the match must all be preserved).
+    edge may keep a deleted node alive, read off ``g``'s incidence index)
+    and the identification check (items identified by the match must all
+    be preserved).  The step is local: ``D`` and ``H`` are copies of ``g``'s
+    dicts, with only the deleted items taken out of ``D`` and only the items
+    of ``R``, the items they glue and the ``D`` items whose names they take
+    changed in ``H``; edges are rewired only at the nodes that change name.
+    ``H`` and its morphisms are named by ``pushout(r, mK)``'s rule
+    (``_span_names``), byte for byte; ``oracles.apply_rule_by_definition``
+    builds the step whole.
     """
     if m.source is not rule.L or m.target is not g:
         raise GraphError("match must map the rule's left-hand side into the host")
     m.validate()
-    kept_nodes = {rule.l.node_map[k] for k in rule.K.nodes}
-    kept_edges = {rule.l.edge_map[k] for k in rule.K.edges}
-    gone_nodes, gone_edges = rule.L.nodes - kept_nodes, rule.L.edges - kept_edges
-    del_nodes = {m.node_map[x] for x in gone_nodes}
-    del_edges = {m.edge_map[x] for x in gone_edges}
+    kept_nodes, kept_edges, gone_nodes, gone_edges, r_nodes, r_edges = \
+        _once(rule, "parts", _rule_parts)
+    mn, me = m.node_map, m.edge_map
+    del_nodes = {mn[x] for x in gone_nodes}
+    del_edges = {me[x] for x in gone_edges}
     # identification condition: deleted items have distinct images, and
     # none of them is the image of a kept item
     if len(del_nodes) < len(gone_nodes) or len(del_edges) < len(gone_edges):
         return None
-    if del_nodes & {m.node_map[x] for x in kept_nodes}:
+    if not (del_nodes.isdisjoint([mn[x] for x in kept_nodes])
+            and del_edges.isdisjoint([me[x] for x in kept_edges])):
         return None
-    if del_edges & {m.edge_map[x] for x in kept_edges}:
+    at = _incidence(g)
+    if not all(del_edges.issuperset(at[n]) for n in del_nodes):  # dangling condition
         return None
-    # dangling condition
-    d_edges = g.edges - del_edges
-    for e in d_edges:
-        if g.src[e] in del_nodes or g.tgt[e] in del_nodes:
-            return None
-    d = g.subgraph(g.nodes - del_nodes, d_edges)
-    lstar = GraphMorphism(d, g, {n: n for n in d.nodes}, {e: e for e in d.edges})
-    mk = GraphMorphism(rule.K, d,
-                       {k: m.node_map[rule.l.node_map[k]] for k in rule.K.nodes},
-                       {k: m.edge_map[rule.l.edge_map[k]] for k in rule.K.edges})
-    h, in_r, in_d = pushout(rule.r, mk)
-    return DirectDerivation(rule, g, d, h, m, mk, in_r, lstar, in_d)
+    src, tgt, etype, ntype = g.src.copy(), g.tgt.copy(), g.edge_type.copy(), g.node_type.copy()
+    for e in del_edges:
+        del src[e], tgt[e], etype[e]
+    for n in del_nodes:
+        del ntype[n]
+    d = TypedGraph._of(g.nodes - del_nodes, src, tgt, etype, ntype)
+    mk = GraphMorphism(rule.K, d, {k: mn[rule.l.node_map[k]] for k in rule.K.nodes},
+                       {k: me[rule.l.edge_map[k]] for k in rule.K.edges})
+    rn, n_new, n_used = _span_names(rule.K.nodes, rule.r.node_map, mk.node_map, r_nodes, d.nodes)
+    re_, e_new, e_used = _span_names(rule.K.edges, rule.r.edge_map, mk.edge_map, r_edges, d.edges)
+    lstar_n, lstar_e = dict(zip(d.nodes, d.nodes)), dict(zip(d.edges, d.edges))
+    rstar_n, rstar_e = {**lstar_n, **n_new}, {**lstar_e, **e_new}
+    # H's dicts: D's with the new entries merged in (sized for both), then
+    # the names that are gone taken out
+    new_n = {z: rule.R.node_type[x] for x, z in rn.items()}
+    new_n.update({z: ntype[y] for y, z in n_new.items()})
+    new_s, new_t, new_e = {}, {}, {}
+    for e in {e for y in n_new for e in at[y]}:  # the edges at nodes that change name
+        if e in src and e not in e_new:
+            new_s[e], new_t[e] = rstar_n[src[e]], rstar_n[tgt[e]]
+    for y, z in e_new.items():
+        new_e[z], new_s[z], new_t[z] = etype[y], rstar_n[src[y]], rstar_n[tgt[y]]
+    for x, z in re_.items():
+        new_e[z], new_s[z], new_t[z] = rule.R.edge_type[x], rn[rule.R.src[x]], rn[rule.R.tgt[x]]
+    h_ntype, h_src, h_tgt, h_etype = ({**old, **new} for old, new in (
+        (ntype, new_n), (src, new_s), (tgt, new_t), (etype, new_e)))
+    for y in n_new.keys() - n_used:
+        del h_ntype[y]
+    for y in e_new.keys() - e_used:
+        del h_src[y], h_tgt[y], h_etype[y]
+    h = TypedGraph._of(d.nodes.difference(n_new).union(n_used), h_src, h_tgt, h_etype, h_ntype)
+    return DirectDerivation(rule, g, d, h, m, mk, GraphMorphism(rule.R, h, rn, re_),
+                            GraphMorphism(d, g, lstar_n, lstar_e),
+                            GraphMorphism(d, h, rstar_n, rstar_e))
 
 
 def is_fusion_safe(d: DirectDerivation) -> bool:
@@ -486,19 +561,73 @@ class TraceDomainResult:
     classes: Tuple[TraceClass, ...]
 
 
+def _carried(st: DirectDerivation, patterns: Sequence[TypedGraph],
+             found: Sequence[tuple]) -> tuple:
+    """The images of the matches of each pattern into ``st.H`` from those
+    into ``st.G``, ``found``, each in ``find_matches`` order.
+
+    A match into ``H`` that avoids the comatch's nodes avoids its edges too,
+    and is a match into ``G`` that avoids the step's match, carried along
+    ``rstar``.  Every other one is found by a search anchored at the
+    comatch's nodes (``graphs._images_at``), which a pattern with none of
+    their types skips.  Candidates are tried in name order, so sorting the
+    images sorts the matches as ``find_matches`` does.
+    """
+    rn, re_ = st.rstar.node_map, st.rstar.edge_map
+    gone_n, gone_e = set(st.match.node_map.values()), set(st.match.edge_map.values())
+    anchors = set(st.mR.node_map.values())
+    types = {st.H.node_type[y] for y in anchors}
+    out = []
+    for pattern, images in zip(patterns, found):
+        pat = _pattern(pattern)
+        at = not types.isdisjoint(pat.types)
+        if not (images or at):
+            out.append(())
+            continue
+        nn = len(pat.nodes)
+        kept = [(*map(rn.__getitem__, im[:nn]), *map(re_.__getitem__, im[nn:]))
+                for im in images if gone_n.isdisjoint(im[:nn]) and gone_e.isdisjoint(im[nn:])]
+        if at:
+            kept += _images_at(pattern, st.H, anchors)
+        out.append(tuple(sorted(kept)))
+    return tuple(out)
+
+
+def _matches(deriv: Derivation, rules: Sequence[Rule]) -> tuple:
+    """The images of the matches of each rule's ``L`` into the derivation's
+    target, each in ``find_matches`` order, kept on each host per list of
+    rules: found on the start graph, carried down the steps after it."""
+    patterns = tuple(rule.L for rule in rules)
+    steps = deriv.steps
+    i = len(steps)
+    while i and patterns not in steps[i - 1].H._derived:
+        i -= 1
+    found = _once(steps[i - 1].H if i else deriv.source, patterns, lambda g: tuple(
+        tuple((*map(m.node_map.get, _pattern(p).nodes), *map(m.edge_map.get, _pattern(p).edges))
+              for m in find_matches(p, g))
+        for p in patterns))
+    for st in steps[i:]:
+        found = _once(st.H, patterns, lambda h: _carried(st, patterns, found))
+    return found
+
+
 def _extensions(deriv: Derivation, rules: Sequence[Rule],
                 fusion_safe: bool) -> Iterable[Derivation]:
     """One-step extensions of a derivation: rules in the given order, matches
-    in ``find_matches`` order."""
+    in ``find_matches`` order (``_matches``).  The host's matching index and
+    incidence index serve these steps alone and are dropped after them, so
+    the hosts of a trace tree keep only their matches."""
     host = deriv.target
-    for rule in rules:
-        for m in find_matches(rule.L, host):
-            step = apply_rule(host, rule, m)
+    for rule, images in zip(rules, _matches(deriv, rules)):
+        for im in images:
+            step = apply_rule(host, rule, _morphism(rule.L, host, im))
             if step is None:
                 continue
             if fusion_safe and not is_fusion_safe(step):
                 continue
             yield deriv.extend(step)
+    host._derived.pop("index", None)
+    host._derived.pop("incidence", None)
 
 
 def _trace_result(groups: List[List[Derivation]],

@@ -13,8 +13,8 @@ from weavent.fixtures import e_run, running_grammar
 from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
                             graph_isomorphism, iso_hash)
 from weavent.io import load_structure
-from weavent.oracles import (equivalent_traces, is_pushout, trace_classes_by_definition,
-                             verify_direct_derivation)
+from weavent.oracles import (apply_rule_by_definition, equivalent_traces, is_pushout,
+                             trace_classes_by_definition, verify_direct_derivation)
 from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError, apply_rule,
                              grammar_from_es, interchange, is_fusion_safe, pushout,
                              sequential_independence, trace_classes, trace_domain)
@@ -213,6 +213,25 @@ class TestApplyRule:
                     GraphMorphism(kg, lg, {}, {}), GraphMorphism(kg, kg, {}, {}))
         m = GraphMorphism(lg, host, {"u": "x", "w": "x"}, {})
         assert apply_rule(host, rule, m) is None
+
+    def test_created_name_takes_a_chain_of_names(self):
+        # R creates x; the host's unglued x and x~2 are renamed in turn, as
+        # the pushout built whole names them
+        host = TypedGraph(["p", "x", "x~2"], [("e", "E", "p", "p")],
+                          dict.fromkeys(["p", "x", "x~2"], "N"))
+        lg = TypedGraph(["a"], [("d", "E", "a", "a")], {"a": "N"})
+        kg = TypedGraph(["a"], [], {"a": "N"})
+        rg = TypedGraph(["a", "x"], [], {"a": "N", "x": "N"})
+        rule = Rule("make_x", lg, kg, rg, GraphMorphism(kg, lg, {"a": "a"}, {}),
+                    GraphMorphism(kg, rg, {"a": "a"}, {}))
+        m = GraphMorphism(lg, host, {"a": "p"}, {"d": "e"})
+        st = apply_rule(host, rule, m)
+        assert sorted(st.H.nodes) == ["p", "x", "x~2", "x~2~2"]
+        assert st.mR.node_map == {"a": "p", "x": "x"}
+        assert st.rstar.node_map == {"p": "p", "x": "x~2", "x~2": "x~2~2"}
+        ref = apply_rule_by_definition(host, rule, m)
+        assert st.H.same(ref.H) and st.D.same(ref.D)
+        assert (st.mR.node_map, st.rstar.node_map) == (ref.mR.node_map, ref.rstar.node_map)
 
     def test_pushout_verifier_on_constructed_steps(self, grammar):
         for enumerate_classes in (trace_classes, trace_classes_by_definition):
@@ -612,3 +631,75 @@ def test_random_spans_merge_and_rename():
         merging += not (f.is_injective() and g.is_injective())
         renamed += any("~" in x for x in p.nodes | p.edges)
     assert merging >= 50 and renamed >= 50
+
+
+# ---------------------------------------------------------------------- #
+# apply_rule against the step built whole, on random fusing rules
+# ---------------------------------------------------------------------- #
+
+# host names that the names R creates, and their "~k" renames, run into
+_HOST_NAMES = _SPAN_NAMES + ["u~2", "u~3", "u~2~2", "x~2", "u+v~2", "w~2", "v~10"]
+
+
+def _random_step(seed):
+    """A seeded host, fusing rule and match: ``L`` is a copy of a few host
+    items (so it matches), ``K`` drops some of them, and ``r`` is a random
+    leg over the host's names, so ``R`` creates items the host has."""
+    rng = random.Random(seed)
+    nodes = rng.sample(_HOST_NAMES, rng.randint(2, len(_HOST_NAMES)))
+    edges = [(x, "E", rng.choice(nodes), rng.choice(nodes))
+             for x in rng.sample(_HOST_NAMES, rng.randint(1, 6))]
+    host = TypedGraph(nodes, edges, dict.fromkeys(nodes, "N"))
+    l_nodes = rng.sample(nodes, rng.randint(1, min(4, len(nodes))))
+    l_edges = [e for e in edges if e[2] in l_nodes and e[3] in l_nodes]
+    l_edges = rng.sample(l_edges, rng.randint(0, len(l_edges)))
+    lg = TypedGraph([f"l{n}" for n in l_nodes],
+                    [(f"l{x}", t, f"l{s}", f"l{u}") for x, t, s, u in l_edges],
+                    {f"l{n}": "N" for n in l_nodes})
+    k_nodes = sorted(lg.nodes)
+    if rng.random() < 0.3:  # a deleted node; most of them dangle
+        k_nodes.remove(rng.choice(k_nodes))
+    k_edges = [e for e in sorted(lg.edges) if lg.src[e] in k_nodes and lg.tgt[e] in k_nodes
+               and rng.random() < 0.6]
+    if len(k_nodes) + len(k_edges) == len(lg.nodes) + len(lg.edges):  # consume something
+        if k_edges:
+            k_edges = k_edges[1:]
+        else:
+            k_nodes = k_nodes[1:]
+    kg = lg.subgraph(k_nodes, k_edges)
+    r = _random_leg(rng, kg)
+    rule = Rule(f"rule{seed}", lg, kg, r.target,
+                GraphMorphism(kg, lg, {n: n for n in kg.nodes}, {e: e for e in kg.edges}), r)
+    rule.validate()
+    return host, rule, rng.choice(find_matches(lg, host))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_local_step_matches_step_built_whole(seed):
+    host, rule, m = _random_step(seed)
+    st, ref = apply_rule(host, rule, m), apply_rule_by_definition(host, rule, m)
+    assert (st is None) == (ref is None)
+    if st is not None:
+        assert st.D.same(ref.D) and st.H.same(ref.H)
+        for a, b in ((st.mK, ref.mK), (st.mR, ref.mR), (st.lstar, ref.lstar),
+                     (st.rstar, ref.rstar)):
+            assert (a.node_map, a.edge_map) == (b.node_map, b.edge_map)
+        assert verify_direct_derivation(st)
+
+
+def test_random_steps_fuse_and_rename_chains():
+    # the draws above apply, merge items and rename host items, some of
+    # them twice ("~k~j")
+    applied = merging = renamed = chained = 0
+    for seed in range(200):
+        host, rule, m = _random_step(seed)
+        st = apply_rule(host, rule, m)
+        if st is None:
+            continue
+        applied += 1
+        merging += not st.rstar.is_injective()
+        changed = {z for y, z in list(st.rstar.node_map.items()) + list(st.rstar.edge_map.items())
+                   if y != z and "~" in z}
+        renamed += bool(changed)
+        chained += any(z.count("~") > 1 for z in changed)
+    assert applied >= 80 and merging >= 20 and renamed >= 70 and chained >= 30

@@ -21,11 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from weavent import oracles
+from weavent import oracles, rewrite
 from weavent.es import EventStructure, classify
-from weavent.graphs import TypedGraph, iso_hash
+from weavent.graphs import TypedGraph, _morphism, find_matches, iso_hash
 from weavent.io import load_structure
-from weavent.oracles import colimit_by_definition, trace_classes_by_definition
+from weavent.oracles import (apply_rule_by_definition, colimit_by_definition,
+                             trace_classes_by_definition)
 from weavent.rewrite import Derivation, grammar_from_es, once_per_rule_depth, trace_classes
 from tests._gen import growing_grammar, random_connected_es
 
@@ -210,20 +211,22 @@ KEY_CASES = ([("fusion", safe) for safe in (False, True)]
              + [("family", name) for name in ("B4", "X3", "L2")])
 
 
+def _key_case(kind, arg):
+    """The grammar, depth and mode of a case of ``KEY_CASES``."""
+    if kind in ("fusion", "growing"):
+        return (_fusion(), 5, arg) if kind == "fusion" else (growing_grammar(), 3, arg)
+    if kind == "fixture":
+        es = load_structure(str(FIXTURES / arg), "es")
+    elif kind == "random":
+        es = random_connected_es(random.Random(arg))
+    else:
+        es = {"B": _boolean, "X": _choices, "L": _runs}[arg[0]](int(arg[1:]))
+    return (*_synthesised(es), False)
+
+
 def _pool(kind, arg):
     """Every derivation ``trace_classes_by_definition`` builds."""
-    if kind in ("fusion", "growing"):
-        grammar, depth, fusion_safe = (_fusion(), 5, arg) if kind == "fusion" \
-            else (growing_grammar(), 3, arg)
-    else:
-        if kind == "fixture":
-            es = load_structure(str(FIXTURES / arg), "es")
-        elif kind == "random":
-            es = random_connected_es(random.Random(arg))
-        else:
-            es = {"B": _boolean, "X": _choices, "L": _runs}[arg[0]](int(arg[1:]))
-        (grammar, depth), fusion_safe = _synthesised(es), False
-    result = trace_classes_by_definition(grammar, depth, fusion_safe)
+    result = trace_classes_by_definition(*_key_case(kind, arg))
     return [d for c in result.classes for d in c.members]
 
 
@@ -343,3 +346,90 @@ def test_colimit_holds_no_reference_to_its_derivation():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------- #
+# The local step and the carried matches against their references
+# ---------------------------------------------------------------------- #
+
+def _maps(m):
+    return m.node_map, m.edge_map
+
+
+def assert_same_step(step, ref):
+    """Two direct derivations agree: graphs by ``same``, and every map."""
+    assert step.rule is ref.rule and step.G is ref.G
+    assert step.D.same(ref.D) and step.H.same(ref.H)
+    for a, b in ((step.match, ref.match), (step.mK, ref.mK), (step.mR, ref.mR),
+                 (step.lstar, ref.lstar), (step.rstar, ref.rstar)):
+        assert _maps(a) == _maps(b)
+
+
+@pytest.mark.parametrize("kind,arg", KEY_CASES)
+def test_local_step_and_carried_matches_match_oracle(kind, arg):
+    # every host trace_classes extends: its carried matches are those
+    # find_matches gives, in the same order, and apply_rule agrees with
+    # apply_rule_by_definition at each of them, a failed gluing included;
+    # every step trace_classes built agrees with the step built whole
+    grammar, depth, fusion_safe = _key_case(kind, arg)
+    result = trace_classes(grammar, depth, fusion_safe)
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    hosts = applied = 0
+    for cls in result.classes:
+        deriv = cls.representative
+        if len(deriv) < depth:
+            hosts += 1
+            assert tuple(rule.L for rule in rules) in deriv.target._derived  # kept, not redone
+            for rule, images in zip(rules, rewrite._matches(deriv, rules)):
+                carried = [_morphism(rule.L, deriv.target, im) for im in images]
+                assert [_maps(m) for m in carried] == \
+                    [_maps(m) for m in find_matches(rule.L, deriv.target)]
+                for m in carried:
+                    step = rewrite.apply_rule(deriv.target, rule, m)
+                    ref = apply_rule_by_definition(deriv.target, rule, m)
+                    assert (step is None) == (ref is None)
+                    if step is not None:
+                        assert_same_step(step, ref)
+                        applied += 1
+        for member in cls.members:
+            if member.steps:
+                st = member.steps[-1]
+                assert_same_step(st, apply_rule_by_definition(st.G, st.rule, st.match))
+    assert hosts and (applied or depth == 0)
+
+
+@pytest.mark.parametrize("case", ["X3", "fusion"])
+def test_a_step_names_its_rule_and_collisions_only(monkeypatch, case):
+    # each step calls _fresh at most once per item of R and once per host
+    # item whose name an R item takes (directly or down a "~k" chain)
+    calls, steps = [0], []
+    fresh, apply = rewrite._fresh, rewrite.apply_rule
+
+    def counted_fresh(base, used):
+        calls[0] += 1
+        return fresh(base, used)
+
+    def counted_apply(g, rule, m):
+        before = calls[0]
+        st = apply(g, rule, m)
+        steps.append((st, rule, calls[0] - before))
+        return st
+
+    monkeypatch.setattr(rewrite, "_fresh", counted_fresh)
+    monkeypatch.setattr(rewrite, "apply_rule", counted_apply)
+    result = trace_classes(*_synthesised(_choices(3))) if case == "X3" \
+        else trace_classes(_fusion(), 5)
+    assert len(result.classes) == (27 if case == "X3" else 7)
+    named = items = 0
+    for st, rule, n in steps:
+        if st is None:
+            assert n == 0
+            continue
+        collisions = sum(y != z and y not in glued
+                         for rstar, glued in ((st.rstar.node_map, set(st.mK.node_map.values())),
+                                              (st.rstar.edge_map, set(st.mK.edge_map.values())))
+                         for y, z in rstar.items())
+        assert n <= len(rule.R.nodes) + len(rule.R.edges) + collisions
+        named += n
+        items += len(st.H.nodes) + len(st.H.edges)
+    assert steps and named < items  # a step built whole calls it once per item of H
