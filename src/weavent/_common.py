@@ -9,7 +9,7 @@ This module imports nothing from weavent, so any layer may import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
 
 
 class UnionFind:
@@ -81,7 +81,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _once(obj, key: str, compute: Callable):
+def _once(obj, key: Hashable, compute: Callable):
     """``compute(obj)``, computed on the first call and kept on ``obj``.
 
     ``obj`` is an immutable structure with a ``_derived`` dict, so what is

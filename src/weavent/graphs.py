@@ -8,8 +8,12 @@ candidates: the nodes, then the edges, each in sorted order, so matches
 come in a deterministic order; they need not be injective.  Each host
 keeps an index, built on its first match: its nodes and edges sorted and
 grouped by type, and the set of ``(type, src, tgt)`` triples of its edges.
-A node is rejected as soon as a pattern edge ending at it, whose other end
-is already chosen, has no triple in the host.
+Each pattern keeps its sorted slots and the edges each node slot closes, and
+a search returns at the first slot with no candidate.  A node is rejected as
+soon as a pattern edge ending at it, whose other end is already chosen, has
+no triple in the host.  ``_images_at`` lists the matches that send a node
+into a given set, by one search per node slot that draws from the set, so
+that rewriting can search only around what a step changed.
 
 ``iso_hash`` is an isomorphism-invariant fingerprint (three rounds of
 Weisfeiler–Leman colour refinement, spelt out as nested strings), which
@@ -19,8 +23,8 @@ Weisfeiler–Leman colour refinement, spelt out as nested strings), which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, \
-    Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, \
+    Optional, Sequence, Set, Tuple
 
 from ._common import _once, backtrack
 
@@ -61,7 +65,7 @@ class TypedGraph:
             missing = self.nodes - set(self.node_type)
             if missing:
                 raise GraphError(f"nodes without a type: {sorted(missing)}")
-        self._derived: Dict[str, object] = {}
+        self._derived: Dict[Hashable, object] = {}
 
     @classmethod
     def _of(cls, nodes: FrozenSet[str], src: Dict[str, str], tgt: Dict[str, str],
@@ -178,10 +182,18 @@ def _incidence(g: TypedGraph) -> Dict[str, List[str]]:
     return _once(g, "incidence", _build_incidence)
 
 
+def _drop_indexes(g: TypedGraph) -> None:
+    """Forget the graph's matching and incidence indexes; they are built
+    again if asked for."""
+    g._derived.pop("index", None)
+    g._derived.pop("incidence", None)
+
+
 class _Pattern(NamedTuple):
     nodes: List[str]                    # sorted
     edges: List[str]                    # sorted
     types: List[str]                    # per node slot, its type
+    kinds: Tuple[FrozenSet[str], FrozenSet[str]]  # the node types and the edge types
     ends: List[Tuple[int, int]]         # per edge, the node slots of its ends
     closes: List[List[Tuple[str, int, int]]]  # per node slot, the edges it closes
 
@@ -194,11 +206,14 @@ def _build_pattern(pattern: TypedGraph) -> _Pattern:
     closes: List[List[Tuple[str, int, int]]] = [[] for _ in nodes]
     for e, (s, t) in zip(edges, ends):
         closes[max(s, t)].append((pattern.edge_type[e], s, t))
-    return _Pattern(nodes, edges, [pattern.node_type[n] for n in nodes], ends, closes)
+    types = [pattern.node_type[n] for n in nodes]
+    return _Pattern(nodes, edges, types, (frozenset(types), frozenset(pattern.edge_type.values())),
+                    ends, closes)
 
 
 def _pattern(pattern: TypedGraph) -> _Pattern:
-    """The pattern's items sorted, and the edges each node slot closes."""
+    """The pattern's items sorted, the type of each node slot, and the
+    edges each node slot closes."""
     return _once(pattern, "pattern", _build_pattern)
 
 
@@ -234,10 +249,10 @@ def _morphism(pattern: TypedGraph, host: TypedGraph, images: Sequence[str]) -> G
                          dict(zip(pat.edges, images[len(pat.nodes):])))
 
 
-def _morphisms(pattern: TypedGraph, host: TypedGraph,
-               node_candidates=None, edge_candidates=None,
-               injective: bool = False) -> Iterator[GraphMorphism]:
-    """All typed morphisms pattern -> host, in deterministic order."""
+def _slots(pattern: TypedGraph, host: TypedGraph, node_candidates=None,
+           edge_candidates=None) -> Optional[List[Sequence[str]]]:
+    """The host's candidates for each slot of the pattern, or None as soon
+    as a slot has none."""
     pat, index = _pattern(pattern), _index(host)
     slots = []
     for items, types, of_type, allowed in (
@@ -247,32 +262,40 @@ def _morphisms(pattern: TypedGraph, host: TypedGraph,
             base = of_type.get(types[x], ())
             slot = base if allowed is None else [y for y in base if y in allowed(x)]
             if not slot:
-                return
+                return None
             slots.append(slot)
-    for images in _search(pat, host, slots, injective):
+    return slots
+
+
+def _morphisms(pattern: TypedGraph, host: TypedGraph,
+               node_candidates=None, edge_candidates=None,
+               injective: bool = False) -> Iterator[GraphMorphism]:
+    """All typed morphisms pattern -> host, in deterministic order."""
+    slots = _slots(pattern, host, node_candidates, edge_candidates)
+    for images in () if slots is None else _search(_pattern(pattern), host, slots, injective):
         yield _morphism(pattern, host, images)
 
 
-def _images_at(pattern: TypedGraph, host: TypedGraph, anchors: Set[str]) -> List[tuple]:
+def _images_at(pattern: TypedGraph, host: TypedGraph,
+               anchors: Mapping[str, Set[str]]) -> List[tuple]:
     """The images (as ``_search`` lists them) of the morphisms pattern ->
-    host that send some node into ``anchors``, each found once: by the
-    search in which its first such node slot draws from ``anchors`` and the
-    slots before it from the other nodes."""
-    pat, index = _pattern(pattern), _index(host)
-    bases: List[Sequence[str]] = []
-    for items, types, of_type in ((pat.nodes, pattern.node_type, index.nodes_of),
-                                  (pat.edges, pattern.edge_type, index.edges_of)):
-        for x in items:
-            bases.append(of_type.get(types[x], ()))
-            if not bases[-1]:
-                return []
+    host that send some node into ``anchors``, host nodes keyed by type.
+    Each is found once: by the search in which its first such node slot
+    draws from ``anchors`` and the slots before it from the other nodes."""
+    pat = _pattern(pattern)
+    # a pattern with a type the host lacks has no match: tell without the index
+    if anchors.keys().isdisjoint(pat.types) or not (
+            pat.kinds[0].issubset(host.node_type.values())
+            and pat.kinds[1].issubset(host.edge_type.values())):
+        return []
+    slots = _slots(pattern, host)
     found: List[tuple] = []
-    for k in range(len(pat.nodes)):
-        inside = [y for y in bases[k] if y in anchors]
-        if inside:
-            found += _search(pat, host, [*bases[:k], inside, *bases[k + 1:]], False)
-            bases[k] = [y for y in bases[k] if y not in anchors]
-            if not bases[k]:
+    for k, t in enumerate(pat.types):
+        at = anchors.get(t)
+        if at:
+            found += _search(pat, host, [*slots[:k], sorted(at), *slots[k + 1:]], False)
+            slots[k] = [y for y in slots[k] if y not in at]
+            if not slots[k]:
                 break
     return found
 

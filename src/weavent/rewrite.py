@@ -46,8 +46,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from ._common import UnionFind, _once, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
-from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _images_at,
-                     _incidence, _index, _morphism, _morphisms, _pattern)
+from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _drop_indexes,
+                     _images_at, _incidence, _index, _morphism, _morphisms, _pattern)
 
 
 class TraceLimitError(GraphError):
@@ -66,7 +66,7 @@ class Rule:
     R: TypedGraph
     l: GraphMorphism
     r: GraphMorphism
-    _derived: Dict[str, object] = field(default_factory=dict, init=False, repr=False)
+    _derived: Dict[str, object] = field(init=False, repr=False, default_factory=dict)
 
     def validate(self) -> None:
         if self.l.source is not self.K or self.l.target is not self.L:
@@ -575,21 +575,18 @@ def _carried(st: DirectDerivation, patterns: Sequence[TypedGraph],
     """
     rn, re_ = st.rstar.node_map, st.rstar.edge_map
     gone_n, gone_e = set(st.match.node_map.values()), set(st.match.edge_map.values())
-    anchors = set(st.mR.node_map.values())
-    types = {st.H.node_type[y] for y in anchors}
+    anchors: Dict[str, set] = {}
+    for y in st.mR.node_map.values():
+        anchors.setdefault(st.H.node_type[y], set()).add(y)
     out = []
     for pattern, images in zip(patterns, found):
-        pat = _pattern(pattern)
-        at = not types.isdisjoint(pat.types)
-        if not (images or at):
-            out.append(())
-            continue
-        nn = len(pat.nodes)
-        kept = [(*map(rn.__getitem__, im[:nn]), *map(re_.__getitem__, im[nn:]))
-                for im in images if gone_n.isdisjoint(im[:nn]) and gone_e.isdisjoint(im[nn:])]
-        if at:
-            kept += _images_at(pattern, st.H, anchors)
-        out.append(tuple(sorted(kept)))
+        kept = _images_at(pattern, st.H, anchors)
+        if images:
+            nn = len(_pattern(pattern).nodes)
+            kept += [(*map(rn.__getitem__, im[:nn]), *map(re_.__getitem__, im[nn:]))
+                     for im in images
+                     if gone_n.isdisjoint(im[:nn]) and gone_e.isdisjoint(im[nn:])]
+        out.append(tuple(sorted(kept)) if kept else ())
     return tuple(out)
 
 
@@ -626,8 +623,7 @@ def _extensions(deriv: Derivation, rules: Sequence[Rule],
             if fusion_safe and not is_fusion_safe(step):
                 continue
             yield deriv.extend(step)
-    host._derived.pop("index", None)
-    host._derived.pop("incidence", None)
+    _drop_indexes(host)
 
 
 def _trace_result(groups: List[List[Derivation]],

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
+from weavent import graphs
+from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, _images_at, find_matches,
                             graph_isomorphism)
 from weavent.io import load_structure
 from weavent.oracles import trace_classes_by_definition
@@ -88,6 +89,28 @@ def test_random_small_graphs(seed):
         _assert_isomorphism_agrees(pattern, host)
 
 
+def _images(m):
+    return (*[m.node_map[n] for n in sorted(m.source.nodes)],
+            *[m.edge_map[e] for e in sorted(m.source.edges)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_anchored_search_finds_the_matches_at_its_anchors(seed):
+    # _images_at lists each match that sends a node into the anchors once
+    rng = random.Random(seed)
+    for _ in range(40):
+        pattern = _random_graph(rng, rng.randint(0, 3), rng.randint(0, 3), "p")
+        host = _random_graph(rng, rng.randint(1, 4), rng.randint(0, 5), "h")
+        anchors = set(rng.sample(sorted(host.nodes), rng.randint(0, len(host.nodes))))
+        by_type = {}
+        for y in anchors:
+            by_type.setdefault(host.node_type[y], set()).add(y)
+        found = _images_at(pattern, host, by_type)
+        assert len(found) == len(set(found))
+        assert sorted(found) == [_images(m) for m in _morphisms_by_definition(pattern, host)
+                                 if anchors.intersection(m.node_map.values())]
+
+
 @pytest.mark.parametrize("fusion_safe", [False, True])
 def test_every_rule_and_host_of_the_fusion_grammar(fusion_safe):
     grammar = load_structure(str(FIXTURES / "fusion.grammar.json"), "grammar")
@@ -110,3 +133,16 @@ def test_index_is_built_once_per_graph():
     find_matches(pattern, host)
     assert host._derived["index"] is index
     assert index.triples == {("A", "x", "y")}
+
+
+def test_pattern_setup_is_kept_and_a_failed_match_searches_nothing(monkeypatch):
+    searched = []
+    search = graphs._search
+    monkeypatch.setattr(graphs, "_search", lambda *args: searched.append(args) or search(*args))
+    pattern = TypedGraph(["u", "v"], [("e", "A", "u", "v")], {"u": "N", "v": "N"})
+    assert find_matches(pattern, TypedGraph(["x"], [], {"x": "N"})) == []  # no A edge
+    assert not searched
+    setup = pattern._derived["pattern"]
+    host = TypedGraph(["x", "y"], [("f", "A", "x", "y")], {"x": "N", "y": "N"})
+    assert [m.edge_map for m in find_matches(pattern, host)] == [{"e": "f"}]
+    assert pattern._derived["pattern"] is setup and len(searched) == 1
