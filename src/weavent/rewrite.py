@@ -39,7 +39,6 @@ matching orders, are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from itertools import chain, groupby, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -131,11 +130,12 @@ def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, st
     ``B`` items joined with ``+``, every other item by itself.  Then each
     ``B`` item outside the image of ``g`` keeps its name unless an earlier
     item took it, the ``B`` items in sorted order.  Only the taken ones are
-    visited, least first: a name ``y~k`` given to ``y`` sorts after ``y``,
-    so when it is the name of another such ``B`` item, that item is taken
-    in turn and comes later.  Returns the names of the ``A`` items, the new
-    names of the ``B`` items that change name (glued or taken) and the set
-    of every name given.
+    visited, least first (from a set that never grows, so ``min`` serves as
+    the heap): a name ``y~k`` given to ``y`` sorts after ``y``, so when it
+    is the name of another such ``B`` item, that item is taken in turn and
+    comes later.  Returns the names of the ``A`` items, the new names of the
+    ``B`` items that change name (glued or taken) and the set of every name
+    given.
     """
     uf, owner = UnionFind(), {}  # owner: a B image -> the A item it was first met with
     for c in c_items:
@@ -156,13 +156,13 @@ def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, st
             root = find(x)
             to_a[x] = _fresh("+".join(sorted(members[x])), used) if root == x else to_a[root]
     to_b = {y: to_a[x] for y, x in owner.items()}
-    taken = [y for y in used if y in b_items and y not in to_b]
-    heapify(taken)
+    taken = {y for y in used if y in b_items and y not in to_b}
     while taken:
-        y = heappop(taken)
+        y = min(taken)
+        taken.remove(y)
         to_b[y] = z = _fresh(y, used)
         if z in b_items and z not in to_b:
-            heappush(taken, z)
+            taken.add(z)
     return to_a, to_b, used
 
 
