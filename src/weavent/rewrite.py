@@ -130,12 +130,13 @@ def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, st
     ``B`` items joined with ``+``, every other item by itself.  Then each
     ``B`` item outside the image of ``g`` keeps its name unless an earlier
     item took it, the ``B`` items in sorted order.  Only the taken ones are
-    visited, least first (from a set that never grows, so ``min`` serves as
-    the heap): a name ``y~k`` given to ``y`` sorts after ``y``, so when it
-    is the name of another such ``B`` item, that item is taken in turn and
-    comes later.  Returns the names of the ``A`` items, the new names of the
-    ``B`` items that change name (glued or taken) and the set of every name
-    given.
+    visited, in any order: a taken ``y`` gets ``y~k`` for the least ``k >= 2``
+    whose name no ``A`` item has, since the names that the sorted walk keeps
+    before ``y`` sort below ``y``, and a name given to another taken item
+    ``w`` is ``w~j``, never ``y~k``.  When ``y~k`` is the name of another
+    such ``B`` item, that item is taken in turn.  Returns the names of the
+    ``A`` items, the new names of the ``B`` items that change name (glued or
+    taken) and the set of every name given.
     """
     uf, owner = UnionFind(), {}  # owner: a B image -> the A item it was first met with
     for c in c_items:
@@ -156,13 +157,12 @@ def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, st
             root = find(x)
             to_a[x] = _fresh("+".join(sorted(members[x])), used) if root == x else to_a[root]
     to_b = {y: to_a[x] for y, x in owner.items()}
-    taken = {y for y in used if y in b_items and y not in to_b}
+    taken = [y for y in used if y in b_items and y not in to_b]
     while taken:
-        y = min(taken)
-        taken.remove(y)
+        y = taken.pop()
         to_b[y] = z = _fresh(y, used)
         if z in b_items and z not in to_b:
-            taken.add(z)
+            taken.append(z)
     return to_a, to_b, used
 
 
