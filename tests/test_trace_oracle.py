@@ -10,7 +10,9 @@ process key each derivation reads off the colimit classes it glues onto its
 parent's equals the key recomputed from ``colimit_by_definition``'s
 injections, its union-find holds one integer per class opened, and the
 process keys of two derivations, whether or not they repeat a rule, are
-equal exactly when ``equivalent_traces`` relates them.
+equal exactly when ``equivalent_traces`` relates them.  Each step it builds
+equals the step ``apply_rule_by_definition`` builds whole, and the matches
+each host keeps, carried from its parent's, equal ``find_matches``'.
 """
 
 import gc
