@@ -22,13 +22,11 @@ from .es import EsError, classify, configurations
 from .domains import OrderError, algebraicity, interchange_classes, \
     irreducible_elements, primes, validate_domain, weak_primes
 from .duality import connect_es, dom_of_es, epes_dom, epes_ev, epes_isomorphic, \
-    es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold
+    es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes
 from .graphs import GraphError
 from .intervals import check_axioms, ev_wd, interval_classes, zeta
 from .asyncgraphs import AsyncError, async_domain, validate_async_graph
-from .rewrite import grammar_from_es, once_per_rule_depth, trace_classes
-
-DEFAULT_CEILING = 10000
+from .rewrite import DEFAULT_CEILING, grammar_from_es, once_per_rule_depth, trace_classes
 
 _INPUT_FLAGS = {"es": "es", "domain": "domain", "grammar": "grammar",
                 "async_graph": "asyncgraph", "epes": "epes"}
@@ -131,7 +129,6 @@ def _cmd_check(args) -> tuple:
             witnesses += list(rep.diagnostics)
             raise _FailureWithReport(results, witnesses, path)
     else:  # epes
-        from .duality import validate_epes
         ok, diags = validate_epes(value)
         results = {"kind": kind, "valid": ok}
         if not ok:
@@ -341,14 +338,6 @@ _VERBS = {
 }
 
 
-def _add_input_flags(sub) -> None:
-    sub.add_argument("--es")
-    sub.add_argument("--domain")
-    sub.add_argument("--grammar")
-    sub.add_argument("--async", dest="async_graph")
-    sub.add_argument("--epes")
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused."""
@@ -358,10 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERBS:
         sub = subs.add_parser(verb)
-        _add_input_flags(sub)
-        sub.add_argument("--out")
-        sub.add_argument("--format")
-        sub.add_argument("--weak", action="store_true")
+        for dest in _INPUT_FLAGS:
+            sub.add_argument("--async" if dest == "async_graph" else f"--{dest}", dest=dest)
+        if verb in ("convert", "connect", "derive", "synth", "async", "emit"):
+            sub.add_argument("--out")
+        if verb in ("derive", "emit"):
+            sub.add_argument("--format")
+        if verb in ("check", "async"):
+            sub.add_argument("--weak", action="store_true")
         if verb == "derive":
             sub.add_argument("--depth", type=int)
             sub.add_argument("--fusion-safe", dest="fusion_safe", action="store_true")

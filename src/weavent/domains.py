@@ -18,6 +18,9 @@ first use, so a domain that is only listed or drawn never pays for them:
 The invariants the paper reads off a domain (irreducibles, ↔-partners,
 ↔*-classes, primes, weak primes, algebraicity) are computed once per
 domain and kept on it, since a domain never changes after construction.
+The join condition, primality and weak primality are decided together by
+one pass over the incomparable consistent pairs (``_pair_pass``); meets
+need none, since a least element and binary joins make them exist.
 There is deliberately no memo keyed by subset masks: Python hashes an int
 modulo 2⁶¹−1, so ``hash(1 << k) == hash(1 << (k + 61))`` and the pair masks
 of a poset with more than 61 elements collapse onto few hash values, which
@@ -31,8 +34,9 @@ is *consistent* when it has an upper bound in the poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ._common import Report, UnionFind, _bits, _once
@@ -267,18 +271,53 @@ class FiniteDomain:
         return ub != 0
 
 
-def _incomparable_consistent_pairs(dom: FiniteDomain):
-    """Each pair ``i < j`` of incomparable consistent elements with their
-    join ``k`` (None when there is none), in lexicographic order of ``(i, j)``.
+def _pair_facts(dom: FiniteDomain) -> Tuple[Report, int, int]:
+    """The verdict of ``validate_domain`` on the join condition, and the
+    masks of the primes and of the weak primes, from ``_pair_pass``."""
+    return _once(dom, "pair_facts", _pair_pass)
 
-    Comparable pairs are left out: their join is the larger element, so no
-    join condition and no primality test can fail on them.
+
+def _pair_pass(dom: FiniteDomain) -> Tuple[Report, int, int]:
+    """Look up the join ``k`` of each pair ``i < j`` of incomparable
+    consistent elements once, in lexicographic order (a comparable pair
+    joins in its larger element, where no test can fail).  The verdict is
+    the first pair failing the join condition; the walk goes on, since
+    invalid posets are asked for primes too.  An element below ``k`` but
+    not below ``i`` or ``j`` is not prime, and no weak prime unless a
+    ↔-partner of it is below ``i`` or ``j``.
     """
-    up, down, cons, by_up = dom._up, dom._down, dom._cons, dom._by_up
-    for i in range(len(up)):
-        ui = up[i]
-        for j in _bits(cons[i] & ~(ui | down[i] | ((2 << i) - 1))):
-            yield i, j, by_up.get(ui & up[j])
+    names, up, down, cons, by_up = dom.elements, dom._up, dom._down, dom._cons, dom._by_up
+    partners, lower, full = _partners(dom), dom._lower, dom._full
+    # unreached[x]: the elements that are no ↔-partner of an irreducible
+    # below x (partner rows are symmetric and hold their own element), built
+    # along the covers, as a down-set is a smaller integer than its supersets
+    unreached = [0] * len(names)
+    for x in sorted(range(len(names)), key=down.__getitem__):
+        unreached[x] = reduce(and_, (unreached[c] for c in _bits(lower[x])),
+                              full ^ partners.get(x, 0))
+    # complements, so that each test costs a pair two ANDs; a bounded
+    # complete poset has no consistency for a join to break
+    not_below = [full ^ m for m in down]
+    inconsistent = [full ^ m if dom.kind == COHERENT else 0 for m in cons]
+    verdict = Report(True)
+    not_prime = not_weak = 0
+    for i in range(len(names)):
+        ui, ci, not_below_i, unreached_i = up[i], cons[i], not_below[i], unreached[i]
+        for j in _bits(ci & ~(ui | down[i] | ((2 << i) - 1))):
+            k = by_up.get(ui & up[j])
+            if k is None:
+                if verdict.ok:
+                    verdict = Report(False, "missing-join", (names[i], names[j]))
+                continue
+            bad = ci & inconsistent[k] & cons[j]
+            if bad and verdict.ok:
+                c = (bad & -bad).bit_length() - 1
+                verdict = Report(False, "join-breaks-consistency", (names[i], names[j], names[c]))
+            not_prime |= down[k] & not_below_i & not_below[j]
+            not_weak |= down[k] & unreached_i & unreached[j]
+    bot = dom.bottom()
+    not_prime |= (1 << dom.index(bot)) if bot is not None else 0
+    return verdict, full & ~not_prime, _irreducible_mask(dom) & ~not_weak
 
 
 # ---------------------------------------------------------------------- #
@@ -291,34 +330,17 @@ def validate_domain(dom: FiniteDomain) -> Report:
     Coherence is checked through the generator criterion: for pairwise
     consistent ``{d, d', d''}`` the join ``d ⊔ d'`` exists and stays
     consistent with ``d''`` (equivalent, on a finite poset, to every pairwise
-    consistent subset having a join).  On consistency rows that is
-    ``cons[d] & cons[d'] & ~cons[d ⊔ d']`` being empty; its lowest element
-    is the witness ``d''``.  Bounded completeness reduces to binary joins
-    of bounded pairs.  The exhaustive oracle is
-    ``validate_domain_by_definition``.
+    consistent subset having a join); the witness ``d''`` is the lowest
+    element of ``cons[d] & cons[d'] & ~cons[d ⊔ d']``.  Bounded completeness
+    reduces to binary joins of bounded pairs.  Both are read off the one
+    pair pass.  Meets need no check: the lower bounds of a pair hold ``⊥``
+    and are bounded, so their join exists and is the meet.  The exhaustive
+    oracle is ``validate_domain_by_definition``.
     """
     if dom.bottom() is None:
         return Report(False, "no-least-element", tuple(
             x for x in dom.elements if not dom.lower_covers(x)))
-    names, cons = dom.elements, dom._cons
-    coherent = dom.kind == COHERENT
-    for i, j, k in _incomparable_consistent_pairs(dom):
-        if k is None:
-            return Report(False, "missing-join", (names[i], names[j]))
-        if coherent:
-            bad = cons[i] & cons[j] & ~cons[k]
-            if bad:
-                c = (bad & -bad).bit_length() - 1
-                return Report(False, "join-breaks-consistency", (names[i], names[j], names[c]))
-    # meets of nonempty sets come for free; self-check on incomparable pairs
-    # (a comparable pair meets in its smaller element)
-    up, down, by_down = dom._up, dom._down, dom._by_down
-    for i in range(len(names)):
-        di = down[i]
-        for j in _bits(dom._full & ~(up[i] | di | ((2 << i) - 1))):
-            if (di & down[j]) not in by_down:
-                return Report(False, "missing-meet", (names[i], names[j]))
-    return Report(True)
+    return _pair_facts(dom)[0]
 
 
 def _require_valid(dom: FiniteDomain) -> None:
@@ -329,7 +351,7 @@ def _require_valid(dom: FiniteDomain) -> None:
 
 def _require_weak_prime(dom: FiniteDomain) -> None:
     _require_valid(dom)
-    for i in dom.ids(_irreducible_mask(dom) & ~dom.mask_of(weak_primes(dom))):
+    for i in dom.ids(_irreducible_mask(dom) & ~_pair_facts(dom)[2]):
         raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
 
 
@@ -411,21 +433,14 @@ def primes(dom: FiniteDomain) -> Tuple[str, ...]:
 
     Uses the binary-join criterion, which on a finite domain agrees with
     quantification over all pairwise-consistent subsets (joins of larger
-    sets are reached by repeated binary joins): the non-primes are the OR
-    over consistent pairs of ``down[i ⊔ j] & ~down[i] & ~down[j]``.
+    sets are reached by repeated binary joins): the non-primes are the OR,
+    in the one pair pass, of ``down[i ⊔ j] & ~down[i] & ~down[j]``.
     """
     return _once(dom, "primes", _find_primes)
 
 
 def _find_primes(dom: FiniteDomain) -> Tuple[str, ...]:
-    down = dom._down
-    not_prime = 0
-    for i, j, k in _incomparable_consistent_pairs(dom):
-        if k is not None:
-            not_prime |= down[k] & ~(down[i] | down[j])
-    bot = dom.bottom()
-    return tuple(x for p, x in enumerate(dom.elements)
-                 if x != bot and not not_prime >> p & 1)
+    return dom.ids(_pair_facts(dom)[1])
 
 
 def primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -566,7 +581,7 @@ def _find_partners(dom: FiniteDomain) -> Dict[int, int]:
     irr = _irreducible_mask(dom)
     rows = {x: 1 << x for x in _bits(irr)}
     for a in rows:
-        later = irr & cons[a] & ~up[a] & ~down[a] & ~((2 << a) - 1)
+        later = irr & cons[a] & ~(up[a] | down[a] | ((2 << a) - 1))
         for b in _bits(later):
             if _interchangeable(dom, a, b):
                 rows[a] |= 1 << b
@@ -594,27 +609,16 @@ def _find_interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
 def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     """Irreducibles that are prime up to interchangeability.
 
-    Checked on binary joins: whenever ``i ⊑ d ⊔ d'`` for a consistent pair,
-    some interchangeable ``i'`` sits below ``d`` or ``d'``.  Larger joins
-    follow by iterating binary ones (the full-quantifier oracle is
-    ``weak_primes_by_definition``).
+    Checked on binary joins, in the one pair pass: whenever ``i ⊑ d ⊔ d'``
+    for a consistent pair, some interchangeable ``i'`` sits below ``d`` or
+    ``d'``.  Larger joins follow by iterating binary ones (the
+    full-quantifier oracle is ``weak_primes_by_definition``).
     """
     return _once(dom, "weak_primes", _find_weak_primes)
 
 
 def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
-    down = dom._down
-    partners = _partners(dom)
-    irr = _irreducible_mask(dom)
-    bad = 0
-    for i, j, k in _incomparable_consistent_pairs(dom):
-        if k is None:
-            continue
-        below = down[i] | down[j]
-        for x in _bits(down[k] & irr & ~below & ~bad):
-            if not partners[x] & below:
-                bad |= 1 << x
-    return dom.ids(irr & ~bad)
+    return dom.ids(_pair_facts(dom)[2])
 
 
 def weak_primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -672,8 +676,8 @@ def algebraicity(dom: FiniteDomain) -> Algebraicity:
 def _find_algebraicity(dom: FiniteDomain) -> Algebraicity:
     irr = _irreducible_mask(dom)
     irr_alg = all(dom._join_mask(down & irr) == d for d, down in enumerate(dom._down))
-    return Algebraicity(irr_alg, dom.mask_of(primes(dom)) == irr,
-                        dom.mask_of(weak_primes(dom)) == irr)
+    _, prime_mask, weak_prime_mask = _pair_facts(dom)
+    return Algebraicity(irr_alg, prime_mask == irr, weak_prime_mask == irr)
 
 
 def diff(dom: FiniteDomain, d2: str, d1: str) -> FrozenSet[str]:

@@ -48,6 +48,8 @@ from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _drop_indexes,
                      _images_at, _incidence, _index, _morphism, _morphisms, _pattern)
 
+DEFAULT_CEILING = 10000
+
 
 class TraceLimitError(GraphError):
     """Trace-class enumeration exceeded the configured ceiling."""
@@ -650,7 +652,7 @@ def _trace_result(groups: List[List[Derivation]],
 
 
 def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
-                  ceiling: int = 10000) -> TraceDomainResult:
+                  ceiling: int = DEFAULT_CEILING) -> TraceDomainResult:
     """The trace classes of derivations up to ``depth``, ordered by prefix.
 
     Grows a breadth-first tree that extends only class representatives.
@@ -694,7 +696,7 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
 
 
 def trace_domain(grammar: Grammar, depth: int, fusion_safe: bool = False,
-                 ceiling: int = 10000) -> FiniteDomain:
+                 ceiling: int = DEFAULT_CEILING) -> FiniteDomain:
     """The prefix-ordered poset of trace classes of a grammar."""
     return trace_classes(grammar, depth, fusion_safe, ceiling).domain
 

@@ -1,12 +1,14 @@
 import random
 from itertools import combinations, permutations
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
 from weavent import cli, domains
-from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
-                             algebraicity, decompose, diff, interchange_classes,
+from weavent._common import Report, _bits
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, Algebraicity, FiniteDomain,
+                             OrderError, algebraicity, decompose, diff, interchange_classes,
                              interchangeable, interchangeable_by_definition,
                              interchangeable_via_compacts, irreducible_elements,
                              irreducibles, predecessor, primes,
@@ -14,7 +16,7 @@ from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderErro
                              validate_domain_by_definition,
                              validate_domain_morphism, weak_primes,
                              weak_primes_by_definition)
-from weavent.duality import dom_of_es, dom_of_es_morphism
+from weavent.duality import dom_of_es, dom_of_es_morphism, ev_of_domain
 from weavent.fixtures import (chain, e_ccs, e_run, m3, nontransitive_bdomain,
                               nontransitive_poset, pair_no_join)
 from weavent.io import load_structure
@@ -384,6 +386,167 @@ class TestInvariantCache:
         assert cli.main(["check", "--domain", str(FIXTURES / "run.domain.json")]) == 0
         assert '"weak_prime_algebraic": true' in capsys.readouterr().out
         assert sorted(calls) == ["_find_primes", "_find_weak_primes"]
+
+
+# ---------------------------------------------------------------------- #
+# The three pair passes and the meet loop that the one pair pass replaced,
+# kept verbatim as its reference.
+# ---------------------------------------------------------------------- #
+
+def _incomparable_consistent_pairs(dom: FiniteDomain):
+    """Each pair ``i < j`` of incomparable consistent elements with their
+    join ``k`` (None when there is none), in lexicographic order of ``(i, j)``.
+
+    Comparable pairs are left out: their join is the larger element, so no
+    join condition and no primality test can fail on them.
+    """
+    up, down, cons, by_up = dom._up, dom._down, dom._cons, dom._by_up
+    for i in range(len(up)):
+        ui = up[i]
+        for j in _bits(cons[i] & ~(ui | down[i] | ((2 << i) - 1))):
+            yield i, j, by_up.get(ui & up[j])
+
+
+def reference_validate_domain(dom: FiniteDomain) -> Report:
+    if dom.bottom() is None:
+        return Report(False, "no-least-element", tuple(
+            x for x in dom.elements if not dom.lower_covers(x)))
+    names, cons = dom.elements, dom._cons
+    coherent = dom.kind == COHERENT
+    for i, j, k in _incomparable_consistent_pairs(dom):
+        if k is None:
+            return Report(False, "missing-join", (names[i], names[j]))
+        if coherent:
+            bad = cons[i] & cons[j] & ~cons[k]
+            if bad:
+                c = (bad & -bad).bit_length() - 1
+                return Report(False, "join-breaks-consistency", (names[i], names[j], names[c]))
+    # meets of nonempty sets come for free; self-check on incomparable pairs
+    # (a comparable pair meets in its smaller element)
+    up, down, by_down = dom._up, dom._down, dom._by_down
+    for i in range(len(names)):
+        di = down[i]
+        for j in _bits(dom._full & ~(up[i] | di | ((2 << i) - 1))):
+            if (di & down[j]) not in by_down:
+                return Report(False, "missing-meet", (names[i], names[j]))
+    return Report(True)
+
+
+def reference_primes(dom: FiniteDomain) -> Tuple[str, ...]:
+    down = dom._down
+    not_prime = 0
+    for i, j, k in _incomparable_consistent_pairs(dom):
+        if k is not None:
+            not_prime |= down[k] & ~(down[i] | down[j])
+    bot = dom.bottom()
+    return tuple(x for p, x in enumerate(dom.elements)
+                 if x != bot and not not_prime >> p & 1)
+
+
+def reference_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
+    down = dom._down
+    partners = domains._partners(dom)
+    irr = domains._irreducible_mask(dom)
+    bad = 0
+    for i, j, k in _incomparable_consistent_pairs(dom):
+        if k is None:
+            continue
+        below = down[i] | down[j]
+        for x in _bits(down[k] & irr & ~below & ~bad):
+            if not partners[x] & below:
+                bad |= 1 << x
+    return dom.ids(irr & ~bad)
+
+
+def reference_algebraicity(dom: FiniteDomain) -> Algebraicity:
+    irr = domains._irreducible_mask(dom)
+    irr_alg = all(dom._join_mask(down & irr) == d for d, down in enumerate(dom._down))
+    return Algebraicity(irr_alg, dom.mask_of(reference_primes(dom)) == irr,
+                        dom.mask_of(reference_weak_primes(dom)) == irr)
+
+
+def fixture_domains():
+    """Every domain fixture: the files, the hand-made posets, and the
+    configuration domains of the event-structure fixtures."""
+    doms = [load_structure(str(path), "domain") for path in sorted(FIXTURES.glob("*domain.json"))]
+    doms += [m3(), chain(1), chain(4), pair_no_join(), nontransitive_poset(),
+             nontransitive_poset(with_top=False), nontransitive_bdomain()]
+    doms += [dom_of_es(load_structure(str(path), "es"))
+             for path in sorted(FIXTURES.glob("*.es.json"))]
+    return doms
+
+
+def poset_draws(count: int, seed: int):
+    """Seeded random posets of 1 to 11 elements, of both kinds, with and
+    without a forced least element, valid as domains or not."""
+    rng = random.Random(seed)
+    return [random_poset(rng, rng.randint(1, 11), bottom=rng.random() < 0.8,
+                         kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+            for _ in range(count)]
+
+
+class TestOnePairPass:
+    def test_agrees_with_the_three_passes_and_the_meet_loop(self):
+        # random draws never break coherence; here a ⊔ b = ab is consistent
+        # with neither x nor y, although a and b each are with both
+        covers = [("0", "a"), ("0", "b"), ("0", "y"), ("0", "x"), ("a", "ab"), ("b", "ab"),
+                  ("a", "axy"), ("y", "axy"), ("x", "axy"),
+                  ("b", "bxy"), ("y", "bxy"), ("x", "bxy")]
+        made = [FiniteDomain({x for c in covers for x in c}, covers, kind)
+                for kind in (COHERENT, BOUNDED_COMPLETE)]
+        verdicts = set()
+        for dom in made + fixture_domains() + poset_draws(2400, 17):
+            rep, ref = validate_domain(dom), reference_validate_domain(dom)
+            assert (rep.ok, rep.condition, rep.witness) == (ref.ok, ref.condition, ref.witness)
+            assert primes(dom) == reference_primes(dom)
+            assert weak_primes(dom) == reference_weak_primes(dom)
+            assert algebraicity(dom) == reference_algebraicity(dom)
+            verdicts.add((dom.kind, rep.condition))
+        # every verdict of both kinds occurs, so the comparison is not vacuous
+        assert verdicts == {(kind, condition) for kind in (COHERENT, BOUNDED_COMPLETE)
+                            for condition in (None, "no-least-element", "missing-join")} | {
+            (COHERENT, "join-breaks-consistency")}
+
+    def test_every_pair_of_a_valid_domain_has_a_meet(self):
+        """Why ``validate_domain`` checks no meets.
+
+        Let ``a``, ``b`` be elements of a valid domain and ``L`` their set
+        of lower bounds.  ``L`` holds ``⊥``, so it is not empty, and every
+        element of ``L`` lies below ``a``, so ``L`` is bounded and hence
+        pairwise consistent.  Under either kind, consistent pairs have
+        joins, so folding binary joins over ``L`` gives a join ``m`` of
+        ``L`` (each partial join stays below ``a``, so the next pair is
+        consistent too).  ``a`` and ``b`` are upper bounds of ``L``, so
+        ``m ⊑ a`` and ``m ⊑ b``; thus ``m`` is in ``L`` and is its greatest
+        element, the meet of ``a`` and ``b``.
+        """
+        rng = random.Random(29)
+        es_doms = [dom_of_es(random_live_es(rng, max_events=4, conflict_p=0.3))
+                   for _ in range(40)]
+        doms = [dom for dom in fixture_domains() + es_doms + poset_draws(2400, 19)
+                if validate_domain(dom).ok]
+        assert len(doms) > 1500
+        for dom in doms:
+            for a, b in combinations(dom.elements, 2):
+                assert dom.meet((a, b)) is not None, (dom.elements, a, b)
+
+    def test_check_runs_the_pass_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(dom, _real=domains._pair_pass):
+            calls.append(dom)
+            return _real(dom)
+        monkeypatch.setattr(domains, "_pair_pass", counted)
+        assert cli.main(["check", "--domain", str(FIXTURES / "run.domain.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        dom = load_structure(str(FIXTURES / "run.domain.json"), "domain")
+        validate_domain(dom)
+        primes(dom)
+        weak_primes(dom)
+        algebraicity(dom)
+        ev_of_domain(dom)
+        assert calls[1:] == [dom]
 
 
 class TestAlgebraicity:

@@ -416,7 +416,12 @@ def test_verbs_repeat_byte_identical_in_one_process(name, tmp_path, capsys):
 
 
 def test_argparse_errors_exit_2_with_the_parser_reused(capsys):
-    for argv in (["check", "--no-such-flag"], ["no-such-verb"], ["check", "--no-such-flag"]):
+    # a flag is registered only on the verbs that read it
+    domain = str(FIXTURES / "run.domain.json")
+    for argv in (["check", "--no-such-flag"], ["no-such-verb"], ["check", "--no-such-flag"],
+                 ["check", "--domain", domain, "--out", "x"],
+                 ["check", "--domain", domain, "--format", "svg"],
+                 ["axioms", "--domain", domain, "--weak"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
