@@ -14,9 +14,10 @@ origin-path classes once computed (``_common._once``): one ``async`` job
 validates once and builds the path classes once.  The square classes carry
 both the class of each 2-path and the sorted members of each class, and
 every check reads them: since a square is coinitial and cofinal, the
-members of a class share their source and their target, so each conclusion
-of the cube and coherence checks is a lookup in the classes of the 2-paths
-it names, not a scan of out-edges.  The origin-path classes are grown
+members of a class share their source and their target, so the premises
+and the conclusions of the axiom, cube and coherence checks walk the
+members of the classes of the 2-paths they name instead of scanning
+out-edges for 2-paths of one class.  The origin-path classes are grown
 depth by depth, never by enumerating paths: a class at depth k+1 is a class
 W at depth k extended by an out-edge e, and two such pairs (W, e) can only
 be merged by rewriting the last segment, since rewrites inside the prefix
@@ -282,48 +283,42 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     if not reachable:
         diags.append("nodes unreachable from the origin")
 
-    # ordered distinct related pairs of length-2 paths
+    # a class is sorted, so 2-paths sharing a first edge are adjacent in it
+    bad1 = next(((p, q) for ms in members for p, q in zip(ms, ms[1:]) if p[0] == q[0]), None)
+    if bad1:
+        diags.append(f"axiom1: {bad1[0]} ~ {bad1[1]}")
+    # ordered distinct related pairs of length-2 paths, and those by first edge
     related = [(p, q) for ms in members for p in ms for q in ms if p != q]
-
-    axiom1 = True
-    for p, q in related:
-        if p[1] != q[1] and p[0] == q[0]:
-            axiom1 = False
-            diags.append(f"axiom1: {p} ~ {q}")
-            break
-    by_first: Dict[str, List[Tuple[Path2, Path2]]] = {}  # in the order of related
+    by_first: Dict[str, List[Tuple[Path2, Path2]]] = {}
     for p, q in related:
         by_first.setdefault(p[0], []).append((p, q))
-    axiom2 = True
-    for p, q in related:
-        for p2, q2 in by_first[p[0]]:
-            if (p[1] == p2[1]) != (q[0] == q2[0]):
-                axiom2 = False
-                diags.append(f"axiom2: {p}~{q} vs {p2}~{q2}")
-                break
-        if not axiom2:
-            break
+    bad2 = next(((p, q, p2, q2) for p, q in related for p2, q2 in by_first[p[0]]
+                 if (p[1] == p2[1]) != (q[0] == q2[0])), None)
+    if bad2:
+        diags.append("axiom2: {}~{} vs {}~{}".format(*bad2))
 
-    # Every pair below is a pair of 2-paths, and the members of a class
-    # share their source and their target; so a conclusion that asks for
-    # edges closing a square is a question about the classes' members.
+    # The checks below ask for the 2-paths in the class of a given one; the
+    # members of a class share their source and their target, so each walks
+    # those members instead of scanning out-edges and dropping the 2-paths
+    # of other classes.  A class is sorted, so a walk meets its candidates
+    # in the order of that scan, or sorts them into it: every check returns
+    # the first witness of the plain nested loops.
     firsts = [{p[0] for p in ms} for ms in members]  # first edges per class
     edges_from = a._out
     tgt = {e: t for e, (_, t) in a.edges.items()}
+    starting: Dict[str, List[Path2]] = {}  # the sorted 2-paths by first edge
+    for p in cls:
+        starting.setdefault(p[0], []).append(p)
 
     def lower_medians() -> Iterator[Tuple[str, str, str, str, str]]:
         # the premise shared by the upward cube and coherence: lower median
         # squares m;c1 ~ u1;u2 and m;c2 ~ v1;v2 with m, u1 and v1 distinct
-        for m in sorted(a.edges):
-            after_m = edges_from[tgt[m]]
-            for c1 in after_m:
-                for u1, u2 in members[cls[(m, c1)]]:
-                    if u1 == m:
-                        continue
-                    for c2 in after_m:
-                        for v1, v2 in members[cls[(m, c2)]]:
-                            if v1 != m and v1 != u1:
-                                yield m, u1, u2, v1, v2
+        for m, paths in starting.items():
+            sides = [q for p in paths for q in members[cls[p]] if q[0] != m]
+            for u1, u2 in sides:
+                for v1, v2 in sides:
+                    if v1 != u1:
+                        yield m, u1, u2, v1, v2
 
     def cube_up_holds() -> Optional[tuple]:
         # premise: a lower median, outer paths extended by u3, v3 to a
@@ -347,48 +342,29 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     def cube_down_holds() -> Optional[tuple]:
         # premise: u1;w1 ~ v1;w2 meeting at an upper median, with outer
         # paths through u2;u3 ~ w1;z and v2;v3 ~ w2;z; conclusion: a lower
-        # median m with m;c1 ~ u1;u2 and m;c2 ~ v1;v2.
-        # the loops run in the order of the plain premise, so the first
-        # witness is the same; what an inner loop rereads is looked up once
+        # median m with m;c1 ~ u1;u2 and m;c2 ~ v1;v2.  The loops run in
+        # the order (b, u1, v1, w1, w2, u2, u3, z, v2, v3).
+        outer: Dict[str, List[Tuple[str, str, str]]] = {}  # w1 -> sorted (u2, u3, z)
         for b in sorted(a.nodes):
             for u1 in edges_from[b]:
-                after_u1 = edges_from[tgt[u1]]
-                for v1 in edges_from[b]:
-                    if v1 == u1:
-                        continue
-                    after_v1 = edges_from[tgt[v1]]
-                    for w1 in after_u1:
-                        side = cls[(u1, w1)]
-                        after_w1 = edges_from[tgt[w1]]
-                        for w2 in after_v1:
-                            if side != cls[(v1, w2)]:
-                                continue
-                            for u2 in after_u1:
-                                first_u = firsts[cls[(u1, u2)]]
-                                for u3 in edges_from[tgt[u2]]:
-                                    outer_u = cls[(u2, u3)]
-                                    for z in after_w1:
-                                        if outer_u != cls[(w1, z)]:
-                                            continue
-                                        outer_v = cls[(w2, z)]
-                                        for v2 in after_v1:
-                                            for v3 in edges_from[tgt[v2]]:
-                                                if cls[(v2, v3)] != outer_v:
-                                                    continue
-                                                if not first_u & firsts[cls[(v1, v2)]]:
-                                                    return (b, (u1, u2, u3), (v1, v2, v3))
+                for v1, w1, w2 in sorted((v1, w1, w2) for w1 in edges_from[tgt[u1]]
+                                         for v1, w2 in members[cls[(u1, w1)]] if v1 != u1):
+                    if w1 not in outer:
+                        outer[w1] = sorted((u2, u3, z) for z in edges_from[tgt[w1]]
+                                           for u2, u3 in members[cls[(w1, z)]])
+                    for u2, u3, z in outer[w1]:
+                        for v2, v3 in members[cls[(w2, z)]]:
+                            if not firsts[cls[(u1, u2)]] & firsts[cls[(v1, v2)]]:
+                                return (b, (u1, u2, u3), (v1, v2, v3))
         return None
 
     def coherence_holds() -> Optional[tuple]:
         # premise: a lower median and a commuting square u1;x1 ~ v1;x2;
         # conclusion: a top completing the two side squares over it.
         for m, u1, u2, v1, v2 in lower_medians():
-            after_v1 = edges_from[tgt[v1]]
             for x1 in edges_from[tgt[u1]]:
-                side = cls[(u1, x1)]
-                for x2 in after_v1:
-                    if (side == cls[(v1, x2)]
-                            and not _coherence_conclusion(u2, v2, x1, x2)):
+                for y, x2 in members[cls[(u1, x1)]]:
+                    if y == v1 and not _coherence_conclusion(u2, v2, x1, x2):
                         return (m, (u1, u2), (v1, v2), (x1, x2))
         return None
 
@@ -413,7 +389,7 @@ def _validate(a: AsyncGraph) -> AsyncReport:
         all_equiv = len({_end(a, w) for w in least}) == len(least)
         if not all_equiv:
             diags.append("inequivalent cofinal paths from the origin")
-    return AsyncReport(acyclic, reachable, axiom1, axiom2,
+    return AsyncReport(acyclic, reachable, bad1 is None, bad2 is None,
                        wup is None, wdown is None, wcoh is None,
                        all_equiv, tuple(diags))
 

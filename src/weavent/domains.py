@@ -344,7 +344,7 @@ def validate_domain(dom: FiniteDomain) -> Report:
 
 
 def _require_valid(dom: FiniteDomain) -> None:
-    rep = _once(dom, "validity", validate_domain)
+    rep = validate_domain(dom)
     if not rep.ok:
         raise OrderError(f"not a valid domain: {rep.condition} {rep.witness}")
 
@@ -706,42 +706,37 @@ def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
             return Report(False, "not-total", (x,))
         if f[x] not in dom2._idx:
             return Report(False, "unknown-target", (x, f[x]))
-    for a, b in ((dom1.elements[i], dom1.elements[j]) for i, j in dom1._cover_pairs):
-        if f[a] == f[b]:
+    names, img = dom1.elements, [dom2._idx[f[x]] for x in dom1.elements]
+    covers1, covers2 = dom1._cover_pairs, dom2._cover_pairs
+    for i, j in covers1:
+        if img[i] == img[j]:
             if strict:
-                return Report(False, "cover-collapsed", (a, b))
+                return Report(False, "cover-collapsed", (names[i], names[j]))
             continue
-        if not dom2.is_cover(f[a], f[b]):
-            return Report(False, "cover-not-preserved", (a, b))
+        if (img[i], img[j]) not in covers2:
+            return Report(False, "cover-not-preserved", (names[i], names[j]))
     # joins of consistent sets: the empty set plus consistent pairs suffice,
     # larger consistent sets follow by iterating binary joins
     b1, b2 = dom1.bottom(), dom2.bottom()
     if b1 is not None and b2 is not None and f[b1] != b2:
         return Report(False, "join-not-preserved", ())
-    for a, b in combinations(dom1.elements, 2):
-        if not dom1.consistent((a, b)):
-            continue
-        j1 = dom1.join((a, b))
-        if j1 is None:
-            continue
-        j2 = dom2.join((f[a], f[b]))
-        if j2 != f[j1]:
-            return Report(False, "join-not-preserved", (a, b))
-    for a, b in combinations(dom1.elements, 2):
-        if not dom1.consistent((a, b)):
-            continue
-        m = dom1.meet((a, b))
-        if m is None:
-            continue
-        if dom1.is_cover(m, a) or dom1.is_cover(m, b):
-            m2 = dom2.meet((f[a], f[b]))
-            if m2 != f[m]:
-                return Report(False, "meet-not-preserved", (a, b))
+    up1, down1, by_up1, by_down1 = dom1._up, dom1._down, dom1._by_up, dom1._by_down
+    up2, down2, by_up2, by_down2 = dom2._up, dom2._down, dom2._by_up, dom2._by_down
+    # the consistent pairs i < j, in the order of combinations(dom1.elements, 2)
+    consistent = [(i, j) for i, row in enumerate(dom1._cons) for j in _bits(row & ~((2 << i) - 1))]
+    for i, j in consistent:
+        k = by_up1.get(up1[i] & up1[j])
+        if k is not None and by_up2.get(up2[img[i]] & up2[img[j]]) != img[k]:
+            return Report(False, "join-not-preserved", (names[i], names[j]))
+    for i, j in consistent:
+        m = by_down1.get(down1[i] & down1[j])
+        if m is not None and ((m, i) in covers1 or (m, j) in covers1) and \
+                by_down2.get(down2[img[i]] & down2[img[j]]) != img[m]:
+            return Report(False, "meet-not-preserved", (names[i], names[j]))
     if algebraicity(dom1).prime_algebraic and algebraicity(dom2).prime_algebraic:
         # binary meets suffice: meets of larger nonempty sets iterate them
-        for a, b in combinations(dom1.elements, 2):
-            m1 = dom1.meet((a, b))
-            m2 = dom2.meet((f[a], f[b]))
-            if m1 is not None and m2 != f[m1]:
-                return Report(False, "prime-meet-not-preserved", (a, b))
+        for i, j in combinations(range(len(names)), 2):
+            m = by_down1.get(down1[i] & down1[j])
+            if m is not None and by_down2.get(down2[img[i]] & down2[img[j]]) != img[m]:
+                return Report(False, "prime-meet-not-preserved", (names[i], names[j]))
     return Report(True)

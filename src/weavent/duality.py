@@ -394,25 +394,15 @@ def unfold(es: EventStructure) -> Epes:
     for c, e, x in inst:
         for ev in flat[x]:
             covers_of.setdefault(ev, []).append(x)
+    # an instance is enabled by one instance covering each event of its
+    # enabling, picked in every way (none when some event has no cover);
+    # the picks are a set, so equal partial picks merge before they grow
     gens = set()
-    for c, e, x in inst:
-        needed = sorted(c)
-        if not needed:
-            gens.add((frozenset(), x))
-            continue
-        choices = [covers_of.get(ev, []) for ev in needed]
-        if any(not ch for ch in choices):
-            continue
-        seen = {frozenset()}
-        partial = [frozenset()]
-        for ch in choices:
-            nxt = set()
-            for base in partial:
-                for pick in ch:
-                    nxt.add(base | {pick})
-            partial = list(nxt)
-        for xs in partial:
-            gens.add((frozenset(xs), x))
+    for c, _, x in inst:
+        picks = {frozenset()}
+        for ev in c:
+            picks = {base | {pick} for base in picks for pick in covers_of.get(ev, ())}
+        gens.update((xs, x) for xs in picks)
     conflict = []
     for (c1, e1, x1), (c2, e2, x2) in combinations(inst, 2):
         if not es.is_consistent(c1 | c2 | {e1, e2}):

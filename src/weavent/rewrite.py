@@ -409,11 +409,11 @@ class Derivation:
         built, or to one without a parent, then builds and keeps the
         colimits on the way back down, one step each.
         """
-        chain = [self]
-        while chain[-1]._colimit is None and chain[-1].parent is not None:
-            chain.append(chain[-1].parent)
-        base = chain[-1]._colimit
-        for d in reversed(chain):
+        lineage = [self]
+        while lineage[-1]._colimit is None and lineage[-1].parent is not None:
+            lineage.append(lineage[-1].parent)
+        base = lineage[-1]._colimit
+        for d in reversed(lineage):
             if d._colimit is None:
                 d._colimit = Colimit(d.source, d.steps, base)
             base = d._colimit

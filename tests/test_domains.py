@@ -1,7 +1,7 @@
 import random
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Tuple
+from typing import Mapping, Tuple
 
 import pytest
 
@@ -17,6 +17,7 @@ from weavent.domains import (BOUNDED_COMPLETE, COHERENT, Algebraicity, FiniteDom
                              validate_domain_morphism, weak_primes,
                              weak_primes_by_definition)
 from weavent.duality import dom_of_es, dom_of_es_morphism, ev_of_domain
+from weavent.es import EventStructure
 from weavent.fixtures import (chain, e_ccs, e_run, m3, nontransitive_bdomain,
                               nontransitive_poset, pair_no_join)
 from weavent.io import load_structure
@@ -673,6 +674,129 @@ class TestChainDecompositions:
                             if not any(j != i and dom.leq(j, i) for j in delta)]
                     got.add(cls_of[min(mins)])
                 assert got == want
+
+
+# ---------------------------------------------------------------------- #
+# The morphism check that went through the name-level consistent, join,
+# meet and is_cover, kept verbatim as the reference of the one on indices.
+# ---------------------------------------------------------------------- #
+
+def reference_validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
+                                       dom2: FiniteDomain, strict: bool = False) -> Report:
+    """Check the weak-prime-domain morphism conditions for a total map.
+
+    Condition on covers is read permissively by default (a cover may be
+    preserved or collapsed); ``strict=True`` demands genuine preservation.
+    Joins of consistent subsets must be preserved, meets only when the meet
+    is an immediate predecessor of one argument.  When both posets are prime
+    algebraic, full meet preservation is additionally required.
+    """
+    for x in dom1.elements:
+        if x not in f:
+            return Report(False, "not-total", (x,))
+        if f[x] not in dom2._idx:
+            return Report(False, "unknown-target", (x, f[x]))
+    for a, b in ((dom1.elements[i], dom1.elements[j]) for i, j in dom1._cover_pairs):
+        if f[a] == f[b]:
+            if strict:
+                return Report(False, "cover-collapsed", (a, b))
+            continue
+        if not dom2.is_cover(f[a], f[b]):
+            return Report(False, "cover-not-preserved", (a, b))
+    # joins of consistent sets: the empty set plus consistent pairs suffice,
+    # larger consistent sets follow by iterating binary joins
+    b1, b2 = dom1.bottom(), dom2.bottom()
+    if b1 is not None and b2 is not None and f[b1] != b2:
+        return Report(False, "join-not-preserved", ())
+    for a, b in combinations(dom1.elements, 2):
+        if not dom1.consistent((a, b)):
+            continue
+        j1 = dom1.join((a, b))
+        if j1 is None:
+            continue
+        j2 = dom2.join((f[a], f[b]))
+        if j2 != f[j1]:
+            return Report(False, "join-not-preserved", (a, b))
+    for a, b in combinations(dom1.elements, 2):
+        if not dom1.consistent((a, b)):
+            continue
+        m = dom1.meet((a, b))
+        if m is None:
+            continue
+        if dom1.is_cover(m, a) or dom1.is_cover(m, b):
+            m2 = dom2.meet((f[a], f[b]))
+            if m2 != f[m]:
+                return Report(False, "meet-not-preserved", (a, b))
+    if algebraicity(dom1).prime_algebraic and algebraicity(dom2).prime_algebraic:
+        # binary meets suffice: meets of larger nonempty sets iterate them
+        for a, b in combinations(dom1.elements, 2):
+            m1 = dom1.meet((a, b))
+            m2 = dom2.meet((f[a], f[b]))
+            if m1 is not None and m2 != f[m1]:
+                return Report(False, "prime-meet-not-preserved", (a, b))
+    return Report(True)
+
+
+def morphism_cases():
+    """``(f, dom1, dom2)``: the hand-made cases of ``TestDomainMorphisms``,
+    ``dom_of_es_morphism`` images of seeded draws (identities, projections
+    onto independent kept events, and random event maps), and the inclusions
+    of down-closed and up-closed sub-posets of seeded posets and random maps
+    into them, some of them not total."""
+    run_dom, ccs_dom = dom_of_es(e_run()), dom_of_es(e_ccs())
+    target = EventStructure.binary(["c'"], enabling=[((), "c'")])
+    cases = [({x: x for x in run_dom.elements}, run_dom, run_dom),
+             (dom_of_es_morphism({"c": "c'"}, e_run(), target), run_dom, dom_of_es(target)),
+             ({"c0": "x", "c1": "y"}, chain(1), FiniteDomain("bxy", [("b", "x"), ("b", "y")])),
+             ({x: "c0" for x in run_dom.elements}, run_dom, chain(1)),
+             ({x: x for x in ccs_dom.elements}, ccs_dom, ccs_dom)]
+    rng = random.Random(41)
+    for _ in range(300):
+        src = random_live_es(rng, max_events=5)
+        events = sorted(src.events)
+        how = rng.random()
+        if how < 0.3:
+            dst, f = src, {e: e for e in events}
+        elif how < 0.6:
+            kept = [e for e in events if rng.random() < 0.6]
+            dst, f = EventStructure.binary(kept, (), [((), e) for e in kept]), {e: e for e in kept}
+        else:
+            dst = random_live_es(rng, max_events=5)
+            f = {e: rng.choice(sorted(dst.events)) for e in events if rng.random() < 0.7}
+        cases.append((dom_of_es_morphism(f, src, dst), dom_of_es(src), dom_of_es(dst)))
+    for _ in range(1500):
+        q = random_poset(rng, rng.randint(2, 9), bottom=rng.random() < 0.8,
+                         kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+        pick = [x for x in q.elements if rng.random() < 0.5] or [q.elements[0]]
+        how = rng.random()
+        if how < 0.4:
+            s = {x for x in q.elements if any(q.leq(x, y) for y in pick)}
+        elif how < 0.7:
+            s = {x for x in q.elements if any(q.leq(y, x) for y in pick)}
+        else:
+            s = set(q.elements)
+        p = FiniteDomain(s, [(a, b) for a in s for b in s if a != b and q.leq(a, b)], q.kind)
+        f = {x: x for x in s} if how < 0.7 else {x: rng.choice(q.elements) for x in s}
+        if rng.random() < 0.05:
+            f.pop(rng.choice(sorted(f)))
+        cases.append((f, p, q))
+    return cases
+
+
+class TestMorphismsOnIndices:
+    def test_agrees_with_the_name_level_check(self):
+        conditions = set()
+        for f, dom1, dom2 in morphism_cases():
+            for strict in (False, True):
+                rep = validate_domain_morphism(f, dom1, dom2, strict)
+                ref = reference_validate_domain_morphism(f, dom1, dom2, strict)
+                assert (rep.ok, rep.condition, rep.witness) == \
+                    (ref.ok, ref.condition, ref.witness)
+                conditions.add(rep.condition)
+        # every verdict occurs, so the comparison is not vacuous
+        assert conditions == {None, "not-total", "unknown-target", "cover-collapsed",
+                              "cover-not-preserved", "join-not-preserved",
+                              "meet-not-preserved", "prime-meet-not-preserved"}
 
 
 class TestDomainMorphisms:

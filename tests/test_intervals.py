@@ -323,12 +323,12 @@ def test_zeta_validates_the_domain_first():
 def test_each_result_is_built_once_per_domain(monkeypatch, capsys):
     calls = []
     for module, name in ((intervals, "_find_interval_classes"),
-                         (intervals, "_find_axiom_report"), (domains, "validate_domain")):
+                         (intervals, "_find_axiom_report"), (domains, "_pair_pass")):
         def counted(dom, _name=name, _compute=getattr(module, name)):
             calls.append(_name)
             return _compute(dom)
         monkeypatch.setattr(module, name, counted)
-    once = ["_find_axiom_report", "_find_interval_classes", "validate_domain"]
+    once = ["_find_axiom_report", "_find_interval_classes", "_pair_pass"]
     dom = dom_of_es(e_run())
     check_axioms(dom), ev_wd(dom), zeta(dom), interval_classes(dom), check_axioms(dom)
     assert sorted(calls) == once

@@ -1,9 +1,12 @@
-"""One cache mechanism and one JSON writer in the package.
+"""One cache mechanism and one JSON writer in the package, and no
+shadowed module names.
 
 What is derived from a structure is kept on it by ``_common._once``, so no
 ``lru_cache`` holds structures beyond their life.  JSON text is made by
 ``io.dumps`` alone, and files are written by ``io.write_text`` alone, so
 every report and file has one format and every write failure one exit code.
+No function binds a name that its module binds at top level, so every
+function in a module reads one meaning of each module name.
 """
 
 import ast
@@ -73,3 +76,75 @@ def test_one_cache_one_encoder_one_writer():
              for what, fn in findings(path.read_text(encoding="utf-8"))}
     assert found == {"io: import json in None", "io: json.dumps in dumps",
                      "io: open for writing in write_text"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCTIONS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def shadowed(source: str):
+    """``(function, name)`` for each name that a function binds by
+    assignment, loop target, comprehension or parameter while its module
+    binds it at top level (by assignment, import, ``def`` or ``class``)."""
+    tree = ast.parse(source)
+    top = set()
+
+    def bind_top(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top.add(node.name)
+        elif isinstance(node, ast.alias):
+            top.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            top.add(node.id)
+        if not isinstance(node, SCOPES):
+            for child in ast.iter_child_nodes(node):
+                bind_top(child)
+
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, FUNCTIONS):
+            fn = getattr(node, "name", "<lambda>")
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            found.extend((fn, p.arg) for p in params if p.arg in top)
+        elif fn and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                and node.id in top:
+            found.append((fn, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    bind_top(tree)
+    visit(tree, None)
+    return found
+
+
+def test_detector_flags_function_bindings_of_module_names():
+    source = '''
+import os.path
+from itertools import chain as link, product
+LIMIT = 3
+squares = [n * n for n in range(LIMIT)]
+
+class Box:
+    size = LIMIT
+
+    def grow(self, product=None):
+        Box = self
+        return [link for link in ()], {os: 1 for os in ()}
+
+def walk(xs, *Box, **kw):
+    for squares, n in xs:
+        LIMIT = n
+    return lambda walk: (n := walk)
+'''
+    assert shadowed(source) == [
+        ("grow", "product"), ("grow", "Box"), ("grow", "link"), ("grow", "os"),
+        ("walk", "Box"), ("walk", "squares"), ("walk", "LIMIT"), ("<lambda>", "walk")]
+
+
+def test_no_function_shadows_a_module_name():
+    found = [f"{path.stem}.{fn}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for fn, name in shadowed(path.read_text(encoding="utf-8"))]
+    assert found == []
