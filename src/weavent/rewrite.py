@@ -18,15 +18,20 @@ form the trace domain of the grammar, which is weak prime algebraic (prime
 when only fusion-safe steps are allowed).
 
 The equivalence is a congruence for extension, so ``trace_classes`` reaches
-every class by extending one representative per class, depth by depth; a
-class's ``members`` are the derivations built for it.  The exhaustive
+every class by extending one representative per class, depth by depth.  It
+decides the class of an extension before building its step: the gluing and
+fusion checks read the match alone (``_gluing``, ``_jointly_mono``), and so
+does the key, with the parent's colimit.  Only a step that opens a class is
+built; a class's other ``members`` are built on first read.  The exhaustive
 references the fast paths are tested against live in ``oracles``.
 
-A derivation's colimit is its parent's colimit glued with the last step:
-its classes are integers, and only the step's new items open classes.  The
-colimit graph and its injections are named on first use by
-``oracles.colimit_by_definition``, which builds them from scratch.
-``trace_classes`` decides a new derivation by one lookup of ``Colimit.key``,
+A derivation's colimit is its parent's colimit glued with the last step
+(``_step_pins``): its classes are integers, an item of ``R`` takes the class
+of its ``K`` preimages, merged where ``r`` merges them, and only the step's
+created items open classes.  The colimit graph and its injections are named
+on first use by ``oracles.colimit_by_definition``, which builds them from
+scratch.  ``trace_classes`` decides a new derivation by one lookup of
+``Colimit.key``,
 the partition of the pin labels (start items, match and comatch images,
 named by rule and rank among its steps) into colimit items, least over the
 orders of each rule's steps, after the graph processes of Corradini,
@@ -218,47 +223,61 @@ class DirectDerivation:
     rstar: GraphMorphism   # D -> H
 
 
-def _rule_parts(rule: Rule) -> tuple:
-    """What every step of a rule reads off it: the kept and the gone items
-    of ``L``, and the sorted items of ``R``."""
-    kept_nodes = {rule.l.node_map[k] for k in rule.K.nodes}
-    kept_edges = {rule.l.edge_map[k] for k in rule.K.edges}
-    return (kept_nodes, kept_edges, rule.L.nodes - kept_nodes, rule.L.edges - kept_edges,
-            sorted(rule.R.nodes), sorted(rule.R.edges))
+def _rule_parts(rule: Rule) -> list:
+    """What every step of a rule reads off it, per kind (nodes, then edges):
+    the gone items of ``L``, the sorted items of ``L``, the pair ``(l(k),
+    r(k))`` of each item ``k`` of ``K``, and the sorted items of ``R``."""
+    return [(l_items - {x for x, _ in pairs}, sorted(l_items), pairs, sorted(r_items))
+            for pairs, l_items, r_items in (
+                ([(rule.l.node_map[k], rule.r.node_map[k]) for k in rule.K.nodes],
+                 rule.L.nodes, rule.R.nodes),
+                ([(rule.l.edge_map[k], rule.r.edge_map[k]) for k in rule.K.edges],
+                 rule.L.edges, rule.R.edges))]
+
+
+def _gluing(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[list]:
+    """The nodes and the edges of ``g`` a step of ``rule`` at ``m`` deletes,
+    or None when the gluing condition fails.
+
+    With ``l`` mono the condition splits into the identification check
+    (items identified by the match must all be preserved) and the dangling
+    check (no context edge may keep a deleted node alive, read off ``g``'s
+    incidence index).
+    """
+    deleted = []
+    for (gone, _, pairs, _), images in zip(_once(rule, "parts", _rule_parts),
+                                           (m.node_map, m.edge_map)):
+        dels = {images[x] for x in gone}
+        # identification: deleted items have distinct images, and none of
+        # them is the image of a kept item
+        if len(dels) < len(gone) or not dels.isdisjoint([images[x] for x, _ in pairs]):
+            return None
+        deleted.append(dels)
+    # dangling: every edge at a deleted node is deleted too
+    return deleted if all(deleted[1].issuperset(_incidence(g)[n]) for n in deleted[0]) else None
 
 
 def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDerivation]:
-    """Apply a rule at a match; returns None when the gluing condition fails.
+    """Apply a rule at a match; returns None when the gluing condition
+    fails (``_gluing``).
 
-    With ``l`` mono the condition splits into the dangling check (no context
-    edge may keep a deleted node alive, read off ``g``'s incidence index)
-    and the identification check (items identified by the match must all
-    be preserved).  The step is local: ``D`` and ``H`` are copies of ``g``'s
-    dicts, with only the deleted items taken out of ``D`` and only the items
-    of ``R``, the items they glue and the ``D`` items whose names they take
-    changed in ``H``; edges are rewired only at the nodes that change name.
-    ``H`` and its morphisms are named by ``pushout(r, mK)``'s rule
+    The step is local: ``D`` and ``H`` are copies of ``g``'s dicts, with
+    only the deleted items taken out of ``D`` and only the items of ``R``,
+    the items they glue and the ``D`` items whose names they take changed
+    in ``H``; edges are rewired only at the nodes that change name.  ``H``
+    and its morphisms are named by ``pushout(r, mK)``'s rule
     (``_span_names``), byte for byte; ``oracles.apply_rule_by_definition``
     builds the step whole.
     """
     if m.source is not rule.L or m.target is not g:
         raise GraphError("match must map the rule's left-hand side into the host")
     m.validate()
-    kept_nodes, kept_edges, gone_nodes, gone_edges, r_nodes, r_edges = \
-        _once(rule, "parts", _rule_parts)
-    mn, me = m.node_map, m.edge_map
-    del_nodes = {mn[x] for x in gone_nodes}
-    del_edges = {me[x] for x in gone_edges}
-    # identification condition: deleted items have distinct images, and
-    # none of them is the image of a kept item
-    if len(del_nodes) < len(gone_nodes) or len(del_edges) < len(gone_edges):
+    deleted = _gluing(g, rule, m)
+    if not deleted:
         return None
-    if not (del_nodes.isdisjoint([mn[x] for x in kept_nodes])
-            and del_edges.isdisjoint([me[x] for x in kept_edges])):
-        return None
-    at = _incidence(g)
-    if not all(del_edges.issuperset(at[n]) for n in del_nodes):  # dangling condition
-        return None
+    del_nodes, del_edges = deleted
+    (*_, r_nodes), (*_, r_edges) = _once(rule, "parts", _rule_parts)
+    mn, me, at = m.node_map, m.edge_map, _incidence(g)
     src, tgt, etype, ntype = g.src.copy(), g.tgt.copy(), g.edge_type.copy(), g.node_type.copy()
     for e in del_edges:
         del src[e], tgt[e], etype[e]
@@ -295,13 +314,18 @@ def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDe
                             GraphMorphism(d, h, rstar_n, rstar_e))
 
 
+def _jointly_mono(rule: Rule, m: GraphMorphism) -> bool:
+    """Whether the pair ``(m∘l, r)`` is jointly mono: a step of ``rule`` at
+    ``m`` never re-merges items that the host already identifies."""
+    return all(len({(images[x], y) for x, y in pairs}) == len(pairs)
+               for (*_, pairs, _), images in zip(_once(rule, "parts", _rule_parts),
+                                                 (m.node_map, m.edge_map)))
+
+
 def is_fusion_safe(d: DirectDerivation) -> bool:
-    """Whether the pair (match∘l, r) is jointly mono: the step never
-    re-merges items that the host already identifies."""
-    K, mk, r = d.rule.K, d.mK, d.rule.r
-    return all(len({(m1[x], m2[x]) for x in items}) == len(items)
-               for items, m1, m2 in ((K.nodes, mk.node_map, r.node_map),
-                                     (K.edges, mk.edge_map, r.edge_map)))
+    """Whether the step never re-merges items that its host already
+    identifies (``_jointly_mono`` at its match)."""
+    return _jointly_mono(d.rule, d.match)
 
 
 # ---------------------------------------------------------------------- #
@@ -330,8 +354,8 @@ def sequential_independence(d1: DirectDerivation, d2: DirectDerivation
     edge_pre = {e: frozenset(x for x in d1.D.edges if d1.rstar.edge_map[x] == want_e[e])
                 for e in d2.rule.L.edges}
     for i2 in _morphisms(d2.rule.L, d1.D,
-                         node_candidates=lambda n: node_pre[n],
-                         edge_candidates=lambda e: edge_pre[e]):
+                         node_candidates=node_pre.__getitem__,
+                         edge_candidates=edge_pre.__getitem__):
         return i1, i2
     return None
 
@@ -423,21 +447,30 @@ class Derivation:
         return f"Derivation({';'.join(self.rule_names()) or 'ε'})"
 
 
-def _glue(uf: UnionFind, at_g: Dict[str, int], lstar: Dict[str, str],
-          rstar: Dict[str, str], h_items: Iterable[str]) -> Dict[str, int]:
-    """The colimit classes of the items of ``H`` from those of ``G``: each
-    item of ``D`` carries its class over, two with one image merge theirs,
-    and every other item of ``H`` opens a class in ``uf``."""
-    at_h: Dict[str, int] = {}
-    for x, y in lstar.items():
-        c = at_h.setdefault(rstar[x], at_g[y])
-        if c != at_g[y]:
-            uf.union(c, at_g[y])
-    for y in h_items:
-        if y not in at_h:
-            at_h[y] = len(uf.parent)
-            uf.add(at_h[y])
-    return at_h
+def _step_pins(uf: UnionFind, at: tuple, rule: Rule, m: GraphMorphism) -> tuple:
+    """The pin of a step of ``rule`` at ``m`` glued onto a colimit whose
+    target's items have the classes ``at``, and the classes of ``R``'s items.
+
+    An item of ``R`` in the image of ``r`` takes the class of the images of
+    its ``K`` preimages, unioned in ``uf`` where ``r`` merges them (images
+    the match identifies share a class already); a created item opens a
+    class in ``uf``.  The pin is the rule name and, per kind, the
+    classes of the images of ``L``'s sorted items, then of ``R``'s.
+    """
+    pin = [rule.name]
+    classes = []
+    for (_, l_items, pairs, r_items), a, images in zip(
+            _once(rule, "parts", _rule_parts), at, (m.node_map, m.edge_map)):
+        of: Dict[str, int] = {}
+        for x, y in pairs:
+            c = a[images[x]]
+            if of.setdefault(y, c) != c:
+                uf.union(of[y], c)
+        for y in r_items:  # a created item opens a class
+            uf.add(of.setdefault(y, len(uf.parent)))
+        pin.append([a[images[x]] for x in l_items] + [of[y] for y in r_items])
+        classes.append(of)
+    return tuple(pin), classes
 
 
 class Colimit:
@@ -446,8 +479,9 @@ class Colimit:
     ``_at`` maps the nodes and the edges of the target graph to classes,
     integers of the union-find ``_uf``.  With ``base``, the colimit of a
     prefix of the derivation (its parent's), only the later steps are glued
-    (``_glue``) into a copy of its union-find, which so holds one integer
-    per class opened.  ``_start`` and ``_pins`` hold the pin labels as the
+    (``_step_pins``) into a copy of its union-find, which so holds one
+    integer per class opened: the start graph's items, then each step's
+    created items.  ``_start`` and ``_pins`` hold the pin labels as the
     classes they had when glued: the start graph's items, then per step the
     rule name and the images of the sorted items of ``L`` and of ``R``.
 
@@ -460,28 +494,27 @@ class Colimit:
     def __init__(self, source: TypedGraph, steps: Tuple[DirectDerivation, ...],
                  base: Optional["Colimit"] = None):
         if base is None:
-            uf = UnionFind()
-            at = (_glue(uf, {}, {}, {}, source.nodes), _glue(uf, {}, {}, {}, source.edges))
             index = _index(source)
-            start = ([at[0][x] for x in index.nodes], [at[1][x] for x in index.edges])
+            uf = UnionFind(range(len(index.nodes) + len(index.edges)))
+            classes = iter(uf.parent)  # one per start item, in sorted order
+            at = tuple(dict(zip(items, classes)) for items in (index.nodes, index.edges))
+            start = tuple(list(a.values()) for a in at)
             pins: Tuple[tuple, ...] = ()
         else:
             uf, at, start, pins = base._uf.copy(), base._at, base._start, base._pins
         for st in steps[len(pins):]:
-            h = (_glue(uf, at[0], st.lstar.node_map, st.rstar.node_map, st.H.nodes),
-                 _glue(uf, at[1], st.lstar.edge_map, st.rstar.edge_map, st.H.edges))
-            labels: Tuple[List[int], List[int]] = ([], [])
-            for stage, side, m in ((at, st.rule.L, st.match), (h, st.rule.R, st.mR)):
-                index = _index(side)
-                labels[0].extend([stage[0][m.node_map[x]] for x in index.nodes])
-                labels[1].extend([stage[1][m.edge_map[x]] for x in index.edges])
-            pins += ((st.rule.name, *labels),)
-            at = h
+            pin, classes = _step_pins(uf, at, st.rule, st.match)
+            # H's items: a D item keeps its class, an R item takes its own
+            at = tuple({**{z: a[x] for x, z in rstar.items()},
+                        **{mr[y]: c for y, c in of.items()}}
+                       for a, rstar, mr, of in zip(at, (st.rstar.node_map, st.rstar.edge_map),
+                                                   (st.mR.node_map, st.mR.edge_map), classes))
+            pins += (pin,)
         self._uf, self._at, self._start, self._pins = uf, at, start, pins
         self._source, self._steps = source, steps
         self._derived: Dict[str, object] = {}  # the names, on first use
 
-    def key(self) -> tuple:
+    def key(self, rule: Optional[Rule] = None, match: Optional[GraphMorphism] = None) -> tuple:
         """The sorted rule names and the partition of the pin labels into
         node classes and into edge classes.
 
@@ -494,9 +527,17 @@ class Colimit:
         partitions; the key takes the least over all orders, one when no
         rule repeats.  The orders are searched step by step, and an order
         is dropped as soon as its node numbers exceed the least found.
+
+        With a ``rule`` and a ``match`` into the target, it is the key of
+        the derivation extended by that step, read off this colimit and the
+        match alone (``_step_pins``), without the step being built.
         """
-        find = self._uf.find
-        pins = sorted(self._pins, key=lambda pin: pin[0])  # the steps by rule name
+        uf, pins = self._uf, self._pins
+        if rule:
+            uf = uf.copy()
+            pins += (_step_pins(uf, self._at, rule, match)[0],)
+        find = uf.find
+        pins = sorted(pins, key=lambda pin: pin[0])  # the steps by rule name
         rows = [[[find(c) for c in labels]  # per kind: the start graph's roots, then each step's
                  for labels in (self._start[kind], *[pin[1 + kind] for pin in pins])]
                 for kind in (0, 1)]
@@ -547,14 +588,34 @@ class Colimit:
 @dataclass(frozen=True, eq=False)
 class TraceClass:
     """One trace class: its id, its representative (the first derivation
-    found in breadth-first order) and the derivations built for it,
+    found in breadth-first order) and the derivations found for it,
     representative first.  ``trace_classes`` builds only one-step
     extensions of representatives, so ``members`` holds those, not every
     interleaving; ``trace_classes_by_definition`` holds every interleaving
-    up to the depth."""
+    up to the depth.
+
+    ``_others`` lists the members after the representative, each built or,
+    from ``trace_classes``, as the ``(parent, rule, images)`` of its last
+    step; ``members`` builds the latter on first read, in that order.
+    """
     element_id: str
     representative: Derivation
-    members: Tuple[Derivation, ...]
+    _others: tuple = field(default=(), repr=False)
+    _derived: Dict[str, object] = field(init=False, repr=False, default_factory=dict)
+
+    @property
+    def members(self) -> Tuple[Derivation, ...]:
+        return _once(self, "members",
+                     lambda c: (c.representative, *map(_member, c._others)))
+
+
+def _member(other) -> Derivation:
+    """A member kept built, or built from the ``(parent, rule, images)`` of
+    its last step."""
+    if isinstance(other, Derivation):
+        return other
+    parent, rule, images = other
+    return parent.extend(apply_rule(parent.target, rule, _morphism(rule.L, parent.target, images)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,33 +671,15 @@ def _matches(deriv: Derivation, rules: Sequence[Rule]) -> tuple:
     return found
 
 
-def _extensions(deriv: Derivation, rules: Sequence[Rule],
-                fusion_safe: bool) -> Iterable[Derivation]:
-    """One-step extensions of a derivation: rules in the given order, matches
-    in ``find_matches`` order (``_matches``).  The host's matching index and
-    incidence index serve these steps alone and are dropped after them, so
-    the hosts of a trace tree keep only their matches."""
-    host = deriv.target
-    for rule, images in zip(rules, _matches(deriv, rules)):
-        for im in images:
-            step = apply_rule(host, rule, _morphism(rule.L, host, im))
-            if step is None:
-                continue
-            if fusion_safe and not is_fusion_safe(step):
-                continue
-            yield deriv.extend(step)
-    _drop_indexes(host)
-
-
-def _trace_result(groups: List[List[Derivation]],
-                  steps: Iterable[Tuple[int, int]]) -> TraceDomainResult:
+def _trace_result(groups: List[list], steps: Iterable[Tuple[int, int]]) -> TraceDomainResult:
     """Number and order the classes.
 
-    ``groups`` lists each class's derivations, representative first, with
-    classes in order of discovery; ``steps`` holds ``(class of a derivation,
-    class of a one-step extension of it)`` pairs, which generate the prefix
-    order.  Classes are sorted by length, then by the representative's rule
-    names, then by discovery.
+    ``groups`` lists each class's representative, then its other members
+    as ``TraceClass._others`` takes them, with classes in order of
+    discovery; ``steps`` holds ``(class of a derivation, class of a
+    one-step extension of it)`` pairs, which generate the prefix order.
+    Classes are sorted by length, then by the representative's rule names,
+    then by discovery.
     """
     order = sorted(range(len(groups)),
                    key=lambda c: (len(groups[c][0]), groups[c][0].rule_names(), c))
@@ -645,7 +688,7 @@ def _trace_result(groups: List[List[Derivation]],
     for pos, c in enumerate(order):
         rep = groups[c][0]
         ids[c] = f"t{pos}:{';'.join(rep.rule_names()) or 'ε'}"
-        classes.append(TraceClass(ids[c], rep, tuple(groups[c])))
+        classes.append(TraceClass(ids[c], rep, tuple(groups[c][1:])))
     domain = FiniteDomain.from_leq(ids.values(), [(ids[a], ids[b]) for a, b in steps],
                                    COHERENT)
     return TraceDomainResult(domain, tuple(classes))
@@ -661,13 +704,17 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
     classes, their representatives and their order are those of
     ``trace_classes_by_definition``.  A new derivation joins the class with
     its colimit's ``key``, or opens one: equal keys are exactly a
-    left-consistent isomorphism (see the module docstring).  Raises
-    ``TraceLimitError`` as soon as more than ``ceiling`` classes have been
-    found.
+    left-consistent isomorphism (see the module docstring).  Its class is
+    decided from the representative's colimit and the match, before its
+    step is built (``Colimit.key`` with a rule and a match); only a
+    derivation that opens a class is built, and one that joins a class is
+    kept as ``(representative, rule, images)`` until ``members`` is read.
+    Raises ``TraceLimitError`` as soon as more than ``ceiling`` classes
+    have been found.
     """
     grammar.validate()
     rules = sorted(grammar.rules, key=lambda r: r.name)
-    groups: List[List[Derivation]] = []
+    groups: List[list] = []
     steps: List[Tuple[int, int]] = []
     buckets: Dict[tuple, int] = {}  # process key -> class
 
@@ -682,15 +729,25 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
     for _ in range(depth):
         found = []
         for parent in frontier:
-            for child in _extensions(groups[parent][0], rules, fusion_safe):
-                key = child.colimit().key()
-                cls = buckets.get(key)
-                if cls is None:
-                    cls = buckets[key] = open_class(child)
-                    found.append(cls)
-                else:
-                    groups[cls].append(child)
-                steps.append((parent, cls))
+            deriv = groups[parent][0]
+            host, colimit = deriv.target, deriv.colimit()
+            for rule, images in zip(rules, _matches(deriv, rules)):
+                for im in images:
+                    m = _morphism(rule.L, host, im)
+                    if not _gluing(host, rule, m) or (
+                            fusion_safe and not _jointly_mono(rule, m)):
+                        continue
+                    key = colimit.key(rule, m)
+                    cls = buckets.get(key)
+                    if cls is None:
+                        cls = buckets[key] = open_class(deriv.extend(apply_rule(host, rule, m)))
+                        found.append(cls)
+                    else:
+                        groups[cls].append((deriv, rule, im))
+                    steps.append((parent, cls))
+            # the host's matching and incidence indexes served these steps
+            # alone, so the hosts of a trace tree keep only their matches
+            _drop_indexes(host)
         frontier = found
     return _trace_result(groups, steps)
 

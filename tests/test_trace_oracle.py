@@ -25,11 +25,13 @@ import pytest
 
 from weavent import oracles, rewrite
 from weavent.es import EventStructure, classify
-from weavent.graphs import TypedGraph, _morphism, find_matches, iso_hash
+from weavent.graphs import TypedGraph, _drop_indexes, _morphism, find_matches, iso_hash
 from weavent.io import load_structure
 from weavent.oracles import (apply_rule_by_definition, colimit_by_definition,
                              trace_classes_by_definition)
-from weavent.rewrite import Derivation, grammar_from_es, once_per_rule_depth, trace_classes
+from weavent.rewrite import (DEFAULT_CEILING, Derivation, TraceLimitError, _matches,
+                             _trace_result, apply_rule, grammar_from_es, is_fusion_safe,
+                             once_per_rule_depth, trace_classes)
 from tests._gen import growing_grammar, random_connected_es
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -185,6 +187,19 @@ def _count_checks(monkeypatch):
     return count
 
 
+def _pinned_case(case):
+    """``trace_classes`` on a case of the pinned work counts: the fusion
+    grammar at depth 5, the growing grammar at depth 3 (either in
+    fusion-safe mode when the name ends in "-safe"), or a synthesised
+    family member at its exhaustive depth."""
+    if case.startswith("fusion"):
+        return trace_classes(_fusion(), 5, case == "fusion-safe")
+    if case.startswith("growing"):
+        return trace_classes(growing_grammar(), 3, case == "growing-safe")
+    make = {"B": _boolean, "X": _choices, "L": _runs}[case[0]]
+    return trace_classes(*_synthesised(make(int(case[1:]))))
+
+
 # The process key decides every derivation, those of the growing grammar
 # that repeat "grow" too, so trace_classes makes no equivalence check.
 @pytest.mark.parametrize("case,calls,classes", [
@@ -192,13 +207,7 @@ def _count_checks(monkeypatch):
     ("L2", 0, 49), ("growing", 0, 101), ("growing-safe", 0, 66)])
 def test_equivalence_check_counts_pinned(monkeypatch, case, calls, classes):
     count = _count_checks(monkeypatch)
-    if case.startswith("fusion"):
-        result = trace_classes(_fusion(), 5, case == "fusion-safe")
-    elif case.startswith("growing"):
-        result = trace_classes(growing_grammar(), 3, case == "growing-safe")
-    else:
-        make = {"B": _boolean, "X": _choices, "L": _runs}[case[0]]
-        result = trace_classes(*_synthesised(make(int(case[1:]))))
+    result = _pinned_case(case)
     assert (count[0], len(result.classes)) == (calls, classes)
 
 
@@ -435,3 +444,157 @@ def test_a_step_names_its_rule_and_collisions_only(monkeypatch, case):
         named += n
         items += len(st.H.nodes) + len(st.H.edges)
     assert steps and named < items  # a step built whole calls it once per item of H
+
+
+# ---------------------------------------------------------------------- #
+# A class decided from the match, before its step is built
+# ---------------------------------------------------------------------- #
+
+def _examined(grammar, depth, fusion_safe):
+    """Every ``(parent, rule, match)`` that ``trace_classes`` examines: each
+    representative shorter than ``depth``, each rule in name order, and each
+    match carried to the representative's target, in that order."""
+    result = trace_classes(grammar, depth, fusion_safe)
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    for cls in result.classes:
+        parent = cls.representative
+        if len(parent) < depth:
+            for rule, images in zip(rules, _matches(parent, rules)):
+                for im in images:
+                    yield parent, rule, _morphism(rule.L, parent.target, im)
+
+
+@pytest.mark.parametrize("kind,arg", KEY_CASES)
+def test_key_from_the_match_equals_the_key_of_the_step_built(kind, arg):
+    # the gluing and fusion checks on the match reject exactly the steps
+    # apply_rule and is_fusion_safe reject, and the key read off the
+    # parent's colimit and the match is the key of the step built in full,
+    # which is the key recomputed from colimit_by_definition
+    grammar, depth, fusion_safe = _key_case(kind, arg)
+    built = merged = 0
+    for parent, rule, m in _examined(grammar, depth, fusion_safe):
+        step = apply_rule(parent.target, rule, m)
+        assert (rewrite._gluing(parent.target, rule, m) is None) == (step is None)
+        if step is None:
+            continue
+        assert rewrite._jointly_mono(rule, m) == is_fusion_safe(step)
+        child = parent.extend(step)
+        assert parent.colimit().key(rule, m) == child.colimit().key() == _key_by_definition(child)
+        built += 1
+        merged += not rule.r.is_injective()
+    assert built
+    assert merged or kind not in ("fusion", "growing")
+
+
+# ---------------------------------------------------------------------- #
+# The enumeration that built every examined step, kept verbatim as the
+# reference of the one that decides a class before building its step.
+# ---------------------------------------------------------------------- #
+
+def reference_extensions(deriv, rules, fusion_safe):
+    """One-step extensions of a derivation: rules in the given order, matches
+    in ``find_matches`` order (``_matches``).  The host's matching index and
+    incidence index serve these steps alone and are dropped after them, so
+    the hosts of a trace tree keep only their matches."""
+    host = deriv.target
+    for rule, images in zip(rules, _matches(deriv, rules)):
+        for im in images:
+            step = apply_rule(host, rule, _morphism(rule.L, host, im))
+            if step is None:
+                continue
+            if fusion_safe and not is_fusion_safe(step):
+                continue
+            yield deriv.extend(step)
+    _drop_indexes(host)
+
+
+def reference_trace_classes(grammar, depth, fusion_safe=False, ceiling=DEFAULT_CEILING):
+    """The trace classes of derivations up to ``depth``, ordered by prefix.
+
+    Grows a breadth-first tree that extends only class representatives.
+    Trace equivalence is a congruence for extension, so every extension of
+    a member is equivalent to an extension of its representative, and the
+    classes, their representatives and their order are those of
+    ``trace_classes_by_definition``.  A new derivation joins the class with
+    its colimit's ``key``, or opens one: equal keys are exactly a
+    left-consistent isomorphism (see the module docstring).  Raises
+    ``TraceLimitError`` as soon as more than ``ceiling`` classes have been
+    found.
+    """
+    grammar.validate()
+    rules = sorted(grammar.rules, key=lambda r: r.name)
+    groups = []
+    steps = []
+    buckets = {}  # process key -> class
+
+    def open_class(deriv):
+        if len(groups) >= ceiling:
+            raise TraceLimitError(
+                f"more than {ceiling} trace classes by depth {len(deriv)} of {depth}")
+        groups.append([deriv])
+        return len(groups) - 1
+
+    frontier = [open_class(Derivation(grammar.start))]
+    for _ in range(depth):
+        found = []
+        for parent in frontier:
+            for child in reference_extensions(groups[parent][0], rules, fusion_safe):
+                key = child.colimit().key()
+                cls = buckets.get(key)
+                if cls is None:
+                    cls = buckets[key] = open_class(child)
+                    found.append(cls)
+                else:
+                    groups[cls].append(child)
+                steps.append((parent, cls))
+        frontier = found
+    return _trace_result(groups, steps)
+
+
+def _steps_of(deriv):
+    return [(st.rule.name, st.match.node_map, st.match.edge_map) for st in deriv.steps]
+
+
+@pytest.mark.parametrize("kind,arg", KEY_CASES)
+def test_classes_and_members_match_the_reference(kind, arg):
+    grammar, depth, fusion_safe = _key_case(kind, arg)
+    fast = trace_classes(grammar, depth, fusion_safe)
+    ref = reference_trace_classes(grammar, depth, fusion_safe)
+    assert [c.element_id for c in fast.classes] == [c.element_id for c in ref.classes]
+    assert fast.domain.covers() == ref.domain.covers()
+    for f, r in zip(fast.classes, ref.classes):
+        assert _steps_of(f.representative) == _steps_of(r.representative)
+        members = f.members
+        assert f.members is members and members[0] is f.representative
+        assert [_steps_of(d) for d in members] == [_steps_of(d) for d in r.members]
+        assert all(d.target.same(e.target) for d, e in zip(members, r.members))
+
+
+def _count_steps(monkeypatch):
+    """Count the calls to ``rewrite.apply_rule``."""
+    count = [0]
+    apply = rewrite.apply_rule
+
+    def counted(g, rule, m):
+        count[0] += 1
+        return apply(g, rule, m)
+
+    monkeypatch.setattr(rewrite, "apply_rule", counted)
+    return count
+
+
+# trace_classes builds a step only for a class it opens; the enumeration
+# before it built one for every match it examined (32, 54, 126, 9, 8, 220
+# and 187).  The other members are built on the first read of members,
+# one step each, and kept.
+@pytest.mark.parametrize("case,steps", [
+    ("B4", 15), ("X3", 26), ("L2", 48), ("fusion", 6), ("fusion-safe", 4),
+    ("growing", 100), ("growing-safe", 65)])
+def test_a_step_is_built_once_per_class_opened(monkeypatch, case, steps):
+    count = _count_steps(monkeypatch)
+    result = _pinned_case(case)
+    assert count[0] == steps == len(result.classes) - 1
+    members = [c.members for c in result.classes]
+    assert count[0] == steps + sum(len(m) - 1 for m in members)
+    assert [c.members for c in result.classes] == members
+    assert count[0] == steps + sum(len(m) - 1 for m in members)
