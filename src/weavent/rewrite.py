@@ -496,8 +496,8 @@ class Colimit:
         if base is None:
             index = _index(source)
             uf = UnionFind(range(len(index.nodes) + len(index.edges)))
-            classes = iter(uf.parent)  # one per start item, in sorted order
-            at = tuple(dict(zip(items, classes)) for items in (index.nodes, index.edges))
+            fresh = iter(uf.parent)  # one class per start item, in sorted order
+            at = tuple(dict(zip(items, fresh)) for items in (index.nodes, index.edges))
             start = tuple(list(a.values()) for a in at)
             pins: Tuple[tuple, ...] = ()
         else:

@@ -13,6 +13,15 @@ process keys of two derivations, whether or not they repeat a rule, are
 equal exactly when ``equivalent_traces`` relates them.  Each step it builds
 equals the step ``apply_rule_by_definition`` builds whole, and the matches
 each host keeps, carried from its parent's, equal ``find_matches``'.
+
+``trace_classes`` decides each extension's class from the match before it
+builds the step: the gluing and fusion checks on the match agree with
+``apply_rule`` and ``is_fusion_safe``, and the key read off the parent's
+colimit and the match equals the key of the step built in full.  The
+enumeration that built every examined step is kept as
+``reference_trace_classes``; classes, covers and members must agree with
+it, and a step is built only for a class opened, or on the first read of
+``members``.
 """
 
 import gc
