@@ -73,8 +73,16 @@ class AsyncGraph:
         if origin not in nodeset:
             raise AsyncError(f"unknown origin {origin!r}")
         sqs = set()
-        for p, q in squares:
-            sqs.add(frozenset((tuple(p), tuple(q))))
+        for p, q in squares:  # in input order, so the first bad square is named
+            sq = frozenset((tuple(p), tuple(q)))
+            members = sorted(sq)
+            if any(len(w) != 2 or w[0] not in emap or w[1] not in emap
+                   or emap[w[0]][1] != emap[w[1]][0] for w in members):
+                raise AsyncError(f"square {members} is not a pair of length-2 paths")
+            first, last = members[0], members[-1]
+            if emap[first[0]][0] != emap[last[0]][0] or emap[first[1]][1] != emap[last[1]][1]:
+                raise AsyncError(f"square {members} is not coinitial-cofinal")
+            sqs.add(sq)
         return AsyncGraph(nodeset, emap, origin, frozenset(sqs))
 
     def src(self, e: str) -> str:
@@ -106,16 +114,8 @@ def _square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2,
 def _find_square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2, ...], ...]]:
     p2 = a.paths2()  # sorted
     uf = UnionFind(p2)
-    for sq in a.squares:
-        members = sorted(sq)
-        if len(members) == 1:
-            continue
-        p, q = members
-        if p not in uf or q not in uf:
-            raise AsyncError(f"square {members} is not a pair of length-2 paths")
-        if a.src(p[0]) != a.src(q[0]) or a.tgt(p[1]) != a.tgt(q[1]):
-            raise AsyncError(f"square {members} is not coinitial-cofinal")
-        uf.union(p, q)
+    for sq in a.squares:  # checked by ``AsyncGraph.build``
+        uf.union(min(sq), max(sq))
     roots: Dict[Path2, int] = {}  # classes numbered by first member
     cls = {p: roots.setdefault(uf.find(p), len(roots)) for p in p2}
     by_class: List[List[Path2]] = [[] for _ in roots]

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from . import dot as dotmod
 from . import io as iomod
-from .es import EsError, classify, configurations
+from .es import EsError, classify, configuration_count
 from .domains import OrderError, algebraicity, interchange_classes, \
     irreducible_elements, primes, validate_domain, weak_primes
 from .duality import connect_es, dom_of_es, epes_dom, epes_ev, epes_isomorphic, \
@@ -106,7 +106,7 @@ def _cmd_check(args) -> tuple:
         cl = classify(value)
         results = {"kind": kind, "live": cl.live, "stable": cl.stable,
                    "prime": cl.prime, "connected": cl.connected,
-                   "configurations": len(configurations(value))}
+                   "configurations": configuration_count(value)}
         if not cl.live:
             witnesses += list(cl.diagnostics)
             raise _FailureWithReport(results, witnesses, path)

@@ -1,12 +1,15 @@
 """Finite posets playing the role of compact skeletons of domains.
 
 Elements are string ids, indexed in sorted order; a subset is an integer
-bitmask over those indices.  The order is stored as the cover (Hasse)
-relation plus two masks per element: ``up[i]`` (the elements ⊒ i) and
-``down[i]`` (the elements ⊑ i).  The other tables are built from these on
-first use, so a domain that is only listed or drawn never pays for them:
+bitmask over those indices.  The order is stored once, as the cover (Hasse)
+relation: the index pairs in sorted order, which is the order of the named
+pairs too.  Every other table is built from it on first read, so a domain
+that is only listed or drawn never pays for them:
 
 - ``lower``/``upper``: the lower and upper covers of each element;
+- ``up``/``down``: the order masks, ``up[i]`` the elements ⊒ i and
+  ``down[i]`` the elements ⊑ i, swept along the covers (the validating
+  constructor gets them from its cycle check and sets them at once);
 - ``by_up``/``by_down``: each element keyed by its up-set, resp. down-set.
   The upper bounds of any set form an up-set U, and U has a least element
   k exactly when ``U == up[k]``; so a join is ``by_up.get(U)`` and a meet
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._common import Report, UnionFind, _bits, _once
 
@@ -49,8 +52,26 @@ class OrderError(ValueError):
     """Covers do not describe a partial order (or bad arguments)."""
 
 
+def _swept(order: Iterable[int], links: List[int]) -> List[int]:
+    """``m[i] = 1 << i | m[j]`` OR-ed over the ``j`` in ``links[i]``, filled
+    in ``order``, which puts each ``j`` of ``links[i]`` before ``i``: the
+    down-sets from the lower covers in rising order, the up-sets from the
+    upper covers in falling order."""
+    masks = [0] * len(links)
+    for i in order:
+        m = 1 << i
+        for j in _bits(links[i]):
+            m |= masks[j]
+        masks[i] = m
+    return masks
+
+
 class FiniteDomain:
-    """A finite poset given by covers, with its order, cover and lookup masks."""
+    """A finite poset given by covers.
+
+    The covers are kept once, as sorted index pairs (``_cover_pairs``); the
+    cover and order masks and the lookup tables are computed on first read.
+    """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[Tuple[str, str]],
                  kind: str = COHERENT):
@@ -60,7 +81,6 @@ class FiniteDomain:
         self.elements: Tuple[str, ...] = tuple(sorted(set(elements)))
         if not self.elements:
             raise OrderError("a domain needs at least one element")
-        self._idx: Dict[str, int] = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
         cov = set()
         for a, b in covers:
@@ -104,37 +124,31 @@ class FiniteDomain:
         pred = [0] * n
         for a, b in cov:
             pred[b] |= 1 << a
-        down = [0] * n
-        for j in reversed(finished):
-            m = 1 << j
-            for i in _bits(pred[j]):
-                m |= down[i]
-            down[j] = m
+        down = _swept(reversed(finished), pred)
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram
-        self._set_order({(a, b) for a, b in cov
-                         if not up[a] & down[b] & ~(1 << a) & ~(1 << b)}, up, down)
+        self._set_covers(tuple(sorted((a, b) for a, b in cov
+                                      if not up[a] & down[b] & ~(1 << a) & ~(1 << b))))
+        self._up, self._down = up, down
 
     @classmethod
-    def _of_order(cls, elements: Tuple[str, ...], cover_pairs: Set[Tuple[int, int]],
-                  up: List[int], down: List[int], kind: str) -> "FiniteDomain":
-        """A domain whose order the caller has already worked out.
+    def _of_covers(cls, elements: Tuple[str, ...], cover_pairs: Tuple[Tuple[int, int], ...],
+                   rising: List[int], kind: str) -> "FiniteDomain":
+        """A domain whose covers the caller has already worked out.
 
         Nothing is checked: ``elements`` must be sorted and distinct,
-        ``cover_pairs`` the acyclic, transitively reduced covers over their
-        indices, and ``up``/``down`` the order masks those covers generate.
+        ``cover_pairs`` the sorted, acyclic, transitively reduced covers
+        over their indices, and ``rising`` every index, each after the
+        indices it covers; the order masks are swept along it when first read.
         """
         dom = cls.__new__(cls)
         dom.kind = kind
         dom.elements = elements
-        dom._idx = {x: i for i, x in enumerate(elements)}
-        dom._set_order(cover_pairs, up, down)
+        dom._set_covers(cover_pairs)
+        dom._rising = rising
         return dom
 
-    def _set_order(self, cover_pairs: Set[Tuple[int, int]], up: List[int],
-                   down: List[int]) -> None:
-        self._up: List[int] = up
-        self._down: List[int] = down
+    def _set_covers(self, cover_pairs: Tuple[Tuple[int, int], ...]) -> None:
         self._cover_pairs = cover_pairs
         self._full = (1 << len(self.elements)) - 1
         # derived invariants, filled in by the module functions (see _once)
@@ -155,6 +169,10 @@ class FiniteDomain:
     # ------------------------------------------------------------------ #
 
     @cached_property
+    def _idx(self) -> Dict[str, int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
     def _lower(self) -> List[int]:
         """``_lower[i]``: mask of the elements that ``i`` covers."""
         low = [0] * len(self.elements)
@@ -169,6 +187,16 @@ class FiniteDomain:
         for a, b in self._cover_pairs:
             high[a] |= 1 << b
         return high
+
+    @cached_property
+    def _down(self) -> List[int]:
+        """``_down[i]``: mask of the elements ⊑ ``i``."""
+        return _swept(self._rising, self._lower)
+
+    @cached_property
+    def _up(self) -> List[int]:
+        """``_up[i]``: mask of the elements ⊒ ``i``."""
+        return _swept(reversed(self._rising), self._upper)
 
     @cached_property
     def _by_up(self) -> Dict[int, int]:
@@ -214,10 +242,10 @@ class FiniteDomain:
         return bool(self._up[self.index(a)] & (1 << self.index(b)))
 
     def covers(self) -> Tuple[Tuple[str, str], ...]:
-        """The cover pairs in sorted order, computed once: elements are
-        indexed in sorted order, so sorting the index pairs sorts the names."""
+        """The cover pairs in sorted order, named once: elements are indexed
+        in sorted order, so the sorted index pairs are the sorted names."""
         return _once(self, "covers", lambda d: tuple(
-            (d.elements[a], d.elements[b]) for a, b in sorted(d._cover_pairs)))
+            (d.elements[a], d.elements[b]) for a, b in d._cover_pairs))
 
     def lower_covers(self, x: str) -> Tuple[str, ...]:
         return self.ids(self._lower[self.index(x)])
@@ -226,7 +254,7 @@ class FiniteDomain:
         return self.ids(self._upper[self.index(x)])
 
     def is_cover(self, a: str, b: str) -> bool:
-        return (self.index(a), self.index(b)) in self._cover_pairs
+        return bool(self._upper[self.index(a)] >> self.index(b) & 1)
 
     def bottom(self) -> Optional[str]:
         mins = [i for i in range(len(self.elements)) if self._down[i] == (1 << i)]
@@ -707,13 +735,13 @@ def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
         if f[x] not in dom2._idx:
             return Report(False, "unknown-target", (x, f[x]))
     names, img = dom1.elements, [dom2._idx[f[x]] for x in dom1.elements]
-    covers1, covers2 = dom1._cover_pairs, dom2._cover_pairs
-    for i, j in covers1:
+    upper1, upper2 = dom1._upper, dom2._upper
+    for i, j in dom1._cover_pairs:
         if img[i] == img[j]:
             if strict:
                 return Report(False, "cover-collapsed", (names[i], names[j]))
             continue
-        if (img[i], img[j]) not in covers2:
+        if not upper2[img[i]] >> img[j] & 1:
             return Report(False, "cover-not-preserved", (names[i], names[j]))
     # joins of consistent sets: the empty set plus consistent pairs suffice,
     # larger consistent sets follow by iterating binary joins
@@ -730,7 +758,7 @@ def validate_domain_morphism(f: Mapping[str, str], dom1: FiniteDomain,
             return Report(False, "join-not-preserved", (names[i], names[j]))
     for i, j in consistent:
         m = by_down1.get(down1[i] & down1[j])
-        if m is not None and ((m, i) in covers1 or (m, j) in covers1) and \
+        if m is not None and upper1[m] & (1 << i | 1 << j) and \
                 by_down2.get(down2[img[i]] & down2[img[j]]) != img[m]:
             return Report(False, "meet-not-preserved", (names[i], names[j]))
     if algebraicity(dom1).prime_algebraic and algebraicity(dom2).prime_algebraic:

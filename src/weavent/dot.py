@@ -24,10 +24,11 @@ def _digraph(name: str, lines: List[str]) -> str:
 
 
 def poset_dot(dom: FiniteDomain, name: str = "hasse") -> str:
-    # the elements and the covers come sorted; each element is quoted once
-    q = {x: _q(x) for x in dom.elements}
-    return _digraph(name, ["rankdir=BT;", *(f"{x};" for x in q.values()),
-                           *(f"{q[a]} -> {q[b]};" for a, b in dom.covers())])
+    # the elements and the cover index pairs come sorted; each element is
+    # quoted once
+    q = [_q(x) for x in dom.elements]
+    return _digraph(name, ["rankdir=BT;", *(f"{x};" for x in q),
+                           *(f"{q[a]} -> {q[b]};" for a, b in dom._cover_pairs)])
 
 
 def typed_graph_dot(g: TypedGraph, name: str = "graph") -> str:

@@ -41,11 +41,12 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
     """The configurations of a live structure ordered by inclusion.
 
     Joins of consistent sets are unions and covers add exactly one event;
-    the result is weak prime algebraic.  The order is read off the
-    configuration masks: the lower covers of ``c`` are the configurations
-    ``c ^ x`` for events ``x`` of ``c``, ``down`` grows from the smaller
-    configurations and ``up`` from the larger, and inclusion needs no cycle
-    check or transitive reduction.
+    the result is weak prime algebraic.  The covers are read straight off
+    the configuration table, kept once as sorted index pairs: the lower
+    covers of ``c`` are the configurations ``c ^ x`` for events ``x`` of
+    ``c``, and inclusion needs no cycle check or transitive reduction.  No
+    order mask is built here; the domain sweeps ``down`` and ``up`` along
+    the configurations, smaller first, when a verb first asks for them.
     """
     _require_live(es)
     lower = _table(es).lower  # configuration -> events x with c ^ x one too
@@ -60,28 +61,17 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
         ids[c] = "{" + ",".join(parts) + "}"
     order = sorted(lower, key=ids.__getitem__)
     idx = {c: i for i, c in enumerate(order)}
-    covers = set()
-    down = [0] * len(order)
-    for c, low in lower.items():  # smaller configurations first
-        i = idx[c]
-        m = 1 << i
+    rising = [idx[c] for c in lower]  # smaller configurations first
+    above = [[] for _ in order]  # the upper covers of each configuration
+    for c, i in zip(lower, rising):
+        low = lower[c]
         while low:
             b = low & -low
             low ^= b
-            j = idx[c ^ b]
-            covers.add((j, i))
-            m |= down[j]
-        down[i] = m
-    up = [0] * len(order)
-    for c, low in reversed(lower.items()):  # larger configurations first
-        i = idx[c]
-        up[i] |= 1 << i
-        while low:
-            b = low & -low
-            low ^= b
-            up[idx[c ^ b]] |= up[i]
+            above[idx[c ^ b]].append(i)
+    covers = tuple((j, i) for j, ups in enumerate(above) for i in sorted(ups))
     kind = COHERENT if es.conflict_kind == BINARY else BOUNDED_COMPLETE
-    return FiniteDomain._of_order(tuple(ids[c] for c in order), covers, up, down, kind)
+    return FiniteDomain._of_covers(tuple(ids[c] for c in order), covers, rising, kind)
 
 
 def dom_of_es_morphism(f: Mapping[str, str], src: EventStructure,
@@ -211,7 +201,7 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
 
     def heights(dom):
         h = {}
-        for x in sorted(dom.elements, key=lambda x: bin(dom._down[dom.index(x)]).count("1")):
+        for x in sorted(dom.elements, key=lambda x: dom._down[dom.index(x)].bit_count()):
             lows = dom.lower_covers(x)
             h[x] = 0 if not lows else 1 + max(h[y] for y in lows)
         return h
@@ -219,8 +209,8 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
     def sigs(dom):
         h = heights(dom)
         return {x: (h[x], len(dom.lower_covers(x)), len(dom.upper_covers(x)),
-                    bin(dom._down[dom.index(x)]).count("1"),
-                    bin(dom._up[dom.index(x)]).count("1"))
+                    dom._down[dom.index(x)].bit_count(),
+                    dom._up[dom.index(x)].bit_count())
                 for x in dom.elements}
 
     def rel(dom):

@@ -329,6 +329,11 @@ def _find_configurations(es: EventStructure) -> FrozenSet[EventSet]:
     return frozenset(sets.values())
 
 
+def configuration_count(es: EventStructure) -> int:
+    """The number of configurations, read off the table without building them."""
+    return len(_table(es).lower)
+
+
 def is_configuration(es: EventStructure, xs: Iterable[str]) -> bool:
     xs = frozenset(xs)
     return es.is_consistent(xs) and is_secured(es, xs)

@@ -44,14 +44,15 @@ def _classes(dom: FiniteDomain) -> List[List[_Pair]]:
 def _find_interval_classes(dom: FiniteDomain) -> List[List[_Pair]]:
     # [c,c'] ≤ [d,d'] forces c ⊑ d and d' = c' ⊔ d, so walk the d ⊒ c
     # consistent with c'; d = c is [c,c'] itself, and d ⊒ c' meets c' in c'
-    up, down, cons, by_up, covers = dom._up, dom._down, dom._cons, dom._by_up, dom._cover_pairs
+    up, down, cons, by_up, upper = dom._up, dom._down, dom._cons, dom._by_up, dom._upper
+    covers = dom._cover_pairs
     uf = UnionFind(covers)
     for c, c2 in covers:
         below, down2, up2 = down[c], down[c2], up[c2]
         for d in _bits(up[c] & cons[c2] & ~up2 & ~(1 << c)):
             if down2 & down[d] == below:
                 j = by_up.get(up2 & up[d])
-                if (d, j) in covers:
+                if j is not None and upper[d] >> j & 1:
                     uf.union((c, c2), (d, j))
     return uf.groups()
 
@@ -89,12 +90,12 @@ class AxiomReport:
 
 
 def _axiom_c(dom: FiniteDomain) -> Optional[tuple]:
-    up, cons, by_up, covers = dom._up, dom._cons, dom._by_up, dom._cover_pairs
-    for x, ups in enumerate(dom._upper):
+    up, cons, by_up, upper = dom._up, dom._cons, dom._by_up, dom._upper
+    for x, ups in enumerate(upper):
         for y, z in combinations(_bits(ups), 2):
             if cons[y] >> z & 1:
                 j = by_up.get(up[y] & up[z])
-                if (y, j) not in covers or (z, j) not in covers:
+                if j is None or not (upper[y] & upper[z]) >> j & 1:
                     return (x, y, z)
     return None
 

@@ -15,7 +15,8 @@ from weavent.duality import (configuration_id, connect_es, dom_of_es,
 from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               e_split, e_three_independent, m3,
                               nontransitive_bdomain)
-from weavent.io import load_structure
+from weavent.dot import poset_dot
+from weavent.io import domain_to_json, load_structure
 from tests._gen import (family_es, random_connected_es, random_consistency_es,
                         random_live_es, random_weak_prime_domain)
 
@@ -136,8 +137,22 @@ class TestDomOfEsByDefinition:
             assert dom._cover_pairs == expected._cover_pairs
             assert dom._up == expected._up and dom._down == expected._down
             assert dom.kind == expected.kind
+            assert dom.covers() == expected.covers()  # in the same order
+            assert dom._lower == expected._lower and dom._upper == expected._upper
+            assert dom._cons == expected._cons
             kinds.add(dom.kind)
         assert len(kinds) == 2  # both kinds of structure were drawn
+
+    def test_writing_out_builds_no_order_mask(self):
+        # the covers, the JSON form and the Hasse diagram need no order
+        # mask; a verb that asks an order question computes them then
+        dom = dom_of_es(family_es("L", 2))
+        dom.covers()
+        domain_to_json(dom)
+        poset_dot(dom)
+        assert "_up" not in vars(dom) and "_down" not in vars(dom)
+        assert dom.leq("{}", "{a0,b0,c0}") and not dom.leq("{a0}", "{b0}")
+        assert "_up" in vars(dom)
 
 
 class TestEvOfDomain:

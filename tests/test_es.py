@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weavent.es import (Classification, EventStructure, EsError, LivenessError, classify,
-                        configurations, is_configuration, is_secured, minimal_enablings,
+                        configuration_count, configurations, is_configuration, is_secured, minimal_enablings,
                         saturate, validate_es_morphism)
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split, e_three_independent)
@@ -185,6 +185,7 @@ class TestConfigurations:
                                           for k in range(len(events) + 1))
             assert configurations(es) == {frozenset(xs) for xs in subsets
                                           if is_configuration(es, xs)}
+            assert configuration_count(es) == len(configurations(es))
 
     def test_all_configurations_consistent_and_secured(self):
         rng = random.Random(7)

@@ -337,6 +337,33 @@ def test_error_subclasses_exit_2(case, tmp_path, monkeypatch, capsys):
     assert message in json.loads(err)["error"]
 
 
+_FOUR_EDGES = {"nodes": ["a", "b", "c", "d"], "origin": "a",
+               "edges": [{"id": "e1", "src": "a", "tgt": "b"},
+                         {"id": "e2", "src": "b", "tgt": "c"},
+                         {"id": "e3", "src": "a", "tgt": "d"},
+                         {"id": "e4", "src": "d", "tgt": "c"},
+                         {"id": "e5", "src": "d", "tgt": "a"}]}
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"nodes": ["a"], "edges": [], "origin": "a", "squares": [[["x", "y"], ["z", "w"]]]},
+     "square [('x', 'y'), ('z', 'w')] is not a pair of length-2 paths"),
+    ({**_FOUR_EDGES, "squares": [[["x", "y"], ["x", "y"]]]},
+     "square [('x', 'y')] is not a pair of length-2 paths"),
+    # the first bad square in input order is named, whatever the hash seed
+    ({**_FOUR_EDGES, "squares": [[["e1", "e2"], ["e3", "e4"]], [["e1", "e2"], ["e3", "e5"]],
+                                 [["x", "y"], ["z", "w"]]]},
+     "square [('e1', 'e2'), ('e3', 'e5')] is not coinitial-cofinal"),
+], ids=["unknown-edges", "one-path-over-unknown-edges", "first-bad-square"])
+def test_emit_rejects_a_malformed_square_at_load(graph, message, tmp_path, capsys):
+    path, out = tmp_path / "bad.async.json", tmp_path / "bad.dot"
+    path.write_text(json.dumps(graph))
+    code, stdout, err = run_cli("emit", "--async", str(path), "--out", str(out), capsys=capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"error": message}
+    assert not out.exists()
+
+
 _DERIVE = ["derive", "--grammar", str(FIXTURES / "fusion.grammar.json")]
 
 
