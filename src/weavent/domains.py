@@ -82,17 +82,15 @@ class FiniteDomain:
         if not self.elements:
             raise OrderError("a domain needs at least one element")
         n = len(self.elements)
-        cov = set()
+        idx = self._idx
+        succ = [0] * n  # succ[i]: mask of the elements given as covering i
         for a, b in covers:
-            if a not in self._idx or b not in self._idx:
+            if a not in idx or b not in idx:
                 raise OrderError(f"cover ({a!r}, {b!r}) mentions unknown elements")
             if a == b:
                 raise OrderError(f"reflexive cover on {a!r}")
-            cov.add((self._idx[a], self._idx[b]))
+            succ[idx[a]] |= 1 << idx[b]
         # up[i] = mask of elements ⊒ i, computed by DFS over covers
-        succ = [0] * n
-        for a, b in cov:
-            succ[a] |= 1 << b
         up = [0] * n
         state = [0] * n  # 0 unvisited, 1 in progress, 2 done
         finished = []  # every element after all elements above it
@@ -121,14 +119,15 @@ class FiniteDomain:
                     if stack:
                         up[stack[-1][0]] |= up[i]
         # down[j] = mask of elements ⊑ j, built bottom-up along the covers
+        pairs = [(a, b) for a in range(n) for b in _bits(succ[a])]  # sorted
         pred = [0] * n
-        for a, b in cov:
+        for a, b in pairs:
             pred[b] |= 1 << a
         down = _swept(reversed(finished), pred)
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram
-        self._set_covers(tuple(sorted((a, b) for a, b in cov
-                                      if not up[a] & down[b] & ~(1 << a) & ~(1 << b))))
+        self._set_covers(tuple((a, b) for a, b in pairs
+                               if not up[a] & down[b] & ~(1 << a) & ~(1 << b)))
         self._up, self._down = up, down
 
     @classmethod
