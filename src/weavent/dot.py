@@ -20,7 +20,8 @@ def _q(s: str) -> str:
 
 
 def _digraph(name: str, lines: List[str]) -> str:
-    return "".join([f"digraph {_q(name)} {{\n", *(f"  {x}\n" for x in lines), "}\n"])
+    head = f"digraph {_q(name)} {{\n"
+    return head + "  " + "\n  ".join(lines) + "\n}\n" if lines else head + "}\n"
 
 
 def poset_dot(dom: FiniteDomain, name: str = "hasse") -> str:

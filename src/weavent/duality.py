@@ -61,15 +61,16 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
         ids[c] = "{" + ",".join(parts) + "}"
     order = sorted(lower, key=ids.__getitem__)
     idx = {c: i for i, c in enumerate(order)}
-    rising = [idx[c] for c in lower]  # smaller configurations first
-    above = [[] for _ in order]  # the upper covers of each configuration
-    for c, i in zip(lower, rising):
+    # the upper covers of each configuration, filled in id order, so sorted
+    above = [[] for _ in order]
+    for i, c in enumerate(order):
         low = lower[c]
         while low:
             b = low & -low
             low ^= b
             above[idx[c ^ b]].append(i)
-    covers = tuple((j, i) for j, ups in enumerate(above) for i in sorted(ups))
+    covers = tuple([(j, i) for j, ups in enumerate(above) for i in ups])
+    rising = [idx[c] for c in lower]  # smaller configurations first
     kind = COHERENT if es.conflict_kind == BINARY else BOUNDED_COMPLETE
     return FiniteDomain._of_covers(tuple(ids[c] for c in order), covers, rising, kind)
 

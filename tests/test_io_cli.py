@@ -274,6 +274,13 @@ class TestCli:
         assert text.count("->") == 9
         assert text.count(";") >= 16
 
+    def test_dot_bodies_are_indented_lines(self):
+        from weavent.dot import typed_graph_dot
+        from weavent.graphs import TypedGraph
+        assert typed_graph_dot(TypedGraph([], [])) == 'digraph "graph" {\n}\n'
+        assert typed_graph_dot(TypedGraph(["n"], [("e", "n", "n", "n")]), "g") == (
+            'digraph "g" {\n  "n" [label="n:n"];\n  "n" -> "n" [label="e:n"];\n}\n')
+
     def test_emit_grammar_start(self, tmp_path, capsys):
         out = tmp_path / "g.dot"
         code, _, _ = run_cli("emit", "--grammar",
