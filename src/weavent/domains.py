@@ -83,13 +83,15 @@ class FiniteDomain:
             raise OrderError("a domain needs at least one element")
         n = len(self.elements)
         idx = self._idx
-        succ = [0] * n  # succ[i]: mask of the elements given as covering i
+        succ, pred = [0] * n, [0] * n  # the elements given as covering, covered by each
         for a, b in covers:
             if a not in idx or b not in idx:
                 raise OrderError(f"cover ({a!r}, {b!r}) mentions unknown elements")
             if a == b:
                 raise OrderError(f"reflexive cover on {a!r}")
-            succ[idx[a]] |= 1 << idx[b]
+            i, j = idx[a], idx[b]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
         # up[i] = mask of elements ⊒ i, computed by DFS over covers
         up = [0] * n
         state = [0] * n  # 0 unvisited, 1 in progress, 2 done
@@ -119,14 +121,10 @@ class FiniteDomain:
                     if stack:
                         up[stack[-1][0]] |= up[i]
         # down[j] = mask of elements ⊑ j, built bottom-up along the covers
-        pairs = [(a, b) for a in range(n) for b in _bits(succ[a])]  # sorted
-        pred = [0] * n
-        for a, b in pairs:
-            pred[b] |= 1 << a
         down = _swept(reversed(finished), pred)
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram
-        self._set_covers(tuple((a, b) for a, b in pairs
+        self._set_covers(tuple((a, b) for a in range(n) for b in _bits(succ[a])
                                if not up[a] & down[b] & ~(1 << a) & ~(1 << b)))
         self._up, self._down = up, down
 
