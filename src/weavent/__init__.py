@@ -11,26 +11,26 @@ traces of a grammar yield the same class of domains.
 from .es import EventStructure, EsError, LivenessError, classify, configurations, \
     is_configuration, is_secured, minimal_enablings, saturate, validate_es_morphism
 from .domains import FiniteDomain, OrderError, algebraicity, decompose, diff, \
-    interchange_classes, interchangeable, interchangeable_by_definition, \
-    interchangeable_via_compacts, irreducible_elements, irreducibles, predecessor, \
-    primes, primes_by_definition, validate_domain, validate_domain_by_definition, \
-    validate_domain_morphism, weak_primes, weak_primes_by_definition
+    interchange_classes, interchangeable, irreducible_elements, irreducibles, predecessor, \
+    primes, validate_domain, validate_domain_morphism, weak_primes
 from .duality import Epes, configuration_id, connect_es, dom_of_es, \
     dom_of_es_morphism, epes_dom, epes_ev, epes_is_connected, epes_isomorphic, \
     es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes
 from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, \
     graph_isomorphism, iso_hash
 from .rewrite import Derivation, DirectDerivation, Grammar, Rule, TraceClass, \
-    TraceLimitError, apply_rule, grammar_from_es, interchange, is_fusion_safe, pushout, \
+    TraceLimitError, apply_rule, grammar_from_es, interchange, is_fusion_safe, \
     sequential_independence, trace_classes, trace_domain
 from .intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
 from .asyncgraphs import AsyncError, AsyncGraph, async_domain, hasse_as_async, \
     validate_async_graph
 
-# The exhaustive references of the rewriting layer load on first use, so
-# that the command line, which never calls them, does not compile them.
-_ORACLES = ("equivalent_traces", "is_pushout", "trace_classes_by_definition",
-            "verify_direct_derivation")
+# The exhaustive references load on first use, so that the command line,
+# which never calls them, does not compile them.
+_ORACLES = ("equivalent_traces", "interchangeable_by_definition",
+            "interchangeable_via_compacts", "is_pushout", "primes_by_definition", "pushout",
+            "trace_classes_by_definition", "validate_domain_by_definition",
+            "verify_direct_derivation", "weak_primes_by_definition")
 
 
 def __getattr__(name: str):

@@ -21,8 +21,8 @@ out-edges for 2-paths of one class.  The origin-path classes are grown
 depth by depth, never by enumerating paths: a class at depth k+1 is a class
 W at depth k extended by an out-edge e, and two such pairs (W, e) can only
 be merged by rewriting the last segment, since rewrites inside the prefix
-stay inside W.  ``_origin_path_classes`` enumerates every path and is kept
-as the oracle the tests compare against.
+stay inside W.  ``oracles._origin_path_classes`` enumerates every path and
+is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -196,38 +196,13 @@ def _reachable(a: AsyncGraph) -> bool:
     return seen == set(a.nodes)
 
 
-def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], List[Tuple[str, ...]]]:
-    """All paths from the origin and their classes under contextual closure."""
-    cls2, members = _square_classes(a)
-    paths = [()]
-    stack = [((), a.origin)]
-    while stack:
-        path, node = stack.pop()
-        for e in a.out_edges(node):
-            p2 = path + (e,)
-            paths.append(p2)
-            stack.append((p2, a.tgt(e)))
-    paths = sorted(set(paths))
-    uf = UnionFind(paths)
-    for w in paths:
-        for i in range(len(w) - 1):
-            seg = (w[i], w[i + 1])
-            for seg2 in members[cls2[seg]]:
-                if seg2 != seg:
-                    w2 = w[:i] + seg2 + w[i + 2:]
-                    if w2 in uf:
-                        uf.union(w, w2)
-    roots: Dict[Tuple[str, ...], int] = {}
-    return {w: roots.setdefault(uf.find(w), len(roots)) for w in paths}, paths
-
-
 def _path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple[int, int]]]:
     """The ≃-classes of origin paths of an acyclic graph, computed once.
 
     Returns ``(least, links)``: class k has least member ``least[k]``, the
-    classes numbered by least member as in ``_origin_path_classes``, and
-    ``(j, k)`` is in ``links`` when a member of class k minus its last edge
-    is in class j.  The prefix order on classes is the reflexive-transitive
+    classes numbered by least member as in ``oracles._origin_path_classes``,
+    and ``(j, k)`` is in ``links`` when a member of class k minus its last
+    edge is in class j.  The prefix order on classes is the reflexive-transitive
     closure of ``links``.
     """
     return _once(a, "path_classes", _grow_path_classes)

@@ -23,7 +23,9 @@ The invariants the paper reads off a domain (irreducibles, ↔-partners,
 domain and kept on it, since a domain never changes after construction.
 The join condition, primality and weak primality are decided together by
 one pass over the incomparable consistent pairs (``_pair_pass``); meets
-need none, since a least element and binary joins make them exist.
+need none, since a least element and binary joins make them exist.  The
+exhaustive references these are tested against, ``*_by_definition`` and
+``interchangeable_via_compacts``, live in ``oracles``.
 There is deliberately no memo keyed by subset masks: Python hashes an int
 modulo 2⁶¹−1, so ``hash(1 << k) == hash(1 << (k + 61))`` and the pair masks
 of a poset with more than 61 elements collapse onto few hash values, which
@@ -360,7 +362,7 @@ def validate_domain(dom: FiniteDomain) -> Report:
     reduces to binary joins of bounded pairs.  Both are read off the one
     pair pass.  Meets need no check: the lower bounds of a pair hold ``⊥``
     and are bounded, so their join exists and is the meet.  The exhaustive
-    oracle is ``validate_domain_by_definition``.
+    oracle is ``oracles.validate_domain_by_definition``.
     """
     if dom.bottom() is None:
         return Report(False, "no-least-element", tuple(
@@ -378,32 +380,6 @@ def _require_weak_prime(dom: FiniteDomain) -> None:
     _require_valid(dom)
     for i in dom.ids(_irreducible_mask(dom) & ~_pair_facts(dom)[2]):
         raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
-
-
-def validate_domain_by_definition(dom: FiniteDomain) -> Report:
-    """Exhaustive oracle for ``validate_domain``.
-
-    A least element, and a join for every pairwise-consistent subset
-    (coherent) or for every bounded subset (bounded complete), with joins
-    found from ``leq`` alone.  Exponential; meant for at most 10 elements.
-    """
-    if dom.bottom() is None:
-        return Report(False, "no-least-element")
-    names = dom.elements
-    n = len(names)
-    leq = [[dom.leq(a, b) for b in names] for a in names]
-    pair_ok = [[any(leq[a][u] and leq[b][u] for u in range(n)) for b in range(n)]
-               for a in range(n)]
-    for mask in range(1 << n):
-        xs = list(_bits(mask))
-        ubs = [u for u in range(n) if all(leq[x][u] for x in xs)]
-        if dom.kind == COHERENT:
-            asked = all(pair_ok[a][b] for a, b in combinations(xs, 2))
-        else:
-            asked = bool(ubs)
-        if asked and not any(all(leq[u][v] for v in ubs) for u in ubs):
-            return Report(False, "missing-join", tuple(names[x] for x in xs))
-    return Report(True)
 
 
 # ---------------------------------------------------------------------- #
@@ -468,33 +444,6 @@ def _find_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     return dom.ids(_pair_facts(dom)[1])
 
 
-def primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
-    """Exhaustive oracle for ``primes`` over all pairwise-consistent subsets."""
-    n = len(dom.elements)
-    subsets = []
-    for mask in range(1 << n):
-        ok = True
-        for i, j in combinations(list(_bits(mask)), 2):
-            if not dom.consistent((dom.elements[i], dom.elements[j])):
-                ok = False
-                break
-        if ok:
-            jm = dom._join_mask(mask)
-            if jm is not None:
-                subsets.append((mask, jm))
-    out = []
-    for p in range(n):
-        good = True
-        for mask, jm in subsets:
-            if dom._up[p] & (1 << jm):
-                if not any(dom._up[p] & (1 << i) for i in _bits(mask)):
-                    good = False
-                    break
-        if good:
-            out.append(dom.elements[p])
-    return tuple(out)
-
-
 def _interchangeable(dom: FiniteDomain, a: int, b: int) -> bool:
     """``↔`` on the irreducibles with indices ``a`` and ``b``."""
     if not dom._cons[a] >> b & 1:
@@ -514,83 +463,6 @@ def interchangeable(dom: FiniteDomain, i: str, i2: str) -> bool:
     predecessor.
     """
     return _interchangeable(dom, _irreducible_index(dom, i), _irreducible_index(dom, i2))
-
-
-def interchangeable_by_definition(dom: FiniteDomain, i: str, i2: str) -> bool:
-    """Oracle: the original quantifier over downward-closed consistent sets
-    of irreducibles.  Exponential; meant for cross-checking on small posets."""
-    irr = _irreducible_indices(dom)
-    k = len(irr)
-    pos = {e: t for t, e in enumerate(irr)}
-    ii, jj = dom.index(i), dom.index(i2)
-    if ii not in pos or jj not in pos:
-        raise OrderError(f"{i!r} or {i2!r} is not irreducible")
-    # per-irreducible mask of irreducibles strictly below (within irr indexing)
-    below = []
-    for e in irr:
-        m = 0
-        for t, e2 in enumerate(irr):
-            if e2 != e and (dom._down[e] >> e2) & 1:
-                m |= 1 << t
-        below.append(m)
-
-    def down_closed(mask: int) -> bool:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            t = low.bit_length() - 1
-            if below[t] & ~mask:
-                return False
-            rest ^= low
-        return True
-
-    def consistent_mask(mask: int) -> bool:
-        ub = dom._full
-        for t in _bits(mask):
-            ub &= dom._up[irr[t]]
-        return ub != 0
-
-    def join_mask(mask: int) -> Optional[int]:
-        m = 0
-        for t in _bits(mask):
-            m |= 1 << irr[t]
-        return dom._join_mask(m)
-
-    ti, tj = pos[ii], pos[jj]
-    all_equal = True
-    some_growth = False
-    for mask in range(1 << k):
-        mi, mj = mask | (1 << ti), mask | (1 << tj)
-        if not (down_closed(mi) and down_closed(mj)):
-            continue
-        if not (consistent_mask(mi) and consistent_mask(mj)):
-            continue
-        ji, jjn = join_mask(mi), join_mask(mj)
-        if ji != jjn or ji is None:
-            all_equal = False
-            break
-        if join_mask(mask) != ji:
-            some_growth = True
-    return all_equal and some_growth
-
-
-def interchangeable_via_compacts(dom: FiniteDomain, i: str, i2: str) -> bool:
-    """Oracle: the characterisation quantifying over compacts above both
-    predecessors (``d ⊔ i = d ⊔ i'`` for all such ``d``, with growth somewhere)."""
-    pi, pi2 = predecessor(dom, i), predecessor(dom, i2)
-    if not dom.consistent((i, i2)):
-        return False
-    base = dom._up[dom.index(pi)] & dom._up[dom.index(pi2)]
-    some_growth = False
-    for t in _bits(base):
-        d = dom.elements[t]
-        ji = dom.join((d, i)) if dom.consistent((d, i)) else None
-        ji2 = dom.join((d, i2)) if dom.consistent((d, i2)) else None
-        if ji != ji2:
-            return False
-        if ji is not None and ji != d:
-            some_growth = True
-    return some_growth
 
 
 def _partners(dom: FiniteDomain) -> Dict[int, int]:
@@ -637,42 +509,13 @@ def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     Checked on binary joins, in the one pair pass: whenever ``i ⊑ d ⊔ d'``
     for a consistent pair, some interchangeable ``i'`` sits below ``d`` or
     ``d'``.  Larger joins follow by iterating binary ones (the
-    full-quantifier oracle is ``weak_primes_by_definition``).
+    full-quantifier oracle is ``oracles.weak_primes_by_definition``).
     """
     return _once(dom, "weak_primes", _find_weak_primes)
 
 
 def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     return dom.ids(_pair_facts(dom)[2])
-
-
-def weak_primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
-    """Oracle for ``weak_primes`` quantifying over all consistent subsets."""
-    irr_idx = _irreducible_indices(dom)
-    irr = [dom.elements[t] for t in irr_idx]
-    partners: Dict[str, List[int]] = {}
-    for x in irr:
-        partners[x] = [dom.index(y) for y in irr if x == y or interchangeable(dom, x, y)]
-    n = len(dom.elements)
-    out = []
-    for x in irr:
-        xi = dom.index(x)
-        good = True
-        for mask in range(1, 1 << n):
-            ub = dom._full
-            for t in _bits(mask):
-                ub &= dom._up[t]
-            if ub == 0:
-                continue
-            jm = dom._join_mask(mask)
-            if jm is None or not (dom._up[xi] & (1 << jm)):
-                continue
-            if not any(dom._up[p] & mask for p in partners[x]):
-                good = False
-                break
-        if good:
-            out.append(x)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ classes of irreducibles, and the classical axioms (C), (R), (V) carve out
 exactly the weak prime domains among finite coherent ones.
 
 The layer reads the domain's masks and keeps the interval classes and the
-axiom report on the domain; ``*_by_definition`` are the oracles.
+axiom report on the domain; the oracles, ``interval_classes_by_definition``
+and ``_axiom_v_by_definition``, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ def interval_classes(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
     return tuple(frozenset((names[c], names[c2]) for c, c2 in cls) for cls in _classes(dom))
 
 
-def interval_classes_by_definition(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
-    """Oracle for ``interval_classes``: one union pass of ``interval_leq``
-    over all pairs of covers, which is already the closure."""
-    pairs = dom.covers()
-    uf = UnionFind(pairs)
-    for p, q in combinations(pairs, 2):
-        if uf.find(p) != uf.find(q) and (interval_leq(dom, p, q) or interval_leq(dom, q, p)):
-            uf.union(p, q)
-    return tuple(frozenset(g) for g in uf.groups())
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     F: bool
@@ -110,7 +100,7 @@ def _axiom_r(classes: List[List[_Pair]]) -> Optional[tuple]:
 
 
 def _axiom_v(dom: FiniteDomain, classes: List[List[_Pair]]) -> Optional[tuple]:
-    """The first (V) witness in the order of ``_axiom_v_by_definition``.
+    """The first (V) witness in the order of ``oracles._axiom_v_by_definition``.
 
     Without (R) a class may hold several intervals at one lower endpoint,
     so the uppers at (lower endpoint, class) are a mask, tested against a
@@ -140,25 +130,6 @@ def _axiom_v(dom: FiniteDomain, classes: List[List[_Pair]]) -> Optional[tuple]:
                     bad = at[y].get(k2, 0) & ~cons[y1]
                     if bad:
                         return (x, x1, x2, y, y1, (bad & -bad).bit_length() - 1)
-    return None
-
-
-def _axiom_v_by_definition(dom: FiniteDomain, classes) -> Optional[tuple]:
-    """Oracle for ``_axiom_v``: four nested loops over the named intervals."""
-    cls_of = {iv: k for k, cls in enumerate(classes) for iv in cls}
-    ivs = sorted(cls_of)
-    for (x, x1) in ivs:
-        for (y, y1) in ivs:
-            if cls_of[(x, x1)] != cls_of[(y, y1)]:
-                continue
-            for (x_, x2) in ivs:
-                if x_ != x:
-                    continue
-                for (y_, y2) in ivs:
-                    if y_ != y or cls_of[(x_, x2)] != cls_of[(y_, y2)]:
-                        continue
-                    if dom.consistent((x1, x2)) and not dom.consistent((y1, y2)):
-                        return (x, x1, x2, y, y1, y2)
     return None
 
 

@@ -1,23 +1,308 @@
-"""The exhaustive references the rewriting fast paths are tested against.
+"""The exhaustive references every fast path of the package is tested against.
 
 Each function here builds its answer from the definitions, without the
-shortcuts of ``rewrite``: ``apply_rule_by_definition`` builds ``D`` and
-``H`` whole through ``pushout``, ``colimit_by_definition`` glues every stage
-of a derivation at once, ``equivalent_traces`` searches the left-consistent
-permutations, and ``trace_classes_by_definition`` builds every interleaving
-with ``find_matches`` and ``apply_rule_by_definition`` and quotients the
-derivations pairwise.  ``is_pushout`` and ``verify_direct_derivation`` check
-a step's squares against the pushout criterion.
+shortcuts of the layer it checks, and is exponential or close to it; the
+command line never calls one, so it never compiles this module.
+
+- Domains: ``validate_domain_by_definition`` looks for a join of every
+  pairwise-consistent (coherent) or bounded (bounded complete) subset,
+  ``primes_by_definition`` and ``weak_primes_by_definition`` quantify over
+  every consistent subset, and ``interchangeable_by_definition`` (over the
+  down-closed consistent sets of irreducibles) and
+  ``interchangeable_via_compacts`` (over the compacts above both
+  predecessors) decide ↔; the fast paths are the pair pass and the join
+  characterisation of ``domains``.
+- Intervals: ``interval_classes_by_definition`` unions every pair of covers
+  related by ``interval_leq``, and ``_axiom_v_by_definition`` runs four
+  nested loops over the named intervals.
+- Asynchronous graphs: ``_origin_path_classes`` enumerates every path from
+  the origin and quotients it by rewriting one 2-segment at a time, where
+  ``asyncgraphs`` grows the classes depth by depth.
+- Rewriting: ``pushout`` builds the pushout of a span whole, and
+  ``apply_rule_by_definition`` builds ``D`` and ``H`` whole through it;
+  ``colimit_by_definition`` glues every stage of a derivation at once,
+  ``equivalent_traces`` searches the left-consistent permutations, and
+  ``trace_classes_by_definition`` builds every interleaving with
+  ``find_matches`` and ``apply_rule_by_definition`` and quotients the
+  derivations pairwise.  ``is_pushout`` and ``verify_direct_derivation``
+  check a step's squares against the pushout criterion.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ._common import UnionFind, backtrack
+from ._common import Report, UnionFind, _bits, backtrack
+from .domains import (COHERENT, FiniteDomain, OrderError, _irreducible_indices,
+                      interchangeable, predecessor)
+from .intervals import Interval, interval_leq
+from .asyncgraphs import AsyncGraph, _square_classes
 from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, iso_hash
 from .rewrite import (Derivation, DirectDerivation, Grammar, Rule, TraceDomainResult,
-                      _trace_result, is_fusion_safe, pushout)
+                      _span_names, _trace_result, is_fusion_safe)
+
+
+# ---------------------------------------------------------------------- #
+# Domains
+# ---------------------------------------------------------------------- #
+
+def validate_domain_by_definition(dom: FiniteDomain) -> Report:
+    """Exhaustive oracle for ``validate_domain``.
+
+    A least element, and a join for every pairwise-consistent subset
+    (coherent) or for every bounded subset (bounded complete), with joins
+    found from ``leq`` alone.  Exponential; meant for at most 10 elements.
+    """
+    if dom.bottom() is None:
+        return Report(False, "no-least-element")
+    names = dom.elements
+    n = len(names)
+    leq = [[dom.leq(a, b) for b in names] for a in names]
+    pair_ok = [[any(leq[a][u] and leq[b][u] for u in range(n)) for b in range(n)]
+               for a in range(n)]
+    for mask in range(1 << n):
+        xs = list(_bits(mask))
+        ubs = [u for u in range(n) if all(leq[x][u] for x in xs)]
+        if dom.kind == COHERENT:
+            asked = all(pair_ok[a][b] for a, b in combinations(xs, 2))
+        else:
+            asked = bool(ubs)
+        if asked and not any(all(leq[u][v] for v in ubs) for u in ubs):
+            return Report(False, "missing-join", tuple(names[x] for x in xs))
+    return Report(True)
+
+
+def primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
+    """Exhaustive oracle for ``primes`` over all pairwise-consistent subsets."""
+    n = len(dom.elements)
+    subsets = []
+    for mask in range(1 << n):
+        ok = True
+        for i, j in combinations(list(_bits(mask)), 2):
+            if not dom.consistent((dom.elements[i], dom.elements[j])):
+                ok = False
+                break
+        if ok:
+            jm = dom._join_mask(mask)
+            if jm is not None:
+                subsets.append((mask, jm))
+    out = []
+    for p in range(n):
+        good = True
+        for mask, jm in subsets:
+            if dom._up[p] & (1 << jm):
+                if not any(dom._up[p] & (1 << i) for i in _bits(mask)):
+                    good = False
+                    break
+        if good:
+            out.append(dom.elements[p])
+    return tuple(out)
+
+
+def interchangeable_by_definition(dom: FiniteDomain, i: str, i2: str) -> bool:
+    """Oracle: the original quantifier over downward-closed consistent sets
+    of irreducibles.  Exponential; meant for cross-checking on small posets."""
+    irr = _irreducible_indices(dom)
+    k = len(irr)
+    pos = {e: t for t, e in enumerate(irr)}
+    ii, jj = dom.index(i), dom.index(i2)
+    if ii not in pos or jj not in pos:
+        raise OrderError(f"{i!r} or {i2!r} is not irreducible")
+    # per-irreducible mask of irreducibles strictly below (within irr indexing)
+    below = []
+    for e in irr:
+        m = 0
+        for t, e2 in enumerate(irr):
+            if e2 != e and (dom._down[e] >> e2) & 1:
+                m |= 1 << t
+        below.append(m)
+
+    def down_closed(mask: int) -> bool:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            t = low.bit_length() - 1
+            if below[t] & ~mask:
+                return False
+            rest ^= low
+        return True
+
+    def consistent_mask(mask: int) -> bool:
+        ub = dom._full
+        for t in _bits(mask):
+            ub &= dom._up[irr[t]]
+        return ub != 0
+
+    def join_mask(mask: int) -> Optional[int]:
+        m = 0
+        for t in _bits(mask):
+            m |= 1 << irr[t]
+        return dom._join_mask(m)
+
+    ti, tj = pos[ii], pos[jj]
+    all_equal = True
+    some_growth = False
+    for mask in range(1 << k):
+        mi, mj = mask | (1 << ti), mask | (1 << tj)
+        if not (down_closed(mi) and down_closed(mj)):
+            continue
+        if not (consistent_mask(mi) and consistent_mask(mj)):
+            continue
+        ji, jjn = join_mask(mi), join_mask(mj)
+        if ji != jjn or ji is None:
+            all_equal = False
+            break
+        if join_mask(mask) != ji:
+            some_growth = True
+    return all_equal and some_growth
+
+
+def interchangeable_via_compacts(dom: FiniteDomain, i: str, i2: str) -> bool:
+    """Oracle: the characterisation quantifying over compacts above both
+    predecessors (``d ⊔ i = d ⊔ i'`` for all such ``d``, with growth somewhere)."""
+    pi, pi2 = predecessor(dom, i), predecessor(dom, i2)
+    if not dom.consistent((i, i2)):
+        return False
+    base = dom._up[dom.index(pi)] & dom._up[dom.index(pi2)]
+    some_growth = False
+    for t in _bits(base):
+        d = dom.elements[t]
+        ji = dom.join((d, i)) if dom.consistent((d, i)) else None
+        ji2 = dom.join((d, i2)) if dom.consistent((d, i2)) else None
+        if ji != ji2:
+            return False
+        if ji is not None and ji != d:
+            some_growth = True
+    return some_growth
+
+
+def weak_primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
+    """Oracle for ``weak_primes`` quantifying over all consistent subsets."""
+    irr_idx = _irreducible_indices(dom)
+    irr = [dom.elements[t] for t in irr_idx]
+    partners: Dict[str, List[int]] = {}
+    for x in irr:
+        partners[x] = [dom.index(y) for y in irr if x == y or interchangeable(dom, x, y)]
+    n = len(dom.elements)
+    out = []
+    for x in irr:
+        xi = dom.index(x)
+        good = True
+        for mask in range(1, 1 << n):
+            ub = dom._full
+            for t in _bits(mask):
+                ub &= dom._up[t]
+            if ub == 0:
+                continue
+            jm = dom._join_mask(mask)
+            if jm is None or not (dom._up[xi] & (1 << jm)):
+                continue
+            if not any(dom._up[p] & mask for p in partners[x]):
+                good = False
+                break
+        if good:
+            out.append(x)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------- #
+# Intervals
+# ---------------------------------------------------------------------- #
+
+def interval_classes_by_definition(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
+    """Oracle for ``interval_classes``: one union pass of ``interval_leq``
+    over all pairs of covers, which is already the closure."""
+    pairs = dom.covers()
+    uf = UnionFind(pairs)
+    for p, q in combinations(pairs, 2):
+        if uf.find(p) != uf.find(q) and (interval_leq(dom, p, q) or interval_leq(dom, q, p)):
+            uf.union(p, q)
+    return tuple(frozenset(g) for g in uf.groups())
+
+
+def _axiom_v_by_definition(dom: FiniteDomain, classes) -> Optional[tuple]:
+    """Oracle for ``_axiom_v``: four nested loops over the named intervals."""
+    cls_of = {iv: k for k, cls in enumerate(classes) for iv in cls}
+    ivs = sorted(cls_of)
+    for (x, x1) in ivs:
+        for (y, y1) in ivs:
+            if cls_of[(x, x1)] != cls_of[(y, y1)]:
+                continue
+            for (x_, x2) in ivs:
+                if x_ != x:
+                    continue
+                for (y_, y2) in ivs:
+                    if y_ != y or cls_of[(x_, x2)] != cls_of[(y_, y2)]:
+                        continue
+                    if dom.consistent((x1, x2)) and not dom.consistent((y1, y2)):
+                        return (x, x1, x2, y, y1, y2)
+    return None
+
+
+# ---------------------------------------------------------------------- #
+# Asynchronous graphs
+# ---------------------------------------------------------------------- #
+
+def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], List[Tuple[str, ...]]]:
+    """All paths from the origin and their classes under contextual closure."""
+    cls2, members = _square_classes(a)
+    paths = [()]
+    stack = [((), a.origin)]
+    while stack:
+        path, node = stack.pop()
+        for e in a.out_edges(node):
+            p2 = path + (e,)
+            paths.append(p2)
+            stack.append((p2, a.tgt(e)))
+    paths = sorted(set(paths))
+    uf = UnionFind(paths)
+    for w in paths:
+        for i in range(len(w) - 1):
+            seg = (w[i], w[i + 1])
+            for seg2 in members[cls2[seg]]:
+                if seg2 != seg:
+                    w2 = w[:i] + seg2 + w[i + 2:]
+                    if w2 in uf:
+                        uf.union(w, w2)
+    roots: Dict[Tuple[str, ...], int] = {}
+    return {w: roots.setdefault(uf.find(w), len(roots)) for w in paths}, paths
+
+
+# ---------------------------------------------------------------------- #
+# Rewriting
+# ---------------------------------------------------------------------- #
+
+def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphism, GraphMorphism]:
+    """Pushout of the span ``A ←f− C −g→ B``.
+
+    Returns ``(P, inA, inB)``.  ``P`` is the disjoint union of ``A`` and
+    ``B`` quotiented by ``f(c) ≈ g(c)``; item names prefer the ``B`` side
+    (merged items join their ``B`` names with ``+``).  The naming rule is
+    ``_span_names``, which ``apply_rule`` shares: the ``A`` items in sorted
+    order, a glued class at its least member, then the ``B`` items outside
+    the image of ``g``, in sorted order; a name taken again gets ``~2``.
+    """
+    if f.source is not g.source:
+        raise GraphError("pushout legs must share their source")
+    a, b = f.target, g.target
+    names = []
+    for c_items, fmap, gmap, a_items, b_items in (
+            (f.source.nodes, f.node_map, g.node_map, a.nodes, b.nodes),
+            (f.source.edges, f.edge_map, g.edge_map, a.edges, b.edges)):
+        to_a, to_b, _ = _span_names(c_items, fmap, gmap, sorted(a_items), b_items)
+        names.append((to_a, {y: to_b.get(y, y) for y in b_items}))
+    (na, nb), (ea, eb) = names
+    ntype = {na[x]: a.node_type[x] for x in na}
+    ntype.update({nb[y]: b.node_type[y] for y in nb})
+    edges = {}
+    for gph, nmap, emap in ((a, na, ea), (b, nb, eb)):
+        for x, name in emap.items():
+            edges[name] = (name, gph.edge_type[x], nmap[gph.src[x]], nmap[gph.tgt[x]])
+    p = TypedGraph(sorted(ntype), sorted(edges.values()), ntype)
+    in_a = GraphMorphism(a, p, {n: na[n] for n in a.nodes}, {e: ea[e] for e in a.edges})
+    in_b = GraphMorphism(b, p, {n: nb[n] for n in b.nodes}, {e: eb[e] for e in b.edges})
+    return p, in_a, in_b
 
 
 def is_pushout(f: GraphMorphism, g: GraphMorphism,

@@ -6,9 +6,9 @@ the matched deleted part (when the gluing condition holds) and glues the
 right-hand side back in as a pushout.  The step is local: ``D`` and ``H``
 are copies of the host's dicts with only the step's items changed, and only
 the items of ``R`` and the host items whose names they take are named, by
-the rule ``pushout`` names a whole span with (``_span_names``).  A host's
-matches are carried from its parent's, so only the start graph is searched
-whole.
+the rule ``oracles.pushout`` names a whole span with (``_span_names``).  A
+host's matches are carried from its parent's, so only the start graph is
+searched whole.
 
 Derivations from a grammar's start graph are compared by left-consistent
 permutations: a permutation of equal-length derivations using the same rules
@@ -173,38 +173,6 @@ def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, st
     return to_a, to_b, used
 
 
-def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphism, GraphMorphism]:
-    """Pushout of the span ``A ←f− C −g→ B``.
-
-    Returns ``(P, inA, inB)``.  ``P`` is the disjoint union of ``A`` and
-    ``B`` quotiented by ``f(c) ≈ g(c)``; item names prefer the ``B`` side
-    (merged items join their ``B`` names with ``+``).  The naming rule is
-    ``_span_names``, which ``apply_rule`` shares: the ``A`` items in sorted
-    order, a glued class at its least member, then the ``B`` items outside
-    the image of ``g``, in sorted order; a name taken again gets ``~2``.
-    """
-    if f.source is not g.source:
-        raise GraphError("pushout legs must share their source")
-    a, b = f.target, g.target
-    names = []
-    for c_items, fmap, gmap, a_items, b_items in (
-            (f.source.nodes, f.node_map, g.node_map, a.nodes, b.nodes),
-            (f.source.edges, f.edge_map, g.edge_map, a.edges, b.edges)):
-        to_a, to_b, _ = _span_names(c_items, fmap, gmap, sorted(a_items), b_items)
-        names.append((to_a, {y: to_b.get(y, y) for y in b_items}))
-    (na, nb), (ea, eb) = names
-    ntype = {na[x]: a.node_type[x] for x in na}
-    ntype.update({nb[y]: b.node_type[y] for y in nb})
-    edges = {}
-    for gph, nmap, emap in ((a, na, ea), (b, nb, eb)):
-        for x, name in emap.items():
-            edges[name] = (name, gph.edge_type[x], nmap[gph.src[x]], nmap[gph.tgt[x]])
-    p = TypedGraph(sorted(ntype), sorted(edges.values()), ntype)
-    in_a = GraphMorphism(a, p, {n: na[n] for n in a.nodes}, {e: ea[e] for e in a.edges})
-    in_b = GraphMorphism(b, p, {n: nb[n] for n in b.nodes}, {e: eb[e] for e in b.edges})
-    return p, in_a, in_b
-
-
 # ---------------------------------------------------------------------- #
 # Direct derivations
 # ---------------------------------------------------------------------- #
@@ -265,7 +233,7 @@ def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDe
     only the deleted items taken out of ``D`` and only the items of ``R``,
     the items they glue and the ``D`` items whose names they take changed
     in ``H``; edges are rewired only at the nodes that change name.  ``H``
-    and its morphisms are named by ``pushout(r, mK)``'s rule
+    and its morphisms are named by ``oracles.pushout(r, mK)``'s rule
     (``_span_names``), byte for byte; ``oracles.apply_rule_by_definition``
     builds the step whole.
     """

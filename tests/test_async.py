@@ -6,15 +6,16 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
-from weavent import asyncgraphs, cli
+from weavent import asyncgraphs, cli, oracles
 from weavent import io as iomod
 from weavent.asyncgraphs import (AsyncError, AsyncGraph, AsyncReport, Path2,
                                  async_domain, hasse_as_async, validate_async_graph,
-                                 _end, _is_acyclic, _origin_path_classes, _path_classes,
-                                 _reachable, _square_classes)
+                                 _end, _is_acyclic, _path_classes, _reachable,
+                                 _square_classes)
 from weavent.duality import dom_of_es, poset_isomorphic
 from weavent.es import EventStructure
 from weavent.fixtures import chain, e_ccs, e_run, e_three_independent, m3
+from weavent.oracles import _origin_path_classes
 from tests._gen import random_async_graph, random_weak_prime_domain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -227,7 +228,7 @@ class TestPathClasses:
 
         def enumerate_paths(a):
             raise AssertionError("an async job enumerated origin paths")
-        monkeypatch.setattr(asyncgraphs, "_origin_path_classes", enumerate_paths)
+        monkeypatch.setattr(oracles, "_origin_path_classes", enumerate_paths)
         assert cli.main(["async", "--async", str(FIXTURES / "run.async.json"), "--weak"]) == 0
         assert '"path_classes": 7' in capsys.readouterr().out
         assert sorted(calls) == ["_grow_path_classes", "_validate"]

@@ -9,18 +9,17 @@ from weavent import cli, domains
 from weavent._common import Report, _bits
 from weavent.domains import (BOUNDED_COMPLETE, COHERENT, Algebraicity, FiniteDomain,
                              OrderError, algebraicity, decompose, diff, interchange_classes,
-                             interchangeable, interchangeable_by_definition,
-                             interchangeable_via_compacts, irreducible_elements,
-                             irreducibles, predecessor, primes,
-                             primes_by_definition, validate_domain,
-                             validate_domain_by_definition,
-                             validate_domain_morphism, weak_primes,
-                             weak_primes_by_definition)
+                             interchangeable, irreducible_elements, irreducibles,
+                             predecessor, primes, validate_domain,
+                             validate_domain_morphism, weak_primes)
 from weavent.duality import dom_of_es, dom_of_es_morphism, ev_of_domain
 from weavent.es import EventStructure
 from weavent.fixtures import (chain, e_ccs, e_run, m3, nontransitive_bdomain,
                               nontransitive_poset, pair_no_join)
 from weavent.io import load_structure
+from weavent.oracles import (interchangeable_by_definition, interchangeable_via_compacts,
+                             primes_by_definition, validate_domain_by_definition,
+                             weak_primes_by_definition)
 from tests._gen import (random_connected_es, random_live_es, random_poset,
                         random_weak_prime_domain)
 

@@ -6,13 +6,19 @@ What is derived from a structure is kept on it by ``_common._once``, so no
 ``io.dumps`` alone, and files are written by ``io.write_text`` alone, so
 every report and file has one format and every write failure one exit code.
 No function binds a name that its module binds at top level, so every
-function in a module reads one meaning of each module name.
+function in a module reads one meaning of each module name.  Every
+exhaustive oracle lives in ``oracles``, which no other module imports at
+top level, so the command line compiles fast paths only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weavent"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "weavent"
 
 
 def findings(source: str):
@@ -148,3 +154,38 @@ def test_no_function_shadows_a_module_name():
              for path in sorted(PACKAGE.glob("*.py"))
              for fn, name in shadowed(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def is_oracle(name: str) -> bool:
+    return name.endswith("_by_definition") or name in (
+        "interchangeable_via_compacts", "_origin_path_classes", "pushout")
+
+
+def test_only_oracles_defines_or_imports_an_oracle():
+    defined, imported = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and is_oracle(node.name)}
+        # an import inside a function (``Colimit._names``) runs on use only
+        imported |= {f"{path.stem}: {node.module}" for node in tree.body
+                     if isinstance(node, ast.ImportFrom) and (node.module == "oracles" or any(
+                         is_oracle(alias.name) or alias.name == "oracles"
+                         for alias in node.names))}
+    assert {name.split(".")[0] for name in defined} == {"oracles"}
+    assert imported == set()
+
+
+def test_the_command_line_loads_every_layer_and_no_oracle():
+    # perfbench/tracer.py wraps the functions of each module in its LAYERS
+    # after ``import weavent.cli``, so each of them must be loaded by then
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    code = "import sys, weavent.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                            check=True).stdout.split()
+    assert "weavent.oracles" not in loaded
+    assert [layer for layer in layers if f"weavent.{layer}" not in loaded] == []

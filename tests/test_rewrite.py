@@ -14,9 +14,9 @@ from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
                             graph_isomorphism, iso_hash)
 from weavent.io import load_structure
 from weavent.oracles import (apply_rule_by_definition, equivalent_traces, is_pushout,
-                             trace_classes_by_definition, verify_direct_derivation)
+                             pushout, trace_classes_by_definition, verify_direct_derivation)
 from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError, apply_rule,
-                             grammar_from_es, interchange, is_fusion_safe, pushout,
+                             grammar_from_es, interchange, is_fusion_safe,
                              sequential_independence, trace_classes, trace_domain)
 from tests._gen import growing_grammar
 
