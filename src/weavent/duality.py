@@ -155,22 +155,18 @@ def _es_matches(es1: EventStructure, es2: EventStructure, phi: Dict[str, str]) -
 
 
 def _bijections(sig1: Mapping[str, tuple], sig2: Mapping[str, tuple],
-                rel1: Callable, rel2: Callable) -> Iterator[Dict[str, str]]:
-    """The bijections that preserve the signatures and carry ``rel1`` onto
-    ``rel2`` on every pair, in search order: items sorted by signature,
-    each tried against the other side's items of equal signature."""
+                fitting: Callable[[List[str]], Callable]) -> Iterator[Dict[str, str]]:
+    """The bijections that preserve the signatures and that ``fitting``
+    accepts, in search order: items sorted by signature, each tried against
+    the other side's items of equal signature.  ``fitting(order)`` gives the
+    ``fits(k, y, chosen)`` of ``_common.backtrack`` for that order."""
     if sorted(sig1.values()) != sorted(sig2.values()):
         return
     order = sorted(sig1, key=lambda x: (sig1[x], x))
     by_sig: Dict[tuple, List[str]] = {}
     for y in sorted(sig2):
         by_sig.setdefault(sig2[y], []).append(y)
-
-    def fits(k, y, chosen):
-        x = order[k]
-        return all(rel1(x, a) == rel2(y, b) for a, b in zip(order, chosen))
-
-    for images in backtrack([by_sig[sig1[x]] for x in order], fits, True):
+    for images in backtrack([by_sig[sig1[x]] for x in order], fitting(order), True):
         yield dict(zip(order, images))
 
 
@@ -183,9 +179,15 @@ def _es_isomorphisms(es1: EventStructure, es2: EventStructure) -> Iterator[Dict[
             return es.in_conflict
         return lambda a, b: es.is_consistent((a, b))
 
+    rel1, rel2 = rel(es1), rel(es2)
+
+    def fitting(order):
+        # the new pair agrees with every pair chosen before it
+        return lambda k, y, chosen: all(rel1(order[k], a) == rel2(y, b)
+                                        for a, b in zip(order, chosen))
+
     for phi in _bijections({e: _es_signature(es1, e) for e in es1.events},
-                           {e: _es_signature(es2, e) for e in es2.events},
-                           rel(es1), rel(es2)):
+                           {e: _es_signature(es2, e) for e in es2.events}, fitting):
         if _es_matches(es1, es2, phi):
             yield phi
 
@@ -214,16 +216,23 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
                     dom._up[dom.index(x)].bit_count())
                 for x in dom.elements}
 
-    def rel(dom):
-        # leq(a, b) + 2 * leq(b, a), read off the up-set masks
-        up, at = dom._up, dom._idx
+    def fitting(order):
+        # Height leads the signature, so the lower covers of order[k] are
+        # placed before it, at ``lows[k]``, and the placed elements form a
+        # down-set.  A bijection is an order isomorphism iff it carries
+        # each element's lower covers onto its image's; the signature
+        # holds their count, so testing that each image is a lower cover
+        # of y is enough.
+        at = {x: k for k, x in enumerate(order)}
+        lows = [[at[a] for a in dom1.lower_covers(x)] for x in order]
+        at2, lower2 = dom2._idx, dom2._lower
 
-        def r(a, b):
-            i, j = at[a], at[b]
-            return (up[i] >> j & 1) | (up[j] >> i & 1) << 1
-        return r
+        def fits(k, y, chosen):
+            below = lower2[at2[y]]
+            return all(below >> at2[chosen[p]] & 1 for p in lows[k])
+        return fits
 
-    return next(_bijections(sigs(dom1), sigs(dom2), rel(dom1), rel(dom2)), None)
+    return next(_bijections(sigs(dom1), sigs(dom2), fitting), None)
 
 
 # ---------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from weavent._common import backtrack
 from weavent.es import EventStructure, LivenessError, classify, configurations, \
     minimal_enablings
 from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, algebraicity,
@@ -18,7 +19,7 @@ from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
 from weavent.dot import poset_dot
 from weavent.io import domain_to_json, load_structure
 from tests._gen import (family_es, random_connected_es, random_consistency_es,
-                        random_live_es, random_weak_prime_domain)
+                        random_live_es, random_poset, random_weak_prime_domain)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -286,6 +287,75 @@ class TestIsomorphisms:
         assert es_isomorphic(es, relabelled) == {"x": "x1", "y": "y1", "z": "z1"}
         relabelled = EventStructure.binary("rqp", enabling=[((), "r"), ((), "q"), ((), "p")])
         assert es_isomorphic(es, relabelled) == {"x": "p", "y": "q", "z": "r"}
+
+
+def poset_isomorphic_all_pairs(dom1, dom2):
+    """The search ``poset_isomorphic`` ran before it tested lower covers:
+    the same signatures and search order, each new pair tested against
+    every pair chosen before it through ``leq`` both ways."""
+    if len(dom1.elements) != len(dom2.elements):
+        return None
+
+    def sigs(dom):
+        h = {}
+        for x in sorted(dom.elements, key=lambda x: dom._down[dom.index(x)].bit_count()):
+            lows = dom.lower_covers(x)
+            h[x] = 0 if not lows else 1 + max(h[y] for y in lows)
+        return {x: (h[x], len(dom.lower_covers(x)), len(dom.upper_covers(x)),
+                    dom._down[dom.index(x)].bit_count(), dom._up[dom.index(x)].bit_count())
+                for x in dom.elements}
+
+    sig1, sig2 = sigs(dom1), sigs(dom2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+    order = sorted(sig1, key=lambda x: (sig1[x], x))
+    by_sig = {}
+    for y in sorted(sig2):
+        by_sig.setdefault(sig2[y], []).append(y)
+
+    def fits(k, y, chosen):
+        x = order[k]
+        return all((dom1.leq(x, a), dom1.leq(a, x)) == (dom2.leq(y, b), dom2.leq(b, y))
+                   for a, b in zip(order, chosen))
+
+    images = next(backtrack([by_sig[sig1[x]] for x in order], fits, True), None)
+    return None if images is None else dict(zip(order, images))
+
+
+def relabelled(dom, rng):
+    names = list(dom.elements)
+    rng.shuffle(names)
+    name = dict(zip(dom.elements, names))
+    return FiniteDomain(names, [(name[a], name[b]) for a, b in dom.covers()], dom.kind)
+
+
+class TestPosetIsomorphismAgainstAllPairs:
+    def test_random_posets(self):
+        rng = random.Random(31)
+        found = {True: 0, False: 0}  # of the pairs not drawn as copies
+        for _ in range(2000):
+            kind = rng.choice((COHERENT, BOUNDED_COMPLETE))
+            n = rng.randint(1, 10)
+            dom1 = random_poset(rng, n, rng.random() < 0.8, kind)
+            copy = rng.random() < 0.5
+            dom2 = relabelled(dom1, rng) if copy else \
+                random_poset(rng, n, rng.random() < 0.8, kind)
+            phi = poset_isomorphic(dom1, dom2)
+            assert phi == poset_isomorphic_all_pairs(dom1, dom2)
+            assert phi is not None or not copy
+            if not copy:
+                found[phi is not None] += 1
+        assert min(found.values()) > 100
+
+    @pytest.mark.parametrize("family, n", [("B", 4), ("X", 3), ("L", 2), ("C", 6)])
+    def test_connect_round_trips(self, family, n):
+        es = family_es(family, n)
+        dom, back = dom_of_es(es), dom_of_es(connect_es(es))
+        phi = poset_isomorphic(back, dom)
+        assert phi is not None and phi == poset_isomorphic_all_pairs(back, dom)
+        rng = random.Random(n)
+        other = relabelled(dom, rng)
+        assert poset_isomorphic(other, dom) == poset_isomorphic_all_pairs(other, dom)
 
 
 class TestMorphismImages:
