@@ -50,6 +50,18 @@ def _string_list(value, what: str) -> list:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what}: expected a list")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{what}: expected a string")
+    return value
+
+
 # ---------------------------------------------------------------------- #
 # Event structures
 # ---------------------------------------------------------------------- #
@@ -61,16 +73,17 @@ def parse_es(obj: Mapping) -> EventStructure:
         raise SchemaError("give either 'conflict' or 'consistent', not both")
     events = _string_list(obj["events"], "events")
     enabling = []
-    for k, entry in enumerate(obj.get("enabling", [])):
+    for k, entry in enumerate(_list(obj.get("enabling", []), "enabling")):
         _require_keys(entry, {"needs", "event"}, {"needs", "event"}, f"enabling[{k}]")
         enabling.append((_string_list(entry["needs"], f"enabling[{k}].needs"),
-                         entry["event"]))
+                         _string(entry["event"], f"enabling[{k}].event")))
     try:
         if "consistent" in obj:
-            family = [_string_list(xs, "consistent[*]") for xs in obj["consistent"]]
+            family = [_string_list(xs, "consistent[*]")
+                      for xs in _list(obj["consistent"], "consistent")]
             return EventStructure.with_consistency(events, family, enabling)
         conflict = []
-        for k, pair in enumerate(obj.get("conflict", [])):
+        for k, pair in enumerate(_list(obj.get("conflict", []), "conflict")):
             pair = _string_list(pair, f"conflict[{k}]")
             if len(pair) != 2:
                 raise SchemaError(f"conflict[{k}]: expected a pair")
@@ -96,7 +109,7 @@ def parse_epes(obj: Mapping) -> Epes:
     base = parse_es({k: v for k, v in obj.items() if k != "equiv"})
     blocks = []
     covered = set()
-    for k, block in enumerate(obj.get("equiv", [])):
+    for k, block in enumerate(_list(obj.get("equiv", []), "equiv")):
         block = _string_list(block, f"equiv[{k}]")
         for e in block:
             if e not in base.events:
@@ -123,7 +136,7 @@ def parse_domain(obj: Mapping) -> FiniteDomain:
     _require_keys(obj, {"elements", "covers", "kind"}, {"elements", "covers"}, "domain")
     elements = _string_list(obj["elements"], "elements")
     covers = []
-    for k, pair in enumerate(obj["covers"]):
+    for k, pair in enumerate(_list(obj["covers"], "covers")):
         pair = _string_list(pair, f"covers[{k}]")
         if len(pair) != 2:
             raise SchemaError(f"covers[{k}]: expected a pair")
@@ -149,17 +162,21 @@ def parse_graph(obj: Mapping, what: str = "graph", self_typed: bool = False) -> 
     _require_keys(obj, {"nodes", "edges"}, {"nodes"}, what)
     nodes = []
     ntype = {}
-    for k, nd in enumerate(obj["nodes"]):
-        _require_keys(nd, {"id", "type"}, {"id"}, f"{what}.nodes[{k}]")
+    for k, nd in enumerate(_list(obj["nodes"], f"{what}.nodes")):
+        at = f"{what}.nodes[{k}]"
+        _require_keys(nd, {"id", "type"}, {"id"}, at)
         if not self_typed and "type" not in nd:
-            raise SchemaError(f"{what}.nodes[{k}]: missing type")
-        nodes.append(nd["id"])
-        ntype[nd["id"]] = nd["id"] if self_typed else nd["type"]
+            raise SchemaError(f"{at}: missing type")
+        nid = _string(nd["id"], f"{at}.id")
+        nodes.append(nid)
+        ntype[nid] = nid if self_typed else _string(nd["type"], f"{at}.type")
     edges = []
-    for k, ed in enumerate(obj.get("edges", [])):
+    for k, ed in enumerate(_list(obj.get("edges", []), f"{what}.edges")):
+        at = f"{what}.edges[{k}]"
         required = {"id", "src", "tgt"} if self_typed else {"id", "type", "src", "tgt"}
-        _require_keys(ed, {"id", "type", "src", "tgt"}, required, f"{what}.edges[{k}]")
-        edges.append((ed["id"], ed.get("type", ed["id"]), ed["src"], ed["tgt"]))
+        _require_keys(ed, {"id", "type", "src", "tgt"}, required, at)
+        eid, src, tgt = (_string(ed[key], f"{at}.{key}") for key in ("id", "src", "tgt"))
+        edges.append((eid, _string(ed.get("type", eid), f"{at}.type"), src, tgt))
     try:
         return TypedGraph(nodes, edges, ntype)
     except ValueError as exc:
@@ -185,6 +202,8 @@ def _parse_rule_map(obj: Mapping, src: TypedGraph, tgt: TypedGraph, what: str) -
     emap = obj.get("edges", {})
     if not isinstance(nmap, dict) or not isinstance(emap, dict):
         raise SchemaError(f"{what}: node/edge maps must be objects")
+    if not all(isinstance(v, str) for v in chain(nmap.values(), emap.values())):
+        raise SchemaError(f"{what}: node/edge maps must map ids to strings")
     mor = GraphMorphism(src, tgt, dict(nmap), dict(emap))
     try:
         mor.validate()
@@ -199,7 +218,7 @@ def parse_grammar(obj: Mapping) -> Grammar:
     tg = parse_graph(obj["type_graph"], "type_graph", self_typed=True)
     start = parse_graph(obj["start"], "start")
     rules = []
-    for k, rd in enumerate(obj["rules"]):
+    for k, rd in enumerate(_list(obj["rules"], "rules")):
         what = f"rules[{k}]"
         _require_keys(rd, {"name", "L", "K", "R", "l", "r"},
                       {"name", "L", "K", "R", "l", "r"}, what)
@@ -208,7 +227,7 @@ def parse_grammar(obj: Mapping) -> Grammar:
         rg = parse_graph(rd["R"], f"{what}.R")
         lmor = _parse_rule_map(rd["l"], kg, lg, f"{what}.l")
         rmor = _parse_rule_map(rd["r"], kg, rg, f"{what}.r")
-        rules.append(Rule(rd["name"], lg, kg, rg, lmor, rmor))
+        rules.append(Rule(_string(rd["name"], f"{what}.name"), lg, kg, rg, lmor, rmor))
     grammar = Grammar(tg, start, tuple(rules))
     try:
         grammar.validate()
@@ -243,17 +262,17 @@ def parse_async(obj: Mapping) -> AsyncGraph:
                   {"nodes", "edges", "origin"}, "async graph")
     nodes = _string_list(obj["nodes"], "nodes")
     edges = []
-    for k, ed in enumerate(obj["edges"]):
+    for k, ed in enumerate(_list(obj["edges"], "edges")):
         _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, f"edges[{k}]")
-        edges.append((ed["id"], ed["src"], ed["tgt"]))
+        edges.append(tuple(_string(ed[key], f"edges[{k}].{key}") for key in ("id", "src", "tgt")))
     squares = []
-    for k, sq in enumerate(obj.get("squares", [])):
+    for k, sq in enumerate(_list(obj.get("squares", []), "squares")):
         if (not isinstance(sq, list) or len(sq) != 2
                 or any(len(_string_list(p, f"squares[{k}]")) != 2 for p in sq)):
             raise SchemaError(f"squares[{k}]: expected a pair of 2-edge paths")
         squares.append((tuple(sq[0]), tuple(sq[1])))
     try:
-        return AsyncGraph.build(nodes, edges, obj["origin"], squares)
+        return AsyncGraph.build(nodes, edges, _string(obj["origin"], "origin"), squares)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 

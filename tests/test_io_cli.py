@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weavent import cli, io as iomod
 from weavent.cli import main
@@ -122,6 +123,9 @@ class TestJson:
 
 class TestCli:
     @pytest.mark.parametrize("kind, name, passage, built", [
+        # the connected structure is read off the domain already built
+        ("--es", "e_run.es.json", "ev_of_domain", 1),
+        ("--es", "e_run.es.json", "connect_es", 0),
         ("--domain", "run.domain.json", "ev_of_domain", 1),
         # fuse of the input, and of its unfolding
         ("--epes", "unfold_run.epes.json", "fuse", 2)])
@@ -518,3 +522,102 @@ def test_one_job_builds_the_configuration_table_once(argv, monkeypatch, capsys):
                          capsys=capsys)
     assert code == 0
     assert len(built) == 1
+
+
+def _set(obj, path, value):
+    """``obj`` with the value at ``path`` (keys and indices) set to ``value``."""
+    if not path:
+        return value
+    *at, last = path
+    target = obj
+    for key in at:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+def _with(name, path, value):
+    """The JSON of a fixture file with the field at ``path`` set to ``value``."""
+    return _set(json.loads((FIXTURES / name).read_text()), path, value)
+
+
+# Input of the right shape but for one field, which holds a JSON value of
+# the wrong type: a non-list where a list belongs, then a list where a
+# string belongs.  Each one raised a TypeError from inside a parser.
+_WRONG_TYPES = [
+    ("--es", _with("e_run.es.json", ["enabling"], 1), "enabling: expected a list"),
+    ("--es", _with("e_run.es.json", ["conflict"], 1), "conflict: expected a list"),
+    ("--es", {"events": ["a"], "consistent": 1}, "consistent: expected a list"),
+    ("--domain", _with("run.domain.json", ["covers"], 1), "covers: expected a list"),
+    ("--async", _with("run.async.json", ["edges"], 1), "edges: expected a list"),
+    ("--async", _with("run.async.json", ["squares"], 1), "squares: expected a list"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "nodes"], 1),
+     "start.nodes: expected a list"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "edges"], 1),
+     "start.edges: expected a list"),
+    ("--grammar", _with("fusion.grammar.json", ["rules"], 1), "rules: expected a list"),
+    ("--epes", _with("unfold_run.epes.json", ["equiv"], 1), "equiv: expected a list"),
+    ("--es", _with("e_run.es.json", ["enabling", 0, "event"], ["a"]),
+     "enabling[0].event: expected a string"),
+    ("--async", _with("run.async.json", ["origin"], ["{}"]), "origin: expected a string"),
+    ("--async", _with("run.async.json", ["edges", 0, "id"], ["x"]),
+     "edges[0].id: expected a string"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "edges", 0, "id"], ["x"]),
+     "start.edges[0].id: expected a string"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "nodes", 0, "id"], ["c"]),
+     "start.nodes[0].id: expected a string"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "nodes", 0, "type"], ["n"]),
+     "start.nodes[0].type: expected a string"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "edges", 0, "src"], ["c"]),
+     "start.edges[0].src: expected a string"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 0, "name"], ["x"]),
+     "rules[0].name: expected a string"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 0, "l", "nodes", "c"], ["c"]),
+     "rules[0].l: node/edge maps must map ids to strings"),
+]
+
+
+@pytest.mark.parametrize("flag, obj, message", _WRONG_TYPES,
+                         ids=[m.split(":")[0] for _, _, m in _WRONG_TYPES])
+def test_a_value_of_the_wrong_type_exits_2(flag, obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("check", flag, str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
+
+
+_FILES = {"es": "e_run.es.json", "domain": "run.domain.json",
+          "grammar": "fusion.grammar.json", "asyncgraph": "run.async.json",
+          "epes": "unfold_run.epes.json"}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False)
+    | st.sampled_from(["a", "b", "c", "n", "{}", "coherent", "bounded_complete"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("abc", max_size=2),
+                                                                inner, max_size=4),
+    max_leaves=20)
+
+
+def _places(obj, path=()):
+    """The path of ``obj`` and of every value inside it."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FILES)), st.data())
+def test_any_json_loads_or_raises_schema_error(tmp_path_factory, kind, data):
+    # a fixture of the kind, with one to three of its values (or the whole
+    # of it) replaced by any JSON value
+    obj = json.loads((FIXTURES / _FILES[kind]).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = _set(obj, data.draw(st.sampled_from(list(_places(obj)))), data.draw(_JSON))
+    path = tmp_path_factory.mktemp("any") / "structure.json"
+    path.write_text(json.dumps(obj))
+    try:
+        iomod.load_structure(str(path), kind)
+    except SchemaError:
+        pass
