@@ -264,7 +264,8 @@ def parse_async(obj: Mapping) -> AsyncGraph:
     edges = []
     for k, ed in enumerate(_list(obj["edges"], "edges")):
         _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, f"edges[{k}]")
-        edges.append(tuple(_string(ed[key], f"edges[{k}].{key}") for key in ("id", "src", "tgt")))
+        edges.append(tuple(_string(ed[key], f"edges[{k}].{key}")
+                           for key in ("id", "src", "tgt")))
     squares = []
     for k, sq in enumerate(_list(obj.get("squares", []), "squares")):
         if (not isinstance(sq, list) or len(sq) != 2
