@@ -50,15 +50,17 @@ def _string_list(value, what: str) -> list:
     return value
 
 
-def _list(value, what: str) -> list:
+# ``what`` and ``key`` name the field; they are joined only on failure, so a
+# parse that succeeds formats no name per item.
+def _list(value, what: str, key: str = "") -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{what}: expected a list")
+        raise SchemaError(f"{what}{key}: expected a list")
     return value
 
 
-def _string(value, what: str) -> str:
+def _string(value, what: str, key: str = "") -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{what}: expected a string")
+        raise SchemaError(f"{what}{key}: expected a string")
     return value
 
 
@@ -74,9 +76,10 @@ def parse_es(obj: Mapping) -> EventStructure:
     events = _string_list(obj["events"], "events")
     enabling = []
     for k, entry in enumerate(_list(obj.get("enabling", []), "enabling")):
-        _require_keys(entry, {"needs", "event"}, {"needs", "event"}, f"enabling[{k}]")
-        enabling.append((_string_list(entry["needs"], f"enabling[{k}].needs"),
-                         _string(entry["event"], f"enabling[{k}].event")))
+        at = f"enabling[{k}]"
+        _require_keys(entry, {"needs", "event"}, {"needs", "event"}, at)
+        enabling.append((_string_list(entry["needs"], f"{at}.needs"),
+                         _string(entry["event"], at, ".event")))
     try:
         if "consistent" in obj:
             family = [_string_list(xs, "consistent[*]")
@@ -162,21 +165,22 @@ def parse_graph(obj: Mapping, what: str = "graph", self_typed: bool = False) -> 
     _require_keys(obj, {"nodes", "edges"}, {"nodes"}, what)
     nodes = []
     ntype = {}
-    for k, nd in enumerate(_list(obj["nodes"], f"{what}.nodes")):
+    for k, nd in enumerate(_list(obj["nodes"], what, ".nodes")):
         at = f"{what}.nodes[{k}]"
         _require_keys(nd, {"id", "type"}, {"id"}, at)
         if not self_typed and "type" not in nd:
             raise SchemaError(f"{at}: missing type")
-        nid = _string(nd["id"], f"{at}.id")
+        nid = _string(nd["id"], at, ".id")
         nodes.append(nid)
-        ntype[nid] = nid if self_typed else _string(nd["type"], f"{at}.type")
+        ntype[nid] = nid if self_typed else _string(nd["type"], at, ".type")
     edges = []
-    for k, ed in enumerate(_list(obj.get("edges", []), f"{what}.edges")):
+    for k, ed in enumerate(_list(obj.get("edges", []), what, ".edges")):
         at = f"{what}.edges[{k}]"
         required = {"id", "src", "tgt"} if self_typed else {"id", "type", "src", "tgt"}
         _require_keys(ed, {"id", "type", "src", "tgt"}, required, at)
-        eid, src, tgt = (_string(ed[key], f"{at}.{key}") for key in ("id", "src", "tgt"))
-        edges.append((eid, _string(ed.get("type", eid), f"{at}.type"), src, tgt))
+        eid = _string(ed["id"], at, ".id")
+        edges.append((eid, _string(ed.get("type", eid), at, ".type"),
+                      _string(ed["src"], at, ".src"), _string(ed["tgt"], at, ".tgt")))
     try:
         return TypedGraph(nodes, edges, ntype)
     except ValueError as exc:
@@ -227,7 +231,7 @@ def parse_grammar(obj: Mapping) -> Grammar:
         rg = parse_graph(rd["R"], f"{what}.R")
         lmor = _parse_rule_map(rd["l"], kg, lg, f"{what}.l")
         rmor = _parse_rule_map(rd["r"], kg, rg, f"{what}.r")
-        rules.append(Rule(_string(rd["name"], f"{what}.name"), lg, kg, rg, lmor, rmor))
+        rules.append(Rule(_string(rd["name"], what, ".name"), lg, kg, rg, lmor, rmor))
     grammar = Grammar(tg, start, tuple(rules))
     try:
         grammar.validate()
@@ -263,9 +267,10 @@ def parse_async(obj: Mapping) -> AsyncGraph:
     nodes = _string_list(obj["nodes"], "nodes")
     edges = []
     for k, ed in enumerate(_list(obj["edges"], "edges")):
-        _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, f"edges[{k}]")
-        edges.append(tuple(_string(ed[key], f"edges[{k}].{key}")
-                           for key in ("id", "src", "tgt")))
+        at = f"edges[{k}]"
+        _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, at)
+        edges.append((_string(ed["id"], at, ".id"), _string(ed["src"], at, ".src"),
+                      _string(ed["tgt"], at, ".tgt")))
     squares = []
     for k, sq in enumerate(_list(obj.get("squares", []), "squares")):
         if (not isinstance(sq, list) or len(sq) != 2
