@@ -50,15 +50,15 @@ def _string_list(value, what: str) -> list:
     return value
 
 
-# ``what`` and ``key`` name the field; they are joined only on failure, so a
-# parse that succeeds formats no name per item.
-def _list(value, what: str, key: str = "") -> list:
+def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{what}{key}: expected a list")
+        raise SchemaError(f"{what}: expected a list")
     return value
 
 
 def _string(value, what: str, key: str = "") -> str:
+    """``value``, or SchemaError naming the field ``what + key``: the two are
+    joined only on failure, so a parse that succeeds formats no name per item."""
     if not isinstance(value, str):
         raise SchemaError(f"{what}{key}: expected a string")
     return value
@@ -165,7 +165,7 @@ def parse_graph(obj: Mapping, what: str = "graph", self_typed: bool = False) -> 
     _require_keys(obj, {"nodes", "edges"}, {"nodes"}, what)
     nodes = []
     ntype = {}
-    for k, nd in enumerate(_list(obj["nodes"], what, ".nodes")):
+    for k, nd in enumerate(_list(obj["nodes"], f"{what}.nodes")):
         at = f"{what}.nodes[{k}]"
         _require_keys(nd, {"id", "type"}, {"id"}, at)
         if not self_typed and "type" not in nd:
@@ -174,7 +174,7 @@ def parse_graph(obj: Mapping, what: str = "graph", self_typed: bool = False) -> 
         nodes.append(nid)
         ntype[nid] = nid if self_typed else _string(nd["type"], at, ".type")
     edges = []
-    for k, ed in enumerate(_list(obj.get("edges", []), what, ".edges")):
+    for k, ed in enumerate(_list(obj.get("edges", []), f"{what}.edges")):
         at = f"{what}.edges[{k}]"
         required = {"id", "src", "tgt"} if self_typed else {"id", "type", "src", "tgt"}
         _require_keys(ed, {"id", "type", "src", "tgt"}, required, at)
