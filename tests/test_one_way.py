@@ -182,7 +182,8 @@ def test_the_command_line_loads_every_layer_and_no_oracle():
     # after ``import weavent.cli``, so each of them must be loaded by then
     tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     layers = next(ast.literal_eval(node.value) for node in tracer.body
-                  if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYERS")
     code = "import sys, weavent.cli; print(*sorted(sys.modules))"
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
