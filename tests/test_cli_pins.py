@@ -7,7 +7,10 @@ configurations, 12,348 covers) were taken while ``io.dumps`` still ran
 every payload through ``json``'s own indenting encoder and ``covers()``
 still sorted name pairs on each call.  The digests of the verbs that
 write a file (``convert``, ``connect``, ``synth``, ``derive`` and ``emit``)
-were taken while each report still encoded its payload a second time.
+were taken while each report still encoded its payload a second time; those
+of ``convert --to epes`` and ``synth`` on C_8 (897 enabling records) and of
+``async --weak --out`` were taken while every list of objects and every
+domain file still went through ``io.dumps``' general walk.
 ``roundtrip`` on B_10 runs the CLI through more than a thousand
 configurations.  The ``derive`` digests on the growing grammar, most of
 whose derivations apply ``grow`` more than once, were taken while
@@ -22,8 +25,10 @@ from pathlib import Path
 import pytest
 
 from weavent import io as iomod
+from weavent.asyncgraphs import hasse_as_async
 from weavent.cli import main
 from weavent.domains import FiniteDomain
+from weavent.duality import dom_of_es
 from weavent.es import EventStructure
 from tests._gen import family_es, growing_grammar
 
@@ -142,6 +147,15 @@ WRITTEN = {
     "derive --grammar fusion.grammar.json --depth 3 --format dot --out traces.dot": (
         "dde1e920ccdee81043af2ebbfbb68ade0d445ee39efd51f04daabc135d23625f",
         "09588afd2f09f461869846f668830cce029e119302044cfdfdb7831a7fcca295"),
+    "convert --es C8.es.json --to epes --out epes.json": (
+        "accae763958b88b025cc60b4cb9272a3b0771898fe5ba61346e3e3c421e3d2ce",
+        "0fd2311b5f0cc531eef9d45441f82bb158aa5844e036d89722bf3ee05a7c9e6a"),
+    "synth --es C8.es.json --out synth.grammar.json": (
+        "4b87e4353077e52afc0d92bce0ca0884d35cdfa58749792f3c2ec7d2b085f35c",
+        "2a5c8711a5187ddb9dffb018e328d684560a6aec8a85e926135c64c3fcbbec56"),
+    "async --async L2.async.json --weak --out async.domain.json": (
+        "473a1f52b07a3bd131e695c6cfb794c945f4820ce6b4336f518c2a5265e10c69",
+        "974a9545413bb5b8096fecb73a91f4e9efe034a5933843e6f2a7af5736dd98f3"),
     "emit --es L2.es.json --out x.dot": (
         "8740f5e1ee5920b75fc427ab40f2818c8096e1bbfdab262f16c4212514753915",
         "4bfaeb33510f31df96d87ddd83a45d075d42e3a4525a48fd225e86bf4f1df271"),
@@ -163,6 +177,11 @@ def _write_inputs(argv):
     iomod.dump_json(iomod.es_to_json(family_es("L", 2)), "L2.es.json")
     if "L4.es.json" in argv:
         iomod.dump_json(iomod.es_to_json(family_es("L", 4)), "L4.es.json")
+    if "C8.es.json" in argv:
+        iomod.dump_json(iomod.es_to_json(family_es("C", 8)), "C8.es.json")
+    if "L2.async.json" in argv:
+        hasse = hasse_as_async(dom_of_es(family_es("L", 2)))
+        iomod.dump_json(iomod.async_to_json(hasse), "L2.async.json")
     # element names that DOT must escape
     dom = FiniteDomain(['a"b', "c\\d", "e f"], [('a"b', "c\\d"), ('a"b', "e f")])
     iomod.dump_json(iomod.domain_to_json(dom), "quote.domain.json")
