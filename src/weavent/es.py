@@ -248,7 +248,7 @@ def _find_table(es: EventStructure) -> _Table:
 
     Configurations grow by single-event extensions from the empty one, size
     by size; every configuration is reached this way because securing
-    sequences pass through configurations.  ``en[c]``, the events that a
+    sequences pass through configurations.  ``en``, the events that a
     configuration ``c`` enables, is that of the parent it was first reached
     from, plus what the generators watching the added event now enable.
     """
@@ -263,21 +263,35 @@ def _find_table(es: EventStructure) -> _Table:
                 first |= 1 << k
             for x in _bits(need):
                 watch[x].append((need, 1 << k))
-    en = {0: first}
+    # c minimally enables e iff it enables e and no c ^ x does.  If
+    # configurations d ⊂ c, a securing sequence of c, with the events of d
+    # skipped, takes d to c through configurations; so some c ^ x is a
+    # configuration containing d, and by monotonicity it enables e.  Every
+    # c ^ x is one layer below c, so the walk ORs what they enable into
+    # ``below[c]`` while it grows c, and reads c's minimal enablings when c's
+    # layer comes up; it keeps ``en`` and ``below`` for two layers only.
+    mins: List[List[int]] = [[] for _ in range(n)]
     lower = {0: 0}
     maximal = []
-    layer = [0]
+    layer = {0: first}  # each configuration of one size, and its en
+    below = {0: 0}
     while layer:
-        grown = []
-        for c in layer:
+        grown: Dict[int, int] = {}
+        under: Dict[int, int] = {}
+        for c, en in layer.items():
+            m = en & ~below[c]
+            if m:
+                for k in _bits(m):
+                    mins[k].append(c)
             extended = False
-            new = en[c] & ~c
+            new = en & ~c
             while new:
                 b = new & -new
                 new ^= b
                 c2 = c | b
-                if c2 in lower:
+                if c2 in grown:
                     lower[c2] |= b
+                    under[c2] |= en
                     extended = True
                     continue
                 x = b.bit_length() - 1
@@ -286,28 +300,15 @@ def _find_table(es: EventStructure) -> _Table:
                     continue
                 extended = True
                 lower[c2] = b
-                e2 = en[c]
+                under[c2] = en
+                e2 = en
                 for need, kb in watch[x]:
                     if not need & ~c2:
                         e2 |= kb
-                en[c2] = e2
-                grown.append(c2)
+                grown[c2] = e2
             if not extended:
                 maximal.append(c)
-        layer = grown
-    # c minimally enables e iff it enables e and no c ^ x does.  If
-    # configurations d ⊂ c, a securing sequence of c, with the events of d
-    # skipped, takes d to c through configurations; so some c ^ x is a
-    # configuration containing d, and by monotonicity it enables e.
-    mins: List[List[int]] = [[] for _ in range(n)]
-    for c, low in lower.items():
-        below = 0
-        while low:
-            b = low & -low
-            low ^= b
-            below |= en[c ^ b]
-        for k in _bits(en[c] & ~below):
-            mins[k].append(c)
+        layer, below = grown, under
     together = [0] * n
     for m in maximal:
         for k in _bits(m):

@@ -5,14 +5,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weavent.es import (Classification, EventStructure, EsError, LivenessError, classify,
-                        configuration_count, configurations, is_configuration, is_secured, minimal_enablings,
-                        saturate, validate_es_morphism)
+from weavent._common import _bits
+from weavent.es import (Classification, EventStructure, EsError, LivenessError, _table,
+                        classify, configuration_count, configurations, is_configuration,
+                        is_secured, minimal_enablings, saturate, validate_es_morphism)
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split, e_three_independent)
 from weavent.io import load_structure
-from tests._gen import (random_connected_es, random_consistency_es, random_enabling,
-                        random_live_es)
+from tests._gen import (family_es, random_connected_es, random_consistency_es,
+                        random_enabling, random_live_es)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -233,6 +234,43 @@ class TestMinimalEnablings:
                 enabling = [c for c in configurations(es) if es.enables(c, e)]
                 assert minimal_enablings(es, e) == {
                     c for c in enabling if not any(d < c for d in enabling)}
+
+
+def mins_by_second_pass(es):
+    """The minimal enablings read off the finished table in a second pass:
+    ``c`` minimally enables ``k`` when it enables ``k`` and none of its
+    lower covers ``c ^ x`` does, taken in the order of ``lower``."""
+    def en(c):
+        return sum(1 << k for k, needs in enumerate(es._needs)
+                   if any(not need & ~c for need in needs))
+    mins = [[] for _ in es._names]
+    for c, low in _table(es).lower.items():
+        below = 0
+        for x in _bits(low):
+            below |= en(c ^ 1 << x)
+        for k in _bits(en(c) & ~below):
+            mins[k].append(c)
+    return mins
+
+
+class TestTableWalk:
+    """The walk reads the minimal enablings while it grows the layers; a
+    second pass over the finished table is the reference, order included."""
+
+    @staticmethod
+    def _structures():
+        out = [family_es(f, n) for f in "BXLC" for n in range(1, 5)]
+        for path in sorted(FIXTURES.glob("*.es.json")):
+            out.append(load_structure(str(path), "es"))
+        rng = random.Random(41)
+        out += [random_live_es(rng) for _ in range(40)]
+        out += [random_connected_es(rng) for _ in range(20)]
+        out += _consistency_draws(41)
+        return out
+
+    def test_mins_equal_the_second_pass_in_order(self):
+        for es in self._structures():
+            assert _table(es).mins == mins_by_second_pass(es), sorted(es.events)
 
 
 class TestClassify:
