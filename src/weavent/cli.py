@@ -49,21 +49,26 @@ def _one_input(args, expects: Optional[str] = None) -> tuple:
     return path, kind, value
 
 
-def _report(verb: str, inputs: Dict[str, str], results: Dict[str, Any],
-            witnesses: Optional[List] = None) -> str:
-    """The report as JSON text.  A ``structure`` in ``results`` is JSON text
-    (``_encoded``), spliced in at its indentation: no JSON string holds a
-    newline, so only that key starts a line ``    "structure": ``."""
+def _write_report(verb: str, inputs: Dict[str, str], results: Dict[str, Any],
+                  witnesses: Optional[List] = None) -> None:
+    """Write the report's JSON text and a newline to stdout.  A
+    ``structure`` in ``results`` is JSON text (``_encoded``), written at its
+    indentation between the text before and after it: no JSON string holds
+    a newline, so only that key starts a line ``    "structure": ``."""
     structure = results.get("structure")
     text = iomod.dumps({"verb": verb, "inputs": inputs, "witnesses": witnesses or [],
                         "results": {**results, "structure": None} if structure else results})
-    return text if structure is None else text.replace(
-        '\n    "structure": null', '\n    "structure": ' + structure.replace("\n", "\n    "), 1)
+    write = sys.stdout.write
+    if structure:
+        head, key, text = text.partition('\n    "structure": null')
+        write(head + key[:-4])
+        write(structure.replace("\n", "\n    "))
+    write(text + "\n")
 
 
-def _encoded(payload: Dict[str, Any], out: Optional[str]) -> str:
-    """``payload`` as JSON text, encoded once for the report and ``out``."""
-    text = iomod.dumps(payload)
+def _encoded(text: str, out: Optional[str]) -> str:
+    """``text``, a payload's JSON text, written to ``out`` when given, for
+    the report to carry too."""
     if out:
         iomod.write_text(out, text + "\n")
     return text
@@ -73,7 +78,7 @@ def _domain_summary(dom) -> Dict[str, Any]:
     alg = algebraicity(dom)
     return {
         "elements": len(dom.elements),
-        "covers": len(dom.covers()),
+        "covers": len(dom._cover_pairs),
         "irreducibles": sorted(irreducible_elements(dom)),
         "primes": sorted(primes(dom)),
         "weak_primes": sorted(weak_primes(dom)),
@@ -145,14 +150,15 @@ class _FailureWithReport(Exception):
 def _cmd_convert(args) -> tuple:
     path, kind, value = _one_input(args)
     target = args.to
+    dumps = iomod.dumps
     conversions = {
-        ("es", "domain"): lambda v: iomod.domain_to_json(dom_of_es(v)),
-        ("es", "epes"): lambda v: iomod.epes_to_json(unfold(v)),
-        ("domain", "es"): lambda v: iomod.es_to_json(ev_of_domain(v)),
-        ("domain", "epes"): lambda v: iomod.epes_to_json(epes_ev(v)),
-        ("domain", "es-intervals"): lambda v: iomod.es_to_json(ev_wd(v)),
-        ("epes", "es"): lambda v: iomod.es_to_json(fuse(v)),
-        ("epes", "domain"): lambda v: iomod.domain_to_json(epes_dom(v)),
+        ("es", "domain"): lambda v: iomod.dumps_domain(dom_of_es(v)),
+        ("es", "epes"): lambda v: dumps(iomod.epes_to_json(unfold(v))),
+        ("domain", "es"): lambda v: dumps(iomod.es_to_json(ev_of_domain(v))),
+        ("domain", "epes"): lambda v: dumps(iomod.epes_to_json(epes_ev(v))),
+        ("domain", "es-intervals"): lambda v: dumps(iomod.es_to_json(ev_wd(v))),
+        ("epes", "es"): lambda v: dumps(iomod.es_to_json(fuse(v))),
+        ("epes", "domain"): lambda v: iomod.dumps_domain(epes_dom(v)),
     }
     key = (kind, target)
     if key not in conversions:
@@ -165,7 +171,7 @@ def _cmd_convert(args) -> tuple:
 def _cmd_connect(args) -> tuple:
     path, _, value = _one_input(args, "es")
     out = connect_es(value)
-    structure = _encoded(iomod.es_to_json(out), args.out)
+    structure = _encoded(iomod.dumps(iomod.es_to_json(out)), args.out)
     return {"input": path}, {"connected": classify(out).connected, "events": len(out.events),
                              "written": args.out or None, "structure": structure}, []
 
@@ -204,7 +210,7 @@ def _cmd_derive(args) -> tuple:
         if args.format == "dot":
             iomod.write_text(args.out, dotmod.poset_dot(dom, "traces"))
         else:
-            iomod.dump_json(iomod.domain_to_json(dom), args.out)
+            iomod.write_text(args.out, iomod.dumps_domain(dom) + "\n")
         results["written"] = args.out
     expected_prime = args.fusion_safe
     if not alg.weak_prime_algebraic or (expected_prime and not alg.prime_algebraic):
@@ -221,7 +227,7 @@ def _cmd_synth(args) -> tuple:
                "start_nodes": len(grammar.start.nodes),
                "exhaustive_depth": len(grammar.rules),
                "written": args.out or None,
-               "structure": _encoded(iomod.grammar_to_json(grammar), args.out)}
+               "structure": _encoded(iomod.dumps(iomod.grammar_to_json(grammar)), args.out)}
     return {"input": path}, results, []
 
 
@@ -279,7 +285,7 @@ def _cmd_axioms(args) -> tuple:
     rep = check_axioms(value)
     alg = algebraicity(value)
     results = {"F": rep.F, "C": rep.C, "R": rep.R, "V": rep.V, "I": rep.I,
-               "intervals": len(value.covers()),
+               "intervals": len(value._cover_pairs),
                "interval_classes": len(interval_classes(value)),
                "weak_prime_algebraic": alg.weak_prime_algebraic}
     witnesses = []
@@ -297,7 +303,7 @@ def _cmd_async(args) -> tuple:
         dom = async_domain(value)
         results["path_classes"] = len(dom.elements)
         if args.out:
-            iomod.dump_json(iomod.domain_to_json(dom), args.out)
+            iomod.write_text(args.out, iomod.dumps_domain(dom) + "\n")
             results["written"] = args.out
     if not results["weak_valid" if args.weak else "full_valid"]:
         witnesses += list(rep.diagnostics)
@@ -370,12 +376,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         inputs, results, witnesses = handler(args)
     except _FailureWithReport as fail:
         results, witnesses, path = fail.args
-        print(_report(args.verb, {"input": path}, results, witnesses))
+        _write_report(args.verb, {"input": path}, results, witnesses)
         return 1
     except (iomod.SchemaError, EsError, OrderError, GraphError, AsyncError) as exc:
         sys.stderr.write(iomod.dumps({"error": str(exc)}) + "\n")
         return 2
-    print(_report(args.verb, inputs, results, witnesses))
+    _write_report(args.verb, inputs, results, witnesses)
     return 0
 
 

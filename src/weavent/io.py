@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping
 
 from .es import BINARY, EventStructure
@@ -155,6 +156,19 @@ def domain_to_json(dom: FiniteDomain) -> Dict[str, Any]:
     return {"elements": list(dom.elements),
             "covers": dom.covers(),
             "kind": dom.kind}
+
+
+def dumps_domain(dom: FiniteDomain) -> str:
+    """``dumps(domain_to_json(dom))``, with each element name encoded once
+    and the covers filled from the index pairs in one format."""
+    names = list(map(_enc, dom.elements))
+    pairs = dom._cover_pairs
+    # the names are arguments, never part of the template, so '%' in one is safe
+    covers = ("[\n    " + ",\n    ".join(["[\n      %s,\n      %s\n    ]"] * len(pairs))
+              + "\n  ]") % tuple(chain.from_iterable(
+                  (names[a], names[b]) for a, b in pairs)) if pairs else "[]"
+    return ('{\n  "covers": ' + covers + ',\n  "elements": [\n    ' + ",\n    ".join(names)
+            + '\n  ],\n  "kind": ' + _enc(dom.kind) + "\n}")
 
 
 # ---------------------------------------------------------------------- #
@@ -324,11 +338,42 @@ _enc = json.encoder.encode_basestring_ascii
 # how each scalar type is written; json.dumps writes any other leaf
 _SCALAR = {str: _enc, int: int.__repr__, bool: {True: "true", False: "false"}.get,
            type(None): lambda _: "null"}
-_SCALARS, _STR, _SEQ = frozenset(_SCALAR), {str}, {list, tuple}
+_SCALARS, _STR, _SEQ, _DICT = frozenset(_SCALAR), {str}, {list, tuple}, {dict}
+_LISTED = _SCALARS | {list}
 
 
 def _scalar(x) -> str:
     return _SCALAR[x.__class__](x)
+
+
+def _records(x, nl: str):
+    """The text of ``x``, a non-empty list of dicts at the indent ``nl``,
+    when the dicts share one non-empty set of string keys and every value
+    is a string, int, bool, None or list of strings: each record fills one
+    template.  None for any other list."""
+    first = x[0].keys()
+    if any(d.keys() != first for d in x) or set(map(type, first)) != _STR:
+        return None
+    keys = sorted(first)
+    nl2, nl3, nl4 = nl + "  ", nl + "    ", nl + "      "
+    columns = []
+    for k in keys:
+        vals = list(map(itemgetter(k), x))
+        kinds = set(map(type, vals))
+        if kinds <= _SCALARS:
+            columns.append(map(_enc if kinds == _STR else _scalar, vals))
+            continue
+        if not kinds <= _LISTED or set(map(type, chain.from_iterable(
+                v for v in vals if v.__class__ is list))) - _STR:
+            return None
+        sep4 = "," + nl4
+        columns.append([_scalar(v) if v.__class__ is not list
+                        else "[" + nl4 + sep4.join(map(_enc, v)) + nl3 + "]" if v
+                        else "[]" for v in vals])
+    # the template holds the encoded keys, so a '%' in one is doubled
+    template = "{" + nl3 + ("," + nl3).join(
+        [_enc(k).replace("%", "%%") + ": %s" for k in keys]) + nl2 + "}"
+    return "[" + nl2 + ("," + nl2).join(map(template.__mod__, zip(*columns))) + nl + "]"
 
 
 def dumps(obj: Any) -> str:
@@ -395,6 +440,9 @@ def dumps(obj: Any) -> str:
                 strs = map(_enc, chain(*x))
                 out.append("[" + nl2 + sep.join(map(inner.__mod__, zip(*[strs] * k)))
                            + nl + "]")
+                continue
+            if kinds == _DICT and (text := _records(x, nl)) is not None:
+                out.append(text)
                 continue
             vals = x
             heads = ["[" + nl2] + [sep] * (len(x) - 1)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from weavent import io as iomod
 from weavent.asyncgraphs import hasse_as_async
+from weavent.domains import BOUNDED_COMPLETE, FiniteDomain
 from weavent.duality import dom_of_es, unfold
 from weavent.rewrite import grammar_from_es
 from tests._gen import family_es, random_connected_es
@@ -22,21 +23,27 @@ def oracle(x) -> str:
     return json.dumps(x, indent=2, sort_keys=True)
 
 
-# strings JSON must escape: quotes, backslashes, control characters, lone
+# strings JSON must escape (and '%'): quotes, backslashes, control characters, lone
 # surrogates, characters outside ASCII and outside the BMP
 chars = (st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
-         | st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t é漢\U0001f600'))
+         | st.sampled_from('"\\/%\x00\x1f\x7f\b\f\n\r\t é漢\U0001f600'))
 strings = st.text(chars, max_size=6)
 scalars = (strings | st.booleans() | st.sampled_from([0, 1, -1, None])
            | st.integers(min_value=-2**200, max_value=2**200)
            | st.floats(allow_nan=False))  # a float is written by json.dumps
+# the values of a record: strings, ints, bools, None, lists of strings
+fields = (strings | st.booleans() | st.none() | st.integers(min_value=-2**70, max_value=2**70)
+          | st.lists(strings, max_size=3))
 # the shapes written in one join: flat string lists, lists of string lists
-# of one length, objects of scalars
+# of one length, objects of scalars, and lists of records that share one
+# set of string keys
 flat = (st.lists(strings, max_size=5)
         | st.integers(1, 3).flatmap(lambda k: st.lists(
             st.lists(strings, min_size=k, max_size=k).map(tuple) | st.lists(
                 strings, min_size=k, max_size=k), max_size=4))
-        | st.dictionaries(strings, scalars, max_size=5))
+        | st.dictionaries(strings, scalars, max_size=5)
+        | st.lists(strings, min_size=1, max_size=4, unique=True).flatmap(lambda keys: st.lists(
+            st.fixed_dictionaries({k: fields for k in keys}), min_size=1, max_size=4)))
 values = st.recursive(
     scalars | flat,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
@@ -59,6 +66,38 @@ def test_dumps_is_json_dumps(x):
 ])
 def test_dumps_edge_values(x):
     assert iomod.dumps(x) == oracle(x)
+
+
+def _circular_records():
+    inner = [{"a": "x"}]
+    inner.append({"a": inner})
+    selfish = {"a": None}
+    selfish["a"] = selfish
+    return [inner, [selfish], [{"a": ["x", inner]}]]
+
+
+# lists of records written in one template, then near misses that must take
+# the general walk: another key set, a non-string key, a nested object, a
+# tuple, a float, a list holding a non-string, no keys, and cycles
+@pytest.mark.parametrize("x", [
+    [{"b": "x", "a": 1}], ({"a": "x"}, {"a": "y"}), [{"k": []}, {"k": ["", '"\\']}],
+    [{"%s": "%d", "a%%": ["%"]}], [{"t": True, "f": False, "n": None, "i": -10 ** 40}],
+    [{"v": "x"}, {"v": ["x"]}, {"v": None}, {"v": 0}],
+    [{"a": "x"}, {"b": "x"}], [{"a": "x"}, {"a": "x", "b": "y"}],
+    [{"a": "x", 1: "y"}, {"a": "z", 1: "w"}], [{1: "x"}, {1: "y"}], [{None: "x"}],
+    [{"a": {"b": "c"}}], [{"a": {}}, {"a": {}}], [{"a": ("x", "y")}], [{"a": 1.5}],
+    [{"a": ["x", 1]}], [{"a": [["x"]]}], [{}], [{}, {"a": "x"}],
+    *_circular_records(),
+])
+def test_dumps_record_lists_and_near_misses(x):
+    try:
+        expected = oracle(x)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            iomod.dumps(x)
+        assert str(got.value) == str(exc)
+    else:
+        assert iomod.dumps(x) == expected
 
 
 def test_dumps_raises_where_json_dumps_does():
@@ -111,3 +150,27 @@ def test_dumps_of_every_payload():
     assert len(payloads) > 100
     for x in payloads:
         assert iomod.dumps(x) == oracle(x)
+
+
+def _domains():
+    """Every domain fixture, the configuration domains of the families and
+    of seeded draws, a one-element domain and names that JSON must escape."""
+    doms = [iomod.load_structure(str(path), "domain")
+            for pattern in ("*.domain.json", "*.bdomain.json")
+            for path in sorted(FIXTURES.glob(pattern))]
+    doms += [dom_of_es(family_es(f, n)) for f in "BXLC" for n in range(1, 5)]
+    rng = random.Random(8)
+    doms += [dom_of_es(random_connected_es(rng)) for _ in range(6)]
+    doms += [FiniteDomain(["only"], []), FiniteDomain(["%s"], [], BOUNDED_COMPLETE),
+             FiniteDomain(['a"b', "c\\d", "e\nf", "%s", "na\u00efve", "\ud800"],
+                          [('a"b', "c\\d"), ('a"b', "e\nf"), ("c\\d", "%s"),
+                           ("e\nf", "%s"), ("%s", "na\u00efve"), ("%s", "\ud800")])]
+    return doms
+
+
+def test_dumps_domain_is_dumps_of_domain_to_json():
+    doms = _domains()
+    assert len(doms) > 25
+    for dom in doms:
+        payload = iomod.domain_to_json(dom)
+        assert iomod.dumps_domain(dom) == iomod.dumps(payload) == oracle(payload), dom.elements
