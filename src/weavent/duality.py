@@ -18,7 +18,7 @@ from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
-from ._common import UnionFind, backtrack
+from ._common import UnionFind, _bits, backtrack
 from .es import (BINARY, EsError, EventStructure, _require_live, _table, classify,
                  configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
@@ -202,19 +202,18 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
     if len(dom1.elements) != len(dom2.elements):
         return None
 
-    def heights(dom):
-        h = {}
-        for x in sorted(dom.elements, key=lambda x: dom._down[dom.index(x)].bit_count()):
-            lows = dom.lower_covers(x)
-            h[x] = 0 if not lows else 1 + max(h[y] for y in lows)
-        return h
-
     def sigs(dom):
-        h = heights(dom)
-        return {x: (h[x], len(dom.lower_covers(x)), len(dom.upper_covers(x)),
-                    dom._down[dom.index(x)].bit_count(),
-                    dom._up[dom.index(x)].bit_count())
-                for x in dom.elements}
+        # each element's height, lower and upper cover counts, and down-
+        # and up-set sizes; elements sorted by down-set size come after
+        # their lower covers, so each height is read after theirs
+        lower, upper, down, up = dom._lower, dom._upper, dom._down, dom._up
+        h = [0] * len(lower)
+        for i in sorted(range(len(lower)), key=lambda i: down[i].bit_count()):
+            if lower[i]:
+                h[i] = 1 + max(h[j] for j in _bits(lower[i]))
+        return {x: (h[i], lower[i].bit_count(), upper[i].bit_count(),
+                    down[i].bit_count(), up[i].bit_count())
+                for i, x in enumerate(dom.elements)}
 
     def fitting(order):
         # Height leads the signature, so the lower covers of order[k] are
