@@ -150,14 +150,13 @@ class _FailureWithReport(Exception):
 def _cmd_convert(args) -> tuple:
     path, kind, value = _one_input(args)
     target = args.to
-    dumps = iomod.dumps
     conversions = {
         ("es", "domain"): lambda v: iomod.dumps_domain(dom_of_es(v)),
-        ("es", "epes"): lambda v: dumps(iomod.epes_to_json(unfold(v))),
-        ("domain", "es"): lambda v: dumps(iomod.es_to_json(ev_of_domain(v))),
-        ("domain", "epes"): lambda v: dumps(iomod.epes_to_json(epes_ev(v))),
-        ("domain", "es-intervals"): lambda v: dumps(iomod.es_to_json(ev_wd(v))),
-        ("epes", "es"): lambda v: dumps(iomod.es_to_json(fuse(v))),
+        ("es", "epes"): lambda v: iomod.dumps(iomod.epes_to_json(unfold(v))),
+        ("domain", "es"): lambda v: iomod.dumps(iomod.es_to_json(ev_of_domain(v))),
+        ("domain", "epes"): lambda v: iomod.dumps(iomod.epes_to_json(epes_ev(v))),
+        ("domain", "es-intervals"): lambda v: iomod.dumps(iomod.es_to_json(ev_wd(v))),
+        ("epes", "es"): lambda v: iomod.dumps(iomod.es_to_json(fuse(v))),
         ("epes", "domain"): lambda v: iomod.dumps_domain(epes_dom(v)),
     }
     key = (kind, target)

@@ -267,13 +267,14 @@ def _find_table(es: EventStructure) -> _Table:
     # configurations d ⊂ c, a securing sequence of c, with the events of d
     # skipped, takes d to c through configurations; so some c ^ x is a
     # configuration containing d, and by monotonicity it enables e.  Every
-    # c ^ x is one layer below c, so the walk ORs what they enable into
-    # ``below[c]`` while it grows c, and reads c's minimal enablings when c's
-    # layer comes up; it keeps ``en`` and ``below`` for two layers only.
+    # c ^ x lies one layer below c, so the walk ORs what each enables into
+    # ``below[c]`` as it reaches c from it, and reads c's minimal enablings
+    # when it walks c's layer; ``en`` and ``below`` are kept for the current
+    # and the next layer only.
     mins: List[List[int]] = [[] for _ in range(n)]
     lower = {0: 0}
     maximal = []
-    layer = {0: first}  # each configuration of one size, and its en
+    layer = {0: first}  # the configurations of one size, each with its en
     below = {0: 0}
     while layer:
         grown: Dict[int, int] = {}

@@ -11,9 +11,12 @@ file; a failed read or write, or input that is not UTF-8 JSON, ends in
 
 The text ``dumps`` gives is byte for byte ``json.dumps(obj, indent=2,
 sort_keys=True)``.  That call always runs through ``json``'s pure-Python
-encoder, so ``dumps`` writes the lists of strings and the flat objects that
-make up most of a payload in one ``str.join`` each, over ``json``'s C string
-encoder.
+encoder, so ``dumps`` writes the lists of strings, the flat objects and the
+lists of records (objects that share one set of keys: enabling entries,
+graph nodes and edges) that make up most of a payload in one ``str.join``
+each, over ``json``'s C string encoder.  ``dumps_domain`` gives the same
+text for a domain's ``domain_to_json`` without building it: each element
+name is encoded once and the covers are filled from the index pairs.
 """
 
 from __future__ import annotations
@@ -382,11 +385,14 @@ def dumps(obj: Any) -> str:
     The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
     and what that call rejects (an unknown type, a bad key, a cycle) raises
     the same error here.  A list of strings, a list of lists of k ≥ 1
-    strings each (covers, conflict pairs), or an object whose values are all
-    strings, ints, bools or None is written in one join over ``json``'s C
-    string encoder.  Any other container is walked with an explicit stack,
-    so nesting depth is not bounded by the recursion limit, and any leaf
-    other than a string, int, bool or None is written by ``json.dumps``.
+    strings each (covers, conflict pairs), an object whose values are all
+    strings, ints, bools or None, or a list of records (objects with one
+    shared set of string keys, each value a string, int, bool, None or list
+    of strings) is written in one join over ``json``'s C string encoder; a
+    domain's text has its own writer, ``dumps_domain``.  Any other
+    container is walked with an explicit stack, so nesting depth is not
+    bounded by the recursion limit, and any leaf other than a string, int,
+    bool or None is written by ``json.dumps``.
     """
     out: List[str] = []
     path: List[int] = []  # ids of the containers open at each depth
