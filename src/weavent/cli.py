@@ -61,9 +61,11 @@ def _write_report(verb: str, inputs: Dict[str, str], results: Dict[str, Any],
     write = sys.stdout.write
     if structure:
         head, key, text = text.partition('\n    "structure": null')
-        write(head + key[:-4])
+        write(head)
+        write(key[:-4])
         write(structure.replace("\n", "\n    "))
-    write(text + "\n")
+    write(text)
+    write("\n")
 
 
 def _encoded(text: str, out: Optional[str]) -> str:
