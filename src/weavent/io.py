@@ -163,15 +163,15 @@ def domain_to_json(dom: FiniteDomain) -> Dict[str, Any]:
 
 def dumps_domain(dom: FiniteDomain) -> str:
     """``dumps(domain_to_json(dom))``, with each element name encoded once
-    and the covers filled from the index pairs in one format."""
+    and the whole text filled in one format, covers from the index pairs."""
     names = list(map(_enc, dom.elements))
     pairs = dom._cover_pairs
     # the names are arguments, never part of the template, so '%' in one is safe
     covers = ("[\n    " + ",\n    ".join(["[\n      %s,\n      %s\n    ]"] * len(pairs))
-              + "\n  ]") % tuple(chain.from_iterable(
-                  (names[a], names[b]) for a, b in pairs)) if pairs else "[]"
-    return ('{\n  "covers": ' + covers + ',\n  "elements": [\n    ' + ",\n    ".join(names)
-            + '\n  ],\n  "kind": ' + _enc(dom.kind) + "\n}")
+              + "\n  ]") if pairs else "[]"
+    template = '{\n  "covers": ' + covers + ',\n  "elements": [\n    %s\n  ],\n  "kind": %s\n}'
+    return template % (*chain.from_iterable((names[a], names[b]) for a, b in pairs),
+                       ",\n    ".join(names), _enc(dom.kind))
 
 
 # ---------------------------------------------------------------------- #
