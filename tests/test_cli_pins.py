@@ -10,7 +10,10 @@ write a file (``convert``, ``connect``, ``synth``, ``derive`` and ``emit``)
 were taken while each report still encoded its payload a second time; those
 of ``convert --to epes`` and ``synth`` on C_8 (897 enabling records) and of
 ``async --weak --out`` were taken while every list of objects and every
-domain file still went through ``io.dumps``' general walk.
+domain file still went through ``io.dumps``' general walk.  Those of
+``synth`` on X_4 (conflict items) and on ``e_five`` (tuple nodes that
+several events name) were taken while ``grammar_from_es`` still built the
+start graph and each rule's ``L`` node by node.
 ``roundtrip`` on B_10 runs the CLI through more than a thousand
 configurations.  The ``derive`` digests on the growing grammar, most of
 whose derivations apply ``grow`` more than once, were taken while
@@ -153,6 +156,12 @@ WRITTEN = {
     "synth --es C8.es.json --out synth.grammar.json": (
         "4b87e4353077e52afc0d92bce0ca0884d35cdfa58749792f3c2ec7d2b085f35c",
         "2a5c8711a5187ddb9dffb018e328d684560a6aec8a85e926135c64c3fcbbec56"),
+    "synth --es X4.es.json --out synth.grammar.json": (
+        "2317269499ad38d97e0711031ea5558925fdf7a9a83df74ed90e78c60a655a8b",
+        "79fdf431fad095ff795cc9f820a458b50ba86a3b52c491d1ff66a1476e8d51eb"),
+    "synth --es e_five.es.json --out synth.grammar.json": (
+        "1a1b5fff66daf176fcacd9bf485301c5605a13cc76ce8d23b48ccb2b8ff0c8ed",
+        "890a2b3d90335abae6e7e60e0380a986fd385afd43747baa2fdc761984b96a18"),
     "async --async L2.async.json --weak --out async.domain.json": (
         "473a1f52b07a3bd131e695c6cfb794c945f4820ce6b4336f518c2a5265e10c69",
         "974a9545413bb5b8096fecb73a91f4e9efe034a5933843e6f2a7af5736dd98f3"),
@@ -172,13 +181,15 @@ WRITTEN = {
 
 
 def _write_inputs(argv):
-    for name in ("e_run.es.json", "fusion.grammar.json", "run.async.json"):
+    for name in ("e_run.es.json", "e_five.es.json", "fusion.grammar.json", "run.async.json"):
         shutil.copyfile(FIXTURES / name, name)
     iomod.dump_json(iomod.es_to_json(family_es("L", 2)), "L2.es.json")
     if "L4.es.json" in argv:
         iomod.dump_json(iomod.es_to_json(family_es("L", 4)), "L4.es.json")
     if "C8.es.json" in argv:
         iomod.dump_json(iomod.es_to_json(family_es("C", 8)), "C8.es.json")
+    if "X4.es.json" in argv:
+        iomod.dump_json(iomod.es_to_json(family_es("X", 4)), "X4.es.json")
     if "L2.async.json" in argv:
         hasse = hasse_as_async(dom_of_es(family_es("L", 2)))
         iomod.dump_json(iomod.async_to_json(hasse), "L2.async.json")
