@@ -377,7 +377,7 @@ def async_domain(a: AsyncGraph) -> FiniteDomain:
                          + "; ".join(report.diagnostics))
     least, links = _path_classes(a)
     ids = [f"p{k}:{';'.join(w) or 'ε'}" for k, w in enumerate(least)]
-    return FiniteDomain.from_leq(ids, [(ids[j], ids[k]) for j, k in links], COHERENT)
+    return FiniteDomain(ids, [(ids[j], ids[k]) for j, k in links], COHERENT)
 
 
 def hasse_as_async(dom: FiniteDomain) -> AsyncGraph:

@@ -72,7 +72,7 @@ def _encoded(text: str, out: Optional[str]) -> str:
     """``text``, a payload's JSON text, written to ``out`` when given, for
     the report to carry too."""
     if out:
-        iomod.write_text(out, text + "\n")
+        iomod.write_text(out, text, "\n")
     return text
 
 
@@ -211,7 +211,7 @@ def _cmd_derive(args) -> tuple:
         if args.format == "dot":
             iomod.write_text(args.out, dotmod.poset_dot(dom, "traces"))
         else:
-            iomod.write_text(args.out, iomod.dumps_domain(dom) + "\n")
+            iomod.write_text(args.out, iomod.dumps_domain(dom), "\n")
         results["written"] = args.out
     expected_prime = args.fusion_safe
     if not alg.weak_prime_algebraic or (expected_prime and not alg.prime_algebraic):
@@ -304,7 +304,7 @@ def _cmd_async(args) -> tuple:
         dom = async_domain(value)
         results["path_classes"] = len(dom.elements)
         if args.out:
-            iomod.write_text(args.out, iomod.dumps_domain(dom) + "\n")
+            iomod.write_text(args.out, iomod.dumps_domain(dom), "\n")
             results["written"] = args.out
     if not results["weak_valid" if args.weak else "full_valid"]:
         witnesses += list(rep.diagnostics)

@@ -154,16 +154,6 @@ class FiniteDomain:
         self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def from_leq(elements: Iterable[str], leq: Iterable[Tuple[str, str]],
-                 kind: str = COHERENT) -> "FiniteDomain":
-        """Build from an arbitrary (reflexive-transitive) order relation."""
-        return FiniteDomain(elements, [(a, b) for a, b in leq if a != b], kind)
-
-    # ------------------------------------------------------------------ #
     # Tables built on first use
     # ------------------------------------------------------------------ #
 

@@ -328,7 +328,7 @@ def epes_dom(p: Epes) -> FiniteDomain:
     sat = [c for c in configurations(p.base) if _saturated(p, c, cmap)]
     leq = [(configuration_id(c1), configuration_id(c2))
            for c1 in sat for c2 in sat if c1 < c2]
-    return FiniteDomain.from_leq([configuration_id(c) for c in sat], leq, COHERENT)
+    return FiniteDomain([configuration_id(c) for c in sat], leq, COHERENT)
 
 
 def epes_ev(dom: FiniteDomain) -> Epes:

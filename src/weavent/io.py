@@ -341,7 +341,7 @@ _enc = json.encoder.encode_basestring_ascii
 # how each scalar type is written; json.dumps writes any other leaf
 _SCALAR = {str: _enc, int: int.__repr__, bool: {True: "true", False: "false"}.get,
            type(None): lambda _: "null"}
-_SCALARS, _STR, _SEQ, _DICT = frozenset(_SCALAR), {str}, {list, tuple}, {dict}
+_SCALARS, _STR, _DICT = frozenset(_SCALAR), {str}, {dict}
 _LISTED = _SCALARS | {list}
 
 
@@ -384,8 +384,7 @@ def dumps(obj: Any) -> str:
 
     The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
     and what that call rejects (an unknown type, a bad key, a cycle) raises
-    the same error here.  A list of strings, a list of lists of k ≥ 1
-    strings each (covers, conflict pairs), an object whose values are all
+    the same error here.  A list of strings, an object whose values are all
     strings, ints, bools or None, or a list of records (objects with one
     shared set of string keys, each value a string, int, bool, None or list
     of strings) is written in one join over ``json``'s C string encoder; a
@@ -438,15 +437,6 @@ def dumps(obj: Any) -> str:
             if kinds == _STR:
                 out.append("[" + nl2 + sep.join(map(_enc, x)) + nl + "]")
                 continue
-            k = len(x[0]) if kinds <= _SEQ else 0
-            if k and set(map(len, x)) == {k} and set(map(type, chain(*x))) == _STR:
-                # lists of k strings each: one format fills k encoded strings
-                nl3 = nl2 + "  "
-                inner = "[" + nl3 + ("," + nl3).join(["%s"] * k) + nl2 + "]"
-                strs = map(_enc, chain(*x))
-                out.append("[" + nl2 + sep.join(map(inner.__mod__, zip(*[strs] * k)))
-                           + nl + "]")
-                continue
             if kinds == _DICT and (text := _records(x, nl)) is not None:
                 out.append(text)
                 continue
@@ -464,14 +454,15 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` in one call; SchemaError if that fails."""
+def write_text(path: str, *parts: str) -> None:
+    """Write ``parts`` to ``path`` in order, each as it is, so no payload
+    is copied to append a newline; SchemaError if that fails."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise SchemaError(f"cannot write {path!r}: {exc}") from None
 
 
 def dump_json(obj: Mapping, path: str) -> None:
-    write_text(path, dumps(obj) + "\n")
+    write_text(path, dumps(obj), "\n")

@@ -39,6 +39,14 @@ Montanari and Rossi.  It is exact: every colimit item holds a label and
 every edge label fixes its ends and type, so the map a name-preserving
 permutation pins is an isomorphism exactly when the partitions, read in
 matching orders, are equal.
+
+``grammar_from_es`` gives a live connected event structure a grammar whose
+trace domain regenerates it, built from one carrier per event: the event's
+node and a node per choice tuple over its minimal enablings, each with a
+label loop.  The start graph holds every carrier; the rule of an event
+needs its carrier merged, and merges the parts of the other carriers that
+name it.  Each rule fires at most once, so ``derive`` without ``--depth``
+enumerates such a grammar to ``once_per_rule_depth``, its rule count.
 """
 
 from __future__ import annotations
@@ -657,8 +665,7 @@ def _trace_result(groups: List[list], steps: Iterable[Tuple[int, int]]) -> Trace
         rep = groups[c][0]
         ids[c] = f"t{pos}:{';'.join(rep.rule_names()) or 'ε'}"
         classes.append(TraceClass(ids[c], rep, tuple(groups[c][1:])))
-    domain = FiniteDomain.from_leq(ids.values(), [(ids[a], ids[b]) for a, b in steps],
-                                   COHERENT)
+    domain = FiniteDomain(ids.values(), [(ids[a], ids[b]) for a, b in steps], COHERENT)
     return TraceDomainResult(domain, tuple(classes))
 
 
@@ -776,10 +783,14 @@ def _pmin(es: EventStructure, e: str) -> List[Tuple[str, ...]]:
 def grammar_from_es(es: EventStructure) -> Grammar:
     """Synthesise a grammar whose trace domain regenerates the structure.
 
-    One rule per event: it consumes a private item and one shared item per
-    conflict pair, requires the event's loop-carrying nodes to have been
-    merged, and merges, for every other event, the tuple nodes witnessing
-    this event into that event's own node.
+    An event ``e``'s carrier is its node ``s_e`` and one node ``l_(u)@e``
+    per choice tuple ``u`` over its minimal enablings (``_pmin``), each with
+    a label loop.  The start graph holds every event's carrier, a private
+    item ``i_e`` per event and a shared item ``c_a#b`` per conflict pair.
+    The rule ``e`` consumes ``i_e`` and the conflict items of ``e``, needs
+    ``e``'s carrier merged into one node ``own_e``, and for every other
+    event ``e2`` merges the part of ``e2``'s carrier that names ``e`` (``s_e2``
+    and the tuple nodes whose tuple holds ``e``) into one node ``m_e2``.
     """
     if es.conflict_kind != "binary":
         raise EsError("grammar synthesis needs a binary-conflict structure")
@@ -790,91 +801,45 @@ def grammar_from_es(es: EventStructure) -> Grammar:
         raise EsError("grammar synthesis needs a connected structure")
     events = sorted(es.events)
     pmin = {e: _pmin(es, e) for e in events}
-    conflicts = sorted(tuple(sorted(p)) for p in es.conflict) if es.conflict else []
+    conflicts = sorted(tuple(sorted(p)) for p in es.conflict)
 
-    t_nodes = [f"ev:{e}" for e in events] + [f"init:{e}" for e in events] \
-        + [f"cnf:{a}#{b}" for a, b in conflicts]
-    t_edges = [(f"lab:{e}", f"lab:{e}", f"ev:{e}", f"ev:{e}") for e in events]
-    for e in events:
-        for u in pmin[e]:
-            lu = _tuple_label(u)
-            t_edges.append((f"lab:{lu}@{e}", f"lab:{lu}@{e}", f"ev:{e}", f"ev:{e}"))
-    tg = TypedGraph(t_nodes, t_edges)
+    def carrier(e, tuples, types, edges):
+        """Add ``e``'s node ``s_e`` and its tuple nodes for ``tuples`` to
+        ``types``, each with its label loop to ``edges``; return the loops."""
+        loops = [(f"es_{e}", f"lab:{e}", f"s_{e}")] + [
+            (f"el_{x}", f"lab:{x}", f"l_{x}") for x in (f"{_tuple_label(u)}@{e}" for u in tuples)]
+        for eid, t, n in loops:
+            types[n] = f"ev:{e}"
+            edges.append((eid, t, n, n))
+        return loops
 
-    s_nodes, s_edges, s_types = [], [], {}
-    for e in events:
-        s_nodes += [f"i_{e}", f"s_{e}"]
-        s_types[f"i_{e}"] = f"init:{e}"
-        s_types[f"s_{e}"] = f"ev:{e}"
-        s_edges.append((f"es_{e}", f"lab:{e}", f"s_{e}", f"s_{e}"))
-        for u in pmin[e]:
-            lu = _tuple_label(u)
-            node = f"l_{lu}@{e}"
-            s_nodes.append(node)
-            s_types[node] = f"ev:{e}"
-            s_edges.append((f"el_{lu}@{e}", f"lab:{lu}@{e}", node, node))
-    for a, b in conflicts:
-        s_nodes.append(f"c_{a}#{b}")
-        s_types[f"c_{a}#{b}"] = f"cnf:{a}#{b}"
-    start = TypedGraph(s_nodes, s_edges, s_types)
+    types = {f"i_{e}": f"init:{e}" for e in events}
+    types.update((f"c_{a}#{b}", f"cnf:{a}#{b}") for a, b in conflicts)
+    edges = []
+    loops = {e: carrier(e, pmin[e], types, edges) for e in events}
+    start = TypedGraph(types, edges, types)
+    tg = TypedGraph(types.values(), [(t, t, types[n], types[n]) for _, t, n, _ in edges])
 
     rules = []
     for e in events:
-        l_nodes, l_edges, l_types = [], [], {}
-        l_nodes.append(f"i_{e}")
-        l_types[f"i_{e}"] = f"init:{e}"
-        for a, b in conflicts:
-            if e in (a, b):
-                l_nodes.append(f"c_{a}#{b}")
-                l_types[f"c_{a}#{b}"] = f"cnf:{a}#{b}"
         own = f"own_{e}"
-        l_nodes.append(own)
-        l_types[own] = f"ev:{e}"
-        l_edges.append((f"es_{e}", f"lab:{e}", own, own))
-        for u in pmin[e]:
-            lu = _tuple_label(u)
-            l_edges.append((f"el_{lu}@{e}", f"lab:{lu}@{e}", own, own))
-        affected = []
+        types = {f"i_{e}": f"init:{e}", own: f"ev:{e}"}
+        types.update((f"c_{a}#{b}", f"cnf:{a}#{b}") for a, b in conflicts if e in (a, b))
+        edges = [(eid, t, own, own) for eid, t, _ in loops[e]]
+        rmap = {own: own}
         for e2 in events:
-            if e2 == e:
-                continue
             hits = [u for u in pmin[e2] if e in u]
             if hits:
-                affected.append((e2, hits))
-        for e2, hits in affected:
-            l_nodes.append(f"s_{e2}")
-            l_types[f"s_{e2}"] = f"ev:{e2}"
-            l_edges.append((f"es_{e2}", f"lab:{e2}", f"s_{e2}", f"s_{e2}"))
-            for u in hits:
-                lu = _tuple_label(u)
-                node = f"l_{lu}@{e2}"
-                l_nodes.append(node)
-                l_types[node] = f"ev:{e2}"
-                l_edges.append((f"el_{lu}@{e2}", f"lab:{lu}@{e2}", node, node))
-        lgraph = TypedGraph(l_nodes, l_edges, l_types)
-
-        k_nodes = [n for n in l_nodes if n != f"i_{e}" and not n.startswith("c_")]
-        kgraph = TypedGraph(k_nodes, l_edges, {n: l_types[n] for n in k_nodes})
-        l_mor = GraphMorphism(kgraph, lgraph, {n: n for n in k_nodes},
-                              {ed[0]: ed[0] for ed in l_edges})
-
-        r_nodes, r_types, rmap_n = [], {}, {}
-        r_nodes.append(own)
-        r_types[own] = f"ev:{e}"
-        rmap_n[own] = own
-        for e2, hits in affected:
-            merged = f"m_{e2}"
-            r_nodes.append(merged)
-            r_types[merged] = f"ev:{e2}"
-            rmap_n[f"s_{e2}"] = merged
-            for u in hits:
-                lu = _tuple_label(u)
-                rmap_n[f"l_{lu}@{e2}"] = merged
-        r_edges = [(eid, etype, rmap_n[s], rmap_n[t]) for eid, etype, s, t in l_edges]
-        rgraph = TypedGraph(r_nodes, r_edges, r_types)
-        r_mor = GraphMorphism(kgraph, rgraph, dict(rmap_n),
-                              {ed[0]: ed[0] for ed in l_edges})
-        rules.append(Rule(e, lgraph, kgraph, rgraph, l_mor, r_mor))
+                rmap.update((n, f"m_{e2}") for _, _, n in carrier(e2, hits, types, edges))
+        # K is L less i_e and the conflict items: its nodes are the keys of r's map
+        lgraph = TypedGraph(types, edges, types)
+        kgraph = TypedGraph(rmap, edges, {n: types[n] for n in rmap})
+        rgraph = TypedGraph(rmap.values(), [(eid, t, rmap[s], rmap[d]) for eid, t, s, d in edges],
+                            {rmap[n]: types[n] for n in rmap})
+        emap = {eid: eid for eid, *_ in edges}
+        rules.append(Rule(e, lgraph, kgraph, rgraph,
+                          GraphMorphism(kgraph, lgraph, {n: n for n in rmap}, emap),
+                          GraphMorphism(kgraph, rgraph, rmap, dict(emap))))
     grammar = Grammar(tg, start, tuple(rules))
     grammar.validate()
     return grammar

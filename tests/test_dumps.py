@@ -34,9 +34,9 @@ scalars = (strings | st.booleans() | st.sampled_from([0, 1, -1, None])
 # the values of a record: strings, ints, bools, None, lists of strings
 fields = (strings | st.booleans() | st.none() | st.integers(min_value=-2**70, max_value=2**70)
           | st.lists(strings, max_size=3))
-# the shapes written in one join: flat string lists, lists of string lists
-# of one length, objects of scalars, and lists of records that share one
-# set of string keys
+# the shapes written in one join: flat string lists, objects of scalars and
+# lists of records that share one set of string keys; and lists of string
+# lists of one length (covers, conflict pairs), which the general walk writes
 flat = (st.lists(strings, max_size=5)
         | st.integers(1, 3).flatmap(lambda k: st.lists(
             st.lists(strings, min_size=k, max_size=k).map(tuple) | st.lists(
