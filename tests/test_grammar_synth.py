@@ -147,11 +147,8 @@ def _reference_inputs():
 
 class TestAgainstTheNodeByNodeBuild:
     def test_same_grammar_text(self):
-        seen = 0
         for name, es in _reference_inputs():
             assert _written(grammar_from_es, es) == _written(grammar_from_es_node_by_node, es), name
-            seen += 1
-        assert seen == 20 + 7 + 60
 
     @pytest.mark.parametrize("es", [
         EventStructure.with_consistency(["a", "b"], [["a", "b"]], [((), "a"), ((), "b")]),
