@@ -6,15 +6,24 @@ Verbs: ``check``, ``convert``, ``connect``, ``derive``, ``synth``,
 0 when every asserted property holds, 1 when a property check fails (the
 report names the failing check and carries a witness), 2 on invalid input
 (diagnostics on stderr).  Output is byte-identical across runs.
+
+``main`` may be called many times in one process, a batch session.  Each
+call reads its input file's bytes; when they are the bytes of the last file
+of that kind that parsed, the call gets that structure back, with what
+earlier verbs derived from it (``_common._once``): the configuration table,
+the domain, the connected structure, the pair facts, the axiom and
+asynchronous-graph reports.  ``_SESSION`` holds one structure per input
+kind and drops it before a new file of that kind is parsed; a file that
+fails to parse is not held, and neither is a grammar.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from functools import cache
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import dot as dotmod
 from . import io as iomod
@@ -32,6 +41,27 @@ _INPUT_FLAGS = {"es": "es", "domain": "domain", "grammar": "grammar",
                 "async_graph": "asyncgraph", "epes": "epes"}
 
 
+# The batch session: per input kind, the bytes of the last file of that
+# kind that parsed, and its structure with what was derived from it
+# (``_common._once``).  Grammars are left out: holding one did not move
+# the time of ``derive``, which builds its derivations afresh.
+_SESSION: Dict[str, Tuple[bytes, Any]] = {}
+
+
+def _load(path: str, kind: str):
+    """The structure in the file at ``path``, read on every call: the one
+    the session holds when the bytes are those it was parsed from, else
+    the file's own, parsed after the old one of its kind is dropped."""
+    data = iomod.read_bytes(path)
+    if kind in _SESSION and _SESSION[kind][0] == data:
+        return _SESSION[kind][1]
+    _SESSION.pop(kind, None)
+    value = iomod.parse_bytes(data, path, kind)
+    if kind != "grammar":
+        _SESSION[kind] = data, value
+    return value
+
+
 def _one_input(args, expects: Optional[str] = None) -> tuple:
     """The path, kind and structure of the one input; SchemaError unless
     its kind is ``expects``, when that is given."""
@@ -42,7 +72,7 @@ def _one_input(args, expects: Optional[str] = None) -> tuple:
                                 "(--es | --domain | --grammar | --async | --epes)")
     flag, kind = given[0]
     path = getattr(args, flag)
-    value = iomod.load_structure(path, kind)
+    value = _load(path, kind)
     if expects and kind != expects:
         option = "async" if expects == "asyncgraph" else expects
         raise iomod.SchemaError(f"{args.verb} expects --{option}")
@@ -345,7 +375,7 @@ _VERBS = {
 }
 
 
-@cache
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(

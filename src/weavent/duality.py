@@ -18,7 +18,7 @@ from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
-from ._common import UnionFind, _bits, backtrack
+from ._common import UnionFind, _bits, _once, backtrack
 from .es import (BINARY, EsError, EventStructure, _require_live, _table, classify,
                  configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
@@ -47,7 +47,12 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
     ``c``, and inclusion needs no cycle check or transitive reduction.  No
     order mask is built here; the domain sweeps ``down`` and ``up`` along
     the configurations, smaller first, when a verb first asks for them.
+    The domain is built once per structure and kept on it (``_once``).
     """
+    return _once(es, "domain", _find_domain)
+
+
+def _find_domain(es: EventStructure) -> FiniteDomain:
     _require_live(es)
     lower = _table(es).lower  # configuration -> events x with c ^ x one too
     names = es._names
@@ -95,7 +100,12 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     Events are ↔*-classes of irreducibles; a set enables a class when it
     contains the classes of all strict predecessors of one of its members;
     two classes are in conflict when no element dominates members of both.
+    The structure is built once per domain and kept on it (``_once``).
     """
+    return _once(dom, "ev", _find_ev)
+
+
+def _find_ev(dom: FiniteDomain) -> EventStructure:
     _require_weak_prime(dom)
     classes = interchange_classes(dom)
     name = {}

@@ -3,7 +3,8 @@ writer and text format of files and reports.
 
 One structure per file.  Schemas are strict: unknown keys are rejected, and
 every reference (event names, element ids, node/edge ids) is checked at
-load time.  ``load_structure`` dispatches on the expected kind: ``es``,
+load time.  ``load_structure`` reads a file (``read_bytes``) and parses
+its bytes (``parse_bytes``), dispatching on the expected kind: ``es``,
 ``domain``, ``grammar``, ``asyncgraph`` or ``epes``.  ``dumps`` gives the
 JSON text of files, reports and errors, and ``write_text`` writes every
 file; a failed read or write, or input that is not UTF-8 JSON, ends in
@@ -323,18 +324,40 @@ _PARSERS = {
 }
 
 
-def load_structure(path: str, kind: str):
-    """Load and validate one structure of the expected kind from a file."""
+def _parser(kind: str):
     if kind not in _PARSERS:
         raise SchemaError(f"unknown kind {kind!r}; expected one of {tuple(_PARSERS)}")
+    return _PARSERS[kind]
+
+
+def read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``; SchemaError if it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise SchemaError(str(exc)) from None
-    return _PARSERS[kind](obj)
+
+
+def parse_bytes(data: bytes, path: str, kind: str):
+    """Validate one structure of the expected kind from ``data``, the bytes
+    of the file at ``path``, read as a file opened in text mode reads them:
+    UTF-8, with each ``\\r\\n`` or lone ``\\r`` turned into ``\\n``."""
+    parse = _parser(kind)
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    return parse(obj)
+
+
+def load_structure(path: str, kind: str):
+    """Load and validate one structure of the expected kind from a file."""
+    _parser(kind)  # an unknown kind is named before the file is read
+    return parse_bytes(read_bytes(path), path, kind)
 
 
 _enc = json.encoder.encode_basestring_ascii
@@ -454,12 +477,18 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
+_SLICE = 1 << 16  # characters encoded at a time by ``write_text``
+
+
 def write_text(path: str, *parts: str) -> None:
-    """Write ``parts`` to ``path`` in order, each as it is, so no payload
-    is copied to append a newline; SchemaError if that fails."""
+    """Write ``parts`` to ``path`` in order, so no payload is copied to
+    append a newline, and each in slices of ``_SLICE`` characters, so no
+    payload is encoded to UTF-8 whole; SchemaError if that fails."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            for part in parts:
+                for at in range(0, len(part), _SLICE):
+                    fh.write(part[at:at + _SLICE])
     except OSError as exc:
         raise SchemaError(f"cannot write {path!r}: {exc}") from None
 

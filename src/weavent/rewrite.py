@@ -51,6 +51,7 @@ enumerates such a grammar to ``once_per_rule_depth``, its rule count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -736,23 +737,22 @@ def trace_domain(grammar: Grammar, depth: int, fusion_safe: bool = False,
 def once_per_rule_depth(grammar: Grammar) -> Optional[int]:
     """The rule count, when it provably bounds every derivation.
 
-    Holds when each rule consumes a node of a private type: created by no
-    rule, deleted by no other rule, and present exactly once in the start
-    graph.  Grammars produced by ``grammar_from_es`` have this shape, so
-    enumerating to this depth is exhaustive.
+    Holds when each rule deletes a node of a type that the start graph
+    holds exactly once and that no rule creates: once that node is deleted
+    no node of its type is left, so the rule applies at most once.  Grammars
+    produced by ``grammar_from_es`` have this shape, so enumerating to this
+    depth is exhaustive.
     """
     created = set()
     for rule in grammar.rules:
         kept = {rule.r.node_map[k] for k in rule.K.nodes}
-        for n in rule.R.nodes - kept:
-            created.add(rule.R.node_type[n])
+        created.update(rule.R.node_type[n] for n in rule.R.nodes - kept)
+    start = grammar.start
+    held = Counter(start.node_type[n] for n in start.nodes)
     for rule in grammar.rules:
         kept = {rule.l.node_map[k] for k in rule.K.nodes}
-        deleted_types = {rule.L.node_type[n] for n in rule.L.nodes - kept}
-        if not any(t not in created
-                   and sum(1 for n in grammar.start.nodes
-                           if grammar.start.node_type[n] == t) == 1
-                   for t in deleted_types):
+        if not any(t not in created and held[t] == 1
+                   for t in {rule.L.node_type[n] for n in rule.L.nodes - kept}):
             return None
     return len(grammar.rules)
 

@@ -7,10 +7,12 @@ from weavent import io as iomod
 from weavent.es import EsError, EventStructure, classify
 from weavent.domains import algebraicity
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain, poset_isomorphic
-from weavent.fixtures import e_five, e_prime_conflict, e_run, e_three_independent
+from weavent.fixtures import e_five, e_prime_conflict, e_run, e_three_independent, \
+    running_grammar
 from weavent.graphs import GraphMorphism, TypedGraph
-from weavent.rewrite import Grammar, Rule, _pmin, _tuple_label, grammar_from_es, trace_domain
-from tests._gen import family_es, random_connected_es
+from weavent.rewrite import Grammar, Rule, _pmin, _tuple_label, grammar_from_es, \
+    once_per_rule_depth, trace_domain
+from tests._gen import family_es, growing_grammar, random_connected_es
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -229,3 +231,45 @@ class TestRoundTrip:
             names = cls.representative.rule_names()
             assert len(names) == len(set(names))
             assert len(names) <= 3
+
+
+def once_per_rule_depth_per_rule(grammar: Grammar):
+    """``once_per_rule_depth`` as it was before the start graph's node types
+    were counted once, kept verbatim as the reference: it counts them again
+    for every deleted type of every rule."""
+    created = set()
+    for rule in grammar.rules:
+        kept = {rule.r.node_map[k] for k in rule.K.nodes}
+        for n in rule.R.nodes - kept:
+            created.add(rule.R.node_type[n])
+    for rule in grammar.rules:
+        kept = {rule.l.node_map[k] for k in rule.K.nodes}
+        deleted_types = {rule.L.node_type[n] for n in rule.L.nodes - kept}
+        if not any(t not in created
+                   and sum(1 for n in grammar.start.nodes
+                           if grammar.start.node_type[n] == t) == 1
+                   for t in deleted_types):
+            return None
+    return len(grammar.rules)
+
+
+def _depth_inputs():
+    for family in "BXLC":
+        for n in range(1, 6):
+            yield f"{family}{n}", grammar_from_es(family_es(family, n))
+    for path in sorted(FIXTURES.glob("*.grammar.json")):
+        yield path.name, iomod.load_structure(str(path), "grammar")
+    yield "running_grammar", running_grammar()
+    yield "growing_grammar", growing_grammar()
+    # two rules deleting the one node of a type: each still applies at most once
+    g = grammar_from_es(e_run())
+    yield "shared-type", Grammar(g.type_graph, g.start, g.rules + g.rules[:1])
+
+
+def test_once_per_rule_depth_counts_the_start_types_once():
+    depths = {}
+    for name, grammar in _depth_inputs():
+        depths[name] = once_per_rule_depth(grammar)
+        assert depths[name] == once_per_rule_depth_per_rule(grammar), name
+    assert depths["C5"] == 5 and depths["shared-type"] == 4
+    assert None in depths.values()

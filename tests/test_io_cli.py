@@ -502,6 +502,75 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"].startswith(f"{path}: invalid JSON: 'utf-8' codec ")
 
 
+def _read_as_text(path: str) -> str:
+    """What a load of the event structure at ``path`` gave when the file was
+    opened in text mode: the structure's file text, or the SchemaError
+    message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        return f"{path}: invalid JSON: {exc}"
+    try:
+        return iomod.dumps(iomod.es_to_json(iomod.parse_es(obj)))
+    except SchemaError as exc:
+        return str(exc)
+
+
+# pieces of a damaged event-structure file: newlines of every convention,
+# bytes that are no UTF-8 and a multi-byte character cut short
+_PIECES = [b"\r\n", b"\r", b"\n", b"\r\r\n", b"\xe9", b"\xc3", b"\xff", b"\xe2\x82",
+           "\u20ac".encode(), b"\xef\xbb\xbf", b" ", b"}", b'"']
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 400), st.sampled_from(_PIECES)), max_size=4))
+def test_bytes_parse_as_a_text_mode_read(tmp_path_factory, edits):
+    data = bytearray((FIXTURES / "e_five.es.json").read_bytes())
+    for at, piece in edits:
+        data[at:at] = piece
+    path = tmp_path_factory.mktemp("bytes") / "e.es.json"
+    path.write_bytes(bytes(data))
+    try:
+        got = iomod.dumps(iomod.es_to_json(iomod.load_structure(str(path), "es")))
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == _read_as_text(str(path))
+
+
+def test_a_crlf_file_names_the_error_where_a_text_read_did(tmp_path):
+    path = tmp_path / "crlf.es.json"
+    path.write_bytes(b'{\r\n  "events": ["a"],\r\n  "enabling": [,]\r\n}\r\n')
+    with pytest.raises(SchemaError) as err:
+        iomod.load_structure(str(path), "es")
+    assert str(err.value) == f"{path}: invalid JSON: Expecting value: line 3 column 16 (char 36)"
+    assert str(err.value) == _read_as_text(str(path))
+
+
+def test_write_text_encodes_a_slice_at_a_time(tmp_path):
+    import tracemalloc
+    from weavent.rewrite import grammar_from_es
+    from tests._gen import family_es
+    text = iomod.dumps(iomod.grammar_to_json(grammar_from_es(family_es("C", 120))))
+    assert len(text) > 17_000_000
+    path = tmp_path / "c120.grammar.json"
+    tracemalloc.start()
+    try:
+        iomod.write_text(str(path), text, "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the whole text encoded at once took 17.8 MB
+    assert path.read_bytes() == (text + "\n").encode()
+
+
+def test_write_text_slices_keep_every_character(tmp_path):
+    text = ("\u20ac\U0001f600a\n" * iomod._SLICE)[1:]
+    path = tmp_path / "wide.txt"
+    iomod.write_text(str(path), text, "\u00e9")
+    assert path.read_bytes() == (text + "\u00e9").encode()
+
+
 def test_missing_file_message(capsys):
     code, out, err = run_cli("check", "--es", "no-such-file.json", capsys=capsys)
     assert (code, out) == (2, "")
