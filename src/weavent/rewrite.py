@@ -746,7 +746,8 @@ def once_per_rule_depth(grammar: Grammar) -> Optional[int]:
     created = set()
     for rule in grammar.rules:
         kept = {rule.r.node_map[k] for k in rule.K.nodes}
-        created.update(rule.R.node_type[n] for n in rule.R.nodes - kept)
+        for n in rule.R.nodes - kept:
+            created.add(rule.R.node_type[n])
     start = grammar.start
     held = Counter(start.node_type[n] for n in start.nodes)
     for rule in grammar.rules:
