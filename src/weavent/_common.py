@@ -1,15 +1,58 @@
-"""The building blocks every layer shares: a union-find, a report, a
-per-structure cache, the bits of a mask and ``backtrack``, the one
-depth-first search behind graph matching, trace permutations and
-isomorphism tests.
+"""The building blocks every layer shares: the immutable records, a
+union-find, a report, a per-structure cache, the bits of a mask and
+``backtrack``, the one depth-first search behind graph matching, trace
+permutations and isomorphism tests.
 
 This module imports nothing from weavent, so any layer may import it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
+
+
+class Record:
+    """An immutable record, equal only to itself.
+
+    A subclass names in ``_fields`` the fields its ``repr`` shows, in
+    order, and sets every attribute once in its own ``__init__`` through
+    ``object.__setattr__``; attributes outside ``_fields`` (``_derived``
+    and the like) are left out of ``repr``.  Assigning or deleting an
+    attribute afterwards raises ``AttributeError``.  The instance keeps its
+    ``__dict__``, so ``copy`` and ``pickle`` work on it.
+    """
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Value(Record):
+    """A record equal to another of its own class with equal ``_fields``,
+    and hashed by them."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class attribute, not a method: ``self._key(x)`` is the tuple of
+        # x's fields (every value class has two or more)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 class UnionFind:
@@ -62,12 +105,15 @@ class UnionFind:
         return [sorted(members) for members in out.values()]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
     """A verdict; when it is negative, the failed condition and a witness."""
-    ok: bool
-    condition: Optional[str] = None
-    witness: Optional[tuple] = None
+    _fields = ("ok", "condition", "witness")
+
+    def __init__(self, ok: bool, condition: Optional[str] = None,
+                 witness: Optional[tuple] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self):
         return self.ok

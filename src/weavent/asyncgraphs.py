@@ -27,11 +27,10 @@ is the reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from ._common import UnionFind, _once
+from ._common import Record, UnionFind, Value, _once
 from .domains import COHERENT, FiniteDomain
 
 Path2 = Tuple[str, str]
@@ -42,20 +41,20 @@ class AsyncError(ValueError):
     """Malformed asynchronous graph."""
 
 
-@dataclass(frozen=True, eq=False)
-class AsyncGraph:
+class AsyncGraph(Record):
     """A finite acyclic transition graph with origin and square generators."""
-    nodes: FrozenSet[str]
-    edges: Dict[str, Tuple[str, str]]  # edge id -> (src, tgt)
-    origin: str
-    squares: FrozenSet[FrozenSet[Path2]]
-    # the sorted out-edges of each node, and results derived from the graph
-    _out: Dict[str, Tuple[str, ...]] = field(init=False, repr=False)
-    _derived: Dict[str, object] = field(init=False, repr=False, default_factory=dict)
+    _fields = ("nodes", "edges", "origin", "squares")
 
-    def __post_init__(self):
-        out: Dict[str, List[str]] = {n: [] for n in self.nodes}
-        for e, (s, _) in sorted(self.edges.items()):
+    def __init__(self, nodes: FrozenSet[str], edges: Dict[str, Tuple[str, str]], origin: str,
+                 squares: FrozenSet[FrozenSet[Path2]]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)  # edge id -> (src, tgt)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "squares", squares)
+        # results derived from the graph, and the sorted out-edges of each node
+        object.__setattr__(self, "_derived", {})
+        out: Dict[str, List[str]] = {n: [] for n in nodes}
+        for e, (s, _) in sorted(edges.items()):
             out.setdefault(s, []).append(e)
         object.__setattr__(self, "_out", {n: tuple(es) for n, es in out.items()})
 
@@ -79,7 +78,9 @@ class AsyncGraph:
             if any(len(w) != 2 or w[0] not in emap or w[1] not in emap
                    or emap[w[0]][1] != emap[w[1]][0] for w in members):
                 raise AsyncError(f"square {members} is not a pair of length-2 paths")
-            first, last = members[0], members[-1]
+            if len(members) != 2:
+                raise AsyncError(f"square {members} does not name two distinct paths")
+            first, last = members
             if emap[first[0]][0] != emap[last[0]][0] or emap[first[1]][1] != emap[last[1]][1]:
                 raise AsyncError(f"square {members} is not coinitial-cofinal")
             sqs.add(sq)
@@ -129,17 +130,23 @@ def _end(a: AsyncGraph, w: Path) -> str:
     return a.tgt(w[-1]) if w else a.origin
 
 
-@dataclass(frozen=True)
-class AsyncReport:
-    acyclic: bool
-    reachable: bool
-    axiom1: bool
-    axiom2: bool
-    cube_up: bool
-    cube_down: bool
-    coherence: bool
-    all_cofinal_equivalent: bool
-    diagnostics: Tuple[str, ...] = ()
+class AsyncReport(Value):
+    _fields = ("acyclic", "reachable", "axiom1", "axiom2", "cube_up", "cube_down",
+               "coherence", "all_cofinal_equivalent", "diagnostics")
+
+    def __init__(self, acyclic: bool, reachable: bool, axiom1: bool, axiom2: bool,
+                 cube_up: bool, cube_down: bool, coherence: bool,
+                 all_cofinal_equivalent: bool, diagnostics: Tuple[str, ...] = ()):
+        put = object.__setattr__
+        put(self, "acyclic", acyclic)
+        put(self, "reachable", reachable)
+        put(self, "axiom1", axiom1)
+        put(self, "axiom2", axiom2)
+        put(self, "cube_up", cube_up)
+        put(self, "cube_down", cube_down)
+        put(self, "coherence", coherence)
+        put(self, "all_cofinal_equivalent", all_cofinal_equivalent)
+        put(self, "diagnostics", diagnostics)
 
     def weak_valid(self) -> bool:
         return (self.acyclic and self.reachable and self.axiom1 and self.axiom2

@@ -38,13 +38,12 @@ is *consistent* when it has an upper bound in the poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ._common import Report, UnionFind, _bits, _once
+from ._common import Report, UnionFind, Value, _bits, _once
 
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
@@ -376,11 +375,13 @@ def _require_weak_prime(dom: FiniteDomain) -> None:
 # Irreducibles, primes, weak primes
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class IrreducibleInfo:
-    element: str
-    unique_predecessor: str
-    class_id: int
+class IrreducibleInfo(Value):
+    _fields = ("element", "unique_predecessor", "class_id")
+
+    def __init__(self, element: str, unique_predecessor: str, class_id: int):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "unique_predecessor", unique_predecessor)
+        object.__setattr__(self, "class_id", class_id)
 
 
 def _irreducible_mask(dom: FiniteDomain) -> int:
@@ -508,11 +509,14 @@ def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     return dom.ids(_pair_facts(dom)[2])
 
 
-@dataclass(frozen=True)
-class Algebraicity:
-    irreducible_algebraic: bool
-    prime_algebraic: bool
-    weak_prime_algebraic: bool
+class Algebraicity(Value):
+    _fields = ("irreducible_algebraic", "prime_algebraic", "weak_prime_algebraic")
+
+    def __init__(self, irreducible_algebraic: bool, prime_algebraic: bool,
+                 weak_prime_algebraic: bool):
+        object.__setattr__(self, "irreducible_algebraic", irreducible_algebraic)
+        object.__setattr__(self, "prime_algebraic", prime_algebraic)
+        object.__setattr__(self, "weak_prime_algebraic", weak_prime_algebraic)
 
 
 def decompose(dom: FiniteDomain, d: str) -> FrozenSet[str]:

@@ -11,14 +11,13 @@ prime structures carrying an event equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
-from ._common import UnionFind, _bits, _once, backtrack
+from ._common import UnionFind, Value, _bits, _once, backtrack
 from .es import (BINARY, EsError, EventStructure, _require_live, _table, classify,
                  configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
@@ -248,8 +247,7 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
 # Prime event structures with equivalence
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Epes:
+class Epes(Value):
     """A prime event structure together with an equivalence on its events.
 
     The equivalence is stored as a partition (every event appears in exactly
@@ -257,8 +255,11 @@ class Epes:
     prime, every history ``⌈e⌉ ∪ {e}`` is saturated, and causally related
     events are never equivalent.
     """
-    base: EventStructure
-    equiv: FrozenSet[EventSet]
+    _fields = ("base", "equiv")
+
+    def __init__(self, base: EventStructure, equiv: FrozenSet[EventSet]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "equiv", equiv)
 
     def block_of(self, e: str) -> EventSet:
         for b in self.equiv:

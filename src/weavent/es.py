@@ -21,11 +21,10 @@ configurations and the minimal enablings are kept on the structure (``_once``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
 
-from ._common import Report, UnionFind, _bits, _once
+from ._common import Report, UnionFind, Value, _bits, _once
 
 EventSet = FrozenSet[str]
 
@@ -41,8 +40,7 @@ class LivenessError(EsError):
     """Raised when an operation requires liveness that cannot be restored."""
 
 
-@dataclass(frozen=True)
-class EventStructure:
+class EventStructure(Value):
     """Immutable finite event structure.
 
     Attributes:
@@ -58,69 +56,67 @@ class EventStructure:
     equality and hashing, which stay those of the fields above.
     """
 
-    events: EventSet
-    enabling_gens: FrozenSet[Tuple[EventSet, str]]
-    conflict_kind: str = BINARY
-    conflict: FrozenSet[EventSet] = frozenset()
-    consistent_sets: FrozenSet[EventSet] = frozenset()
-    # the events in sorted order, and the bit of each
-    _names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _bit: Dict[str, int] = field(init=False, repr=False, compare=False)
-    # _needs[k]: the need masks of the generators of event k
-    _needs: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # binary kind: _clash[k] is the mask of the events in conflict with k
-    _clash: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # consistency kind: the masks of the maximal consistent sets
-    _cons: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # results derived from the structure (see _once)
-    _derived: Dict[str, object] = field(init=False, repr=False, compare=False,
-                                        default_factory=dict)
+    _fields = ("events", "enabling_gens", "conflict_kind", "conflict", "consistent_sets")
 
-    def __post_init__(self):
-        if self.conflict_kind not in (BINARY, CONSISTENCY):
-            raise EsError(f"unknown conflict kind {self.conflict_kind!r}")
-        for e in self.events:
+    def __init__(self, events: EventSet, enabling_gens: FrozenSet[Tuple[EventSet, str]],
+                 conflict_kind: str = BINARY, conflict: FrozenSet[EventSet] = frozenset(),
+                 consistent_sets: FrozenSet[EventSet] = frozenset()):
+        put = object.__setattr__
+        put(self, "events", events)
+        put(self, "enabling_gens", enabling_gens)
+        put(self, "conflict_kind", conflict_kind)
+        put(self, "conflict", conflict)
+        put(self, "consistent_sets", consistent_sets)
+        # results derived from the structure (see _once)
+        put(self, "_derived", {})
+        if conflict_kind not in (BINARY, CONSISTENCY):
+            raise EsError(f"unknown conflict kind {conflict_kind!r}")
+        for e in events:
             if not isinstance(e, str) or not e:
                 raise EsError(f"event names must be nonempty strings, got {e!r}")
-        names = tuple(sorted(self.events))
+        # the events in sorted order, and the bit of each
+        names = tuple(sorted(events))
         bit = {e: k for k, e in enumerate(names)}
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_bit", bit)
+        put(self, "_names", names)
+        put(self, "_bit", bit)
+        # _needs[k]: the need masks of the generators of event k
         needs: List[List[int]] = [[] for _ in names]
-        for ns, e in self.enabling_gens:
+        for ns, e in enabling_gens:
             if e not in bit:
                 raise EsError(f"enabling generator for unknown event {e!r}")
-            unknown = ns - self.events
+            unknown = ns - events
             if unknown:
                 raise EsError(f"enabling generator mentions unknown events {sorted(unknown)}")
             needs[bit[e]].append(self._mask(ns))
-        object.__setattr__(self, "_needs", tuple(map(tuple, needs)))
+        put(self, "_needs", tuple(map(tuple, needs)))
+        # binary kind: _clash[k] is the mask of the events in conflict with k
         clash = [0] * len(names)
-        if self.conflict_kind == BINARY:
-            if self.consistent_sets:
+        if conflict_kind == BINARY:
+            if consistent_sets:
                 raise EsError("binary-conflict structure cannot carry consistent_sets")
-            for pair in self.conflict:
+            for pair in conflict:
                 if len(pair) != 2:
                     raise EsError(f"conflict entries must be unordered pairs, got {sorted(pair)}")
-                if pair - self.events:
-                    raise EsError(f"conflict pair mentions unknown events {sorted(pair - self.events)}")
+                if pair - events:
+                    raise EsError(f"conflict pair mentions unknown events {sorted(pair - events)}")
                 a, b = (bit[x] for x in pair)
                 clash[a] |= 1 << b
                 clash[b] |= 1 << a
         else:
-            if self.conflict:
+            if conflict:
                 raise EsError("consistency-kind structure cannot carry a binary conflict")
             covered = set()
-            for xs in self.consistent_sets:
-                if xs - self.events:
-                    raise EsError(f"consistent set mentions unknown events {sorted(xs - self.events)}")
+            for xs in consistent_sets:
+                if xs - events:
+                    raise EsError(f"consistent set mentions unknown events {sorted(xs - events)}")
                 covered |= xs
-            missing = self.events - covered
+            missing = events - covered
             if missing:
                 raise EsError(
                     f"events {sorted(missing)} belong to no consistent set (singletons must be consistent)")
-        object.__setattr__(self, "_clash", tuple(clash))
-        object.__setattr__(self, "_cons", tuple(self._mask(xs) for xs in self.consistent_sets))
+        put(self, "_clash", tuple(clash))
+        # consistency kind: the masks of the maximal consistent sets
+        put(self, "_cons", tuple(self._mask(xs) for xs in consistent_sets))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -358,13 +354,17 @@ def _enabling_links(es: EventStructure, k: int) -> List[Tuple[int, int]]:
             if es._consistent_mask(mins[i] | mins[j] | b)]
 
 
-@dataclass(frozen=True)
-class Classification:
-    live: bool
-    stable: bool
-    prime: bool
-    connected: bool
-    diagnostics: Tuple[str, ...] = ()
+class Classification(Value):
+    _fields = ("live", "stable", "prime", "connected", "diagnostics")
+
+    def __init__(self, live: bool, stable: bool, prime: bool, connected: bool,
+                 diagnostics: Tuple[str, ...] = ()):
+        put = object.__setattr__
+        put(self, "live", live)
+        put(self, "stable", stable)
+        put(self, "prime", prime)
+        put(self, "connected", connected)
+        put(self, "diagnostics", diagnostics)
 
 
 def _after(k: int, n: int) -> int:

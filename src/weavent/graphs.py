@@ -22,11 +22,10 @@ Weisfeiler–Leman colour refinement, spelt out as nested strings), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, \
     Optional, Sequence, Set, Tuple
 
-from ._common import _once, backtrack
+from ._common import Record, _once, backtrack
 
 
 class GraphError(ValueError):
@@ -106,12 +105,15 @@ class TypedGraph:
         return f"TypedGraph(|N|={len(self.nodes)}, |E|={len(self.edges)})"
 
 
-@dataclass(frozen=True, eq=False)
-class GraphMorphism:
-    source: TypedGraph
-    target: TypedGraph
-    node_map: Dict[str, str]
-    edge_map: Dict[str, str]
+class GraphMorphism(Record):
+    _fields = ("source", "target", "node_map", "edge_map")
+
+    def __init__(self, source: TypedGraph, target: TypedGraph, node_map: Dict[str, str],
+                 edge_map: Dict[str, str]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "node_map", node_map)
+        object.__setattr__(self, "edge_map", edge_map)
 
     def validate(self) -> None:
         for n in self.source.nodes:

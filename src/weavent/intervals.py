@@ -14,15 +14,14 @@ and ``_axiom_v_by_definition``, live in ``oracles``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ._common import UnionFind, _bits, _once
+from ._common import UnionFind, Value, _bits, _once
 from .es import EventStructure
-from .domains import (FiniteDomain, OrderError, _irreducible_mask,
+from .domains import (COHERENT, FiniteDomain, OrderError, _irreducible_mask,
                       _require_valid, _require_weak_prime, interchange_classes)
 
 Interval = Tuple[str, str]
@@ -65,18 +64,22 @@ def interval_classes(dom: FiniteDomain) -> Tuple[FrozenSet[Interval], ...]:
     return tuple(frozenset((names[c], names[c2]) for c, c2 in cls) for cls in _classes(dom))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    F: bool
-    C: bool
-    R: bool
-    V: bool
-    # (I) holds on every poset: interval_leq((c,c'),(d,d')) requires c = c'⊓d
-    # and d' = c'⊔d, so c ⊑ c' and d ⊑ d'.  A pair related to any other pair
-    # is therefore ordered, and no class of the closure mixes ordered and
-    # unordered pairs.
-    I: bool
-    witness: Optional[tuple] = None
+class AxiomReport(Value):
+    _fields = ("F", "C", "R", "V", "I", "witness")
+
+    def __init__(self, F: bool, C: bool, R: bool, V: bool, I: bool,
+                 witness: Optional[tuple] = None):
+        put = object.__setattr__
+        put(self, "F", F)
+        put(self, "C", C)
+        put(self, "R", R)
+        put(self, "V", V)
+        # (I) holds on every poset: interval_leq((c,c'),(d,d')) requires c = c'⊓d
+        # and d' = c'⊔d, so c ⊑ c' and d ⊑ d'.  A pair related to any other pair
+        # is therefore ordered, and no class of the closure mixes ordered and
+        # unordered pairs.
+        put(self, "I", I)
+        put(self, "witness", witness)
 
 
 def _axiom_c(dom: FiniteDomain) -> Optional[tuple]:
@@ -160,9 +163,11 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     construction); isomorphic to the one built from irreducibles.
 
     Events are ~-classes of intervals; a class is enabled by a set covering
-    all classes strictly below the lower endpoint of one representative;
-    two classes conflict when upper endpoints of representatives are never
-    consistent.
+    all classes strictly below the lower endpoint of one representative.
+    On a coherent domain two classes conflict when upper endpoints of
+    representatives are never consistent; on any other, as in
+    ``duality.ev_of_domain``, the consistent sets are the classes below each
+    maximal element.
     """
     report = check_axioms(dom)
     for name in ("C", "R", "V"):
@@ -172,13 +177,17 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     names, down, cons = dom.elements, dom._down, dom._cons
     events = [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]" for k, cls in enumerate(classes)]
     tops = [reduce(or_, (1 << d2 for _, d2 in cls)) for cls in classes]
-    reach = [reduce(or_, (cons[d2] for _, d2 in cls)) for cls in classes]
     # [d,d'] is enabled by the classes with an upper endpoint below d
     gens = {(frozenset(e for e, top in zip(events, tops) if top & down[d]), events[k])
             for k, cls in enumerate(classes) for d, _ in cls}
-    conflict = [(events[k], events[m]) for k, m in combinations(range(len(classes)), 2)
-                if not reach[k] & tops[m]]
-    return EventStructure.binary(events, conflict, gens)
+    if dom.kind == COHERENT:
+        reach = [reduce(or_, (cons[d2] for _, d2 in cls)) for cls in classes]
+        conflict = [(events[k], events[m]) for k, m in combinations(range(len(classes)), 2)
+                    if not reach[k] & tops[m]]
+        return EventStructure.binary(events, conflict, gens)
+    below = [frozenset(e for e, top in zip(events, tops) if top & down[dom.index(d)])
+             for d in dom.maximal_elements()]
+    return EventStructure.with_consistency(events, below, gens)
 
 
 def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:

@@ -38,6 +38,12 @@ class SchemaError(ValueError):
     """Input file does not follow the expected schema."""
 
 
+# Each check below raises SchemaError naming the field ``what``.  Inside the
+# k-th item of a list, ``what`` is relative to the item (``""`` for the item
+# itself, ``".needs"`` for one of its fields), and the parser puts the
+# item's name, ``enabling[k]`` and the like, in front on the way out: a
+# parse that succeeds formats no name per item.
+
 def _require_keys(obj: Mapping, allowed: set, required: set, what: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{what}: expected an object")
@@ -61,12 +67,11 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _string(value, what: str, key: str = "") -> str:
-    """``value``, or SchemaError naming the field ``what + key``: the two are
-    joined only on failure, so a parse that succeeds formats no name per item."""
+def _string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{what}{key}: expected a string")
+        raise SchemaError(f"{what}: expected a string")
     return value
+
 
 
 # ---------------------------------------------------------------------- #
@@ -81,10 +86,12 @@ def parse_es(obj: Mapping) -> EventStructure:
     events = _string_list(obj["events"], "events")
     enabling = []
     for k, entry in enumerate(_list(obj.get("enabling", []), "enabling")):
-        at = f"enabling[{k}]"
-        _require_keys(entry, {"needs", "event"}, {"needs", "event"}, at)
-        enabling.append((_string_list(entry["needs"], f"{at}.needs"),
-                         _string(entry["event"], at, ".event")))
+        try:
+            _require_keys(entry, {"needs", "event"}, {"needs", "event"}, "")
+            enabling.append((_string_list(entry["needs"], ".needs"),
+                             _string(entry["event"], ".event")))
+        except SchemaError as exc:
+            raise SchemaError(f"enabling[{k}]{exc}") from None
     try:
         if "consistent" in obj:
             family = [_string_list(xs, "consistent[*]")
@@ -92,9 +99,11 @@ def parse_es(obj: Mapping) -> EventStructure:
             return EventStructure.with_consistency(events, family, enabling)
         conflict = []
         for k, pair in enumerate(_list(obj.get("conflict", []), "conflict")):
-            pair = _string_list(pair, f"conflict[{k}]")
-            if len(pair) != 2:
-                raise SchemaError(f"conflict[{k}]: expected a pair")
+            try:
+                if len(_string_list(pair, "")) != 2:
+                    raise SchemaError(": expected a pair")
+            except SchemaError as exc:
+                raise SchemaError(f"conflict[{k}]{exc}") from None
             conflict.append((pair[0], pair[1]))
         return EventStructure.binary(events, conflict, enabling)
     except ValueError as exc:
@@ -118,7 +127,10 @@ def parse_epes(obj: Mapping) -> Epes:
     blocks = []
     covered = set()
     for k, block in enumerate(_list(obj.get("equiv", []), "equiv")):
-        block = _string_list(block, f"equiv[{k}]")
+        try:
+            _string_list(block, "")
+        except SchemaError as exc:
+            raise SchemaError(f"equiv[{k}]{exc}") from None
         for e in block:
             if e not in base.events:
                 raise SchemaError(f"equiv[{k}]: unknown event {e!r}")
@@ -145,9 +157,11 @@ def parse_domain(obj: Mapping) -> FiniteDomain:
     elements = _string_list(obj["elements"], "elements")
     covers = []
     for k, pair in enumerate(_list(obj["covers"], "covers")):
-        pair = _string_list(pair, f"covers[{k}]")
-        if len(pair) != 2:
-            raise SchemaError(f"covers[{k}]: expected a pair")
+        try:
+            if len(_string_list(pair, "")) != 2:
+                raise SchemaError(": expected a pair")
+        except SchemaError as exc:
+            raise SchemaError(f"covers[{k}]{exc}") from None
         covers.append((pair[0], pair[1]))
     kind = obj.get("kind", "coherent")
     try:
@@ -184,21 +198,25 @@ def parse_graph(obj: Mapping, what: str = "graph", self_typed: bool = False) -> 
     nodes = []
     ntype = {}
     for k, nd in enumerate(_list(obj["nodes"], f"{what}.nodes")):
-        at = f"{what}.nodes[{k}]"
-        _require_keys(nd, {"id", "type"}, {"id"}, at)
-        if not self_typed and "type" not in nd:
-            raise SchemaError(f"{at}: missing type")
-        nid = _string(nd["id"], at, ".id")
-        nodes.append(nid)
-        ntype[nid] = nid if self_typed else _string(nd["type"], at, ".type")
+        try:
+            _require_keys(nd, {"id", "type"}, {"id"}, "")
+            if not self_typed and "type" not in nd:
+                raise SchemaError(": missing type")
+            nid = _string(nd["id"], ".id")
+            nodes.append(nid)
+            ntype[nid] = nid if self_typed else _string(nd["type"], ".type")
+        except SchemaError as exc:
+            raise SchemaError(f"{what}.nodes[{k}]{exc}") from None
     edges = []
+    required = {"id", "src", "tgt"} if self_typed else {"id", "type", "src", "tgt"}
     for k, ed in enumerate(_list(obj.get("edges", []), f"{what}.edges")):
-        at = f"{what}.edges[{k}]"
-        required = {"id", "src", "tgt"} if self_typed else {"id", "type", "src", "tgt"}
-        _require_keys(ed, {"id", "type", "src", "tgt"}, required, at)
-        eid = _string(ed["id"], at, ".id")
-        edges.append((eid, _string(ed.get("type", eid), at, ".type"),
-                      _string(ed["src"], at, ".src"), _string(ed["tgt"], at, ".tgt")))
+        try:
+            _require_keys(ed, {"id", "type", "src", "tgt"}, required, "")
+            eid = _string(ed["id"], ".id")
+            edges.append((eid, _string(ed.get("type", eid), ".type"),
+                          _string(ed["src"], ".src"), _string(ed["tgt"], ".tgt")))
+        except SchemaError as exc:
+            raise SchemaError(f"{what}.edges[{k}]{exc}") from None
     try:
         return TypedGraph(nodes, edges, ntype)
     except ValueError as exc:
@@ -249,7 +267,7 @@ def parse_grammar(obj: Mapping) -> Grammar:
         rg = parse_graph(rd["R"], f"{what}.R")
         lmor = _parse_rule_map(rd["l"], kg, lg, f"{what}.l")
         rmor = _parse_rule_map(rd["r"], kg, rg, f"{what}.r")
-        rules.append(Rule(_string(rd["name"], what, ".name"), lg, kg, rg, lmor, rmor))
+        rules.append(Rule(_string(rd["name"], f"{what}.name"), lg, kg, rg, lmor, rmor))
     grammar = Grammar(tg, start, tuple(rules))
     try:
         grammar.validate()
@@ -285,15 +303,20 @@ def parse_async(obj: Mapping) -> AsyncGraph:
     nodes = _string_list(obj["nodes"], "nodes")
     edges = []
     for k, ed in enumerate(_list(obj["edges"], "edges")):
-        at = f"edges[{k}]"
-        _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, at)
-        edges.append((_string(ed["id"], at, ".id"), _string(ed["src"], at, ".src"),
-                      _string(ed["tgt"], at, ".tgt")))
+        try:
+            _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, "")
+            edges.append((_string(ed["id"], ".id"), _string(ed["src"], ".src"),
+                          _string(ed["tgt"], ".tgt")))
+        except SchemaError as exc:
+            raise SchemaError(f"edges[{k}]{exc}") from None
     squares = []
     for k, sq in enumerate(_list(obj.get("squares", []), "squares")):
-        if (not isinstance(sq, list) or len(sq) != 2
-                or any(len(_string_list(p, f"squares[{k}]")) != 2 for p in sq)):
-            raise SchemaError(f"squares[{k}]: expected a pair of 2-edge paths")
+        try:
+            if (not isinstance(sq, list) or len(sq) != 2
+                    or any(len(_string_list(p, "")) != 2 for p in sq)):
+                raise SchemaError(": expected a pair of 2-edge paths")
+        except SchemaError as exc:
+            raise SchemaError(f"squares[{k}]{exc}") from None
         squares.append((tuple(sq[0]), tuple(sq[1])))
     try:
         return AsyncGraph.build(nodes, edges, _string(obj["origin"], "origin"), squares)

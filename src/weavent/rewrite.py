@@ -52,11 +52,10 @@ enumerates such a grammar to ``once_per_rule_depth``, its rule count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, groupby, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ._common import UnionFind, _once, backtrack
+from ._common import Record, UnionFind, _once, backtrack
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _drop_indexes,
@@ -73,15 +72,19 @@ class TraceLimitError(GraphError):
 # Rules and grammars
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True, eq=False)
-class Rule:
-    name: str
-    L: TypedGraph
-    K: TypedGraph
-    R: TypedGraph
-    l: GraphMorphism
-    r: GraphMorphism
-    _derived: Dict[str, object] = field(init=False, repr=False, default_factory=dict)
+class Rule(Record):
+    _fields = ("name", "L", "K", "R", "l", "r")
+
+    def __init__(self, name: str, L: TypedGraph, K: TypedGraph, R: TypedGraph,
+                 l: GraphMorphism, r: GraphMorphism):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "L", L)
+        put(self, "K", K)
+        put(self, "R", R)
+        put(self, "l", l)
+        put(self, "r", r)
+        put(self, "_derived", {})
 
     def validate(self) -> None:
         if self.l.source is not self.K or self.l.target is not self.L:
@@ -96,11 +99,13 @@ class Rule:
             raise GraphError(f"rule {self.name!r}: rule must consume something")
 
 
-@dataclass(frozen=True, eq=False)
-class Grammar:
-    type_graph: TypedGraph
-    start: TypedGraph
-    rules: Tuple[Rule, ...]
+class Grammar(Record):
+    _fields = ("type_graph", "start", "rules")
+
+    def __init__(self, type_graph: TypedGraph, start: TypedGraph, rules: Tuple[Rule, ...]):
+        object.__setattr__(self, "type_graph", type_graph)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "rules", rules)
 
     def validate(self) -> None:
         self.type_graph.validate_typed_over(self.type_graph)
@@ -186,18 +191,23 @@ def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, st
 # Direct derivations
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True, eq=False)
-class DirectDerivation:
+class DirectDerivation(Record):
     """One DPO step ``G ⇒ H`` with all six boundary morphisms."""
-    rule: Rule
-    G: TypedGraph
-    D: TypedGraph
-    H: TypedGraph
-    match: GraphMorphism   # L -> G
-    mK: GraphMorphism      # K -> D
-    mR: GraphMorphism      # R -> H
-    lstar: GraphMorphism   # D -> G (inclusion)
-    rstar: GraphMorphism   # D -> H
+    _fields = ("rule", "G", "D", "H", "match", "mK", "mR", "lstar", "rstar")
+
+    def __init__(self, rule: Rule, G: TypedGraph, D: TypedGraph, H: TypedGraph,
+                 match: GraphMorphism, mK: GraphMorphism, mR: GraphMorphism,
+                 lstar: GraphMorphism, rstar: GraphMorphism):
+        put = object.__setattr__
+        put(self, "rule", rule)
+        put(self, "G", G)
+        put(self, "D", D)
+        put(self, "H", H)
+        put(self, "match", match)  # L -> G
+        put(self, "mK", mK)  # K -> D
+        put(self, "mR", mR)  # R -> H
+        put(self, "lstar", lstar)  # D -> G (inclusion)
+        put(self, "rstar", rstar)  # D -> H
 
 
 def _rule_parts(rule: Rule) -> list:
@@ -562,8 +572,7 @@ class Colimit:
 # Trace classes and the trace domain
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True, eq=False)
-class TraceClass:
+class TraceClass(Record):
     """One trace class: its id, its representative (the first derivation
     found in breadth-first order) and the derivations found for it,
     representative first.  ``trace_classes`` builds only one-step
@@ -575,10 +584,13 @@ class TraceClass:
     from ``trace_classes``, as the ``(parent, rule, images)`` of its last
     step; ``members`` builds the latter on first read, in that order.
     """
-    element_id: str
-    representative: Derivation
-    _others: tuple = field(default=(), repr=False)
-    _derived: Dict[str, object] = field(init=False, repr=False, default_factory=dict)
+    _fields = ("element_id", "representative")
+
+    def __init__(self, element_id: str, representative: Derivation, _others: tuple = ()):
+        object.__setattr__(self, "element_id", element_id)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "_others", _others)
+        object.__setattr__(self, "_derived", {})
 
     @property
     def members(self) -> Tuple[Derivation, ...]:
@@ -595,10 +607,12 @@ def _member(other) -> Derivation:
     return parent.extend(apply_rule(parent.target, rule, _morphism(rule.L, parent.target, images)))
 
 
-@dataclass(frozen=True, eq=False)
-class TraceDomainResult:
-    domain: FiniteDomain
-    classes: Tuple[TraceClass, ...]
+class TraceDomainResult(Record):
+    _fields = ("domain", "classes")
+
+    def __init__(self, domain: FiniteDomain, classes: Tuple[TraceClass, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "classes", classes)
 
 
 def _carried(st: DirectDerivation, patterns: Sequence[TypedGraph],

@@ -129,6 +129,23 @@ class TestEvWd:
         with pytest.raises(OrderError):
             ev_wd(m3())
 
+    def test_follows_the_kind_of_a_bounded_complete_domain(self):
+        # off a coherent domain ``ev_of_domain`` builds a consistency
+        # structure, which no binary-conflict structure is isomorphic to
+        built = 0
+        for dom in random_posets(233, 1200):
+            if dom.kind != BOUNDED_COMPLETE or not validate_domain(dom).ok \
+                    or not algebraicity(dom).weak_prime_algebraic:
+                continue
+            rep = check_axioms(dom)
+            if rep.C and rep.R and rep.V:
+                built += 1
+                es = ev_wd(dom)
+                assert es.conflict_kind == "consistency"
+                assert es == reference_ev_wd(dom)
+                assert es_isomorphic(es, ev_of_domain(dom)) is not None, dom.elements
+        assert built > 100
+
 
 def classify_causal_chain(es):
     (first,) = [e for e in es.events if any(not g for g, ev in es.enabling_gens
@@ -204,7 +221,9 @@ def reference_report(dom) -> AxiomReport:
 
 
 def reference_ev_wd(dom) -> EventStructure:
-    """``ev_wd`` from the named intervals and ``leq``/``consistent`` scans."""
+    """``ev_wd`` from the named intervals and ``leq``/``consistent`` scans;
+    off a coherent domain, the classes below each maximal element are the
+    consistent sets."""
     classes = interval_classes_by_definition(dom)
     names = {iv: f"iv{k}:[{min(cls)[0]},{min(cls)[1]}]"
              for k, cls in enumerate(classes) for iv in cls}
@@ -212,10 +231,14 @@ def reference_ev_wd(dom) -> EventStructure:
     def s_of(d):
         return frozenset(names[(c, c2)] for (c, c2) in names if dom.leq(c2, d))
 
+    gens = {(s_of(c), names[(c, c2)]) for c, c2 in names}
+    if dom.kind != COHERENT:
+        maximal = [d for d in dom.elements if not any(dom.leq(d, u) and u != d
+                                                      for u in dom.elements)]
+        return EventStructure.with_consistency(set(names.values()), map(s_of, maximal), gens)
     conflict = [(names[min(c1)], names[min(c2)]) for c1, c2 in combinations(classes, 2)
                 if all(not dom.consistent((p[1], q[1])) for p in c1 for q in c2)]
-    return EventStructure.binary(set(names.values()), conflict,
-                                 {(s_of(c), names[(c, c2)]) for c, c2 in names})
+    return EventStructure.binary(set(names.values()), conflict, gens)
 
 
 def reference_zeta(dom):

@@ -375,6 +375,33 @@ def test_emit_rejects_a_malformed_square_at_load(graph, message, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["check", "async", "emit"])
+def test_a_square_that_names_one_path_twice_exits_2(verb, tmp_path, capsys):
+    # a one-path square is no square: every verb rejects it at load, and
+    # emit, which reads each square as two paths, never sees it
+    path, out = tmp_path / "bad.async.json", tmp_path / "bad.dot"
+    path.write_text(json.dumps({**_FOUR_EDGES, "squares": [[["e1", "e2"], ["e1", "e2"]]]}))
+    argv = [verb, "--async", str(path)] + (["--out", str(out)] if verb == "emit" else [])
+    code, stdout, err = run_cli(*argv, capsys=capsys)
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"error": "square [('e1', 'e2')] does not name two distinct paths"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["coherent", "bounded_complete"])
+def test_roundtrip_of_b2_agrees_whatever_its_kind(kind, tmp_path, capsys):
+    # the interval construction follows the domain's kind, as ev_of_domain
+    # does, so the two agree on a bounded-complete domain too
+    path = tmp_path / "b2.domain.json"
+    path.write_text(json.dumps({"elements": ["0", "a", "b", "ab"], "kind": kind,
+                                "covers": [["0", "a"], ["0", "b"], ["a", "ab"], ["b", "ab"]]}))
+    code, out, _ = run_cli("roundtrip", "--domain", str(path), capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == {"dom_of_ev_isomorphic": True,
+                                          "interval_construction_agrees": True,
+                                          "kind": "domain", "zeta_classes": 2}
+
+
 _DERIVE = ["derive", "--grammar", str(FIXTURES / "fusion.grammar.json")]
 
 
@@ -649,6 +676,43 @@ _WRONG_TYPES = [
 @pytest.mark.parametrize("flag, obj, message", _WRONG_TYPES,
                          ids=[m.split(":")[0] for _, _, m in _WRONG_TYPES])
 def test_a_value_of_the_wrong_type_exits_2(flag, obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("check", flag, str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
+
+
+# The k-th item of a list, for k past 0, that fails in each parser: the
+# message names the item and its field as it always has.
+_BAD_ITEMS = [
+    ("--es", _with("e_run.es.json", ["enabling", 2], {"needs": []}),
+     "enabling[2]: missing keys ['event']"),
+    ("--es", _with("e_run.es.json", ["enabling", 1, "needs"], "a"),
+     "enabling[1].needs: expected a list of strings"),
+    ("--es", {"events": ["a", "b", "c"], "conflict": [["a", "b"], ["a", "b", "c"]]},
+     "conflict[1]: expected a pair"),
+    ("--domain", _with("run.domain.json", ["covers", 3], ["c0"]), "covers[3]: expected a pair"),
+    ("--domain", _with("run.domain.json", ["covers", 1], [1, 2]),
+     "covers[1]: expected a list of strings"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "nodes", 1], {"id": "x"}),
+     "start.nodes[1]: missing type"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 0, "L", "edges", 1, "tgt"], 3),
+     "rules[0].L.edges[1].tgt: expected a string"),
+    ("--async", _with("run.async.json", ["edges", 1], {"id": "e", "src": "a"}),
+     "edges[1]: missing keys ['tgt']"),
+    ("--async", _with("run.async.json", ["squares"], [[["x", "y"], ["z", "w"]], [["x"], ["y"]]]),
+     "squares[1]: expected a pair of 2-edge paths"),
+    ("--async", _with("run.async.json", ["squares"], [[["x", "y"], ["z", "w"]], [["x", "y"], 1]]),
+     "squares[1]: expected a list of strings"),
+    ("--epes", _with("unfold_run.epes.json", ["equiv"], [[], ["a", 1]]),
+     "equiv[1]: expected a list of strings"),
+]
+
+
+@pytest.mark.parametrize("flag, obj, message", _BAD_ITEMS,
+                         ids=[m.split(":")[0] for _, _, m in _BAD_ITEMS])
+def test_a_bad_item_past_the_first_is_named(flag, obj, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli("check", flag, str(path), capsys=capsys)

@@ -11,7 +11,10 @@ one format and every write failure one exit code.
 No function binds a name that its module binds at top level, so every
 function in a module reads one meaning of each module name.  Every
 exhaustive oracle lives in ``oracles``, which no other module imports at
-top level, so the command line compiles fast paths only.
+top level, so the command line compiles fast paths only.  The records
+are plain classes on ``_common.Record``: nothing generates code for a class
+at import, and ``import weavent.cli`` loads neither ``dataclasses`` nor
+``inspect``.
 """
 
 import ast
@@ -188,6 +191,15 @@ def test_only_oracles_defines_or_imports_an_oracle():
     assert imported == set()
 
 
+def modules_loaded_by_the_command_line():
+    """The names in ``sys.modules`` after ``import weavent.cli`` in a fresh
+    interpreter."""
+    code = "import sys, weavent.cli; print(*sorted(sys.modules))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          check=True).stdout.split()
+
+
 def test_the_command_line_loads_every_layer_and_no_oracle():
     # perfbench/tracer.py wraps the functions of each module in its LAYERS
     # after ``import weavent.cli``, so each of them must be loaded by then
@@ -195,9 +207,18 @@ def test_the_command_line_loads_every_layer_and_no_oracle():
     layers = next(ast.literal_eval(node.value) for node in tracer.body
                   if isinstance(node, ast.Assign)
                   and getattr(node.targets[0], "id", None) == "LAYERS")
-    code = "import sys, weavent.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-                            check=True).stdout.split()
+    loaded = modules_loaded_by_the_command_line()
     assert "weavent.oracles" not in loaded
     assert [layer for layer in layers if f"weavent.{layer}" not in loaded] == []
+
+
+def test_no_module_mentions_dataclass():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "dataclass" in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
+def test_the_command_line_loads_no_code_generator():
+    loaded = modules_loaded_by_the_command_line()
+    assert "weavent.cli" in loaded
+    assert [name for name in ("dataclasses", "inspect") if name in loaded] == []
