@@ -113,16 +113,11 @@ def _square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2,
 
 
 def _find_square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2, ...], ...]]:
-    p2 = a.paths2()  # sorted
-    uf = UnionFind(p2)
+    uf = UnionFind(a.paths2())
     for sq in a.squares:  # checked by ``AsyncGraph.build``
         uf.union(min(sq), max(sq))
-    roots: Dict[Path2, int] = {}  # classes numbered by first member
-    cls = {p: roots.setdefault(uf.find(p), len(roots)) for p in p2}
-    by_class: List[List[Path2]] = [[] for _ in roots]
-    for p in p2:
-        by_class[cls[p]].append(p)
-    return cls, tuple(map(tuple, by_class))
+    members = uf.groups()  # each sorted, ordered by least member
+    return {p: k for k, ms in enumerate(members) for p in ms}, tuple(map(tuple, members))
 
 
 def _end(a: AsyncGraph, w: Path) -> str:
@@ -288,9 +283,8 @@ def _validate(a: AsyncGraph) -> AsyncReport:
     firsts = [{p[0] for p in ms} for ms in members]  # first edges per class
     edges_from = a._out
     tgt = {e: t for e, (_, t) in a.edges.items()}
-    starting: Dict[str, List[Path2]] = {}  # the sorted 2-paths by first edge
-    for p in cls:
-        starting.setdefault(p[0], []).append(p)
+    # the sorted 2-paths by first edge
+    starting = {e: [(e, e2) for e2 in edges_from[t]] for e, t in sorted(tgt.items())}
 
     def lower_medians() -> Iterator[Tuple[str, str, str, str, str]]:
         # the premise shared by the upward cube and coherence: lower median

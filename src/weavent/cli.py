@@ -154,8 +154,7 @@ def _cmd_check(args) -> tuple:
             witnesses.append({"check": rep.condition, "witness": list(rep.witness or ())})
             raise _FailureWithReport(results, witnesses, path)
         results.update(_domain_summary(value))
-    elif kind == "grammar":
-        value.validate()
+    elif kind == "grammar":  # validated by its parser
         results = {"kind": kind, "rules": [r.name for r in value.rules],
                    "start_nodes": len(value.start.nodes),
                    "start_edges": len(value.start.edges)}
@@ -403,17 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = _VERBS[args.verb]
+    code = 0
     try:
         inputs, results, witnesses = handler(args)
     except _FailureWithReport as fail:
         results, witnesses, path = fail.args
-        _write_report(args.verb, {"input": path}, results, witnesses)
-        return 1
+        code, inputs = 1, {"input": path}
     except (iomod.SchemaError, EsError, OrderError, GraphError, AsyncError) as exc:
         sys.stderr.write(iomod.dumps({"error": str(exc)}) + "\n")
         return 2
-    _write_report(args.verb, inputs, results, witnesses)
-    return 0
+    try:
+        _write_report(args.verb, inputs, results, witnesses)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, as Python's
+        # documentation advises, so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ The invariants the paper reads off a domain (irreducibles, ↔-partners,
 domain and kept on it, since a domain never changes after construction.
 The join condition, primality and weak primality are decided together by
 one pass over the incomparable consistent pairs (``_pair_pass``); meets
-need none, since a least element and binary joins make them exist.  The
+need none, since a least element and binary joins make them exist.  That
+a domain is weak prime is proved by that pass too, except on the domains of
+``duality.dom_of_es``: they are by the coreflection theorem.  The
 exhaustive references these are tested against, ``*_by_definition`` and
 ``interchangeable_via_compacts``, live in ``oracles``.
 There is deliberately no memo keyed by subset masks: Python hashes an int
@@ -366,9 +368,16 @@ def _require_valid(dom: FiniteDomain) -> None:
 
 
 def _require_weak_prime(dom: FiniteDomain) -> None:
+    """``OrderError`` unless ``dom`` is weak prime, proved once; a domain of
+    ``duality.dom_of_es`` carries the fact (the coreflection theorem)."""
+    _once(dom, "weak_prime", _prove_weak_prime)
+
+
+def _prove_weak_prime(dom: FiniteDomain) -> bool:
     _require_valid(dom)
     for i in dom.ids(_irreducible_mask(dom) & ~_pair_facts(dom)[2]):
         raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
+    return True
 
 
 # ---------------------------------------------------------------------- #

@@ -22,7 +22,7 @@ configurations and the minimal enablings are kept on the structure (``_once``).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from ._common import Report, UnionFind, Value, _bits, _once
 
@@ -220,7 +220,7 @@ def is_secured(es: EventStructure, xs: Iterable[str]) -> bool:
     return reached == set(xs)
 
 
-class _Table(NamedTuple):
+class _Table:
     """What a structure's configurations say, over the event masks.
 
     ``lower`` maps each configuration to the mask of its events ``x`` for
@@ -229,10 +229,11 @@ class _Table(NamedTuple):
     is the OR of the configurations holding event ``k``, and ``mins[k]``
     lists the minimal enablings of ``k``.
     """
-    lower: Dict[int, int]
-    maximal: List[int]
-    together: List[int]
-    mins: List[List[int]]
+    __slots__ = ("lower", "maximal", "together", "mins")
+
+    def __init__(self, lower: Dict[int, int], maximal: List[int], together: List[int],
+                 mins: List[List[int]]):
+        self.lower, self.maximal, self.together, self.mins = lower, maximal, together, mins
 
 
 def _table(es: EventStructure) -> _Table:

@@ -22,8 +22,8 @@ Weisfeiler–Leman colour refinement, spelt out as nested strings), which
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, \
-    Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, \
+    Sequence, Set, Tuple
 
 from ._common import Record, _once, backtrack
 
@@ -146,29 +146,25 @@ class GraphMorphism(Record):
                              {e: then.edge_map[v] for e, v in self.edge_map.items()})
 
 
-class _Index(NamedTuple):
-    nodes: List[str]                # sorted
-    edges: List[str]                # sorted
-    nodes_of: Dict[str, List[str]]  # type -> its nodes, sorted
-    edges_of: Dict[str, List[str]]  # type -> its edges, sorted
-    triples: Set[Tuple[str, str, str]]  # (type, src, tgt) of every edge
+class _Index:
+    """A graph's items sorted and grouped by type, and its edge triples."""
+    __slots__ = ("nodes", "edges", "nodes_of", "edges_of", "triples")
 
-
-def _build_index(g: TypedGraph) -> _Index:
-    nodes, edges = sorted(g.nodes), sorted(g.edges)
-    nodes_of: Dict[str, List[str]] = {}
-    edges_of: Dict[str, List[str]] = {}
-    for n in nodes:
-        nodes_of.setdefault(g.node_type[n], []).append(n)
-    for e in edges:
-        edges_of.setdefault(g.edge_type[e], []).append(e)
-    return _Index(nodes, edges, nodes_of, edges_of,
-                  {(g.edge_type[e], g.src[e], g.tgt[e]) for e in edges})
+    def __init__(self, g: TypedGraph):
+        self.nodes, self.edges = nodes, edges = sorted(g.nodes), sorted(g.edges)
+        self.nodes_of: Dict[str, List[str]] = {}  # type -> its nodes, sorted
+        self.edges_of: Dict[str, List[str]] = {}  # type -> its edges, sorted
+        for n in nodes:
+            self.nodes_of.setdefault(g.node_type[n], []).append(n)
+        for e in edges:
+            self.edges_of.setdefault(g.edge_type[e], []).append(e)
+        # (type, src, tgt) of every edge
+        self.triples: Set[Tuple[str, str, str]] = {(g.edge_type[e], g.src[e], g.tgt[e])
+                                                   for e in edges}
 
 
 def _index(g: TypedGraph) -> _Index:
-    """The graph's items sorted and grouped by type, and its edge triples."""
-    return _once(g, "index", _build_index)
+    return _once(g, "index", _Index)
 
 
 def _build_incidence(g: TypedGraph) -> Dict[str, List[str]]:
@@ -191,32 +187,27 @@ def _drop_indexes(g: TypedGraph) -> None:
     g._derived.pop("incidence", None)
 
 
-class _Pattern(NamedTuple):
-    nodes: List[str]                    # sorted
-    edges: List[str]                    # sorted
-    types: List[str]                    # per node slot, its type
-    kinds: Tuple[FrozenSet[str], FrozenSet[str]]  # the node types and the edge types
-    ends: List[Tuple[int, int]]         # per edge, the node slots of its ends
-    closes: List[List[Tuple[str, int, int]]]  # per node slot, the edges it closes
+class _Pattern:
+    """A pattern's items sorted, the type of each node slot, and the edges
+    each node slot closes."""
+    __slots__ = ("nodes", "edges", "types", "kinds", "ends", "closes")
 
-
-def _build_pattern(pattern: TypedGraph) -> _Pattern:
-    nodes, edges = sorted(pattern.nodes), sorted(pattern.edges)
-    at = {n: k for k, n in enumerate(nodes)}
-    ends = [(at[pattern.src[e]], at[pattern.tgt[e]]) for e in edges]
-    # the pattern edges each node slot closes: both ends chosen once it is
-    closes: List[List[Tuple[str, int, int]]] = [[] for _ in nodes]
-    for e, (s, t) in zip(edges, ends):
-        closes[max(s, t)].append((pattern.edge_type[e], s, t))
-    types = [pattern.node_type[n] for n in nodes]
-    return _Pattern(nodes, edges, types, (frozenset(types), frozenset(pattern.edge_type.values())),
-                    ends, closes)
+    def __init__(self, pattern: TypedGraph):
+        self.nodes, self.edges = nodes, edges = sorted(pattern.nodes), sorted(pattern.edges)
+        at = {n: k for k, n in enumerate(nodes)}
+        # per edge, the node slots of its ends
+        self.ends = [(at[pattern.src[e]], at[pattern.tgt[e]]) for e in edges]
+        # per node slot, the pattern edges it closes: both ends chosen once it is
+        self.closes: List[List[Tuple[str, int, int]]] = [[] for _ in nodes]
+        for e, (s, t) in zip(edges, self.ends):
+            self.closes[max(s, t)].append((pattern.edge_type[e], s, t))
+        self.types = [pattern.node_type[n] for n in nodes]  # per node slot, its type
+        # the node types and the edge types
+        self.kinds = (frozenset(self.types), frozenset(pattern.edge_type.values()))
 
 
 def _pattern(pattern: TypedGraph) -> _Pattern:
-    """The pattern's items sorted, the type of each node slot, and the
-    edges each node slot closes."""
-    return _once(pattern, "pattern", _build_pattern)
+    return _once(pattern, "pattern", _Pattern)
 
 
 def _search(pat: _Pattern, host: TypedGraph, slots: List[Sequence[str]],

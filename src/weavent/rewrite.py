@@ -855,6 +855,4 @@ def grammar_from_es(es: EventStructure) -> Grammar:
         rules.append(Rule(e, lgraph, kgraph, rgraph,
                           GraphMorphism(kgraph, lgraph, {n: n for n in rmap}, emap),
                           GraphMorphism(kgraph, rgraph, rmap, dict(emap))))
-    grammar = Grammar(tg, start, tuple(rules))
-    grammar.validate()
-    return grammar
+    return Grammar(tg, start, tuple(rules))

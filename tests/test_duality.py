@@ -7,7 +7,8 @@ import pytest
 from weavent._common import backtrack
 from weavent.es import EventStructure, LivenessError, classify, configurations, \
     minimal_enablings
-from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, algebraicity,
+from weavent import domains
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError, algebraicity,
                              interchange_classes, interchangeable, irreducible_elements,
                              validate_domain, validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
@@ -154,6 +155,37 @@ class TestDomOfEsByDefinition:
         assert "_up" not in vars(dom) and "_down" not in vars(dom)
         assert dom.leq("{}", "{a0,b0,c0}") and not dom.leq("{a0}", "{b0}")
         assert "_up" in vars(dom)
+
+
+class TestTheRecordedWeakPrimeFact:
+    """``dom_of_es`` records that its domain is weak prime, by the
+    coreflection theorem, so no pair pass proves it again."""
+
+    def test_agrees_with_the_pair_pass_on_a_fresh_copy(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr(domains, "_pair_pass",
+                            lambda d, _real=domains._pair_pass: passes.append(d) or _real(d))
+        kinds = set()
+        for es in TestDomOfEsByDefinition._structures():
+            dom = dom_of_es(es)
+            fresh = FiniteDomain(dom.elements, dom.covers(), dom.kind)
+            assert dom._derived["weak_prime"] is True and "weak_prime" not in fresh._derived
+            ev = ev_of_domain(dom)
+            assert passes == []
+            assert ev_of_domain(fresh) == ev
+            assert [id(d) for d in passes] == [id(fresh)]
+            assert fresh._derived["weak_prime"] is True
+            assert validate_domain(fresh).ok and algebraicity(fresh).weak_prime_algebraic
+            passes.clear()
+            kinds.add(dom.kind)
+        assert kinds == {COHERENT, BOUNDED_COMPLETE}
+
+    def test_a_domain_that_is_not_weak_prime_raises_on_every_call(self):
+        dom = m3()
+        for _ in range(2):
+            with pytest.raises(OrderError, match="not weak prime algebraic"):
+                ev_of_domain(dom)
+        assert "weak_prime" not in dom._derived
 
 
 class TestEvOfDomain:

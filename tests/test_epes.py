@@ -1,14 +1,18 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from weavent.es import EsError, EventStructure, classify
-from weavent.domains import algebraicity
+from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, algebraicity
 from weavent.duality import (Epes, dom_of_es, epes_dom, epes_ev,
                              epes_is_connected, epes_isomorphic, es_isomorphic,
                              fuse, poset_isomorphic, unfold, validate_epes)
 from weavent.fixtures import chain, e_ccs, e_joint, e_run, e_split
-from tests._gen import random_live_es
+from weavent.io import load_structure
+from tests._gen import random_consistency_es, random_live_es, random_poset
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +120,26 @@ class TestEpesEv:
         for dom in (dom_of_es(e_run()), dom_of_es(e_ccs()), chain(3)):
             p = epes_ev(dom)
             assert poset_isomorphic(epes_dom(p), dom) is not None
+
+    def test_is_a_valid_epes(self):
+        # epes_ev does not validate what it builds; its input guard is enough
+        doms = [load_structure(str(path), "domain")
+                for path in sorted(FIXTURES.glob("*domain.json"))]
+        doms += [dom_of_es(load_structure(str(path), "es"))
+                 for path in sorted(FIXTURES.glob("*.es.json"))]
+        rng = random.Random(5)
+        doms += [random_poset(rng, rng.randint(2, 7), True, kind)
+                 for kind in (COHERENT, BOUNDED_COMPLETE) for _ in range(300)]
+        doms += [dom_of_es(random_consistency_es(rng, live=True)) for _ in range(40)]
+        kinds = set()
+        for dom in doms:
+            try:
+                p = epes_ev(dom)
+            except OrderError:
+                continue
+            assert validate_epes(p) == (True, ())
+            kinds.add(dom.kind)
+        assert kinds == {COHERENT, BOUNDED_COMPLETE}
 
     def test_fuse_of_epes_ev_recovers_es(self):
         p = epes_ev(dom_of_es(e_run()))

@@ -10,11 +10,20 @@ from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain, poset_isomor
 from weavent.fixtures import e_five, e_prime_conflict, e_run, e_three_independent, \
     running_grammar
 from weavent.graphs import GraphMorphism, TypedGraph
-from weavent.rewrite import Grammar, Rule, _pmin, _tuple_label, grammar_from_es, \
-    once_per_rule_depth, trace_domain
+from weavent import rewrite
+from weavent.rewrite import Grammar, Rule, _pmin, _tuple_label, once_per_rule_depth, \
+    trace_domain
 from tests._gen import family_es, growing_grammar, random_connected_es
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def grammar_from_es(es: EventStructure) -> Grammar:
+    """``rewrite.grammar_from_es``, and its output validated: the package
+    does not validate a grammar it has built, so every test here does."""
+    grammar = rewrite.grammar_from_es(es)
+    grammar.validate()
+    return grammar
 
 
 def grammar_from_es_node_by_node(es: EventStructure) -> Grammar:

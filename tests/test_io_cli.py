@@ -304,13 +304,15 @@ class TestCli:
         assert len(outs) == 1
 
     @staticmethod
-    def _run_module(*args):
+    def _env():
         # the child imports the package under test, installed or not
         src = str(Path(iomod.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+    def _run_module(self, *args):
         return subprocess.run([sys.executable, "-m", *args],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=self._env())
 
     def test_script_entry_point(self):
         proc = self._run_module("weavent.cli", "check", "--es", str(FIXTURES / "e_run.es.json"))
@@ -321,6 +323,21 @@ class TestCli:
         proc = self._run_module("weavent", "--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: weavent")
+
+    def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path):
+        # the report on a 200-element chain (about 640 kB) outgrows a pipe,
+        # so the writer is still writing when the reader closes after a line
+        path = tmp_path / "chain.domain.json"
+        iomod.write_text(str(path), iomod.dumps_domain(fx.chain(200)))
+        proc = subprocess.Popen([sys.executable, "-m", "weavent", "convert", "--domain",
+                                 str(path), "--to", "es-intervals"], env=self._env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0  # the verdict of convert
+        assert b"Traceback" not in err and err == b""
 
 
 def _dead_event_es(tmp_path):

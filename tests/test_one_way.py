@@ -12,9 +12,10 @@ No function binds a name that its module binds at top level, so every
 function in a module reads one meaning of each module name.  Every
 exhaustive oracle lives in ``oracles``, which no other module imports at
 top level, so the command line compiles fast paths only.  The records
-are plain classes on ``_common.Record``: nothing generates code for a class
-at import, and ``import weavent.cli`` loads neither ``dataclasses`` nor
-``inspect``.
+are plain classes on ``_common.Record``, and the private tables plain
+classes too: nothing generates code for a class at import (no
+``dataclass``, no ``NamedTuple``), and ``import weavent.cli`` loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
@@ -212,10 +213,17 @@ def test_the_command_line_loads_every_layer_and_no_oracle():
     assert [layer for layer in layers if f"weavent.{layer}" not in loaded] == []
 
 
+def modules_mentioning(word: str):
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if word in path.read_text(encoding="utf-8")]
+
+
 def test_no_module_mentions_dataclass():
-    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
-             if "dataclass" in path.read_text(encoding="utf-8")]
-    assert found == []
+    assert modules_mentioning("dataclass") == []
+
+
+def test_no_module_mentions_namedtuple():
+    assert modules_mentioning("NamedTuple") == []
 
 
 def test_the_command_line_loads_no_code_generator():

@@ -9,6 +9,8 @@ stdout, stderr and written bytes.
 import os
 from pathlib import Path
 
+import pytest
+
 from weavent import cli, domains, duality, es as esmod, io as iomod
 from tests._gen import family_es
 
@@ -155,7 +157,22 @@ def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
     dom = duality.dom_of_es(es)
     connected = duality.ev_of_domain(dom)
     # one table and one domain for the file's structure and for its
-    # connected form, and one pair pass, on the file's domain
+    # connected form, and no pair pass: the domain is weak prime by the
+    # coreflection theorem, which ``dom_of_es`` records on it
     assert list(map(id, built["table"])) == [id(es), id(connected)]
     assert list(map(id, built["domain"])) == [id(es), id(connected)]
-    assert list(map(id, built["pairs"])) == [id(dom)]
+    assert built["pairs"] == []
+
+
+@pytest.mark.parametrize("name", ["e_run.es.json", "L2.es.json"])
+@pytest.mark.parametrize("verb", ["connect", "roundtrip"])
+def test_connect_and_roundtrip_run_no_pair_pass(verb, name, tmp_path, monkeypatch, capsys):
+    path = FIXTURES / name
+    if name == "L2.es.json":
+        path = tmp_path / name
+        iomod.write_text(str(path), iomod.dumps(iomod.es_to_json(family_es("L", 2))))
+    passes = []
+    monkeypatch.setattr(domains, "_pair_pass", passes.append)
+    assert cli.main([verb, "--es", str(path)]) == 0
+    assert passes == []
+    capsys.readouterr()
