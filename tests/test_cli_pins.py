@@ -236,3 +236,88 @@ def test_spliced_structure_equals_one_encoding_of_the_report(verb, tmp_path, mon
     written = (tmp_path / out_path).read_text(encoding="utf-8")
     structure = report["results"]["structure"]
     assert written == json.dumps(structure, indent=2, sort_keys=True) + "\n"
+
+
+# The domain verbs that read an event structure off a domain, pinned while
+# ``ev_of_domain`` and ``ev_wd`` still built their structures each in its
+# own way and ``zeta`` still walked each cover's irreducible difference.
+# argv -> sha256 of stdout, and of the file written to the --out path if any
+DOMAIN_READS = {
+    "convert --domain run.domain.json --to es --out out.json": (
+        "ad81cf2177724cd9e3b997c2013f878079f1374c3e2e11e714dacc2317d5139a",
+        "ac7a618d3cdb2794f611f64a4f637204bf069384916aba2c990033f0e6b99fe4"),
+    "convert --domain run.domain.json --to epes --out out.json": (
+        "2f38091046d5199076f4c76d57d04124e9510e229e0c2dc55410f643ee359f56",
+        "7d3314ff037ae5139f2ffaa9e9a0375699b9e2c78ed55aebff0e2d7499c5e3a4"),
+    "convert --domain run.domain.json --to es-intervals --out out.json": (
+        "54a715070c265e86d856ba3ec99803493aa87ee58fae2f8b11f1711a293b2ebe",
+        "21f327d60f8abb16b2f27e15d764c76abdd4edb31a9d39a863291615e1ea685a"),
+    "convert --domain split.domain.json --to es --out out.json": (
+        "691aaf4246a8f24e30efaa2fd52d63f544315e5fcf0907ca797966ac8c6cdacd",
+        "1dbaf12b98828b062e6c9e35766be8c39f7bcc5b7848a819096a18e8f4c41fd0"),
+    "convert --domain split.domain.json --to epes --out out.json": (
+        "f9b71652363467ced15c7e55ca126397db02ace16ffe5ad5dc639896c0522c86",
+        "dcd8d30488beebc751befc6999e54737347ac4c9e7cd58ce35f816d7eb7bf0cf"),
+    "convert --domain split.domain.json --to es-intervals --out out.json": (
+        "6d46d5591cc1d836732b21af7b0a55236a8356ca400068de8cc73a634e261b5e",
+        "e57780d21b73fdcc9421d3f69cb3e0c2d50050a702dfc3ceecb5e3b149d297c3"),
+    "convert --domain L2.domain.json --to es --out out.json": (
+        "8b877d5edced01836c592b89bf3f1f00aa93c960718443d4766ee330d9253abc",
+        "805aa1344e4fde679ba68dea478af8c1a6a01b33de9ab339c13136963cb1c9ae"),
+    "convert --domain L2.domain.json --to epes --out out.json": (
+        "dfcc007215826e2543c3f18b2cbfd76136c1abd0eb3b086d9cec319d375105dd",
+        "45436bbaa265faa769e7544ef775bc35543cdf96689e662a82a4ada30c7c0d1e"),
+    "convert --domain L2.domain.json --to es-intervals --out out.json": (
+        "1e4c81341eb71f501a93047bb5d054e790eb7ae837a7ffb898aa86986b8aefb7",
+        "05042e7574b178831164ae02859304f6c30971fdbe751855a0f004fe13e339c0"),
+    "convert --domain B4.domain.json --to es --out out.json": (
+        "8a2109da3b6b4d4f65306b9ee5411a79d6bf9b08b5d0534981a8af36bf43ad92",
+        "17409e56dc1cdeb28544c3f9dde2a8a16a1d55dc8c71544859a45194db55986b"),
+    "convert --domain B4.domain.json --to epes --out out.json": (
+        "09d20b0ff46441d1dce4c2bbfdc1a1839884c3a9c166787c50616625a71be247",
+        "59e545783273d73ca9b2296321101be3ac5ea5d00a6acf9cecf155a3a2dccb42"),
+    "convert --domain B4.domain.json --to es-intervals --out out.json": (
+        "45a151092ca4794c3b4f9786d5edc88b69bc257a93e7f50d1ddd9ce983113cac",
+        "bb96a5e6d5a9a24e3b00997bba17f229d19741dffc5f8a9e74f4f52301c8b7aa"),
+    "convert --domain X3.domain.json --to es --out out.json": (
+        "73a0df8a64944d8392d4b2ddf4491bda73cebd15dc494a0dc832db71aa16e1c6",
+        "248bf7276c9aa05a436d214a72833a9c580c21a9b89007a49c5d29bcaa370c12"),
+    "convert --domain X3.domain.json --to epes --out out.json": (
+        "94d6485364f6562579eddaeb95636c4f88a66f758b3c197e26502e2756eb1784",
+        "291908b0d9ad0f82d06befdc7de7eb92a5af32e78aaebf166ccb910f78affee6"),
+    "convert --domain X3.domain.json --to es-intervals --out out.json": (
+        "2e06600479000c9ca9d9f3ac2b18221c59c31c8d3a9ba66f65ed7514a806d83d",
+        "244c7ec48215f8feff523cefc286294e9bf22118f75324eb83423c0c05dc5b8c"),
+    "convert --domain nontransitive.bdomain.json --to es --out out.json": (
+        "7ab7c9ad077d87792699b891c250edd4981dde04f91eb99a23173fe09ff2b233",
+        "e25ee6f0aca30710327c40689f696c9b2ac3798dbda863e08a8c6c9c308b5dbe"),
+    "roundtrip --domain run.domain.json": (
+        "17010aa7f86fb6b99771b991149b8fcbba77cc0b8ac57eb1b1f141401f1893e9",),
+    "roundtrip --domain split.domain.json": (
+        "9ce5aa041dbdf2c360ad20c456f74af2a3f04bc7d8bc5e133979dc0832f0a820",),
+    "roundtrip --domain L2.domain.json": (
+        "2df0ce9106d73194954a1c48ad154845c2b4e024ccd5a33bb517c31d13a90cfb",),
+}
+
+
+def _write_domains():
+    for name in ("run", "split"):
+        shutil.copyfile(FIXTURES / f"{name}.domain.json", f"{name}.domain.json")
+    shutil.copyfile(FIXTURES / "nontransitive.bdomain.json", "nontransitive.bdomain.json")
+    for family, n in (("L", 2), ("B", 4), ("X", 3)):
+        dom = dom_of_es(family_es(family, n))
+        iomod.dump_json(iomod.domain_to_json(dom), f"{family}{n}.domain.json")
+
+
+@pytest.mark.parametrize("argv", sorted(DOMAIN_READS))
+def test_domain_reads_keep_the_pinned_bytes(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_domains()
+    argv = argv.split()
+    code, out = _run(capsys, argv)
+    assert code == 0
+    got = (_sha(out),)
+    if "--out" in argv:
+        got += (hashlib.sha256((tmp_path / argv[argv.index("--out") + 1]).read_bytes())
+                .hexdigest(),)
+    assert got == DOMAIN_READS[" ".join(argv)]
