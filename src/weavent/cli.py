@@ -224,6 +224,8 @@ def _cmd_derive(args) -> tuple:
         ceiling = int(ceiling)
     except ValueError:
         raise iomod.SchemaError(f"WEAVENT_CLASS_CEILING is not an integer: {ceiling!r}") from None
+    if ceiling < 0:
+        raise iomod.SchemaError(f"WEAVENT_CLASS_CEILING must not be negative, got {ceiling}")
     res = trace_classes(value, depth, fusion_safe=args.fusion_safe, ceiling=ceiling)
     dom = res.domain
     alg = algebraicity(dom)

@@ -9,7 +9,8 @@ that is only listed or drawn never pays for them:
 - ``lower``/``upper``: the lower and upper covers of each element;
 - ``up``/``down``: the order masks, ``up[i]`` the elements ⊒ i and
   ``down[i]`` the elements ⊑ i, swept along the covers (the validating
-  constructor gets them from its cycle check and sets them at once);
+  constructor sweeps both at once, in the finishing order of the DFS
+  that checks for cycles);
 - ``by_up``/``by_down``: each element keyed by its up-set, resp. down-set.
   The upper bounds of any set form an up-set U, and U has a least element
   k exactly when ``U == up[k]``; so a join is ``by_up.get(U)`` and a meet
@@ -95,8 +96,6 @@ class FiniteDomain:
             i, j = idx[a], idx[b]
             succ[i] |= 1 << j
             pred[j] |= 1 << i
-        # up[i] = mask of elements ⊒ i, computed by DFS over covers
-        up = [0] * n
         state = [0] * n  # 0 unvisited, 1 in progress, 2 done
         finished = []  # every element after all elements above it
         # the stack is explicit so that long chains cannot exhaust Python's
@@ -104,26 +103,24 @@ class FiniteDomain:
         for root in range(n):
             if state[root]:
                 continue
-            state[root], up[root] = 1, 1 << root
+            state[root] = 1
             stack = [(root, _bits(succ[root]))]
             while stack:
                 i, above = stack[-1]
                 for j in above:
                     if state[j] == 1:
                         raise OrderError(f"cycle through {self.elements[j]!r}")
-                    if state[j] == 2:
-                        up[i] |= up[j]
-                    else:
-                        state[j], up[j] = 1, 1 << j
+                    if not state[j]:
+                        state[j] = 1
                         stack.append((j, _bits(succ[j])))
                         break
                 else:
                     stack.pop()
                     state[i] = 2
                     finished.append(i)
-                    if stack:
-                        up[stack[-1][0]] |= up[i]
-        # down[j] = mask of elements ⊑ j, built bottom-up along the covers
+        # up[i] = mask of elements ⊒ i, down[j] = mask of elements ⊑ j,
+        # swept along the covers in finishing order and in its reverse
+        up = _swept(finished, succ)
         down = _swept(reversed(finished), pred)
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram

@@ -5,7 +5,10 @@ event structures with equivalence.
 an event structure back off a weak prime domain, with events the
 interchangeability classes of irreducibles.  Their composite ``connect_es``
 replaces a live structure by a connected one with the same configuration
-poset.  The EPES constructions present the same correspondence through
+poset.  ``ev_of_domain`` shares one builder, ``_es_of_steps``, with the
+interval construction ``intervals.ev_wd``: an event performs a set of
+covers (its steps), and enabling, conflict and consistency are read off
+the ends of those covers.  The EPES constructions present the same correspondence through
 prime structures carrying an event equivalence.
 """
 
@@ -99,7 +102,8 @@ def dom_of_es_morphism(f: Mapping[str, str], src: EventStructure,
 def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     """The event structure of a weak prime domain.
 
-    Events are ↔*-classes of irreducibles; a set enables a class when it
+    Events are ↔*-classes of irreducibles, and the class of ``i`` performs
+    the step ``[p(i), i]`` (``_es_of_steps``): a set enables a class when it
     contains the classes of all strict predecessors of one of its members;
     two classes are in conflict when no element dominates members of both.
     The structure is built once per domain and kept on it (``_once``).  The
@@ -111,23 +115,46 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
 def _find_ev(dom: FiniteDomain) -> EventStructure:
     _require_weak_prime(dom)
     classes = interchange_classes(dom)
-    name = {}
-    for k, cls in enumerate(classes):
-        nm = f"class{k}:{min(cls)}"
-        for i in cls:
-            name[i] = nm
-    gens = set()
-    for i in name:
-        below = decompose(dom, predecessor(dom, i))
-        gens.add((frozenset(name[j] for j in below), name[i]))
-    events = sorted(set(name.values()))
+    idx, lower = dom._idx, dom._lower
+    steps = [[(lower[i].bit_length() - 1, i) for i in map(idx.__getitem__, cls)]
+             for cls in classes]
+    return _es_of_steps(dom, [f"class{k}:{min(cls)}" for k, cls in enumerate(classes)], steps)
+
+
+def _es_of_steps(dom: FiniteDomain, names: List[str],
+                 steps: List[List[Tuple[int, int]]]) -> EventStructure:
+    """The event structure whose event ``names[k]`` performs the covers
+    ``steps[k]`` of ``dom``, given as index pairs ``(d, d')``; it is the one
+    construction behind ``ev_of_domain`` (one step ``[p(i), i]`` per
+    irreducible ``i``, grouped by ↔*-class) and ``intervals.ev_wd`` (every
+    cover, grouped by interval class).
+
+    A step ``(d, d')`` is enabled by the events with a step ending below
+    ``d``.  On a coherent domain two events conflict when no upper end of
+    one lies in the ``_cons`` row of an upper end of the other, which is
+    "no element dominates an upper end of each": ``cons[i]``, the OR of
+    ``down[m]`` over the maximal ``m ⊒ i``, holds ``j`` exactly when ``i``
+    and ``j`` have a common upper bound (each upper bound lies below a
+    maximal element), that is when ``up[i] & up[j]`` is not 0.  So the OR
+    of the ``_up`` rows over a set of ends ``I`` meets the OR over a set
+    ``J`` exactly when some ``cons[i]``, ``i`` in ``I``, meets the mask of
+    ``J``, the event's tops.  On any other domain the consistent sets are
+    the events with a step ending below each maximal element.
+    """
+    down = dom._down
+    tops = [reduce(or_, (1 << d2 for _, d2 in s)) for s in steps]
+
+    def enablers(d):
+        return frozenset(e for e, top in zip(names, tops) if top & down[d])
+
+    gens = {(enablers(d), names[k]) for k, s in enumerate(steps) for d, _ in s}
     if dom.kind == COHERENT:
-        ups = [reduce(or_, (dom._up[dom.index(i)] for i in cls)) for cls in classes]
-        conflict = [(name[min(classes[k])], name[min(classes[m])])
-                    for k, m in combinations(range(len(classes)), 2) if not ups[k] & ups[m]]
-        return EventStructure.binary(events, conflict, [(x, e) for x, e in gens])
-    cons = [frozenset(name[i] for i in decompose(dom, d)) for d in dom.maximal_elements()]
-    return EventStructure.with_consistency(events, cons, [(x, e) for x, e in gens])
+        reach = [reduce(or_, (dom._cons[d2] for _, d2 in s)) for s in steps]
+        conflict = [(names[k], names[m]) for k, m in combinations(range(len(steps)), 2)
+                    if not reach[k] & tops[m]]
+        return EventStructure.binary(names, conflict, gens)
+    maximal = map(dom.index, dom.maximal_elements())
+    return EventStructure.with_consistency(names, map(enablers, maximal), gens)
 
 
 def connect_es(es: EventStructure) -> EventStructure:

@@ -9,20 +9,23 @@ exactly the weak prime domains among finite coherent ones.
 
 The layer reads the domain's masks and keeps the interval classes and the
 axiom report on the domain; the oracles, ``interval_classes_by_definition``
-and ``_axiom_v_by_definition``, live in ``oracles``.
+and ``_axiom_v_by_definition``, live in ``oracles``.  An irreducible ``i`` is
+the prime interval ``[p(i), i]``: ``ev_wd`` builds its structure through
+``duality._es_of_steps``, as ``ev_of_domain`` does from those intervals
+alone, and ``zeta`` reads each class's image off the irreducible upper
+ends of its covers.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._common import UnionFind, Value, _bits, _once
 from .es import EventStructure
-from .domains import (COHERENT, FiniteDomain, OrderError, _irreducible_mask,
-                      _require_valid, _require_weak_prime, interchange_classes)
+from .domains import (FiniteDomain, OrderError, _require_valid, _require_weak_prime,
+                      interchange_classes)
+from .duality import _es_of_steps
 
 Interval = Tuple[str, str]
 _Pair = Tuple[int, int]  # an interval as a pair of element indices
@@ -162,57 +165,48 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     """The event structure of interval classes (the interval-based
     construction); isomorphic to the one built from irreducibles.
 
-    Events are ~-classes of intervals; a class is enabled by a set covering
-    all classes strictly below the lower endpoint of one representative.
-    On a coherent domain two classes conflict when upper endpoints of
-    representatives are never consistent; on any other, as in
-    ``duality.ev_of_domain``, the consistent sets are the classes below each
-    maximal element.
+    Events are ~-classes of intervals, and a class performs each of its
+    covers (``duality._es_of_steps``, which ``ev_of_domain`` shares): a
+    class is enabled by a set covering all classes strictly below the lower
+    endpoint of one representative.  On a coherent domain two classes
+    conflict when upper endpoints of representatives are never consistent;
+    on any other the consistent sets are the classes below each maximal
+    element.  The domain must satisfy (C), (R) and (V).
     """
     report = check_axioms(dom)
     for name in ("C", "R", "V"):
         if not getattr(report, name):
             raise OrderError(f"axiom {name} fails: {report.witness}")
     classes = _classes(dom)
-    names, down, cons = dom.elements, dom._down, dom._cons
-    events = [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]" for k, cls in enumerate(classes)]
-    tops = [reduce(or_, (1 << d2 for _, d2 in cls)) for cls in classes]
-    # [d,d'] is enabled by the classes with an upper endpoint below d
-    gens = {(frozenset(e for e, top in zip(events, tops) if top & down[d]), events[k])
-            for k, cls in enumerate(classes) for d, _ in cls}
-    if dom.kind == COHERENT:
-        reach = [reduce(or_, (cons[d2] for _, d2 in cls)) for cls in classes]
-        conflict = [(events[k], events[m]) for k, m in combinations(range(len(classes)), 2)
-                    if not reach[k] & tops[m]]
-        return EventStructure.binary(events, conflict, gens)
-    below = [frozenset(e for e, top in zip(events, tops) if top & down[dom.index(d)])
-             for d in dom.maximal_elements()]
-    return EventStructure.with_consistency(events, below, gens)
+    names = dom.elements
+    return _es_of_steps(dom, [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]"
+                              for k, cls in enumerate(classes)], classes)
 
 
 def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:
     """The bijection between interval classes and interchangeability classes.
 
-    Maps an interval class to the class of any irreducible in the
-    difference of its endpoints; verified well-defined and bijective.  Then
-    it is inverse to ``[i] ↦ [p(i), i]``, as that difference is ``{i}``.
+    Maps an interval class to the ↔*-classes of the irreducible upper ends
+    of its covers, and checks that there is one each and that the map is a
+    bijection.  It is inverse to ``[i] ↦ [p(i), i]``.
+
+    These are the classes of the minimal irreducibles of ``ir(d') \\ ir(d)``
+    over the covers ``[d, d']`` of the class.  A cover ``[p(i), i]`` has the
+    difference ``{i}``.  Conversely, on a valid domain a minimal ``i`` of
+    ``ir(d') \\ ir(d)`` has every irreducible strictly below it in ``ir(d)``,
+    so ``p(i) ⊑ d`` by irreducible algebraicity (``p(i)`` is the join of
+    those irreducibles).  As ``i ⋢ d``, ``d ⊏ i ⊔ d ⊑ d'``, so
+    ``i ⊔ d = d'``; and ``p(i) ⊑ i ⊓ d ⊏ i`` with ``p(i)`` the only lower
+    cover of ``i``, so ``i ⊓ d = p(i)``.  Hence ``[p(i), i] ≤ [d, d']``, and
+    the two lie in one class.
     """
     _require_weak_prime(dom)
-    classes = _classes(dom)
     iv_classes = interval_classes(dom)
     ir_classes = interchange_classes(dom)
     cls_of_irr = {dom.index(i): k for k, cls in enumerate(ir_classes) for i in cls}
-    down, irr = dom._down, _irreducible_mask(dom)
     forward: List[int] = []
-    for cls, named in zip(classes, iv_classes):
-        images = set()
-        for d, d2 in cls:
-            # the irreducible difference of a cover need not be flat; only
-            # its minimal elements perform the step and share a class
-            delta = down[d2] & irr & ~down[d]
-            for i in _bits(delta):
-                if down[i] & delta == 1 << i:
-                    images.add(cls_of_irr[i])
+    for cls, named in zip(_classes(dom), iv_classes):
+        images = {cls_of_irr[d2] for _, d2 in cls if d2 in cls_of_irr}
         if len(images) != 1:
             raise OrderError(f"interval class {sorted(named)} maps to {len(images)} classes")
         forward.append(images.pop())

@@ -245,7 +245,8 @@ def _axiom_v_by_definition(dom: FiniteDomain, classes) -> Optional[tuple]:
 # ---------------------------------------------------------------------- #
 
 def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], List[Tuple[str, ...]]]:
-    """All paths from the origin and their classes under contextual closure."""
+    """All paths from the origin, sorted, and their classes under contextual
+    closure, numbered in the order of their least members (``groups()``)."""
     cls2, members = _square_classes(a)
     paths = [()]
     stack = [((), a.origin)]
@@ -265,8 +266,7 @@ def _origin_path_classes(a: AsyncGraph) -> Tuple[Dict[Tuple[str, ...], int], Lis
                     w2 = w[:i] + seg2 + w[i + 2:]
                     if w2 in uf:
                         uf.union(w, w2)
-    roots: Dict[Tuple[str, ...], int] = {}
-    return {w: roots.setdefault(uf.find(w), len(roots)) for w in paths}, paths
+    return {w: k for k, group in enumerate(uf.groups()) for w in group}, paths
 
 
 # ---------------------------------------------------------------------- #

@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from pathlib import Path
 
+from weavent import fixtures
 from weavent.asyncgraphs import AsyncGraph
 from weavent.es import EventStructure, LivenessError, saturate, classify
-from weavent.domains import COHERENT, FiniteDomain
+from weavent.domains import BOUNDED_COMPLETE, COHERENT, FiniteDomain
 from weavent.duality import connect_es, dom_of_es
 from weavent.graphs import GraphMorphism, TypedGraph
+from weavent.io import load_structure
 from weavent.rewrite import Grammar, Rule
 
 EVENT_NAMES = "abcdefgh"
@@ -162,6 +165,27 @@ def random_poset(rng: random.Random, n: int, bottom: bool = True,
     leq = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
            if (bottom and i == 0) or rng.random() < p]
     return FiniteDomain(names, leq, kind)
+
+
+def comparison_domains(rng: random.Random, draws: int):
+    """Domains to compare a construction with a reference on: every domain
+    fixture, the configuration domains of ``B``, ``X``, ``L`` and ``C`` up
+    to size 4, those of ``draws`` live draws of each conflict kind, and
+    ``10 * draws`` posets from ``random_poset`` of both kinds, most of them
+    no weak prime domain."""
+    files = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*domain.json"))
+    doms = [load_structure(str(path), "domain") for path in files]
+    doms += [fixtures.m3(), fixtures.chain(3), fixtures.pair_no_join(),
+             fixtures.nontransitive_poset(), fixtures.nontransitive_poset(with_top=False),
+             fixtures.nontransitive_bdomain()]
+    doms += [dom_of_es(family_es(family, n)) for family in "BXLC" for n in range(1, 5)]
+    for _ in range(draws):
+        doms.append(dom_of_es(random_live_es(rng, conflict_p=0.3)))
+        doms.append(dom_of_es(random_consistency_es(rng, live=True)))
+    doms += [random_poset(rng, rng.randint(2, 9), bottom=rng.random() < 0.8,
+                          kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+             for _ in range(10 * draws)]
+    return doms
 
 
 def random_async_graph(rng: random.Random, max_nodes: int = 7) -> AsyncGraph:

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,10 @@ from weavent._common import backtrack
 from weavent.es import EventStructure, LivenessError, classify, configurations, \
     minimal_enablings
 from weavent import domains
-from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError, algebraicity,
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
+                             _require_weak_prime, algebraicity, decompose,
                              interchange_classes, interchangeable, irreducible_elements,
-                             validate_domain, validate_domain_morphism)
+                             predecessor, validate_domain, validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
                              dom_of_es_morphism, es_isomorphic, ev_of_domain,
                              poset_isomorphic, unfold)
@@ -19,8 +22,9 @@ from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               nontransitive_bdomain)
 from weavent.dot import poset_dot
 from weavent.io import domain_to_json, load_structure
-from tests._gen import (family_es, random_connected_es, random_consistency_es,
-                        random_live_es, random_poset, random_weak_prime_domain)
+from tests._gen import (comparison_domains, family_es, random_connected_es,
+                        random_consistency_es, random_live_es, random_poset,
+                        random_weak_prime_domain)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -245,6 +249,54 @@ class TestEvOfDomain:
             assert ev_of_domain(dom).conflict == scan
             conflicts += len(scan)
         assert conflicts > 20
+
+
+def reference_ev(dom: FiniteDomain) -> EventStructure:
+    """``ev_of_domain`` as it was built before it shared one builder with
+    ``intervals.ev_wd``: enablings from ``decompose`` of each predecessor,
+    conflict from the OR of each class's up-sets, and consistent sets from
+    ``decompose`` of each maximal element."""
+    _require_weak_prime(dom)
+    classes = interchange_classes(dom)
+    name = {}
+    for k, cls in enumerate(classes):
+        nm = f"class{k}:{min(cls)}"
+        for i in cls:
+            name[i] = nm
+    gens = set()
+    for i in name:
+        below = decompose(dom, predecessor(dom, i))
+        gens.add((frozenset(name[j] for j in below), name[i]))
+    events = sorted(set(name.values()))
+    if dom.kind == COHERENT:
+        ups = [reduce(or_, (dom._up[dom.index(i)] for i in cls)) for cls in classes]
+        conflict = [(name[min(classes[k])], name[min(classes[m])])
+                    for k, m in combinations(range(len(classes)), 2) if not ups[k] & ups[m]]
+        return EventStructure.binary(events, conflict, [(x, e) for x, e in gens])
+    cons = [frozenset(name[i] for i in decompose(dom, d)) for d in dom.maximal_elements()]
+    return EventStructure.with_consistency(events, cons, [(x, e) for x, e in gens])
+
+
+def outcome(construct, dom):
+    """What ``construct(dom)`` returns, or the type and message it raises."""
+    try:
+        return construct(dom)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_ev_of_domain_agrees_with_its_reference():
+    built, kinds, raised = 0, set(), set()
+    for dom in comparison_domains(random.Random(3), 150):
+        expected = outcome(reference_ev, dom)
+        assert outcome(ev_of_domain, dom) == expected, dom.elements
+        if isinstance(expected, EventStructure):
+            built += 1
+            kinds.add(expected.conflict_kind)
+        else:
+            raised.add(expected[1].split(":")[0])
+    assert built > 1000 and kinds == {"binary", "consistency"}
+    assert raised == {"not a valid domain", "not weak prime algebraic"}
 
 
 class TestConnect:

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from weavent import cli, domains, fixtures, intervals
-from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, algebraicity, \
-    diff, interchange_classes, predecessor, validate_domain
+from weavent._common import _bits
+from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, _irreducible_mask, \
+    _require_weak_prime, algebraicity, diff, interchange_classes, predecessor, validate_domain
 from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain
 from weavent.es import EventStructure
 from weavent.fixtures import (chain, e_ccs, e_prime_conflict, e_run, e_split,
@@ -15,7 +16,7 @@ from weavent.intervals import (AxiomReport, check_axioms, ev_wd, interval_classe
                                interval_leq, zeta)
 from weavent.io import load_structure
 from weavent.oracles import _axiom_v_by_definition, interval_classes_by_definition
-from tests._gen import random_poset, random_weak_prime_domain
+from tests._gen import comparison_domains, random_poset, random_weak_prime_domain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -241,7 +242,7 @@ def reference_ev_wd(dom) -> EventStructure:
     return EventStructure.binary(set(names.values()), conflict, gens)
 
 
-def reference_zeta(dom):
+def reference_zeta_by_names(dom):
     """``zeta`` from the named intervals and irreducible differences."""
     iv_classes = interval_classes_by_definition(dom)
     ir_classes = interchange_classes(dom)
@@ -256,6 +257,55 @@ def reference_zeta(dom):
         (k,) = images
         pairs.append((cls, ir_classes[k]))
     return tuple(pairs)
+
+
+def reference_zeta(dom):
+    """``zeta`` as it was before it read the irreducible upper ends of each
+    class's covers: the minimal elements of each cover's irreducible
+    difference, walked on masks."""
+    _require_weak_prime(dom)
+    classes = intervals._classes(dom)
+    iv_classes = interval_classes(dom)
+    ir_classes = interchange_classes(dom)
+    cls_of_irr = {dom.index(i): k for k, cls in enumerate(ir_classes) for i in cls}
+    down, irr = dom._down, _irreducible_mask(dom)
+    forward = []
+    for cls, named in zip(classes, iv_classes):
+        images = set()
+        for d, d2 in cls:
+            # the irreducible difference of a cover need not be flat; only
+            # its minimal elements perform the step and share a class
+            delta = down[d2] & irr & ~down[d]
+            for i in _bits(delta):
+                if down[i] & delta == 1 << i:
+                    images.add(cls_of_irr[i])
+        if len(images) != 1:
+            raise OrderError(f"interval class {sorted(named)} maps to {len(images)} classes")
+        forward.append(images.pop())
+    if sorted(forward) != list(range(len(ir_classes))):
+        raise OrderError("interval classes and interchange classes do not biject")
+    return tuple((iv_classes[n], ir_classes[forward[n]]) for n in range(len(iv_classes)))
+
+
+def outcome(construct, dom):
+    """What ``construct(dom)`` returns, or the type and message it raises."""
+    try:
+        return construct(dom)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_zeta_agrees_with_the_difference_walk():
+    built, raised = 0, set()
+    for dom in comparison_domains(random.Random(11), 150):
+        expected = outcome(reference_zeta, dom)
+        assert outcome(zeta, dom) == expected, dom.elements
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            raised.add(expected[1].split(":")[0])
+        else:
+            built += 1
+    assert built > 1000
+    assert raised == {"not a valid domain", "not weak prime algebraic"}
 
 
 class TestAgainstDefinitions:
@@ -312,7 +362,7 @@ class TestAgainstDefinitions:
             if algebraicity(dom).weak_prime_algebraic:
                 built += 1
                 pairs = zeta(dom)
-                assert pairs == reference_zeta(dom)
+                assert pairs == reference_zeta_by_names(dom)
                 # inverse to [i] ↦ [p(i), i]
                 for ivc, irc in pairs:
                     assert all((predecessor(dom, i), i) in ivc for i in irc)

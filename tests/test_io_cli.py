@@ -435,6 +435,13 @@ def test_derive_rejects_a_negative_depth(capsys):
     assert json.loads(err)["error"] == "--depth must not be negative, got -1"
 
 
+def test_derive_rejects_a_negative_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("WEAVENT_CLASS_CEILING", "-1")
+    code, out, err = run_cli(*_DERIVE, "--depth", "2", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "WEAVENT_CLASS_CEILING must not be negative, got -1"
+
+
 def test_derive_rejects_an_unknown_format(tmp_path, capsys):
     out_path = tmp_path / "traces.svg"
     code, out, err = run_cli(*_DERIVE, "--depth", "2", "--format", "svg",
