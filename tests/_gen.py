@@ -171,8 +171,8 @@ def comparison_domains(rng: random.Random, draws: int):
     """Domains to compare a construction with a reference on: every domain
     fixture, the configuration domains of ``B``, ``X``, ``L`` and ``C`` up
     to size 4, those of ``draws`` live draws of each conflict kind, and
-    ``10 * draws`` posets from ``random_poset`` of both kinds, most of them
-    no weak prime domain."""
+    ``10 * draws`` posets from ``random_poset`` of both kinds, a third of
+    them no weak prime domain."""
     files = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*domain.json"))
     doms = [load_structure(str(path), "domain") for path in files]
     doms += [fixtures.m3(), fixtures.chain(3), fixtures.pair_no_join(),
@@ -186,6 +186,14 @@ def comparison_domains(rng: random.Random, draws: int):
                           kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
              for _ in range(10 * draws)]
     return doms
+
+
+def outcome(construct, dom):
+    """What ``construct(dom)`` returns, or the type and message it raises."""
+    try:
+        return construct(dom)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def random_async_graph(rng: random.Random, max_nodes: int = 7) -> AsyncGraph:

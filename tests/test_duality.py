@@ -22,7 +22,7 @@ from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               nontransitive_bdomain)
 from weavent.dot import poset_dot
 from weavent.io import domain_to_json, load_structure
-from tests._gen import (comparison_domains, family_es, random_connected_es,
+from tests._gen import (comparison_domains, family_es, outcome, random_connected_es,
                         random_consistency_es, random_live_es, random_poset,
                         random_weak_prime_domain)
 
@@ -275,14 +275,6 @@ def reference_ev(dom: FiniteDomain) -> EventStructure:
         return EventStructure.binary(events, conflict, [(x, e) for x, e in gens])
     cons = [frozenset(name[i] for i in decompose(dom, d)) for d in dom.maximal_elements()]
     return EventStructure.with_consistency(events, cons, [(x, e) for x, e in gens])
-
-
-def outcome(construct, dom):
-    """What ``construct(dom)`` returns, or the type and message it raises."""
-    try:
-        return construct(dom)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def test_ev_of_domain_agrees_with_its_reference():

@@ -16,7 +16,7 @@ from weavent.intervals import (AxiomReport, check_axioms, ev_wd, interval_classe
                                interval_leq, zeta)
 from weavent.io import load_structure
 from weavent.oracles import _axiom_v_by_definition, interval_classes_by_definition
-from tests._gen import comparison_domains, random_poset, random_weak_prime_domain
+from tests._gen import comparison_domains, outcome, random_poset, random_weak_prime_domain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -285,14 +285,6 @@ def reference_zeta(dom):
     if sorted(forward) != list(range(len(ir_classes))):
         raise OrderError("interval classes and interchange classes do not biject")
     return tuple((iv_classes[n], ir_classes[forward[n]]) for n in range(len(iv_classes)))
-
-
-def outcome(construct, dom):
-    """What ``construct(dom)`` returns, or the type and message it raises."""
-    try:
-        return construct(dom)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def test_zeta_agrees_with_the_difference_walk():
