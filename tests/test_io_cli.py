@@ -694,6 +694,8 @@ _WRONG_TYPES = [
      "rules[0].name: expected a string"),
     ("--grammar", _with("fusion.grammar.json", ["rules", 0, "l", "nodes", "c"], ["c"]),
      "rules[0].l: node/edge maps must map ids to strings"),
+    ("--es", {"events": ["a"], "consistent": [1]}, "consistent[*]: expected a list of strings"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 0], 1), "rules[0]: expected an object"),
 ]
 
 
@@ -731,12 +733,55 @@ _BAD_ITEMS = [
      "squares[1]: expected a list of strings"),
     ("--epes", _with("unfold_run.epes.json", ["equiv"], [[], ["a", 1]]),
      "equiv[1]: expected a list of strings"),
+    ("--epes", _with("unfold_run.epes.json", ["equiv"], [["<{}:a>"], ["<{}:b>"], ["zz"]]),
+     "equiv[2]: unknown event 'zz'"),
+    ("--epes", _with("unfold_run.epes.json", ["equiv"],
+                     [["<{}:a>"], ["<{}:b>"], ["<{a}:c>"], ["<{}:a>"]]),
+     "equiv[3]: event '<{}:a>' in two blocks"),
+    ("--grammar", _with("fusion.grammar.json", ["type_graph", "nodes"],
+                        [{"id": "n"}, {"id": "m", "kind": "x"}]),
+     "type_graph.nodes[1]: unknown keys ['kind']"),
+    ("--grammar", _with("fusion.grammar.json", ["type_graph", "edges", 1], {"id": "x", "src": "n"}),
+     "type_graph.edges[1]: missing keys ['tgt']"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 1], {"name": "x"}),
+     "rules[1]: missing keys ['K', 'L', 'R', 'l', 'r']"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 1, "L", "kind"], 1),
+     "rules[1].L: unknown keys ['kind']"),
 ]
 
 
 @pytest.mark.parametrize("flag, obj, message", _BAD_ITEMS,
                          ids=[m.split(":")[0] for _, _, m in _BAD_ITEMS])
 def test_a_bad_item_past_the_first_is_named(flag, obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("check", flag, str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
+
+
+# Input that every field check passes but a constructor or validator
+# rejects: the message is the constructor's, behind the graph or map it
+# names, if any.
+_REJECTED = [
+    ("--es", _with("e_run.es.json", ["enabling", 2, "event"], "z"),
+     "enabling generator for unknown event 'z'"),
+    ("--domain", _with("run.domain.json", ["covers", 0], ["{a,b,c}", "{}"]),
+     "cycle through '{a,b,c}'"),
+    ("--grammar", _with("fusion.grammar.json", ["start", "edges", 1, "id"], "e_abar"),
+     "start: duplicate edge id 'e_abar'"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 0, "l", "nodes"], {"c": "c"}),
+     "rules[0].l: node 'v' unmapped or mapped outside the target"),
+    ("--grammar", _with("fusion.grammar.json", ["rules", 1, "name"], "p_a"),
+     "duplicate rule name 'p_a'"),
+    ("--async", _with("run.async.json", ["edges", 1, "id"], "{a,b}>{a,b,c}"),
+     "duplicate edge id '{a,b}>{a,b,c}'"),
+]
+
+
+@pytest.mark.parametrize("flag, obj, message", _REJECTED,
+                         ids=[m.split(":")[0] for _, _, m in _REJECTED])
+def test_a_rejected_structure_exits_2_with_its_message(flag, obj, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli("check", flag, str(path), capsys=capsys)
