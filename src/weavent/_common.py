@@ -1,7 +1,8 @@
 """The building blocks every layer shares: the immutable records, a
-union-find, a report, a per-structure cache, the bits of a mask and
-``backtrack``, the one depth-first search behind graph matching, trace
-permutations and isomorphism tests.
+union-find, a report, a per-structure cache, the bits of a mask,
+``_finishing_order``, the one cycle walk behind a domain's rising order and
+an asynchronous graph's acyclicity, and ``backtrack``, the one depth-first
+search behind graph matching, trace permutations and isomorphism tests.
 
 This module imports nothing from weavent, so any layer may import it.
 """
@@ -9,7 +10,8 @@ This module imports nothing from weavent, so any layer may import it.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 
 class Record:
@@ -125,6 +127,39 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _finishing_order(succ: Sequence[int]) -> Tuple[List[int], Optional[int]]:
+    """The depth-first walk of the graph whose node ``i`` has the successor
+    mask ``succ[i]``: ``(finished, None)``, with every node finished after
+    all nodes reachable from it, or ``(finished so far, j)`` at the first
+    node ``j`` met on the path still open, which lies on a cycle.
+
+    Roots and successors are visited in index order, the order of a
+    recursive walk; the stack is explicit, so long chains cannot exhaust
+    the recursion limit.
+    """
+    state = [0] * len(succ)  # 0 unvisited, 1 on the open path, 2 finished
+    finished: List[int] = []
+    for root in range(len(succ)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, _bits(succ[root]))]
+        while stack:
+            i, after = stack[-1]
+            for j in after:
+                if state[j] == 1:
+                    return finished, j
+                if not state[j]:
+                    state[j] = 1
+                    stack.append((j, _bits(succ[j])))
+                    break
+            else:
+                stack.pop()
+                state[i] = 2
+                finished.append(i)
+    return finished, None
 
 
 def _once(obj, key: Hashable, compute: Callable):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from ._common import Record, UnionFind, Value, _once
+from ._common import Record, UnionFind, Value, _finishing_order, _once
 from .domains import COHERENT, FiniteDomain
 
 Path2 = Tuple[str, str]
@@ -161,28 +161,11 @@ class AsyncReport(Value):
 
 
 def _is_acyclic(a: AsyncGraph) -> bool:
-    # depth-first with an explicit stack, so that long chains cannot exhaust
-    # Python's recursion limit
-    state = dict.fromkeys(a.nodes, 0)  # 0 unvisited, 1 in progress, 2 done
-    for root in sorted(a.nodes):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(a.out_edges(root)))]
-        while stack:
-            n, edges = stack[-1]
-            for e in edges:
-                t = a.tgt(e)
-                if state[t] == 1:
-                    return False
-                if state[t] == 0:
-                    state[t] = 1
-                    stack.append((t, iter(a.out_edges(t))))
-                    break
-            else:
-                stack.pop()
-                state[n] = 2
-    return True
+    at = {n: k for k, n in enumerate(sorted(a.nodes))}
+    succ = [0] * len(at)
+    for s, t in a.edges.values():
+        succ[at[s]] |= 1 << at[t]
+    return _finishing_order(succ)[1] is None
 
 
 def _reachable(a: AsyncGraph) -> bool:

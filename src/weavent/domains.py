@@ -8,9 +8,10 @@ that is only listed or drawn never pays for them:
 
 - ``lower``/``upper``: the lower and upper covers of each element;
 - ``up``/``down``: the order masks, ``up[i]`` the elements ⊒ i and
-  ``down[i]`` the elements ⊑ i, swept along the covers (the validating
-  constructor sweeps both at once, in the finishing order of the DFS
-  that checks for cycles);
+  ``down[i]`` the elements ⊑ i, swept along the covers in ``rising``
+  order, which lists every element after the elements it covers (the
+  validating constructor takes it from the walk that checks for cycles,
+  ``_common._finishing_order``, and sweeps both masks at once);
 - ``by_up``/``by_down``: each element keyed by its up-set, resp. down-set.
   The upper bounds of any set form an up-set U, and U has a least element
   k exactly when ``U == up[k]``; so a join is ``by_up.get(U)`` and a meet
@@ -46,7 +47,7 @@ from itertools import combinations
 from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ._common import Report, UnionFind, Value, _bits, _once
+from ._common import Report, UnionFind, Value, _bits, _finishing_order, _once
 
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
@@ -96,32 +97,13 @@ class FiniteDomain:
             i, j = idx[a], idx[b]
             succ[i] |= 1 << j
             pred[j] |= 1 << i
-        state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-        finished = []  # every element after all elements above it
-        # the stack is explicit so that long chains cannot exhaust Python's
-        # recursion limit; elements are visited in recursive DFS order
-        for root in range(n):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack = [(root, _bits(succ[root]))]
-            while stack:
-                i, above = stack[-1]
-                for j in above:
-                    if state[j] == 1:
-                        raise OrderError(f"cycle through {self.elements[j]!r}")
-                    if not state[j]:
-                        state[j] = 1
-                        stack.append((j, _bits(succ[j])))
-                        break
-                else:
-                    stack.pop()
-                    state[i] = 2
-                    finished.append(i)
-        # up[i] = mask of elements ⊒ i, down[j] = mask of elements ⊑ j,
-        # swept along the covers in finishing order and in its reverse
+        finished, cycle = _finishing_order(succ)  # every element after all above it
+        if cycle is not None:
+            raise OrderError(f"cycle through {self.elements[cycle]!r}")
+        self._rising = finished[::-1]
+        # up[i] = mask of elements ⊒ i, down[j] = mask of elements ⊑ j
         up = _swept(finished, succ)
-        down = _swept(reversed(finished), pred)
+        down = _swept(self._rising, pred)
         # covers must be transitively reduced; normalise so that input given
         # as a full order still yields a Hasse diagram
         self._set_covers(tuple((a, b) for a in range(n) for b in _bits(succ[a])
@@ -305,9 +287,9 @@ def _pair_pass(dom: FiniteDomain) -> Tuple[Report, int, int]:
     partners, lower, full = _partners(dom), dom._lower, dom._full
     # unreached[x]: the elements that are no ↔-partner of an irreducible
     # below x (partner rows are symmetric and hold their own element), built
-    # along the covers, as a down-set is a smaller integer than its supersets
+    # along the covers in rising order
     unreached = [0] * len(names)
-    for x in sorted(range(len(names)), key=down.__getitem__):
+    for x in dom._rising:
         unreached[x] = reduce(and_, (unreached[c] for c in _bits(lower[x])),
                               full ^ partners.get(x, 0))
     # complements, so that each test costs a pair two ANDs; a bounded

@@ -244,11 +244,11 @@ def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[st
 
     def sigs(dom):
         # each element's height, lower and upper cover counts, and down-
-        # and up-set sizes; elements sorted by down-set size come after
-        # their lower covers, so each height is read after theirs
+        # and up-set sizes; in rising order the elements come after their
+        # lower covers, so each height is read after theirs
         lower, upper, down, up = dom._lower, dom._upper, dom._down, dom._up
         h = [0] * len(lower)
-        for i in sorted(range(len(lower)), key=lambda i: down[i].bit_count()):
+        for i in dom._rising:
             if lower[i]:
                 h[i] = 1 + max(h[j] for j in _bits(lower[i]))
         return {x: (h[i], lower[i].bit_count(), upper[i].bit_count(),

@@ -16,7 +16,8 @@ covers), the maximal configurations, which events occur together and the
 minimal enablings of every event.  ``configurations``, ``minimal_enablings``,
 ``classify``, ``saturate`` and ``duality.dom_of_es`` all read that table;
 the public results stay frozensets of event names.  The table, the
-configurations and the minimal enablings are kept on the structure (``_once``).
+configurations, the minimal enablings and the classification are kept on
+the structure (``_once``).
 """
 
 from __future__ import annotations
@@ -390,6 +391,10 @@ def classify(es: EventStructure) -> Classification:
     connectedness that the consistency links between minimal enablings of an
     event form a connected graph.
     """
+    return _once(es, "classification", _find_classification)
+
+
+def _find_classification(es: EventStructure) -> Classification:
     diags = []
     table = _table(es)
     names = es._names

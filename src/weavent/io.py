@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, List, Mapping
+from typing import Any, Callable, Dict, List, Mapping
 
 from .es import BINARY, EventStructure
 from .domains import FiniteDomain
@@ -37,12 +37,6 @@ from .asyncgraphs import AsyncGraph
 class SchemaError(ValueError):
     """Input file does not follow the expected schema."""
 
-
-# Each check below raises SchemaError naming the field ``what``.  Inside the
-# k-th item of a list, ``what`` is relative to the item (``""`` for the item
-# itself, ``".needs"`` for one of its fields), and the parser puts the
-# item's name, ``enabling[k]`` and the like, in front on the way out: a
-# parse that succeeds formats no name per item.
 
 def _require_keys(obj: Mapping, allowed: set, required: set, what: str) -> None:
     if not isinstance(obj, dict):
@@ -73,10 +67,47 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _items(value, what: str, read: Callable) -> list:
+    """``read(item)`` for each item of ``value``, the list field ``what``.
+
+    Each check raises SchemaError naming the field it checks.  ``read``
+    names fields relative to its item (``""`` for the item itself,
+    ``".needs"`` for one of its fields), and ``_items`` puts the item's
+    name, ``what[k]``, in front on the way out: a parse that succeeds
+    formats no name per item.
+    """
+    value, out = _list(value, what), []
+    try:
+        for item in value:
+            out.append(read(item))
+    except SchemaError as exc:
+        raise SchemaError(f"{what}[{len(out)}]{exc}") from None
+    return out
+
+
+def _pair(value) -> tuple:
+    if len(_string_list(value, "")) != 2:
+        raise SchemaError(": expected a pair")
+    return value[0], value[1]
+
+
+def _built(build: Callable, *args, what: str = ""):
+    """``build(*args)``, a constructor or validator, with a ValueError it
+    raises turned into a SchemaError, behind ``what: `` if ``what`` is set."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{what}: {exc}" if what else str(exc)) from None
+
 
 # ---------------------------------------------------------------------- #
 # Event structures
 # ---------------------------------------------------------------------- #
+
+def _enabling(entry) -> tuple:
+    _require_keys(entry, {"needs", "event"}, {"needs", "event"}, "")
+    return _string_list(entry["needs"], ".needs"), _string(entry["event"], ".event")
+
 
 def parse_es(obj: Mapping) -> EventStructure:
     _require_keys(obj, {"events", "conflict", "consistent", "enabling"},
@@ -84,30 +115,13 @@ def parse_es(obj: Mapping) -> EventStructure:
     if "conflict" in obj and "consistent" in obj:
         raise SchemaError("give either 'conflict' or 'consistent', not both")
     events = _string_list(obj["events"], "events")
-    enabling = []
-    for k, entry in enumerate(_list(obj.get("enabling", []), "enabling")):
-        try:
-            _require_keys(entry, {"needs", "event"}, {"needs", "event"}, "")
-            enabling.append((_string_list(entry["needs"], ".needs"),
-                             _string(entry["event"], ".event")))
-        except SchemaError as exc:
-            raise SchemaError(f"enabling[{k}]{exc}") from None
-    try:
-        if "consistent" in obj:
-            family = [_string_list(xs, "consistent[*]")
-                      for xs in _list(obj["consistent"], "consistent")]
-            return EventStructure.with_consistency(events, family, enabling)
-        conflict = []
-        for k, pair in enumerate(_list(obj.get("conflict", []), "conflict")):
-            try:
-                if len(_string_list(pair, "")) != 2:
-                    raise SchemaError(": expected a pair")
-            except SchemaError as exc:
-                raise SchemaError(f"conflict[{k}]{exc}") from None
-            conflict.append((pair[0], pair[1]))
-        return EventStructure.binary(events, conflict, enabling)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    enabling = _items(obj.get("enabling", []), "enabling", _enabling)
+    if "consistent" in obj:
+        family = [_string_list(xs, "consistent[*]")
+                  for xs in _list(obj["consistent"], "consistent")]
+        return _built(EventStructure.with_consistency, events, family, enabling)
+    conflict = _items(obj.get("conflict", []), "conflict", _pair)
+    return _built(EventStructure.binary, events, conflict, enabling)
 
 
 def es_to_json(es: EventStructure) -> Dict[str, Any]:
@@ -124,20 +138,17 @@ def es_to_json(es: EventStructure) -> Dict[str, Any]:
 def parse_epes(obj: Mapping) -> Epes:
     _require_keys(obj, {"events", "conflict", "enabling", "equiv"}, {"events"}, "EPES")
     base = parse_es({k: v for k, v in obj.items() if k != "equiv"})
-    blocks = []
     covered = set()
-    for k, block in enumerate(_list(obj.get("equiv", []), "equiv")):
-        try:
-            _string_list(block, "")
-        except SchemaError as exc:
-            raise SchemaError(f"equiv[{k}]{exc}") from None
-        for e in block:
+
+    def block(xs) -> frozenset:
+        for e in _string_list(xs, ""):
             if e not in base.events:
-                raise SchemaError(f"equiv[{k}]: unknown event {e!r}")
+                raise SchemaError(f": unknown event {e!r}")
             if e in covered:
-                raise SchemaError(f"equiv[{k}]: event {e!r} in two blocks")
-        covered |= set(block)
-        blocks.append(frozenset(block))
+                raise SchemaError(f": event {e!r} in two blocks")
+        covered.update(xs)
+        return frozenset(xs)
+    blocks = _items(obj.get("equiv", []), "equiv", block)
     blocks += [frozenset((e,)) for e in base.events - covered]
     return Epes(base, frozenset(blocks))
 
@@ -155,19 +166,8 @@ def epes_to_json(p: Epes) -> Dict[str, Any]:
 def parse_domain(obj: Mapping) -> FiniteDomain:
     _require_keys(obj, {"elements", "covers", "kind"}, {"elements", "covers"}, "domain")
     elements = _string_list(obj["elements"], "elements")
-    covers = []
-    for k, pair in enumerate(_list(obj["covers"], "covers")):
-        try:
-            if len(_string_list(pair, "")) != 2:
-                raise SchemaError(": expected a pair")
-        except SchemaError as exc:
-            raise SchemaError(f"covers[{k}]{exc}") from None
-        covers.append((pair[0], pair[1]))
-    kind = obj.get("kind", "coherent")
-    try:
-        return FiniteDomain(elements, covers, kind)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    covers = _items(obj["covers"], "covers", _pair)
+    return _built(FiniteDomain, elements, covers, obj.get("kind", "coherent"))
 
 
 def domain_to_json(dom: FiniteDomain) -> Dict[str, Any]:
@@ -195,32 +195,23 @@ def dumps_domain(dom: FiniteDomain) -> str:
 
 def parse_graph(obj: Mapping, what: str = "graph", self_typed: bool = False) -> TypedGraph:
     _require_keys(obj, {"nodes", "edges"}, {"nodes"}, what)
-    nodes = []
-    ntype = {}
-    for k, nd in enumerate(_list(obj["nodes"], f"{what}.nodes")):
-        try:
-            _require_keys(nd, {"id", "type"}, {"id"}, "")
-            if not self_typed and "type" not in nd:
-                raise SchemaError(": missing type")
-            nid = _string(nd["id"], ".id")
-            nodes.append(nid)
-            ntype[nid] = nid if self_typed else _string(nd["type"], ".type")
-        except SchemaError as exc:
-            raise SchemaError(f"{what}.nodes[{k}]{exc}") from None
-    edges = []
+
+    def node(nd) -> tuple:
+        _require_keys(nd, {"id", "type"}, {"id"}, "")
+        if not self_typed and "type" not in nd:
+            raise SchemaError(": missing type")
+        nid = _string(nd["id"], ".id")
+        return nid, nid if self_typed else _string(nd["type"], ".type")
     required = {"id", "src", "tgt"} if self_typed else {"id", "type", "src", "tgt"}
-    for k, ed in enumerate(_list(obj.get("edges", []), f"{what}.edges")):
-        try:
-            _require_keys(ed, {"id", "type", "src", "tgt"}, required, "")
-            eid = _string(ed["id"], ".id")
-            edges.append((eid, _string(ed.get("type", eid), ".type"),
-                          _string(ed["src"], ".src"), _string(ed["tgt"], ".tgt")))
-        except SchemaError as exc:
-            raise SchemaError(f"{what}.edges[{k}]{exc}") from None
-    try:
-        return TypedGraph(nodes, edges, ntype)
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from None
+
+    def edge(ed) -> tuple:
+        _require_keys(ed, {"id", "type", "src", "tgt"}, required, "")
+        eid = _string(ed["id"], ".id")
+        return (eid, _string(ed.get("type", eid), ".type"),
+                _string(ed["src"], ".src"), _string(ed["tgt"], ".tgt"))
+    ntype = dict(_items(obj["nodes"], f"{what}.nodes", node))
+    edges = _items(obj.get("edges", []), f"{what}.edges", edge)
+    return _built(TypedGraph, ntype, edges, ntype, what=what)
 
 
 def graph_to_json(g: TypedGraph, self_typed: bool = False) -> Dict[str, Any]:
@@ -245,11 +236,16 @@ def _parse_rule_map(obj: Mapping, src: TypedGraph, tgt: TypedGraph, what: str) -
     if not all(isinstance(v, str) for v in chain(nmap.values(), emap.values())):
         raise SchemaError(f"{what}: node/edge maps must map ids to strings")
     mor = GraphMorphism(src, tgt, dict(nmap), dict(emap))
-    try:
-        mor.validate()
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from None
+    _built(mor.validate, what=what)
     return mor
+
+
+def _rule(rd) -> Rule:
+    fields = {"name", "L", "K", "R", "l", "r"}
+    _require_keys(rd, fields, fields, "")
+    lg, kg, rg = parse_graph(rd["L"], ".L"), parse_graph(rd["K"], ".K"), parse_graph(rd["R"], ".R")
+    lmor, rmor = _parse_rule_map(rd["l"], kg, lg, ".l"), _parse_rule_map(rd["r"], kg, rg, ".r")
+    return Rule(_string(rd["name"], ".name"), lg, kg, rg, lmor, rmor)
 
 
 def parse_grammar(obj: Mapping) -> Grammar:
@@ -257,22 +253,8 @@ def parse_grammar(obj: Mapping) -> Grammar:
                   {"type_graph", "start", "rules"}, "grammar")
     tg = parse_graph(obj["type_graph"], "type_graph", self_typed=True)
     start = parse_graph(obj["start"], "start")
-    rules = []
-    for k, rd in enumerate(_list(obj["rules"], "rules")):
-        what = f"rules[{k}]"
-        _require_keys(rd, {"name", "L", "K", "R", "l", "r"},
-                      {"name", "L", "K", "R", "l", "r"}, what)
-        lg = parse_graph(rd["L"], f"{what}.L")
-        kg = parse_graph(rd["K"], f"{what}.K")
-        rg = parse_graph(rd["R"], f"{what}.R")
-        lmor = _parse_rule_map(rd["l"], kg, lg, f"{what}.l")
-        rmor = _parse_rule_map(rd["r"], kg, rg, f"{what}.r")
-        rules.append(Rule(_string(rd["name"], f"{what}.name"), lg, kg, rg, lmor, rmor))
-    grammar = Grammar(tg, start, tuple(rules))
-    try:
-        grammar.validate()
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    grammar = Grammar(tg, start, tuple(_items(obj["rules"], "rules", _rule)))
+    _built(grammar.validate)
     return grammar
 
 
@@ -297,31 +279,24 @@ def grammar_to_json(g: Grammar) -> Dict[str, Any]:
 # Asynchronous graphs
 # ---------------------------------------------------------------------- #
 
+def _async_edge(ed) -> tuple:
+    _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, "")
+    return _string(ed["id"], ".id"), _string(ed["src"], ".src"), _string(ed["tgt"], ".tgt")
+
+
+def _square(sq) -> tuple:
+    if not isinstance(sq, list) or len(sq) != 2 or any(len(_string_list(p, "")) != 2 for p in sq):
+        raise SchemaError(": expected a pair of 2-edge paths")
+    return tuple(sq[0]), tuple(sq[1])
+
+
 def parse_async(obj: Mapping) -> AsyncGraph:
     _require_keys(obj, {"nodes", "edges", "origin", "squares"},
                   {"nodes", "edges", "origin"}, "async graph")
     nodes = _string_list(obj["nodes"], "nodes")
-    edges = []
-    for k, ed in enumerate(_list(obj["edges"], "edges")):
-        try:
-            _require_keys(ed, {"id", "src", "tgt"}, {"id", "src", "tgt"}, "")
-            edges.append((_string(ed["id"], ".id"), _string(ed["src"], ".src"),
-                          _string(ed["tgt"], ".tgt")))
-        except SchemaError as exc:
-            raise SchemaError(f"edges[{k}]{exc}") from None
-    squares = []
-    for k, sq in enumerate(_list(obj.get("squares", []), "squares")):
-        try:
-            if (not isinstance(sq, list) or len(sq) != 2
-                    or any(len(_string_list(p, "")) != 2 for p in sq)):
-                raise SchemaError(": expected a pair of 2-edge paths")
-        except SchemaError as exc:
-            raise SchemaError(f"squares[{k}]{exc}") from None
-        squares.append((tuple(sq[0]), tuple(sq[1])))
-    try:
-        return AsyncGraph.build(nodes, edges, _string(obj["origin"], "origin"), squares)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    edges = _items(obj["edges"], "edges", _async_edge)
+    squares = _items(obj.get("squares", []), "squares", _square)
+    return _built(AsyncGraph.build, nodes, edges, _string(obj["origin"], "origin"), squares)
 
 
 def async_to_json(a: AsyncGraph) -> Dict[str, Any]:
@@ -372,7 +347,9 @@ def parse_bytes(data: bytes, path: str, kind: str):
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError (JSON is UTF-8), or nesting
+        # past the recursion limit
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     return parse(obj)
 

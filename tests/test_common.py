@@ -1,7 +1,7 @@
 import random
 from itertools import product
 
-from weavent._common import Report, UnionFind, backtrack
+from weavent._common import Report, UnionFind, _finishing_order, backtrack
 
 
 def _components(n, edges):
@@ -97,3 +97,14 @@ def test_backtrack_depth_is_not_bounded_by_recursion():
     results = backtrack(slots, lambda k, x, chosen: 0 <= x < n and x != k, True)
     first = next(results)
     assert first == tuple(k + 1 if k % 2 == 0 else k - 1 for k in range(n))
+
+
+def test_finishing_order_lists_each_node_after_the_nodes_it_reaches():
+    # 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3, and 4 alone
+    assert _finishing_order([0b0110, 0b1000, 0b1000, 0, 0]) == ([3, 1, 2, 0, 4], None)
+    # 0 -> 2 -> 1 -> 2: the walk meets 2 again while its path is open
+    assert _finishing_order([0b100, 0b100, 0b010]) == ([], 2)
+    # a chain longer than the recursion limit
+    n = 5000
+    assert _finishing_order([1 << k + 1 for k in range(n - 1)] + [0]) == (
+        list(range(n - 1, -1, -1)), None)

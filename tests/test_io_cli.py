@@ -553,6 +553,15 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"].startswith(f"{path}: invalid JSON: 'utf-8' codec ")
 
 
+def test_a_file_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.domain.json"
+    path.write_text('{"elements": ' + "[" * 5000 + "]" * 5000 + ', "covers": []}')
+    code, out, err = run_cli("check", "--domain", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(
+        f"{path}: invalid JSON: maximum recursion depth exceeded")
+
+
 def _read_as_text(path: str) -> str:
     """What a load of the event structure at ``path`` gave when the file was
     opened in text mode: the structure's file text, or the SchemaError

@@ -7,7 +7,9 @@ which holds at most one structure per input kind; no ``lru_cache`` or
 ``functools.cache`` holds structures beyond their life (``cli.build_parser``
 caches the parser alone).  JSON text is made by ``io.dumps`` alone, and
 files are written by ``io.write_text`` alone, so every report and file has
-one format and every write failure one exit code.
+one format and every write failure one exit code.  ``io`` names a bad
+list item in its list reader alone, and turns a constructor's
+``ValueError`` into a ``SchemaError`` in one wrapper.
 No function binds a name that its module binds at top level, so every
 function in a module reads one meaning of each module name.  Every
 exhaustive oracle lives in ``oracles``, which no other module imports at
@@ -97,6 +99,59 @@ def test_one_cache_one_encoder_one_writer():
              for what, fn in findings(path.read_text(encoding="utf-8"))}
     assert found == {"cli: cache in build_parser", "io: import json in None",
                      "io: json.dumps in dumps", "io: open for writing in write_text"}
+
+
+def handlers(source: str):
+    """``(exception, function)`` for each exception name that an ``except``
+    clause in ``source`` catches; ``function`` is the innermost enclosing
+    function, or None."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found.extend((c.id, fn) for c in caught if isinstance(c, ast.Name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detector_flags_each_caught_exception():
+    source = '''
+try:
+    import fast
+except ImportError:
+    fast = None
+
+def load(path):
+    try:
+        return read(path)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(str(exc))
+    except OSError:
+        def retry():
+            try:
+                return read(path)
+            except SchemaError:
+                return None
+        return retry()
+'''
+    assert handlers(source) == [("ImportError", None), ("ValueError", "load"),
+                                ("RecursionError", "load"), ("OSError", "load"),
+                                ("SchemaError", "retry")]
+
+
+def test_io_names_items_and_wraps_constructor_errors_in_one_place_each():
+    # a bad list item is named by the list reader alone, and a constructor's
+    # or validator's ValueError becomes a SchemaError in the one wrapper
+    # (and, for a file that is no JSON, where the text is decoded)
+    found = handlers((PACKAGE / "io.py").read_text(encoding="utf-8"))
+    assert [fn for name, fn in found if name == "SchemaError"] == ["_items"]
+    assert [fn for name, fn in found if name == "ValueError"] == ["_built", "parse_bytes"]
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

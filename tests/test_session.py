@@ -137,10 +137,11 @@ def test_the_session_holds_one_structure_per_kind(tmp_path, capsys):
 
 
 def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
-    built = {"table": [], "pairs": [], "domain": []}
+    built = {"table": [], "pairs": [], "domain": [], "classes": []}
     for module, name, key in ((esmod, "_find_table", "table"),
                               (domains, "_pair_pass", "pairs"),
-                              (duality, "_find_domain", "domain")):
+                              (duality, "_find_domain", "domain"),
+                              (esmod, "_find_classification", "classes")):
         def counted(x, _real=getattr(module, name), _seen=built[key]):
             _seen.append(x)
             return _real(x)
@@ -156,11 +157,12 @@ def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
     es = cli._SESSION["es"][1]
     dom = duality.dom_of_es(es)
     connected = duality.ev_of_domain(dom)
-    # one table and one domain for the file's structure and for its
-    # connected form, and no pair pass: the domain is weak prime by the
-    # coreflection theorem, which ``dom_of_es`` records on it
+    # one table, one domain and one classification for the file's structure
+    # and for its connected form, and no pair pass: the domain is weak prime
+    # by the coreflection theorem, which ``dom_of_es`` records on it
     assert list(map(id, built["table"])) == [id(es), id(connected)]
     assert list(map(id, built["domain"])) == [id(es), id(connected)]
+    assert list(map(id, built["classes"])) == [id(es), id(connected)]
     assert built["pairs"] == []
 
 
