@@ -11,7 +11,7 @@ report names the failing check and carries a witness), 2 on invalid input
 call reads its input file's bytes; when they are the bytes of the last file
 of that kind that parsed, the call gets that structure back, with what
 earlier verbs derived from it (``_common._once``): the configuration table,
-the domain, the connected structure, the pair facts, the axiom and
+the domain, the connected structure, a domain's certificate, the axiom and
 asynchronous-graph reports.  ``_SESSION`` holds one structure per input
 kind and drops it before a new file of that kind is parsed; a file that
 fails to parse is not held, and neither is a grammar.
@@ -25,13 +25,14 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from . import domains as dommod
 from . import dot as dotmod
 from . import io as iomod
 from .es import EsError, classify, configuration_count
-from .domains import OrderError, algebraicity, interchange_classes, \
-    irreducible_elements, primes, validate_domain, weak_primes
-from .duality import connect_es, dom_of_es, epes_dom, epes_ev, epes_isomorphic, \
-    es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes
+from .domains import OrderError, algebraicity, interchange_classes, irreducible_elements, \
+    primes, validate_domain, weak_primes
+from .duality import _counit_holds, connect_es, dom_of_es, epes_dom, epes_ev, \
+    epes_isomorphic, es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes
 from .graphs import GraphError
 from .intervals import check_axioms, ev_wd, interval_classes, zeta
 from .asyncgraphs import AsyncError, async_domain, validate_async_graph
@@ -273,10 +274,13 @@ def _cmd_roundtrip(args) -> tuple:
                                     + "; ".join(cl.diagnostics))
         dom = dom_of_es(value)
         connected = ev_of_domain(dom)  # connect_es(value), on the domain at hand
-        ok1 = poset_isomorphic(dom_of_es(connected), dom) is not None
+        # the unit and the counit are the candidates; a search runs only
+        # where one fails
+        ok1 = (dommod._certify(dom, connected)
+               or poset_isomorphic(dom_of_es(connected), dom) is not None)
         results = {"kind": kind, "dom_preserved": ok1}
         if cl.connected:
-            ok2 = es_isomorphic(connected, value) is not None
+            ok2 = _counit_holds(value, connected) or es_isomorphic(connected, value) is not None
             results["connected_fixed_point"] = ok2
             if not ok2:
                 witnesses.append({"check": "coreflection-counit", "witness": path})
@@ -284,7 +288,7 @@ def _cmd_roundtrip(args) -> tuple:
             witnesses.append({"check": "coreflection-domain", "witness": path})
     elif kind == "domain":
         es = ev_of_domain(value)
-        back = poset_isomorphic(dom_of_es(es), value) is not None
+        back = dommod._certified(value) or poset_isomorphic(dom_of_es(es), value) is not None
         agree = es_isomorphic(ev_wd(value), es) is not None
         pairs = zeta(value)
         results = {"kind": kind, "dom_of_ev_isomorphic": back,

@@ -23,13 +23,21 @@ that is only listed or drawn never pays for them:
 The invariants the paper reads off a domain (irreducibles, ↔-partners,
 ↔*-classes, primes, weak primes, algebraicity) are computed once per
 domain and kept on it, since a domain never changes after construction.
-The join condition, primality and weak primality are decided together by
-one pass over the incomparable consistent pairs (``_pair_pass``); meets
-need none, since a least element and binary joins make them exist.  That
-a domain is weak prime is proved by that pass too, except on the domains of
-``duality.dom_of_es``: they are by the coreflection theorem.  The
-exhaustive references these are tested against, ``*_by_definition`` and
-``interchangeable_via_compacts``, live in ``oracles``.
+The join condition, primality and weak primality are decided by a
+certificate first (``_certify``): the candidate ``ev(D)`` is built from
+the ↔*-classes without a proof, and the map taking each element to the
+events of the irreducibles below it is tested, on masks, to be an order
+isomorphism onto the candidate's configurations, which the coreflection
+theorem makes a weak prime domain.  Where it holds, ``D`` is valid, its
+weak primes are its irreducibles, its primes are the irreducibles
+consistent with no other member of their class (``_class_primes``), and
+the candidate is ``ev(D)``.  Where it fails, one pass over the
+incomparable consistent pairs decides them all (``_pair_pass``), with its
+witnesses; meets need none, since a least element and binary joins make
+them exist.  The domains of ``duality.dom_of_es`` carry the certificate,
+by the coreflection theorem.  The exhaustive references these are tested
+against, ``*_by_definition`` and ``interchangeable_via_compacts``, live in
+``oracles``.
 There is deliberately no memo keyed by subset masks: Python hashes an int
 modulo 2⁶¹−1, so ``hash(1 << k) == hash(1 << (k + 61))`` and the pair masks
 of a poset with more than 61 elements collapse onto few hash values, which
@@ -44,10 +52,11 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._common import Report, UnionFind, Value, _bits, _finishing_order, _once
+from .es import EventStructure, _table_within
 
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
@@ -330,14 +339,15 @@ def validate_domain(dom: FiniteDomain) -> Report:
     consistent subset having a join); the witness ``d''`` is the lowest
     element of ``cons[d] & cons[d'] & ~cons[d ⊔ d']``.  Bounded completeness
     reduces to binary joins of bounded pairs.  Both are read off the one
-    pair pass.  Meets need no check: the lower bounds of a pair hold ``⊥``
+    pair pass, which runs only where the duality certificate fails: where
+    it holds, the domain is valid (``_certify``).  Meets need no check: the lower bounds of a pair hold ``⊥``
     and are bounded, so their join exists and is the meet.  The exhaustive
     oracle is ``oracles.validate_domain_by_definition``.
     """
     if dom.bottom() is None:
         return Report(False, "no-least-element", tuple(
             x for x in dom.elements if not dom.lower_covers(x)))
-    return _pair_facts(dom)[0]
+    return Report(True) if _certified(dom) else _pair_facts(dom)[0]
 
 
 def _require_valid(dom: FiniteDomain) -> None:
@@ -347,16 +357,176 @@ def _require_valid(dom: FiniteDomain) -> None:
 
 
 def _require_weak_prime(dom: FiniteDomain) -> None:
-    """``OrderError`` unless ``dom`` is weak prime, proved once; a domain of
-    ``duality.dom_of_es`` carries the fact (the coreflection theorem)."""
+    """``OrderError`` unless ``dom`` is weak prime, proved once: by the
+    duality certificate, or where it fails by the pair pass, whose verdict
+    and witness the error names."""
     _once(dom, "weak_prime", _prove_weak_prime)
 
 
 def _prove_weak_prime(dom: FiniteDomain) -> bool:
+    if _certified(dom):
+        return True
     _require_valid(dom)
     for i in dom.ids(_irreducible_mask(dom) & ~_pair_facts(dom)[2]):
         raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
     return True
+
+
+# ---------------------------------------------------------------------- #
+# The duality certificate
+# ---------------------------------------------------------------------- #
+
+def _certified(dom: FiniteDomain) -> bool:
+    """Whether ``_certify`` holds on ``dom`` and its candidate structure,
+    decided once.  ``duality.dom_of_es`` records it on its domains, where
+    the coreflection theorem proves it."""
+    return _once(dom, "certified", lambda d: d.bottom() is not None and
+                 _certify(d, _candidate(d)))
+
+
+def _certify(dom: FiniteDomain, es: EventStructure) -> bool:
+    """Whether φ is an order isomorphism of ``dom`` onto the configurations
+    of ``es``, where φ(d) is the set of the events of the irreducibles below
+    ``d`` and the irreducibles of the ``k``-th ↔*-class have the event
+    ``class{k}:{least member}``, as in ``_candidate``.
+
+    The tests, cheapest first: each cover of ``dom`` adds exactly one event
+    under φ; φ is injective; ``es`` has exactly ``|dom|`` configurations
+    (the walk gives up after ``|dom| + 1``), every φ(d) is one, and their
+    inclusion order has exactly as many covers as ``dom``.
+
+    Proof that they suffice.  φ is injective into a set of the same size,
+    so it is a bijection onto ``Conf(es)``.  A cover ``d ⋖ d'`` goes to
+    ``φ(d) ⊂ φ(d')`` with one event more, which is a cover of
+    ``Conf(es)``; distinct covers go to distinct covers, and the counts are
+    equal, so every cover of ``Conf(es)`` is the image of one.  Both orders
+    are the reflexive-transitive closures of their covers, so φ and its
+    inverse are monotone: φ is an order isomorphism.  The configurations of
+    any event structure form a weak prime domain (the coreflection
+    theorem): coherent under binary conflict, which ``_es_of_steps`` builds
+    for a coherent ``dom``, and bounded complete under a consistency
+    predicate.  So ``dom`` is valid for its kind, and its irreducibles, the
+    images of those of ``Conf(es)``, are all weak primes.  Conversely, by
+    the equivalence of ev and dom, φ is an isomorphism onto
+    ``Conf(ev(dom))`` on every weak prime domain, so the certificate fails
+    only where the pair pass finds a fault, and then the pair pass decides.
+    """
+    n, lower, bit = len(dom.elements), dom._lower, es._bit
+    event = [0] * n  # the bit of the event of each irreducible, else 0
+    for name, g in zip(_event_names(dom), _class_groups(dom)):
+        if name not in bit:
+            return False
+        for i in g:
+            event[i] = 1 << bit[name]
+    phi = [0] * n
+    for d in dom._rising:
+        m = event[d]
+        for c in _bits(lower[d]):
+            m |= phi[c]
+        phi[d] = m
+    for a, b in dom._cover_pairs:  # phi[a] ⊆ phi[b], as phi ORs along covers
+        x = phi[a] ^ phi[b]
+        if not x or x & (x - 1):
+            return False
+    if len(set(phi)) < n:
+        return False
+    table = _table_within(es, n)
+    if table is None:
+        return False
+    confs = table.lower
+    return (len(confs) == n and all(m in confs for m in phi)
+            and sum(map(int.bit_count, confs.values())) == len(dom._cover_pairs))
+
+
+def _candidate(dom: FiniteDomain) -> EventStructure:
+    """ev of ``dom``, built without a proof that ``dom`` is weak prime: the
+    event ``class{k}:{least member}`` performs the steps ``[p(i), i]`` of
+    the irreducibles ``i`` of the ``k``-th ↔*-class (``_es_of_steps``).
+    Built once per domain; ``duality.ev_of_domain`` returns it."""
+    return _once(dom, "candidate", _find_candidate)
+
+
+def _find_candidate(dom: FiniteDomain) -> EventStructure:
+    lower = dom._lower
+    return _es_of_steps(dom, _event_names(dom), [[(lower[i].bit_length() - 1, i) for i in g]
+                                                 for g in _class_groups(dom)])
+
+
+def _event_names(dom: FiniteDomain) -> List[str]:
+    """``class{k}:{least member}``, the event of the ``k``-th ↔*-class."""
+    names = dom.elements
+    return [f"class{k}:{names[g[0]]}" for k, g in enumerate(_class_groups(dom))]
+
+
+def _es_of_steps(dom: FiniteDomain, names: List[str],
+                 steps: List[List[Tuple[int, int]]]) -> EventStructure:
+    """The event structure whose event ``names[k]`` performs the covers
+    ``steps[k]`` of ``dom``, given as index pairs ``(d, d')``; it is the one
+    construction behind ``_candidate`` (one step ``[p(i), i]`` per
+    irreducible ``i``, grouped by ↔*-class) and ``intervals.ev_wd`` (every
+    cover, grouped by interval class).
+
+    A step ``(d, d')`` is enabled by the events with a step ending below
+    ``d``.  On a coherent domain two events conflict when no upper end of
+    one lies in the ``_cons`` row of an upper end of the other, which is
+    "no element dominates an upper end of each": ``cons[i]``, the OR of
+    ``down[m]`` over the maximal ``m ⊒ i``, holds ``j`` exactly when ``i``
+    and ``j`` have a common upper bound (each upper bound lies below a
+    maximal element), that is when ``up[i] & up[j]`` is not 0.  So the OR
+    of the ``_up`` rows over a set of ends ``I`` meets the OR over a set
+    ``J`` exactly when some ``cons[i]``, ``i`` in ``I``, meets the mask of
+    ``J``, the event's tops.  On any other domain the consistent sets are
+    the events with a step ending below each maximal element.
+    """
+    down = dom._down
+    tops = [reduce(or_, (1 << d2 for _, d2 in s)) for s in steps]
+
+    def enablers(d):
+        return frozenset(e for e, top in zip(names, tops) if top & down[d])
+
+    gens = {(enablers(d), names[k]) for k, s in enumerate(steps) for d, _ in s}
+    if dom.kind == COHERENT:
+        reach = [reduce(or_, (dom._cons[d2] for _, d2 in s)) for s in steps]
+        conflict = [(names[k], names[m]) for k, m in combinations(range(len(steps)), 2)
+                    if not reach[k] & tops[m]]
+        return EventStructure.binary(names, conflict, gens)
+    maximal = map(dom.index, dom.maximal_elements())
+    return EventStructure.with_consistency(names, map(enablers, maximal), gens)
+
+
+def _class_primes(dom: FiniteDomain) -> int:
+    """The mask of the primes of a certified domain: the irreducibles
+    consistent with no other member of their ↔*-class.
+
+    Proof.  Let φ be the isomorphism of ``_certify`` onto ``Conf(E)``, and
+    ``e`` the event of the class ``K`` of an irreducible ``i``.  The cover
+    ``p(i) ⋖ i`` adds one event, and ``e ∈ φ(i)``; if ``e`` were in
+    ``φ(p(i))``, some ``j ∈ K`` below ``p(i)`` would give it, and the cover
+    would add none, so it adds ``e``.  The join of a set with an upper
+    bound is the union of the configurations, in either kind, so φ takes
+    joins of bounded sets to unions.
+    (⇒) Let ``j ∈ K``, ``j ≠ i``, be consistent with ``i``.  Then
+    ``{p(i), j}`` is bounded, and φ of its join is
+    ``φ(p(i)) ∪ φ(j) ∋ e``, which holds ``φ(i) = φ(p(i)) ∪ {e}``, so
+    ``i ⊑ p(i) ⊔ j``.  If ``i`` were prime, ``i ⊑ j`` as ``i ⋢ p(i)``;
+    then ``i ⊑ p(j)``, since ``i ≠ j`` and ``p(j)`` is the only lower cover
+    of ``j``, and ``e ∈ φ(i) ⊆ φ(p(j))``, but the cover ``p(j) ⋖ j`` adds
+    ``e``.  So ``i`` is not prime.
+    (⇐) Let ``i ⊑ ⊔X`` for a bounded ``X``.  Then ``e ∈ φ(⊔X)``, the union
+    of the ``φ(x)``, so some irreducible ``j ∈ K`` lies below some
+    ``x ∈ X``; ``j`` and ``i`` are both below ``⊔X``, so ``j = i`` and
+    ``i ⊑ x``: ``i`` is prime.
+    No other element is prime: ``⊥`` is the join of the empty set, and an
+    element with two lower covers is their join.  This is the mask that
+    ``_pair_pass`` finds, with binary joins.
+    """
+    cons, out = dom._cons, 0
+    for g in _class_groups(dom):
+        cls = sum(1 << i for i in g)
+        for i in g:
+            if not cons[i] & (cls ^ 1 << i):
+                out |= 1 << i
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -420,7 +590,12 @@ def primes(dom: FiniteDomain) -> Tuple[str, ...]:
 
 
 def _find_primes(dom: FiniteDomain) -> Tuple[str, ...]:
-    return dom.ids(_pair_facts(dom)[1])
+    return dom.ids(_prime_mask(dom))
+
+
+def _prime_mask(dom: FiniteDomain) -> int:
+    return _once(dom, "prime_mask", lambda d: _class_primes(d) if _certified(d)
+                 else _pair_facts(d)[1])
 
 
 def _interchangeable(dom: FiniteDomain, a: int, b: int) -> bool:
@@ -474,12 +649,21 @@ def interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
 
 
 def _find_interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
+    return tuple(frozenset(dom.elements[i] for i in g) for g in _class_groups(dom))
+
+
+def _class_groups(dom: FiniteDomain) -> List[List[int]]:
+    """The ↔*-classes as sorted lists of indices, ordered by least member."""
+    return _once(dom, "class_groups", _find_class_groups)
+
+
+def _find_class_groups(dom: FiniteDomain) -> List[List[int]]:
     rows = _partners(dom)
     uf = UnionFind(rows)
     for x, row in rows.items():
         for y in _bits(row):
             uf.union(x, y)
-    return tuple(frozenset(dom.elements[i] for i in g) for g in uf.groups())
+    return uf.groups()
 
 
 def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
@@ -494,7 +678,7 @@ def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
 
 
 def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
-    return dom.ids(_pair_facts(dom)[2])
+    return dom.ids(_irreducible_mask(dom) if _certified(dom) else _pair_facts(dom)[2])
 
 
 class Algebraicity(Value):
@@ -516,15 +700,19 @@ def algebraicity(dom: FiniteDomain) -> Algebraicity:
     """Irreducible/prime/weak-prime algebraicity flags.
 
     Irreducible algebraicity (every element is the join of the irreducibles
-    below it) holds in any valid domain and is recomputed as a self-test;
-    the other two reduce to primes, resp. weak primes, exhausting the
-    irreducibles.
+    below it) holds in any valid domain.  On a certified domain it is read
+    off the isomorphism φ of ``_certify``: φ of the join of the
+    irreducibles below ``d`` is the union of their φ, which is φ(d), so the
+    join is ``d``.  Elsewhere it is recomputed as a self-test.  The other
+    two reduce to primes, resp. weak primes, exhausting the irreducibles.
     """
     return _once(dom, "algebraicity", _find_algebraicity)
 
 
 def _find_algebraicity(dom: FiniteDomain) -> Algebraicity:
     irr = _irreducible_mask(dom)
+    if _certified(dom):
+        return Algebraicity(True, _prime_mask(dom) == irr, True)
     irr_alg = all(dom._join_mask(down & irr) == d for d, down in enumerate(dom._down))
     _, prime_mask, weak_prime_mask = _pair_facts(dom)
     return Algebraicity(irr_alg, prime_mask == irr, weak_prime_mask == irr)

@@ -5,26 +5,27 @@ event structures with equivalence.
 an event structure back off a weak prime domain, with events the
 interchangeability classes of irreducibles.  Their composite ``connect_es``
 replaces a live structure by a connected one with the same configuration
-poset.  ``ev_of_domain`` shares one builder, ``_es_of_steps``, with the
-interval construction ``intervals.ev_wd``: an event performs a set of
-covers (its steps), and enabling, conflict and consistency are read off
-the ends of those covers.  The EPES constructions present the same correspondence through
-prime structures carrying an event equivalence.
+poset.  ``ev_of_domain`` shares one builder, ``domains._es_of_steps``,
+with the interval construction ``intervals.ev_wd``: an event performs a
+set of covers (its steps), and enabling, conflict and consistency are read
+off the ends of those covers.  Its structure is the candidate that the
+duality certificate of ``domains`` tests, and ``roundtrip`` tests the unit
+(that certificate) and the counit (``_counit_holds``) as candidate
+isomorphisms before it searches.  The EPES constructions present the same
+correspondence through prime structures carrying an event equivalence.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
 from ._common import UnionFind, Value, _bits, _once, backtrack
 from .es import (BINARY, EsError, EventStructure, _require_live, _table, classify,
                  configurations, minimal_enablings)
-from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain,
-                      _require_weak_prime, decompose, interchange_classes,
+from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, _candidate, _class_groups,
+                      _event_names, _require_weak_prime, decompose, interchange_classes,
                       irreducible_elements, predecessor)
 
 EventSet = FrozenSet[str]
@@ -81,7 +82,8 @@ def _find_domain(es: EventStructure) -> FiniteDomain:
     rising = [idx[c] for c in lower]  # smaller configurations first
     kind = COHERENT if es.conflict_kind == BINARY else BOUNDED_COMPLETE
     dom = FiniteDomain._of_covers(tuple(ids[c] for c in order), covers, rising, kind)
-    dom._derived["weak_prime"] = True  # the coreflection theorem
+    dom._derived["certified"] = True  # the coreflection theorem
+    dom._derived["configuration_masks"] = order  # read by ``_counit_holds``
     return dom
 
 
@@ -103,58 +105,32 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     """The event structure of a weak prime domain.
 
     Events are ↔*-classes of irreducibles, and the class of ``i`` performs
-    the step ``[p(i), i]`` (``_es_of_steps``): a set enables a class when it
-    contains the classes of all strict predecessors of one of its members;
-    two classes are in conflict when no element dominates members of both.
-    The structure is built once per domain and kept on it (``_once``).  The
-    domain is proved weak prime first, unless it is one of ``dom_of_es``.
+    the step ``[p(i), i]`` (``domains._es_of_steps``): a set enables a class
+    when it contains the classes of all strict predecessors of one of its
+    members; two classes are in conflict when no element dominates members
+    of both.  The domain is proved weak prime first, and the structure is
+    the candidate that the duality certificate built and tested
+    (``domains._candidate``), kept on the domain with its table.
     """
-    return _once(dom, "ev", _find_ev)
-
-
-def _find_ev(dom: FiniteDomain) -> EventStructure:
     _require_weak_prime(dom)
-    classes = interchange_classes(dom)
-    idx, lower = dom._idx, dom._lower
-    steps = [[(lower[i].bit_length() - 1, i) for i in map(idx.__getitem__, cls)]
-             for cls in classes]
-    return _es_of_steps(dom, [f"class{k}:{min(cls)}" for k, cls in enumerate(classes)], steps)
+    return _candidate(dom)
 
 
-def _es_of_steps(dom: FiniteDomain, names: List[str],
-                 steps: List[List[Tuple[int, int]]]) -> EventStructure:
-    """The event structure whose event ``names[k]`` performs the covers
-    ``steps[k]`` of ``dom``, given as index pairs ``(d, d')``; it is the one
-    construction behind ``ev_of_domain`` (one step ``[p(i), i]`` per
-    irreducible ``i``, grouped by ↔*-class) and ``intervals.ev_wd`` (every
-    cover, grouped by interval class).
-
-    A step ``(d, d')`` is enabled by the events with a step ending below
-    ``d``.  On a coherent domain two events conflict when no upper end of
-    one lies in the ``_cons`` row of an upper end of the other, which is
-    "no element dominates an upper end of each": ``cons[i]``, the OR of
-    ``down[m]`` over the maximal ``m ⊒ i``, holds ``j`` exactly when ``i``
-    and ``j`` have a common upper bound (each upper bound lies below a
-    maximal element), that is when ``up[i] & up[j]`` is not 0.  So the OR
-    of the ``_up`` rows over a set of ends ``I`` meets the OR over a set
-    ``J`` exactly when some ``cons[i]``, ``i`` in ``I``, meets the mask of
-    ``J``, the event's tops.  On any other domain the consistent sets are
-    the events with a step ending below each maximal element.
-    """
-    down = dom._down
-    tops = [reduce(or_, (1 << d2 for _, d2 in s)) for s in steps]
-
-    def enablers(d):
-        return frozenset(e for e, top in zip(names, tops) if top & down[d])
-
-    gens = {(enablers(d), names[k]) for k, s in enumerate(steps) for d, _ in s}
-    if dom.kind == COHERENT:
-        reach = [reduce(or_, (dom._cons[d2] for _, d2 in s)) for s in steps]
-        conflict = [(names[k], names[m]) for k, m in combinations(range(len(steps)), 2)
-                    if not reach[k] & tops[m]]
-        return EventStructure.binary(names, conflict, gens)
-    maximal = map(dom.index, dom.maximal_elements())
-    return EventStructure.with_consistency(names, map(enablers, maximal), gens)
+def _counit_holds(es: EventStructure, connected: EventStructure) -> bool:
+    """Whether the counit, read as a map of event names, is an isomorphism
+    of ``connected = ev_of_domain(dom_of_es(es))`` onto ``es``: the class of
+    an irreducible configuration goes to the one event it adds to its
+    predecessor.  It is the candidate that ``roundtrip --es`` tests before
+    it searches (``es_isomorphic``); when it holds, so does the search."""
+    dom = dom_of_es(es)
+    masks, lower = dom._derived["configuration_masks"], dom._lower
+    psi = {}
+    for name, (i, *_) in zip(_event_names(dom), _class_groups(dom)):
+        added = masks[i] ^ masks[lower[i].bit_length() - 1]
+        psi[name] = es._names[added.bit_length() - 1]
+    return (connected.conflict_kind == es.conflict_kind and connected.events == set(psi)
+            and len(psi) == len(es.events) == len(set(psi.values()))
+            and _es_matches(connected, es, psi))
 
 
 def connect_es(es: EventStructure) -> EventStructure:

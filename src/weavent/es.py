@@ -23,7 +23,7 @@ the structure (``_once``).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._common import Report, UnionFind, Value, _bits, _once
 
@@ -39,6 +39,19 @@ class EsError(ValueError):
 
 class LivenessError(EsError):
     """Raised when an operation requires liveness that cannot be restored."""
+
+
+def _reject_generators(enabling_gens, events) -> None:
+    """Raise the ``EsError`` of the first bad generator in sorted
+    ``(event, sorted needs)`` order, so that the message does not depend on
+    the iteration order of the frozenset (``str`` keys, since a bad event
+    need not be a string)."""
+    for ns, e in sorted(enabling_gens, key=lambda g: (str(g[1]), sorted(map(str, g[0])))):
+        if e not in events:
+            raise EsError(f"enabling generator for unknown event {e!r}")
+        unknown = ns - events
+        if unknown:
+            raise EsError(f"enabling generator mentions unknown events {sorted(unknown)}")
 
 
 class EventStructure(Value):
@@ -83,11 +96,8 @@ class EventStructure(Value):
         # _needs[k]: the need masks of the generators of event k
         needs: List[List[int]] = [[] for _ in names]
         for ns, e in enabling_gens:
-            if e not in bit:
-                raise EsError(f"enabling generator for unknown event {e!r}")
-            unknown = ns - events
-            if unknown:
-                raise EsError(f"enabling generator mentions unknown events {sorted(unknown)}")
+            if e not in bit or not ns <= events:
+                _reject_generators(enabling_gens, events)
             needs[bit[e]].append(self._mask(ns))
         put(self, "_needs", tuple(map(tuple, needs)))
         # binary kind: _clash[k] is the mask of the events in conflict with k
@@ -241,14 +251,42 @@ def _table(es: EventStructure) -> _Table:
     return _once(es, "table", _find_table)
 
 
-def _find_table(es: EventStructure) -> _Table:
-    """The configurations of ``es`` and what is read off them, in one pass.
+def _table_within(es: EventStructure, limit: int) -> Optional[_Table]:
+    """``_table(es)`` when ``es`` has at most ``limit`` configurations, else
+    None.  A walk that gives up is not kept, so ``_table`` walks afresh."""
+    derived = es._derived
+    if "table" not in derived:
+        table = _find_table(es, limit)
+        if table is None:
+            return None
+        derived["table"] = table
+    table = derived["table"]
+    return table if len(table.lower) <= limit else None
+
+
+def _minimal(needs) -> List[int]:
+    """The ⊆-minimal masks of ``needs``: taken by popcount, a mask is kept
+    unless a kept one is a subset of it."""
+    kept: List[int] = []
+    for need in sorted(needs, key=int.bit_count):
+        if all(m & ~need for m in kept):
+            kept.append(need)
+    return kept
+
+
+def _find_table(es: EventStructure, limit: Optional[int] = None) -> Optional[_Table]:
+    """The configurations of ``es`` and what is read off them, in one pass;
+    None as soon as a configuration past the first ``limit`` is found.
 
     Configurations grow by single-event extensions from the empty one, size
     by size; every configuration is reached this way because securing
     sequences pass through configurations.  ``en``, the events that a
     configuration ``c`` enables, is that of the parent it was first reached
     from, plus what the generators watching the added event now enable.
+    Only each event's ⊆-minimal needs are watched: if a need ``N ∋ x`` of
+    ``k`` holds in ``c2 = c | x``, so does a minimal ``M ⊆ N``, and either
+    ``x ∈ M`` and ``M`` is watched at ``x``, or ``M ⊆ c`` and ``k`` is in
+    the ``en`` of ``c`` already.
     """
     n = len(es._names)
     binary = es.conflict_kind == BINARY
@@ -256,11 +294,12 @@ def _find_table(es: EventStructure) -> _Table:
     watch: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     first = 0
     for k, needs in enumerate(es._needs):
-        for need in needs:
+        for need in _minimal(needs) if len(needs) > 1 else needs:
             if not need:
                 first |= 1 << k
             for x in _bits(need):
                 watch[x].append((need, 1 << k))
+    room = -1 if limit is None else limit - 1  # configurations still allowed
     # c minimally enables e iff it enables e and no c ^ x does.  If
     # configurations d ⊂ c, a securing sequence of c, with the events of d
     # skipped, takes d to c through configurations; so some c ^ x is a
@@ -298,6 +337,9 @@ def _find_table(es: EventStructure) -> _Table:
                 if clash[x] & c if binary else all(c2 & ~m for m in cons):
                     continue
                 extended = True
+                if not room:
+                    return None
+                room -= 1
                 lower[c2] = b
                 under[c2] = en
                 e2 = en

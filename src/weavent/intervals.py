@@ -11,7 +11,7 @@ The layer reads the domain's masks and keeps the interval classes and the
 axiom report on the domain; the oracles, ``interval_classes_by_definition``
 and ``_axiom_v_by_definition``, live in ``oracles``.  An irreducible ``i`` is
 the prime interval ``[p(i), i]``: ``ev_wd`` builds its structure through
-``duality._es_of_steps``, as ``ev_of_domain`` does from those intervals
+``domains._es_of_steps``, as ``ev_of_domain`` does from those intervals
 alone, and ``zeta`` reads each class's image off the irreducible upper
 ends of its covers.
 """
@@ -23,9 +23,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._common import UnionFind, Value, _bits, _once
 from .es import EventStructure
-from .domains import (FiniteDomain, OrderError, _require_valid, _require_weak_prime,
-                      interchange_classes)
-from .duality import _es_of_steps
+from .domains import (FiniteDomain, OrderError, _es_of_steps, _require_valid,
+                      _require_weak_prime, interchange_classes)
 
 Interval = Tuple[str, str]
 _Pair = Tuple[int, int]  # an interval as a pair of element indices
@@ -166,7 +165,7 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     construction); isomorphic to the one built from irreducibles.
 
     Events are ~-classes of intervals, and a class performs each of its
-    covers (``duality._es_of_steps``, which ``ev_of_domain`` shares): a
+    covers (``domains._es_of_steps``, which ``ev_of_domain`` shares): a
     class is enabled by a set covering all classes strictly below the lower
     endpoint of one representative.  On a coherent domain two classes
     conflict when upper endpoints of representatives are never consistent;

@@ -531,22 +531,30 @@ class TestOnePairPass:
                 assert dom.meet((a, b)) is not None, (dom.elements, a, b)
 
     def test_check_runs_the_pass_once(self, monkeypatch, capsys):
-        calls = []
+        """The certificate runs once per domain; the pair pass runs only on
+        a domain that fails it, and then once too."""
+        certified, passes = [], []
 
-        def counted(dom, _real=domains._pair_pass):
-            calls.append(dom)
-            return _real(dom)
-        monkeypatch.setattr(domains, "_pair_pass", counted)
+        def counted(dom, es, _real=domains._certify):
+            certified.append(dom)
+            return _real(dom, es)
+        monkeypatch.setattr(domains, "_certify", counted)
+        monkeypatch.setattr(domains, "_pair_pass",
+                            lambda d, _real=domains._pair_pass: passes.append(d) or _real(d))
         assert cli.main(["check", "--domain", str(FIXTURES / "run.domain.json")]) == 0
         capsys.readouterr()
-        assert len(calls) == 1
-        dom = load_structure(str(FIXTURES / "run.domain.json"), "domain")
-        validate_domain(dom)
-        primes(dom)
-        weak_primes(dom)
-        algebraicity(dom)
-        ev_of_domain(dom)
-        assert calls[1:] == [dom]
+        assert (len(certified), passes) == (1, [])
+        for dom in (load_structure(str(FIXTURES / "run.domain.json"), "domain"), m3()):
+            validate_domain(dom)
+            primes(dom)
+            weak_primes(dom)
+            algebraicity(dom)
+            try:
+                ev_of_domain(dom)
+            except OrderError:
+                assert dom.elements == m3().elements
+        dom, bad = certified[1:]
+        assert dom.elements != bad.elements and passes == [bad]
 
 
 class TestAlgebraicity:

@@ -162,24 +162,33 @@ class TestDomOfEsByDefinition:
 
 
 class TestTheRecordedWeakPrimeFact:
-    """``dom_of_es`` records that its domain is weak prime, by the
-    coreflection theorem, so no pair pass proves it again."""
+    """``dom_of_es`` records that the duality certificate holds on its
+    domain, by the coreflection theorem, so neither the certificate nor a
+    pair pass proves it again."""
 
     def test_agrees_with_the_pair_pass_on_a_fresh_copy(self, monkeypatch):
-        passes = []
+        passes, certified = [], []
         monkeypatch.setattr(domains, "_pair_pass",
                             lambda d, _real=domains._pair_pass: passes.append(d) or _real(d))
+        monkeypatch.setattr(domains, "_certify", lambda d, es, _real=domains._certify:
+                            certified.append(d) or _real(d, es))
         kinds = set()
         for es in TestDomOfEsByDefinition._structures():
             dom = dom_of_es(es)
             fresh = FiniteDomain(dom.elements, dom.covers(), dom.kind)
-            assert dom._derived["weak_prime"] is True and "weak_prime" not in fresh._derived
+            assert dom._derived["certified"] is True and "certified" not in fresh._derived
             ev = ev_of_domain(dom)
-            assert passes == []
+            assert passes == [] and certified == []
             assert ev_of_domain(fresh) == ev
-            assert [id(d) for d in passes] == [id(fresh)]
-            assert fresh._derived["weak_prime"] is True
+            assert [id(d) for d in certified] == [id(fresh)] and passes == []
+            assert fresh._derived["certified"] is True
             assert validate_domain(fresh).ok and algebraicity(fresh).weak_prime_algebraic
+            assert passes == []
+            # the pair pass, run on its own, finds the same facts
+            irr = domains._irreducible_mask(fresh)
+            assert domains._pair_pass(fresh) == (validate_domain(fresh),
+                                                 domains._prime_mask(fresh), irr)
+            certified.clear()
             passes.clear()
             kinds.add(dom.kind)
         assert kinds == {COHERENT, BOUNDED_COMPLETE}

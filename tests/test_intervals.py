@@ -388,16 +388,25 @@ def test_zeta_validates_the_domain_first():
 def test_each_result_is_built_once_per_domain(monkeypatch, capsys):
     calls = []
     for module, name in ((intervals, "_find_interval_classes"),
-                         (intervals, "_find_axiom_report"), (domains, "_pair_pass")):
-        def counted(dom, _name=name, _compute=getattr(module, name)):
+                         (intervals, "_find_axiom_report"), (domains, "_pair_pass"),
+                         (domains, "_certify")):
+        def counted(dom, *rest, _name=name, _compute=getattr(module, name)):
             calls.append(_name)
-            return _compute(dom)
+            return _compute(dom, *rest)
         monkeypatch.setattr(module, name, counted)
-    once = ["_find_axiom_report", "_find_interval_classes", "_pair_pass"]
+    once = ["_find_axiom_report", "_find_interval_classes"]
+    # a domain of dom_of_es carries the certificate, by the coreflection theorem
     dom = dom_of_es(e_run())
     check_axioms(dom), ev_wd(dom), zeta(dom), interval_classes(dom), check_axioms(dom)
     assert sorted(calls) == once
     calls.clear()
     assert cli.main(["roundtrip", "--domain", str(FIXTURES / "run.domain.json")]) == 0
     assert '"zeta_classes": 3' in capsys.readouterr().out
-    assert sorted(calls) == once
+    assert sorted(calls) == ["_certify"] + once
+    calls.clear()
+    dom = fixtures.m3()  # fails the certificate: the pair pass decides, once
+    for _ in range(2):
+        with pytest.raises(OrderError, match="axiom R fails"):
+            ev_wd(dom)
+    assert sorted(calls) == ["_certify", "_find_axiom_report", "_find_interval_classes",
+                             "_pair_pass"]

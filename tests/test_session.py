@@ -137,14 +137,15 @@ def test_the_session_holds_one_structure_per_kind(tmp_path, capsys):
 
 
 def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
-    built = {"table": [], "pairs": [], "domain": [], "classes": []}
+    built = {"table": [], "pairs": [], "certificates": [], "domain": [], "classes": []}
     for module, name, key in ((esmod, "_find_table", "table"),
                               (domains, "_pair_pass", "pairs"),
+                              (domains, "_certify", "certificates"),
                               (duality, "_find_domain", "domain"),
                               (esmod, "_find_classification", "classes")):
-        def counted(x, _real=getattr(module, name), _seen=built[key]):
+        def counted(x, *rest, _real=getattr(module, name), _seen=built[key]):
             _seen.append(x)
-            return _real(x)
+            return _real(x, *rest)
         monkeypatch.setattr(module, name, counted)
     path = str(FIXTURES / "e_run.es.json")
     for verb in (["check"], ["convert", "--to", "domain"], ["connect"], ["emit"],
@@ -157,11 +158,14 @@ def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
     es = cli._SESSION["es"][1]
     dom = duality.dom_of_es(es)
     connected = duality.ev_of_domain(dom)
-    # one table, one domain and one classification for the file's structure
-    # and for its connected form, and no pair pass: the domain is weak prime
-    # by the coreflection theorem, which ``dom_of_es`` records on it
+    # one table and one classification for the file's structure and for its
+    # connected form, and one domain, the file's: ``roundtrip`` tests the
+    # unit map with the certificate, once, and needs no domain of the
+    # connected form to search.  No pair pass: the domain is weak prime by
+    # the coreflection theorem, which ``dom_of_es`` records on it
     assert list(map(id, built["table"])) == [id(es), id(connected)]
-    assert list(map(id, built["domain"])) == [id(es), id(connected)]
+    assert list(map(id, built["domain"])) == [id(es)]
+    assert list(map(id, built["certificates"])) == [id(dom)]
     assert list(map(id, built["classes"])) == [id(es), id(connected)]
     assert built["pairs"] == []
 
