@@ -340,9 +340,10 @@ def validate_domain(dom: FiniteDomain) -> Report:
     element of ``cons[d] & cons[d'] & ~cons[d ⊔ d']``.  Bounded completeness
     reduces to binary joins of bounded pairs.  Both are read off the one
     pair pass, which runs only where the duality certificate fails: where
-    it holds, the domain is valid (``_certify``).  Meets need no check: the lower bounds of a pair hold ``⊥``
-    and are bounded, so their join exists and is the meet.  The exhaustive
-    oracle is ``oracles.validate_domain_by_definition``.
+    it holds, the domain is valid (``_certify``).  Meets need no check: the
+    lower bounds of a pair hold ``⊥`` and are bounded, so their join exists
+    and is the meet.  The exhaustive oracle is
+    ``oracles.validate_domain_by_definition``.
     """
     if dom.bottom() is None:
         return Report(False, "no-least-element", tuple(
@@ -406,10 +407,11 @@ def _certify(dom: FiniteDomain, es: EventStructure) -> bool:
     theorem): coherent under binary conflict, which ``_es_of_steps`` builds
     for a coherent ``dom``, and bounded complete under a consistency
     predicate.  So ``dom`` is valid for its kind, and its irreducibles, the
-    images of those of ``Conf(es)``, are all weak primes.  Conversely, by
-    the equivalence of ev and dom, φ is an isomorphism onto
-    ``Conf(ev(dom))`` on every weak prime domain, so the certificate fails
-    only where the pair pass finds a fault, and then the pair pass decides.
+    images of those of ``Conf(es)``, are all weak primes.  Where the
+    certificate fails, the pair pass decides.  It fails wherever the pair
+    pass finds a fault, and it may fail on a domain the pair pass accepts:
+    the bounded complete ``fixtures.nontransitive_bdomain`` is weak prime,
+    and its 15 elements are not the 13 configurations of its candidate.
     """
     n, lower, bit = len(dom.elements), dom._lower, es._bit
     event = [0] * n  # the bit of the event of each irreducible, else 0
@@ -514,8 +516,8 @@ def _class_primes(dom: FiniteDomain) -> int:
     ``e``.  So ``i`` is not prime.
     (⇐) Let ``i ⊑ ⊔X`` for a bounded ``X``.  Then ``e ∈ φ(⊔X)``, the union
     of the ``φ(x)``, so some irreducible ``j ∈ K`` lies below some
-    ``x ∈ X``; ``j`` and ``i`` are both below ``⊔X``, so ``j = i`` and
-    ``i ⊑ x``: ``i`` is prime.
+    ``x ∈ X``; ``j`` and ``i`` are both below ``⊔X``, so ``j = i`` by the
+    hypothesis, and ``i ⊑ x``: ``i`` is prime.
     No other element is prime: ``⊥`` is the join of the empty set, and an
     element with two lower covers is their join.  This is the mask that
     ``_pair_pass`` finds, with binary joins.
@@ -581,10 +583,12 @@ def predecessor(dom: FiniteDomain, i: str) -> str:
 def primes(dom: FiniteDomain) -> Tuple[str, ...]:
     """Elements below a join only via one of the joined elements.
 
-    Uses the binary-join criterion, which on a finite domain agrees with
-    quantification over all pairwise-consistent subsets (joins of larger
-    sets are reached by repeated binary joins): the non-primes are the OR,
-    in the one pair pass, of ``down[i ⊔ j] & ~down[i] & ~down[j]``.
+    On a certified domain, the irreducibles consistent with no other member
+    of their ↔*-class (``_class_primes``).  Elsewhere the binary-join
+    criterion, which on a finite domain agrees with quantification over all
+    pairwise-consistent subsets (joins of larger sets are reached by
+    repeated binary joins): the non-primes are the OR, in the one pair
+    pass, of ``down[i ⊔ j] & ~down[i] & ~down[j]``.
     """
     return _once(dom, "primes", _find_primes)
 
@@ -669,7 +673,8 @@ def _find_class_groups(dom: FiniteDomain) -> List[List[int]]:
 def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     """Irreducibles that are prime up to interchangeability.
 
-    Checked on binary joins, in the one pair pass: whenever ``i ⊑ d ⊔ d'``
+    On a certified domain, every irreducible (``_certify``).  Elsewhere
+    checked on binary joins, in the one pair pass: whenever ``i ⊑ d ⊔ d'``
     for a consistent pair, some interchangeable ``i'`` sits below ``d`` or
     ``d'``.  Larger joins follow by iterating binary ones (the
     full-quantifier oracle is ``oracles.weak_primes_by_definition``).

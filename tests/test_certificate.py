@@ -20,7 +20,8 @@ from weavent._common import Report
 from weavent.es import EventStructure
 from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, algebraicity,
                              primes, validate_domain, weak_primes)
-from weavent.fixtures import nontransitive_bdomain
+from weavent.duality import _counit_holds, dom_of_es, ev_of_domain
+from weavent.fixtures import e_run, nontransitive_bdomain
 from weavent.oracles import (primes_by_definition, validate_domain_by_definition,
                              weak_primes_by_definition)
 from tests._gen import comparison_domains, random_poset
@@ -177,10 +178,20 @@ def test_the_fan_is_rejected_before_any_walk(tmp_path, monkeypatch, capsys):
     dom = cli._SESSION["domain"][1]
     candidate = domains._candidate(dom)
     assert not domains._certified(dom) and "table" not in candidate._derived
-    # the walk itself gives up at the configuration past its limit, and
-    # the limit is exact: the candidate has 2¹⁶ configurations
+    # the walk itself gives up at the configuration past its limit.  The
+    # candidate has no conflict, so the walk reads one conflict row for each
+    # configuration it reaches past the empty one: it reaches |D| + 1
+    lookups = []
+
+    class Rows(tuple):
+        def __getitem__(self, k):
+            lookups.append(k)
+            return tuple.__getitem__(self, k)
+    object.__setattr__(candidate, "_clash", Rows(candidate._clash))
     assert esmod._table_within(candidate, len(dom.elements)) is None
-    assert visited == [len(dom.elements) + 1] and "table" not in candidate._derived
+    assert 1 + len(lookups) == len(dom.elements) + 1 == 19
+    assert visited == [19] and "table" not in candidate._derived
+    # and the limit is exact: the candidate has 2¹⁶ configurations
     assert esmod._find_table(candidate, 2 ** 16 - 1) is None
     assert len(esmod._find_table(candidate, 2 ** 16).lower) == 2 ** 16
 
@@ -242,8 +253,6 @@ def test_each_test_of_the_certificate_is_needed():
 
 
 def test_the_counit_is_tested_before_it_is_trusted():
-    from weavent.duality import _counit_holds, dom_of_es, ev_of_domain
-    from weavent.fixtures import e_run
     es = e_run()
     connected = ev_of_domain(dom_of_es(es))
     assert _counit_holds(es, connected)

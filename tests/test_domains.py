@@ -544,17 +544,16 @@ class TestOnePairPass:
         assert cli.main(["check", "--domain", str(FIXTURES / "run.domain.json")]) == 0
         capsys.readouterr()
         assert (len(certified), passes) == (1, [])
-        for dom in (load_structure(str(FIXTURES / "run.domain.json"), "domain"), m3()):
-            validate_domain(dom)
-            primes(dom)
-            weak_primes(dom)
-            algebraicity(dom)
-            try:
-                ev_of_domain(dom)
-            except OrderError:
-                assert dom.elements == m3().elements
-        dom, bad = certified[1:]
-        assert dom.elements != bad.elements and passes == [bad]
+        dom = load_structure(str(FIXTURES / "run.domain.json"), "domain")
+        for ask in (validate_domain, primes, weak_primes, algebraicity, ev_of_domain):
+            ask(dom)
+        assert certified[1:] == [dom] and passes == []
+        bad = m3()
+        for ask in (validate_domain, primes, weak_primes, algebraicity):
+            ask(bad)
+        with pytest.raises(OrderError, match="not weak prime algebraic"):
+            ev_of_domain(bad)
+        assert certified[2:] == [bad] and passes == [bad]
 
 
 class TestAlgebraicity:

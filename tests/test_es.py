@@ -1,14 +1,21 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weavent import es as esmod
 from weavent._common import _bits
 from weavent.es import (Classification, EventStructure, EsError, LivenessError, _minimal, _table,
                         classify, configuration_count, configurations, is_configuration,
                         is_secured, minimal_enablings, saturate, validate_es_morphism)
+from weavent.duality import dom_of_es
+from weavent.intervals import ev_wd
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split, e_three_independent)
 from weavent.io import load_structure
@@ -273,65 +280,6 @@ class TestTableWalk:
             assert _table(es).mins == mins_by_second_pass(es), sorted(es.events)
 
 
-def unfiltered_table(es):
-    """The table walk as it was before it watched only the minimal needs:
-    every generator's need is watched."""
-    from weavent.es import BINARY, _Table
-    n = len(es._names)
-    binary = es.conflict_kind == BINARY
-    clash, cons = es._clash, es._cons
-    watch = [[] for _ in range(n)]
-    first = 0
-    for k, needs in enumerate(es._needs):
-        for need in needs:
-            if not need:
-                first |= 1 << k
-            for x in _bits(need):
-                watch[x].append((need, 1 << k))
-    mins = [[] for _ in range(n)]
-    lower = {0: 0}
-    maximal = []
-    layer = {0: first}
-    below = {0: 0}
-    while layer:
-        grown, under = {}, {}
-        for c, en in layer.items():
-            m = en & ~below[c]
-            if m:
-                for k in _bits(m):
-                    mins[k].append(c)
-            extended = False
-            new = en & ~c
-            while new:
-                b = new & -new
-                new ^= b
-                c2 = c | b
-                if c2 in grown:
-                    lower[c2] |= b
-                    under[c2] |= en
-                    extended = True
-                    continue
-                x = b.bit_length() - 1
-                if clash[x] & c if binary else all(c2 & ~m for m in cons):
-                    continue
-                extended = True
-                lower[c2] = b
-                under[c2] = en
-                e2 = en
-                for need, kb in watch[x]:
-                    if not need & ~c2:
-                        e2 |= kb
-                grown[c2] = e2
-            if not extended:
-                maximal.append(c)
-        layer, below = grown, under
-    together = [0] * n
-    for m in maximal:
-        for k in _bits(m):
-            together[k] |= m
-    return _Table(lower, maximal, together, mins)
-
-
 class TestMinimalNeeds:
     """The walk watches only each event's ⊆-minimal needs; the table is
     that of the walk that watches every need, order included, and the
@@ -339,8 +287,6 @@ class TestMinimalNeeds:
 
     @staticmethod
     def _structures():
-        from weavent.duality import dom_of_es
-        from weavent.intervals import ev_wd
         out = TestTableWalk._structures()
         rng = random.Random(43)
         # the interval construction names a step for every cover, so most
@@ -362,10 +308,13 @@ class TestMinimalNeeds:
             assert sorted(_minimal(needs)) == sorted(
                 a for a in needs if not any(b != a and not b & ~a for b in needs))
 
-    def test_the_table_is_that_of_every_need(self):
+    def test_the_table_is_that_of_every_need(self, monkeypatch):
+        structures = self._structures()
+        filtered = [esmod._find_table(es) for es in structures]
+        monkeypatch.setattr(esmod, "_minimal", list)  # watch every need
         redundant = 0
-        for es in self._structures():
-            want, got = unfiltered_table(es), _table(es)
+        for es, got in zip(structures, filtered):
+            want = esmod._find_table(es)
             assert (got.lower, got.maximal, got.together, got.mins) == (
                 want.lower, want.maximal, want.together, want.mins), sorted(es.events)
             assert sum(map(len, es._needs)) == len(es.enabling_gens)
@@ -377,10 +326,6 @@ class TestMinimalNeeds:
 def test_two_bad_generators_name_the_same_one_under_any_hash_seed(tmp_path):
     """The generators are checked in sorted ``(event, sorted needs)``
     order, not in the iteration order of a frozenset."""
-    import json
-    import os
-    import subprocess
-    import sys
     path = tmp_path / "bad.es.json"
     # four bad generators, which the frozenset order of hash seeds 0 and 1
     # takes in different orders
