@@ -24,18 +24,19 @@ The invariants the paper reads off a domain (irreducibles, ↔-partners,
 ↔*-classes, primes, weak primes, algebraicity) are computed once per
 domain and kept on it, since a domain never changes after construction.
 The join condition, primality and weak primality are decided by a
-certificate first (``_certify``): the candidate ``ev(D)`` is built from
-the ↔*-classes without a proof, and the map taking each element to the
-events of the irreducibles below it is tested, on masks, to be an order
-isomorphism onto the candidate's configurations, which the coreflection
-theorem makes a weak prime domain.  Where it holds, ``D`` is valid, its
-weak primes are its irreducibles, its primes are the irreducibles
-consistent with no other member of their class (``_class_primes``), and
-the candidate is ``ev(D)``.  Where it fails, one pass over the
+certificate first (``_certify``), on a domain of ``_CERTIFY_FROM``
+elements or more: the candidate ``ev(D)`` is built from the ↔*-classes
+as masks, without a proof, and the map taking each element to the events
+of the irreducibles below it is tested to be an order isomorphism onto
+the candidate's configurations, which the coreflection theorem makes a
+weak prime domain.  Where it holds, ``D`` is valid, its weak primes are
+its irreducibles, its primes are the irreducibles consistent with no
+other member of their class (``_class_primes``), and the candidate is
+``ev(D)``.  Where it fails, and on a smaller domain, one pass over the
 incomparable consistent pairs decides them all (``_pair_pass``), with its
 witnesses; meets need none, since a least element and binary joins make
-them exist.  The domains of ``duality.dom_of_es`` carry the certificate,
-by the coreflection theorem.  The exhaustive references these are tested
+them exist.  ``_pair_facts`` holds the one decision.  The domains of
+``duality.dom_of_es`` carry the certificate, by the coreflection theorem.  The exhaustive references these are tested
 against, ``*_by_definition`` and ``interchangeable_via_compacts``, live in
 ``oracles``.
 There is deliberately no memo keyed by subset masks: Python hashes an int
@@ -52,11 +53,11 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._common import Report, UnionFind, Value, _bits, _finishing_order, _once
-from .es import EventStructure, _table_within
+from .es import BINARY, CONSISTENCY, _Masks, _table_within
 
 COHERENT = "coherent"
 BOUNDED_COMPLETE = "bounded_complete"
@@ -279,8 +280,13 @@ class FiniteDomain:
 
 def _pair_facts(dom: FiniteDomain) -> Tuple[Report, int, int]:
     """The verdict of ``validate_domain`` on the join condition, and the
-    masks of the primes and of the weak primes, from ``_pair_pass``."""
-    return _once(dom, "pair_facts", _pair_pass)
+    masks of the primes and of the weak primes, decided once: on a domain
+    the duality certificate holds on, valid, the primes of
+    ``_class_primes`` and every irreducible (``_certify``); elsewhere from
+    ``_pair_pass``."""
+    return _once(dom, "pair_facts", lambda d: (
+        (Report(True), _class_primes(d), _irreducible_mask(d)) if _certified(d)
+        else _pair_pass(d)))
 
 
 def _pair_pass(dom: FiniteDomain) -> Tuple[Report, int, int]:
@@ -339,16 +345,16 @@ def validate_domain(dom: FiniteDomain) -> Report:
     consistent subset having a join); the witness ``d''`` is the lowest
     element of ``cons[d] & cons[d'] & ~cons[d ⊔ d']``.  Bounded completeness
     reduces to binary joins of bounded pairs.  Both are read off the one
-    pair pass, which runs only where the duality certificate fails: where
-    it holds, the domain is valid (``_certify``).  Meets need no check: the
-    lower bounds of a pair hold ``⊥`` and are bounded, so their join exists
-    and is the meet.  The exhaustive oracle is
+    pair pass, which runs only where the duality certificate is not found
+    to hold: where it holds, the domain is valid (``_pair_facts``).  Meets need no check:
+    the lower bounds of a pair hold ``⊥`` and are bounded, so their join
+    exists and is the meet.  The exhaustive oracle is
     ``oracles.validate_domain_by_definition``.
     """
     if dom.bottom() is None:
         return Report(False, "no-least-element", tuple(
             x for x in dom.elements if not dom.lower_covers(x)))
-    return Report(True) if _certified(dom) else _pair_facts(dom)[0]
+    return _pair_facts(dom)[0]
 
 
 def _require_valid(dom: FiniteDomain) -> None:
@@ -359,14 +365,12 @@ def _require_valid(dom: FiniteDomain) -> None:
 
 def _require_weak_prime(dom: FiniteDomain) -> None:
     """``OrderError`` unless ``dom`` is weak prime, proved once: by the
-    duality certificate, or where it fails by the pair pass, whose verdict
-    and witness the error names."""
+    duality certificate, or else by the pair pass, whose verdict and
+    witness the error names."""
     _once(dom, "weak_prime", _prove_weak_prime)
 
 
 def _prove_weak_prime(dom: FiniteDomain) -> bool:
-    if _certified(dom):
-        return True
     _require_valid(dom)
     for i in dom.ids(_irreducible_mask(dom) & ~_pair_facts(dom)[2]):
         raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
@@ -377,15 +381,24 @@ def _prove_weak_prime(dom: FiniteDomain) -> bool:
 # The duality certificate
 # ---------------------------------------------------------------------- #
 
+# The fewest elements on which the certificate is tried.  Below it the pair
+# pass visits at most 465 pairs and costs less than building and walking the
+# candidate: on the trace domains of ``derive``, 88 against 106 µs at 27
+# elements and 233 against 117 µs at 32 (2-vCPU host, Python 3.11).
+_CERTIFY_FROM = 32
+
+
 def _certified(dom: FiniteDomain) -> bool:
     """Whether ``_certify`` holds on ``dom`` and its candidate structure,
-    decided once.  ``duality.dom_of_es`` records it on its domains, where
-    the coreflection theorem proves it."""
-    return _once(dom, "certified", lambda d: d.bottom() is not None and
-                 _certify(d, _candidate(d)))
+    decided once, on a domain with a least element and at least
+    ``_CERTIFY_FROM`` elements; on a smaller one the pair pass decides.
+    ``duality.dom_of_es`` records it on its domains, where the coreflection
+    theorem proves it."""
+    return _once(dom, "certified", lambda d: len(d.elements) >= _CERTIFY_FROM
+                 and d.bottom() is not None and _certify(d, _candidate(d)))
 
 
-def _certify(dom: FiniteDomain, es: EventStructure) -> bool:
+def _certify(dom: FiniteDomain, es) -> bool:
     """Whether φ is an order isomorphism of ``dom`` onto the configurations
     of ``es``, where φ(d) is the set of the events of the irreducibles below
     ``d`` and the irreducibles of the ``k``-th ↔*-class have the event
@@ -404,7 +417,7 @@ def _certify(dom: FiniteDomain, es: EventStructure) -> bool:
     are the reflexive-transitive closures of their covers, so φ and its
     inverse are monotone: φ is an order isomorphism.  The configurations of
     any event structure form a weak prime domain (the coreflection
-    theorem): coherent under binary conflict, which ``_es_of_steps`` builds
+    theorem): coherent under binary conflict, which ``_steps_masks`` builds
     for a coherent ``dom``, and bounded complete under a consistency
     predicate.  So ``dom`` is valid for its kind, and its irreducibles, the
     images of those of ``Conf(es)``, are all weak primes.  Where the
@@ -413,19 +426,14 @@ def _certify(dom: FiniteDomain, es: EventStructure) -> bool:
     the bounded complete ``fixtures.nontransitive_bdomain`` is weak prime,
     and its 15 elements are not the 13 configurations of its candidate.
     """
-    n, lower, bit = len(dom.elements), dom._lower, es._bit
+    n, bit = len(dom.elements), es._bit
     event = [0] * n  # the bit of the event of each irreducible, else 0
     for name, g in zip(_event_names(dom), _class_groups(dom)):
         if name not in bit:
             return False
         for i in g:
             event[i] = 1 << bit[name]
-    phi = [0] * n
-    for d in dom._rising:
-        m = event[d]
-        for c in _bits(lower[d]):
-            m |= phi[c]
-        phi[d] = m
+    phi = _swept_or(dom, event)
     for a, b in dom._cover_pairs:  # phi[a] ⊆ phi[b], as phi ORs along covers
         x = phi[a] ^ phi[b]
         if not x or x & (x - 1):
@@ -440,18 +448,27 @@ def _certify(dom: FiniteDomain, es: EventStructure) -> bool:
             and sum(map(int.bit_count, confs.values())) == len(dom._cover_pairs))
 
 
-def _candidate(dom: FiniteDomain) -> EventStructure:
-    """ev of ``dom``, built without a proof that ``dom`` is weak prime: the
-    event ``class{k}:{least member}`` performs the steps ``[p(i), i]`` of
-    the irreducibles ``i`` of the ``k``-th ↔*-class (``_es_of_steps``).
-    Built once per domain; ``duality.ev_of_domain`` returns it."""
-    return _once(dom, "candidate", _find_candidate)
+def _swept_or(dom: FiniteDomain, own: List[int]) -> List[int]:
+    """``m[d]``, the OR of ``own[x]`` over the ``x ⊑ d``, swept along the
+    lower covers in rising order."""
+    lower, m = dom._lower, [0] * len(own)
+    for d in dom._rising:
+        x = own[d]
+        for c in _bits(lower[d]):
+            x |= m[c]
+        m[d] = x
+    return m
 
 
-def _find_candidate(dom: FiniteDomain) -> EventStructure:
-    lower = dom._lower
-    return _es_of_steps(dom, _event_names(dom), [[(lower[i].bit_length() - 1, i) for i in g]
-                                                 for g in _class_groups(dom)])
+def _candidate(dom: FiniteDomain) -> _Masks:
+    """ev of ``dom`` as masks, built without a proof that ``dom`` is weak
+    prime: the event ``class{k}:{least member}`` performs the steps
+    ``[p(i), i]`` of the irreducibles ``i`` of the ``k``-th ↔*-class
+    (``_steps_masks``).  Built once per domain; ``duality.ev_of_domain``
+    names it."""
+    return _once(dom, "candidate", lambda d: _steps_masks(
+        d, _event_names(d), [[(d._lower[i].bit_length() - 1, i) for i in g]
+                             for g in _class_groups(d)]))
 
 
 def _event_names(dom: FiniteDomain) -> List[str]:
@@ -460,40 +477,44 @@ def _event_names(dom: FiniteDomain) -> List[str]:
     return [f"class{k}:{names[g[0]]}" for k, g in enumerate(_class_groups(dom))]
 
 
-def _es_of_steps(dom: FiniteDomain, names: List[str],
-                 steps: List[List[Tuple[int, int]]]) -> EventStructure:
-    """The event structure whose event ``names[k]`` performs the covers
-    ``steps[k]`` of ``dom``, given as index pairs ``(d, d')``; it is the one
-    construction behind ``_candidate`` (one step ``[p(i), i]`` per
-    irreducible ``i``, grouped by ↔*-class) and ``intervals.ev_wd`` (every
-    cover, grouped by interval class).
+def _steps_masks(dom: FiniteDomain, names: List[str],
+                 steps: List[List[Tuple[int, int]]]) -> _Masks:
+    """The masks of the structure whose event ``names[k]`` performs the
+    covers ``steps[k]`` of ``dom``; it is the one construction behind
+    ``_candidate`` (one step ``[p(i), i]`` per irreducible ``i``, grouped by
+    ↔*-class) and ``intervals.ev_wd`` (every cover, grouped by interval
+    class).
 
-    A step ``(d, d')`` is enabled by the events with a step ending below
-    ``d``.  On a coherent domain two events conflict when no upper end of
-    one lies in the ``_cons`` row of an upper end of the other, which is
-    "no element dominates an upper end of each": ``cons[i]``, the OR of
-    ``down[m]`` over the maximal ``m ⊒ i``, holds ``j`` exactly when ``i``
-    and ``j`` have a common upper bound (each upper bound lies below a
-    maximal element), that is when ``up[i] & up[j]`` is not 0.  So the OR
-    of the ``_up`` rows over a set of ends ``I`` meets the OR over a set
-    ``J`` exactly when some ``cons[i]``, ``i`` in ``I``, meets the mask of
-    ``J``, the event's tops.  On any other domain the consistent sets are
-    the events with a step ending below each maximal element.
+    Let ψ(d) be the events with a step ending below ``d``, swept along the
+    covers.  A step ``(d, d')`` is enabled by ψ(d).  On a coherent domain
+    two events conflict when no element dominates an upper end of each,
+    that is when no maximal element ``m`` has both in ψ(m), since every
+    upper bound lies below a maximal element: an event's row of consistent
+    partners is the OR of the ψ(m) that hold it.  On any other domain the
+    consistent sets are the ψ(m).  Each step is visited once, and each
+    maximal element once per event below it; no pair of events is.
     """
-    down = dom._down
-    tops = [reduce(or_, (1 << d2 for _, d2 in s)) for s in steps]
-
-    def enablers(d):
-        return frozenset(e for e, top in zip(names, tops) if top & down[d])
-
-    gens = {(enablers(d), names[k]) for k, s in enumerate(steps) for d, _ in s}
-    if dom.kind == COHERENT:
-        reach = [reduce(or_, (dom._cons[d2] for _, d2 in s)) for s in steps]
-        conflict = [(names[k], names[m]) for k, m in combinations(range(len(steps)), 2)
-                    if not reach[k] & tops[m]]
-        return EventStructure.binary(names, conflict, gens)
-    maximal = map(dom.index, dom.maximal_elements())
-    return EventStructure.with_consistency(names, map(enablers, maximal), gens)
+    k = len(names)
+    order = sorted(range(k), key=names.__getitem__)  # the events' bits
+    rank = [0] * k
+    for r, e in enumerate(order):
+        rank[e] = r
+    own = [0] * len(dom.elements)
+    for e, s in enumerate(steps):
+        for _, d2 in s:
+            own[d2] |= 1 << rank[e]
+    psi = _swept_or(dom, own)
+    needs = [list(dict.fromkeys(psi[d] for d, _ in steps[e])) for e in order]
+    tops = [psi[m] for m, high in enumerate(dom._upper) if not high]
+    names = tuple(map(names.__getitem__, order))
+    if dom.kind != COHERENT:
+        return _Masks(names, CONSISTENCY, needs, [0] * k, tops)
+    rows = [0] * k
+    for top in tops:
+        for e in _bits(top):
+            rows[e] |= top
+    full = (1 << k) - 1
+    return _Masks(names, BINARY, needs, [full ^ row for row in rows], [])
 
 
 def _class_primes(dom: FiniteDomain) -> int:
@@ -594,12 +615,7 @@ def primes(dom: FiniteDomain) -> Tuple[str, ...]:
 
 
 def _find_primes(dom: FiniteDomain) -> Tuple[str, ...]:
-    return dom.ids(_prime_mask(dom))
-
-
-def _prime_mask(dom: FiniteDomain) -> int:
-    return _once(dom, "prime_mask", lambda d: _class_primes(d) if _certified(d)
-                 else _pair_facts(d)[1])
+    return dom.ids(_pair_facts(dom)[1])
 
 
 def _interchangeable(dom: FiniteDomain, a: int, b: int) -> bool:
@@ -683,7 +699,7 @@ def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
 
 
 def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
-    return dom.ids(_irreducible_mask(dom) if _certified(dom) else _pair_facts(dom)[2])
+    return dom.ids(_pair_facts(dom)[2])
 
 
 class Algebraicity(Value):
@@ -716,9 +732,8 @@ def algebraicity(dom: FiniteDomain) -> Algebraicity:
 
 def _find_algebraicity(dom: FiniteDomain) -> Algebraicity:
     irr = _irreducible_mask(dom)
-    if _certified(dom):
-        return Algebraicity(True, _prime_mask(dom) == irr, True)
-    irr_alg = all(dom._join_mask(down & irr) == d for d, down in enumerate(dom._down))
+    irr_alg = _certified(dom) or all(dom._join_mask(down & irr) == d
+                                     for d, down in enumerate(dom._down))
     _, prime_mask, weak_prime_mask = _pair_facts(dom)
     return Algebraicity(irr_alg, prime_mask == irr, weak_prime_mask == irr)
 

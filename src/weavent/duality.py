@@ -5,14 +5,15 @@ event structures with equivalence.
 an event structure back off a weak prime domain, with events the
 interchangeability classes of irreducibles.  Their composite ``connect_es``
 replaces a live structure by a connected one with the same configuration
-poset.  ``ev_of_domain`` shares one builder, ``domains._es_of_steps``,
+poset.  ``ev_of_domain`` shares one builder, ``domains._steps_masks``,
 with the interval construction ``intervals.ev_wd``: an event performs a
 set of covers (its steps), and enabling, conflict and consistency are read
 off the ends of those covers.  Its structure is the candidate that the
-duality certificate of ``domains`` tests, and ``roundtrip`` tests the unit
-(that certificate) and the counit (``_counit_holds``) as candidate
-isomorphisms before it searches.  The EPES constructions present the same
-correspondence through prime structures carrying an event equivalence.
+duality certificate of ``domains`` tests, and ``roundtrip --es`` reports
+the unit (that certificate) and the counit (``_counit_holds``) by testing
+the maps the duality gives, with no search.  The EPES constructions
+present the same correspondence through prime structures carrying an
+event equivalence.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
                     Optional, Tuple)
 
 from ._common import UnionFind, Value, _bits, _once, backtrack
-from .es import (BINARY, EsError, EventStructure, _require_live, _table, classify,
-                 configurations, minimal_enablings)
+from .es import (BINARY, EsError, EventStructure, _require_live, _structure_of, _table,
+                 classify, configurations, minimal_enablings)
 from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, _candidate, _class_groups,
                       _event_names, _require_weak_prime, decompose, interchange_classes,
                       irreducible_elements, predecessor)
@@ -105,23 +106,24 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     """The event structure of a weak prime domain.
 
     Events are ↔*-classes of irreducibles, and the class of ``i`` performs
-    the step ``[p(i), i]`` (``domains._es_of_steps``): a set enables a class
+    the step ``[p(i), i]`` (``domains._steps_masks``): a set enables a class
     when it contains the classes of all strict predecessors of one of its
     members; two classes are in conflict when no element dominates members
-    of both.  The domain is proved weak prime first, and the structure is
-    the candidate that the duality certificate built and tested
-    (``domains._candidate``), kept on the domain with its table.
+    of both.  The domain is proved weak prime first.  The structure is the
+    candidate of ``domains._candidate``, which the duality certificate
+    tests where it is tried, named once and kept on the domain with the
+    table that test walked.
     """
     _require_weak_prime(dom)
-    return _candidate(dom)
+    return _once(dom, "ev", lambda d: _structure_of(_candidate(d)))
 
 
 def _counit_holds(es: EventStructure, connected: EventStructure) -> bool:
     """Whether the counit, read as a map of event names, is an isomorphism
     of ``connected = ev_of_domain(dom_of_es(es))`` onto ``es``: the class of
     an irreducible configuration goes to the one event it adds to its
-    predecessor.  It is the candidate that ``roundtrip --es`` tests before
-    it searches (``es_isomorphic``); when it holds, so does the search."""
+    predecessor.  ``roundtrip --es`` reports it as the counit; where it
+    holds, so does the search of ``es_isomorphic``."""
     dom = dom_of_es(es)
     masks, lower = dom._derived["configuration_masks"], dom._lower
     psi = {}

@@ -22,7 +22,9 @@ the structure (``_once``).
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._common import Report, UnionFind, Value, _bits, _once
@@ -205,6 +207,41 @@ class EventStructure(Value):
         return not self.is_consistent((a, b))
 
 
+class _Masks:
+    """An event structure as masks alone, over its events in sorted name
+    order: the fields of ``EventStructure`` that ``_find_table`` reads, with
+    ``_cons`` any family whose subsets are the consistent sets.  A domain's
+    candidate structure is built and tested this way, and named
+    (``_structure_of``) only where it is asked for."""
+    __slots__ = ("_names", "_bit", "conflict_kind", "_needs", "_clash", "_cons", "_derived")
+
+    def __init__(self, names: Tuple[str, ...], conflict_kind: str, needs: List[List[int]],
+                 clash: List[int], cons: List[int]):
+        self._names, self.conflict_kind, self._needs = names, conflict_kind, needs
+        self._bit = {e: k for k, e in enumerate(names)}
+        self._clash, self._cons, self._derived = clash, cons, {}
+
+
+def _structure_of(m: _Masks) -> EventStructure:
+    """The ``EventStructure`` of ``m``, with the table ``m`` was walked to."""
+    names = m._names
+
+    def named(mask):
+        return frozenset({names[k] for k in _bits(mask)})
+    gens = frozenset((named(need), e) for e, needs in zip(names, m._needs) for need in needs)
+    if m.conflict_kind == BINARY:
+        pairs = frozenset(frozenset((names[a], names[b])) for a, row in enumerate(m._clash)
+                          for b in _bits(row & ~((2 << a) - 1)))
+        es = EventStructure(frozenset(names), gens, BINARY, pairs)
+    else:
+        family = set(m._cons)
+        cons = frozenset(named(c) for c in family if not any(c != d and not c & ~d for d in family))
+        es = EventStructure(frozenset(names), gens, CONSISTENCY, consistent_sets=cons)
+    if "table" in m._derived:
+        es._derived["table"] = m._derived["table"]
+    return es
+
+
 # ---------------------------------------------------------------------- #
 # Configurations
 # ---------------------------------------------------------------------- #
@@ -251,7 +288,7 @@ def _table(es: EventStructure) -> _Table:
     return _once(es, "table", _find_table)
 
 
-def _table_within(es: EventStructure, limit: int) -> Optional[_Table]:
+def _table_within(es, limit: int) -> Optional[_Table]:
     """``_table(es)`` when ``es`` has at most ``limit`` configurations, else
     None.  A walk that gives up is not kept, so ``_table`` walks afresh."""
     derived = es._derived
@@ -286,19 +323,40 @@ def _find_table(es: EventStructure, limit: Optional[int] = None) -> Optional[_Ta
     Only each event's ⊆-minimal needs are watched: if a need ``N ∋ x`` of
     ``k`` holds in ``c2 = c | x``, so does a minimal ``M ⊆ N``, and either
     ``x ∈ M`` and ``M`` is watched at ``x``, or ``M ⊆ c`` and ``k`` is in
-    the ``en`` of ``c`` already.
+    the ``en`` of ``c`` already.  Nor is a need watched at an event of the
+    core of another of its events ``y``, the events in every minimal need
+    of ``y``: a configuration holding ``y`` holds its core, so if ``N``
+    first holds in ``c2 = c | x`` with ``x`` in the core of ``y ∈ N``, then
+    ``y ∈ c``, and ``x ∈ c`` too.  The members of ``N`` are taken from the
+    highest bit down, each dropping its core, so a need whose events lie
+    on one causal chain, as in a domain's candidate, is watched at few of
+    them.  Each configuration carries its fence: with
+    binary conflict the events in conflict with none of its own, else the
+    consistent sets that hold it, as a mask over their positions.  Only the
+    enabled events inside the fence are tried, so an event that conflicts
+    with ``c`` costs nothing at ``c``.
     """
     n = len(es._names)
     binary = es.conflict_kind == BINARY
     clash, cons = es._clash, es._cons
+    holds = [0] * n  # holds[x]: the positions of the consistent sets holding x
+    for j, m in enumerate(cons):
+        for x in _bits(m):
+            holds[x] |= 1 << j
+    spread: Dict[int, int] = {}  # a fence of consistent sets -> their union
     watch: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    minimal = [_minimal(needs) if len(needs) > 1 else needs for needs in es._needs]
+    core = [reduce(and_, needs) if needs else 0 for needs in minimal]
     first = 0
-    for k, needs in enumerate(es._needs):
-        for need in _minimal(needs) if len(needs) > 1 else needs:
+    for k, needs in enumerate(minimal):
+        for need in needs:
             if not need:
                 first |= 1 << k
-            for x in _bits(need):
+            rest = need
+            while rest:
+                x = rest.bit_length() - 1
                 watch[x].append((need, 1 << k))
+                rest &= ~(core[x] | 1 << x)
     room = -1 if limit is None else limit - 1  # configurations still allowed
     # c minimally enables e iff it enables e and no c ^ x does.  If
     # configurations d ⊂ c, a securing sequence of c, with the events of d
@@ -313,16 +371,25 @@ def _find_table(es: EventStructure, limit: Optional[int] = None) -> Optional[_Ta
     maximal = []
     layer = {0: first}  # the configurations of one size, each with its en
     below = {0: 0}
+    fences = {0: (1 << (n if binary else len(cons))) - 1}
     while layer:
         grown: Dict[int, int] = {}
         under: Dict[int, int] = {}
+        fenced: Dict[int, int] = {}
         for c, en in layer.items():
             m = en & ~below[c]
             if m:
                 for k in _bits(m):
                     mins[k].append(c)
-            extended = False
-            new = en & ~c
+            fence = fences[c]
+            if binary:
+                new = en & ~c & fence
+            else:
+                if fence not in spread:
+                    spread[fence] = reduce(or_, (cons[j] for j in _bits(fence)), 0)
+                new = en & ~c & spread[fence]
+            if not new:
+                maximal.append(c)
             while new:
                 b = new & -new
                 new ^= b
@@ -330,26 +397,21 @@ def _find_table(es: EventStructure, limit: Optional[int] = None) -> Optional[_Ta
                 if c2 in grown:
                     lower[c2] |= b
                     under[c2] |= en
-                    extended = True
                     continue
                 x = b.bit_length() - 1
-                # c is consistent, so with binary conflict only x can clash
-                if clash[x] & c if binary else all(c2 & ~m for m in cons):
-                    continue
-                extended = True
+                fence2 = fence & ~clash[x] if binary else fence & holds[x]
                 if not room:
                     return None
                 room -= 1
                 lower[c2] = b
                 under[c2] = en
+                fenced[c2] = fence2
                 e2 = en
                 for need, kb in watch[x]:
                     if not need & ~c2:
                         e2 |= kb
                 grown[c2] = e2
-            if not extended:
-                maximal.append(c)
-        layer, below = grown, under
+        layer, below, fences = grown, under, fenced
     together = [0] * n
     for m in maximal:
         for k in _bits(m):

@@ -11,7 +11,7 @@ The layer reads the domain's masks and keeps the interval classes and the
 axiom report on the domain; the oracles, ``interval_classes_by_definition``
 and ``_axiom_v_by_definition``, live in ``oracles``.  An irreducible ``i`` is
 the prime interval ``[p(i), i]``: ``ev_wd`` builds its structure through
-``domains._es_of_steps``, as ``ev_of_domain`` does from those intervals
+``domains._steps_masks``, as ``ev_of_domain`` does from those intervals
 alone, and ``zeta`` reads each class's image off the irreducible upper
 ends of its covers.
 """
@@ -22,9 +22,9 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._common import UnionFind, Value, _bits, _once
-from .es import EventStructure
-from .domains import (FiniteDomain, OrderError, _es_of_steps, _require_valid,
-                      _require_weak_prime, interchange_classes)
+from .es import EventStructure, _structure_of
+from .domains import (FiniteDomain, OrderError, _require_valid, _require_weak_prime,
+                      _steps_masks, interchange_classes)
 
 Interval = Tuple[str, str]
 _Pair = Tuple[int, int]  # an interval as a pair of element indices
@@ -165,7 +165,7 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     construction); isomorphic to the one built from irreducibles.
 
     Events are ~-classes of intervals, and a class performs each of its
-    covers (``domains._es_of_steps``, which ``ev_of_domain`` shares): a
+    covers (``domains._steps_masks``, which ``ev_of_domain`` shares): a
     class is enabled by a set covering all classes strictly below the lower
     endpoint of one representative.  On a coherent domain two classes
     conflict when upper endpoints of representatives are never consistent;
@@ -178,8 +178,8 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
             raise OrderError(f"axiom {name} fails: {report.witness}")
     classes = _classes(dom)
     names = dom.elements
-    return _es_of_steps(dom, [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]"
-                              for k, cls in enumerate(classes)], classes)
+    return _structure_of(_steps_masks(dom, [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]"
+                                            for k, cls in enumerate(classes)], classes))
 
 
 def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:

@@ -11,6 +11,7 @@ witnesses and messages.
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,25 @@ from weavent._common import Report
 from weavent.es import EventStructure
 from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, algebraicity,
                              primes, validate_domain, weak_primes)
-from weavent.duality import _counit_holds, dom_of_es, ev_of_domain
+from weavent.duality import (_counit_holds, dom_of_es, es_isomorphic, ev_of_domain,
+                             poset_isomorphic)
+from weavent.es import classify
 from weavent.fixtures import e_run, nontransitive_bdomain
 from weavent.oracles import (primes_by_definition, validate_domain_by_definition,
                              weak_primes_by_definition)
-from tests._gen import comparison_domains, random_poset
+from tests._gen import (comparison_domains, random_connected_es, random_consistency_es,
+                        random_live_es, random_poset)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CERTIFY_FROM = domains._CERTIFY_FROM
+
+
+@pytest.fixture(autouse=True)
+def certify_every_domain(monkeypatch):
+    """The certificate is tried on every domain with a least element, not
+    only on those of ``_CERTIFY_FROM`` elements or more, so that small
+    domains test it."""
+    monkeypatch.setattr(domains, "_CERTIFY_FROM", 1)
 
 
 def _accepted_by_the_pair_pass(dom):
@@ -64,11 +77,11 @@ def test_the_certificate_holds_only_where_the_pair_pass_accepts():
         assert _accepted_by_the_pair_pass(fresh), (dom.elements, dom.covers(), dom.kind)
         held[dom.kind] += 1
         irr = domains._irreducible_mask(fresh)
-        assert domains._pair_pass(fresh) == (Report(True), domains._prime_mask(fresh), irr)
+        assert domains._pair_pass(fresh) == (Report(True), domains._class_primes(fresh), irr)
         assert validate_domain(fresh) == Report(True)
         alg = algebraicity(fresh)
         assert alg.irreducible_algebraic and alg.weak_prime_algebraic
-        assert alg.prime_algebraic == (domains._prime_mask(fresh) == irr)
+        assert alg.prime_algebraic == (domains._class_primes(fresh) == irr)
         if len(dom.elements) <= 10:
             assert validate_domain_by_definition(fresh).ok
             assert primes(fresh) == primes_by_definition(fresh)
@@ -260,3 +273,88 @@ def test_the_counit_is_tested_before_it_is_trusted():
     # the events of e_run, and no isomorphism
     free = EventStructure.binary(connected.events, (), [((), e) for e in connected.events])
     assert not _counit_holds(es, free)
+
+
+def test_the_unit_and_the_counit_hold_where_the_searches_find_isomorphisms():
+    """``roundtrip --es`` reports the unit map φ (``_certify``) and the
+    counit map (``_counit_holds``) without searching: on live structures
+    of both kinds each holds, as the searches find, and ``dom_of_es`` is
+    right to record the certificate, which a fresh copy proves again."""
+    rng = random.Random(23)
+    draws = ([random_live_es(rng, max_events=6, conflict_p=0.3) for _ in range(60)]
+             + [random_consistency_es(rng, max_events=6, live=True) for _ in range(60)]
+             + [random_connected_es(rng, max_events=5) for _ in range(60)])
+    connected = 0
+    for es in draws:
+        dom = dom_of_es(es)
+        ev = ev_of_domain(dom)
+        assert domains._certify(dom, ev) and poset_isomorphic(dom_of_es(ev), dom) is not None
+        assert domains._certified(FiniteDomain(dom.elements, dom.covers(), dom.kind))
+        if classify(es).connected:
+            assert _counit_holds(es, ev) and es_isomorphic(ev, es) is not None
+            connected += 1
+    assert connected > 100
+
+
+def _lines_run(f):
+    """The lines of ``domains`` and ``es`` that ``f()`` runs."""
+    files, count = {domains.__file__, esmod.__file__}, 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename not in files:
+            return None
+        count += event == "line"
+        return trace
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        f()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+@pytest.mark.parametrize("kind", [COHERENT, BOUNDED_COMPLETE])
+@pytest.mark.parametrize("shape", ["chain", "flat"])
+def test_the_certificate_runs_in_linear_steps_on_chains_and_flat_domains(shape, kind):
+    """Where no pair of elements is both incomparable and consistent, the
+    pair pass visits none; the certificate then visits each element, cover
+    and event a bounded number of times, and no pair of events.  Doubling
+    ``n`` about doubles the lines it runs, where a pass over pairs would
+    about quadruple them."""
+    def domain(n):
+        if shape == "chain":
+            names = [f"c{i:04d}" for i in range(n + 1)]
+            return FiniteDomain(names, list(zip(names, names[1:])), kind)
+        return FiniteDomain(["bot"] + [f"a{i:04d}" for i in range(n)],
+                            [("bot", f"a{i:04d}") for i in range(n)], kind)
+    lines = []
+    for n in (150, 300):
+        dom = domain(n)
+        lines.append(_lines_run(lambda: domains._certified(dom)))
+        assert domains._certified(dom)
+    assert lines[1] < 2.5 * lines[0], lines
+
+
+@pytest.mark.parametrize("n", [CERTIFY_FROM - 1, CERTIFY_FROM])
+def test_the_pair_pass_decides_below_the_size_the_certificate_is_tried_from(
+        n, tmp_path, monkeypatch, capsys):
+    """A chain of ``n`` elements, as a file: ``check`` runs the certificate
+    and no pair pass from ``_CERTIFY_FROM`` elements on, and the pair pass
+    alone below it.  Both print the bytes the other path prints."""
+    names = [f"c{i:02d}" for i in range(n)]
+    path = _write(tmp_path, monkeypatch, "chain.domain.json", names,
+                  [list(p) for p in zip(names, names[1:])])
+    certified, passes, printed = [], [], {}
+    monkeypatch.setattr(domains, "_certify", lambda d, es, _real=domains._certify:
+                        certified.append(d) or _real(d, es))
+    monkeypatch.setattr(domains, "_pair_pass", lambda d, _real=domains._pair_pass:
+                        passes.append(d) or _real(d))
+    for start in (1, CERTIFY_FROM):
+        monkeypatch.setattr(domains, "_CERTIFY_FROM", start)
+        certified.clear(), passes.clear(), cli._SESSION.clear()
+        printed[start] = _run(["check", "--domain", path], capsys)
+        tried = start == 1 or n >= CERTIFY_FROM
+        assert (len(certified), len(passes)) == ((1, 0) if tried else (0, 1))
+    assert printed[1] == printed[CERTIFY_FROM] and printed[1][0] == 0

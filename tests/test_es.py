@@ -14,7 +14,8 @@ from weavent._common import _bits
 from weavent.es import (Classification, EventStructure, EsError, LivenessError, _minimal, _table,
                         classify, configuration_count, configurations, is_configuration,
                         is_secured, minimal_enablings, saturate, validate_es_morphism)
-from weavent.duality import dom_of_es
+from weavent.domains import FiniteDomain, interchange_classes
+from weavent.duality import dom_of_es, ev_of_domain
 from weavent.intervals import ev_wd
 from weavent.fixtures import (e_ccs, e_five, e_joint, e_prime_conflict, e_run,
                               e_split, e_three_independent)
@@ -322,6 +323,84 @@ class TestMinimalNeeds:
                              for a in needs for b in needs)
         assert redundant > 50
 
+
+
+def _table_by_definition(es):
+    """Every part of the table from the configurations, found among all
+    subsets of the events with ``is_configuration``."""
+    names = es._names
+    confs = [c for c in range(1 << len(names)) if is_configuration(es, es._names_of(c))]
+    held = set(confs)
+    lower = {c: sum(1 << x for x in _bits(c) if c ^ 1 << x in held) for c in confs}
+    maximal = {c for c in confs
+               if not any(c | 1 << x in held for x in range(len(names)) if not c >> x & 1)}
+    together = [0] * len(names)
+    for m in maximal:
+        for k in _bits(m):
+            together[k] |= m
+    mins = []
+    for e in names:
+        enabling = [c for c in confs if es.enables(es._names_of(c), e)]
+        mins.append({c for c in enabling if not any(d != c and not d & ~c for d in enabling)})
+    return lower, maximal, together, mins
+
+
+class TestWatchesAndFences:
+    """The walk watches a need only outside the cores of its events, and
+    tries only the events inside a configuration's fence; the table is the
+    one read off all subsets of the events."""
+
+    @staticmethod
+    def _structures():
+        rng = random.Random(47)
+        out = [es for es in TestMinimalNeeds._structures() if len(es.events) <= 8]
+        # the candidates of domains: every need is a whole history
+        out += [ev_of_domain(FiniteDomain(d.elements, d.covers(), d.kind)) for d in
+                (dom_of_es(random_live_es(rng, max_events=6, conflict_p=0.3)) for _ in range(30))
+                if len(interchange_classes(d)) <= 8]
+        for _ in range(120):
+            # needs along a random causal order, with conflict or consistent
+            # sets across it
+            events = list("abcdefgh"[:rng.randint(2, 8)])
+            gens = [(tuple(rng.sample(events[:k], rng.randint(0, k))), e)
+                    for k, e in enumerate(events) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                pairs = [p for p in combinations(events, 2) if rng.random() < 0.2]
+                out.append(EventStructure.binary(events, pairs, gens))
+            else:
+                family = [rng.sample(events, rng.randint(1, len(events))) for _ in range(3)]
+                out.append(EventStructure.with_consistency(events, family + [[e] for e in events],
+                                                           gens))
+        return out
+
+    def test_the_table_is_that_of_every_subset(self):
+        structures = self._structures()
+        cut = 0
+        for es in structures:
+            table = _table(es)
+            lower, maximal, together, mins = _table_by_definition(es)
+            assert table.lower == lower and set(table.maximal) == maximal, sorted(es.events)
+            assert table.together == together and list(map(set, table.mins)) == mins
+            core = [esmod.reduce(esmod.and_, needs) if needs else 0 for needs in es._needs]
+            cut += any(core[x] & need for needs in es._needs for need in needs
+                       for x in _bits(need))
+        assert len(structures) > 300 and cut > 100
+
+    def test_a_chain_of_needs_is_watched_at_its_last_event(self):
+        """Event ``k`` of ``s0, …, s{n-1}`` needs all the events before it:
+        the walk looks at one need per configuration it reaches."""
+        events = [f"s{k:02d}" for k in range(40)]
+        es = EventStructure.binary(events, (), [(events[:k], e) for k, e in enumerate(events)])
+        looked = []
+
+        class Counted(int):
+            def __and__(self, other):
+                looked.append(self)
+                return int.__and__(self, other)
+        object.__setattr__(es, "_needs", tuple((Counted(need),) for (need,) in es._needs))
+        table = esmod._find_table(es)
+        assert len(table.lower) == 41
+        assert len([x for x in looked if x]) <= 2 * 40
 
 def test_two_bad_generators_name_the_same_one_under_any_hash_seed(tmp_path):
     """The generators are checked in sorted ``(event, sorted needs)``
