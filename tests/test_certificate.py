@@ -231,7 +231,9 @@ def test_a_walk_past_the_domain_gives_up_and_is_not_kept(tmp_path, monkeypatch, 
         0, "800f29a2825766c68fb9e0a811727932049ad92149b86a2531d93c090291db1c", "")
     dom = cli._SESSION["domain"][1]
     assert visited == [7] and domains._certified(dom)
-    assert "table" in domains._candidate(dom)._derived
+    # the structure named for ev(D) keeps the table the certificate walked
+    assert ev_of_domain(dom)._derived["table"] is domains._candidate(dom)._derived["table"]
+    assert visited == [7]
 
 
 def _chain_and_double_join():

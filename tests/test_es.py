@@ -402,6 +402,45 @@ class TestWatchesAndFences:
         assert len(table.lower) == 41
         assert len([x for x in looked if x]) <= 2 * 40
 
+
+def test_named_masks_are_the_structures_the_constructors_build():
+    """``_structure_of`` names a structure given as masks: the same value
+    as ``EventStructure.binary`` or ``with_consistency`` builds from the
+    names, with a consistent-set family stored by its maximal members."""
+    rng = random.Random(48)
+    kinds, nested = set(), 0
+    for _ in range(300):
+        names = tuple(sorted(rng.sample("abcdefgh", rng.randint(1, 6))))
+        n, full = len(names), (1 << len(names)) - 1
+        needs = [[rng.getrandbits(n) & ~(1 << k) for _ in range(rng.randint(0, 3))]
+                 for k in range(n)]
+        gens = [(es_names(names, need), e) for e, row in zip(names, needs) for need in row]
+        if rng.random() < 0.5:
+            clash = [0] * n
+            for a, b in combinations(range(n), 2):
+                if rng.random() < 0.3:
+                    clash[a] |= 1 << b
+                    clash[b] |= 1 << a
+            masks = esmod._Masks(names, "binary", needs, clash, [])
+            pairs = [(names[a], names[b]) for a, b in combinations(range(n), 2)
+                     if clash[a] >> b & 1]
+            want = EventStructure.binary(names, pairs, gens)
+        else:
+            # nested and repeated members, and a singleton for every event
+            family = [rng.getrandbits(n) for _ in range(3)]
+            family += [m & rng.getrandbits(n) for m in family] + [1 << k for k in range(n)]
+            masks = esmod._Masks(names, "consistency", needs, [0] * n, family)
+            want = EventStructure.with_consistency(
+                names, [es_names(names, m) for m in family], gens)
+            nested += len(want.consistent_sets) < len({m & full for m in family if m})
+        assert esmod._structure_of(masks) == want
+        kinds.add(want.conflict_kind)
+    assert kinds == {"binary", "consistency"} and nested > 50
+
+
+def es_names(names, mask):
+    return [names[k] for k in _bits(mask)]
+
 def test_two_bad_generators_name_the_same_one_under_any_hash_seed(tmp_path):
     """The generators are checked in sorted ``(event, sorted needs)``
     order, not in the iteration order of a frozenset."""
