@@ -31,10 +31,10 @@ from . import io as iomod
 from .es import EsError, classify, configuration_count
 from .domains import OrderError, algebraicity, interchange_classes, irreducible_elements, \
     primes, validate_domain, weak_primes
-from .duality import _counit_holds, connect_es, dom_of_es, epes_dom, epes_ev, \
-    epes_isomorphic, es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes
+from .duality import _counit_holds, _es_matches, connect_es, dom_of_es, epes_dom, epes_ev, \
+    epes_isomorphic, es_isomorphic, ev_of_domain, fuse, unfold, validate_epes
 from .graphs import GraphError
-from .intervals import check_axioms, ev_wd, interval_classes, zeta
+from .intervals import _zeta_events, check_axioms, ev_wd, interval_classes, zeta
 from .asyncgraphs import AsyncError, async_domain, validate_async_graph
 from .rewrite import DEFAULT_CEILING, grammar_from_es, once_per_rule_depth, trace_classes
 
@@ -265,8 +265,12 @@ def _cmd_synth(args) -> tuple:
 
 
 def _cmd_roundtrip(args) -> tuple:
+    """The maps of the duality, each tested as the isomorphism, with no
+    search: the unit φ of ``domains._certify`` and the counit
+    (``_counit_holds``) for ``--es``; φ and ζ for ``--domain``.  Each
+    check is a result key, its verdict and the witness named if it fails."""
     path, kind, value = _one_input(args)
-    witnesses: List = []
+    results = {"kind": kind}
     if kind == "es":
         cl = classify(value)
         if not cl.live:
@@ -274,42 +278,28 @@ def _cmd_roundtrip(args) -> tuple:
                                     + "; ".join(cl.diagnostics))
         dom = dom_of_es(value)
         connected = ev_of_domain(dom)  # connect_es(value), on the domain at hand
-        # the unit is the certificate's map φ, the counit the map of
-        # ``_counit_holds``: each is tested as the isomorphism, with no search
-        ok1 = dommod._certify(dom, connected)
-        results = {"kind": kind, "dom_preserved": ok1}
+        checks = [("dom_preserved", dommod._certify(dom, connected), "coreflection-domain")]
         if cl.connected:
-            ok2 = _counit_holds(value, connected)
-            results["connected_fixed_point"] = ok2
-            if not ok2:
-                witnesses.append({"check": "coreflection-counit", "witness": path})
-        if not ok1:
-            witnesses.append({"check": "coreflection-domain", "witness": path})
+            checks.insert(0, ("connected_fixed_point", _counit_holds(value, connected),
+                              "coreflection-counit"))
     elif kind == "domain":
         es = ev_of_domain(value)
-        back = dommod._certified(value) or poset_isomorphic(dom_of_es(es), value) is not None
-        agree = es_isomorphic(ev_wd(value), es) is not None
-        pairs = zeta(value)
-        results = {"kind": kind, "dom_of_ev_isomorphic": back,
-                   "interval_construction_agrees": agree,
-                   "zeta_classes": len(pairs)}
-        if not back:
-            witnesses.append({"check": "duality-domain-roundtrip", "witness": path})
-        if not agree:
-            witnesses.append({"check": "interval-vs-irreducible-es", "witness": path})
+        checks = [("dom_of_ev_isomorphic", dommod._certified(value), "duality-domain-roundtrip"),
+                  ("interval_construction_agrees",
+                   _es_matches(ev_wd(value), es, _zeta_events(value)),
+                   "interval-vs-irreducible-es")]
+        results["zeta_classes"] = len(zeta(value))
     elif kind == "epes":
         fused = fuse(value)
         again = unfold(fused)
-        ok1 = epes_isomorphic(value, again) is not None
-        ok2 = es_isomorphic(fuse(again), fused) is not None
-        results = {"kind": kind, "unfold_fuse_isomorphic": ok1,
-                   "fuse_unfold_isomorphic": ok2}
-        if not ok1:
-            witnesses.append({"check": "epes-unfold-fuse", "witness": path})
-        if not ok2:
-            witnesses.append({"check": "es-fuse-unfold", "witness": path})
+        checks = [("unfold_fuse_isomorphic", epes_isomorphic(value, again) is not None,
+                   "epes-unfold-fuse"),
+                  ("fuse_unfold_isomorphic", es_isomorphic(fuse(again), fused) is not None,
+                   "es-fuse-unfold")]
     else:
         raise iomod.SchemaError("roundtrip expects --es, --domain or --epes")
+    results.update((key, ok) for key, ok, _ in checks)
+    witnesses = [{"check": check, "witness": path} for _, ok, check in checks if not ok]
     if witnesses:
         raise _FailureWithReport(results, witnesses, path)
     return {"input": path}, results, witnesses

@@ -24,21 +24,22 @@ The invariants the paper reads off a domain (irreducibles, ↔-partners,
 ↔*-classes, primes, weak primes, algebraicity) are computed once per
 domain and kept on it, since a domain never changes after construction.
 The join condition, primality and weak primality are decided by a
-certificate first (``_certify``), on a domain of ``_CERTIFY_FROM``
-elements or more: the candidate ``ev(D)`` is built from the ↔*-classes
-as masks, without a proof, and the map taking each element to the events
-of the irreducibles below it is tested to be an order isomorphism onto
-the candidate's configurations, which the coreflection theorem makes a
-weak prime domain.  Where it holds, ``D`` is valid, its weak primes are
-its irreducibles, its primes are the irreducibles consistent with no
-other member of their class (``_class_primes``), and the candidate is
-``ev(D)``.  Where it fails, and on a smaller domain, one pass over the
-incomparable consistent pairs decides them all (``_pair_pass``), with its
-witnesses; meets need none, since a least element and binary joins make
-them exist.  ``_pair_facts`` holds the one decision.  The domains of
-``duality.dom_of_es`` carry the certificate, by the coreflection theorem.  The exhaustive references these are tested
+certificate first (``_certify``), on every domain with a least element:
+the candidate ``ev(D)`` is built from the ↔*-classes as masks, without a
+proof, and the map taking each element to the events of the irreducibles
+below it is tested to be an order isomorphism onto the candidate's
+configurations, which the coreflection theorem makes a weak prime domain.
+Where it holds, ``D`` is valid, its weak primes are its irreducibles, its
+primes are the irreducibles consistent with no other member of their
+class (``_class_primes``), and the candidate is ``ev(D)``.  Where it
+fails, one pass over the incomparable consistent pairs decides them all
+(``_pair_pass``), with its witnesses; meets need none, since a least
+element and binary joins make them exist.  ``_pair_facts`` holds the one
+decision.  The domains of ``duality.dom_of_es`` carry the certificate, by
+the coreflection theorem.  The exhaustive references these are tested
 against, ``*_by_definition`` and ``interchangeable_via_compacts``, live in
 ``oracles``.
+
 There is deliberately no memo keyed by subset masks: Python hashes an int
 modulo 2⁶¹−1, so ``hash(1 << k) == hash(1 << (k + 61))`` and the pair masks
 of a poset with more than 61 elements collapse onto few hash values, which
@@ -381,21 +382,13 @@ def _prove_weak_prime(dom: FiniteDomain) -> bool:
 # The duality certificate
 # ---------------------------------------------------------------------- #
 
-# The fewest elements on which the certificate is tried.  Below it the pair
-# pass visits at most 465 pairs and costs less than building and walking the
-# candidate: on the trace domains of ``derive``, 88 against 106 µs at 27
-# elements and 233 against 117 µs at 32 (2-vCPU host, Python 3.11).
-_CERTIFY_FROM = 32
-
-
 def _certified(dom: FiniteDomain) -> bool:
     """Whether ``_certify`` holds on ``dom`` and its candidate structure,
-    decided once, on a domain with a least element and at least
-    ``_CERTIFY_FROM`` elements; on a smaller one the pair pass decides.
-    ``duality.dom_of_es`` records it on its domains, where the coreflection
-    theorem proves it."""
-    return _once(dom, "certified", lambda d: len(d.elements) >= _CERTIFY_FROM
-                 and d.bottom() is not None and _certify(d, _candidate(d)))
+    decided once, on any domain with a least element: whether the unit φ
+    is an isomorphism ``D ≅ dom(ev(D))``, which ``roundtrip --domain``
+    reports.  ``duality.dom_of_es`` records it on its domains, where the
+    coreflection theorem proves it."""
+    return _once(dom, "certified", lambda d: d.bottom() is not None and _certify(d, _candidate(d)))
 
 
 def _certify(dom: FiniteDomain, es) -> bool:

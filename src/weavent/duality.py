@@ -9,11 +9,11 @@ poset.  ``ev_of_domain`` shares one builder, ``domains._steps_masks``,
 with the interval construction ``intervals.ev_wd``: an event performs a
 set of covers (its steps), and enabling, conflict and consistency are read
 off the ends of those covers.  Its structure is the candidate that the
-duality certificate of ``domains`` tests, and ``roundtrip --es`` reports
-the unit (that certificate) and the counit (``_counit_holds``) by testing
-the maps the duality gives, with no search.  The EPES constructions
-present the same correspondence through prime structures carrying an
-event equivalence.
+duality certificate of ``domains`` tests.  ``roundtrip`` reports the unit
+(that certificate), the counit (``_counit_holds``) and ζ
+(``intervals._zeta_events``) by testing the maps the duality gives, with
+no search.  The EPES constructions present the same correspondence through
+prime structures carrying an event equivalence.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     members; two classes are in conflict when no element dominates members
     of both.  The domain is proved weak prime first.  The structure is the
     candidate of ``domains._candidate``, which the duality certificate
-    tests where it is tried, named once and kept on the domain with the
-    table that test walked.
+    tests, named once and kept on the domain with the table that test
+    walked.
     """
     _require_weak_prime(dom)
     return _once(dom, "ev", lambda d: _structure_of(_candidate(d)))

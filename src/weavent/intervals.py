@@ -23,8 +23,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._common import UnionFind, Value, _bits, _once
 from .es import EventStructure, _structure_of
-from .domains import (FiniteDomain, OrderError, _require_valid, _require_weak_prime,
-                      _steps_masks, interchange_classes)
+from .domains import (FiniteDomain, OrderError, _event_names, _require_valid,
+                      _require_weak_prime, _steps_masks, interchange_classes)
 
 Interval = Tuple[str, str]
 _Pair = Tuple[int, int]  # an interval as a pair of element indices
@@ -176,10 +176,13 @@ def ev_wd(dom: FiniteDomain) -> EventStructure:
     for name in ("C", "R", "V"):
         if not getattr(report, name):
             raise OrderError(f"axiom {name} fails: {report.witness}")
-    classes = _classes(dom)
+    return _structure_of(_steps_masks(dom, _interval_events(dom), _classes(dom)))
+
+
+def _interval_events(dom: FiniteDomain) -> List[str]:
+    """``iv{k}:[d,d']``, the event of the ``k``-th class, after its least cover."""
     names = dom.elements
-    return _structure_of(_steps_masks(dom, [f"iv{k}:[{names[cls[0][0]]},{names[cls[0][1]]}]"
-                                            for k, cls in enumerate(classes)], classes))
+    return [f"iv{k}:[{names[c]},{names[c2]}]" for k, [(c, c2), *_] in enumerate(_classes(dom))]
 
 
 def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:
@@ -187,7 +190,8 @@ def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]],
 
     Maps an interval class to the ↔*-classes of the irreducible upper ends
     of its covers, and checks that there is one each and that the map is a
-    bijection.  It is inverse to ``[i] ↦ [p(i), i]``.
+    bijection.  It is inverse to ``[i] ↦ [p(i), i]``.  It is computed once
+    per domain, and ``_zeta_events`` reads it as a map of event names.
 
     These are the classes of the minimal irreducibles of ``ir(d') \\ ir(d)``
     over the covers ``[d, d']`` of the class.  A cover ``[p(i), i]`` has the
@@ -199,6 +203,10 @@ def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]],
     cover of ``i``, so ``i ⊓ d = p(i)``.  Hence ``[p(i), i] ≤ [d, d']``, and
     the two lie in one class.
     """
+    return _once(dom, "zeta", _find_zeta)
+
+
+def _find_zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:
     _require_weak_prime(dom)
     iv_classes = interval_classes(dom)
     ir_classes = interchange_classes(dom)
@@ -212,3 +220,10 @@ def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]],
     if sorted(forward) != list(range(len(ir_classes))):
         raise OrderError("interval classes and interchange classes do not biject")
     return tuple((iv_classes[n], ir_classes[forward[n]]) for n in range(len(iv_classes)))
+
+
+def _zeta_events(dom: FiniteDomain) -> Dict[str, str]:
+    """``zeta`` as a map of event names, from the ``iv{k}:…`` events of
+    ``ev_wd`` to the ``class{m}:…`` events of ``ev_of_domain``."""
+    event = dict(zip(interchange_classes(dom), _event_names(dom)))
+    return {iv: event[ir] for iv, (_, ir) in zip(_interval_events(dom), zeta(dom))}

@@ -16,14 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from weavent import cli, domains, es as esmod
+from weavent import cli, domains, duality, es as esmod, intervals
 from weavent._common import Report
 from weavent.es import EventStructure
-from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, algebraicity,
-                             primes, validate_domain, weak_primes)
-from weavent.duality import (_counit_holds, dom_of_es, es_isomorphic, ev_of_domain,
-                             poset_isomorphic)
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
+                             algebraicity, primes, validate_domain, weak_primes)
+from weavent.duality import (_counit_holds, _es_matches, dom_of_es, es_isomorphic,
+                             ev_of_domain, poset_isomorphic)
 from weavent.es import classify
+from weavent.intervals import ev_wd
 from weavent.fixtures import e_run, nontransitive_bdomain
 from weavent.oracles import (primes_by_definition, validate_domain_by_definition,
                              weak_primes_by_definition)
@@ -31,15 +32,6 @@ from tests._gen import (comparison_domains, random_connected_es, random_consiste
                         random_live_es, random_poset)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-CERTIFY_FROM = domains._CERTIFY_FROM
-
-
-@pytest.fixture(autouse=True)
-def certify_every_domain(monkeypatch):
-    """The certificate is tried on every domain with a least element, not
-    only on those of ``_CERTIFY_FROM`` elements or more, so that small
-    domains test it."""
-    monkeypatch.setattr(domains, "_CERTIFY_FROM", 1)
 
 
 def _accepted_by_the_pair_pass(dom):
@@ -339,24 +331,81 @@ def test_the_certificate_runs_in_linear_steps_on_chains_and_flat_domains(shape, 
     assert lines[1] < 2.5 * lines[0], lines
 
 
-@pytest.mark.parametrize("n", [CERTIFY_FROM - 1, CERTIFY_FROM])
-def test_the_pair_pass_decides_below_the_size_the_certificate_is_tried_from(
-        n, tmp_path, monkeypatch, capsys):
-    """A chain of ``n`` elements, as a file: ``check`` runs the certificate
-    and no pair pass from ``_CERTIFY_FROM`` elements on, and the pair pass
-    alone below it.  Both print the bytes the other path prints."""
-    names = [f"c{i:02d}" for i in range(n)]
+def test_the_pair_pass_prints_what_the_certificate_prints(tmp_path, monkeypatch, capsys):
+    """``check`` on a chain file runs the certificate and no pair pass; with
+    ``_certify`` made to fail, the pair pass alone decides, with the same
+    exit code and bytes."""
+    names = [f"c{i:02d}" for i in range(12)]
     path = _write(tmp_path, monkeypatch, "chain.domain.json", names,
                   [list(p) for p in zip(names, names[1:])])
-    certified, passes, printed = [], [], {}
-    monkeypatch.setattr(domains, "_certify", lambda d, es, _real=domains._certify:
-                        certified.append(d) or _real(d, es))
+    certified, passes, runs = [], [], []
     monkeypatch.setattr(domains, "_pair_pass", lambda d, _real=domains._pair_pass:
                         passes.append(d) or _real(d))
-    for start in (1, CERTIFY_FROM):
-        monkeypatch.setattr(domains, "_CERTIFY_FROM", start)
+    counted = lambda d, es, _real=domains._certify: certified.append(d) or _real(d, es)
+    for certify in (counted, lambda d, es: False):
+        monkeypatch.setattr(domains, "_certify", certify)
         certified.clear(), passes.clear(), cli._SESSION.clear()
-        printed[start] = _run(["check", "--domain", path], capsys)
-        tried = start == 1 or n >= CERTIFY_FROM
-        assert (len(certified), len(passes)) == ((1, 0) if tried else (0, 1))
-    assert printed[1] == printed[CERTIFY_FROM] and printed[1][0] == 0
+        runs.append((_run(["check", "--domain", path], capsys), len(certified), len(passes)))
+    (printed, *counts), (again, *fallback) = runs
+    assert printed == again and printed[0] == 0
+    assert (counts, fallback) == ([1, 0], [0, 1])
+
+
+def _oracle_draws():
+    rng = random.Random(31)
+    doms = comparison_domains(random.Random(3), 40) + comparison_domains(random.Random(11), 40)
+    return doms + [random_poset(rng, rng.randint(1, 11), bottom=rng.random() < 0.85,
+                                kind=rng.choice((COHERENT, BOUNDED_COMPLETE)))
+                   for _ in range(1500)]
+
+
+def test_the_unit_and_zeta_hold_where_the_searches_find_isomorphisms():
+    """``roundtrip --domain`` reports the unit φ (``_certified``) and ζ read
+    as a map of events (``intervals._zeta_events``) in place of the two
+    searches.  Wherever ``ev_of_domain`` builds, the unit holds exactly
+    where ``poset_isomorphic`` finds ``dom(ev(D)) ≅ D``, and wherever
+    ``ev_wd`` builds too, the ζ map is an isomorphism exactly where
+    ``es_isomorphic`` finds one.  The unit fails only on the copies of
+    ``nontransitive_bdomain``, where ``ev_wd`` fails axiom R."""
+    built = wd = 0
+    failed = []
+    for dom in _oracle_draws():
+        fresh = FiniteDomain(dom.elements, dom.covers(), dom.kind)
+        try:
+            ev = ev_of_domain(fresh)
+        except OrderError:
+            continue
+        built += 1
+        unit = domains._certified(fresh)
+        assert unit == (poset_isomorphic(dom_of_es(ev), fresh) is not None), fresh.elements
+        if not unit:
+            failed.append(fresh)
+        try:
+            interval_es = ev_wd(fresh)
+        except OrderError as exc:
+            assert unit or str(exc) == "axiom R fails: ('p13', 'A', 'B')"
+            continue
+        wd += 1
+        assert _es_matches(interval_es, ev, intervals._zeta_events(fresh)) == (
+            es_isomorphic(interval_es, ev) is not None), fresh.elements
+    assert built > 1500 and wd > 1500
+    bdomain = nontransitive_bdomain()
+    assert [(d.elements, d.covers(), d.kind) for d in failed] == 4 * [
+        (bdomain.elements, bdomain.covers(), BOUNDED_COMPLETE)]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*domain.json")))
+def test_roundtrip_on_a_domain_searches_for_no_isomorphism(name, monkeypatch, capsys):
+    """With both searches made to raise, ``roundtrip --domain`` prints what
+    it prints with them."""
+    monkeypatch.chdir(FIXTURES)
+    cli._SESSION.clear()
+    expected = _run(["roundtrip", "--domain", name], capsys)
+
+    def search(*args):
+        raise AssertionError("an isomorphism was searched for")
+    for module in (cli, duality):
+        for found in ("poset_isomorphic", "es_isomorphic"):
+            monkeypatch.setattr(module, found, search, raising=False)
+    cli._SESSION.clear()
+    assert _run(["roundtrip", "--domain", name], capsys) == expected

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from weavent import io as iomod
+from weavent import cli, domains, io as iomod
 from weavent.asyncgraphs import hasse_as_async
 from weavent.cli import main
 from weavent.domains import FiniteDomain
@@ -321,3 +321,46 @@ def test_domain_reads_keep_the_pinned_bytes(argv, tmp_path, monkeypatch, capsys)
         got += (hashlib.sha256((tmp_path / argv[argv.index("--out") + 1]).read_bytes())
                 .hexdigest(),)
     assert got == DOMAIN_READS[" ".join(argv)]
+
+
+def test_roundtrip_on_the_nontransitive_bdomain_exits_on_axiom_r(tmp_path, monkeypatch, capsys):
+    """``ev(D)`` builds on this bounded-complete domain, which the pair pass
+    finds weak prime, but its 13 configurations are not the domain's 15
+    elements, so the unit fails; ``roundtrip`` stops first, at ``ev_wd``,
+    whose axiom R fails.  Pinned before the unit was read off the
+    certificate."""
+    monkeypatch.chdir(tmp_path)
+    _write_domains()
+    assert main(["roundtrip", "--domain", "nontransitive.bdomain.json"]) == 2
+    error = "axiom R fails: ('p13', 'A', 'B')"
+    assert capsys.readouterr() == ("", '{\n  "error": "' + error + '"\n}\n')
+
+
+# roundtrip with every check made to fail -> (exit code, sha256 of stdout),
+# pinned while ``roundtrip --domain`` still searched with
+# ``poset_isomorphic`` and ``es_isomorphic``
+FAILED_ROUNDTRIPS = {
+    "--domain run.domain.json": (
+        1, "7e28002f04543692519f9739cd42bd4b70d56cafe55e041ad073f1fa300a747a"),
+    "--es e_run.es.json": (
+        1, "c44a0bacd839e08a5b4a06905dd849bcbbb7a3b886f5080863c917b3df0a65f8"),
+    "--es e_ccs.es.json": (
+        1, "44eb873ec2496bd422cc405537deef2295af4474a3880fe4523342b39e6ea862"),
+    "--epes unfold_run.epes.json": (
+        1, "7fcbc0390016431bc9283f2afd7da1dc952484061e169a97e01a254059c0721a"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(FAILED_ROUNDTRIPS))
+def test_failed_roundtrip_checks_are_reported_with_their_witnesses(args, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES)
+    cli._SESSION.clear()
+    monkeypatch.setattr(domains, "_certify", lambda dom, es: False)
+    monkeypatch.setattr(domains, "_certified", lambda dom: False)
+    for name in ("_counit_holds", "_es_matches"):
+        monkeypatch.setattr(cli, name, lambda *maps: False)
+    for name in ("es_isomorphic", "epes_isomorphic"):
+        monkeypatch.setattr(cli, name, lambda first, second: None)
+    code, out = _run(capsys, ["roundtrip", *args.split()])
+    cli._SESSION.clear()
+    assert (code, _sha(out)) == FAILED_ROUNDTRIPS[args]

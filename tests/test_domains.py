@@ -533,7 +533,6 @@ class TestOnePairPass:
     def test_check_runs_the_pass_once(self, monkeypatch, capsys):
         """The certificate runs once per domain; the pair pass runs only on
         a domain that fails it, and then once too."""
-        monkeypatch.setattr(domains, "_CERTIFY_FROM", 1)  # tried on these small domains
         certified, passes = [], []
 
         def counted(dom, es, _real=domains._certify):

@@ -167,7 +167,6 @@ class TestTheRecordedWeakPrimeFact:
     pair pass proves it again."""
 
     def test_agrees_with_the_pair_pass_on_a_fresh_copy(self, monkeypatch):
-        monkeypatch.setattr(domains, "_CERTIFY_FROM", 1)  # tried on these small domains
         passes, certified = [], []
         monkeypatch.setattr(domains, "_pair_pass",
                             lambda d, _real=domains._pair_pass: passes.append(d) or _real(d))

@@ -386,7 +386,6 @@ def test_zeta_validates_the_domain_first():
 
 
 def test_each_result_is_built_once_per_domain(monkeypatch, capsys):
-    monkeypatch.setattr(domains, "_CERTIFY_FROM", 1)  # tried on these small domains
     calls = []
     for module, name in ((intervals, "_find_interval_classes"),
                          (intervals, "_find_axiom_report"), (domains, "_pair_pass"),

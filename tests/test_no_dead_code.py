@@ -1,9 +1,12 @@
-"""Every function, method and class of the package is used somewhere.
+"""Every function, method and class of the package is used somewhere, and
+every name a module imports is used in that module.
 
 A definition counts as used when its name occurs as a name, an attribute or
 an imported name anywhere in the package, the tests or the demos; an export
 from ``weavent/__init__.py`` is such an import.  Dunder methods are called
-by the interpreter and are exempt.
+by the interpreter and are exempt.  An import counts as used when the name
+it binds occurs as a name in its module; the imports of ``__init__.py``
+are its exports, and ``from __future__`` imports bind no name.
 """
 
 import ast
@@ -82,3 +85,34 @@ def test_every_definition_is_used():
         path.read_text(encoding="utf-8")
         for folder in ("tests", "demos") for path in sorted((ROOT / folder).glob("*.py"))]
     assert unused(defining, using) == []
+
+
+def unused_imports(source: str):
+    """The names ``source`` imports and never refers to."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    return [name for name in bound if name not in used]
+
+
+def test_detector_flags_imports_used_nowhere():
+    source = '''
+from __future__ import annotations
+import os.path
+import json as j
+from .duality import dom_of_es, poset_isomorphic
+from . import domains as dommod
+
+def roundtrip(value):
+    """poset_isomorphic is named only here, in a string."""
+    return dommod._certified(value) and os.path.exists(dom_of_es(value))
+'''
+    assert unused_imports(source) == ["j", "poset_isomorphic"]
+
+
+def test_every_import_is_used():
+    unused = {path.stem: unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {module: names for module, names in unused.items() if names} == {}
