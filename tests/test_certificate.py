@@ -331,11 +331,11 @@ def test_the_certificate_runs_in_linear_steps_on_chains_and_flat_domains(shape, 
     assert lines[1] < 2.5 * lines[0], lines
 
 
-def test_the_pair_pass_prints_what_the_certificate_prints(tmp_path, monkeypatch, capsys):
-    """``check`` on a chain file runs the certificate and no pair pass; with
-    ``_certify`` made to fail, the pair pass alone decides, with the same
-    exit code and bytes."""
-    names = [f"c{i:02d}" for i in range(12)]
+def _check_a_chain_both_ways(n, tmp_path, monkeypatch, capsys):
+    """``check --domain`` on a chain file of ``n`` elements, once as it is and
+    once with ``_certify`` made to fail: each run's printed result and its
+    counts of certificates and pair passes."""
+    names = [f"c{i:02d}" for i in range(n)]
     path = _write(tmp_path, monkeypatch, "chain.domain.json", names,
                   [list(p) for p in zip(names, names[1:])])
     certified, passes, runs = [], [], []
@@ -349,9 +349,30 @@ def test_the_pair_pass_prints_what_the_certificate_prints(tmp_path, monkeypatch,
         monkeypatch.setattr(domains, "_certify", certify)
         certified.clear(), passes.clear(), cli._SESSION.clear()
         runs.append((_run(["check", "--domain", path], capsys), len(certified), len(passes)))
-    (printed, *counts), (again, *fallback) = runs
+    return runs
+
+
+def test_the_pair_pass_prints_what_the_certificate_prints(tmp_path, monkeypatch, capsys):
+    """``check`` on a chain file runs the certificate and no pair pass; with
+    ``_certify`` made to fail, the pair pass alone decides, with the same
+    exit code and bytes."""
+    (printed, *counts), (again, *fallback) = _check_a_chain_both_ways(
+        12, tmp_path, monkeypatch, capsys)
     assert printed == again and printed[0] == 0
     assert (counts, fallback) == ([1, 0], [0, 1])
+
+
+@pytest.mark.parametrize("n", [31, 32])
+def test_the_pair_pass_decides_below_the_size_the_certificate_is_tried_from(
+        n, tmp_path, monkeypatch, capsys):
+    """The certificate is tried from the smallest size on, so no size
+    decides which path runs: on chains of 31 and 32 elements, either side
+    of the 32 from which it was once tried, ``check`` runs one certificate
+    and no pair pass, and the pair pass decides only where ``_certify``
+    fails, printing the same bytes."""
+    runs = _check_a_chain_both_ways(n, tmp_path, monkeypatch, capsys)
+    assert [counts for _, *counts in runs] == [[1, 0], [0, 1]]
+    assert runs[0][0] == runs[1][0] and runs[0][0][0] == 0
 
 
 def _oracle_draws():
