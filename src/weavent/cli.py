@@ -9,12 +9,14 @@ report names the failing check and carries a witness), 2 on invalid input
 
 ``main`` may be called many times in one process, a batch session.  Each
 call reads its input file's bytes; when they are the bytes of the last file
-of that kind that parsed, the call gets that structure back, with what
-earlier verbs derived from it (``_common._once``): the configuration table,
-the domain, the connected structure, a domain's certificate, the axiom and
-asynchronous-graph reports.  ``_SESSION`` holds one structure per input
-kind and drops it before a new file of that kind is parsed; a file that
-fails to parse is not held, and neither is a grammar.
+of that kind that parsed, or of the grammar ``synth --out`` last wrote, the
+call gets that structure back, with what earlier verbs derived from it
+(``_common._once``): the configuration table, the domain, the connected
+structure, a domain's certificate, the axiom and asynchronous-graph
+reports, a grammar's verdict and the matches of its start graph.
+``_SESSION`` holds one structure per input kind and drops it before a new
+file of that kind is parsed, or before ``synth --out`` holds the grammar it
+wrote; a file that fails to parse is not held.
 """
 
 from __future__ import annotations
@@ -43,23 +45,22 @@ _INPUT_FLAGS = {"es": "es", "domain": "domain", "grammar": "grammar",
 
 
 # The batch session: per input kind, the bytes of the last file of that
-# kind that parsed, and its structure with what was derived from it
-# (``_common._once``).  Grammars are left out: holding one did not move
-# the time of ``derive``, which builds its derivations afresh.
+# kind that parsed, or that ``synth`` wrote, and its structure with what
+# was derived from it (``_common._once``).
 _SESSION: Dict[str, Tuple[bytes, Any]] = {}
 
 
 def _load(path: str, kind: str):
     """The structure in the file at ``path``, read on every call: the one
-    the session holds when the bytes are those it was parsed from, else
-    the file's own, parsed after the old one of its kind is dropped."""
+    the session holds when the bytes are those it was parsed from (or,
+    for a grammar, written from), else the file's own, parsed after the
+    old one of its kind is dropped."""
     data = iomod.read_bytes(path)
     if kind in _SESSION and _SESSION[kind][0] == data:
         return _SESSION[kind][1]
     _SESSION.pop(kind, None)
     value = iomod.parse_bytes(data, path, kind)
-    if kind != "grammar":
-        _SESSION[kind] = data, value
+    _SESSION[kind] = data, value
     return value
 
 
@@ -155,7 +156,7 @@ def _cmd_check(args) -> tuple:
             witnesses.append({"check": rep.condition, "witness": list(rep.witness or ())})
             raise _FailureWithReport(results, witnesses, path)
         results.update(_domain_summary(value))
-    elif kind == "grammar":  # validated by its parser
+    elif kind == "grammar":  # validated by its parser, or built valid by ``synth``
         results = {"kind": kind, "rules": [r.name for r in value.rules],
                    "start_nodes": len(value.start.nodes),
                    "start_edges": len(value.start.edges)}
@@ -256,11 +257,15 @@ def _cmd_derive(args) -> tuple:
 def _cmd_synth(args) -> tuple:
     path, _, value = _one_input(args, "es")
     grammar = grammar_from_es(value)
+    text = _encoded(iomod.dumps_grammar(grammar), args.out)
+    if args.out:
+        # the file's bytes as ``_load`` reads them back, unless the write
+        # translated newlines: then the file is parsed as any other
+        _SESSION["grammar"] = (text + "\n").encode("utf-8"), grammar
     results = {"rules": [r.name for r in grammar.rules],
                "start_nodes": len(grammar.start.nodes),
                "exhaustive_depth": len(grammar.rules),
-               "written": args.out or None,
-               "structure": _encoded(iomod.dumps(iomod.grammar_to_json(grammar)), args.out)}
+               "written": args.out or None, "structure": text}
     return {"input": path}, results, []
 
 

@@ -18,6 +18,9 @@ graph nodes and edges) that make up most of a payload in one ``str.join``
 each, over ``json``'s C string encoder.  ``dumps_domain`` gives the same
 text for a domain's ``domain_to_json`` without building it: each element
 name is encoded once and the covers are filled from the index pairs.
+``dumps_grammar`` does the same for a grammar's ``grammar_to_json``: each
+graph's nodes and edges fill one record template per kind, and each map of
+a rule leg is written in one join.
 """
 
 from __future__ import annotations
@@ -273,6 +276,70 @@ def grammar_to_json(g: Grammar) -> Dict[str, Any]:
                   "edges": dict(sorted(r.r.edge_map.items()))},
         } for r in g.rules],
     }
+
+
+def _listed(record: str, n: int, nl: str) -> str:
+    """The template of a list of ``n`` records at the indent ``nl``, each
+    filled from the template ``record``."""
+    nl2 = nl + "  "
+    return "[" + nl2 + ("," + nl2).join([record] * n) + nl + "]" if n else "[]"
+
+
+def _record(keys: tuple, nl: str) -> str:
+    """The template of a record at the indent ``nl`` with the fixed
+    ``keys``, its values left to fill."""
+    nl2 = nl + "  "
+    return "{" + nl2 + ("," + nl2).join([f'"{k}": %s' for k in keys]) + nl + "}"
+
+
+# the node and edge record templates of a graph's text, per indent and per
+# typing: a grammar's graphs sit at the indent of its fields or of a rule's
+_GRAPH_RECORDS = {(nl, self_typed): (_record(("id", *typed), nl + "    "),
+                                     _record(("id", "src", "tgt", *typed), nl + "    "))
+                  for nl in ("\n  ", "\n      ")
+                  for self_typed, typed in ((True, ()), (False, ("type",)))}
+
+
+def _graph_text(g: TypedGraph, nl: str, self_typed: bool = False) -> str:
+    """``dumps(graph_to_json(g, self_typed))`` at the indent ``nl``, one of
+    the two in ``_GRAPH_RECORDS``."""
+    nl2 = nl + "  "
+    nodes, edges = sorted(g.nodes), sorted(g.edges)
+    node_columns = [map(_enc, nodes)]
+    edge_columns = [map(_enc, edges), map(_enc, map(g.src.__getitem__, edges)),
+                    map(_enc, map(g.tgt.__getitem__, edges))]
+    if not self_typed:
+        node_columns.append(map(_enc, map(g.node_type.__getitem__, nodes)))
+        edge_columns.append(map(_enc, map(g.edge_type.__getitem__, edges)))
+    node, edge = _GRAPH_RECORDS[nl, self_typed]
+    # the ids are arguments, never part of a template, so '%' in one is safe
+    edges_text = _listed(edge, len(edges), nl2) % tuple(chain.from_iterable(zip(*edge_columns)))
+    nodes_text = _listed(node, len(nodes), nl2) % tuple(chain.from_iterable(zip(*node_columns)))
+    return "{" + nl2 + '"edges": ' + edges_text + "," + nl2 + '"nodes": ' + nodes_text + nl + "}"
+
+
+def _maps_text(m: GraphMorphism, nl: str) -> str:
+    """``dumps`` of a rule leg's ``{"nodes", "edges"}`` maps at the indent
+    ``nl``, each map's sorted pairs in one join."""
+    nl2, nl3 = nl + "  ", nl + "    "
+    edges, nodes = (("{" + nl3 + ("," + nl3).join([_enc(k) + ": " + _enc(v)
+                                                    for k, v in sorted(pairs.items())])
+                     + nl2 + "}") if pairs else "{}" for pairs in (m.edge_map, m.node_map))
+    return "{" + nl2 + '"edges": ' + edges + "," + nl2 + '"nodes": ' + nodes + nl + "}"
+
+
+def dumps_grammar(g: Grammar) -> str:
+    """``dumps(grammar_to_json(g))`` with no JSON object built: each graph's
+    node and edge records are filled from one template per kind, and each
+    map of a rule leg is written in one join."""
+    nl = "\n      "  # the indent of a rule's fields
+    rules = ["{" + nl + '"K": ' + _graph_text(r.K, nl) + "," + nl + '"L": ' + _graph_text(r.L, nl)
+             + "," + nl + '"R": ' + _graph_text(r.R, nl) + "," + nl + '"l": ' + _maps_text(r.l, nl)
+             + "," + nl + '"name": ' + _enc(r.name) + "," + nl + '"r": ' + _maps_text(r.r, nl)
+             + "\n    }" for r in g.rules]
+    return ('{\n  "rules": ' + _listed("%s", len(rules), "\n  ") % tuple(rules)
+            + ',\n  "start": ' + _graph_text(g.start, "\n  ")
+            + ',\n  "type_graph": ' + _graph_text(g.type_graph, "\n  ", self_typed=True) + "\n}")
 
 
 # ---------------------------------------------------------------------- #

@@ -106,8 +106,15 @@ class Grammar(Record):
         object.__setattr__(self, "type_graph", type_graph)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_derived", {})
 
     def validate(self) -> None:
+        """Raise GraphError at the first check the grammar fails.  A grammar
+        that passes keeps that verdict (``_once``), so the parser and
+        ``trace_classes`` check it once between them."""
+        _once(self, "valid", Grammar._check)
+
+    def _check(self) -> None:
         self.type_graph.validate_typed_over(self.type_graph)
         self.start.validate_typed_over(self.type_graph)
         names = set()

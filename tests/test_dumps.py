@@ -13,8 +13,11 @@ from weavent import io as iomod
 from weavent.asyncgraphs import hasse_as_async
 from weavent.domains import BOUNDED_COMPLETE, FiniteDomain
 from weavent.duality import dom_of_es, unfold
-from weavent.rewrite import grammar_from_es
-from tests._gen import family_es, random_connected_es
+from weavent.es import EsError
+from weavent.fixtures import running_grammar
+from weavent.graphs import GraphMorphism, TypedGraph
+from weavent.rewrite import Grammar, Rule, grammar_from_es
+from tests._gen import family_es, growing_grammar, random_connected_es
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,3 +177,64 @@ def test_dumps_domain_is_dumps_of_domain_to_json():
     for dom in doms:
         payload = iomod.domain_to_json(dom)
         assert iomod.dumps_domain(dom) == iomod.dumps(payload) == oracle(payload), dom.elements
+
+
+def _escaped_grammar() -> Grammar:
+    """A grammar whose ids, types and rule names JSON must escape or that
+    hold '%', with graphs with no edges or no items and rule legs with
+    empty maps."""
+    t, u = 'T"%s', "\u00dc\\%%"
+    tg = TypedGraph([t, u], [("E%d", "E%d", t, u), ("\u6f22\n", "\u6f22\n", u, u)])
+    start = TypedGraph(["x\\y", "%", "\ud800"], [("e\"1", "E%d", "x\\y", "%")],
+                       {"x\\y": t, "%": u, "\ud800": u})
+    empty = TypedGraph([], [])
+    lone = TypedGraph(["%(a)s"], [], {"%(a)s": u})
+    drop = Rule('drop "%s"', lone, empty, empty,
+                GraphMorphism(empty, lone, {}, {}), GraphMorphism(empty, empty, {}, {}))
+    both = TypedGraph(["a\\", "b%"], [("l\u00e9", "\u6f22\n", "b%", "b%")], {"a\\": t, "b%": u})
+    kept = TypedGraph(["b%"], [("l\u00e9", "\u6f22\n", "b%", "b%")], {"b%": u})
+    keep = Rule("na\u00efve\\", both, kept, kept,
+                GraphMorphism(kept, both, {"b%": "b%"}, {"l\u00e9": "l\u00e9"}),
+                GraphMorphism(kept, kept, {"b%": "b%"}, {"l\u00e9": "l\u00e9"}))
+    return Grammar(tg, start, (drop, keep))
+
+
+def _grammars():
+    """Every grammar fixture, the synthesised grammars of every
+    event-structure fixture that has one, of the families and of seeded
+    draws, and grammars with names to escape, with no rules and with
+    empty graphs."""
+    grammars = [iomod.load_structure(str(path), "grammar")
+                for path in sorted(FIXTURES.glob("*.grammar.json"))]
+    grammars += [running_grammar(), growing_grammar()]
+    for path in sorted(FIXTURES.glob("*.es.json")):
+        try:
+            grammars.append(grammar_from_es(iomod.load_structure(str(path), "es")))
+        except EsError:  # not live, not connected or not binary
+            pass
+    grammars += [grammar_from_es(family_es(f, n)) for f in "BXLC" for n in range(1, 5)]
+    rng = random.Random(12)
+    grammars += [grammar_from_es(random_connected_es(rng)) for _ in range(8)]
+    escaped = _escaped_grammar()
+    empty = TypedGraph([], [])
+    grammars += [escaped, Grammar(escaped.type_graph, escaped.start, ()),
+                 Grammar(empty, empty, ())]
+    return grammars
+
+
+def test_dumps_grammar_is_dumps_of_grammar_to_json():
+    grammars = _grammars()
+    assert len(grammars) > 30
+    for g in grammars:
+        payload = iomod.grammar_to_json(g)
+        assert iomod.dumps_grammar(g) == iomod.dumps(payload) == oracle(payload), g.rules
+
+
+def test_the_escaped_grammar_reads_back_as_written():
+    g = _escaped_grammar()
+    g.validate()
+    text = iomod.dumps_grammar(g)
+    again = iomod.parse_bytes(text.encode("utf-8"), "escaped", "grammar")
+    assert iomod.dumps_grammar(again) == text
+    assert [r.name for r in again.rules] == ['drop "%s"', "na\u00efve\\"]
+    assert '"edges": {}' in text and '"nodes": {}' in text and '"edges": []' in text

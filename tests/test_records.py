@@ -171,7 +171,7 @@ def test_copy_and_pickle_round_trips(cls, eq, fields, args, other):
 
 def test_derived_caches_start_empty_and_apart():
     for cls, _, _, args, _ in RECORDS:
-        if cls in (EventStructure, AsyncGraph, Rule, TraceClass):
+        if cls in (EventStructure, AsyncGraph, Grammar, Rule, TraceClass):
             a, b = cls(*args), cls(*args)
             assert a._derived == {} and a._derived is not b._derived
         else:

@@ -6,15 +6,24 @@ session emptied before every call, and asks for the same exit codes,
 stdout, stderr and written bytes.
 """
 
+import json
 import os
+import random
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from weavent import cli, domains, duality, es as esmod, io as iomod
-from tests._gen import family_es
+from weavent.graphs import GraphError
+from weavent.rewrite import Grammar, grammar_from_es
+from tests._gen import family_es, random_connected_es
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 FLAG = {"es": "--es", "domain": "--domain", "grammar": "--grammar",
         "asyncgraph": "--async", "epes": "--epes"}
@@ -125,15 +134,15 @@ def test_a_file_that_failed_to_parse_is_never_held(tmp_path, capsys):
 def test_the_session_holds_one_structure_per_kind(tmp_path, capsys):
     last = {}
     for argv in every_valid_call(tmp_path):
-        call(argv, tmp_path / "written", capsys)
+        *_, written = call(argv, tmp_path / "written", capsys)
         path = Path(argv[2])
-        kind = kind_of(path)
-        if kind != "grammar":
-            last[kind] = path.read_bytes()
+        last[kind_of(path)] = path.read_bytes()
+        if argv[0] == "synth" and written is not None:  # the grammar it wrote
+            last["grammar"] = written
         assert set(cli._SESSION) <= set(last)
         assert {k: data for k, (data, _) in cli._SESSION.items()} == {
             k: data for k, data in last.items() if k in cli._SESSION}
-    assert set(cli._SESSION) == {"es", "domain", "asyncgraph", "epes"}
+    assert set(cli._SESSION) == {"es", "domain", "grammar", "asyncgraph", "epes"}
 
 
 def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
@@ -182,3 +191,138 @@ def test_connect_and_roundtrip_run_no_pair_pass(verb, name, tmp_path, monkeypatc
     assert cli.main([verb, "--es", str(path)]) == 0
     assert passes == []
     capsys.readouterr()
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _handoffs(work: str) -> list:
+    """``derive`` on the grammar ``synth --out`` wrote, per event-structure
+    input: in the session that wrote it and after ``cli._SESSION.clear()``,
+    each as exit code, stdout, stderr, the bytes ``derive --out`` wrote and
+    the number of grammars parsed.  The inputs are every event-structure
+    fixture, B_4, X_3, L_2, C_5 and seeded draws.  Runs in an interpreter
+    of its own (``handoffs``), whose grammar parser it wraps to count."""
+    work = Path(work)
+    inputs = sorted(FIXTURES.glob("*.es.json"))
+    rng = random.Random(31)
+    for name, es in [(f"{f}{n}", family_es(f, n)) for f, n in (("B", 4), ("X", 3), ("L", 2),
+                                                                ("C", 5))] + [
+            (f"draw{k}", random_connected_es(rng)) for k in range(6)]:
+        inputs.append(work / f"{name}.es.json")
+        iomod.dump_json(iomod.es_to_json(es), str(inputs[-1]))
+    grammar, trace = str(work / "g.json"), work / "t.json"
+    parsed = []  # each call of io.parse_grammar, the parser of grammar files
+    iomod._PARSERS["grammar"] = lambda obj, _real=iomod.parse_grammar: (
+        parsed.append(obj), _real(obj))[1]
+    out = []
+    for path in inputs:
+        cli._SESSION.clear()
+        if os.path.exists(grammar):
+            os.unlink(grammar)
+        synth = _run(["synth", "--es", str(path), "--out", grammar])
+        sides = []
+        for fresh in (False, True):
+            if fresh:
+                cli._SESSION.clear()
+            del parsed[:]
+            got = _run(["derive", "--grammar", grammar, "--out", str(trace)])
+            sides.append(got + [trace.read_text(encoding="utf-8") if trace.exists() else None,
+                                len(parsed)])
+            if trace.exists():
+                trace.unlink()
+        out.append([path.name, synth[0], *sides])
+    return out
+
+
+@pytest.fixture(scope="module")
+def handoffs(tmp_path_factory):
+    """``_handoffs`` run in a fresh interpreter under each of two hash
+    seeds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")])}
+    runs, work = {}, tmp_path_factory.mktemp("handoff")
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys; from tests.test_session import _handoffs; "
+             "print(json.dumps(_handoffs(sys.argv[1])))", str(work)],
+            capture_output=True, text=True, cwd=str(ROOT), env={**env, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        runs[seed] = json.loads(proc.stdout)
+    return runs
+
+
+def test_derive_on_the_grammar_synth_wrote_answers_as_a_fresh_derive(handoffs):
+    for seed, rows in handoffs.items():
+        assert len(rows) == 17
+        for name, synth_code, held, fresh in rows:
+            assert held[:4] == fresh[:4], (seed, name)
+            # the session holds what synth wrote, so only a fresh derive parses
+            assert (held[4], fresh[4]) == ((0, 1) if synth_code == 0 else (0, 0)), (seed, name)
+        # synthesis refuses the one fixture that is not connected, and the
+        # derive after it finds no file
+        refused = [(name, held[0]) for name, code, held, _ in rows if code]
+        assert refused == [("e_prime_conflict.es.json", 2)]
+    assert handoffs["0"] == handoffs["1"]
+
+
+def _derive(grammar: Path, capsys):
+    code = cli.main(["derive", "--grammar", str(grammar)])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("rewrite", ["another grammar", "crlf newlines"])
+def test_a_grammar_rewritten_after_synth_is_parsed_again(rewrite, tmp_path, monkeypatch, capsys):
+    path, grammar = tmp_path / "e.es.json", tmp_path / "g.json"
+    iomod.dump_json(iomod.es_to_json(family_es("X", 2)), str(path))
+    other = iomod.dumps_grammar(grammar_from_es(family_es("B", 3)))
+    assert cli.main(["synth", "--es", str(path), "--out", str(grammar)]) == 0
+    written = grammar.read_bytes()
+    parsed = []
+    monkeypatch.setitem(iomod._PARSERS, "grammar",
+                        lambda obj, _real=iomod.parse_grammar: parsed.append(obj) or _real(obj))
+    if rewrite == "another grammar":
+        grammar.write_bytes(other.encode("utf-8") + b"\n")
+    else:
+        grammar.write_bytes(written.replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    held = _derive(grammar, capsys)
+    assert len(parsed) == 1 and cli._SESSION["grammar"][0] == grammar.read_bytes()
+    cli._SESSION.clear()
+    assert _derive(grammar, capsys) == held and len(parsed) == 2
+    assert ('"trace_classes": 8' if rewrite == "another grammar"
+            else '"trace_classes": 9') in held[1]
+
+
+def test_a_grammar_is_checked_once_per_session(tmp_path, monkeypatch, capsys):
+    checked = []
+    monkeypatch.setattr(Grammar, "_check", lambda g, _real=Grammar._check: (
+        checked.append(g), _real(g))[1])
+    fusion = str(FIXTURES / "fusion.grammar.json")
+    for argv in (["check", "--grammar", fusion], ["derive", "--grammar", fusion, "--depth", "3"],
+                 ["derive", "--grammar", fusion, "--depth", "4", "--fusion-safe"]):
+        assert cli.main(argv) == 0
+    assert checked == [cli._SESSION["grammar"][1]]
+    # a synthesised grammar is first checked by the derive that reads it
+    path, grammar = tmp_path / "e.es.json", str(tmp_path / "g.json")
+    iomod.dump_json(iomod.es_to_json(family_es("B", 2)), str(path))
+    assert cli.main(["synth", "--es", str(path), "--out", grammar]) == 0
+    assert len(checked) == 1
+    for _ in range(2):
+        assert cli.main(["derive", "--grammar", grammar]) == 0
+    assert checked[1:] == [cli._SESSION["grammar"][1]]
+    capsys.readouterr()
+
+
+def test_a_grammar_that_fails_its_check_fails_it_on_every_call():
+    g = grammar_from_es(family_es("B", 2))
+    twice = Grammar(g.type_graph, g.start, g.rules + g.rules[:1])
+    for _ in range(2):
+        with pytest.raises(GraphError, match=r"^duplicate rule name 'e0'$"):
+            twice.validate()
+    assert twice._derived == {}
