@@ -14,8 +14,8 @@ from .domains import FiniteDomain, OrderError, algebraicity, decompose, diff, \
     interchange_classes, interchangeable, irreducible_elements, irreducibles, predecessor, \
     primes, validate_domain, validate_domain_morphism, weak_primes
 from .duality import Epes, configuration_id, connect_es, dom_of_es, \
-    dom_of_es_morphism, epes_dom, epes_ev, epes_is_connected, epes_isomorphic, \
-    es_isomorphic, ev_of_domain, fuse, poset_isomorphic, unfold, validate_epes
+    dom_of_es_morphism, epes_dom, epes_ev, epes_is_connected, ev_of_domain, fuse, unfold, \
+    validate_epes
 from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, \
     graph_isomorphism, iso_hash
 from .rewrite import Derivation, DirectDerivation, Grammar, Rule, TraceClass, \
@@ -25,10 +25,12 @@ from .intervals import check_axioms, ev_wd, interval_classes, interval_leq, zeta
 from .asyncgraphs import AsyncError, AsyncGraph, async_domain, hasse_as_async, \
     validate_async_graph
 
-# The exhaustive references load on first use, so that the command line,
-# which never calls them, does not compile them.
-_ORACLES = ("equivalent_traces", "interchangeable_by_definition",
-            "interchangeable_via_compacts", "is_pushout", "primes_by_definition", "pushout",
+# The exhaustive references, the isomorphism searches among them, load on
+# first use, so that the command line, which never calls them, does not
+# compile them.
+_ORACLES = ("epes_isomorphic", "equivalent_traces", "es_isomorphic",
+            "interchangeable_by_definition", "interchangeable_via_compacts", "is_pushout",
+            "poset_isomorphic", "primes_by_definition", "pushout",
             "trace_classes_by_definition", "validate_domain_by_definition",
             "verify_direct_derivation", "weak_primes_by_definition")
 

@@ -33,8 +33,8 @@ from . import io as iomod
 from .es import EsError, classify, configuration_count
 from .domains import OrderError, algebraicity, interchange_classes, irreducible_elements, \
     primes, validate_domain, weak_primes
-from .duality import _counit_holds, _es_matches, connect_es, dom_of_es, epes_dom, epes_ev, \
-    epes_isomorphic, es_isomorphic, ev_of_domain, fuse, unfold, validate_epes
+from .duality import _counit_holds, _es_matches, _fuse_counit_holds, _unfold_unit_holds, \
+    connect_es, dom_of_es, epes_dom, epes_ev, ev_of_domain, fuse, unfold, validate_epes
 from .graphs import GraphError
 from .intervals import _zeta_events, check_axioms, ev_wd, interval_classes, zeta
 from .asyncgraphs import AsyncError, async_domain, validate_async_graph
@@ -272,8 +272,10 @@ def _cmd_synth(args) -> tuple:
 def _cmd_roundtrip(args) -> tuple:
     """The maps of the duality, each tested as the isomorphism, with no
     search: the unit φ of ``domains._certify`` and the counit
-    (``_counit_holds``) for ``--es``; φ and ζ for ``--domain``.  Each
-    check is a result key, its verdict and the witness named if it fails."""
+    (``_counit_holds``) for ``--es``; φ and ζ for ``--domain``; the unit η
+    (``_unfold_unit_holds``) and the counit ε (``_fuse_counit_holds``) for
+    ``--epes``.  Each check is a result key, its verdict and the witness
+    named if it fails."""
     path, kind, value = _one_input(args)
     results = {"kind": kind}
     if kind == "es":
@@ -297,9 +299,9 @@ def _cmd_roundtrip(args) -> tuple:
     elif kind == "epes":
         fused = fuse(value)
         again = unfold(fused)
-        checks = [("unfold_fuse_isomorphic", epes_isomorphic(value, again) is not None,
+        checks = [("unfold_fuse_isomorphic", _unfold_unit_holds(value, again),
                    "epes-unfold-fuse"),
-                  ("fuse_unfold_isomorphic", es_isomorphic(fuse(again), fused) is not None,
+                  ("fuse_unfold_isomorphic", _fuse_counit_holds(fused, fuse(again)),
                    "es-fuse-unfold")]
     else:
         raise iomod.SchemaError("roundtrip expects --es, --domain or --epes")

@@ -475,8 +475,9 @@ def _steps_masks(dom: FiniteDomain, names: List[str],
     """The masks of the structure whose event ``names[k]`` performs the
     covers ``steps[k]`` of ``dom``; it is the one construction behind
     ``_candidate`` (one step ``[p(i), i]`` per irreducible ``i``, grouped by
-    ↔*-class) and ``intervals.ev_wd`` (every cover, grouped by interval
-    class).
+    ↔*-class), ``intervals.ev_wd`` (every cover, grouped by interval
+    class) and ``duality.epes_ev`` (the step ``[p(i), i]`` of each
+    irreducible ``i`` as its own event).
 
     Let ψ(d) be the events with a step ending below ``d``, swept along the
     covers.  A step ``(d, d')`` is enabled by ψ(d).  On a coherent domain
@@ -502,12 +503,21 @@ def _steps_masks(dom: FiniteDomain, names: List[str],
     names = tuple(map(names.__getitem__, order))
     if dom.kind != COHERENT:
         return _Masks(names, CONSISTENCY, needs, [0] * k, tops)
+    return _Masks(names, BINARY, needs, _clashes(tops, k), [])
+
+
+def _clashes(tops: List[int], k: int) -> List[int]:
+    """The conflict rows of ``k`` events that are consistent exactly when
+    one of ``tops`` holds both: an event's row of consistent partners is
+    the OR of the tops that hold it, and it clashes with every other
+    event.  ``_steps_masks`` reads a coherent domain's conflict this way,
+    and ``duality.epes_ev`` the binary conflict of either kind."""
     rows = [0] * k
     for top in tops:
         for e in _bits(top):
             rows[e] |= top
     full = (1 << k) - 1
-    return _Masks(names, BINARY, needs, [full ^ row for row in rows], [])
+    return [full ^ row for row in rows]
 
 
 def _class_primes(dom: FiniteDomain) -> int:

@@ -6,28 +6,34 @@ an event structure back off a weak prime domain, with events the
 interchangeability classes of irreducibles.  Their composite ``connect_es``
 replaces a live structure by a connected one with the same configuration
 poset.  ``ev_of_domain`` shares one builder, ``domains._steps_masks``,
-with the interval construction ``intervals.ev_wd``: an event performs a
-set of covers (its steps), and enabling, conflict and consistency are read
-off the ends of those covers.  Its structure is the candidate that the
-duality certificate of ``domains`` tests.  ``roundtrip`` reports the unit
-(that certificate), the counit (``_counit_holds``) and ζ
-(``intervals._zeta_events``) by testing the maps the duality gives, with
-no search.  The EPES constructions present the same correspondence through
-prime structures carrying an event equivalence.
+with the interval construction ``intervals.ev_wd`` and with ``epes_ev``:
+an event performs a set of covers (its steps), and enabling, conflict and
+consistency are read off the ends of those covers.  Its structure is the
+candidate that the duality certificate of ``domains`` tests.  The EPES
+constructions present the same correspondence through prime structures
+carrying an event equivalence.
+
+``roundtrip`` reports each round trip by testing the map the duality
+gives, with no search: for ``--es`` the unit (that certificate) and the
+counit (``_counit_holds``); for ``--domain`` the unit and ζ
+(``intervals._zeta_events``); for ``--epes`` the unit η of
+``_unfold_unit_holds`` and the counit ε of ``_fuse_counit_holds``, the
+isomorphism ``fuse(unfold(F)) ≅ F``.  Each map is put to ``_es_matches``,
+the test the isomorphism searches put every bijection they find to; the
+searches are test oracles, in ``oracles``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple)
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
-from ._common import UnionFind, Value, _bits, _once, backtrack
-from .es import (BINARY, EsError, EventStructure, _require_live, _structure_of, _table,
-                 classify, configurations, minimal_enablings)
-from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, _candidate, _class_groups,
-                      _event_names, _require_weak_prime, decompose, interchange_classes,
-                      irreducible_elements, predecessor)
+from ._common import UnionFind, Value, _once
+from .es import (BINARY, EsError, EventStructure, _Masks, _require_live, _structure_of,
+                 _table, classify, configurations, minimal_enablings)
+from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, _candidate, _clashes,
+                      _class_groups, _event_names, _irreducible_indices, _require_weak_prime,
+                      _steps_masks, interchange_classes)
 
 EventSet = FrozenSet[str]
 
@@ -123,7 +129,7 @@ def _counit_holds(es: EventStructure, connected: EventStructure) -> bool:
     of ``connected = ev_of_domain(dom_of_es(es))`` onto ``es``: the class of
     an irreducible configuration goes to the one event it adds to its
     predecessor.  ``roundtrip --es`` reports it as the counit; where it
-    holds, so does the search of ``es_isomorphic``."""
+    holds, so does the search of ``oracles.es_isomorphic``."""
     dom = dom_of_es(es)
     masks, lower = dom._derived["configuration_masks"], dom._lower
     psi = {}
@@ -140,24 +146,11 @@ def connect_es(es: EventStructure) -> EventStructure:
     return ev_of_domain(dom_of_es(es))
 
 
-# ---------------------------------------------------------------------- #
-# Isomorphism search, on ``_common.backtrack``
-# ---------------------------------------------------------------------- #
-
-def _es_signature(es: EventStructure, e: str):
-    # invariant data of an event: its minimal enablings and consistency
-    # profile.  Enabling counts only as observed through configurations, so
-    # different generator presentations of the same structure agree.
-    mins = minimal_enablings(es, e)
-    used = sum(1 for e2 in es.events for c in minimal_enablings(es, e2) if e in c)
-    if es.conflict_kind == BINARY:
-        deg = sum(1 for p in es.conflict if e in p)
-        return (len(mins), tuple(sorted(len(c) for c in mins)), deg, used)
-    sizes = tuple(sorted(len(m) for m in es.consistent_sets if e in m))
-    return (len(mins), tuple(sorted(len(c) for c in mins)), sizes, used)
-
-
 def _es_matches(es1: EventStructure, es2: EventStructure, phi: Dict[str, str]) -> bool:
+    """Whether the bijection ``phi`` carries the conflict (or consistency)
+    and the minimal enablings of ``es1`` onto those of ``es2``: the test of
+    each map ``roundtrip`` reports, and of each bijection the searches of
+    ``oracles`` try."""
     if es1.conflict_kind == BINARY:
         if {frozenset((phi[a], phi[b])) for p in es1.conflict for a, b in [sorted(p)]} \
                 != es2.conflict:
@@ -170,86 +163,6 @@ def _es_matches(es1: EventStructure, es2: EventStructure, phi: Dict[str, str]) -
         if mins1 != set(minimal_enablings(es2, phi[e])):
             return False
     return True
-
-
-def _bijections(sig1: Mapping[str, tuple], sig2: Mapping[str, tuple],
-                fitting: Callable[[List[str]], Callable]) -> Iterator[Dict[str, str]]:
-    """The bijections that preserve the signatures and that ``fitting``
-    accepts, in search order: items sorted by signature, each tried against
-    the other side's items of equal signature.  ``fitting(order)`` gives the
-    ``fits(k, y, chosen)`` of ``_common.backtrack`` for that order."""
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return
-    order = sorted(sig1, key=lambda x: (sig1[x], x))
-    by_sig: Dict[tuple, List[str]] = {}
-    for y in sorted(sig2):
-        by_sig.setdefault(sig2[y], []).append(y)
-    for images in backtrack([by_sig[sig1[x]] for x in order], fitting(order), True):
-        yield dict(zip(order, images))
-
-
-def _es_isomorphisms(es1: EventStructure, es2: EventStructure) -> Iterator[Dict[str, str]]:
-    if es1.conflict_kind != es2.conflict_kind or len(es1.events) != len(es2.events):
-        return
-
-    def rel(es):
-        if es.conflict_kind == BINARY:
-            return es.in_conflict
-        return lambda a, b: es.is_consistent((a, b))
-
-    rel1, rel2 = rel(es1), rel(es2)
-
-    def fitting(order):
-        # the new pair agrees with every pair chosen before it
-        return lambda k, y, chosen: all(rel1(order[k], a) == rel2(y, b)
-                                        for a, b in zip(order, chosen))
-
-    for phi in _bijections({e: _es_signature(es1, e) for e in es1.events},
-                           {e: _es_signature(es2, e) for e in es2.events}, fitting):
-        if _es_matches(es1, es2, phi):
-            yield phi
-
-
-def es_isomorphic(es1: EventStructure, es2: EventStructure) -> Optional[Dict[str, str]]:
-    """A bijection preserving and reflecting conflict and enabling, or None."""
-    return next(_es_isomorphisms(es1, es2), None)
-
-
-def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[str, str]]:
-    """An order isomorphism between two finite posets, or None."""
-    if len(dom1.elements) != len(dom2.elements):
-        return None
-
-    def sigs(dom):
-        # each element's height, lower and upper cover counts, and down-
-        # and up-set sizes; in rising order the elements come after their
-        # lower covers, so each height is read after theirs
-        lower, upper, down, up = dom._lower, dom._upper, dom._down, dom._up
-        h = [0] * len(lower)
-        for i in dom._rising:
-            if lower[i]:
-                h[i] = 1 + max(h[j] for j in _bits(lower[i]))
-        return {x: (h[i], lower[i].bit_count(), upper[i].bit_count(),
-                    down[i].bit_count(), up[i].bit_count())
-                for i, x in enumerate(dom.elements)}
-
-    def fitting(order):
-        # Height leads the signature, so the lower covers of order[k] are
-        # placed before it, at ``lows[k]``, and the placed elements form a
-        # down-set.  A bijection is an order isomorphism iff it carries
-        # each element's lower covers onto its image's; the signature
-        # holds their count, so testing that each image is a lower cover
-        # of y is enough.
-        at = {x: k for k, x in enumerate(order)}
-        lows = [[at[a] for a in dom1.lower_covers(x)] for x in order]
-        at2, lower2 = dom2._idx, dom2._lower
-
-        def fits(k, y, chosen):
-            below = lower2[at2[y]]
-            return all(below >> at2[chosen[p]] & 1 for p in lows[k])
-        return fits
-
-    return next(_bijections(sigs(dom1), sigs(dom2), fitting), None)
 
 
 # ---------------------------------------------------------------------- #
@@ -353,17 +266,26 @@ def epes_dom(p: Epes) -> FiniteDomain:
 
 def epes_ev(dom: FiniteDomain) -> Epes:
     """The EPES of a weak prime domain: irreducibles as events,
-    interchangeability classes as the equivalence."""
+    interchangeability classes as the equivalence.
+
+    The irreducible ``i`` performs the step ``[p(i), i]``, so it is enabled
+    by the irreducibles below ``p(i)`` (``domains._steps_masks``, one step
+    per event).  Two irreducibles conflict when no maximal element lies
+    above both (``domains._clashes``), on either kind of domain: the
+    conflict is read as binary, as ``validate_epes`` asks.
+    """
     _require_weak_prime(dom)
-    irr = irreducible_elements(dom)
-    conflict = [(a, b) for a, b in combinations(sorted(irr), 2)
-                if not dom.consistent((a, b))]
-    gens = []
-    for i in irr:
-        below = decompose(dom, predecessor(dom, i))
-        gens.append((tuple(sorted(below)), i))
-    base = EventStructure.binary(irr, conflict, gens)
-    return Epes(base, frozenset(interchange_classes(dom)))
+    irr, lower = _irreducible_indices(dom), dom._lower
+    m = _steps_masks(dom, [dom.elements[i] for i in irr],
+                     [[(lower[i].bit_length() - 1, i)] for i in irr])
+    if m.conflict_kind != BINARY:  # the tops are the consistent sets
+        m = _Masks(m._names, BINARY, m._needs, _clashes(m._cons, len(irr)), [])
+    return Epes(_structure_of(m), frozenset(interchange_classes(dom)))
+
+
+def _block_names(p: Epes) -> Dict[str, str]:
+    """Each event's block, named by its least member."""
+    return {e: min(b) for b in p.equiv for e in b}
 
 
 def fuse(p: Epes) -> EventStructure:
@@ -372,20 +294,28 @@ def fuse(p: Epes) -> EventStructure:
     Enabling descends through representatives; two classes are in conflict
     only when all representative pairs are.
     """
-    name = {}
-    for b in p.equiv:
-        nm = min(b)
-        for e in b:
-            name[e] = nm
-    events = sorted(set(name.values()))
-    gens = set()
-    for needs, e in p.base.enabling_gens:
-        gens.add((frozenset(name[x] for x in needs), name[e]))
+    name = _block_names(p)
+    gens = {(frozenset(name[x] for x in needs), name[e]) for needs, e in p.base.enabling_gens}
     conflict = []
     for b1, b2 in combinations(sorted(p.equiv, key=min), 2):
         if all(p.base.in_conflict(a, b) for a in b1 for b in b2):
             conflict.append((name[min(b1)], name[min(b2)]))
-    return EventStructure.binary(events, conflict, [(x, e) for x, e in gens])
+    return EventStructure.binary(set(name.values()), conflict, gens)
+
+
+def _instance(c: Iterable[str], e: str) -> str:
+    """The name of ``unfold``'s instance ``⟨C, e⟩``."""
+    return f"<{configuration_id(c)}:{e}>"
+
+
+def _instances(es: EventStructure) -> Iterator[Tuple[EventSet, str, str]]:
+    """``(C, e, name)`` for each instance ``⟨C, e⟩`` of ``unfold(es)``: ``C``
+    a minimal enabling of ``e`` with ``C ∪ {e}`` consistent, in the order of
+    ``e`` and then of ``C``."""
+    for e in sorted(es.events):
+        for c in sorted(minimal_enablings(es, e), key=sorted):
+            if es.is_consistent(c | {e}):
+                yield c, e, _instance(c, e)
 
 
 def unfold(es: EventStructure) -> Epes:
@@ -393,16 +323,13 @@ def unfold(es: EventStructure) -> Epes:
 
     Events of the result are pairs ``⟨C, e⟩`` with ``C`` a minimal enabling
     of ``e`` (and ``C ∪ {e}`` consistent); all instances of one event are
-    equivalent.  ``fuse(unfold(es))`` is isomorphic to ``es``.
+    equivalent.  ``fuse(unfold(es))`` is isomorphic to ``es`` through the
+    counit ε, which ``roundtrip --epes`` tests (``_fuse_counit_holds``).
     """
     _require_live(es)
     if es.conflict_kind != BINARY:
         raise EsError("unfold is defined on binary-conflict structures")
-    inst = []  # (C, e, id)
-    for e in sorted(es.events):
-        for c in sorted(minimal_enablings(es, e), key=sorted):
-            if es.is_consistent(c | {e}):
-                inst.append((c, e, f"<{configuration_id(c)}:{e}>"))
+    inst = list(_instances(es))
     flat = {x: c | {e} for c, e, x in inst}
     covers_of = {}  # base event c -> instances whose flat part contains c
     for c, e, x in inst:
@@ -421,20 +348,124 @@ def unfold(es: EventStructure) -> Epes:
     for (c1, e1, x1), (c2, e2, x2) in combinations(inst, 2):
         if not es.is_consistent(c1 | c2 | {e1, e2}):
             conflict.append((x1, x2))
-    base = EventStructure.binary([x for _, _, x in inst], conflict,
-                                 [(xs, x) for xs, x in gens])
+    base = EventStructure.binary([x for _, _, x in inst], conflict, gens)
     blocks: Dict[str, set] = {}
     for c, e, x in inst:
         blocks.setdefault(e, set()).add(x)
     return Epes(base, frozenset(frozenset(b) for b in blocks.values()))
 
 
-def epes_isomorphic(p1: Epes, p2: Epes) -> Optional[Dict[str, str]]:
-    """A base isomorphism that carries the one equivalence onto the other."""
-    if sorted(len(b) for b in p1.equiv) != sorted(len(b) for b in p2.equiv):
-        return None
-    blocks2 = set(p2.equiv)
-    for phi in _es_isomorphisms(p1.base, p2.base):
-        if {frozenset(phi[x] for x in b) for b in p1.equiv} == blocks2:
-            return phi
-    return None
+def _fuse_counit_holds(es: EventStructure, back: EventStructure) -> bool:
+    """Whether the counit ε is an isomorphism of ``back = fuse(unfold(es))``
+    onto ``es``: ε sends the least instance name of each event's block to
+    the event.  The names are built from the minimal enablings of ``es``,
+    as ``unfold`` builds them (``_instances``), never parsed, since an
+    event name may hold ``:``.  ``roundtrip --epes`` reports it as
+    ``fuse_unfold_isomorphic``.
+
+    Proof that it holds exactly where an isomorphism exists, in the sense
+    of the search (``oracles.es_isomorphic``: a bijection that keeps the
+    conflict kind and passes ``_es_matches``).  Write F = ``es``, live and
+    binary (``unfold`` asks it), U = ``unfold(es)`` and G = ``back``, and
+    read G's events through ε.  Instance names are taken to be distinct, as
+    they are unless event names hold ``,`` or ``}``.  The test is the
+    search's own test at one bijection, so where it holds the search finds
+    one.  Conversely:
+
+    1. ε is a bijection.  Each event e lies in a configuration X, as F is
+       live; the events before e in a securing of X form a configuration
+       that enables e, and a minimal one C inside it gives the instance
+       ``⟨C, e⟩``.  (So every configuration holds an instance of each of
+       its events, with its enabling inside the configuration.)
+    2. ε carries G's conflict onto F's.  Two blocks conflict when all their
+       instances do, and ``⟨C, e⟩`` and ``⟨C', f⟩`` conflict when
+       ``C ∪ C' ∪ {e, f}`` is inconsistent.  If e # f, all of them do.  If
+       not, liveness puts e and f in one configuration, which holds one
+       instance of each by 1, not in conflict.
+    3. Conf(F) ⊆ Conf(G).  For an instance ``⟨C, e⟩``, picking for each
+       d ∈ C an instance ``⟨C_d, d⟩`` with C_d ⊆ C (by 1) is one of its
+       generators, so C ⊢ e in G.  With 2, a securing of a configuration
+       of F secures it in G.
+    4. An isomorphism keeps conflict and minimal enablings, so it keeps the
+       configurations (a conflict-free set is one exactly when each of its
+       events has a minimal enabling inside it) and their number.  Where
+       G ≅ F, 3 gives Conf(G) = Conf(F).
+    5. Then, for X a configuration and X ∪ {e} conflict-free, X ⊢ e in G
+       exactly when it does in F: in either, exactly when X ∪ {e} is a
+       configuration.  A minimal enabling C of e with C ∪ {e} consistent
+       is minimal among subsets of C only, so G and F have the same such
+       enablings.  Suppose (H) every minimal enabling of F is consistent
+       with its event.  An isomorphism keeps the number of minimal
+       enablings, and of those consistent with their event, so G has no
+       other kind either, and ``_es_matches`` holds of ε.
+
+    Where (H) fails, U has no instance for the enabling C of e with
+    ``C ∪ {e}`` inconsistent, and this proof does not close: the
+    enablings inconsistent with their event may differ in G and F under
+    ε while another bijection matches them.  There the verdict rests on the
+    agreement tests, which compare the two on thousands of structures.
+    """
+    least: Dict[str, str] = {}
+    for _, e, x in _instances(es):
+        least[e] = min(least.get(e, x), x)
+    eps = {x: e for e, x in least.items()}
+    return (back.conflict_kind == es.conflict_kind and back.events == set(eps)
+            and len(eps) == len(es.events) and _es_matches(back, es, eps))
+
+
+def _unfold_unit_holds(p: Epes, again: Epes) -> bool:
+    """Whether the unit η is an isomorphism of ``p`` onto
+    ``again = unfold(fuse(p))`` that carries the blocks onto the blocks: η
+    sends x to the instance ``⟨N, name[x]⟩``, where ``name[y]`` is the
+    least member of y's block and N the least of the sets
+    ``{name[y] : y ∈ C}`` over x's minimal enablings C; on a prime base,
+    over x's one minimal enabling.  Where those sets have no least one,
+    η is not defined and the test fails; the input is not validated
+    first.  ``roundtrip --epes`` reports it as ``unfold_fuse_isomorphic``.
+
+    Proof that it holds exactly where an isomorphism exists, in the sense
+    of the search (``oracles.epes_isomorphic``: a base isomorphism as in
+    ``_fuse_counit_holds`` that carries the blocks onto the blocks).  The
+    test is the search's own test at one bijection, so where it holds the
+    search finds one.  Conversely, write F = ``fuse(p)`` (live, or
+    ``unfold`` raises first), U = ``again``, and base(X) for the events of
+    F whose instances a set X holds.
+
+    1. The sets base(X) over the minimal enablings X of an instance
+       ``u = ⟨D, f⟩`` of U have the least one D.  Each X holds a generator
+       of u, one instance covering each d ∈ D, and along a securing of X
+       the flat part ``C ∪ {e}`` of each instance lies in the base of the
+       instances up to it, so base(X) ⊇ D.  And D is a configuration of F,
+       so for each d ∈ D it holds an instance ``⟨D_d, d⟩`` with D_d ⊆ D
+       (step 1 of ``_fuse_counit_holds``); these instances form a
+       configuration of U, as their flat parts lie in D, and it enables u,
+       so a minimal enabling X inside it has base(X) = D.
+    2. Let ψ: p ≅ U.  It carries blocks onto blocks, and a block of U is
+       the instances of one event, so base(ψ(y)) = β(name[y]) for a
+       bijection β of F's events.  It carries x's minimal enablings onto
+       those of ψ(x) = ``⟨D, f⟩``, so by 1 the sets ``{name[y] : y ∈ C}``
+       have the least one β⁻¹(D), and η(x) = ``⟨β⁻¹(D), β⁻¹(f)⟩``: ψ is
+       β̂ ∘ η, where β̂ sends ``⟨D, f⟩`` to ``⟨β(D), β(f)⟩``.
+    3. Where β is an automorphism of F, β̂ is one of U, since it carries
+       the instances, flat parts, generators, conflict and blocks of U
+       onto themselves; then η = β̂⁻¹ ∘ ψ is an isomorphism.
+
+    The step that does not close is that β is an automorphism of F: ψ
+    carries the conflict, minimal enablings and blocks of p, but ``fuse``
+    reads p's generators, and a generator that no configuration holds
+    changes F without changing p up to isomorphism.  There the verdict
+    rests on the agreement tests, which compare the two on thousands of
+    structures, invalid ones among them.
+    """
+    base, name = p.base, _block_names(p)
+    eta = {}
+    for x in base.events:
+        named = [{name[y] for y in c} for c in minimal_enablings(base, x)]
+        least = min(named, key=len, default=None)
+        if least is None or not all(least <= c for c in named):
+            return False
+        eta[x] = _instance(least, name[x])
+    return (base.conflict_kind == BINARY and again.base.events == set(eta.values())
+            and len(again.base.events) == len(eta)
+            and {frozenset(map(eta.__getitem__, b)) for b in p.equiv} == again.equiv
+            and _es_matches(base, again.base, eta))

@@ -37,6 +37,9 @@ from .graphs import GraphMorphism, TypedGraph
 from .rewrite import Grammar, Rule
 from .asyncgraphs import AsyncGraph
 
+_enc = json.encoder.encode_basestring_ascii  # a string as JSON text
+
+
 class SchemaError(ValueError):
     """Input file does not follow the expected schema."""
 
@@ -185,8 +188,7 @@ def dumps_domain(dom: FiniteDomain) -> str:
     names = list(map(_enc, dom.elements))
     pairs = dom._cover_pairs
     # the names are arguments, never part of the template, so '%' in one is safe
-    covers = ("[\n    " + ",\n    ".join(["[\n      %s,\n      %s\n    ]"] * len(pairs))
-              + "\n  ]") if pairs else "[]"
+    covers = _listed("[\n      %s,\n      %s\n    ]", len(pairs), "\n  ")
     template = '{\n  "covers": ' + covers + ',\n  "elements": [\n    %s\n  ],\n  "kind": %s\n}'
     return template % (*chain.from_iterable((names[a], names[b]) for a, b in pairs),
                        ",\n    ".join(names), _enc(dom.kind))
@@ -287,9 +289,11 @@ def _listed(record: str, n: int, nl: str) -> str:
 
 def _record(keys: tuple, nl: str) -> str:
     """The template of a record at the indent ``nl`` with the fixed
-    ``keys``, its values left to fill."""
+    ``keys``, its values left to fill.  The keys are encoded into the
+    template, so a '%' in one is doubled."""
     nl2 = nl + "  "
-    return "{" + nl2 + ("," + nl2).join([f'"{k}": %s' for k in keys]) + nl + "}"
+    fields = [_enc(k).replace("%", "%%") + ": %s" for k in keys]
+    return "{" + nl2 + ("," + nl2).join(fields) + nl + "}"
 
 
 # the node and edge record templates of a graph's text, per indent and per
@@ -427,7 +431,6 @@ def load_structure(path: str, kind: str):
     return parse_bytes(read_bytes(path), path, kind)
 
 
-_enc = json.encoder.encode_basestring_ascii
 # how each scalar type is written; json.dumps writes any other leaf
 _SCALAR = {str: _enc, int: int.__repr__, bool: {True: "true", False: "false"}.get,
            type(None): lambda _: "null"}
@@ -463,9 +466,7 @@ def _records(x, nl: str):
         columns.append([_scalar(v) if v.__class__ is not list
                         else "[" + nl4 + sep4.join(map(_enc, v)) + nl3 + "]" if v
                         else "[]" for v in vals])
-    # the template holds the encoded keys, so a '%' in one is doubled
-    template = "{" + nl3 + ("," + nl3).join(
-        [_enc(k).replace("%", "%%") + ": %s" for k in keys]) + nl2 + "}"
+    template = _record(keys, nl2)
     return "[" + nl2 + ("," + nl2).join(map(template.__mod__, zip(*columns))) + nl + "]"
 
 

@@ -12,6 +12,11 @@ command line never calls one, so it never compiles this module.
   ``interchangeable_via_compacts`` (over the compacts above both
   predecessors) decide ↔; the fast paths are the pair pass and the join
   characterisation of ``domains``.
+- Isomorphisms: ``es_isomorphic``, ``epes_isomorphic`` and
+  ``poset_isomorphic`` search every signature-preserving bijection on
+  ``_common.backtrack``, where ``roundtrip`` tests the one map the duality
+  gives (``duality._counit_holds``, ``_fuse_counit_holds``,
+  ``_unfold_unit_holds`` and the certificate of ``domains``).
 - Intervals: ``interval_classes_by_definition`` unions every pair of covers
   related by ``interval_leq``, and ``_axiom_v_by_definition`` runs four
   nested loops over the named intervals.
@@ -31,11 +36,13 @@ command line never calls one, so it never compiles this module.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._common import Report, UnionFind, _bits, backtrack
+from .es import BINARY, EventStructure, minimal_enablings
 from .domains import (COHERENT, FiniteDomain, OrderError, _irreducible_indices,
                       interchangeable, predecessor)
+from .duality import Epes, _es_matches
 from .intervals import Interval, interval_leq
 from .asyncgraphs import AsyncGraph, _square_classes
 from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, iso_hash
@@ -204,6 +211,114 @@ def weak_primes_by_definition(dom: FiniteDomain) -> Tuple[str, ...]:
         if good:
             out.append(x)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------- #
+# Isomorphism search, on ``_common.backtrack``
+# ---------------------------------------------------------------------- #
+
+def _es_signature(es: EventStructure, e: str):
+    # invariant data of an event: its minimal enablings and consistency
+    # profile.  Enabling counts only as observed through configurations, so
+    # different generator presentations of the same structure agree.
+    mins = minimal_enablings(es, e)
+    used = sum(1 for e2 in es.events for c in minimal_enablings(es, e2) if e in c)
+    if es.conflict_kind == BINARY:
+        deg = sum(1 for p in es.conflict if e in p)
+        return (len(mins), tuple(sorted(len(c) for c in mins)), deg, used)
+    sizes = tuple(sorted(len(m) for m in es.consistent_sets if e in m))
+    return (len(mins), tuple(sorted(len(c) for c in mins)), sizes, used)
+
+
+def _bijections(sig1: Mapping[str, tuple], sig2: Mapping[str, tuple],
+                fitting: Callable[[List[str]], Callable]) -> Iterator[Dict[str, str]]:
+    """The bijections that preserve the signatures and that ``fitting``
+    accepts, in search order: items sorted by signature, each tried against
+    the other side's items of equal signature.  ``fitting(order)`` gives the
+    ``fits(k, y, chosen)`` of ``_common.backtrack`` for that order."""
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return
+    order = sorted(sig1, key=lambda x: (sig1[x], x))
+    by_sig: Dict[tuple, List[str]] = {}
+    for y in sorted(sig2):
+        by_sig.setdefault(sig2[y], []).append(y)
+    for images in backtrack([by_sig[sig1[x]] for x in order], fitting(order), True):
+        yield dict(zip(order, images))
+
+
+def _es_isomorphisms(es1: EventStructure, es2: EventStructure) -> Iterator[Dict[str, str]]:
+    if es1.conflict_kind != es2.conflict_kind or len(es1.events) != len(es2.events):
+        return
+
+    def rel(es):
+        if es.conflict_kind == BINARY:
+            return es.in_conflict
+        return lambda a, b: es.is_consistent((a, b))
+
+    rel1, rel2 = rel(es1), rel(es2)
+
+    def fitting(order):
+        # the new pair agrees with every pair chosen before it
+        return lambda k, y, chosen: all(rel1(order[k], a) == rel2(y, b)
+                                        for a, b in zip(order, chosen))
+
+    for phi in _bijections({e: _es_signature(es1, e) for e in es1.events},
+                           {e: _es_signature(es2, e) for e in es2.events}, fitting):
+        if _es_matches(es1, es2, phi):
+            yield phi
+
+
+def es_isomorphic(es1: EventStructure, es2: EventStructure) -> Optional[Dict[str, str]]:
+    """A bijection preserving and reflecting conflict and enabling, or None."""
+    return next(_es_isomorphisms(es1, es2), None)
+
+
+def epes_isomorphic(p1: Epes, p2: Epes) -> Optional[Dict[str, str]]:
+    """A base isomorphism that carries the one equivalence onto the other."""
+    if sorted(len(b) for b in p1.equiv) != sorted(len(b) for b in p2.equiv):
+        return None
+    blocks2 = set(p2.equiv)
+    for phi in _es_isomorphisms(p1.base, p2.base):
+        if {frozenset(phi[x] for x in b) for b in p1.equiv} == blocks2:
+            return phi
+    return None
+
+
+def poset_isomorphic(dom1: FiniteDomain, dom2: FiniteDomain) -> Optional[Dict[str, str]]:
+    """An order isomorphism between two finite posets, or None."""
+    if len(dom1.elements) != len(dom2.elements):
+        return None
+
+    def sigs(dom):
+        # each element's height, lower and upper cover counts, and down-
+        # and up-set sizes; in rising order the elements come after their
+        # lower covers, so each height is read after theirs
+        lower, upper, down, up = dom._lower, dom._upper, dom._down, dom._up
+        h = [0] * len(lower)
+        for i in dom._rising:
+            if lower[i]:
+                h[i] = 1 + max(h[j] for j in _bits(lower[i]))
+        return {x: (h[i], lower[i].bit_count(), upper[i].bit_count(),
+                    down[i].bit_count(), up[i].bit_count())
+                for i, x in enumerate(dom.elements)}
+
+    def fitting(order):
+        # Height leads the signature, so the lower covers of order[k] are
+        # placed before it, at ``lows[k]``, and the placed elements form a
+        # down-set.  A bijection is an order isomorphism iff it carries
+        # each element's lower covers onto its image's; the signature
+        # holds their count, so testing that each image is a lower cover
+        # of y is enough.
+        at = {x: k for k, x in enumerate(order)}
+        lows = [[at[a] for a in dom1.lower_covers(x)] for x in order]
+        at2, lower2 = dom2._idx, dom2._lower
+
+        def fits(k, y, chosen):
+            below = lower2[at2[y]]
+            return all(below >> at2[chosen[p]] & 1 for p in lows[k])
+        return fits
+
+    return next(_bijections(sigs(dom1), sigs(dom2), fitting), None)
 
 
 # ---------------------------------------------------------------------- #

@@ -244,3 +244,25 @@ def growing_grammar() -> Grammar:
                                          ("ey", "E", "y", "y")],
                        {"x": "N", "y": "N", "t": "T"})
     return Grammar(TypedGraph(["N", "T"], [("E", "E", "N", "N")]), start, (grow, fuse))
+
+
+def _epes_json(events, enabling, conflict=(), equiv=()) -> dict:
+    return {"events": list(events), "conflict": [list(p) for p in conflict],
+            "enabling": [{"needs": list(needs), "event": e} for needs, e in enabling],
+            "equiv": [list(b) for b in equiv]}
+
+
+# EPES files that break one axiom each, as ``roundtrip --epes`` reads them
+# unvalidated: the base is not prime, equivalent events are causally
+# related, concurrent or in conflict at the roots, a history is not
+# saturated (``c`` is enabled inside ``b``'s history), or an event is dead
+INVALID_EPES = {
+    "non_prime.epes.json": _epes_json("abc", [((), "a"), ((), "b"), ("a", "c"), ("b", "c")]),
+    "causal_equiv.epes.json": _epes_json("ab", [((), "a"), ("a", "b")], equiv=["ab"]),
+    "concurrent_roots.epes.json": _epes_json("ab", [((), "a"), ((), "b")], equiv=["ab"]),
+    "conflicting_roots.epes.json": _epes_json("ab", [((), "a"), ((), "b")], conflict=["ab"],
+                                              equiv=["ab"]),
+    "unsaturated.epes.json": _epes_json("abc", [((), "a"), ("a", "b"), ("a", "c")],
+                                        conflict=["bc"], equiv=["bc"]),
+    "dead.epes.json": _epes_json("ab", [((), "a"), ("a", "b")], conflict=["ab"]),
+}

@@ -14,17 +14,17 @@ import pytest
 from weavent.es import classify
 from weavent.domains import (algebraicity, interchange_classes, interchangeable,
                              irreducible_elements, primes, weak_primes)
-from weavent.duality import (connect_es, dom_of_es, epes_dom, epes_ev,
-                             epes_isomorphic, es_isomorphic, ev_of_domain, fuse,
-                             poset_isomorphic, unfold)
+from weavent.duality import (connect_es, dom_of_es, epes_dom, epes_ev, ev_of_domain, fuse,
+                             unfold)
 from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               e_split, m3, nontransitive_poset, nontransitive_bdomain,
                               running_grammar)
 from weavent.graphs import find_matches, graph_isomorphism
 from weavent.intervals import ev_wd, zeta
 from weavent.asyncgraphs import async_domain, hasse_as_async, validate_async_graph
-from weavent.oracles import (equivalent_traces, interchangeable_by_definition,
-                             interchangeable_via_compacts, trace_classes_by_definition,
+from weavent.oracles import (epes_isomorphic, equivalent_traces, es_isomorphic,
+                             interchangeable_by_definition, interchangeable_via_compacts,
+                             poset_isomorphic, trace_classes_by_definition,
                              verify_direct_derivation, weak_primes_by_definition)
 from weavent.rewrite import (Derivation, apply_rule, grammar_from_es, interchange,
                              is_fusion_safe, sequential_independence, trace_classes,

@@ -12,10 +12,10 @@ from weavent.asyncgraphs import (AsyncError, AsyncGraph, AsyncReport, Path2,
                                  async_domain, hasse_as_async, validate_async_graph,
                                  _end, _is_acyclic, _path_classes, _reachable,
                                  _square_classes)
-from weavent.duality import dom_of_es, poset_isomorphic
+from weavent.duality import dom_of_es
 from weavent.es import EventStructure
 from weavent.fixtures import chain, e_ccs, e_run, e_three_independent, m3
-from weavent.oracles import _origin_path_classes
+from weavent.oracles import _origin_path_classes, poset_isomorphic
 from tests._gen import random_async_graph, random_weak_prime_domain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -11,25 +11,25 @@ witnesses and messages.
 import hashlib
 import json
 import random
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from weavent import cli, domains, duality, es as esmod, intervals
+from weavent import cli, domains, duality, es as esmod, intervals, io as iomod, oracles
 from weavent._common import Report
 from weavent.es import EventStructure
 from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderError,
                              algebraicity, primes, validate_domain, weak_primes)
-from weavent.duality import (_counit_holds, _es_matches, dom_of_es, es_isomorphic,
-                             ev_of_domain, poset_isomorphic)
+from weavent.duality import _counit_holds, _es_matches, dom_of_es, ev_of_domain
 from weavent.es import classify
 from weavent.intervals import ev_wd
 from weavent.fixtures import e_run, nontransitive_bdomain
-from weavent.oracles import (primes_by_definition, validate_domain_by_definition,
-                             weak_primes_by_definition)
-from tests._gen import (comparison_domains, random_connected_es, random_consistency_es,
-                        random_live_es, random_poset)
+from weavent.oracles import (es_isomorphic, poset_isomorphic, primes_by_definition,
+                             validate_domain_by_definition, weak_primes_by_definition)
+from tests._gen import (INVALID_EPES, comparison_domains, random_connected_es,
+                        random_consistency_es, random_live_es, random_poset)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -433,3 +433,53 @@ def test_roundtrip_on_a_domain_searches_for_no_isomorphism(name, monkeypatch, ca
             monkeypatch.setattr(module, found, search, raising=False)
     cli._SESSION.clear()
     assert _run(["roundtrip", "--domain", name], capsys) == expected
+
+
+_SEARCHES = ("_es_signature", "_bijections", "_es_isomorphisms", "es_isomorphic",
+             "poset_isomorphic", "epes_isomorphic")
+# the structure and domain fixtures, each with the option that reads it
+_CONVERTED = [("--es" if p.name.endswith(".es.json") else "--domain", p.name)
+              for p in sorted(FIXTURES.glob("*.json"))
+              if p.name.endswith((".es.json", "domain.json"))]
+# what ``roundtrip --epes`` runs on: the fixture, the ``convert --to epes``
+# output of each of ``_CONVERTED`` that has one, and EPES files that break
+# one axiom each
+_EPES_INPUTS = (["unfold_run.epes.json"] + sorted(INVALID_EPES)
+                + [name + ".epes.json" for _, name in _CONVERTED])
+
+
+def _epes_inputs(capsys):
+    """Write the inputs of ``_EPES_INPUTS`` into the working directory;
+    a fixture ``convert --to epes`` refuses writes none."""
+    shutil.copy(FIXTURES / "unfold_run.epes.json", ".")
+    for name, obj in INVALID_EPES.items():
+        iomod.dump_json(obj, name)
+    for option, name in _CONVERTED:
+        cli.main(["convert", option, str(FIXTURES / name), "--to", "epes",
+                  "--out", name + ".epes.json"])
+    capsys.readouterr()
+
+
+def test_roundtrip_on_an_epes_searches_for_no_isomorphism(tmp_path, monkeypatch, capsys):
+    """With the six search functions made to raise wherever they could be
+    found, ``roundtrip --epes`` prints what it prints with them."""
+    monkeypatch.chdir(tmp_path)
+    cli._SESSION.clear()
+    _epes_inputs(capsys)
+    names = [name for name in _EPES_INPUTS if Path(name).exists()]
+    assert len(names) == 19  # three domain fixtures are no weak prime domain
+    expected = []
+    for name in names:
+        cli._SESSION.clear()
+        expected.append(_run(["roundtrip", "--epes", name], capsys))
+    assert sorted({code for code, _, _ in expected}) == [0, 1, 2]
+
+    def search(*args):
+        raise AssertionError("an isomorphism was searched for")
+    for module in (oracles, duality, cli):
+        for found in _SEARCHES:
+            monkeypatch.setattr(module, found, search, raising=False)
+    for name, want in zip(names, expected):
+        cli._SESSION.clear()
+        assert _run(["roundtrip", "--epes", name], capsys) == want, name
+    cli._SESSION.clear()

@@ -33,7 +33,7 @@ from weavent.cli import main
 from weavent.domains import FiniteDomain
 from weavent.duality import dom_of_es
 from weavent.es import EventStructure
-from tests._gen import family_es, growing_grammar
+from tests._gen import INVALID_EPES, family_es, growing_grammar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -55,6 +55,9 @@ PINS = {
         "emit": "4bfaeb33510f31df96d87ddd83a45d075d42e3a4525a48fd225e86bf4f1df271",
     },
 }
+
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 def _sha(text: str) -> str:
@@ -338,7 +341,8 @@ def test_roundtrip_on_the_nontransitive_bdomain_exits_on_axiom_r(tmp_path, monke
 
 # roundtrip with every check made to fail -> (exit code, sha256 of stdout),
 # pinned while ``roundtrip --domain`` still searched with
-# ``poset_isomorphic`` and ``es_isomorphic``
+# ``poset_isomorphic`` and ``es_isomorphic``, and ``roundtrip --epes`` with
+# ``epes_isomorphic`` and ``es_isomorphic``
 FAILED_ROUNDTRIPS = {
     "--domain run.domain.json": (
         1, "7e28002f04543692519f9739cd42bd4b70d56cafe55e041ad073f1fa300a747a"),
@@ -357,10 +361,42 @@ def test_failed_roundtrip_checks_are_reported_with_their_witnesses(args, monkeyp
     cli._SESSION.clear()
     monkeypatch.setattr(domains, "_certify", lambda dom, es: False)
     monkeypatch.setattr(domains, "_certified", lambda dom: False)
-    for name in ("_counit_holds", "_es_matches"):
+    for name in ("_counit_holds", "_es_matches", "_unfold_unit_holds", "_fuse_counit_holds"):
         monkeypatch.setattr(cli, name, lambda *maps: False)
-    for name in ("es_isomorphic", "epes_isomorphic"):
-        monkeypatch.setattr(cli, name, lambda first, second: None)
     code, out = _run(capsys, ["roundtrip", *args.split()])
     cli._SESSION.clear()
     assert (code, _sha(out)) == FAILED_ROUNDTRIPS[args]
+
+
+# roundtrip --epes on an EPES that breaks one axiom -> (exit code, sha256 of
+# stdout, sha256 of stderr), pinned while both checks still searched with
+# ``epes_isomorphic`` and ``es_isomorphic``
+INVALID_EPES_ROUNDTRIPS = {
+    "non_prime.epes.json": (
+        1, "d36ef7c737a995572ee7e08055cc89baccf70c6fcdebe1820b291e1cddaad27f", _EMPTY),
+    "causal_equiv.epes.json": (
+        1, "fa78f3f6e0bfa871ca1ffe59caa50ffe595e9670fee2b6ce2376cf73e0ca5731", _EMPTY),
+    "concurrent_roots.epes.json": (
+        1, "50c0bfd7eb6ca4af97509e12dd97e70ff7e84143a405ec0d4b48c68768370b00", _EMPTY),
+    "conflicting_roots.epes.json": (
+        1, "4515111d4e8157e5e97a764f726d6988116fb641f04fc639c2f2312b96b75085", _EMPTY),
+    "unsaturated.epes.json": (
+        1, "927db5244c4d7b68e433bad30b7aa00e995f828c29a0c5f9c91ce750da03f915", _EMPTY),
+    "dead.epes.json": (
+        2, _EMPTY, "25a9c3f23de1083bcf8593772af53422e0727cad94bcab775ccc56f72c35a95d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_EPES_ROUNDTRIPS))
+def test_roundtrip_on_an_invalid_epes_prints_the_pinned_bytes(name, tmp_path, monkeypatch,
+                                                              capsys):
+    """Five of them fail the unit and pass the counit, exit 1; the dead
+    event exits 2 before either check, as ``unfold`` needs a live
+    structure."""
+    monkeypatch.chdir(tmp_path)
+    iomod.dump_json(INVALID_EPES[name], name)
+    cli._SESSION.clear()
+    code = main(["roundtrip", "--epes", name])
+    out, err = capsys.readouterr()
+    cli._SESSION.clear()
+    assert (code, _sha(out), _sha(err)) == INVALID_EPES_ROUNDTRIPS[name]

@@ -15,13 +15,13 @@ from weavent.domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, OrderErro
                              interchange_classes, interchangeable, irreducible_elements,
                              predecessor, validate_domain, validate_domain_morphism)
 from weavent.duality import (configuration_id, connect_es, dom_of_es,
-                             dom_of_es_morphism, es_isomorphic, ev_of_domain,
-                             poset_isomorphic, unfold)
+                             dom_of_es_morphism, ev_of_domain, unfold)
 from weavent.fixtures import (chain, e_ccs, e_five, e_prime_conflict, e_run,
                               e_split, e_three_independent, m3,
                               nontransitive_bdomain)
 from weavent.dot import poset_dot
 from weavent.io import domain_to_json, load_structure
+from weavent.oracles import es_isomorphic, poset_isomorphic
 from tests._gen import (comparison_domains, family_es, outcome, random_connected_es,
                         random_consistency_es, random_live_es, random_poset,
                         random_weak_prime_domain)

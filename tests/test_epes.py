@@ -1,16 +1,21 @@
 import random
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from weavent.es import EsError, EventStructure, classify
-from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, algebraicity
-from weavent.duality import (Epes, dom_of_es, epes_dom, epes_ev,
-                             epes_is_connected, epes_isomorphic, es_isomorphic,
-                             fuse, poset_isomorphic, unfold, validate_epes)
+from weavent.domains import (BOUNDED_COMPLETE, COHERENT, OrderError, _require_weak_prime,
+                             algebraicity, decompose, interchange_classes,
+                             irreducible_elements, predecessor)
+from weavent.duality import (Epes, _fuse_counit_holds, _unfold_unit_holds, dom_of_es,
+                             epes_dom, epes_ev, epes_is_connected, fuse, unfold, validate_epes)
 from weavent.fixtures import chain, e_ccs, e_joint, e_run, e_split
 from weavent.io import load_structure
-from tests._gen import random_consistency_es, random_live_es, random_poset
+from weavent.oracles import epes_isomorphic, es_isomorphic, poset_isomorphic
+from tests._gen import (comparison_domains, outcome, random_connected_es,
+                        random_consistency_es, random_live_es, random_poset)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -144,3 +149,96 @@ class TestEpesEv:
     def test_fuse_of_epes_ev_recovers_es(self):
         p = epes_ev(dom_of_es(e_run()))
         assert es_isomorphic(fuse(p), e_run()) is not None
+
+
+def _epes_ev_by_pairs(dom):
+    """``epes_ev`` as it was before it built on ``domains._steps_masks``:
+    one consistency test per pair of irreducibles, and each irreducible
+    enabled by the irreducibles below its predecessor."""
+    _require_weak_prime(dom)
+    irr = irreducible_elements(dom)
+    conflict = [(a, b) for a, b in combinations(sorted(irr), 2)
+                if not dom.consistent((a, b))]
+    gens = []
+    for i in irr:
+        below = decompose(dom, predecessor(dom, i))
+        gens.append((tuple(sorted(below)), i))
+    base = EventStructure.binary(irr, conflict, gens)
+    return Epes(base, frozenset(interchange_classes(dom)))
+
+
+def test_epes_ev_builds_what_the_pair_loop_built():
+    accepted = Counter()
+    for seed in (1, 2):
+        for dom in comparison_domains(random.Random(seed), 150):
+            got = outcome(epes_ev, dom)
+            assert got == outcome(_epes_ev_by_pairs, dom)
+            accepted[dom.kind] += isinstance(got, Epes)
+    assert accepted[COHERENT] > 1000 and accepted[BOUNDED_COMPLETE] > 1000
+
+
+def _partition(rng, events):
+    """A random partition of ``events``, most of its blocks singletons."""
+    blocks = {}
+    for e in sorted(events):
+        blocks.setdefault(rng.randrange(max(1, len(events) - 1)), set()).add(e)
+    return frozenset(frozenset(b) for b in blocks.values())
+
+
+def _with_a_dead_generator(rng, p):
+    """``p`` with one more generator, whose two needs are in conflict: no
+    configuration holds it, so ``p`` keeps its configurations and minimal
+    enablings, but ``fuse(p)`` may gain an enabling."""
+    if not p.base.conflict:
+        return p
+    needs = rng.choice(sorted(p.base.conflict, key=sorted))
+    gens = p.base.enabling_gens | {(needs, rng.choice(sorted(p.base.events)))}
+    return Epes(EventStructure(p.base.events, gens, p.base.conflict_kind, p.base.conflict),
+                p.equiv)
+
+
+def test_the_roundtrip_maps_decide_as_the_searches():
+    """The unit η and the counit ε that ``roundtrip --epes`` tests hold
+    exactly where ``epes_isomorphic`` and ``es_isomorphic`` find an
+    isomorphism.  The inputs: ``unfold`` and ``epes_ev ∘ dom_of_es`` of
+    live draws, those two with a generator no configuration holds, and
+    live and connected bases under random partitions; half of them break
+    an EPES axiom."""
+    rng = random.Random(3)
+    inputs = []
+    for _ in range(500):
+        es = random_live_es(rng, conflict_p=rng.choice((0.05, 0.12, 0.3)))
+        unfolded, read_back = unfold(es), epes_ev(dom_of_es(es))
+        connected = random_connected_es(rng, max_events=5)
+        inputs += [unfolded, read_back, _with_a_dead_generator(rng, unfolded),
+                   _with_a_dead_generator(rng, read_back),
+                   Epes(es, _partition(rng, es.events)),
+                   Epes(connected, _partition(rng, connected.events)),
+                   Epes(unfolded.base, _partition(rng, unfolded.base.events))]
+    verdicts = Counter()
+    for p in inputs:
+        fused = fuse(p)
+        again = unfold(fused)
+        unit, counit = _unfold_unit_holds(p, again), _fuse_counit_holds(fused, fuse(again))
+        assert unit == (epes_isomorphic(p, again) is not None)
+        assert counit == (es_isomorphic(fuse(again), fused) is not None)
+        verdicts[validate_epes(p)[0], unit, counit] += 1
+    assert sum(verdicts.values()) == 3500
+    # valid and invalid inputs, and each check both holding and failing
+    assert {valid for valid, _, _ in verdicts} == {True, False}
+    assert {unit for _, unit, _ in verdicts} == {counit for _, _, counit in verdicts} \
+        == {True, False}
+
+
+def test_the_counit_names_instances_as_unfold_does():
+    """ε is built from the minimal enablings, never by parsing an instance
+    name: ``e:f`` holds ``:``, and ``a!`` sorts after ``a`` as a name but
+    before it inside an instance name, so the block of ``e:f`` is named by
+    its instance over ``{a!}``, though ``{a, z}`` comes first in ``unfold``."""
+    es = EventStructure.binary(["a", "z", "a!", "e:f"], [],
+                               [((), "a"), ((), "z"), ((), "a!"), (("a", "z"), "e:f"),
+                                (("a!",), "e:f")])
+    back = fuse(unfold(es))
+    assert "<{a!}:e:f>" in back.events
+    assert _fuse_counit_holds(es, back)
+    assert es_isomorphic(back, es) is not None

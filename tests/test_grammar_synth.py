@@ -6,10 +6,11 @@ import pytest
 from weavent import io as iomod
 from weavent.es import EsError, EventStructure, classify
 from weavent.domains import algebraicity
-from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain, poset_isomorphic
+from weavent.duality import dom_of_es, ev_of_domain
 from weavent.fixtures import e_five, e_prime_conflict, e_run, e_three_independent, \
     running_grammar
 from weavent.graphs import GraphMorphism, TypedGraph
+from weavent.oracles import es_isomorphic, poset_isomorphic
 from weavent import rewrite
 from weavent.rewrite import Grammar, Rule, _pmin, _tuple_label, once_per_rule_depth, \
     trace_domain

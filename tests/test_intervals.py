@@ -8,14 +8,14 @@ from weavent import cli, domains, fixtures, intervals
 from weavent._common import _bits
 from weavent.domains import BOUNDED_COMPLETE, COHERENT, OrderError, _irreducible_mask, \
     _require_weak_prime, algebraicity, diff, interchange_classes, predecessor, validate_domain
-from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain
+from weavent.duality import dom_of_es, ev_of_domain
 from weavent.es import EventStructure
 from weavent.fixtures import (chain, e_ccs, e_prime_conflict, e_run, e_split,
                               e_five, m3, nontransitive_bdomain)
 from weavent.intervals import (AxiomReport, check_axioms, ev_wd, interval_classes,
                                interval_leq, zeta)
 from weavent.io import load_structure
-from weavent.oracles import _axiom_v_by_definition, interval_classes_by_definition
+from weavent.oracles import _axiom_v_by_definition, es_isomorphic, interval_classes_by_definition
 from tests._gen import comparison_domains, outcome, random_poset, random_weak_prime_domain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -12,9 +12,10 @@ from weavent import cli, io as iomod
 from weavent.cli import main
 from weavent import fixtures as fx
 from weavent.asyncgraphs import hasse_as_async
-from weavent.duality import dom_of_es, es_isomorphic, unfold
+from weavent.duality import dom_of_es, unfold
 from weavent.fixtures import e_run, nontransitive_bdomain, running_grammar
 from weavent.io import SchemaError
+from weavent.oracles import es_isomorphic
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"

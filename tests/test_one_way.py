@@ -12,8 +12,9 @@ list item in its list reader alone, and turns a constructor's
 ``ValueError`` into a ``SchemaError`` in one wrapper.
 No function binds a name that its module binds at top level, so every
 function in a module reads one meaning of each module name.  Every
-exhaustive oracle lives in ``oracles``, which no other module imports at
-top level, so the command line compiles fast paths only.  The records
+exhaustive oracle, the isomorphism searches among them, lives in
+``oracles``, which no other module imports at top level, so the command
+line compiles fast paths only.  The records
 are plain classes on ``_common.Record``, and the private tables plain
 classes too: nothing generates code for a class at import (no
 ``dataclass``, no ``NamedTuple``), and ``import weavent.cli`` loads
@@ -228,7 +229,9 @@ def test_no_function_shadows_a_module_name():
 
 def is_oracle(name: str) -> bool:
     return name.endswith("_by_definition") or name in (
-        "interchangeable_via_compacts", "_origin_path_classes", "pushout")
+        "interchangeable_via_compacts", "_origin_path_classes", "pushout",
+        "_es_signature", "_bijections", "_es_isomorphisms", "es_isomorphic",
+        "poset_isomorphic", "epes_isomorphic")
 
 
 def test_only_oracles_defines_or_imports_an_oracle():

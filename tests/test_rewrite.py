@@ -7,14 +7,15 @@ import pytest
 from weavent import rewrite
 from weavent._common import UnionFind
 from weavent.domains import algebraicity, validate_domain
-from weavent.duality import dom_of_es, es_isomorphic, ev_of_domain, poset_isomorphic
+from weavent.duality import dom_of_es, ev_of_domain
 from weavent.es import EventStructure
 from weavent.fixtures import e_run, running_grammar
 from weavent.graphs import (GraphError, GraphMorphism, TypedGraph, find_matches,
                             graph_isomorphism, iso_hash)
 from weavent.io import load_structure
-from weavent.oracles import (apply_rule_by_definition, equivalent_traces, is_pushout,
-                             pushout, trace_classes_by_definition, verify_direct_derivation)
+from weavent.oracles import (apply_rule_by_definition, equivalent_traces, es_isomorphic,
+                             is_pushout, poset_isomorphic, pushout,
+                             trace_classes_by_definition, verify_direct_derivation)
 from weavent.rewrite import (Derivation, Grammar, Rule, TraceLimitError, apply_rule,
                              grammar_from_es, interchange, is_fusion_safe,
                              sequential_independence, trace_classes, trace_domain)
