@@ -7,6 +7,9 @@ Verbs: ``check``, ``convert``, ``connect``, ``derive``, ``synth``,
 report names the failing check and carries a witness), 2 on invalid input
 (diagnostics on stderr).  Output is byte-identical across runs.
 
+Lines of a verb and its flags are read from ``_OPTIONS``; argparse, built
+from that table, runs only for ``--help``, errors and its other spellings.
+
 ``main`` may be called many times in one process, a batch session.  Each
 call reads its input file's bytes; when they are the bytes of the last file
 of that kind that parsed, or of the grammar ``synth --out`` last wrote, the
@@ -40,8 +43,26 @@ from .intervals import _zeta_events, check_axioms, ev_wd, interval_classes, zeta
 from .asyncgraphs import AsyncError, async_domain, validate_async_graph
 from .rewrite import DEFAULT_CEILING, grammar_from_es, once_per_rule_depth, trace_classes
 
-_INPUT_FLAGS = {"es": "es", "domain": "domain", "grammar": "grammar",
-                "async_graph": "asyncgraph", "epes": "epes"}
+# verb -> flag -> (dest, type), in the order ``--help`` lists the flags: the
+# value is read through ``str`` or ``int``; ``bool`` marks a switch, which
+# takes no value.  An input's kind is its dest without the underscore.
+_INPUTS = {"--es": ("es", str), "--domain": ("domain", str), "--grammar": ("grammar", str),
+           "--async": ("async_graph", str), "--epes": ("epes", str)}
+_WRITES = {**_INPUTS, "--out": ("out", str)}
+_OPTIONS = {
+    "check": {**_INPUTS, "--weak": ("weak", bool)},
+    "convert": {**_WRITES, "--to": ("to", str)},
+    "connect": _WRITES,
+    "derive": {**_WRITES, "--format": ("format", str), "--depth": ("depth", int),
+               "--fusion-safe": ("fusion_safe", bool)},
+    "synth": _WRITES,
+    "roundtrip": _INPUTS,
+    "axioms": _INPUTS,
+    "async": {**_WRITES, "--weak": ("weak", bool)},
+    "emit": {**_WRITES, "--format": ("format", str)},
+}
+# the flag a line must give wherever its verb takes it
+_REQUIRED = "--to"
 
 
 # The batch session: per input kind, the bytes of the last file of that
@@ -67,13 +88,12 @@ def _load(path: str, kind: str):
 def _one_input(args, expects: Optional[str] = None) -> tuple:
     """The path, kind and structure of the one input; SchemaError unless
     its kind is ``expects``, when that is given."""
-    given = [(flag, kind) for flag, kind in _INPUT_FLAGS.items()
-             if getattr(args, flag, None)]
+    given = [dest for dest, _ in _INPUTS.values() if getattr(args, dest)]
     if len(given) != 1:
         raise iomod.SchemaError("give exactly one input "
                                 "(--es | --domain | --grammar | --async | --epes)")
-    flag, kind = given[0]
-    path = getattr(args, flag)
+    path = getattr(args, given[0])
+    kind = given[0].replace("_", "")
     value = _load(path, kind)
     if expects and kind != expects:
         option = "async" if expects == "asyncgraph" else expects
@@ -183,20 +203,22 @@ class _FailureWithReport(Exception):
 def _cmd_convert(args) -> tuple:
     path, kind, value = _one_input(args)
     target = args.to
-    conversions = {
-        ("es", "domain"): lambda v: iomod.dumps_domain(dom_of_es(v)),
-        ("es", "epes"): lambda v: iomod.dumps(iomod.epes_to_json(unfold(v))),
-        ("domain", "es"): lambda v: iomod.dumps(iomod.es_to_json(ev_of_domain(v))),
-        ("domain", "epes"): lambda v: iomod.dumps(iomod.epes_to_json(epes_ev(v))),
-        ("domain", "es-intervals"): lambda v: iomod.dumps(iomod.es_to_json(ev_wd(v))),
-        ("epes", "es"): lambda v: iomod.dumps(iomod.es_to_json(fuse(v))),
-        ("epes", "domain"): lambda v: iomod.dumps_domain(epes_dom(v)),
-    }
-    key = (kind, target)
-    if key not in conversions:
+    # built at each call, so that every construction is looked up as it runs
+    construct = {("es", "domain"): dom_of_es, ("es", "epes"): unfold,
+                 ("domain", "es"): ev_of_domain, ("domain", "epes"): epes_ev,
+                 ("domain", "es-intervals"): ev_wd, ("epes", "es"): fuse,
+                 ("epes", "domain"): epes_dom}.get((kind, target))
+    if construct is None:
         raise iomod.SchemaError(f"cannot convert {kind} to {target}")
+    made = construct(value)
+    if target == "domain":
+        text = iomod.dumps_domain(made)
+    elif target == "epes":
+        text = iomod.dumps(iomod.epes_to_json(made))
+    else:
+        text = iomod.dumps(iomod.es_to_json(made))
     results = {"from": kind, "to": target, "written": args.out or None,
-               "structure": _encoded(conversions[key](value), args.out)}
+               "structure": _encoded(text, args.out)}
     return {"input": path}, results, []
 
 
@@ -383,26 +405,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weavent",
         description="Event structures, weak prime domains, fusing graph rewriting.")
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb in _VERBS:
+    for verb, options in _OPTIONS.items():
         sub = subs.add_parser(verb)
-        for dest in _INPUT_FLAGS:
-            sub.add_argument("--async" if dest == "async_graph" else f"--{dest}", dest=dest)
-        if verb in ("convert", "connect", "derive", "synth", "async", "emit"):
-            sub.add_argument("--out")
-        if verb in ("derive", "emit"):
-            sub.add_argument("--format")
-        if verb in ("check", "async"):
-            sub.add_argument("--weak", action="store_true")
-        if verb == "derive":
-            sub.add_argument("--depth", type=int)
-            sub.add_argument("--fusion-safe", dest="fusion_safe", action="store_true")
-        if verb == "convert":
-            sub.add_argument("--to", required=True)
+        for flag, (dest, kind) in options.items():
+            if kind is bool:
+                sub.add_argument(flag, dest=dest, action="store_true")
+            else:
+                sub.add_argument(flag, dest=dest, type=kind, required=flag == _REQUIRED)
     return parser
 
 
+def _read_argv(argv: List[str]) -> Optional[argparse.Namespace]:
+    """What ``build_parser().parse_args(argv)`` returns for a verb and its
+    flags, each once with a value not starting with ``-``; else None."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values, given = {}, set()
+    for dest, kind in options.values():
+        values[dest] = False if kind is bool else None
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in options or flag in given:
+            return None
+        given.add(flag)
+        dest, kind = options[flag]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as one argparse rejects
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            return None
+    if _REQUIRED in options and _REQUIRED not in given:
+        return None
+    return argparse.Namespace(verb=argv[0], **values)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     handler = _VERBS[args.verb]
     code = 0
     try:

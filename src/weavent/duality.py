@@ -321,10 +321,10 @@ def _instances(es: EventStructure) -> Iterator[Tuple[EventSet, str, str]]:
 def unfold(es: EventStructure) -> Epes:
     """Split every event into its minimal enablings.
 
-    Events of the result are pairs ``⟨C, e⟩`` with ``C`` a minimal enabling
-    of ``e`` (and ``C ∪ {e}`` consistent); all instances of one event are
-    equivalent.  ``fuse(unfold(es))`` is isomorphic to ``es`` through the
-    counit ε, which ``roundtrip --epes`` tests (``_fuse_counit_holds``).
+    Base events are pairs ``⟨C, e⟩``, ``C`` a minimal enabling of ``e``
+    (``C ∪ {e}`` consistent); instances of ``e`` are equivalent.  On an
+    unstable ``es`` the base need not be prime, nor the result an EPES.
+    ``fuse(unfold(es))`` ≅ ``es`` by the counit ε (``_fuse_counit_holds``).
     """
     _require_live(es)
     if es.conflict_kind != BINARY:

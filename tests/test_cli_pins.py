@@ -400,3 +400,47 @@ def test_roundtrip_on_an_invalid_epes_prints_the_pinned_bytes(name, tmp_path, mo
     out, err = capsys.readouterr()
     cli._SESSION.clear()
     assert (code, _sha(out), _sha(err)) == INVALID_EPES_ROUNDTRIPS[name]
+
+
+# lines the option table does not read, which argparse parses or rejects ->
+# (exit code, sha256 of stdout, sha256 of stderr), run in the fixtures
+# directory with COLUMNS=80 and pinned while argparse parsed every line
+_DERIVE = "derive --grammar fusion.grammar.json"
+_RUN_DOMAIN = "eeaff676122c473ff7e6e80beb55f29b5659266da897bee78088dd992e31710b"
+ARGPARSE_LINES = {
+    "--help": (0, "4051e5dd100fbe878532252feccc199ca1c1ec16f82f19d4b289639b05fec679", _EMPTY),
+    "check --help": (
+        0, "5d4973b0d67e1dd15556371b43432f5a9b0a09f234cd508b04f269f5d3bebd6e", _EMPTY),
+    "": (2, _EMPTY, "cfc80a830a661bfed6d0f3a6157acd6b84d783828ed67e24c6f45fa8c88fab2f"),
+    "no-such-verb": (
+        2, _EMPTY, "961f0d4960647bc95826647f4de1fb4eae556de07781a644e8dcec7b6adcff90"),
+    "check --no-such-flag": (
+        2, _EMPTY, "1f196477076d1ca71d1430a89d40e68fe880b4d130bd8d2e4029493a7bdbfcf8"),
+    "check --domain run.domain.json --out x": (
+        2, _EMPTY, "647ad7fe29a4e48718ec65f0a5d008ef7821d947b552df9391f1949cf5e92e5f"),
+    "convert --domain run.domain.json": (
+        2, _EMPTY, "8441c511cf21b32bec81324255ecb08e492b5f4a762a92288afaf0923a5f7c11"),
+    f"{_DERIVE} --depth abc": (
+        2, _EMPTY, "7065b4b3fbfbf0dad9877cea0291bd99e8f1ffdc0b539422841acfe96e14a099"),
+    f"{_DERIVE} --depth -1": (
+        2, _EMPTY, "2fbd693434cde05728f0668bfbe6c40594e97d6b23b2fc0ac9515b720a1c39be"),
+    "check --dom run.domain.json": (0, _RUN_DOMAIN, _EMPTY),
+    "check --domain=run.domain.json": (0, _RUN_DOMAIN, _EMPTY),
+    # the last --domain wins
+    "check --domain chain2.domain.json --domain run.domain.json": (0, _RUN_DOMAIN, _EMPTY),
+}
+
+
+@pytest.mark.parametrize("line", sorted(ARGPARSE_LINES))
+def test_lines_argparse_parses_keep_the_pinned_bytes(line, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    assert cli._read_argv(argv) is None
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    cli._SESSION.clear()
+    assert (code, _sha(out), _sha(err)) == ARGPARSE_LINES[line]

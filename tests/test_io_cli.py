@@ -475,8 +475,14 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     for _ in range(2):
         code, _, _ = run_cli("check", "--es", str(FIXTURES / "e_run.es.json"), capsys=capsys)
         assert code == 0
-    # the root parser and one subparser per verb, once
-    assert len(built) <= 1 + len(cli._VERBS)
+    # a line the option table reads builds no parser
+    assert built == []
+    for argv in (["check", "--no-such-flag"], ["check", "--es"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    # the two lines argparse must reject build the root parser and one
+    # subparser per verb, once between them
+    assert built == ["weavent"] + [f"weavent {verb}" for verb in cli._VERBS]
 
 
 # the verbs run on each kind of fixture file, after the input flag
