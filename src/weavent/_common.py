@@ -1,16 +1,18 @@
 """The building blocks every layer shares: the immutable records, a
-union-find, a report, a per-structure cache, the bits of a mask,
-``_finishing_order``, the one cycle walk behind a domain's rising order and
-an asynchronous graph's acyclicity, and ``backtrack``, the one depth-first
-search behind graph matching, trace permutations and isomorphism tests.
+union-find, a report, ``once``, which keeps what is derived from a
+structure on it, the bits of a mask, ``_finishing_order``, the one cycle
+walk behind a domain's rising order and an asynchronous graph's
+acyclicity, and ``backtrack``, the one depth-first search behind graph
+matching, trace permutations and isomorphism tests.
 
 This module imports nothing from weavent, so any layer may import it.
 """
 
 from __future__ import annotations
 
+import functools
 from operator import attrgetter
-from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set,
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 
@@ -162,16 +164,23 @@ def _finishing_order(succ: Sequence[int]) -> Tuple[List[int], Optional[int]]:
     return finished, None
 
 
-def _once(obj, key: Hashable, compute: Callable):
-    """``compute(obj)``, computed on the first call and kept on ``obj``.
+def once(compute: Callable) -> Callable:
+    """``compute`` as a function of one immutable structure whose value is
+    computed on the first call and kept in the structure's ``_derived``
+    dict, under the returned function itself.
 
-    ``obj`` is an immutable structure with a ``_derived`` dict, so what is
-    derived from it never goes stale.
+    A ``compute`` that raises keeps nothing, so the next call runs it
+    again.  The returned function carries ``compute``'s name, module and
+    docstring, and a miss runs its ``__wrapped__``, which a test may
+    replace to count the runs.
     """
-    derived = obj._derived
-    if key not in derived:
-        derived[key] = compute(obj)
-    return derived[key]
+    def derived(obj):
+        kept = obj._derived
+        if derived not in kept:
+            kept[derived] = derived.__wrapped__(obj)
+        return kept[derived]
+    # a class's namespace (``once(_Index)``) is not copied onto the function
+    return functools.update_wrapper(derived, compute, updated=())
 
 
 def backtrack(slots: Sequence[Sequence], fits: Callable[[int, object, List], bool],

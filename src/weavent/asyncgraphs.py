@@ -10,7 +10,7 @@ equivalent, the path classes ordered by prefix form a weak prime domain.
 
 A graph never changes after construction, so each graph indexes its
 out-edges once, and keeps its square classes, its validation report and its
-origin-path classes once computed (``_common._once``): one ``async`` job
+origin-path classes once computed (``_common.once``): one ``async`` job
 validates once and builds the path classes once.  The square classes carry
 both the class of each 2-path and the sorted members of each class, and
 every check reads them: since a square is coinitial and cofinal, the
@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from ._common import Record, UnionFind, Value, _finishing_order, _once
+from ._common import Record, UnionFind, Value, _finishing_order, once
 from .domains import COHERENT, FiniteDomain
 
 Path2 = Tuple[str, str]
@@ -100,6 +100,7 @@ class AsyncGraph(Record):
                      for e2 in self.out_edges(t1))
 
 
+@once
 def _square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2, ...], ...]]:
     """Equivalence on length-2 paths generated by the declared squares,
     computed once per graph.
@@ -109,10 +110,6 @@ def _square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2,
     sorted order.  Squares are coinitial and cofinal, so the members of a
     class share their source and their target.
     """
-    return _once(a, "square_classes", _find_square_classes)
-
-
-def _find_square_classes(a: AsyncGraph) -> Tuple[Dict[Path2, int], Tuple[Tuple[Path2, ...], ...]]:
     uf = UnionFind(a.paths2())
     for sq in a.squares:  # checked by ``AsyncGraph.build``
         uf.union(min(sq), max(sq))
@@ -181,6 +178,7 @@ def _reachable(a: AsyncGraph) -> bool:
     return seen == set(a.nodes)
 
 
+@once
 def _path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple[int, int]]]:
     """The ≃-classes of origin paths of an acyclic graph, computed once.
 
@@ -190,10 +188,6 @@ def _path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple[int,
     edge is in class j.  The prefix order on classes is the reflexive-transitive
     closure of ``links``.
     """
-    return _once(a, "path_classes", _grow_path_classes)
-
-
-def _grow_path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple[int, int]]]:
     # A class is named by its least member.  At depth k+1 the pair (W, e) is
     # named least(W)+(e,), which is the least path of the form w·e, w ∈ W;
     # so the root of a UnionFind over these names is the least member of
@@ -224,16 +218,13 @@ def _grow_path_classes(a: AsyncGraph) -> Tuple[Tuple[Path, ...], FrozenSet[Tuple
     return tuple(least), frozenset((index[w], index[v]) for w, v in parent_of)
 
 
+@once
 def validate_async_graph(a: AsyncGraph) -> AsyncReport:
     """Evaluate the asynchronous-graph axioms, once per graph.
 
     Reports each axiom separately; ``weak_valid`` ignores the downward
     (stability) direction of the cube, ``full_valid`` includes it.
     """
-    return _once(a, "report", _validate)
-
-
-def _validate(a: AsyncGraph) -> AsyncReport:
     diags = []
     cls, members = _square_classes(a)
     acyclic = _is_acyclic(a)

@@ -14,9 +14,10 @@ from that table, runs only for ``--help``, errors and its other spellings.
 call reads its input file's bytes; when they are the bytes of the last file
 of that kind that parsed, or of the grammar ``synth --out`` last wrote, the
 call gets that structure back, with what earlier verbs derived from it
-(``_common._once``): the configuration table, the domain, the connected
+and kept on it: the configuration table, the domain, the connected
 structure, a domain's certificate, the axiom and asynchronous-graph
-reports, a grammar's verdict and the matches of its start graph.
+reports, a grammar's verdict (each under its ``_common.once`` function)
+and the matches of its start graph.
 ``_SESSION`` holds one structure per input kind and drops it before a new
 file of that kind is parsed, or before ``synth --out`` holds the grammar it
 wrote; a file that fails to parse is not held.
@@ -66,8 +67,8 @@ _REQUIRED = "--to"
 
 
 # The batch session: per input kind, the bytes of the last file of that
-# kind that parsed, or that ``synth`` wrote, and its structure with what
-# was derived from it (``_common._once``).
+# kind that parsed, or that ``synth`` wrote, and its structure, which keeps
+# what verbs derive from it (``_common.once``).
 _SESSION: Dict[str, Tuple[bytes, Any]] = {}
 
 

@@ -57,7 +57,7 @@ from itertools import combinations
 from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ._common import Report, UnionFind, Value, _bits, _finishing_order, _once
+from ._common import Report, UnionFind, Value, _bits, _finishing_order, once
 from .es import BINARY, CONSISTENCY, _Masks, _table_within
 
 COHERENT = "coherent"
@@ -141,8 +141,9 @@ class FiniteDomain:
     def _set_covers(self, cover_pairs: Tuple[Tuple[int, int], ...]) -> None:
         self._cover_pairs = cover_pairs
         self._full = (1 << len(self.elements)) - 1
-        # derived invariants, filled in by the module functions (see _once)
-        self._derived: Dict[str, object] = {}
+        # derived invariants, each kept under the ``once`` function that
+        # computes it
+        self._derived: Dict[object, object] = {}
 
     # ------------------------------------------------------------------ #
     # Tables built on first use
@@ -221,11 +222,11 @@ class FiniteDomain:
     def leq(self, a: str, b: str) -> bool:
         return bool(self._up[self.index(a)] & (1 << self.index(b)))
 
+    @once
     def covers(self) -> Tuple[Tuple[str, str], ...]:
         """The cover pairs in sorted order, named once: elements are indexed
         in sorted order, so the sorted index pairs are the sorted names."""
-        return _once(self, "covers", lambda d: tuple(
-            (d.elements[a], d.elements[b]) for a, b in d._cover_pairs))
+        return tuple((self.elements[a], self.elements[b]) for a, b in self._cover_pairs)
 
     def lower_covers(self, x: str) -> Tuple[str, ...]:
         return self.ids(self._lower[self.index(x)])
@@ -279,15 +280,16 @@ class FiniteDomain:
         return ub != 0
 
 
+@once
 def _pair_facts(dom: FiniteDomain) -> Tuple[Report, int, int]:
     """The verdict of ``validate_domain`` on the join condition, and the
     masks of the primes and of the weak primes, decided once: on a domain
     the duality certificate holds on, valid, the primes of
     ``_class_primes`` and every irreducible (``_certify``); elsewhere from
     ``_pair_pass``."""
-    return _once(dom, "pair_facts", lambda d: (
-        (Report(True), _class_primes(d), _irreducible_mask(d)) if _certified(d)
-        else _pair_pass(d)))
+    if _certified(dom):
+        return Report(True), _class_primes(dom), _irreducible_mask(dom)
+    return _pair_pass(dom)
 
 
 def _pair_pass(dom: FiniteDomain) -> Tuple[Report, int, int]:
@@ -364,14 +366,11 @@ def _require_valid(dom: FiniteDomain) -> None:
         raise OrderError(f"not a valid domain: {rep.condition} {rep.witness}")
 
 
-def _require_weak_prime(dom: FiniteDomain) -> None:
+@once
+def _require_weak_prime(dom: FiniteDomain) -> bool:
     """``OrderError`` unless ``dom`` is weak prime, proved once: by the
     duality certificate, or else by the pair pass, whose verdict and
     witness the error names."""
-    _once(dom, "weak_prime", _prove_weak_prime)
-
-
-def _prove_weak_prime(dom: FiniteDomain) -> bool:
     _require_valid(dom)
     for i in dom.ids(_irreducible_mask(dom) & ~_pair_facts(dom)[2]):
         raise OrderError(f"not weak prime algebraic: irreducible {i!r} is not a weak prime")
@@ -382,13 +381,14 @@ def _prove_weak_prime(dom: FiniteDomain) -> bool:
 # The duality certificate
 # ---------------------------------------------------------------------- #
 
+@once
 def _certified(dom: FiniteDomain) -> bool:
     """Whether ``_certify`` holds on ``dom`` and its candidate structure,
     decided once, on any domain with a least element: whether the unit φ
     is an isomorphism ``D ≅ dom(ev(D))``, which ``roundtrip --domain``
     reports.  ``duality.dom_of_es`` records it on its domains, where the
     coreflection theorem proves it."""
-    return _once(dom, "certified", lambda d: d.bottom() is not None and _certify(d, _candidate(d)))
+    return dom.bottom() is not None and _certify(dom, _candidate(dom))
 
 
 def _certify(dom: FiniteDomain, es) -> bool:
@@ -453,15 +453,15 @@ def _swept_or(dom: FiniteDomain, own: List[int]) -> List[int]:
     return m
 
 
+@once
 def _candidate(dom: FiniteDomain) -> _Masks:
     """ev of ``dom`` as masks, built without a proof that ``dom`` is weak
     prime: the event ``class{k}:{least member}`` performs the steps
     ``[p(i), i]`` of the irreducibles ``i`` of the ``k``-th ↔*-class
     (``_steps_masks``).  Built once per domain; ``duality.ev_of_domain``
     names it."""
-    return _once(dom, "candidate", lambda d: _steps_masks(
-        d, _event_names(d), [[(d._lower[i].bit_length() - 1, i) for i in g]
-                             for g in _class_groups(d)]))
+    return _steps_masks(dom, _event_names(dom), [[(dom._lower[i].bit_length() - 1, i) for i in g]
+                                                 for g in _class_groups(dom)])
 
 
 def _event_names(dom: FiniteDomain) -> List[str]:
@@ -568,10 +568,10 @@ class IrreducibleInfo(Value):
         object.__setattr__(self, "class_id", class_id)
 
 
+@once
 def _irreducible_mask(dom: FiniteDomain) -> int:
     """Mask of the elements with exactly one lower cover."""
-    return _once(dom, "irreducible_mask", lambda d: sum(
-        1 << i for i, low in enumerate(d._lower) if low and not low & (low - 1)))
+    return sum(1 << i for i, low in enumerate(dom._lower) if low and not low & (low - 1))
 
 
 def _irreducible_indices(dom: FiniteDomain) -> List[int]:
@@ -596,14 +596,16 @@ def irreducibles(dom: FiniteDomain) -> Tuple[IrreducibleInfo, ...]:
     return tuple(infos)
 
 
+@once
 def irreducible_elements(dom: FiniteDomain) -> Tuple[str, ...]:
-    return _once(dom, "irreducible_elements", lambda d: d.ids(_irreducible_mask(d)))
+    return dom.ids(_irreducible_mask(dom))
 
 
 def predecessor(dom: FiniteDomain, i: str) -> str:
     return dom.ids(dom._lower[_irreducible_index(dom, i)])[0]
 
 
+@once
 def primes(dom: FiniteDomain) -> Tuple[str, ...]:
     """Elements below a join only via one of the joined elements.
 
@@ -614,10 +616,6 @@ def primes(dom: FiniteDomain) -> Tuple[str, ...]:
     repeated binary joins): the non-primes are the OR, in the one pair
     pass, of ``down[i ⊔ j] & ~down[i] & ~down[j]``.
     """
-    return _once(dom, "primes", _find_primes)
-
-
-def _find_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     return dom.ids(_pair_facts(dom)[1])
 
 
@@ -642,13 +640,10 @@ def interchangeable(dom: FiniteDomain, i: str, i2: str) -> bool:
     return _interchangeable(dom, _irreducible_index(dom, i), _irreducible_index(dom, i2))
 
 
+@once
 def _partners(dom: FiniteDomain) -> Dict[int, int]:
     """For each irreducible ``x``, the mask of ``x`` and of the irreducibles
     directly interchangeable with it (``↔``, not its closure ``↔*``)."""
-    return _once(dom, "partners", _find_partners)
-
-
-def _find_partners(dom: FiniteDomain) -> Dict[int, int]:
     # Only consistent, incomparable pairs can be interchangeable: if a < b
     # then a ⊔ p(b) = p(b) ≠ b = p(a) ⊔ b.
     up, down, cons = dom._up, dom._down, dom._cons
@@ -663,24 +658,18 @@ def _find_partners(dom: FiniteDomain) -> Dict[int, int]:
     return rows
 
 
+@once
 def interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
     """Partition of the irreducibles by the reflexive-transitive closure of ↔.
 
     Classes are ordered by their lexicographically least member.
     """
-    return _once(dom, "interchange_classes", _find_interchange_classes)
-
-
-def _find_interchange_classes(dom: FiniteDomain) -> Tuple[FrozenSet[str], ...]:
     return tuple(frozenset(dom.elements[i] for i in g) for g in _class_groups(dom))
 
 
+@once
 def _class_groups(dom: FiniteDomain) -> List[List[int]]:
     """The ↔*-classes as sorted lists of indices, ordered by least member."""
-    return _once(dom, "class_groups", _find_class_groups)
-
-
-def _find_class_groups(dom: FiniteDomain) -> List[List[int]]:
     rows = _partners(dom)
     uf = UnionFind(rows)
     for x, row in rows.items():
@@ -689,6 +678,7 @@ def _find_class_groups(dom: FiniteDomain) -> List[List[int]]:
     return uf.groups()
 
 
+@once
 def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     """Irreducibles that are prime up to interchangeability.
 
@@ -698,10 +688,6 @@ def weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     ``d'``.  Larger joins follow by iterating binary ones (the
     full-quantifier oracle is ``oracles.weak_primes_by_definition``).
     """
-    return _once(dom, "weak_primes", _find_weak_primes)
-
-
-def _find_weak_primes(dom: FiniteDomain) -> Tuple[str, ...]:
     return dom.ids(_pair_facts(dom)[2])
 
 
@@ -720,6 +706,7 @@ def decompose(dom: FiniteDomain, d: str) -> FrozenSet[str]:
     return frozenset(dom.ids(dom._down[dom.index(d)] & _irreducible_mask(dom)))
 
 
+@once
 def algebraicity(dom: FiniteDomain) -> Algebraicity:
     """Irreducible/prime/weak-prime algebraicity flags.
 
@@ -730,10 +717,6 @@ def algebraicity(dom: FiniteDomain) -> Algebraicity:
     join is ``d``.  Elsewhere it is recomputed as a self-test.  The other
     two reduce to primes, resp. weak primes, exhausting the irreducibles.
     """
-    return _once(dom, "algebraicity", _find_algebraicity)
-
-
-def _find_algebraicity(dom: FiniteDomain) -> Algebraicity:
     irr = _irreducible_mask(dom)
     irr_alg = _certified(dom) or all(dom._join_mask(down & irr) == d
                                      for d, down in enumerate(dom._down))

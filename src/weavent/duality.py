@@ -26,14 +26,14 @@ searches are test oracles, in ``oracles``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
-from ._common import UnionFind, Value, _once
+from ._common import UnionFind, Value, once
 from .es import (BINARY, EsError, EventStructure, _Masks, _require_live, _structure_of,
                  _table, classify, configurations, minimal_enablings)
-from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, _candidate, _clashes,
-                      _class_groups, _event_names, _irreducible_indices, _require_weak_prime,
-                      _steps_masks, interchange_classes)
+from .domains import (BOUNDED_COMPLETE, COHERENT, FiniteDomain, _candidate, _certified,
+                      _clashes, _class_groups, _event_names, _irreducible_indices,
+                      _require_weak_prime, _steps_masks, interchange_classes)
 
 EventSet = FrozenSet[str]
 
@@ -47,6 +47,7 @@ def configuration_id(c: Iterable[str]) -> str:
 # ES -> domain
 # ---------------------------------------------------------------------- #
 
+@once
 def dom_of_es(es: EventStructure) -> FiniteDomain:
     """The configurations of a live structure ordered by inclusion.
 
@@ -58,24 +59,11 @@ def dom_of_es(es: EventStructure) -> FiniteDomain:
     ``c``, and inclusion needs no cycle check or transitive reduction.  No
     order mask is built here; the domain sweeps ``down`` and ``up`` along
     the configurations, smaller first, when a verb first asks for them.
-    The domain is built once per structure and kept on it (``_once``).
+    The domain is built once per structure and kept on it.
     """
-    return _once(es, "domain", _find_domain)
-
-
-def _find_domain(es: EventStructure) -> FiniteDomain:
     _require_live(es)
+    elements, order = _configurations_by_id(es)
     lower = _table(es).lower  # configuration -> events x with c ^ x one too
-    names = es._names
-    ids = {}
-    for c in lower:
-        parts, m = [], c
-        while m:  # the names of c's events, in sorted order
-            b = m & -m
-            m ^= b
-            parts.append(names[b.bit_length() - 1])
-        ids[c] = "{" + ",".join(parts) + "}"
-    order = sorted(lower, key=ids.__getitem__)
     idx = {c: i for i, c in enumerate(order)}
     # the upper covers of each configuration, filled in id order, so sorted
     above = [[] for _ in order]
@@ -88,10 +76,27 @@ def _find_domain(es: EventStructure) -> FiniteDomain:
     covers = tuple([(j, i) for j, ups in enumerate(above) for i in ups])
     rising = [idx[c] for c in lower]  # smaller configurations first
     kind = COHERENT if es.conflict_kind == BINARY else BOUNDED_COMPLETE
-    dom = FiniteDomain._of_covers(tuple(ids[c] for c in order), covers, rising, kind)
-    dom._derived["certified"] = True  # the coreflection theorem
-    dom._derived["configuration_masks"] = order  # read by ``_counit_holds``
+    dom = FiniteDomain._of_covers(elements, covers, rising, kind)
+    dom._derived[_certified] = True  # the coreflection theorem
     return dom
+
+
+@once
+def _configurations_by_id(es: EventStructure) -> Tuple[Tuple[str, ...], List[int]]:
+    """The ids of the configurations in sorted order, the elements of
+    ``dom_of_es(es)``, and the configurations as masks in that order, which
+    ``_counit_holds`` reads."""
+    names = es._names
+    ids = {}
+    for c in _table(es).lower:
+        parts, m = [], c
+        while m:  # the names of c's events, in sorted order
+            b = m & -m
+            m ^= b
+            parts.append(names[b.bit_length() - 1])
+        ids[c] = "{" + ",".join(parts) + "}"
+    order = sorted(ids, key=ids.__getitem__)
+    return tuple(ids[c] for c in order), order
 
 
 def dom_of_es_morphism(f: Mapping[str, str], src: EventStructure,
@@ -108,6 +113,7 @@ def dom_of_es_morphism(f: Mapping[str, str], src: EventStructure,
 # Domain -> ES
 # ---------------------------------------------------------------------- #
 
+@once
 def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     """The event structure of a weak prime domain.
 
@@ -121,7 +127,7 @@ def ev_of_domain(dom: FiniteDomain) -> EventStructure:
     walked.
     """
     _require_weak_prime(dom)
-    return _once(dom, "ev", lambda d: _structure_of(_candidate(d)))
+    return _structure_of(_candidate(dom))
 
 
 def _counit_holds(es: EventStructure, connected: EventStructure) -> bool:
@@ -131,7 +137,7 @@ def _counit_holds(es: EventStructure, connected: EventStructure) -> bool:
     predecessor.  ``roundtrip --es`` reports it as the counit; where it
     holds, so does the search of ``oracles.es_isomorphic``."""
     dom = dom_of_es(es)
-    masks, lower = dom._derived["configuration_masks"], dom._lower
+    masks, lower = _configurations_by_id(es)[1], dom._lower
     psi = {}
     for name, (i, *_) in zip(_event_names(dom), _class_groups(dom)):
         added = masks[i] ^ masks[lower[i].bit_length() - 1]

@@ -17,7 +17,7 @@ minimal enablings of every event.  ``configurations``, ``minimal_enablings``,
 ``classify``, ``saturate`` and ``duality.dom_of_es`` all read that table;
 the public results stay frozensets of event names.  The table, the
 configurations, the minimal enablings and the classification are kept on
-the structure (``_once``).
+the structure (``_common.once``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ._common import Report, UnionFind, Value, _bits, _once
+from ._common import Report, UnionFind, Value, _bits, once
 
 EventSet = FrozenSet[str]
 
@@ -83,7 +83,7 @@ class EventStructure(Value):
         put(self, "conflict_kind", conflict_kind)
         put(self, "conflict", conflict)
         put(self, "consistent_sets", consistent_sets)
-        # results derived from the structure (see _once)
+        # results derived from the structure, each under its ``once`` function
         put(self, "_derived", {})
         if conflict_kind not in (BINARY, CONSISTENCY):
             raise EsError(f"unknown conflict kind {conflict_kind!r}")
@@ -237,8 +237,8 @@ def _structure_of(m: _Masks) -> EventStructure:
         family = set(m._cons)
         cons = frozenset(named(c) for c in family if not any(c != d and not c & ~d for d in family))
         es = EventStructure(frozenset(names), gens, CONSISTENCY, consistent_sets=cons)
-    if "table" in m._derived:
-        es._derived["table"] = m._derived["table"]
+    if _table in m._derived:
+        es._derived[_table] = m._derived[_table]
     return es
 
 
@@ -284,20 +284,21 @@ class _Table:
         self.lower, self.maximal, self.together, self.mins = lower, maximal, together, mins
 
 
+@once
 def _table(es: EventStructure) -> _Table:
-    return _once(es, "table", _find_table)
+    return _find_table(es)
 
 
 def _table_within(es, limit: int) -> Optional[_Table]:
     """``_table(es)`` when ``es`` has at most ``limit`` configurations, else
     None.  A walk that gives up is not kept, so ``_table`` walks afresh."""
     derived = es._derived
-    if "table" not in derived:
+    if _table not in derived:
         table = _find_table(es, limit)
         if table is None:
             return None
-        derived["table"] = table
-    table = derived["table"]
+        derived[_table] = table
+    table = derived[_table]
     return table if len(table.lower) <= limit else None
 
 
@@ -419,12 +420,9 @@ def _find_table(es: EventStructure, limit: Optional[int] = None) -> Optional[_Ta
     return _Table(lower, maximal, together, mins)
 
 
+@once
 def configurations(es: EventStructure) -> FrozenSet[EventSet]:
     """All configurations: consistent, secured subsets of the events."""
-    return _once(es, "configurations", _find_configurations)
-
-
-def _find_configurations(es: EventStructure) -> FrozenSet[EventSet]:
     names = es._names
     sets: Dict[int, EventSet] = {}
     for c, low in _table(es).lower.items():  # each after those it covers
@@ -447,8 +445,13 @@ def minimal_enablings(es: EventStructure, e: str) -> FrozenSet[EventSet]:
     """All inclusion-minimal configurations enabling ``e``."""
     if e not in es.events:
         raise EsError(f"unknown event {e!r}")
-    return _once(es, "minimal_enablings", lambda es: tuple(
-        frozenset(map(es._names_of, mins)) for mins in _table(es).mins))[es._bit[e]]
+    return _minimal_enablings(es)[es._bit[e]]
+
+
+@once
+def _minimal_enablings(es: EventStructure) -> Tuple[FrozenSet[EventSet], ...]:
+    """The minimal enablings of each event, in bit order."""
+    return tuple(frozenset(map(es._names_of, mins)) for mins in _table(es).mins)
 
 
 def _enabling_links(es: EventStructure, k: int) -> List[Tuple[int, int]]:
@@ -485,6 +488,7 @@ def _dead(es: EventStructure) -> List[str]:
     return [e for k, e in enumerate(es._names) if not occurs >> k & 1]
 
 
+@once
 def classify(es: EventStructure) -> Classification:
     """Liveness, stability, primality and connectedness of a structure.
 
@@ -495,10 +499,6 @@ def classify(es: EventStructure) -> Classification:
     connectedness that the consistency links between minimal enablings of an
     event form a connected graph.
     """
-    return _once(es, "classification", _find_classification)
-
-
-def _find_classification(es: EventStructure) -> Classification:
     diags = []
     table = _table(es)
     names = es._names

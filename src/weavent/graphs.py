@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, \
     Sequence, Set, Tuple
 
-from ._common import Record, _once, backtrack
+from ._common import Record, backtrack, once
 
 
 class GraphError(ValueError):
@@ -163,11 +163,12 @@ class _Index:
                                                    for e in edges}
 
 
-def _index(g: TypedGraph) -> _Index:
-    return _once(g, "index", _Index)
+_index = once(_Index)
 
 
-def _build_incidence(g: TypedGraph) -> Dict[str, List[str]]:
+@once
+def _incidence(g: TypedGraph) -> Dict[str, List[str]]:
+    """The edges at each node, in or out (a loop twice)."""
     at: Dict[str, List[str]] = {n: [] for n in g.nodes}
     for e, s in g.src.items():
         at[s].append(e)
@@ -175,16 +176,11 @@ def _build_incidence(g: TypedGraph) -> Dict[str, List[str]]:
     return at
 
 
-def _incidence(g: TypedGraph) -> Dict[str, List[str]]:
-    """The edges at each node, in or out (a loop twice)."""
-    return _once(g, "incidence", _build_incidence)
-
-
 def _drop_indexes(g: TypedGraph) -> None:
     """Forget the graph's matching and incidence indexes; they are built
     again if asked for."""
-    g._derived.pop("index", None)
-    g._derived.pop("incidence", None)
+    g._derived.pop(_index, None)
+    g._derived.pop(_incidence, None)
 
 
 class _Pattern:
@@ -206,8 +202,7 @@ class _Pattern:
         self.kinds = (frozenset(self.types), frozenset(pattern.edge_type.values()))
 
 
-def _pattern(pattern: TypedGraph) -> _Pattern:
-    return _once(pattern, "pattern", _Pattern)
+_pattern = once(_Pattern)
 
 
 def _search(pat: _Pattern, host: TypedGraph, slots: List[Sequence[str]],

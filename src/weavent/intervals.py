@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ._common import UnionFind, Value, _bits, _once
+from ._common import UnionFind, Value, _bits, once
 from .es import EventStructure, _structure_of
 from .domains import (FiniteDomain, OrderError, _event_names, _require_valid,
                       _require_weak_prime, _steps_masks, interchange_classes)
@@ -38,12 +38,9 @@ def interval_leq(dom: FiniteDomain, first: Interval, second: Interval) -> bool:
     return dom.meet((c2, d)) == c and dom.consistent((c2, d)) and dom.join((c2, d)) == d2
 
 
+@once
 def _classes(dom: FiniteDomain) -> List[List[_Pair]]:
     """``interval_classes`` on element indices, which follow the names' order."""
-    return _once(dom, "interval_classes", _find_interval_classes)
-
-
-def _find_interval_classes(dom: FiniteDomain) -> List[List[_Pair]]:
     # [c,c'] ≤ [d,d'] forces c ⊑ d and d' = c' ⊔ d, so walk the d ⊒ c
     # consistent with c'; d = c is [c,c'] itself, and d ⊒ c' meets c' in c'
     up, down, cons, by_up, upper = dom._up, dom._down, dom._cons, dom._by_up, dom._upper
@@ -138,6 +135,7 @@ def _axiom_v(dom: FiniteDomain, classes: List[List[_Pair]]) -> Optional[tuple]:
     return None
 
 
+@once
 def check_axioms(dom: FiniteDomain) -> AxiomReport:
     """Evaluate the interval axioms exhaustively on the finite poset.
 
@@ -148,10 +146,6 @@ def check_axioms(dom: FiniteDomain) -> AxiomReport:
     consistency-variant axiom over arbitrary element pairs, holds by
     construction (see ``AxiomReport.I``) and is not evaluated.
     """
-    return _once(dom, "axioms", _find_axiom_report)
-
-
-def _find_axiom_report(dom: FiniteDomain) -> AxiomReport:
     _require_valid(dom)
     classes = _classes(dom)
     wc, wr, wv = _axiom_c(dom), _axiom_r(classes), _axiom_v(dom, classes)
@@ -185,6 +179,7 @@ def _interval_events(dom: FiniteDomain) -> List[str]:
     return [f"iv{k}:[{names[c]},{names[c2]}]" for k, [(c, c2), *_] in enumerate(_classes(dom))]
 
 
+@once
 def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:
     """The bijection between interval classes and interchangeability classes.
 
@@ -203,10 +198,6 @@ def zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]],
     cover of ``i``, so ``i ⊓ d = p(i)``.  Hence ``[p(i), i] ≤ [d, d']``, and
     the two lie in one class.
     """
-    return _once(dom, "zeta", _find_zeta)
-
-
-def _find_zeta(dom: FiniteDomain) -> Tuple[Tuple[FrozenSet[Interval], FrozenSet[str]], ...]:
     _require_weak_prime(dom)
     iv_classes = interval_classes(dom)
     ir_classes = interchange_classes(dom)

@@ -154,7 +154,8 @@ def parse_epes(obj: Mapping) -> Epes:
                 raise SchemaError(f": event {e!r} in two blocks")
         covered.update(xs)
         return frozenset(xs)
-    blocks = _items(obj.get("equiv", []), "equiv", block)
+    # an empty block names no event, so dropping it leaves the partition as it is
+    blocks = [b for b in _items(obj.get("equiv", []), "equiv", block) if b]
     blocks += [frozenset((e,)) for e in base.events - covered]
     return Epes(base, frozenset(blocks))
 

@@ -55,7 +55,7 @@ from collections import Counter
 from itertools import chain, groupby, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ._common import Record, UnionFind, _once, backtrack
+from ._common import Record, UnionFind, backtrack, once
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _drop_indexes,
@@ -108,13 +108,11 @@ class Grammar(Record):
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_derived", {})
 
+    @once
     def validate(self) -> None:
         """Raise GraphError at the first check the grammar fails.  A grammar
-        that passes keeps that verdict (``_once``), so the parser and
+        that passes keeps that verdict (``_common.once``), so the parser and
         ``trace_classes`` check it once between them."""
-        _once(self, "valid", Grammar._check)
-
-    def _check(self) -> None:
         self.type_graph.validate_typed_over(self.type_graph)
         self.start.validate_typed_over(self.type_graph)
         names = set()
@@ -217,6 +215,7 @@ class DirectDerivation(Record):
         put(self, "rstar", rstar)  # D -> H
 
 
+@once
 def _rule_parts(rule: Rule) -> list:
     """What every step of a rule reads off it, per kind (nodes, then edges):
     the gone items of ``L``, the sorted items of ``L``, the pair ``(l(k),
@@ -239,8 +238,7 @@ def _gluing(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[list]:
     incidence index).
     """
     deleted = []
-    for (gone, _, pairs, _), images in zip(_once(rule, "parts", _rule_parts),
-                                           (m.node_map, m.edge_map)):
+    for (gone, _, pairs, _), images in zip(_rule_parts(rule), (m.node_map, m.edge_map)):
         dels = {images[x] for x in gone}
         # identification: deleted items have distinct images, and none of
         # them is the image of a kept item
@@ -270,7 +268,7 @@ def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDe
     if not deleted:
         return None
     del_nodes, del_edges = deleted
-    (*_, r_nodes), (*_, r_edges) = _once(rule, "parts", _rule_parts)
+    (*_, r_nodes), (*_, r_edges) = _rule_parts(rule)
     mn, me, at = m.node_map, m.edge_map, _incidence(g)
     src, tgt, etype, ntype = g.src.copy(), g.tgt.copy(), g.edge_type.copy(), g.node_type.copy()
     for e in del_edges:
@@ -312,8 +310,7 @@ def _jointly_mono(rule: Rule, m: GraphMorphism) -> bool:
     """Whether the pair ``(m∘l, r)`` is jointly mono: a step of ``rule`` at
     ``m`` never re-merges items that the host already identifies."""
     return all(len({(images[x], y) for x, y in pairs}) == len(pairs)
-               for (*_, pairs, _), images in zip(_once(rule, "parts", _rule_parts),
-                                                 (m.node_map, m.edge_map)))
+               for (*_, pairs, _), images in zip(_rule_parts(rule), (m.node_map, m.edge_map)))
 
 
 def is_fusion_safe(d: DirectDerivation) -> bool:
@@ -453,8 +450,8 @@ def _step_pins(uf: UnionFind, at: tuple, rule: Rule, m: GraphMorphism) -> tuple:
     """
     pin = [rule.name]
     classes = []
-    for (_, l_items, pairs, r_items), a, images in zip(
-            _once(rule, "parts", _rule_parts), at, (m.node_map, m.edge_map)):
+    for (_, l_items, pairs, r_items), a, images in zip(_rule_parts(rule), at,
+                                                       (m.node_map, m.edge_map)):
         of: Dict[str, int] = {}
         for x, y in pairs:
             c = a[images[x]]
@@ -506,7 +503,7 @@ class Colimit:
             pins += (pin,)
         self._uf, self._at, self._start, self._pins = uf, at, start, pins
         self._source, self._steps = source, steps
-        self._derived: Dict[str, object] = {}  # the names, on first use
+        self._derived: Dict[object, object] = {}  # the names, on first use
 
     def key(self, rule: Optional[Rule] = None, match: Optional[GraphMorphism] = None) -> tuple:
         """The sorted rule names and the partition of the pin labels into
@@ -559,10 +556,10 @@ class Colimit:
                 best[:] = min(best, [states[-1][1], numbered(1, order)])
         return (tuple(pin[0] for pin in pins), *map(tuple, best))
 
+    @once
     def _names(self) -> tuple:
         from .oracles import colimit_by_definition
-        return _once(self, "names",
-                     lambda c: colimit_by_definition(Derivation(c._source, c._steps)))
+        return colimit_by_definition(Derivation(self._source, self._steps))
 
     @property
     def graph(self) -> TypedGraph:
@@ -600,9 +597,9 @@ class TraceClass(Record):
         object.__setattr__(self, "_derived", {})
 
     @property
+    @once
     def members(self) -> Tuple[Derivation, ...]:
-        return _once(self, "members",
-                     lambda c: (c.representative, *map(_member, c._others)))
+        return (self.representative, *map(_member, self._others))
 
 
 def _member(other) -> Derivation:
@@ -660,12 +657,14 @@ def _matches(deriv: Derivation, rules: Sequence[Rule]) -> tuple:
     i = len(steps)
     while i and patterns not in steps[i - 1].H._derived:
         i -= 1
-    found = _once(steps[i - 1].H if i else deriv.source, patterns, lambda g: tuple(
-        tuple((*map(m.node_map.get, _pattern(p).nodes), *map(m.edge_map.get, _pattern(p).edges))
-              for m in find_matches(p, g))
-        for p in patterns))
+    host = steps[i - 1].H if i else deriv.source
+    if patterns not in host._derived:
+        host._derived[patterns] = tuple(tuple(
+            (*map(m.node_map.get, _pattern(p).nodes), *map(m.edge_map.get, _pattern(p).edges))
+            for m in find_matches(p, host)) for p in patterns)
+    found = host._derived[patterns]
     for st in steps[i:]:
-        found = _once(st.H, patterns, lambda h: _carried(st, patterns, found))
+        found = st.H._derived[patterns] = _carried(st, patterns, found)
     return found
 
 

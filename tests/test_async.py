@@ -220,18 +220,18 @@ class TestPathClasses:
 
     def test_async_job_validates_and_grows_classes_once(self, monkeypatch, capsys):
         calls = []
-        for name in ("_validate", "_grow_path_classes"):
-            def counted(a, _name=name, _compute=getattr(asyncgraphs, name)):
+        for fn in (validate_async_graph, _path_classes):
+            def counted(a, _name=fn.__name__, _compute=fn.__wrapped__):
                 calls.append(_name)
                 return _compute(a)
-            monkeypatch.setattr(asyncgraphs, name, counted)
+            monkeypatch.setattr(fn, "__wrapped__", counted)
 
         def enumerate_paths(a):
             raise AssertionError("an async job enumerated origin paths")
         monkeypatch.setattr(oracles, "_origin_path_classes", enumerate_paths)
         assert cli.main(["async", "--async", str(FIXTURES / "run.async.json"), "--weak"]) == 0
         assert '"path_classes": 7' in capsys.readouterr().out
-        assert sorted(calls) == ["_grow_path_classes", "_validate"]
+        assert sorted(calls) == ["_path_classes", "validate_async_graph"]
 
 
 def _family(name, n):

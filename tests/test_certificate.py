@@ -182,7 +182,7 @@ def test_the_fan_is_rejected_before_any_walk(tmp_path, monkeypatch, capsys):
     assert visited == []
     dom = cli._SESSION["domain"][1]
     candidate = domains._candidate(dom)
-    assert not domains._certified(dom) and "table" not in candidate._derived
+    assert not domains._certified(dom) and esmod._table not in candidate._derived
     # the walk itself gives up at the configuration past its limit.  The
     # candidate has no conflict, so the walk reads one conflict row for each
     # configuration it reaches past the empty one: it reaches |D| + 1
@@ -195,7 +195,7 @@ def test_the_fan_is_rejected_before_any_walk(tmp_path, monkeypatch, capsys):
     object.__setattr__(candidate, "_clash", Rows(candidate._clash))
     assert esmod._table_within(candidate, len(dom.elements)) is None
     assert 1 + len(lookups) == len(dom.elements) + 1 == 19
-    assert visited == [19] and "table" not in candidate._derived
+    assert visited == [19] and esmod._table not in candidate._derived
     # and the limit is exact: the candidate has 2¹⁶ configurations
     assert esmod._find_table(candidate, 2 ** 16 - 1) is None
     assert len(esmod._find_table(candidate, 2 ** 16).lower) == 2 ** 16
@@ -215,7 +215,7 @@ def test_a_walk_past_the_domain_gives_up_and_is_not_kept(tmp_path, monkeypatch, 
     assert _run(["check", "--domain", path], capsys) == (
         1, "abe8ffa3592a6b50a601c5fc42b760db016fed512e30b32e9173947b4cf83a25", "")
     dom = cli._SESSION["domain"][1]
-    assert visited == [8] and "table" not in domains._candidate(dom)._derived
+    assert visited == [8] and esmod._table not in domains._candidate(dom)._derived
     assert validate_domain(dom) == Report(False, "join-breaks-consistency", ("a", "b", "c"))
     visited.clear()
     path = _write(tmp_path, monkeypatch, "tri.domain.json", elements, covers, BOUNDED_COMPLETE)
@@ -224,7 +224,8 @@ def test_a_walk_past_the_domain_gives_up_and_is_not_kept(tmp_path, monkeypatch, 
     dom = cli._SESSION["domain"][1]
     assert visited == [7] and domains._certified(dom)
     # the structure named for ev(D) keeps the table the certificate walked
-    assert ev_of_domain(dom)._derived["table"] is domains._candidate(dom)._derived["table"]
+    assert (ev_of_domain(dom)._derived[esmod._table]
+            is domains._candidate(dom)._derived[esmod._table])
     assert visited == [7]
 
 

@@ -1,7 +1,9 @@
 import random
 from itertools import product
 
-from weavent._common import Report, UnionFind, _finishing_order, backtrack
+import pytest
+
+from weavent._common import Report, UnionFind, _finishing_order, backtrack, once
 
 
 def _components(n, edges):
@@ -108,3 +110,59 @@ def test_finishing_order_lists_each_node_after_the_nodes_it_reaches():
     n = 5000
     assert _finishing_order([1 << k + 1 for k in range(n - 1)] + [0]) == (
         list(range(n - 1, -1, -1)), None)
+
+
+class _Structure:
+    def __init__(self):
+        self._derived = {}
+
+
+def test_once_keeps_one_value_per_object():
+    runs = []
+
+    @once
+    def size(obj):
+        runs.append(obj)
+        return len(runs)
+
+    a, b = _Structure(), _Structure()
+    assert [size(a), size(a), size(b), size(a), size(b)] == [1, 1, 2, 1, 2]
+    assert runs == [a, b]
+    assert a._derived == {size: 1} and b._derived == {size: 2}
+
+
+def test_once_keeps_nothing_when_the_compute_raises():
+    runs = []
+
+    @once
+    def fragile(obj):
+        runs.append(obj)
+        if len(runs) == 1:
+            raise KeyError("first run")
+        return "second run"
+
+    obj = _Structure()
+    with pytest.raises(KeyError, match="first run") as raised:
+        fragile(obj)
+    assert raised.value.__context__ is None and obj._derived == {}
+    assert fragile(obj) == fragile(obj) == "second run" and len(runs) == 2
+
+
+def _documented(obj):
+    """What the wrapper shows of its compute."""
+    return obj
+
+
+def test_once_carries_the_name_module_and_docstring():
+    wrapped = once(_documented)
+    assert (wrapped.__name__, wrapped.__qualname__, wrapped.__module__, wrapped.__doc__) == (
+        "_documented", "_documented", __name__, "What the wrapper shows of its compute.")
+    assert wrapped.__wrapped__ is _documented
+
+
+def test_replacing_wrapped_changes_what_a_miss_runs():
+    wrapped = once(_documented)
+    hit, miss = _Structure(), _Structure()
+    assert wrapped(hit) is hit
+    wrapped.__wrapped__ = lambda obj: "replaced"
+    assert wrapped(hit) is hit and wrapped(miss) == "replaced"

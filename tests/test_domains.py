@@ -378,14 +378,14 @@ class TestInvariantCache:
 
     def test_check_computes_primes_and_weak_primes_once(self, monkeypatch, capsys):
         calls = []
-        for name in ("_find_primes", "_find_weak_primes"):
-            def counted(dom, _name=name, _compute=getattr(domains, name)):
+        for fn in (primes, weak_primes):
+            def counted(dom, _name=fn.__name__, _compute=fn.__wrapped__):
                 calls.append(_name)
                 return _compute(dom)
-            monkeypatch.setattr(domains, name, counted)
+            monkeypatch.setattr(fn, "__wrapped__", counted)
         assert cli.main(["check", "--domain", str(FIXTURES / "run.domain.json")]) == 0
         assert '"weak_prime_algebraic": true' in capsys.readouterr().out
-        assert sorted(calls) == ["_find_primes", "_find_weak_primes"]
+        assert sorted(calls) == ["primes", "weak_primes"]
 
 
 # ---------------------------------------------------------------------- #

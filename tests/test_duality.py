@@ -176,12 +176,13 @@ class TestTheRecordedWeakPrimeFact:
         for es in TestDomOfEsByDefinition._structures():
             dom = dom_of_es(es)
             fresh = FiniteDomain(dom.elements, dom.covers(), dom.kind)
-            assert dom._derived["certified"] is True and "certified" not in fresh._derived
+            assert (dom._derived[domains._certified] is True
+                    and domains._certified not in fresh._derived)
             ev = ev_of_domain(dom)
             assert passes == [] and certified == []
             assert ev_of_domain(fresh) == ev
             assert [id(d) for d in certified] == [id(fresh)] and passes == []
-            assert fresh._derived["certified"] is True
+            assert fresh._derived[domains._certified] is True
             assert validate_domain(fresh).ok and algebraicity(fresh).weak_prime_algebraic
             assert passes == []
             # the pair pass, run on its own, finds the same facts
@@ -198,7 +199,7 @@ class TestTheRecordedWeakPrimeFact:
         for _ in range(2):
             with pytest.raises(OrderError, match="not weak prime algebraic"):
                 ev_of_domain(dom)
-        assert "weak_prime" not in dom._derived
+        assert _require_weak_prime not in dom._derived
 
 
 class TestEvOfDomain:

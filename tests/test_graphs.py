@@ -129,9 +129,9 @@ def test_index_is_built_once_per_graph():
     host = TypedGraph(["x", "y"], [("e", "A", "x", "y")], {"x": "N", "y": "N"})
     pattern = TypedGraph(["u"], [], {"u": "N"})
     find_matches(pattern, host)
-    index = host._derived["index"]
+    index = host._derived[graphs._index]
     find_matches(pattern, host)
-    assert host._derived["index"] is index
+    assert host._derived[graphs._index] is index
     assert index.triples == {("A", "x", "y")}
 
 
@@ -142,7 +142,7 @@ def test_pattern_setup_is_kept_and_a_failed_match_searches_nothing(monkeypatch):
     pattern = TypedGraph(["u", "v"], [("e", "A", "u", "v")], {"u": "N", "v": "N"})
     assert find_matches(pattern, TypedGraph(["x"], [], {"x": "N"})) == []  # no A edge
     assert not searched
-    setup = pattern._derived["pattern"]
+    setup = pattern._derived[graphs._pattern]
     host = TypedGraph(["x", "y"], [("f", "A", "x", "y")], {"x": "N", "y": "N"})
     assert [m.edge_map for m in find_matches(pattern, host)] == [{"e": "f"}]
-    assert pattern._derived["pattern"] is setup and len(searched) == 1
+    assert pattern._derived[graphs._pattern] is setup and len(searched) == 1

@@ -387,14 +387,14 @@ def test_zeta_validates_the_domain_first():
 
 def test_each_result_is_built_once_per_domain(monkeypatch, capsys):
     calls = []
-    for module, name in ((intervals, "_find_interval_classes"),
-                         (intervals, "_find_axiom_report"), (domains, "_pair_pass"),
+    for target, name in ((intervals._classes, "__wrapped__"),
+                         (intervals.check_axioms, "__wrapped__"), (domains, "_pair_pass"),
                          (domains, "_certify")):
-        def counted(dom, *rest, _name=name, _compute=getattr(module, name)):
-            calls.append(_name)
+        def counted(dom, *rest, _compute=getattr(target, name)):
+            calls.append(_compute.__name__)
             return _compute(dom, *rest)
-        monkeypatch.setattr(module, name, counted)
-    once = ["_find_axiom_report", "_find_interval_classes"]
+        monkeypatch.setattr(target, name, counted)
+    once = ["_classes", "check_axioms"]
     # a domain of dom_of_es carries the certificate, by the coreflection theorem
     dom = dom_of_es(e_run())
     check_axioms(dom), ev_wd(dom), zeta(dom), interval_classes(dom), check_axioms(dom)
@@ -408,5 +408,4 @@ def test_each_result_is_built_once_per_domain(monkeypatch, capsys):
     for _ in range(2):
         with pytest.raises(OrderError, match="axiom R fails"):
             ev_wd(dom)
-    assert sorted(calls) == ["_certify", "_find_axiom_report", "_find_interval_classes",
-                             "_pair_pass"]
+    assert sorted(calls) == ["_certify", "_classes", "_pair_pass", "check_axioms"]

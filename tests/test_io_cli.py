@@ -805,6 +805,20 @@ def test_a_rejected_structure_exits_2_with_its_message(flag, obj, message, tmp_p
     assert json.loads(err) == {"error": message}
 
 
+@pytest.mark.parametrize("verb", [["check"], ["convert", "--to", "es"], ["roundtrip"]])
+def test_an_empty_equiv_block_is_ignored(verb, tmp_path, capsys):
+    """An empty block names no event, so the file reads as one without it;
+    ``convert`` and ``roundtrip`` once ended in a traceback on it."""
+    path = tmp_path / "empty.epes.json"
+    obj = _with("unfold_run.epes.json", ["equiv"], [[]])
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(verb[0], "--epes", str(path), *verb[1:], capsys=capsys)
+    assert (code, err) == (0, "")
+    del obj["equiv"]
+    path.write_text(json.dumps(obj))
+    assert run_cli(verb[0], "--epes", str(path), *verb[1:], capsys=capsys) == (code, out, err)
+
+
 _FILES = {"es": "e_run.es.json", "domain": "run.domain.json",
           "grammar": "fusion.grammar.json", "asyncgraph": "run.async.json",
           "epes": "unfold_run.epes.json"}

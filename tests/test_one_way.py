@@ -1,11 +1,15 @@
-"""One cache mechanism and one JSON writer in the package, and no
-shadowed module names.
+"""One way to keep what is derived from a structure, one JSON writer in
+the package, and no shadowed module names.
 
-What is derived from a structure is kept on it by ``_common._once``.  The
-one store that outlives a command is the batch session, ``cli._SESSION``,
-which holds at most one structure per input kind; no ``lru_cache`` or
-``functools.cache`` holds structures beyond their life (``cli.build_parser``
-caches the parser alone).  JSON text is made by ``io.dumps`` alone, and
+What is derived from a structure is kept on it by ``_common.once``, under
+the function that computes it, never under a string; ``rewrite._matches``
+keeps the matches of a list of patterns under that list.  There are two
+other caches: ``FiniteDomain``'s order tables are ``cached_property``
+attributes of the domain, and ``cli.build_parser`` keeps the parser under
+``functools.cache``.  The one store that outlives a command is the batch
+session, ``cli._SESSION``, which holds at most one structure per input
+kind; no ``lru_cache`` or ``functools.cache`` holds structures beyond
+their life.  JSON text is made by ``io.dumps`` alone, and
 files are written by ``io.write_text`` alone, so every report and file has
 one format and every write failure one exit code.  ``io`` names a bad
 list item in its list reader alone, and turns a constructor's
@@ -22,6 +26,7 @@ neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -100,6 +105,68 @@ def test_one_cache_one_encoder_one_writer():
              for what, fn in findings(path.read_text(encoding="utf-8"))}
     assert found == {"cli: cache in build_parser", "io: import json in None",
                      "io: json.dumps in dumps", "io: open for writing in write_text"}
+
+
+def string_keys(source: str):
+    """``(what, function)`` for each call of ``_once``, and each subscript,
+    ``in`` test or ``pop`` of a ``_derived`` attribute with a string
+    constant, in ``source``; ``function`` is the innermost enclosing
+    function, or None."""
+    found = []
+
+    def derived(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_derived"
+
+    def text(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", getattr(f, "attr", None)) == "_once":
+                found.append(("_once", fn))
+            elif (isinstance(f, ast.Attribute) and f.attr == "pop" and derived(f.value)
+                    and node.args and text(node.args[0])):
+                found.append(("pop", fn))
+        elif isinstance(node, ast.Subscript) and derived(node.value) and text(node.slice):
+            found.append(("subscript", fn))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            found.extend(("in", fn) for left, op, right in zip(sides, node.ops, sides[1:])
+                         if isinstance(op, (ast.In, ast.NotIn)) and text(left) and derived(right))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detector_flags_once_calls_and_string_keys():
+    source = '''
+def primes(dom):
+    return _once(dom, "primes", _find_primes)
+
+def seed(dom, es, key):
+    dom._derived["certified"] = True
+    if "table" not in es._derived and "x" in es.other and key in es._derived:
+        es._derived.pop("index", None)
+    es._derived.pop(_index, None)
+    return dom._derived[_certified], weavent._common._once(es, "t", f)
+
+covers = lambda d: (d._derived["covers"], 0 < len(d._derived) < 2)
+'''
+    assert string_keys(source) == [
+        ("_once", "primes"), ("subscript", "seed"), ("in", "seed"), ("pop", "seed"),
+        ("_once", "seed"), ("subscript", None)]
+
+
+def test_nothing_is_kept_under_a_string():
+    found = [f"{path.stem}: {what} in {fn}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for what, fn in string_keys(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def handlers(source: str):
@@ -269,6 +336,34 @@ def test_the_command_line_loads_every_layer_and_no_oracle():
     loaded = modules_loaded_by_the_command_line()
     assert "weavent.oracles" not in loaded
     assert [layer for layer in layers if f"weavent.{layer}" not in loaded] == []
+
+
+TRACED = ("domains.primes", "domains.weak_primes", "intervals.check_axioms", "es.classify",
+          "duality.dom_of_es")
+
+
+def test_the_tracer_wraps_the_functions_kept_once():
+    # ``Tracer.install`` wraps a public function only where its
+    # ``__module__`` is its layer's, so ``once`` must carry it over
+    paths = [str(ROOT / "perfbench"), str(PACKAGE.parent)]
+    domain, es = (str(ROOT / "fixtures" / name) for name in ("run.domain.json", "e_run.es.json"))
+    code = f"""
+import contextlib, io, json, sys
+sys.path[:0] = {paths!r}
+import weavent.cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["check", "--domain", {domain!r}], ["axioms", "--domain", {domain!r}],
+                 ["roundtrip", "--es", {es!r}]):
+        weavent.cli.main(argv)
+print(json.dumps([tracer.stats.get(name, {{}}).get("calls", 0) for name in {TRACED!r}]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    calls = dict(zip(TRACED, json.loads(out)))
+    assert [name for name, n in calls.items() if n < 1] == []
 
 
 def modules_mentioning(word: str):

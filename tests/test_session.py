@@ -147,15 +147,15 @@ def test_the_session_holds_one_structure_per_kind(tmp_path, capsys):
 
 def test_verbs_on_one_file_build_each_structure_once(monkeypatch, capsys):
     built = {"table": [], "pairs": [], "certificates": [], "domain": [], "classes": []}
-    for module, name, key in ((esmod, "_find_table", "table"),
+    for target, name, key in ((esmod, "_find_table", "table"),
                               (domains, "_pair_pass", "pairs"),
                               (domains, "_certify", "certificates"),
-                              (duality, "_find_domain", "domain"),
-                              (esmod, "_find_classification", "classes")):
-        def counted(x, *rest, _real=getattr(module, name), _seen=built[key]):
+                              (duality.dom_of_es, "__wrapped__", "domain"),
+                              (esmod.classify, "__wrapped__", "classes")):
+        def counted(x, *rest, _real=getattr(target, name), _seen=built[key]):
             _seen.append(x)
             return _real(x, *rest)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(target, name, counted)
     path = str(FIXTURES / "e_run.es.json")
     for verb in (["check"], ["convert", "--to", "domain"], ["connect"], ["emit"],
                  ["roundtrip"]):
@@ -301,7 +301,8 @@ def test_a_grammar_rewritten_after_synth_is_parsed_again(rewrite, tmp_path, monk
 
 def test_a_grammar_is_checked_once_per_session(tmp_path, monkeypatch, capsys):
     checked = []
-    monkeypatch.setattr(Grammar, "_check", lambda g, _real=Grammar._check: (
+    validate = Grammar.validate
+    monkeypatch.setattr(validate, "__wrapped__", lambda g, _real=validate.__wrapped__: (
         checked.append(g), _real(g))[1])
     fusion = str(FIXTURES / "fusion.grammar.json")
     for argv in (["check", "--grammar", fusion], ["derive", "--grammar", fusion, "--depth", "3"],
