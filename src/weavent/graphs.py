@@ -15,6 +15,9 @@ no triple in the host.  ``_images_at`` lists the matches that send a node
 into a given set, by one search per node slot that draws from the set, so
 that rewriting can search only around what a step changed.
 
+``_span_names`` is the one rule by which a pushout of a span names its
+items, shared by the rewriting step and ``oracles.pushout``.
+
 ``iso_hash`` is an isomorphism-invariant fingerprint (three rounds of
 Weisfeiler–Leman colour refinement, spelt out as nested strings), which
 ``graph_isomorphism`` compares before it searches.
@@ -25,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, \
     Sequence, Set, Tuple
 
-from ._common import Record, backtrack, once
+from ._common import Record, UnionFind, backtrack, once
 
 
 class GraphError(ValueError):
@@ -181,6 +184,63 @@ def _drop_indexes(g: TypedGraph) -> None:
     again if asked for."""
     g._derived.pop(_index, None)
     g._derived.pop(_incidence, None)
+
+
+def _fresh(base: str, used: set) -> str:
+    name = base
+    k = 1
+    while name in used:
+        k += 1
+        name = f"{base}~{k}"
+    used.add(name)
+    return name
+
+
+def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, str],
+                a_items: List[str], b_items: FrozenSet[str]
+                ) -> Tuple[Dict[str, str], Dict[str, str], set]:
+    """How the pushout of ``A ←f− C −g→ B`` names its items.
+
+    ``a_items`` is sorted.  The ``A`` items are named in that order through
+    ``_fresh``: a glued class (the items ``C`` joins, found by a union-find
+    over ``A`` items keyed by their ``B`` image) at its least item, by its
+    ``B`` items joined with ``+``, every other item by itself.  Then each
+    ``B`` item outside the image of ``g`` keeps its name unless an earlier
+    item took it, the ``B`` items in sorted order.  Only the taken ones are
+    visited, in any order: a taken ``y`` gets ``y~k`` for the least ``k >= 2``
+    whose name no ``A`` item has, since the names that the sorted walk keeps
+    before ``y`` sort below ``y``, and a name given to another taken item
+    ``w`` is ``w~j``, never ``y~k``.  When ``y~k`` is the name of another
+    such ``B`` item, that item is taken in turn.  Returns the names of the
+    ``A`` items, the new names of the ``B`` items that change name (glued or
+    taken) and the set of every name given.
+    """
+    uf, owner = UnionFind(), {}  # owner: a B image -> the A item it was first met with
+    for c in c_items:
+        x, y = fmap[c], gmap[c]
+        uf.add(x)
+        if owner.setdefault(y, x) != x:
+            uf.union(owner[y], x)
+    find, glued = uf.find, uf.parent
+    members: Dict[str, List[str]] = {}
+    for y, x in owner.items():
+        members.setdefault(find(x), []).append(y)
+    used: set = set()
+    to_a: Dict[str, str] = {}
+    for x in a_items:
+        if x not in glued:
+            to_a[x] = _fresh(x, used)
+        else:
+            root = find(x)
+            to_a[x] = _fresh("+".join(sorted(members[x])), used) if root == x else to_a[root]
+    to_b = {y: to_a[x] for y, x in owner.items()}
+    taken = [y for y in used if y in b_items and y not in to_b]
+    while taken:
+        y = taken.pop()
+        to_b[y] = z = _fresh(y, used)
+        if z in b_items and z not in to_b:
+            taken.append(z)
+    return to_a, to_b, used
 
 
 class _Pattern:

@@ -45,9 +45,9 @@ from .domains import (COHERENT, FiniteDomain, OrderError, _irreducible_indices,
 from .duality import Epes, _es_matches
 from .intervals import Interval, interval_leq
 from .asyncgraphs import AsyncGraph, _square_classes
-from .graphs import GraphError, GraphMorphism, TypedGraph, find_matches, iso_hash
+from .graphs import GraphError, GraphMorphism, TypedGraph, _span_names, find_matches, iso_hash
 from .rewrite import (Derivation, DirectDerivation, Grammar, Rule, TraceDomainResult,
-                      _span_names, _trace_result, is_fusion_safe)
+                      _trace_result, is_fusion_safe)
 
 
 # ---------------------------------------------------------------------- #
@@ -394,7 +394,7 @@ def pushout(f: GraphMorphism, g: GraphMorphism) -> Tuple[TypedGraph, GraphMorphi
     Returns ``(P, inA, inB)``.  ``P`` is the disjoint union of ``A`` and
     ``B`` quotiented by ``f(c) ≈ g(c)``; item names prefer the ``B`` side
     (merged items join their ``B`` names with ``+``).  The naming rule is
-    ``_span_names``, which ``apply_rule`` shares: the ``A`` items in sorted
+    ``graphs._span_names``, which ``apply_rule`` shares: the ``A`` items in sorted
     order, a glued class at its least member, then the ``B`` items outside
     the image of ``g``, in sorted order; a name taken again gets ``~2``.
     """

@@ -6,9 +6,9 @@ the matched deleted part (when the gluing condition holds) and glues the
 right-hand side back in as a pushout.  The step is local: ``D`` and ``H``
 are copies of the host's dicts with only the step's items changed, and only
 the items of ``R`` and the host items whose names they take are named, by
-the rule ``oracles.pushout`` names a whole span with (``_span_names``).  A
-host's matches are carried from its parent's, so only the start graph is
-searched whole.
+the rule ``oracles.pushout`` names a whole span with
+(``graphs._span_names``).  A host's matches are carried from its parent's,
+so only the start graph is searched whole.
 
 Derivations from a grammar's start graph are compared by left-consistent
 permutations: a permutation of equal-length derivations using the same rules
@@ -22,23 +22,26 @@ every class by extending one representative per class, depth by depth.  It
 decides the class of an extension before building its step: the gluing and
 fusion checks read the match alone (``_gluing``, ``_jointly_mono``), and so
 does the key, with the parent's colimit.  Only a step that opens a class is
-built; a class's other ``members`` are built on first read.  The exhaustive
+built, from the deleted items its one gluing check found (``_step``); a
+class's other ``members`` are built on first read.  The exhaustive
 references the fast paths are tested against live in ``oracles``.
 
-A derivation's colimit is its parent's colimit glued with the last step
-(``_step_pins``): its classes are integers, an item of ``R`` takes the class
+A derivation's colimit is its parent's colimit glued with the last step's
+pin (``_pin``): its classes are integers, an item of ``R`` takes the class
 of its ``K`` preimages, merged where ``r`` merges them, and only the step's
 created items open classes.  The colimit graph and its injections are named
 on first use by ``oracles.colimit_by_definition``, which builds them from
 scratch.  ``trace_classes`` decides a new derivation by one lookup of
-``Colimit.key``,
-the partition of the pin labels (start items, match and comatch images,
-named by rule and rank among its steps) into colimit items, least over the
-orders of each rule's steps, after the graph processes of Corradini,
-Montanari and Rossi.  It is exact: every colimit item holds a label and
-every edge label fixes its ends and type, so the map a name-preserving
-permutation pins is an isomorphism exactly when the partitions, read in
-matching orders, are equal.
+``Colimit.key``, the partition of the pin labels (start items, match and
+comatch images, named by rule and rank among its steps) into colimit items,
+least over the orders of each rule's steps, after the graph processes of
+Corradini, Montanari and Rossi.  It is exact: every colimit item holds a
+label and every edge label fixes its ends and type, so the map a
+name-preserving permutation pins is an isomorphism exactly when the
+partitions, read in matching orders, are equal.  The key of a candidate
+step is read off the parent's rows (``Colimit._rows``: the roots of its
+labels, kept until its candidates are decided) and the step's own pin,
+with no copy of the parent's union-find.
 
 ``grammar_from_es`` gives a live connected event structure a grammar whose
 trace domain regenerates it, built from one carrier per event: the event's
@@ -51,15 +54,16 @@ enumerates such a grammar to ``once_per_rule_depth``, its rule count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain, groupby, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._common import Record, UnionFind, backtrack, once
 from .es import EventStructure, EsError, classify, minimal_enablings
 from .domains import COHERENT, FiniteDomain
 from .graphs import (GraphError, GraphMorphism, TypedGraph, find_matches, _drop_indexes,
-                     _images_at, _incidence, _index, _morphism, _morphisms, _pattern)
+                     _images_at, _incidence, _index, _morphism, _morphisms, _pattern, _span_names)
 
 DEFAULT_CEILING = 10000
 
@@ -132,67 +136,6 @@ class Grammar(Record):
 
 
 # ---------------------------------------------------------------------- #
-# Pushouts
-# ---------------------------------------------------------------------- #
-
-def _fresh(base: str, used: set) -> str:
-    name = base
-    k = 1
-    while name in used:
-        k += 1
-        name = f"{base}~{k}"
-    used.add(name)
-    return name
-
-
-def _span_names(c_items: Iterable[str], fmap: Dict[str, str], gmap: Dict[str, str],
-                a_items: List[str], b_items: FrozenSet[str]
-                ) -> Tuple[Dict[str, str], Dict[str, str], set]:
-    """How the pushout of ``A ←f− C −g→ B`` names its items.
-
-    ``a_items`` is sorted.  The ``A`` items are named in that order through
-    ``_fresh``: a glued class (the items ``C`` joins, found by a union-find
-    over ``A`` items keyed by their ``B`` image) at its least item, by its
-    ``B`` items joined with ``+``, every other item by itself.  Then each
-    ``B`` item outside the image of ``g`` keeps its name unless an earlier
-    item took it, the ``B`` items in sorted order.  Only the taken ones are
-    visited, in any order: a taken ``y`` gets ``y~k`` for the least ``k >= 2``
-    whose name no ``A`` item has, since the names that the sorted walk keeps
-    before ``y`` sort below ``y``, and a name given to another taken item
-    ``w`` is ``w~j``, never ``y~k``.  When ``y~k`` is the name of another
-    such ``B`` item, that item is taken in turn.  Returns the names of the
-    ``A`` items, the new names of the ``B`` items that change name (glued or
-    taken) and the set of every name given.
-    """
-    uf, owner = UnionFind(), {}  # owner: a B image -> the A item it was first met with
-    for c in c_items:
-        x, y = fmap[c], gmap[c]
-        uf.add(x)
-        if owner.setdefault(y, x) != x:
-            uf.union(owner[y], x)
-    find, glued = uf.find, uf.parent
-    members: Dict[str, List[str]] = {}
-    for y, x in owner.items():
-        members.setdefault(find(x), []).append(y)
-    used: set = set()
-    to_a: Dict[str, str] = {}
-    for x in a_items:
-        if x not in glued:
-            to_a[x] = _fresh(x, used)
-        else:
-            root = find(x)
-            to_a[x] = _fresh("+".join(sorted(members[x])), used) if root == x else to_a[root]
-    to_b = {y: to_a[x] for y, x in owner.items()}
-    taken = [y for y in used if y in b_items and y not in to_b]
-    while taken:
-        y = taken.pop()
-        to_b[y] = z = _fresh(y, used)
-        if z in b_items and z not in to_b:
-            taken.append(z)
-    return to_a, to_b, used
-
-
-# ---------------------------------------------------------------------- #
 # Direct derivations
 # ---------------------------------------------------------------------- #
 
@@ -258,15 +201,19 @@ def apply_rule(g: TypedGraph, rule: Rule, m: GraphMorphism) -> Optional[DirectDe
     the items they glue and the ``D`` items whose names they take changed
     in ``H``; edges are rewired only at the nodes that change name.  ``H``
     and its morphisms are named by ``oracles.pushout(r, mK)``'s rule
-    (``_span_names``), byte for byte; ``oracles.apply_rule_by_definition``
+    (``graphs._span_names``), byte for byte; ``oracles.apply_rule_by_definition``
     builds the step whole.
     """
     if m.source is not rule.L or m.target is not g:
         raise GraphError("match must map the rule's left-hand side into the host")
     m.validate()
     deleted = _gluing(g, rule, m)
-    if not deleted:
-        return None
+    return deleted and _step(g, rule, m, deleted)
+
+
+def _step(g: TypedGraph, rule: Rule, m: GraphMorphism, deleted: list) -> DirectDerivation:
+    """``apply_rule``'s step at a match into ``g`` whose gluing condition
+    holds, with the nodes and the edges ``_gluing`` found it deletes."""
     del_nodes, del_edges = deleted
     (*_, r_nodes), (*_, r_edges) = _rule_parts(rule)
     mn, me, at = m.node_map, m.edge_map, _incidence(g)
@@ -438,48 +385,52 @@ class Derivation:
         return f"Derivation({';'.join(self.rule_names()) or 'ε'})"
 
 
-def _step_pins(uf: UnionFind, at: tuple, rule: Rule, m: GraphMorphism) -> tuple:
-    """The pin of a step of ``rule`` at ``m`` glued onto a colimit whose
-    target's items have the classes ``at``, and the classes of ``R``'s items.
+def _pin(uf: UnionFind, at: tuple, rule: Rule, m: GraphMorphism) -> tuple:
+    """The pin of a step of ``rule`` at ``m`` glued onto a colimit with the
+    union-find ``uf``, whose target's items have the roots ``at``, read
+    without changing ``uf``; the class of each item of ``R``; and the pairs
+    of roots the step merges.
 
-    An item of ``R`` in the image of ``r`` takes the class of the images of
-    its ``K`` preimages, unioned in ``uf`` where ``r`` merges them (images
-    the match identifies share a class already); a created item opens a
-    class in ``uf``.  The pin is the rule name and, per kind, the
-    classes of the images of ``L``'s sorted items, then of ``R``'s.
+    An item of ``R`` in the image of ``r`` takes the root of the images of
+    its ``K`` preimages (images the match identifies share one already),
+    paired with each other root where ``r`` merges them; a created item
+    takes a fresh integer past ``len(uf.parent)``.  The pin is the rule
+    name and, per kind, the roots of the images of ``L``'s sorted items,
+    then the classes of ``R``'s.
     """
-    pin = [rule.name]
-    classes = []
+    fresh, pin, classes, merges = len(uf.parent), [rule.name], [], []
     for (_, l_items, pairs, r_items), a, images in zip(_rule_parts(rule), at,
                                                        (m.node_map, m.edge_map)):
         of: Dict[str, int] = {}
         for x, y in pairs:
             c = a[images[x]]
             if of.setdefault(y, c) != c:
-                uf.union(of[y], c)
+                merges.append((of[y], c))
         for y in r_items:  # a created item opens a class
-            uf.add(of.setdefault(y, len(uf.parent)))
+            if y not in of:
+                of[y], fresh = fresh, fresh + 1
         pin.append([a[images[x]] for x in l_items] + [of[y] for y in r_items])
         classes.append(of)
-    return tuple(pin), classes
+    return tuple(pin), classes, merges
 
 
 class Colimit:
     """Colimit of the zig-zag of graphs of a derivation, on integer classes.
 
-    ``_at`` maps the nodes and the edges of the target graph to classes,
-    integers of the union-find ``_uf``.  With ``base``, the colimit of a
-    prefix of the derivation (its parent's), only the later steps are glued
-    (``_step_pins``) into a copy of its union-find, which so holds one
-    integer per class opened: the start graph's items, then each step's
-    created items.  ``_start`` and ``_pins`` hold the pin labels as the
-    classes they had when glued: the start graph's items, then per step the
-    rule name and the images of the sorted items of ``L`` and of ``R``.
+    ``_at`` maps the nodes and the edges of the target graph to their
+    classes, roots of the union-find ``_uf`` of integers.  With ``base``,
+    the colimit of a prefix of the derivation (its parent's), only the
+    later steps are glued (``_pin``) into a copy of its union-find, which so
+    holds one integer per class opened: the start graph's items, then each
+    step's created items.  ``_start`` and ``_pins`` hold the pin labels as
+    the classes they had when glued: the start graph's items, then per step
+    the rule name and the images of the sorted items of ``L`` and of ``R``.
 
-    ``key`` reads the process key off the union-find roots.  ``graph``,
-    ``node_in`` and ``edge_in`` come from ``colimit_by_definition`` on
-    first use.  The colimit keeps the derivation's start graph and steps,
-    not the derivation, so it holds no reference back to it.
+    ``key`` reads the process key off the union-find roots of the labels,
+    kept in ``_rows``.  ``graph``, ``node_in`` and ``edge_in`` come from
+    ``colimit_by_definition`` on first use.  The colimit keeps the
+    derivation's start graph and steps, not the derivation, so it holds no
+    reference back to it.
     """
 
     def __init__(self, source: TypedGraph, steps: Tuple[DirectDerivation, ...],
@@ -494,16 +445,31 @@ class Colimit:
         else:
             uf, at, start, pins = base._uf.copy(), base._at, base._start, base._pins
         for st in steps[len(pins):]:
-            pin, classes = _step_pins(uf, at, st.rule, st.match)
+            pin, classes, merges = _pin(uf, at, st.rule, st.match)
+            for c in chain(*map(dict.values, classes)):
+                uf.add(c)  # a created item's class; the others are there
+            for c in merges:
+                uf.union(*c)
             # H's items: a D item keeps its class, an R item takes its own
             at = tuple({**{z: a[x] for x, z in rstar.items()},
                         **{mr[y]: c for y, c in of.items()}}
                        for a, rstar, mr, of in zip(at, (st.rstar.node_map, st.rstar.edge_map),
                                                    (st.mR.node_map, st.mR.edge_map), classes))
+            if merges:  # every class in at stays a root
+                at = tuple({x: uf.find(c) for x, c in a.items()} for a in at)
             pins += (pin,)
         self._uf, self._at, self._start, self._pins = uf, at, start, pins
         self._source, self._steps = source, steps
-        self._derived: Dict[object, object] = {}  # the names, on first use
+        self._derived: Dict[object, object] = {}  # the rows and the names, on first use
+
+    @once
+    def _rows(self) -> tuple:
+        """The sorted rule names of the steps and, per kind, the roots of
+        the pin labels: the start graph's row, then each step's, the steps
+        in name order.  ``key`` reads them and never changes them."""
+        pins = sorted(self._pins, key=lambda pin: pin[0])
+        return (tuple(pin[0] for pin in pins), *[[list(map(self._uf.find, labels)) for labels in (
+            start, *[pin[1 + kind] for pin in pins])] for kind, start in enumerate(self._start)])
 
     def key(self, rule: Optional[Rule] = None, match: Optional[GraphMorphism] = None) -> tuple:
         """The sorted rule names and the partition of the pin labels into
@@ -520,41 +486,46 @@ class Colimit:
         is dropped as soon as its node numbers exceed the least found.
 
         With a ``rule`` and a ``match`` into the target, it is the key of
-        the derivation extended by that step, read off this colimit and the
-        match alone (``_step_pins``), without the step being built.
+        the derivation extended by that step, read off this colimit's rows
+        and the match alone, without the step being built and without
+        changing the colimit: the step's row (``_pin``) goes after the
+        steps of rules named up to ``rule``'s, and only when ``r`` merges
+        classes are the rows remapped, through a union-find over the merged
+        roots alone.
         """
-        uf, pins = self._uf, self._pins
+        names, *rows = self._rows()
         if rule:
-            uf = uf.copy()
-            pins += (_step_pins(uf, self._at, rule, match)[0],)
-        find = uf.find
-        pins = sorted(pins, key=lambda pin: pin[0])  # the steps by rule name
-        rows = [[[find(c) for c in labels]  # per kind: the start graph's roots, then each step's
-                 for labels in (self._start[kind], *[pin[1 + kind] for pin in pins])]
-                for kind in (0, 1)]
+            pin, _, merges = _pin(self._uf, self._at, rule, match)
+            k = bisect_right(names, rule.name)
+            names = (*names[:k], rule.name, *names[k:])
+            rows = [[*r[:k + 1], row, *r[k + 1:]] for r, row in zip(rows, pin[1:])]
+            if merges:
+                over = UnionFind(chain(*merges))
+                for c in merges:
+                    over.union(*c)
+                rows = [[[over.find(c) if c in over else c for c in row] for row in r]
+                        for r in rows]
 
-        def numbered(kind: int, order: Iterable[int]) -> List[int]:
-            num: Dict[int, int] = {}
-            return [num.setdefault(c, len(num))
-                    for c in chain(*[rows[kind][i] for i in (0, *order)])]
+        def numbered(num: Dict[int, int], labels: Iterable[int]) -> List[int]:
+            return [num.setdefault(c, len(num)) for c in labels]
 
-        steps = range(1, len(pins) + 1)
-        best = [numbered(0, steps), numbered(1, steps)]
-        runs = [list(run) for _, run in groupby(steps, key=lambda i: pins[i - 1][0])]
-        if len(runs) < len(pins):  # renumber the other orders of a rule's steps
+        best = [numbered({}, chain(*r)) for r in rows]
+        if len(set(names)) < len(names):  # renumber the other orders of a rule's steps
             # states[k]: the node numbering of the start graph and k steps chosen
             num: Dict[int, int] = {}
-            states = [(num, [num.setdefault(c, len(num)) for c in rows[0][0]])]
+            states, steps = [(num, numbered(num, rows[0][0]))], range(1, len(names) + 1)
 
             def fits(k: int, i: int, chosen: List[int]) -> bool:
                 num = dict(states[k][0])
-                seq = states[k][1] + [num.setdefault(c, len(num)) for c in rows[0][i]]
+                seq = states[k][1] + numbered(num, rows[0][i])
                 states[k + 1:] = [(num, seq)]
                 return seq <= best[0][:len(seq)]
 
-            for order in backtrack([run for run in runs for _ in run], fits, True):
-                best[:] = min(best, [states[-1][1], numbered(1, order)])
-        return (tuple(pin[0] for pin in pins), *map(tuple, best))
+            for order in backtrack([[j for j in steps if names[j - 1] == names[i - 1]]
+                                    for i in steps], fits, True):
+                best[:] = min(best, [states[-1][1],
+                                     numbered({}, chain(*[rows[1][i] for i in (0, *order)]))])
+        return (names, *map(tuple, best))
 
     @once
     def _names(self) -> tuple:
@@ -730,20 +701,22 @@ def trace_classes(grammar: Grammar, depth: int, fusion_safe: bool = False,
             for rule, images in zip(rules, _matches(deriv, rules)):
                 for im in images:
                     m = _morphism(rule.L, host, im)
-                    if not _gluing(host, rule, m) or (
-                            fusion_safe and not _jointly_mono(rule, m)):
+                    deleted = _gluing(host, rule, m)
+                    if not deleted or fusion_safe and not _jointly_mono(rule, m):
                         continue
                     key = colimit.key(rule, m)
                     cls = buckets.get(key)
                     if cls is None:
-                        cls = buckets[key] = open_class(deriv.extend(apply_rule(host, rule, m)))
+                        cls = buckets[key] = open_class(deriv.extend(_step(host, rule, m, deleted)))
                         found.append(cls)
                     else:
                         groups[cls].append((deriv, rule, im))
                     steps.append((parent, cls))
-            # the host's matching and incidence indexes served these steps
-            # alone, so the hosts of a trace tree keep only their matches
+            # the host's matching and incidence indexes and the colimit's
+            # rows (all it derived) served these steps alone, so the trace
+            # tree keeps neither
             _drop_indexes(host)
+            colimit._derived.clear()
         frontier = found
     return _trace_result(groups, steps)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from weavent import rewrite
+from weavent import graphs, rewrite
 from weavent._common import UnionFind
 from weavent.domains import algebraicity, validate_domain
 from weavent.duality import dom_of_es, ev_of_domain
@@ -440,13 +440,13 @@ class TestTraceDomain:
         # synth-B_7 has 128 classes; the ceiling must stop the growth at the
         # fourth class, not after the whole tree is built
         grammar = grammar_from_es(boolean_es(7))
-        calls = []
+        calls, step = [], rewrite._step
 
-        def counting_apply_rule(*args):
+        def counting_step(*args):
             calls.append(args)
-            return apply_rule(*args)
+            return step(*args)
 
-        monkeypatch.setattr(rewrite, "apply_rule", counting_apply_rule)
+        monkeypatch.setattr(rewrite, "_step", counting_step)
         with pytest.raises(TraceLimitError):
             trace_classes(grammar, 7, ceiling=3)
         assert 0 < len(calls) < 20
@@ -556,7 +556,7 @@ def _pushout_reference(f, g):
         used = set()
         for members in uf.groups():
             bs = sorted({x for tag, x in members if tag == "B"})
-            name = rewrite._fresh("+".join(bs) if bs else min(x for tag, x in members), used)
+            name = graphs._fresh("+".join(bs) if bs else min(x for tag, x in members), used)
             for m in members:
                 name_of[m] = name
     side = {"A": a, "B": b}

@@ -24,17 +24,21 @@ it, and a step is built only for a class opened, or on the first read of
 ``members``.
 """
 
+import copy
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from weavent import oracles, rewrite
+from weavent import graphs, oracles, rewrite
+from weavent._common import UnionFind
 from weavent.es import EventStructure, classify
-from weavent.graphs import TypedGraph, _drop_indexes, _morphism, find_matches, iso_hash
+from weavent.graphs import (GraphMorphism, TypedGraph, _drop_indexes, _morphism, find_matches,
+                            iso_hash)
 from weavent.io import load_structure
 from weavent.oracles import (apply_rule_by_definition, colimit_by_definition,
                              trace_classes_by_definition)
@@ -423,20 +427,20 @@ def test_a_step_names_its_rule_and_collisions_only(monkeypatch, case):
     # each step calls _fresh at most once per item of R and once per host
     # item whose name an R item takes (directly or down a "~k" chain)
     calls, steps = [0], []
-    fresh, apply = rewrite._fresh, rewrite.apply_rule
+    fresh, step = graphs._fresh, rewrite._step
 
     def counted_fresh(base, used):
         calls[0] += 1
         return fresh(base, used)
 
-    def counted_apply(g, rule, m):
+    def counted_step(g, rule, m, deleted):
         before = calls[0]
-        st = apply(g, rule, m)
+        st = step(g, rule, m, deleted)
         steps.append((st, rule, calls[0] - before))
         return st
 
-    monkeypatch.setattr(rewrite, "_fresh", counted_fresh)
-    monkeypatch.setattr(rewrite, "apply_rule", counted_apply)
+    monkeypatch.setattr(graphs, "_fresh", counted_fresh)
+    monkeypatch.setattr(rewrite, "_step", counted_step)
     result = trace_classes(*_synthesised(_choices(3))) if case == "X3" \
         else trace_classes(_fusion(), 5)
     assert len(result.classes) == (27 if case == "X3" else 7)
@@ -493,6 +497,60 @@ def test_key_from_the_match_equals_the_key_of_the_step_built(kind, arg):
         merged += not rule.r.is_injective()
     assert built
     assert merged or kind not in ("fusion", "growing")
+
+
+@pytest.mark.parametrize("kind,arg", KEY_CASES)
+def test_key_from_the_match_leaves_the_colimit_untouched(kind, arg):
+    # a key read off a parent's colimit and a match reads its union-find,
+    # its classes, its pins and its cached rows, and changes none of them,
+    # steps that merge classes included; the rows stay cached, the same object
+    merging = 0
+    for parent, rule, m in _examined(*_key_case(kind, arg)):
+        col = parent.colimit()
+        rows = col._rows()
+        before = copy.deepcopy((col._uf.groups(), col._at, col._pins, rows))
+        col.key(rule, m)
+        assert col._rows() is rows
+        assert (col._uf.groups(), col._at, col._pins, rows) == before
+        merging += bool(rewrite._pin(col._uf, col._at, rule, m)[2])
+    assert merging or kind not in ("fusion", "growing")
+
+
+def test_work_of_trace_classes_on_synth_x3(monkeypatch):
+    # synth-X3 reaches 27 classes from 54 candidate steps.  Each class's
+    # colimit is built once, on a copy of its parent's union-find (26
+    # copies: the start graph's colimit copies none), and key copies none;
+    # each candidate's gluing is checked once, and no match is validated
+    # (the grammar keeps the verdict of its check in the run above)
+    grammar, depth = _synthesised(_choices(3))
+    assert sum(1 for _ in _examined(grammar, depth, False)) == 54
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((UnionFind, "copy"), (rewrite.Colimit, "__init__"),
+                        (rewrite, "_gluing"), (GraphMorphism, "validate")):
+        count(owner, name)
+    key = rewrite.Colimit.key
+
+    def key_copying_nothing(self, *args):
+        copies = calls["copy"]
+        out = key(self, *args)
+        assert calls["copy"] == copies
+        calls["key"] += 1
+        return out
+
+    monkeypatch.setattr(rewrite.Colimit, "key", key_copying_nothing)
+    assert len(trace_classes(grammar, depth).classes) == 27
+    assert calls == {"copy": 26, "__init__": 27, "_gluing": 54, "key": 54}
+    assert calls["validate"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -580,15 +638,17 @@ def test_classes_and_members_match_the_reference(kind, arg):
 
 
 def _count_steps(monkeypatch):
-    """Count the calls to ``rewrite.apply_rule``."""
+    """Count the steps built: the calls to ``rewrite._step``, which
+    ``trace_classes`` calls for a class it opens and ``apply_rule`` for
+    each member built on first read."""
     count = [0]
-    apply = rewrite.apply_rule
+    step = rewrite._step
 
-    def counted(g, rule, m):
+    def counted(g, rule, m, deleted):
         count[0] += 1
-        return apply(g, rule, m)
+        return step(g, rule, m, deleted)
 
-    monkeypatch.setattr(rewrite, "apply_rule", counted)
+    monkeypatch.setattr(rewrite, "_step", counted)
     return count
 
 
