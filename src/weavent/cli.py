@@ -16,7 +16,7 @@ of that kind that parsed, or of the grammar ``synth --out`` last wrote, the
 call gets that structure back, with what earlier verbs derived from it
 and kept on it: the configuration table, the domain, the connected
 structure, a domain's certificate, the axiom and asynchronous-graph
-reports, a grammar's verdict (each under its ``_common.once`` function)
+reports, an asynchronous graph's path-class domain, a grammar's verdict (each under its ``_common.once`` function)
 and the matches of its start graph.
 ``_SESSION`` holds one structure per input kind and drops it before a new
 file of that kind is parsed, or before ``synth --out`` holds the grammar it

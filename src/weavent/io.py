@@ -35,7 +35,7 @@ from .domains import FiniteDomain
 from .duality import Epes
 from .graphs import GraphMorphism, TypedGraph
 from .rewrite import Grammar, Rule
-from .asyncgraphs import AsyncGraph
+from .asyncgraphs import AsyncError, AsyncGraph, _edge_map, _square
 
 _enc = json.encoder.encode_basestring_ascii  # a string as JSON text
 
@@ -356,19 +356,47 @@ def _async_edge(ed) -> tuple:
     return _string(ed["id"], ".id"), _string(ed["src"], ".src"), _string(ed["tgt"], ".tgt")
 
 
-def _square(sq) -> tuple:
-    if not isinstance(sq, list) or len(sq) != 2 or any(len(_string_list(p, "")) != 2 for p in sq):
+def _async_square(sq, emap: Dict[str, tuple], late: List[ValueError]):
+    """The square ``sq``, a pair of 2-edge paths, as ``asyncgraphs._square``
+    checks it against ``emap``; a square that fails that check is put on
+    ``late``, to be reported once every square has its shape checked."""
+    if not isinstance(sq, list) or len(sq) != 2:
         raise SchemaError(": expected a pair of 2-edge paths")
-    return tuple(sq[0]), tuple(sq[1])
+    for w in sq:
+        if not (isinstance(w, list) and len(w) == 2
+                and isinstance(w[0], str) and isinstance(w[1], str)):
+            _string_list(w, "")  # a list of strings passes to the next line
+            raise SchemaError(": expected a pair of 2-edge paths")
+    try:
+        return _square(emap, tuple(sq[0]), tuple(sq[1]))
+    except AsyncError as exc:
+        late.append(exc)
+        return None
 
 
 def parse_async(obj: Mapping) -> AsyncGraph:
+    """The graph of ``obj``, each square read and checked once, in input
+    order.  The errors come in the order of the checks: the shapes of the
+    nodes, the edges, every square and the origin, then the edges and the
+    origin against the nodes (``asyncgraphs._edge_map``), then the first
+    square that is not one in the graph."""
     _require_keys(obj, {"nodes", "edges", "origin", "squares"},
                   {"nodes", "edges", "origin"}, "async graph")
-    nodes = _string_list(obj["nodes"], "nodes")
+    nodes = frozenset(_string_list(obj["nodes"], "nodes"))
     edges = _items(obj["edges"], "edges", _async_edge)
-    squares = _items(obj.get("squares", []), "squares", _square)
-    return _built(AsyncGraph.build, nodes, edges, _string(obj["origin"], "origin"), squares)
+    origin = obj["origin"]
+    late: List[ValueError] = []
+    try:  # an origin that is not a string fails its shape check below
+        emap = _edge_map(nodes, edges, origin if isinstance(origin, str) else "")
+    except AsyncError as exc:
+        emap = {}
+        late.append(exc)
+    squares = _items(obj.get("squares", []), "squares",
+                     lambda sq: _async_square(sq, emap, late))
+    origin = _string(origin, "origin")
+    if late:
+        raise SchemaError(str(late[0]))
+    return AsyncGraph(nodes, emap, origin, frozenset(squares))
 
 
 def async_to_json(a: AsyncGraph) -> Dict[str, Any]:

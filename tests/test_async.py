@@ -12,6 +12,7 @@ from weavent.asyncgraphs import (AsyncError, AsyncGraph, AsyncReport, Path2,
                                  async_domain, hasse_as_async, validate_async_graph,
                                  _end, _is_acyclic, _path_classes, _reachable,
                                  _square_classes)
+from weavent.domains import FiniteDomain
 from weavent.duality import dom_of_es
 from weavent.es import EventStructure
 from weavent.fixtures import chain, e_ccs, e_run, e_three_independent, m3
@@ -151,6 +152,39 @@ class TestAsyncDomain:
             "o")  # no squares declared: cofinal paths are inequivalent
         with pytest.raises(AsyncError):
             async_domain(a)
+
+    @staticmethod
+    def _by_definition(a):
+        """The domain as ``FiniteDomain`` builds it from the path classes'
+        ids and links, checking and reducing them."""
+        least, links = _path_classes(a)
+        ids = [f"p{k}:{';'.join(w) or 'ε'}" for k, w in enumerate(least)]
+        return FiniteDomain(ids, [(ids[j], ids[k]) for j, k in links])
+
+    def test_domain_of_the_links_is_the_checked_one(self):
+        graphs = [hasse_as_async(dom_of_es(_family(name, n)))
+                  for name, n in (("B", 6), ("X", 3), ("L", 2), ("L", 3))]
+        rng = random.Random(2027)  # the draws of TestPinnedReports
+        graphs += [a for a in (random_async_graph(rng) for _ in range(600))
+                   if validate_async_graph(a).weak_prime()]
+        assert len(graphs) > 30
+        for a in graphs:
+            dom, ref = async_domain(a), self._by_definition(a)
+            assert dom.elements == ref.elements
+            assert dom.covers() == ref.covers()
+            assert (dom._down, dom._up) == (ref._down, ref._up)
+
+    def test_async_then_weak_builds_the_domain_once(self, monkeypatch, capsys):
+        built = []
+        compute = async_domain.__wrapped__
+        monkeypatch.setattr(async_domain, "__wrapped__",
+                            lambda a: built.append(a) or compute(a))
+        path = str(FIXTURES / "run.async.json")
+        # run is unstable: the full check exits 1, the weak one 0
+        assert cli.main(["async", "--async", path]) == 1
+        assert cli.main(["async", "--async", path, "--weak"]) == 0
+        assert capsys.readouterr().out.count('"path_classes": 7') == 2
+        assert len(built) == 1
 
     def test_path_classes_collapse_to_nodes(self, run_async):
         pcls, paths = _origin_path_classes(run_async)
@@ -320,6 +354,59 @@ class TestPinnedReports:
             "('{a0,b0,c0}>{a0,b0,b1,c0}', '{a0,b0,b1,c0}>{a0,b0,b1,c0,c1}', "
             "'{a0,b0,b1,c0,c1}>{a0,a1,b0,b1,c0,c1}'))",)
 
+
+
+def _ordered_premises(a):
+    """How many premises the plain walks meet, each unordered one in both
+    orders: lower medians (m, u1, u2, v1, v2) and upper medians
+    (u1, w1, v1, w2) with u1 != v1."""
+    cls, members = _square_classes(a)
+    lower = upper = 0
+    for m in a.edges:
+        sides = [q for c in a.out_edges(a.tgt(m)) for q in members[cls[(m, c)]] if q[0] != m]
+        lower += sum(1 for u in sides for v in sides if u[0] != v[0])
+    for u1 in a.edges:
+        upper += sum(1 for w1 in a.out_edges(a.tgt(u1))
+                     for v1, _ in members[cls[(u1, w1)]] if v1 != u1)
+    return lower, upper
+
+
+class TestEachUnorderedPremiseOnce:
+    """The upward cube and coherence share one walk of the lower medians,
+    and the downward cube walks the upper medians with u1 < v1: each
+    unordered premise is evaluated once, never also its mirror."""
+
+    @staticmethod
+    def _walked(monkeypatch, a):
+        walked = {"_lower_medians": [], "_upper_medians": []}
+        for name, got in walked.items():
+            def counted(*args, _walk=getattr(asyncgraphs, name), _got=got):
+                for premise in _walk(*args):
+                    _got.append(premise)
+                    yield premise
+            monkeypatch.setattr(asyncgraphs, name, counted)
+        validate_async_graph.__wrapped__(a)
+        return walked["_lower_medians"], walked["_upper_medians"]
+
+    @pytest.mark.parametrize("name,n,lower,upper", [("B", 6, 480, 240), ("L", 2, 162, 30)])
+    def test_premises_evaluated(self, monkeypatch, name, n, lower, upper):
+        a = hasse_as_async(dom_of_es(_family(name, n)))
+        walked_lower, walked_upper = self._walked(monkeypatch, a)
+        assert (len(walked_lower), len(walked_upper)) == (lower, upper)
+        ordered_lower, ordered_upper = _ordered_premises(a)
+        # both pass the upward cube and coherence, so the lower walk is whole
+        assert 2 * lower == ordered_lower
+        mirrors = {(m, v1, v2, u1, u2) for m, u1, u2, v1, v2 in walked_lower}
+        assert mirrors.isdisjoint(walked_lower)
+        assert all(u1 < v1 for _, u1, v1, _, _ in walked_upper)
+        # B_6 passes the downward cube, L_2 stops at its witness
+        if name == "B":
+            assert 2 * upper == ordered_upper
+        else:
+            assert 2 * upper < ordered_upper
+            b, u1, v1, _, _ = walked_upper[-1]
+            assert validate_async_graph(a).diagnostics[0].startswith(
+                f"cube (downward/stability) fails at ({b!r}, ({u1!r}, ")
 
 # ---------------------------------------------------------------------- #
 # The validator whose premises scanned out-edges and kept the candidates of

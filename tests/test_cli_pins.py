@@ -444,3 +444,166 @@ def test_lines_argparse_parses_keep_the_pinned_bytes(line, monkeypatch, capsys):
     out, err = capsys.readouterr()
     cli._SESSION.clear()
     assert (code, _sha(out), _sha(err)) == ARGPARSE_LINES[line]
+
+
+# async on the Hasse graphs of B_3, X_2 and L_2 -> (exit code, sha256 of
+# stdout, sha256 of the domain written to --out), pinned while the upward
+# cube and coherence still walked every ordered lower median; L_2 is
+# unstable, so without --weak it exits 1 on its downward-cube witness
+HASSE_ASYNC = {
+    "B3": (
+        0, "4a94b9acd8973029f5bf93cc5a742b024ccf035a7d156bb829e84a3946c40441",
+        "4df008cded2014a886dfa6e1b2006567810ba0df017a2c24ed6fa0d5b07e7639"),
+    "B3 --weak": (
+        0, "4a94b9acd8973029f5bf93cc5a742b024ccf035a7d156bb829e84a3946c40441",
+        "4df008cded2014a886dfa6e1b2006567810ba0df017a2c24ed6fa0d5b07e7639"),
+    "X2": (
+        0, "e66e9ecd8e3ad143742b433d33a918012bea17b7f63ed58cf926586de78d0216",
+        "c3f148345168891fdcc488f14f2eb2d597f6527eab76b8b8a626b4f68669b4b7"),
+    "X2 --weak": (
+        0, "e66e9ecd8e3ad143742b433d33a918012bea17b7f63ed58cf926586de78d0216",
+        "c3f148345168891fdcc488f14f2eb2d597f6527eab76b8b8a626b4f68669b4b7"),
+    "L2": (
+        1, "539f47545ab3d717719429f63ea43cef342c6a074be0dc26fe8ad82949656490",
+        "974a9545413bb5b8096fecb73a91f4e9efe034a5933843e6f2a7af5736dd98f3"),
+    "L2 --weak": (
+        0, "5e44692b4d722e7d5cc2184e0745c6a413fabeaa17625329f108dcaba6dbc42e",
+        "974a9545413bb5b8096fecb73a91f4e9efe034a5933843e6f2a7af5736dd98f3"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(HASSE_ASYNC))
+def test_async_on_hasse_graphs_keeps_the_pinned_bytes(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name, *flags = line.split()
+    hasse = hasse_as_async(dom_of_es(family_es(name[0], int(name[1:]))))
+    iomod.dump_json(iomod.async_to_json(hasse), "hasse.async.json")
+    code, out = _run(capsys, ["async", "--async", "hasse.async.json", *flags,
+                              "--out", "dom.json"])
+    written = hashlib.sha256((tmp_path / "dom.json").read_bytes()).hexdigest()
+    assert (code, _sha(out), written) == HASSE_ASYNC[line]
+
+
+# a square a;c ~ b;d over the nodes n0..n3
+_SQUARE_EDGES = [{"id": "a", "src": "n0", "tgt": "n1"}, {"id": "b", "src": "n0", "tgt": "n2"},
+                 {"id": "c", "src": "n1", "tgt": "n3"}, {"id": "d", "src": "n2", "tgt": "n3"}]
+_LOOPS = [{"id": "l", "src": "n3", "tgt": "n3"}, {"id": "m", "src": "n3", "tgt": "n3"}]
+_NODES = ["n0", "n1", "n2", "n3"]
+
+
+def _graph(squares, edges=_SQUARE_EDGES, origin="n0", nodes=_NODES):
+    return {"nodes": nodes, "edges": edges, "origin": origin, "squares": squares}
+
+
+# odd async files: name -> (verb and flags, file), the file given as
+# ``--async odd.async.json``
+ODD_ASYNC_FILES = {
+    "a square path given as a string": (
+        "async", _graph([[["a", "c"], ["b", "d"]], ["ac", ["b", "d"]]])),
+    "integer edge names in a square": ("async", _graph([[[0, 1], [2, 3]]])),
+    "integer edge ids": ("async", _graph([], [{"id": 0, "src": "n0", "tgt": "n1"}])),
+    "a self-loop square": ("async", _graph([[["l", "l"], ["l", "l"]]], _SQUARE_EDGES + _LOOPS)),
+    "a square of two self-loops": (
+        "async --weak", _graph([[["l", "m"], ["m", "l"]]], _SQUARE_EDGES + _LOOPS)),
+    "a cyclic graph": (
+        "check", _graph([], [{"id": "a", "src": "n0", "tgt": "n1"},
+                                     {"id": "b", "src": "n1", "tgt": "n0"}], nodes=["n0", "n1"])),
+    "a square that is not a pair of paths": ("async", _graph([[["a", "d"], ["b", "c"]]])),
+    "a square of one path": ("async", _graph([[["a", "c"], ["a", "c"]]])),
+    "a square that is not coinitial-cofinal": (
+        "async", _graph([[["a", "c"], ["b", "d"]]], _SQUARE_EDGES[:3] + [
+            {"id": "d", "src": "n2", "tgt": "n1"}])),
+    "a path of three edges": ("async", _graph([[["a", "c", "c"], ["b", "d"]]])),
+    "a square of three paths": ("async", _graph([[["a", "c"], ["b", "d"], ["a", "c"]]])),
+    "a square naming an unknown edge": ("async", _graph([[["a", "c"], ["b", "x"]]])),
+    "a bad square before a malformed one": (
+        "async", _graph([[["a", "d"], ["b", "c"]], [["a"], ["b", "d"]]])),
+    "a bad square and a duplicate edge": (
+        "async", _graph([[["a", "d"], ["b", "c"]]], _SQUARE_EDGES + _SQUARE_EDGES[:1])),
+    "a bad square and an unknown endpoint": (
+        "async", _graph([[["a", "d"], ["b", "c"]]], _SQUARE_EDGES + [
+            {"id": "e", "src": "n0", "tgt": "n9"}])),
+    "a bad square and an origin that is not a string": (
+        "async", _graph([[["a", "d"], ["b", "c"]]], origin=0)),
+    "a bad square and an unknown origin": (
+        "async", _graph([[["a", "d"], ["b", "c"]]], origin="n9")),
+    "two bad squares": (
+        "async", _graph([[["a", "c"], ["b", "c"]], [["a", "d"], ["b", "c"]]])),
+    "squares that are not a list": ("async", _graph({"a": "c"})),
+}
+
+# name -> (exit code, sha256 of stdout, stderr), pinned while ``io._square``
+# checked each square's shape and ``AsyncGraph.build`` its paths
+ODD_ASYNC = {
+    "a bad square and a duplicate edge": (
+        2, _EMPTY,
+        '{\n  "error": "duplicate edge id \'a\'"\n}\n'),
+    "a bad square and an origin that is not a string": (
+        2, _EMPTY,
+        '{\n  "error": "origin: expected a string"\n}\n'),
+    "a bad square and an unknown endpoint": (
+        2, _EMPTY,
+        '{\n  "error": "edge \'e\' has unknown endpoints"\n}\n'),
+    "a bad square and an unknown origin": (
+        2, _EMPTY,
+        '{\n  "error": "unknown origin \'n9\'"\n}\n'),
+    "a bad square before a malformed one": (
+        2, _EMPTY,
+        '{\n  "error": "squares[1]: expected a pair of 2-edge paths"\n}\n'),
+    "a cyclic graph": (
+        1, "6e63005a1dac05c98684eb8bcd5232588fc07424bd8aa9ffab7f304834a005b2",
+        ''),
+    "a path of three edges": (
+        2, _EMPTY,
+        '{\n  "error": "squares[0]: expected a pair of 2-edge paths"\n}\n'),
+    "a self-loop square": (
+        2, _EMPTY,
+        '{\n  "error": "square [(\'l\', \'l\')] does not name two distinct paths"\n}\n'),
+    "a square naming an unknown edge": (
+        2, _EMPTY,
+        '{\n  "error": "square [(\'a\', \'c\'), (\'b\', \'x\')] '
+        'is not a pair of length-2 paths"\n}\n'),
+    "a square of one path": (
+        2, _EMPTY,
+        '{\n  "error": "square [(\'a\', \'c\')] does not name two distinct paths"\n}\n'),
+    "a square of three paths": (
+        2, _EMPTY,
+        '{\n  "error": "squares[0]: expected a pair of 2-edge paths"\n}\n'),
+    "a square of two self-loops": (
+        1, "e1f234dfb17a67b5780aafe603c5179914705dba2e3ad3d6bc2f714e3f0f1483",
+        ''),
+    "a square path given as a string": (
+        2, _EMPTY,
+        '{\n  "error": "squares[1]: expected a list of strings"\n}\n'),
+    "a square that is not a pair of paths": (
+        2, _EMPTY,
+        '{\n  "error": "square [(\'a\', \'d\'), (\'b\', \'c\')] '
+        'is not a pair of length-2 paths"\n}\n'),
+    "a square that is not coinitial-cofinal": (
+        2, _EMPTY,
+        '{\n  "error": "square [(\'a\', \'c\'), (\'b\', \'d\')] is not coinitial-cofinal"\n}\n'),
+    "integer edge ids": (
+        2, _EMPTY,
+        '{\n  "error": "edges[0].id: expected a string"\n}\n'),
+    "integer edge names in a square": (
+        2, _EMPTY,
+        '{\n  "error": "squares[0]: expected a list of strings"\n}\n'),
+    "squares that are not a list": (
+        2, _EMPTY,
+        '{\n  "error": "squares: expected a list"\n}\n'),
+    "two bad squares": (
+        2, _EMPTY,
+        '{\n  "error": "square [(\'a\', \'c\'), (\'b\', \'c\')] '
+        'is not a pair of length-2 paths"\n}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_ASYNC_FILES))
+def test_odd_async_files_keep_the_pinned_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    line, obj = ODD_ASYNC_FILES[name]
+    iomod.dump_json(obj, "odd.async.json")
+    verb, *flags = line.split()
+    code = main([verb, "--async", "odd.async.json", *flags])
+    out, err = capsys.readouterr()
+    assert (code, _sha(out), err) == ODD_ASYNC[name]
