@@ -453,15 +453,12 @@ def async_domain(a: AsyncGraph) -> FiniteDomain:
         raise AsyncError("not a weak prime asynchronous graph: "
                          + "; ".join(report.diagnostics))
     least, links = _path_classes(a)
-    ids = [f"p{k}:{';'.join(w) or 'ε'}" for k, w in enumerate(least)]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    at = [0] * len(ids)  # class -> index of its id in sorted order
-    for i, k in enumerate(order):
-        at[k] = i
-    rising = [at[k] for k in sorted(range(len(ids)), key=lambda k: len(least[k]))]
-    return FiniteDomain._of_covers(tuple(ids[k] for k in order),
+    named = sorted((f"p{k}:{';'.join(w) or 'ε'}", k) for k, w in enumerate(least))
+    at = {k: i for i, (_, k) in enumerate(named)}  # class -> index of its id
+    return FiniteDomain._of_covers(tuple(x for x, _ in named),
                                    tuple(sorted((at[j], at[k]) for j, k in links)),
-                                   rising, COHERENT)
+                                   sorted(at.values(), key=lambda i: len(least[named[i][1]])),
+                                   COHERENT)
 
 
 def hasse_as_async(dom: FiniteDomain) -> AsyncGraph:

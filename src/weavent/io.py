@@ -365,7 +365,7 @@ def _async_square(sq, emap: Dict[str, tuple], late: List[ValueError]):
     for w in sq:
         if not (isinstance(w, list) and len(w) == 2
                 and isinstance(w[0], str) and isinstance(w[1], str)):
-            _string_list(w, "")  # a list of strings passes to the next line
+            _string_list(w, "")  # raises unless ``w`` is a list of strings
             raise SchemaError(": expected a pair of 2-edge paths")
     try:
         return _square(emap, tuple(sq[0]), tuple(sq[1]))
