@@ -355,7 +355,6 @@ class TestPinnedReports:
             "'{a0,b0,b1,c0,c1}>{a0,a1,b0,b1,c0,c1}'))",)
 
 
-
 def _ordered_premises(a):
     """How many premises the plain walks meet, each unordered one in both
     orders: lower medians (m, u1, u2, v1, v2) and upper medians
@@ -407,6 +406,7 @@ class TestEachUnorderedPremiseOnce:
             b, u1, v1, _, _ = walked_upper[-1]
             assert validate_async_graph(a).diagnostics[0].startswith(
                 f"cube (downward/stability) fails at ({b!r}, ({u1!r}, ")
+
 
 # ---------------------------------------------------------------------- #
 # The validator whose premises scanned out-edges and kept the candidates of

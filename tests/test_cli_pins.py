@@ -507,7 +507,7 @@ ODD_ASYNC_FILES = {
         "async --weak", _graph([[["l", "m"], ["m", "l"]]], _SQUARE_EDGES + _LOOPS)),
     "a cyclic graph": (
         "check", _graph([], [{"id": "a", "src": "n0", "tgt": "n1"},
-                                     {"id": "b", "src": "n1", "tgt": "n0"}], nodes=["n0", "n1"])),
+                             {"id": "b", "src": "n1", "tgt": "n0"}], nodes=["n0", "n1"])),
     "a square that is not a pair of paths": ("async", _graph([[["a", "d"], ["b", "c"]]])),
     "a square of one path": ("async", _graph([[["a", "c"], ["a", "c"]]])),
     "a square that is not coinitial-cofinal": (
